@@ -15,11 +15,11 @@
 //! * `boundary_program` — the 512-iteration boundary loop end to end,
 //!   warm arenas in both variants: `tree_path` hands the machine the
 //!   tree term each run (per-run compilation included), `compiled_path`
-//!   evaluates the pre-compiled [`STerm`] the pipeline now stores.
+//!   evaluates the pre-compiled [`SCode`] block the pipeline stores.
 //! * `compile_term` — the lowering pass itself, cold and warm, to show
 //!   compilation is a pay-once cost.
 //!
-//! [`STerm`]: bc_core::sterm::STerm
+//! [`SCode`]: bc_core::sterm::SCode
 
 use bc_core::sterm::compile_term;
 use bc_core::CompileCtx;

@@ -33,9 +33,9 @@ use bc_syntax::{Constant, Label, Type, TypeArena, TypeId};
 
 use crate::arena::{CoercionArena, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
-use crate::sterm::STerm;
+use crate::sterm::{SCode, STerm};
 use crate::styping::type_of_interned;
-use crate::subst::{subst, subst_compiled};
+use crate::subst::{subst, subst_closed};
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
 
@@ -428,7 +428,7 @@ fn step_sub_compiled(arena: &mut CoercionArena, cache: &mut ComposeCache, term: 
         STerm::Let(x, m, n) => match step_sub_compiled(arena, cache, m) {
             SubC::Stepped(m2) => SubC::Stepped(STerm::Let(x.clone(), m2.into(), n.clone())),
             SubC::Raise(p) => SubC::Raise(p),
-            SubC::Value => SubC::Stepped(subst_compiled(n, x, m)),
+            SubC::Value => SubC::Stepped(subst_closed(n, &[(x, m)])),
         },
         STerm::App(l, m) => match step_sub_compiled(arena, cache, l) {
             SubC::Stepped(l2) => SubC::Stepped(STerm::App(l2.into(), m.clone())),
@@ -458,11 +458,9 @@ fn step_sub_compiled(arena: &mut CoercionArena, cache: &mut ComposeCache, term: 
 /// Contracts an application of compiled values.
 fn apply_compiled(arena: &CoercionArena, fun: &STerm, arg: &STerm) -> SubC {
     match fun {
-        STerm::Lam(x, _, body) => SubC::Stepped(subst_compiled(body, x, arg)),
-        STerm::Fix(f, x, _, _, body) => {
-            let unrolled = subst_compiled(body, f, fun);
-            SubC::Stepped(subst_compiled(&unrolled, x, arg))
-        }
+        STerm::Lam(x, _, body) => SubC::Stepped(subst_closed(body, &[(x, arg)])),
+        // Unrolling and β in one pass: N[f := fix f..][x := V].
+        STerm::Fix(f, x, _, _, body) => SubC::Stepped(subst_closed(body, &[(f, fun), (x, arg)])),
         // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
         STerm::Coerce(u, c) => match arena.node(*c) {
             SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
@@ -504,9 +502,12 @@ fn coerce_value_compiled(
     }
 }
 
-/// Evaluates a closed, well-typed compiled λS term for at most `fuel`
-/// steps — [`run`] on the IR the machine actually executes, against
-/// caller-owned arenas. This is the production engine; the tree
+/// Evaluates a closed, well-typed compiled λS program for at most
+/// `fuel` steps — [`run`] on interned ids, against caller-owned
+/// arenas. The program's code block is decoded into a named [`STerm`]
+/// once, at the start; each step then substitutes closed values
+/// ([`subst_closed`]: no free-variable sets, no renaming) and measures
+/// the space peaks in one walk. This is the production engine; the tree
 /// [`run`] is its property-test oracle (same outcome, same step count,
 /// same space peaks — pinned by the equivalence suite in
 /// `tests/`/testkit).
@@ -517,13 +518,13 @@ fn coerce_value_compiled(
 /// typed, and [`RunError::FuelExhausted`] (carrying the steps actually
 /// taken) if the fuel bound is reached.
 pub fn run_compiled(
-    term: &STerm,
+    code: &SCode,
     fuel: u64,
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
     types: &mut TypeArena,
 ) -> Result<RunC, RunError> {
-    let paused = start_compiled(term, fuel, arena, types)?;
+    let paused = start_compiled(code, fuel, arena, types)?;
     match resume_compiled(paused, fuel, arena, cache) {
         SliceC::Done(r) => r,
         SliceC::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
@@ -537,8 +538,7 @@ pub fn run_compiled(
 /// program type is interned once at [`start_compiled`] and reused by
 /// every slice, exactly as the unsliced [`run_compiled`] computes it
 /// once up front. The `STerm` spine is `Rc`-shared, so a parked run
-/// is deliberately **not** `Send` (see the machine crate's `Paused`
-/// types for the measured rationale).
+/// is not `Send`.
 #[derive(Debug, Clone)]
 pub struct PausedC {
     current: STerm,
@@ -565,8 +565,9 @@ pub enum SliceC {
     Parked(PausedC),
 }
 
-/// Begins a resumable compiled run: interns the program type (the
-/// once-per-run cost the unsliced engine also pays up front) and
+/// Begins a resumable compiled run: decodes the code block into the
+/// named term the steps rewrite, interns the program type (the
+/// once-per-run costs the unsliced engine also pays up front) and
 /// parks before the first step.
 ///
 /// # Errors
@@ -574,17 +575,16 @@ pub enum SliceC {
 /// Returns [`RunError::IllTyped`] if the term is not closed and well
 /// typed.
 pub fn start_compiled(
-    term: &STerm,
+    code: &SCode,
     fuel: u64,
     arena: &mut CoercionArena,
     types: &mut TypeArena,
 ) -> Result<PausedC, RunError> {
-    let ty = type_of_interned(term, arena, types)?;
-    let current = term.clone();
+    let current = code.decode();
+    let ty = type_of_interned(&current, arena, types)?;
     // Tree-equivalent measures: node count includes each coercion's
     // implicit tree size, matching `Term::size`/`Term::coercion_size`.
-    let peak_coercion_size = current.coercion_size(arena);
-    let peak_size = current.size() + peak_coercion_size;
+    let (peak_size, peak_coercion_size) = current.measure(arena);
     Ok(PausedC {
         current,
         ty,
@@ -666,8 +666,8 @@ pub fn resume_compiled(
                     }));
                 }
                 steps += 1;
-                let coercion_size = next.coercion_size(arena);
-                peak_size = peak_size.max(next.size() + coercion_size);
+                let (size, coercion_size) = next.measure(arena);
+                peak_size = peak_size.max(size);
                 peak_coercion_size = peak_coercion_size.max(coercion_size);
                 current = next;
             }
@@ -858,7 +858,7 @@ mod tests {
             let mut arena = CoercionArena::new();
             let mut cache = ComposeCache::new();
             let mut types = TypeArena::new();
-            let st = compile_term(m, &mut arena, &mut types);
+            let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
             let compiled = run_compiled(&st, 10_000, &mut arena, &mut cache, &mut types).unwrap();
             match (&tree.outcome, &compiled.outcome) {
                 (Outcome::Value(v), OutcomeC::Value(cv)) => {
@@ -912,14 +912,14 @@ mod tests {
                     let mut arena = CoercionArena::new();
                     let mut cache = ComposeCache::new();
                     let mut types = TypeArena::new();
-                    let st = compile_term(m, &mut arena, &mut types);
+                    let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
                     run_compiled(&st, fuel, &mut arena, &mut cache, &mut types)
                 };
                 for slice in [1u64, 2, 7, fuel] {
                     let mut arena = CoercionArena::new();
                     let mut cache = ComposeCache::new();
                     let mut types = TypeArena::new();
-                    let st = compile_term(m, &mut arena, &mut types);
+                    let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
                     let mut paused = start_compiled(&st, fuel, &mut arena, &mut types)
                         .expect("samples are well typed");
                     let mut last_steps = 0;
@@ -951,7 +951,7 @@ mod tests {
         let mut arena = CoercionArena::new();
         let mut cache = ComposeCache::new();
         let mut types = TypeArena::new();
-        let st = compile_term(&bad, &mut arena, &mut types);
+        let st = SCode::encode(&compile_term(&bad, &mut arena, &mut types));
         assert!(matches!(
             run_compiled(&st, 10, &mut arena, &mut cache, &mut types),
             Err(RunError::IllTyped(_))

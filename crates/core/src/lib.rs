@@ -51,10 +51,11 @@
 //! [`sterm`] extends the same move to whole terms: [`sterm::STerm`]
 //! mirrors [`Term`] with `Coerce` nodes holding [`arena::CoercionId`]
 //! and type annotations holding `bc_syntax` [`bc_syntax::TypeId`]
-//! handles, lowered once by [`sterm::compile_term`]. The λS CEK
-//! machine runs on the compiled IR, so a boundary crossing performs
-//! zero interning and zero coercion allocation — an id load plus a
-//! cached O(1) merge.
+//! handles, lowered once by [`sterm::compile_term`]. Compiled programs
+//! are stored as [`sterm::SCode`]: one flat node array with de Bruijn
+//! variables, which the λS CEK machine runs in place, so a boundary
+//! crossing performs zero interning and zero coercion allocation — an
+//! id load plus a cached O(1) merge.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,6 +77,6 @@ pub use arena::{
 pub use coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 pub use compose::compose;
 pub use eval::{run_compiled, step_compiled, OutcomeC, RunC, StepC};
-pub use sterm::{compile_term, decompile_term, CompileCtx, STerm};
+pub use sterm::{compile_term, decompile_term, CompileCtx, SCode, STerm};
 pub use term::Term;
 pub use typing::type_of;

@@ -1,39 +1,50 @@
-//! The compiled λS term IR: [`Term`] with every tree payload replaced
-//! by an arena handle.
+//! The compiled λS term IR, in two forms: the named [`STerm`] tree and
+//! the flat, index-resolved [`SCode`] block.
 //!
 //! [`Term`] is the paper-facing λS grammar — its `Coerce` nodes carry
 //! [`SpaceCoercion`](crate::coercion::SpaceCoercion) trees and its
 //! binders carry [`Type`](bc_syntax::Type) trees. That
 //! is the right exchange format, but it makes every *evaluation* of a
 //! coercion node pay an O(size) hash walk to re-intern the same tree
-//! into the arena (the machine's dominant residual per-crossing cost),
-//! and every cloned annotation an allocation.
+//! into the arena, and every cloned annotation an allocation.
 //!
-//! [`STerm`] is the same term, *compiled*: `Coerce` holds a `Copy`
-//! [`CoercionId`] and type annotations hold `Copy` [`TypeId`]s, both
-//! minted once by [`compile_term`]. A machine running on [`STerm`]
-//! performs **zero interning and zero coercion allocation** at a
-//! boundary crossing — the coercion is an id load, and the merge with
-//! an adjacent frame is a cached O(1) composition.
+//! [`STerm`] is the same term with `Coerce` holding a `Copy`
+//! [`CoercionId`] and type annotations holding `Copy` [`TypeId`]s, both
+//! minted once by [`compile_term`]. It keeps binder and variable
+//! *names*, so substitution-based engines (the λS small-step) and the
+//! interned type checker run on it directly.
 //!
-//! The lowering is a straight structural walk; [`decompile_term`]
-//! inverts it (resolving ids back to trees), and the two are mutually
-//! inverse by property test. Compiling is idempotent in the arenas:
-//! compiling the same term twice yields structurally equal [`STerm`]s
-//! with identical ids (hash-consing canonicity, end to end).
+//! [`SCode`] is the form a compiled program is stored and executed in:
+//! one immutable node array per program. Children are `u32` offsets
+//! into the array, variables are de Bruijn indices, operators are
+//! fixed-arity nodes, and binder names live in a side table, so
+//! [`SCode::decode`] rebuilds the named [`STerm`] exactly. A machine
+//! running on a block borrows it: control is an index, a closure is an
+//! index plus an environment, and a variable is an indexed lookup — no
+//! spine is cloned and no name is compared at run time. A block is
+//! three heap allocations whatever the program's size.
+//!
+//! The lowerings are straight structural walks; [`decompile_term`] and
+//! [`SCode::decode`] invert them, and all are mutually inverse by
+//! property test. Compiling is idempotent in the arenas: compiling the
+//! same term twice yields equal code with identical ids (hash-consing
+//! canonicity, end to end).
 //!
 //! ```
 //! use bc_core::arena::CoercionArena;
-//! use bc_core::sterm::{compile_term, decompile_term};
+//! use bc_core::sterm::{compile_term, decompile_term, SCode};
 //! use bc_core::{SpaceCoercion, Term};
 //! use bc_syntax::{Type, TypeArena};
 //!
-//! let m = Term::int(1).coerce(SpaceCoercion::id_base(bc_syntax::BaseType::Int));
+//! let m = Term::lam("x", Type::INT, Term::var("x"))
+//!     .app(Term::int(1).coerce(SpaceCoercion::id_base(bc_syntax::BaseType::Int)));
 //! let mut arena = CoercionArena::new();
 //! let mut types = TypeArena::new();
 //! let compiled = compile_term(&m, &mut arena, &mut types);
 //! assert_eq!(decompile_term(&compiled, &arena, &types), m);
-//! assert_eq!(compile_term(&m, &mut arena, &mut types), compiled);
+//! let code = SCode::encode(&compiled);
+//! assert_eq!(code.decode(), compiled);
+//! assert_eq!(code.size(), compiled.size());
 //! ```
 
 use std::rc::Rc;
@@ -48,12 +59,9 @@ use crate::term::Term;
 ///
 /// Ids are only meaningful together with the [`CoercionArena`] and
 /// [`TypeArena`] that [`compile_term`] interned them into. The spine
-/// is `Rc` on purpose — and therefore deliberately **not** `Send`:
-/// the reduction path clones spine nodes constantly, and switching to
-/// atomic refcounts costs the λS machine ~30% end to end (measured on
-/// the compiled boundary loop). Lowered programs stay inside the
-/// session that lowered them; what travels between threads is the
-/// compiled λB term, whose `Arc` spine is cloned rarely.
+/// is `Rc`, and therefore not `Send`: this is the working form of the
+/// λS small-step, which rebuilds the spine along the redex path on
+/// every step. Stored programs hold the flat [`SCode`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum STerm {
     /// A constant `k`.
@@ -125,6 +133,38 @@ impl STerm {
                 a.coercion_size(arena) + b.coercion_size(arena) + c.coercion_size(arena)
             }
         }
+    }
+
+    /// The term's tree-equivalent size and its total coercion size in
+    /// one walk: `(self.size() + c, c)` where `c` is
+    /// [`STerm::coercion_size`].
+    pub fn measure(&self, arena: &CoercionArena) -> (usize, usize) {
+        fn go(t: &STerm, arena: &CoercionArena, acc: &mut (usize, usize)) {
+            acc.0 += 1;
+            match t {
+                STerm::Const(_) | STerm::Var(_) | STerm::Blame(_, _) => {}
+                STerm::Op(_, args) => args.iter().for_each(|a| go(a, arena, acc)),
+                STerm::Lam(_, _, b) | STerm::Fix(_, _, _, _, b) => go(b, arena, acc),
+                STerm::Coerce(m, s) => {
+                    let c = arena.size(*s);
+                    acc.0 += c;
+                    acc.1 += c;
+                    go(m, arena, acc);
+                }
+                STerm::App(a, b) | STerm::Let(_, a, b) => {
+                    go(a, arena, acc);
+                    go(b, arena, acc);
+                }
+                STerm::If(a, b, c) => {
+                    go(a, arena, acc);
+                    go(b, arena, acc);
+                    go(c, arena, acc);
+                }
+            }
+        }
+        let mut acc = (0, 0);
+        go(self, arena, &mut acc);
+        acc
     }
 
     /// Whether the term is an *uncoerced value* `U ::= k | λx:A.N`
@@ -254,6 +294,387 @@ pub fn decompile_term(term: &STerm, arena: &CoercionArena, types: &TypeArena) ->
     }
 }
 
+/// One node of an [`SCode`] block. Children are offsets into the same
+/// block; names are offsets into its name table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Node {
+    /// A constant `k`.
+    Const(Constant),
+    /// A bound variable, as a de Bruijn index: `0` is the innermost
+    /// binder in scope. A `fix` binds two variables, the parameter
+    /// (innermost) and the function itself.
+    Var(u32),
+    /// A variable bound nowhere in the block (open terms only — a
+    /// closed program never contains one); the operand is its name.
+    Free(u32),
+    /// `λx:A. N`.
+    Lam {
+        /// The binder's name.
+        name: u32,
+        /// The parameter type.
+        ty: TypeId,
+        /// The body.
+        body: u32,
+    },
+    /// `fix f (x:A):B. N`.
+    Fix {
+        /// The function's name.
+        fun: u32,
+        /// The parameter's name.
+        param: u32,
+        /// The parameter type `A`.
+        dom: TypeId,
+        /// The result type `B`.
+        cod: TypeId,
+        /// The body.
+        body: u32,
+    },
+    /// `L M`.
+    App(u32, u32),
+    /// A unary operator application.
+    Op1(Op, u32),
+    /// A binary operator application.
+    Op2(Op, u32, u32),
+    /// An operator applied to any other number of operands (ill-typed
+    /// terms only): the operands are `len` offsets starting at `start`
+    /// in the block's operand table.
+    OpN {
+        /// The operator.
+        op: Op,
+        /// The first operand's position in the operand table.
+        start: u32,
+        /// The number of operands.
+        len: u32,
+    },
+    /// `M⟨s⟩`.
+    Coerce(u32, CoercionId),
+    /// `blame p` at a type.
+    Blame(Label, TypeId),
+    /// `if L then M else N`.
+    If(u32, u32, u32),
+    /// `let x = M in N`.
+    Let {
+        /// The binder's name.
+        name: u32,
+        /// The bound term `M`.
+        bound: u32,
+        /// The body `N`, in which `x` is index 0.
+        body: u32,
+    },
+}
+
+#[derive(Debug, PartialEq)]
+struct Block {
+    nodes: Box<[Node]>,
+    names: Box<[Name]>,
+    operands: Box<[u32]>,
+    root: u32,
+}
+
+/// A compiled λS program as one immutable, index-resolved node array
+/// (see the [module docs](self)). Cloning shares the block.
+///
+/// Like [`STerm`], its ids are only meaningful together with the
+/// arenas it was lowered into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SCode(Rc<Block>);
+
+impl SCode {
+    /// Flattens a named term into a block (the inverse of
+    /// [`SCode::decode`]).
+    pub fn encode(term: &STerm) -> SCode {
+        fn go(b: &mut CodeBuilder, t: &STerm) -> u32 {
+            match t {
+                STerm::Const(k) => b.push(Node::Const(*k)),
+                STerm::Var(x) => b.var(x),
+                STerm::Op(op, args) => {
+                    let ids: Vec<u32> = args.iter().map(|a| go(b, a)).collect();
+                    b.op(*op, &ids)
+                }
+                STerm::Lam(x, ty, body) => {
+                    let name = b.bind(x);
+                    let body = go(b, body);
+                    b.unbind(1);
+                    b.push(Node::Lam {
+                        name,
+                        ty: *ty,
+                        body,
+                    })
+                }
+                STerm::Fix(f, x, dom, cod, body) => {
+                    let fun = b.bind(f);
+                    let param = b.bind(x);
+                    let body = go(b, body);
+                    b.unbind(2);
+                    b.push(Node::Fix {
+                        fun,
+                        param,
+                        dom: *dom,
+                        cod: *cod,
+                        body,
+                    })
+                }
+                STerm::App(l, m) => {
+                    let l = go(b, l);
+                    let m = go(b, m);
+                    b.push(Node::App(l, m))
+                }
+                STerm::Coerce(m, s) => {
+                    let m = go(b, m);
+                    b.push(Node::Coerce(m, *s))
+                }
+                STerm::Blame(p, ty) => b.push(Node::Blame(*p, *ty)),
+                STerm::If(c, t, e) => {
+                    let c = go(b, c);
+                    let t = go(b, t);
+                    let e = go(b, e);
+                    b.push(Node::If(c, t, e))
+                }
+                STerm::Let(x, m, n) => {
+                    let bound = go(b, m);
+                    let name = b.bind(x);
+                    let body = go(b, n);
+                    b.unbind(1);
+                    b.push(Node::Let { name, bound, body })
+                }
+            }
+        }
+        let mut b = CodeBuilder::new();
+        let root = go(&mut b, term);
+        b.finish(root)
+    }
+
+    /// Rebuilds the named term, binder and variable names included
+    /// (the inverse of [`SCode::encode`]).
+    pub fn decode(&self) -> STerm {
+        self.decode_at(self.root(), &mut Vec::new())
+    }
+
+    fn decode_at(&self, at: u32, scope: &mut Vec<u32>) -> STerm {
+        match self.node(at) {
+            Node::Const(k) => STerm::Const(k),
+            Node::Var(i) => STerm::Var(self.name(scope[scope.len() - 1 - i as usize]).clone()),
+            Node::Free(x) => STerm::Var(self.name(x).clone()),
+            Node::Lam { name, ty, body } => STerm::Lam(
+                self.name(name).clone(),
+                ty,
+                self.decode_under(&[name], body, scope),
+            ),
+            Node::Fix {
+                fun,
+                param,
+                dom,
+                cod,
+                body,
+            } => STerm::Fix(
+                self.name(fun).clone(),
+                self.name(param).clone(),
+                dom,
+                cod,
+                self.decode_under(&[fun, param], body, scope),
+            ),
+            Node::App(l, m) => STerm::App(
+                self.decode_under(&[], l, scope),
+                self.decode_under(&[], m, scope),
+            ),
+            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, scope)]),
+            Node::Op2(op, a, b) => {
+                STerm::Op(op, vec![self.decode_at(a, scope), self.decode_at(b, scope)])
+            }
+            Node::OpN { op, start, len } => STerm::Op(
+                op,
+                self.operands(start, len)
+                    .iter()
+                    .map(|&a| self.decode_at(a, scope))
+                    .collect(),
+            ),
+            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, scope), s),
+            Node::Blame(p, ty) => STerm::Blame(p, ty),
+            Node::If(c, t, e) => STerm::If(
+                self.decode_under(&[], c, scope),
+                self.decode_under(&[], t, scope),
+                self.decode_under(&[], e, scope),
+            ),
+            Node::Let { name, bound, body } => STerm::Let(
+                self.name(name).clone(),
+                self.decode_under(&[], bound, scope),
+                self.decode_under(&[name], body, scope),
+            ),
+        }
+    }
+
+    fn decode_under(&self, binders: &[u32], body: u32, scope: &mut Vec<u32>) -> Rc<STerm> {
+        scope.extend_from_slice(binders);
+        let t = self.decode_at(body, scope);
+        scope.truncate(scope.len() - binders.len());
+        Rc::new(t)
+    }
+
+    /// The offset of the program's root node.
+    pub fn root(&self) -> u32 {
+        self.0.root
+    }
+
+    /// The node at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is not an offset into this block.
+    #[inline]
+    pub fn node(&self, at: u32) -> Node {
+        self.0.nodes[at as usize]
+    }
+
+    /// All nodes of the block, indexable by the offsets they hold.
+    #[inline]
+    pub fn nodes(&self) -> &[Node] {
+        &self.0.nodes
+    }
+
+    /// The name-table entry `at`.
+    pub fn name(&self, at: u32) -> &Name {
+        &self.0.names[at as usize]
+    }
+
+    /// The operand offsets of an [`Node::OpN`] node.
+    pub fn operands(&self, start: u32, len: u32) -> &[u32] {
+        &self.0.operands[start as usize..(start + len) as usize]
+    }
+
+    /// The number of syntax nodes — equal to [`STerm::size`] of the
+    /// decoded term.
+    pub fn size(&self) -> usize {
+        self.0.nodes.len()
+    }
+
+    /// The number of `Coerce` nodes — equal to
+    /// [`STerm::coercion_nodes`] of the decoded term.
+    pub fn coercion_nodes(&self) -> usize {
+        self.0
+            .nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Coerce(_, _)))
+            .count()
+    }
+
+    /// The heap bytes the block owns: its node array, name table and
+    /// operand table, plus the shared header (name strings are shared
+    /// with the source term and not counted).
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Block>()
+            + 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of_val(&*self.0.nodes)
+            + std::mem::size_of_val(&*self.0.names)
+            + std::mem::size_of_val(&*self.0.operands)
+    }
+
+    /// Renders the program in the paper grammar by resolving its
+    /// handles through the arenas.
+    pub fn display(&self, arena: &CoercionArena, types: &TypeArena) -> String {
+        self.decode().display(arena, types)
+    }
+}
+
+/// Emits an [`SCode`] block bottom-up: children first, each call
+/// returning the offset of the node it pushed. Variables are resolved
+/// against the binders opened with [`CodeBuilder::bind`] and not yet
+/// closed with [`CodeBuilder::unbind`].
+#[derive(Debug, Default)]
+pub struct CodeBuilder {
+    nodes: Vec<Node>,
+    names: Vec<Name>,
+    operands: Vec<u32>,
+    scope: Vec<u32>,
+}
+
+impl CodeBuilder {
+    /// An empty builder.
+    pub fn new() -> CodeBuilder {
+        CodeBuilder {
+            nodes: Vec::with_capacity(32),
+            names: Vec::with_capacity(4),
+            ..CodeBuilder::default()
+        }
+    }
+
+    /// Appends a node and returns its offset.
+    pub fn push(&mut self, node: Node) -> u32 {
+        let at = u32::try_from(self.nodes.len()).expect("code blocks hold fewer than 2^32 nodes");
+        self.nodes.push(node);
+        at
+    }
+
+    fn intern_name(&mut self, x: &Name) -> u32 {
+        let at = u32::try_from(self.names.len()).expect("fewer than 2^32 names");
+        self.names.push(x.clone());
+        at
+    }
+
+    /// Appends a variable occurrence, resolved to the innermost open
+    /// binder of that name (or [`Node::Free`] if there is none).
+    pub fn var(&mut self, x: &Name) -> u32 {
+        let names = &self.names;
+        match self
+            .scope
+            .iter()
+            .rev()
+            .position(|&n| names[n as usize] == *x)
+        {
+            Some(i) => self.push(Node::Var(i as u32)),
+            None => {
+                let name = self.intern_name(x);
+                self.push(Node::Free(name))
+            }
+        }
+    }
+
+    /// Opens a binder: records its name and brings it into scope for
+    /// the nodes pushed until the matching [`CodeBuilder::unbind`].
+    /// Returns the name-table offset for the binding node.
+    pub fn bind(&mut self, x: &Name) -> u32 {
+        let name = self.intern_name(x);
+        self.scope.push(name);
+        name
+    }
+
+    /// Closes the `count` innermost binders.
+    pub fn unbind(&mut self, count: usize) {
+        self.scope.truncate(self.scope.len() - count);
+    }
+
+    /// Appends an operator application over already-pushed operands.
+    pub fn op(&mut self, op: Op, args: &[u32]) -> u32 {
+        match *args {
+            [a] => self.push(Node::Op1(op, a)),
+            [a, b] => self.push(Node::Op2(op, a, b)),
+            _ => {
+                let start = self.operands.len() as u32;
+                self.operands.extend_from_slice(args);
+                self.push(Node::OpN {
+                    op,
+                    start,
+                    len: args.len() as u32,
+                })
+            }
+        }
+    }
+
+    /// Seals the block with `root` as the program's entry node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a binder is still open.
+    pub fn finish(self, root: u32) -> SCode {
+        assert!(self.scope.is_empty(), "unbalanced CodeBuilder::bind");
+        SCode(Rc::new(Block {
+            nodes: self.nodes.into_boxed_slice(),
+            names: self.names.into_boxed_slice(),
+            operands: self.operands.into_boxed_slice(),
+            root,
+        }))
+    }
+}
+
 /// A coercion arena, type arena, and compose cache bundled together —
 /// everything a compiled program needs to evaluate. The one-stop state
 /// for callers that would otherwise thread three `&mut`s.
@@ -273,9 +694,10 @@ impl CompileCtx {
         CompileCtx::default()
     }
 
-    /// Lowers a term into this context's arenas.
-    pub fn compile(&mut self, term: &Term) -> STerm {
-        compile_term(term, &mut self.arena, &mut self.types)
+    /// Lowers a term into this context's arenas, as the executable
+    /// [`SCode`] block.
+    pub fn compile(&mut self, term: &Term) -> SCode {
+        SCode::encode(&compile_term(term, &mut self.arena, &mut self.types))
     }
 }
 
@@ -305,7 +727,10 @@ mod tests {
         let m = sample();
         let mut ctx = CompileCtx::new();
         let compiled = ctx.compile(&m);
-        assert_eq!(decompile_term(&compiled, &ctx.arena, &ctx.types), m);
+        assert_eq!(
+            decompile_term(&compiled.decode(), &ctx.arena, &ctx.types),
+            m
+        );
     }
 
     #[test]
@@ -327,7 +752,7 @@ mod tests {
         let inj = SpaceCoercion::inj(GroundCoercion::IdBase(BaseType::Int), gi);
         let m = Term::int(1).coerce(inj.clone());
         let mut ctx = CompileCtx::new();
-        let compiled = ctx.compile(&m);
+        let compiled = ctx.compile(&m).decode();
         let STerm::Coerce(_, id) = compiled else {
             panic!("compiled a Coerce to something else");
         };
@@ -343,5 +768,76 @@ mod tests {
         // The compiled term is never larger than the tree term.
         assert!(compiled.size() <= m.size());
         assert_eq!(compiled.display(&ctx.arena, &ctx.types), m.to_string());
+    }
+
+    #[test]
+    fn variables_resolve_to_de_bruijn_indices() {
+        // let f = λx. x in fix g (y). (f y) g — shadowing-free, but
+        // every binder form and both fix bindings are exercised.
+        let m = Term::let_(
+            "f",
+            Term::lam("x", Type::INT, Term::var("x")),
+            Term::Fix(
+                "g".into(),
+                "y".into(),
+                Type::INT,
+                Type::INT,
+                Term::var("f")
+                    .app(Term::var("y"))
+                    .app(Term::var("g"))
+                    .into(),
+            ),
+        );
+        let mut ctx = CompileCtx::new();
+        let code = ctx.compile(&m);
+        let vars: Vec<Node> = code
+            .nodes()
+            .iter()
+            .copied()
+            .filter(|n| matches!(n, Node::Var(_) | Node::Free(_)))
+            .collect();
+        // x ↦ 0; inside fix: y ↦ 0, g ↦ 1, f ↦ 2.
+        assert_eq!(
+            vars,
+            [Node::Var(0), Node::Var(2), Node::Var(0), Node::Var(1)]
+        );
+        assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
+    }
+
+    #[test]
+    fn shadowing_and_free_variables_decode_exactly() {
+        let m = Term::lam(
+            "x",
+            Type::INT,
+            Term::lam("x", Type::BOOL, Term::var("x")).app(Term::var("z")),
+        );
+        let mut ctx = CompileCtx::new();
+        let code = ctx.compile(&m);
+        assert!(code.nodes().contains(&Node::Free(2)), "{code:?}");
+        assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
+    }
+
+    #[test]
+    fn odd_arity_operators_round_trip() {
+        let m = Term::Op(Op::Add, vec![Term::int(1), Term::int(2), Term::int(3)]);
+        let mut ctx = CompileCtx::new();
+        let code = ctx.compile(&m);
+        assert!(matches!(code.node(code.root()), Node::OpN { len: 3, .. }));
+        assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
+    }
+
+    #[test]
+    fn nodes_stay_three_words() {
+        assert_eq!(std::mem::size_of::<Node>(), 24);
+    }
+
+    #[test]
+    fn measure_fuses_the_two_size_walks() {
+        let m = sample();
+        let mut ctx = CompileCtx::new();
+        let st = compile_term(&m, &mut ctx.arena, &mut ctx.types);
+        let c = st.coercion_size(&ctx.arena);
+        assert_eq!(st.measure(&ctx.arena), (st.size() + c, c));
+        assert_eq!(st.measure(&ctx.arena), (m.size(), m.coercion_size()));
     }
 }

@@ -507,7 +507,7 @@ mod tests {
                 Intermediate::Ground(GroundCoercion::IdBase(BaseType::Int)),
             ));
         let mut ctx = CompileCtx::new();
-        let compiled = ctx.compile(&m);
+        let compiled = ctx.compile(&m).decode();
         let got = type_of_interned(&compiled, &ctx.arena, &mut ctx.types).expect("well typed");
         assert_eq!(ctx.types.resolve(got), Type::INT);
         assert_eq!(crate::typing::type_of(&m), Ok(Type::INT));
@@ -521,7 +521,7 @@ mod tests {
             Ground::Base(BaseType::Bool),
         ));
         let mut ctx = CompileCtx::new();
-        let compiled = ctx.compile(&m);
+        let compiled = ctx.compile(&m).decode();
         let got = type_of_interned(&compiled, &ctx.arena, &mut ctx.types).expect("well typed");
         assert_eq!(ctx.types.resolve(got), Type::BOOL);
     }
@@ -533,7 +533,7 @@ mod tests {
             gi(),
         ));
         let mut ctx = CompileCtx::new();
-        let compiled = ctx.compile(&m);
+        let compiled = ctx.compile(&m).decode();
         let got = type_of_interned(&compiled, &ctx.arena, &mut ctx.types);
         let tree = crate::typing::type_of(&m);
         assert_eq!(got.unwrap_err(), tree.unwrap_err(), "same TypeError");

@@ -191,124 +191,100 @@ pub fn free_vars_compiled(term: &STerm) -> HashSet<Name> {
     out
 }
 
-/// Capture-avoiding substitution on the compiled IR: [`subst`]
-/// transcribed onto [`STerm`], with coercion and type handles copied
-/// as the plain words they are.
-pub fn subst_compiled(term: &STerm, x: &Name, value: &STerm) -> STerm {
-    let fv = free_vars_compiled(value);
-    subst_compiled_go(term, x, value, &fv)
+/// Substitution of *closed* values on the compiled IR: replaces the
+/// free occurrences of each bound name by its value, all at once.
+///
+/// Because every value is closed, no binder can capture anything in
+/// it, so no binder is renamed and no free-variable set is computed —
+/// the result equals capture-avoiding substitution, in sequence, pair
+/// by pair. A name listed twice takes its first value. Subterms with
+/// nothing to substitute are shared with `term`, not copied.
+///
+/// This is the only substitution a closed call-by-value run performs:
+/// a `let`-bound value, an argument, or a recursive function itself.
+pub fn subst_closed(term: &STerm, bindings: &[(&Name, &STerm)]) -> STerm {
+    debug_assert!(
+        bindings
+            .iter()
+            .all(|(_, v)| free_vars_compiled(v).is_empty()),
+        "subst_closed substitutes closed values only"
+    );
+    subst_closed_go(term, bindings).unwrap_or_else(|| term.clone())
 }
 
-fn subst_compiled_go(term: &STerm, x: &Name, value: &STerm, fv: &HashSet<Name>) -> STerm {
-    match term {
-        STerm::Const(_) | STerm::Blame(_, _) => term.clone(),
-        STerm::Var(y) => {
-            if y == x {
-                value.clone()
-            } else {
-                term.clone()
-            }
+/// `None` when `term` contains no free occurrence of a bound name.
+fn subst_closed_go(term: &STerm, bindings: &[(&Name, &STerm)]) -> Option<STerm> {
+    // Drops the pairs a binder shadows; borrows when none is shadowed.
+    fn under<'a, 'b>(
+        bindings: &'b [(&'a Name, &'a STerm)],
+        binders: &[&Name],
+        buf: &'b mut Vec<(&'a Name, &'a STerm)>,
+    ) -> &'b [(&'a Name, &'a STerm)] {
+        if bindings.iter().any(|(x, _)| binders.contains(x)) {
+            buf.extend(bindings.iter().filter(|(x, _)| !binders.contains(x)));
+            buf
+        } else {
+            bindings
         }
-        STerm::Op(op, args) => STerm::Op(
-            *op,
-            args.iter()
-                .map(|a| subst_compiled_go(a, x, value, fv))
-                .collect(),
-        ),
-        STerm::Lam(y, ty, body) => {
-            if y == x {
-                term.clone()
-            } else if fv.contains(y) {
-                let (y2, body2) = rename_binder_compiled(y, body, fv, &[x]);
-                STerm::Lam(y2, *ty, Rc::new(subst_compiled_go(&body2, x, value, fv)))
-            } else {
-                STerm::Lam(
-                    y.clone(),
-                    *ty,
-                    Rc::new(subst_compiled_go(body, x, value, fv)),
-                )
+    }
+    fn child(t: &Rc<STerm>, bindings: &[(&Name, &STerm)]) -> Option<Rc<STerm>> {
+        subst_closed_go(t, bindings).map(Rc::new)
+    }
+    fn or_keep(new: Option<Rc<STerm>>, old: &Rc<STerm>) -> Rc<STerm> {
+        new.unwrap_or_else(|| old.clone())
+    }
+    if bindings.is_empty() {
+        return None;
+    }
+    match term {
+        STerm::Const(_) | STerm::Blame(_, _) => None,
+        STerm::Var(y) => bindings
+            .iter()
+            .find(|(x, _)| *x == y)
+            .map(|(_, v)| (*v).clone()),
+        STerm::Op(op, args) => {
+            let new: Vec<Option<STerm>> =
+                args.iter().map(|a| subst_closed_go(a, bindings)).collect();
+            if new.iter().all(Option::is_none) {
+                return None;
             }
+            Some(STerm::Op(
+                *op,
+                new.into_iter()
+                    .zip(args)
+                    .map(|(n, a)| n.unwrap_or_else(|| a.clone()))
+                    .collect(),
+            ))
+        }
+        STerm::Lam(y, ty, body) => {
+            let mut buf = Vec::new();
+            let inner = under(bindings, &[y], &mut buf);
+            child(body, inner).map(|b| STerm::Lam(y.clone(), *ty, b))
         }
         STerm::Fix(f, y, dom, cod, body) => {
-            if f == x || y == x {
-                term.clone()
-            } else if fv.contains(f) || fv.contains(y) {
-                let mut avoid: HashSet<Name> = fv.clone();
-                avoid.extend(free_vars_compiled(body));
-                avoid.insert(x.clone());
-                avoid.insert(y.clone());
-                let f2 = fresh_avoiding(f, &avoid);
-                avoid.insert(f2.clone());
-                let y2 = fresh_avoiding(y, &avoid);
-                let body2 = subst_compiled(
-                    &subst_compiled(body, f, &STerm::Var(f2.clone())),
-                    y,
-                    &STerm::Var(y2.clone()),
-                );
-                STerm::Fix(
-                    f2,
-                    y2,
-                    *dom,
-                    *cod,
-                    Rc::new(subst_compiled_go(&body2, x, value, fv)),
-                )
-            } else {
-                STerm::Fix(
-                    f.clone(),
-                    y.clone(),
-                    *dom,
-                    *cod,
-                    Rc::new(subst_compiled_go(body, x, value, fv)),
-                )
-            }
+            let mut buf = Vec::new();
+            let inner = under(bindings, &[f, y], &mut buf);
+            child(body, inner).map(|b| STerm::Fix(f.clone(), y.clone(), *dom, *cod, b))
         }
-        STerm::App(a, b) => STerm::App(
-            Rc::new(subst_compiled_go(a, x, value, fv)),
-            Rc::new(subst_compiled_go(b, x, value, fv)),
-        ),
-        STerm::Coerce(m, s) => STerm::Coerce(Rc::new(subst_compiled_go(m, x, value, fv)), *s),
-        STerm::If(a, b, c) => STerm::If(
-            Rc::new(subst_compiled_go(a, x, value, fv)),
-            Rc::new(subst_compiled_go(b, x, value, fv)),
-            Rc::new(subst_compiled_go(c, x, value, fv)),
-        ),
+        STerm::App(a, b) => match (child(a, bindings), child(b, bindings)) {
+            (None, None) => None,
+            (a2, b2) => Some(STerm::App(or_keep(a2, a), or_keep(b2, b))),
+        },
+        STerm::Coerce(m, s) => child(m, bindings).map(|m| STerm::Coerce(m, *s)),
+        STerm::If(a, b, c) => match (child(a, bindings), child(b, bindings), child(c, bindings)) {
+            (None, None, None) => None,
+            (a2, b2, c2) => Some(STerm::If(or_keep(a2, a), or_keep(b2, b), or_keep(c2, c))),
+        },
         STerm::Let(y, m, n) => {
-            let m2 = subst_compiled_go(m, x, value, fv);
-            if y == x {
-                STerm::Let(y.clone(), Rc::new(m2), n.clone())
-            } else if fv.contains(y) {
-                let (y2, n2) = rename_binder_compiled(y, n, fv, &[x]);
-                STerm::Let(
-                    y2,
-                    Rc::new(m2),
-                    Rc::new(subst_compiled_go(&n2, x, value, fv)),
-                )
-            } else {
-                STerm::Let(
-                    y.clone(),
-                    Rc::new(m2),
-                    Rc::new(subst_compiled_go(n, x, value, fv)),
-                )
+            let m2 = child(m, bindings);
+            let mut buf = Vec::new();
+            let n2 = child(n, under(bindings, &[y], &mut buf));
+            match (m2, n2) {
+                (None, None) => None,
+                (m2, n2) => Some(STerm::Let(y.clone(), or_keep(m2, m), or_keep(n2, n))),
             }
         }
     }
-}
-
-fn rename_binder_compiled(
-    y: &Name,
-    body: &STerm,
-    fv: &HashSet<Name>,
-    extra: &[&Name],
-) -> (Name, STerm) {
-    let mut avoid: HashSet<Name> = fv.clone();
-    avoid.extend(free_vars_compiled(body));
-    for e in extra {
-        avoid.insert((*e).clone());
-    }
-    avoid.insert(y.clone());
-    let y2 = fresh_avoiding(y, &avoid);
-    let body2 = subst_compiled(body, y, &STerm::Var(y2.clone()));
-    (y2, body2)
 }
 
 fn rename_binder(y: &Name, body: &Term, fv: &HashSet<Name>, extra: &[&Name]) -> (Name, Term) {
@@ -326,7 +302,7 @@ fn rename_binder(y: &Name, body: &Term, fv: &HashSet<Name>, extra: &[&Name]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_syntax::Type;
+    use bc_syntax::{Type, TypeArena};
 
     #[test]
     fn capture_is_avoided() {
@@ -339,5 +315,42 @@ mod tests {
             }
             other => panic!("expected lambda, got {other}"),
         }
+    }
+
+    #[test]
+    fn closed_substitution_matches_capture_avoiding_substitution() {
+        use crate::arena::CoercionArena;
+        use crate::sterm::compile_term;
+        let mut arena = CoercionArena::new();
+        let mut types = TypeArena::new();
+        let mut c = |t: &Term| compile_term(t, &mut arena, &mut types);
+        // fix f (x). if x then f else (λx. x) f — shadowing on both
+        // binder forms, the fix body substituted for f and x at once.
+        let body = Term::If(
+            Term::var("x").into(),
+            Term::var("f").into(),
+            Term::lam("x", Type::INT, Term::var("x"))
+                .app(Term::var("f"))
+                .into(),
+        );
+        let fun_tree = Term::Fix(
+            "f".into(),
+            "x".into(),
+            Type::BOOL,
+            Type::INT,
+            body.clone().into(),
+        );
+        let fun = c(&fun_tree);
+        let arg = c(&Term::bool(true));
+        let x = Name::from("x");
+        let f = Name::from("f");
+        let sequential = c(&subst(&subst(&body, &f, &fun_tree), &x, &Term::bool(true)));
+        assert_eq!(
+            subst_closed(&c(&body), &[(&f, &fun), (&x, &arg)]),
+            sequential
+        );
+        // Nothing to substitute: the term comes back as is.
+        let closed = c(&Term::int(3));
+        assert_eq!(subst_closed(&closed, &[(&x, &arg)]), closed);
     }
 }

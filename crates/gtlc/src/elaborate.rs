@@ -34,7 +34,10 @@ pub struct Program {
 
 /// Renders a blame label as a source diagnostic, given an
 /// elaboration's label-to-span map.
-fn explain_blame_at(
+/// Renders a blame label as a source diagnostic through a span map
+/// produced by elaboration ([`Program::blame_spans`],
+/// [`ProgramC::blame_spans`]), if the map holds the label.
+pub fn explain_blame_at(
     blame_spans: &HashMap<u32, Span>,
     label: bc_syntax::Label,
     source: &str,

@@ -13,22 +13,35 @@
 //! The same merging is applied to values: coercing an already-coerced
 //! value composes the coercions, so proxy chains never grow either.
 //!
-//! # The compiled IR
+//! # The code block
 //!
-//! This machine runs on the **compiled λS term IR**
-//! ([`bc_core::sterm::STerm`]): coercion nodes hold `Copy`
-//! [`CoercionId`]s minted once by [`bc_core::sterm::compile_term`],
-//! and every frame/proxy merge goes through the [`ComposeCache`]. A
-//! boundary crossing is therefore an id load plus a cached O(1)
+//! This machine runs a program's flat [`SCode`] block in place:
+//!
+//! * control is an offset into the borrowed node array, so evaluating
+//!   a subterm copies one `u32` and never clones a term spine;
+//! * variables are de Bruijn indices, looked up by position in a
+//!   persistent environment — no name is compared at run time;
+//! * a closure is the offset of its `λ`/`fix` node plus its
+//!   environment, and a `fix` call binds the function and its argument
+//!   in a single environment node;
+//! * an operator frame holds at most one evaluated constant;
+//! * coercion nodes hold `Copy` [`CoercionId`]s minted at lowering,
+//!   and every frame/proxy merge goes through the [`ComposeCache`]. A
+//!   proxy is a plain value next to its coercion, so coercing a proxy
+//!   again replaces the id and allocates nothing.
+//!
+//! A boundary crossing is therefore an id load plus a cached O(1)
 //! composition — **zero interning, zero coercion allocation** — which
 //! the per-run [`crate::metrics::ReuseStats`] counters make
-//! observable (`tree_interns == 0` on the compiled path).
+//! observable (`tree_interns == 0` on the compiled path). The only
+//! allocations on the run path are environment nodes (one per `let`
+//! or call) and continuation-stack growth.
 //!
 //! Three entry points:
 //!
 //! * [`run_compiled_in`] — the fast path: evaluate an already-compiled
-//!   [`STerm`] against the arena and cache it was compiled into (as
-//!   the runtime's `Session` does across repeated runs);
+//!   [`SCode`] block against the arena and cache it was compiled into
+//!   (as the runtime's `Session` does across repeated runs);
 //! * [`run_in`] — accept a tree [`Term`], compile it into the
 //!   caller-owned arena (hash-consing makes repeat compiles
 //!   allocation-free), then run;
@@ -37,47 +50,53 @@
 use std::rc::Rc;
 
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, SNode};
-use bc_core::sterm::{compile_term, STerm};
+use bc_core::sterm::{compile_term, Node, SCode};
 use bc_core::term::Term;
-use bc_syntax::{Constant, Label, Name, Op, TypeArena};
+use bc_syntax::{Constant, Label, Op, TypeArena};
 use bc_translate::bisim::Observation;
 
 use crate::metrics::{MachineOutcome, MachineRun, Metrics, ReuseStats, SliceResult};
 
+/// An uncoerced run-time value `U`.
+#[derive(Debug, Clone)]
+pub enum Plain {
+    /// A constant.
+    Const(Constant),
+    /// A closure: the offset of its `λ` or `fix` node in the running
+    /// program's code block, and the captured environment.
+    Closure {
+        /// The [`Node::Lam`] or [`Node::Fix`] this closure runs.
+        code: u32,
+        /// Captured environment.
+        env: Env,
+    },
+}
+
 /// Run-time values of the λS machine.
 #[derive(Debug, Clone)]
 pub enum Value {
-    /// A constant.
-    Const(Constant),
-    /// A closure.
-    Closure {
-        /// Parameter name.
-        param: Name,
-        /// Function body (compiled).
-        body: Rc<STerm>,
-        /// Captured environment.
-        env: Env,
-    },
-    /// A recursive closure.
-    FixClosure {
-        /// Function name.
-        fun: Name,
-        /// Parameter name.
-        param: Name,
-        /// Function body (compiled).
-        body: Rc<STerm>,
-        /// Captured environment.
-        env: Env,
-    },
+    /// An uncoerced value.
+    Plain(Plain),
     /// An uncoerced value under a *single* coercion (`U⟨s→t⟩` or
     /// `U⟨g;G!⟩`); the machine maintains the invariant that coerced
     /// values never nest.
-    Coerced {
-        /// The underlying (uncoerced) value.
-        value: Rc<Value>,
-        /// The single, merged coercion (interned).
-        coercion: CoercionId,
-    },
+    Coerced(Plain, CoercionId),
+}
+
+impl Plain {
+    fn observe(&self) -> Observation {
+        match self {
+            Plain::Const(k) => Observation::Constant(*k),
+            Plain::Closure { .. } => Observation::Function,
+        }
+    }
+
+    fn constant(self) -> Constant {
+        match self {
+            Plain::Const(k) => k,
+            Plain::Closure { .. } => unreachable!("operator got a function"),
+        }
+    }
 }
 
 impl Value {
@@ -85,12 +104,11 @@ impl Value {
     /// the arena that interned its coercions.
     pub fn observe(&self, arena: &CoercionArena) -> Observation {
         match self {
-            Value::Const(k) => Observation::Constant(*k),
-            Value::Closure { .. } | Value::FixClosure { .. } => Observation::Function,
-            Value::Coerced { value, coercion } => match arena.node(*coercion) {
+            Value::Plain(u) => u.observe(),
+            Value::Coerced(u, coercion) => match arena.node(*coercion) {
                 SNode::Mid(INode::Inj(g, ground)) => {
                     let payload = match g {
-                        GNode::IdBase(_) => value.observe(arena),
+                        GNode::IdBase(_) => u.observe(),
                         GNode::Fun(_, _) => Observation::Function,
                     };
                     Observation::Injected(ground, Box::new(payload))
@@ -103,17 +121,27 @@ impl Value {
             },
         }
     }
+
+    fn constant(self) -> Constant {
+        match self {
+            Value::Plain(u) => u.constant(),
+            Value::Coerced(..) => unreachable!("operator got a coerced value"),
+        }
+    }
 }
 
-/// A persistent environment.
+/// A persistent environment, indexed by de Bruijn position.
 #[derive(Debug, Clone, Default)]
 pub struct Env(Option<Rc<EnvNode>>);
 
 #[derive(Debug)]
-struct EnvNode {
-    name: Name,
-    value: Value,
-    rest: Env,
+enum EnvNode {
+    /// One binding (`let` or a `λ` call).
+    One { value: Value, rest: Env },
+    /// A `fix` call: the argument (index 0) and the function itself
+    /// (index 1), which is the closure over `code` and `rest` — so it
+    /// is rebuilt on lookup instead of stored.
+    Fix { arg: Value, code: u32, rest: Env },
 }
 
 impl Env {
@@ -122,25 +150,52 @@ impl Env {
         Env(None)
     }
 
-    /// Extends the environment with a binding.
+    /// Extends the environment with one binding.
     #[must_use]
-    pub fn bind(&self, name: Name, value: Value) -> Env {
-        Env(Some(Rc::new(EnvNode {
-            name,
+    pub fn bind(&self, value: Value) -> Env {
+        Env(Some(Rc::new(EnvNode::One {
             value,
             rest: self.clone(),
         })))
     }
 
-    fn lookup(&self, name: &Name) -> Option<&Value> {
+    /// Extends a `fix` closure's environment for a call: the function
+    /// over `code` (and this environment) at index 1, `arg` at 0.
+    fn bind_fix(self, code: u32, arg: Value) -> Env {
+        Env(Some(Rc::new(EnvNode::Fix {
+            arg,
+            code,
+            rest: self,
+        })))
+    }
+
+    fn lookup(&self, mut index: u32) -> Value {
         let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &node.name == name {
-                return Some(&node.value);
+        loop {
+            match cur.0.as_deref() {
+                None => panic!("unbound variable (de Bruijn index out of range)"),
+                Some(EnvNode::One { value, rest }) => {
+                    if index == 0 {
+                        return value.clone();
+                    }
+                    index -= 1;
+                    cur = rest;
+                }
+                Some(EnvNode::Fix { arg, code, rest }) => match index {
+                    0 => return arg.clone(),
+                    1 => {
+                        return Value::Plain(Plain::Closure {
+                            code: *code,
+                            env: rest.clone(),
+                        })
+                    }
+                    _ => {
+                        index -= 2;
+                        cur = rest;
+                    }
+                },
             }
-            cur = &node.rest;
         }
-        None
     }
 }
 
@@ -150,33 +205,39 @@ impl Env {
 #[allow(clippy::enum_variant_names)]
 enum Frame {
     AppArg {
-        arg: STerm,
+        arg: u32,
         env: Env,
     },
     AppCall {
         fun: Value,
     },
-    OpFrame {
+    /// A binary operator whose first operand is being evaluated; the
+    /// second is `arg`.
+    OpArg {
         op: Op,
-        done: Vec<Value>,
-        rest: Vec<STerm>,
+        arg: u32,
         env: Env,
     },
+    /// An operator whose last operand is being evaluated, holding the
+    /// first operand's constant if it has two.
+    OpApply {
+        op: Op,
+        first: Option<Constant>,
+    },
     If {
-        then_: STerm,
-        else_: STerm,
+        then_: u32,
+        else_: u32,
         env: Env,
     },
     Let {
-        name: Name,
-        body: STerm,
+        body: u32,
         env: Env,
     },
     CoerceFrame(CoercionId),
 }
 
 enum Control {
-    Eval(STerm, Env),
+    Eval(u32, Env),
     Ret(Value),
 }
 
@@ -230,22 +291,18 @@ impl Machine<'_> {
     }
 
     /// Applies a coercion to a value immediately, merging with any
-    /// existing proxy coercion.
+    /// existing proxy coercion (never nesting).
     fn coerce_value(&mut self, v: Value, s: CoercionId) -> Result<Value, Label> {
-        if let Value::Coerced { value, coercion } = &v {
-            // Never nest: compose with the existing proxy (cached).
-            let merged = self.arena.compose(self.cache, *coercion, s);
-            return self.coerce_value((**value).clone(), merged);
-        }
+        let (u, s) = match v {
+            Value::Plain(u) => (u, s),
+            Value::Coerced(u, proxy) => (u, self.arena.compose(self.cache, proxy, s)),
+        };
         match self.arena.node(s) {
-            SNode::IdDyn => Ok(v),
-            SNode::Mid(INode::Ground(GNode::IdBase(_))) => Ok(v),
+            SNode::IdDyn => Ok(Value::Plain(u)),
+            SNode::Mid(INode::Ground(GNode::IdBase(_))) => Ok(Value::Plain(u)),
             SNode::Mid(INode::Fail(_, p, _)) => Err(p),
             SNode::Mid(INode::Inj(_, _)) | SNode::Mid(INode::Ground(GNode::Fun(_, _))) => {
-                Ok(Value::Coerced {
-                    value: Rc::new(v),
-                    coercion: s,
-                })
+                Ok(Value::Coerced(u, s))
             }
             SNode::Proj(_, _, _) => {
                 unreachable!("projection applied to an uncoerced value (which cannot have type ?)")
@@ -273,7 +330,7 @@ pub fn run(term: &Term, fuel: u64) -> MachineRun {
 ///
 /// This entry point re-lowers the term on every call (an O(term-size)
 /// walk). Callers that run the *same* program repeatedly should
-/// compile once with [`compile_term`] and loop over
+/// compile once (e.g. with [`bc_core::sterm::CompileCtx::compile`]) and loop over
 /// [`run_compiled_in`] instead — that is what the runtime's `Session`
 /// does.
 ///
@@ -296,42 +353,41 @@ pub fn run_in(
     // The machine never consults type annotations at run time, so the
     // type arena is a per-call throwaway: its lifetime is bounded by
     // the call (no hidden growing state), and callers who want the
-    // annotations interned for keeps use compile_term +
+    // annotations interned for keeps use CompileCtx::compile +
     // run_compiled_in with their own TypeArena.
     let mut types = TypeArena::new();
-    let compiled = compile_term(term, arena, &mut types);
+    let code = SCode::encode(&compile_term(term, arena, &mut types));
     // The before-stats predate the compile, so the reported reuse
     // *includes* the compile-time interning (see the doc above).
-    let paused = fresh_paused(&compiled, fuel, arena_before, cache_before);
+    let paused = fresh_paused(&code, fuel, arena_before, cache_before);
     match resume_compiled_in(paused, arena, cache, fuel) {
         SliceResult::Done(run) => run,
         SliceResult::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
     }
 }
 
-/// Runs an already-compiled term against the arena and cache it was
-/// compiled into — the fast path: every boundary crossing is an id
+/// Runs an already-compiled program against the arena and cache it
+/// was compiled into — the fast path: every boundary crossing is an id
 /// load plus a cached merge, with zero interning
 /// (`metrics.reuse.tree_interns == 0`).
 ///
-/// The term's ids are only meaningful in the arena that
-/// [`compile_term`] interned them into (keep the pair together, e.g.
-/// via [`bc_core::sterm::CompileCtx`]): an id that is out of bounds
-/// for `arena` panics, but an in-bounds id from a *different* arena
-/// denotes whatever that slot holds — like [`CoercionArena::node`],
-/// this function cannot detect foreign ids.
+/// The block's ids are only meaningful in the arena that lowered them
+/// (keep the pair together, e.g. via [`bc_core::sterm::CompileCtx`]):
+/// an id that is out of bounds for `arena` panics, but an in-bounds id
+/// from a *different* arena denotes whatever that slot holds — like
+/// [`CoercionArena::node`], this function cannot detect foreign ids.
 ///
 /// # Panics
 ///
-/// Panics on open or ill-typed input, or if the term's ids are out of
+/// Panics on open or ill-typed input, or if the block's ids are out of
 /// bounds for `arena`.
 pub fn run_compiled_in(
-    term: &STerm,
+    code: &SCode,
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
     fuel: u64,
 ) -> MachineRun {
-    let paused = start_compiled_in(term, arena, cache, fuel);
+    let paused = start_compiled_in(code, arena, cache, fuel);
     match resume_compiled_in(paused, arena, cache, fuel) {
         SliceResult::Done(run) => run,
         SliceResult::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
@@ -341,20 +397,19 @@ pub fn run_compiled_in(
 /// A preempted λS machine run, parked between fuel slices.
 ///
 /// Unlike the machine itself, the parked state holds **no arena or
-/// cache borrows** — only the continuation stack, control, metrics,
-/// and the arena/cache counters captured at [`start_compiled_in`]
-/// (so the final [`ReuseStats`] delta spans all slices, exactly as an
-/// unsliced run would report). Each [`resume_compiled_in`] call
-/// re-borrows the arena/cache pair the term was compiled into; pass a
-/// different pair and the ids mean something else entirely (the same
-/// foreign-id caveat as [`run_compiled_in`]).
+/// cache borrows** — only the program's code block (one shared `Rc`),
+/// the continuation stack, control, metrics, and the arena/cache
+/// counters captured at [`start_compiled_in`] (so the final
+/// [`ReuseStats`] delta spans all slices, exactly as an unsliced run
+/// would report). Each [`resume_compiled_in`] call re-borrows the
+/// arena/cache pair the program was compiled into; pass a different
+/// pair and the ids mean something else entirely (the same foreign-id
+/// caveat as [`run_compiled_in`]).
 ///
-/// Values, environments, and the `STerm` spine are `Rc`-shared, so a
-/// parked run is deliberately **not** `Send`: it stays on the worker
-/// that started it (an `Arc` spine costs this machine ~30% end to
-/// end, measured in PR 6, so the scheduler parks per worker instead
-/// of migrating machine state across threads).
+/// The block, values and environments are `Rc`-shared, so a parked
+/// run is not `Send`: it stays on the worker that started it.
 pub struct Paused {
+    code: SCode,
     stack: Vec<Frame>,
     metrics: Metrics,
     coercion_frames: usize,
@@ -373,47 +428,48 @@ impl Paused {
 }
 
 fn fresh_paused(
-    term: &STerm,
+    code: &SCode,
     fuel: u64,
     arena_before: bc_core::arena::ArenaStats,
     cache_before: bc_core::arena::CacheStats,
 ) -> Paused {
     Paused {
+        code: code.clone(),
         stack: Vec::new(),
         metrics: Metrics::default(),
         coercion_frames: 0,
         coercion_size: 0,
-        control: Control::Eval(term.clone(), Env::new()),
+        control: Control::Eval(code.root(), Env::new()),
         fuel,
         arena_before,
         cache_before,
     }
 }
 
-/// Begins a resumable run of an already-compiled term. No steps are
+/// Begins a resumable run of an already-compiled program. No steps are
 /// taken; drive the machine with [`resume_compiled_in`], passing the
-/// same arena/cache pair the term was compiled into.
+/// same arena/cache pair the program was compiled into.
 pub fn start_compiled_in(
-    term: &STerm,
+    code: &SCode,
     arena: &CoercionArena,
     cache: &ComposeCache,
     fuel: u64,
 ) -> Paused {
-    fresh_paused(term, fuel, arena.stats(), cache.stats())
+    fresh_paused(code, fuel, arena.stats(), cache.stats())
 }
 
 /// Runs a parked machine for at most `slice` further transitions
-/// against the arena/cache pair its term was compiled into.
+/// against the arena/cache pair its program was compiled into.
 ///
 /// Fuel exhaustion is checked before the slice budget (both count
 /// machine transitions), so a slice at least as large as the
 /// remaining fuel can never park:
-/// `resume_compiled_in(start_compiled_in(t, a, c, f), a, c, f)` is
-/// exactly [`run_compiled_in`]`(t, a, c, f)`.
+/// `resume_compiled_in(start_compiled_in(c, a, k, f), a, k, f)` is
+/// exactly [`run_compiled_in`]`(c, a, k, f)`.
 ///
 /// # Panics
 ///
-/// Panics on open or ill-typed input, or if the term's ids are out of
+/// Panics on open or ill-typed input, or if the block's ids are out of
 /// bounds for `arena`.
 pub fn resume_compiled_in(
     paused: Paused,
@@ -422,6 +478,7 @@ pub fn resume_compiled_in(
     slice: u64,
 ) -> SliceResult<Paused> {
     let Paused {
+        code,
         stack,
         metrics,
         coercion_frames,
@@ -440,7 +497,7 @@ pub fn resume_compiled_in(
         cache,
     };
     let until = m.metrics.steps.saturating_add(slice);
-    match exec_slice(&mut m, control, fuel, until) {
+    match exec_slice(&mut m, code.nodes(), control, fuel, until) {
         Stepped::Done(mut run) => {
             run.metrics.reuse = reuse_delta(m.arena, m.cache, arena_before, cache_before);
             SliceResult::Done(run)
@@ -455,6 +512,7 @@ pub fn resume_compiled_in(
                 cache: _,
             } = m;
             SliceResult::Parked(Paused {
+                code,
                 stack,
                 metrics,
                 coercion_frames,
@@ -494,7 +552,19 @@ enum Stepped {
     Parked(Control),
 }
 
-fn exec_slice(m: &mut Machine<'_>, mut control: Control, fuel: u64, until: u64) -> Stepped {
+fn exec_slice(
+    m: &mut Machine<'_>,
+    code: &[Node],
+    mut control: Control,
+    fuel: u64,
+    until: u64,
+) -> Stepped {
+    let done = |m: &Machine<'_>, outcome| {
+        Stepped::Done(MachineRun {
+            outcome,
+            metrics: m.metrics.clone(),
+        })
+    };
     loop {
         // THE fuel-unit invariant: fuel, slice budgets, and
         // `Metrics::steps` all count the same unit — one machine
@@ -504,177 +574,123 @@ fn exec_slice(m: &mut Machine<'_>, mut control: Control, fuel: u64, until: u64) 
         // relies on this 1:1 accounting; the λB/λC machines and the
         // small-step engines enforce the same order.
         if m.metrics.steps >= fuel {
-            return Stepped::Done(MachineRun {
-                outcome: MachineOutcome::Timeout,
-                metrics: m.metrics.clone(),
-            });
+            return done(m, MachineOutcome::Timeout);
         }
         if m.metrics.steps >= until {
             return Stepped::Parked(control);
         }
         m.metrics.steps += 1;
         control = match control {
-            Control::Eval(t, env) => match t {
-                STerm::Const(k) => Control::Ret(Value::Const(k)),
-                STerm::Var(x) => Control::Ret(
-                    env.lookup(&x)
-                        .unwrap_or_else(|| panic!("unbound variable `{x}`"))
-                        .clone(),
-                ),
-                STerm::Lam(param, _, body) => Control::Ret(Value::Closure { param, body, env }),
-                STerm::Fix(fun, param, _, _, body) => Control::Ret(Value::FixClosure {
-                    fun,
-                    param,
-                    body,
-                    env,
-                }),
-                STerm::App(l, r) => {
+            Control::Eval(at, env) => match code[at as usize] {
+                Node::Const(k) => Control::Ret(Value::Plain(Plain::Const(k))),
+                Node::Var(i) => Control::Ret(env.lookup(i)),
+                Node::Free(_) => panic!("evaluation reached a free variable"),
+                Node::Lam { .. } | Node::Fix { .. } => {
+                    Control::Ret(Value::Plain(Plain::Closure { code: at, env }))
+                }
+                Node::App(l, r) => {
                     m.push(Frame::AppArg {
-                        arg: (*r).clone(),
+                        arg: r,
                         env: env.clone(),
                     });
-                    Control::Eval((*l).clone(), env)
+                    Control::Eval(l, env)
                 }
-                STerm::Op(op, mut args) => {
-                    let rest = args.split_off(1);
-                    let first = args.pop().expect("operators have at least one argument");
-                    m.push(Frame::OpFrame {
+                Node::Op1(op, a) => {
+                    m.push(Frame::OpApply { op, first: None });
+                    Control::Eval(a, env)
+                }
+                Node::Op2(op, a, b) => {
+                    m.push(Frame::OpArg {
                         op,
-                        done: Vec::new(),
-                        rest,
+                        arg: b,
                         env: env.clone(),
                     });
-                    Control::Eval(first, env)
+                    Control::Eval(a, env)
                 }
-                STerm::Coerce(inner, s) => {
+                Node::OpN { op, len, .. } => {
+                    unreachable!("operator {op} applied to {len} operands")
+                }
+                Node::Coerce(inner, s) => {
                     // The boundary crossing: `s` is a Copy id — no
                     // interning, no allocation; merging with an
                     // adjacent frame is a cached O(1) composition.
                     m.push_coercion(s);
-                    Control::Eval((*inner).clone(), env)
+                    Control::Eval(inner, env)
                 }
-                STerm::Blame(p, _) => {
-                    return Stepped::Done(MachineRun {
-                        outcome: MachineOutcome::Blame(p),
-                        metrics: m.metrics.clone(),
-                    })
-                }
-                STerm::If(c, t2, e) => {
+                Node::Blame(p, _) => return done(m, MachineOutcome::Blame(p)),
+                Node::If(c, then_, else_) => {
                     m.push(Frame::If {
-                        then_: (*t2).clone(),
-                        else_: (*e).clone(),
+                        then_,
+                        else_,
                         env: env.clone(),
                     });
-                    Control::Eval((*c).clone(), env)
+                    Control::Eval(c, env)
                 }
-                STerm::Let(x, bound, body) => {
+                Node::Let { bound, body, .. } => {
                     m.push(Frame::Let {
-                        name: x,
-                        body: (*body).clone(),
+                        body,
                         env: env.clone(),
                     });
-                    Control::Eval((*bound).clone(), env)
+                    Control::Eval(bound, env)
                 }
             },
             Control::Ret(v) => match m.pop() {
                 None => {
                     let observation = v.observe(m.arena);
-                    return Stepped::Done(MachineRun {
-                        outcome: MachineOutcome::Value(observation),
-                        metrics: m.metrics.clone(),
-                    });
+                    return done(m, MachineOutcome::Value(observation));
                 }
                 Some(Frame::AppArg { arg, env }) => {
                     m.push(Frame::AppCall { fun: v });
                     Control::Eval(arg, env)
                 }
-                Some(Frame::AppCall { fun }) => match apply(m, fun, v) {
+                Some(Frame::AppCall { fun }) => match apply(m, code, fun, v) {
                     Ok(c) => c,
-                    Err(p) => {
-                        return Stepped::Done(MachineRun {
-                            outcome: MachineOutcome::Blame(p),
-                            metrics: m.metrics.clone(),
-                        })
-                    }
+                    Err(p) => return done(m, MachineOutcome::Blame(p)),
                 },
-                Some(Frame::OpFrame {
-                    op,
-                    mut done,
-                    mut rest,
-                    env,
-                }) => {
-                    done.push(v);
-                    if rest.is_empty() {
-                        let consts: Vec<Constant> = done
-                            .iter()
-                            .map(|v| match v {
-                                Value::Const(k) => *k,
-                                other => unreachable!("operator got non-constant {other:?}"),
-                            })
-                            .collect();
-                        Control::Ret(Value::Const(op.apply(&consts)))
-                    } else {
-                        let next = rest.remove(0);
-                        m.push(Frame::OpFrame {
-                            op,
-                            done,
-                            rest,
-                            env: env.clone(),
-                        });
-                        Control::Eval(next, env)
-                    }
+                Some(Frame::OpArg { op, arg, env }) => {
+                    m.push(Frame::OpApply {
+                        op,
+                        first: Some(v.constant()),
+                    });
+                    Control::Eval(arg, env)
+                }
+                Some(Frame::OpApply { op, first }) => {
+                    let k = v.constant();
+                    let result = match first {
+                        None => op.apply(&[k]),
+                        Some(first) => op.apply(&[first, k]),
+                    };
+                    Control::Ret(Value::Plain(Plain::Const(result)))
                 }
                 Some(Frame::If { then_, else_, env }) => match v {
-                    Value::Const(Constant::Bool(true)) => Control::Eval(then_, env),
-                    Value::Const(Constant::Bool(false)) => Control::Eval(else_, env),
+                    Value::Plain(Plain::Const(Constant::Bool(true))) => Control::Eval(then_, env),
+                    Value::Plain(Plain::Const(Constant::Bool(false))) => Control::Eval(else_, env),
                     other => unreachable!("if condition returned {other:?}"),
                 },
-                Some(Frame::Let { name, body, env }) => {
-                    let env = env.bind(name, v);
-                    Control::Eval(body, env)
-                }
+                Some(Frame::Let { body, env }) => Control::Eval(body, env.bind(v)),
                 Some(Frame::CoerceFrame(s)) => match m.coerce_value(v, s) {
                     Ok(v2) => Control::Ret(v2),
-                    Err(p) => {
-                        return Stepped::Done(MachineRun {
-                            outcome: MachineOutcome::Blame(p),
-                            metrics: m.metrics.clone(),
-                        })
-                    }
+                    Err(p) => return done(m, MachineOutcome::Blame(p)),
                 },
             },
         };
     }
 }
 
-fn apply(m: &mut Machine<'_>, fun: Value, arg: Value) -> Result<Control, Label> {
+fn apply(m: &mut Machine<'_>, code: &[Node], fun: Value, arg: Value) -> Result<Control, Label> {
     match fun {
-        Value::Closure { param, body, env } => {
-            let env = env.bind(param, arg);
-            Ok(Control::Eval((*body).clone(), env))
-        }
-        Value::FixClosure {
-            fun: f,
-            param,
-            body,
-            env,
-        } => {
-            let self_val = Value::FixClosure {
-                fun: f.clone(),
-                param: param.clone(),
-                body: body.clone(),
-                env: env.clone(),
-            };
-            let env = env.bind(f, self_val).bind(param, arg);
-            Ok(Control::Eval((*body).clone(), env))
-        }
-        Value::Coerced { value, coercion } => match m.arena.node(coercion) {
+        Value::Plain(Plain::Closure { code: at, env }) => match code[at as usize] {
+            Node::Lam { body, .. } => Ok(Control::Eval(body, env.bind(arg))),
+            Node::Fix { body, .. } => Ok(Control::Eval(body, env.bind_fix(at, arg))),
+            other => unreachable!("closure over a non-function node {other:?}"),
+        },
+        Value::Coerced(u, coercion) => match m.arena.node(coercion) {
             SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
                 // (U⟨s→t⟩) V: coerce the argument by s, push (merging!)
                 // the result coercion t, apply the proxied function.
                 let arg2 = m.coerce_value(arg, s)?;
                 m.push_coercion(t);
-                apply(m, (*value).clone(), arg2)
+                apply(m, code, Value::Plain(u), arg2)
             }
             _ => unreachable!(
                 "applied a non-function coercion {}",

@@ -348,14 +348,14 @@ impl Gen {
     }
 
     /// A random compiled λS program: the tree term *and* its lowering
-    /// into the given context's arenas (the pair the compiled-path
-    /// property tests compare).
+    /// into the given context's arenas as an executable code block
+    /// (the pair the compiled-path property tests compare).
     pub fn compiled_s(
         &mut self,
         ctx: &mut bc_core::CompileCtx,
         ty: &Type,
         depth: usize,
-    ) -> (bc_core::Term, bc_core::STerm) {
+    ) -> (bc_core::Term, bc_core::SCode) {
         let tree = self.term_s(ty, depth);
         let compiled = ctx.compile(&tree);
         (tree, compiled)
@@ -610,7 +610,7 @@ mod tests {
             let ty = g.ty(1);
             let (tree, compiled) = g.compiled_s(&mut ctx, &ty, 3);
             assert_eq!(
-                bc_core::decompile_term(&compiled, &ctx.arena, &ctx.types),
+                bc_core::decompile_term(&compiled.decode(), &ctx.arena, &ctx.types),
                 tree
             );
         }

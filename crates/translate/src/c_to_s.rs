@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
 use bc_core::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 use bc_core::compose::compose;
-use bc_core::sterm::{CompileCtx, STerm as CompiledTerm};
+use bc_core::sterm::{CodeBuilder, CompileCtx, Node, SCode, STerm as CompiledTerm};
 use bc_core::term::Term as STerm;
 use bc_lambda_c::coercion::Coercion;
 use bc_lambda_c::term::Term as CTerm;
@@ -290,11 +290,13 @@ impl CNormalizer {
     }
 }
 
-/// Translates a *compiled* λC term into the compiled λS IR — the final
-/// leg of the allocation-free pipeline. Type annotations are already
-/// ids and pass through untouched; each coercion goes through the
-/// [`CNormalizer`] memo, so against warm arenas the pass interns
-/// nothing and composes nothing.
+/// Translates a *compiled* λC term into the executable λS code block
+/// ([`SCode`]) — the final leg of the allocation-free pipeline. Type
+/// annotations are already ids and pass through untouched; each
+/// coercion goes through the [`CNormalizer`] memo, so against warm
+/// arenas the pass interns nothing and composes nothing. Variables are
+/// resolved to de Bruijn indices here, once per program, so running
+/// the block never compares a name.
 pub fn term_c_to_s_from_compiled(
     term: &CTermC,
     carena: &CArena,
@@ -302,51 +304,94 @@ pub fn term_c_to_s_from_compiled(
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
     types: &TypeArena,
-) -> CompiledTerm {
-    match term {
-        CTermC::Const(k) => CompiledTerm::Const(*k),
-        CTermC::Op(op, args) => CompiledTerm::Op(
-            *op,
-            args.iter()
-                .map(|a| term_c_to_s_from_compiled(a, carena, norm, arena, cache, types))
-                .collect(),
-        ),
-        CTermC::Var(x) => CompiledTerm::Var(x.clone()),
-        CTermC::Lam(x, ty, b) => CompiledTerm::Lam(
-            x.clone(),
-            *ty,
-            term_c_to_s_from_compiled(b, carena, norm, arena, cache, types).into(),
-        ),
-        CTermC::App(a, b) => CompiledTerm::App(
-            term_c_to_s_from_compiled(a, carena, norm, arena, cache, types).into(),
-            term_c_to_s_from_compiled(b, carena, norm, arena, cache, types).into(),
-        ),
-        CTermC::Coerce(m, c) => {
-            let id = norm.normalize(*c, carena, arena, cache, types);
-            CompiledTerm::Coerce(
-                term_c_to_s_from_compiled(m, carena, norm, arena, cache, types).into(),
-                id,
-            )
-        }
-        CTermC::Blame(p, ty) => CompiledTerm::Blame(*p, *ty),
-        CTermC::If(c, t, e) => CompiledTerm::If(
-            term_c_to_s_from_compiled(c, carena, norm, arena, cache, types).into(),
-            term_c_to_s_from_compiled(t, carena, norm, arena, cache, types).into(),
-            term_c_to_s_from_compiled(e, carena, norm, arena, cache, types).into(),
-        ),
-        CTermC::Let(x, m, n) => CompiledTerm::Let(
-            x.clone(),
-            term_c_to_s_from_compiled(m, carena, norm, arena, cache, types).into(),
-            term_c_to_s_from_compiled(n, carena, norm, arena, cache, types).into(),
-        ),
-        CTermC::Fix(f, x, dom, cod, b) => CompiledTerm::Fix(
-            f.clone(),
-            x.clone(),
-            *dom,
-            *cod,
-            term_c_to_s_from_compiled(b, carena, norm, arena, cache, types).into(),
-        ),
+) -> SCode {
+    struct Lower<'a> {
+        b: CodeBuilder,
+        carena: &'a CArena,
+        norm: &'a mut CNormalizer,
+        arena: &'a mut CoercionArena,
+        cache: &'a mut ComposeCache,
+        types: &'a TypeArena,
     }
+    impl Lower<'_> {
+        fn go(&mut self, term: &CTermC) -> u32 {
+            match term {
+                CTermC::Const(k) => self.b.push(Node::Const(*k)),
+                CTermC::Op(op, args) => {
+                    let mut pair = [0; 2];
+                    if args.len() <= pair.len() {
+                        for (slot, a) in pair.iter_mut().zip(args.iter()) {
+                            *slot = self.go(a);
+                        }
+                        self.b.op(*op, &pair[..args.len()])
+                    } else {
+                        let ids: Vec<u32> = args.iter().map(|a| self.go(a)).collect();
+                        self.b.op(*op, &ids)
+                    }
+                }
+                CTermC::Var(x) => self.b.var(x),
+                CTermC::Lam(x, ty, body) => {
+                    let name = self.b.bind(x);
+                    let body = self.go(body);
+                    self.b.unbind(1);
+                    self.b.push(Node::Lam {
+                        name,
+                        ty: *ty,
+                        body,
+                    })
+                }
+                CTermC::App(l, m) => {
+                    let l = self.go(l);
+                    let m = self.go(m);
+                    self.b.push(Node::App(l, m))
+                }
+                CTermC::Coerce(m, c) => {
+                    let id =
+                        self.norm
+                            .normalize(*c, self.carena, self.arena, self.cache, self.types);
+                    let m = self.go(m);
+                    self.b.push(Node::Coerce(m, id))
+                }
+                CTermC::Blame(p, ty) => self.b.push(Node::Blame(*p, *ty)),
+                CTermC::If(c, t, e) => {
+                    let c = self.go(c);
+                    let t = self.go(t);
+                    let e = self.go(e);
+                    self.b.push(Node::If(c, t, e))
+                }
+                CTermC::Let(x, m, n) => {
+                    let bound = self.go(m);
+                    let name = self.b.bind(x);
+                    let body = self.go(n);
+                    self.b.unbind(1);
+                    self.b.push(Node::Let { name, bound, body })
+                }
+                CTermC::Fix(f, x, dom, cod, body) => {
+                    let fun = self.b.bind(f);
+                    let param = self.b.bind(x);
+                    let body = self.go(body);
+                    self.b.unbind(2);
+                    self.b.push(Node::Fix {
+                        fun,
+                        param,
+                        dom: *dom,
+                        cod: *cod,
+                        body,
+                    })
+                }
+            }
+        }
+    }
+    let mut lower = Lower {
+        b: CodeBuilder::new(),
+        carena,
+        norm,
+        arena,
+        cache,
+        types,
+    };
+    let root = lower.go(term);
+    lower.b.finish(root)
 }
 
 #[cfg(test)]
@@ -504,7 +549,7 @@ mod tests {
             // Tree pipeline through the same arenas yields the same
             // ids — canonicity end to end.
             let via_tree = term_c_to_s_compiled_in(&mut ctx, &term_b_to_c(&b));
-            assert_eq!(direct, via_tree, "{name}");
+            assert_eq!(direct.decode(), via_tree, "{name}");
         }
         // A warm second pass normalises from the memo alone: no new
         // space coercions, no new λC coercions, no new types.

@@ -12,7 +12,7 @@
 //! cargo run --release --example space_efficiency
 //! ```
 
-use bc_core::CompileCtx;
+use bc_core::{CompileCtx, SCode};
 use bc_lambda_b::programs;
 use bc_machine::{cek_b, cek_c, cek_s};
 use bc_translate::{term_b_to_c, term_c_to_s_compiled_in};
@@ -39,7 +39,7 @@ fn main() {
         let c = term_b_to_c(&b);
         // One pass, id-emitting: λC straight to the machine-ready IR,
         // no intermediate λS tree.
-        let compiled = term_c_to_s_compiled_in(&mut ctx, &c);
+        let compiled = SCode::encode(&term_c_to_s_compiled_in(&mut ctx, &c));
         let fuel = 100_000_000;
 
         let rb = cek_b::run(&b, fuel);

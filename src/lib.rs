@@ -61,17 +61,18 @@
 //! deprecation release has passed; the migration recipe lives in
 //! CHANGES.md.)
 //!
-//! The whole pipeline is **allocation-free once warm**: the parser
-//! interns annotations as it reads them, elaboration and both
-//! lowerings run on interned ids, and [`Program`] handles keep only
-//! the compiled λB/λS forms — the term *trees* are built lazily, and
-//! only if something asks for one ([`SessionStats::tree_builds`]).
-//! The [`pool`] module scales this across threads: a [`SessionPool`]
-//! freezes a warm session into a shared base, and jobs matching a
-//! warmup source travel as [`CompiledProgram`]s — interned λB plus the
-//! lowered λS, both `Arc`-spined with ids below the frozen
-//! watermarks — so workers adopt them without parsing, elaborating,
-//! or re-lowering anything. The [`sched`] module makes the serving
+//! Once warm, the pipeline builds **no tree and interns nothing**: the
+//! parser interns annotations as it reads them, elaboration and both
+//! lowerings run on interned ids, and a [`Program`] handle keeps only
+//! the flat λS code block plus its source text — the term *trees* are
+//! built on demand, and only if something asks for one
+//! ([`SessionStats::tree_builds`]). The [`pool`] module scales this
+//! across threads: a [`SessionPool`] freezes a warm session into a
+//! shared base, and jobs matching a warmup source travel as
+//! [`CompiledProgram`]s — the interned, `Arc`-spined λB term with ids
+//! below the frozen watermarks — so workers adopt them without
+//! parsing or elaborating; each worker lowers the λB term to λS
+//! against its warm arenas, which is pure memo hits. The [`sched`] module makes the serving
 //! preemptive: every machine is resumable, so workers run jobs in
 //! deterministic step-counted slices ([`SliceBudget`]) with
 //! round-robin fairness, wall-clock [`Deadline`]s, cooperative

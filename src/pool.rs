@@ -80,10 +80,10 @@
 //! and observationally invisible: sliced and unsliced runs produce
 //! identical observations, step counts, fuel-exhaustion accounting,
 //! and space metrics (property-tested in `tests/sched.rs`). Parked
-//! state is worker-local by design — machine values share `Rc` spines
-//! (an `Arc` spine taxes every step; see `bc_core::sterm`) — so a
-//! parked job resumes on the worker that started it; only its
-//! *result* travels.
+//! state is worker-local by design — machine values, environments and
+//! the program's code block are `Rc`-shared, and the arena ids they
+//! hold belong to the worker's session — so a parked job resumes on
+//! the worker that started it; only its *result* travels.
 //!
 //! On top of the slice boundaries the front end gets three controls:
 //!
@@ -220,16 +220,25 @@ pub struct JobOutput {
     pub elapsed: Duration,
 }
 
+/// The fuel bound of each warmup run at pool build, in machine steps.
+///
+/// Warmup runs exist to seed the compose cache, and a space-efficient
+/// loop reaches its steady-state coercion working set within its first
+/// iterations — so the bound is small and *independent* of the pool's
+/// job fuel: a divergent warmup source must not burn the job fuel at
+/// build time. See [`SessionPool::warmup_peak_steps`].
+pub const WARMUP_RUN_FUEL: u64 = 64;
+
 /// A program compiled once at warmup and shipped to workers by id:
 /// the interned λB term plus its type id, with every id below the
 /// pool base's frozen watermarks (the warmup compiles *before* the
 /// freeze), so any worker session built over the base adopts it with
 /// no lexing, no parsing, no elaboration, and no λB re-check — the
 /// worker only re-lowers λB → λC → λS, which on a warm base is pure
-/// arena and memo hits. (The lowered λS form itself deliberately does
-/// not travel: its `Rc` spine is `!Send` because atomic refcounts
-/// would tax every machine step; see `bc_core::sterm`.) `Send + Sync`
-/// by construction: the λB spine is `Arc`, the ids plain integers.
+/// arena and memo hits. (The lowered λS code block does not travel:
+/// it is `Rc`-shared with the runs it feeds, and its coercion ids may
+/// name a worker's local overlay nodes.) `Send + Sync` by
+/// construction: the λB spine is `Arc`, the ids plain integers.
 ///
 /// The payload also carries its *provenance* — the warmup session's
 /// identity and the arena watermarks at compile time — which is what
@@ -1109,31 +1118,32 @@ impl SessionPoolBuilder {
         }
         let warm = warm.build();
         let mut compiled = HashMap::new();
-        // Warmup runs exist to seed the compose cache, and a
-        // space-efficient loop reaches its steady-state coercion
-        // working set within its first iterations — so the bound is
-        // small and *independent* of the pool's job fuel: a divergent
-        // warmup source must not burn `default_fuel` at build time.
-        // The unit here is machine *steps* — the same unit job fuel,
+        // Warmup runs are capped at WARMUP_RUN_FUEL. The unit is
+        // machine *steps* — the same unit job fuel,
         // `SliceBudget`, and `Metrics::steps` count, one transition
         // each (the engines enforce the 1:1 accounting at their fuel
         // checks; see the invariant note in `bc_machine::cek_s`) — so
         // this cap, slice accounting, and fuel-exhaustion reports are
         // all directly comparable numbers.
-        const WARMUP_RUN_FUEL: u64 = 64;
+        let mut warmup_peak_steps = 0;
         for source in &self.warmup {
-            let program = warm.compile(source)?;
+            let (program, term) = warm.compile_with_term(source)?;
             // Warm the compose pairs; outcome (including fuel
             // exhaustion) is irrelevant here. Every warmup source runs:
             // even one whose compile interned nothing new can reach
             // compose *pairs* no earlier program composed (same nodes,
             // different dynamic order), and a redundant run is pure
             // cache hits — microseconds at this fuel bound.
-            let _ = warm.run_with_fuel(
+            let steps = match warm.run_with_fuel(
                 &program,
                 Engine::MachineS,
                 WARMUP_RUN_FUEL.min(self.default_fuel),
-            );
+            ) {
+                Ok(report) => report.steps,
+                Err(RunError::FuelExhausted { steps, .. }) => steps,
+                Err(RunError::IllTyped(_)) => 0,
+            };
+            warmup_peak_steps = warmup_peak_steps.max(steps);
             // Keep the compiled form: every id it references is about
             // to be frozen into the base, so workers can load it
             // without re-parsing (`SessionPool::submit_compiled`).
@@ -1142,7 +1152,7 @@ impl SessionPoolBuilder {
                 source.clone(),
                 Arc::new(CompiledProgram {
                     source: source.clone(),
-                    term: program.lambda_b_compiled().clone(),
+                    term,
                     ty: program.ty_id(),
                     session,
                     coercion_watermark,
@@ -1198,6 +1208,7 @@ impl SessionPoolBuilder {
             next: AtomicUsize::new(0),
             compiled,
             default_fuel: self.default_fuel,
+            warmup_peak_steps,
         })
     }
 }
@@ -1941,6 +1952,8 @@ pub struct SessionPool {
     /// [`SessionPool::submit`] upgrades matching submissions to.
     compiled: HashMap<String, Arc<CompiledProgram>>,
     default_fuel: u64,
+    /// The most machine steps any one warmup run took.
+    warmup_peak_steps: u64,
 }
 
 impl SessionPool {
@@ -1971,6 +1984,12 @@ impl SessionPool {
     /// fuel.
     pub fn default_fuel(&self) -> u64 {
         self.default_fuel
+    }
+
+    /// The most machine steps any one warmup run took at build — never
+    /// more than [`WARMUP_RUN_FUEL`], whatever the pool's job fuel.
+    pub fn warmup_peak_steps(&self) -> u64 {
+        self.warmup_peak_steps
     }
 
     /// Total jobs currently waiting in worker queues (excludes jobs

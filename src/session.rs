@@ -38,13 +38,14 @@
 //! assert_eq!(report.observation.to_string(), "42");
 //! ```
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bc_core::arena::{CoercionArena, ComposeCache, FrozenCoercions};
-use bc_core::sterm::{decompile_term, STerm};
+use bc_core::sterm::{decompile_term, SCode};
 use bc_gtlc::Diagnostic;
 use bc_lambda_b::BTerm;
 use bc_lambda_c::CArena;
@@ -398,9 +399,9 @@ pub struct SessionStats {
     /// The `|·|CS` normalisation memo's entry/hit/miss counters — a
     /// warm recompile is all hits.
     pub normalizer: CNormalizerStats,
-    /// Tree views materialised since the session was built
-    /// ([`Session::lambda_b`]/[`Session::lambda_c`]/
-    /// [`Session::lambda_s`] first accesses). Zero for a session that
+    /// Tree views built since the session was built (one per
+    /// [`Session::lambda_b`]/[`Session::lambda_c`]/
+    /// [`Session::lambda_s`] call, and per run of a tree engine). Zero for a session that
     /// only compiled and ran on the compiled engines — the
     /// allocation-free-pipeline acceptance counter.
     pub tree_builds: u64,
@@ -600,9 +601,9 @@ pub struct Session {
     default_fuel: u64,
     programs: Cell<usize>,
     /// How many tree views ([`Session::lambda_b`]/[`Session::lambda_c`]/
-    /// [`Session::lambda_s`]) have been materialised — the
-    /// zero-allocation acceptance counter: a compile+run on the
-    /// compiled engines leaves it untouched.
+    /// [`Session::lambda_s`]) have been built — the zero-allocation
+    /// acceptance counter: a compile+run on the compiled engines leaves
+    /// it untouched.
     tree_builds: Cell<u64>,
 }
 
@@ -615,38 +616,33 @@ impl Default for Session {
 /// A program compiled into a [`Session`], held entirely in compiled
 /// (id-carrying) form.
 ///
-/// The handle owns its compiled IRs — the interned λB term
-/// ([`Program::lambda_b_compiled`]) and the λS term the machines run —
-/// but *not* the arenas their ids point into: those live in the
-/// session that compiled it, which is also the only session that can
-/// run it (enforced at run time). No `Rc` term tree is built at
-/// compile time; the three tree views exist only as lazily decompiled
-/// caches ([`Session::lambda_b`], [`Session::lambda_c`],
+/// The handle owns the λS code block the λS engines run, but *not*
+/// the arenas its ids point into: those live in the session that
+/// compiled it, which is also the only session that can run it
+/// (enforced at run time). No `Rc` term tree is built at compile time
+/// or kept in the handle; the tree views are decompiled on demand
+/// ([`Session::lambda_b`], [`Session::lambda_c`],
 /// [`Session::lambda_s`]) for the tree engines, docs, and tests.
+///
+/// A program compiled from source keeps its source text instead of
+/// its λB term, and [`Session::lambda_b_compiled`] re-elaborates the
+/// text when the λB form is asked for: elaboration is deterministic
+/// (same labels, and in the owning session the same interned ids), so
+/// the handle of a served program stays a few hundred bytes. Programs
+/// loaded as λB terms keep the term.
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// The elaborated λB term in compiled form: type annotations and
-    /// cast endpoints are interned `TypeId`s, the spine is `Arc` (and
-    /// therefore `Send` — this is the form pool jobs travel in).
-    lambda_b_compiled: BTerm,
-    /// The λS term compiled to the id-carrying IR. Private: its ids
-    /// are only meaningful in the owning session's arenas.
-    lambda_s_compiled: STerm,
+    /// Where the λB form comes from.
+    origin: Origin,
+    /// The λS program as one flat, index-resolved code block. Private:
+    /// its ids are only meaningful in the owning session's arenas.
+    lambda_s_compiled: SCode,
     /// The program's (gradual) type, as a shared tree handle (resolved
     /// once per distinct type per session — a warm recompile clones an
     /// `Rc`, allocating nothing).
     pub ty: Type,
     /// The program's type as an id in the owning session's arena.
     ty_id: TypeId,
-    /// The tree-form λB view, decompiled lazily by
-    /// [`Session::lambda_b`]; compilation leaves it empty.
-    lambda_b: OnceCell<bc_lambda_b::Term>,
-    /// The tree-form λC view (`|·|BC` on trees), built lazily by
-    /// [`Session::lambda_c`].
-    lambda_c: OnceCell<bc_lambda_c::Term>,
-    /// The tree-form λS view, decompiled lazily by
-    /// [`Session::lambda_s`].
-    lambda_s: OnceCell<bc_core::Term>,
     /// Owning session id (checked by every [`Session::run`]).
     session: u64,
     /// Coercion nodes the owning session held when this program was
@@ -655,10 +651,20 @@ pub struct Program {
     /// Type nodes the owning session held when this program was
     /// compiled.
     type_watermark: usize,
-    /// The source-program span map for blame reporting, if compiled
-    /// from source.
-    program: Option<bc_gtlc::ProgramC>,
-    source: Option<String>,
+}
+
+/// A program's λB form: re-derivable source text, or a loaded term.
+#[derive(Debug, Clone)]
+enum Origin {
+    /// Compiled from source, with the blame-label spans cast insertion
+    /// recorded.
+    Source {
+        text: Box<str>,
+        blame_spans: HashMap<u32, bc_gtlc::Span>,
+    },
+    /// Loaded as a compiled λB term (its spine is `Arc`, so cloning it
+    /// is a reference-count increment).
+    Term(BTerm),
 }
 
 impl Program {
@@ -674,49 +680,17 @@ impl Program {
         self.lambda_s_compiled.coercion_nodes()
     }
 
-    /// The compiled λB term: cast insertion's output with every type
-    /// annotation an interned id. Paired with [`Program::ty_id`], this
-    /// is the session-independent job payload —
-    /// `Arc`-spined and `Send`, with every id below the owning
-    /// session's watermarks, so a session sharing those ids (via a
-    /// [`FrozenBase`]) can [`Session::load_compiled`] it without
-    /// re-parsing or re-elaborating.
-    pub fn lambda_b_compiled(&self) -> &BTerm {
-        &self.lambda_b_compiled
-    }
-
-    /// The compiled λS form the engines execute — the other half of
-    /// the job payload. Also `Arc`-spined and `Send`: when its
-    /// `CoercionId`s/`TypeId`s sit below a frozen base, a sharing
-    /// session can run it directly, skipping the λB → λC → λS
-    /// lowering altogether (how pool workers serve compiled jobs).
-    pub fn lambda_s_compiled(&self) -> &STerm {
+    /// The λS code block the λS engines execute. It is `Rc`-shared
+    /// and stays in the session that lowered it: pool jobs carry only
+    /// the λB form ([`Session::lambda_b_compiled`]), and a worker
+    /// lowers it against its own (warm) arenas.
+    pub fn lambda_s_compiled(&self) -> &SCode {
         &self.lambda_s_compiled
     }
 
     /// The program's type as an id in the owning session's type arena.
     pub fn ty_id(&self) -> TypeId {
         self.ty_id
-    }
-
-    /// Whether the tree-form λB term has been materialised (it is
-    /// decompiled lazily by [`Session::lambda_b`]; compilation leaves
-    /// it empty).
-    pub fn lambda_b_materialized(&self) -> bool {
-        self.lambda_b.get().is_some()
-    }
-
-    /// Whether the tree-form λC term has been materialised (built
-    /// lazily by [`Session::lambda_c`]).
-    pub fn lambda_c_materialized(&self) -> bool {
-        self.lambda_c.get().is_some()
-    }
-
-    /// Whether the tree-form λS term has been materialised (it is
-    /// decompiled lazily by [`Session::lambda_s`]; compilation leaves
-    /// it empty).
-    pub fn lambda_s_materialized(&self) -> bool {
-        self.lambda_s.get().is_some()
     }
 
     /// The compiling session's identity plus the arena watermarks at
@@ -730,9 +704,12 @@ impl Program {
     /// program was compiled from source and the label came from cast
     /// insertion.
     pub fn explain_blame(&self, label: Label) -> Option<String> {
-        let program = self.program.as_ref()?;
-        let source = self.source.as_deref()?;
-        program.explain_blame(label, source)
+        match &self.origin {
+            Origin::Source { text, blame_spans } => {
+                bc_gtlc::elaborate::explain_blame_at(blame_spans, label, text)
+            }
+            Origin::Term(_) => None,
+        }
     }
 }
 
@@ -769,14 +746,22 @@ impl Session {
     /// Returns a [`Diagnostic`] on lexical, syntax, or gradual type
     /// errors.
     pub fn compile(&self, source: &str) -> Result<Program, Diagnostic> {
+        self.compile_with_term(source).map(|(program, _)| program)
+    }
+
+    /// [`Session::compile`], also handing back the compiled λB term
+    /// the handle does not keep (the pool's warmup ships it to
+    /// workers).
+    pub(crate) fn compile_with_term(&self, source: &str) -> Result<(Program, BTerm), Diagnostic> {
         let program = {
             let mut types = self.types.borrow_mut();
             bc_gtlc::compile_compiled(source, &mut types)?
         };
-        let mut compiled = self.lower(program.term.clone(), program.ty);
-        compiled.program = Some(program);
-        compiled.source = Some(source.to_owned());
-        Ok(compiled)
+        let origin = Origin::Source {
+            text: source.into(),
+            blame_spans: program.blame_spans,
+        };
+        Ok((self.lower(&program.term, program.ty, origin), program.term))
     }
 
     /// Compiles a batch of sources into this session, so the whole
@@ -823,11 +808,11 @@ impl Session {
             }
             (compiled, stated)
         };
-        Ok(self.lower(compiled, stated))
+        Ok(self.lower(&compiled, stated, Origin::Term(compiled.clone())))
     }
 
     /// Wraps an already-compiled λB term — the `Send` job payload a
-    /// warm sibling produced ([`Program::lambda_b_compiled`] /
+    /// warm sibling produced ([`Session::lambda_b_compiled`] /
     /// [`Program::ty_id`]) — checking it with the compiled λB checker
     /// before lowering. This is the no-re-parse path the
     /// [`crate::pool::SessionPool`] uses for warmed jobs.
@@ -860,7 +845,7 @@ impl Session {
                 Ok(_) => {}
             }
         }
-        Ok(self.lower(term, ty))
+        Ok(self.lower(&term, ty, Origin::Term(term.clone())))
     }
 
     /// [`Session::load_compiled`] without the λB re-check, for terms
@@ -872,7 +857,7 @@ impl Session {
     /// in `lower` still verify both intermediate forms in debug
     /// builds.)
     pub(crate) fn load_compiled_trusted(&self, term: BTerm, ty: TypeId) -> Program {
-        self.lower(term, ty)
+        self.lower(&term, ty, Origin::Term(term.clone()))
     }
 
     /// Lowers a well-typed compiled λB term into a session-bound
@@ -881,13 +866,13 @@ impl Session {
     /// session-wide [`CNormalizer`] memo normalises into the space
     /// arena — so a warm recompile interns nothing, normalises
     /// nothing, and builds no tree of any kind.
-    fn lower(&self, term: BTerm, ty: TypeId) -> Program {
+    fn lower(&self, term: &BTerm, ty: TypeId, origin: Origin) -> Program {
         let mut arena = self.arena.borrow_mut();
         let mut cache = self.cache.borrow_mut();
         let mut types = self.types.borrow_mut();
         let mut carena = self.carena.borrow_mut();
         let mut normalizer = self.normalizer.borrow_mut();
-        let lambda_c_compiled = term_b_to_c_compiled(&term, &mut carena, &mut types);
+        let lambda_c_compiled = term_b_to_c_compiled(term, &mut carena, &mut types);
         let lambda_s_compiled = term_c_to_s_from_compiled(
             &lambda_c_compiled,
             &carena,
@@ -905,92 +890,107 @@ impl Session {
             "λB → λC translation must preserve the program type"
         );
         debug_assert!(
-            bc_core::styping::has_type_interned(&lambda_s_compiled, ty, &arena, &mut types),
+            bc_core::styping::has_type_interned(
+                &lambda_s_compiled.decode(),
+                ty,
+                &arena,
+                &mut types
+            ),
             "λC → λS lowering must preserve the program type"
         );
         self.programs.set(self.programs.get() + 1);
         Program {
-            lambda_b_compiled: term,
+            origin,
             lambda_s_compiled,
             ty: types.resolve_shared(ty),
             ty_id: ty,
-            lambda_b: OnceCell::new(),
-            lambda_c: OnceCell::new(),
-            lambda_s: OnceCell::new(),
             session: self.id,
             coercion_watermark: arena.len(),
             type_watermark: types.len(),
-            program: None,
-            source: None,
         }
     }
 
     /// The tree-form λB term of a program (cast insertion's output),
     /// decompiled from the compiled IR through this session's type
-    /// arena on first access and cached in the handle thereafter
-    /// (cheap `Rc`-spine clones).
+    /// arena. Each call builds the tree afresh and counts one
+    /// [`SessionStats::tree_builds`]; the handle keeps no tree.
     ///
     /// # Panics
     ///
     /// Panics if `program` was compiled by a different session.
     pub fn lambda_b(&self, program: &Program) -> bc_lambda_b::Term {
-        assert_eq!(
-            program.session, self.id,
-            "program was compiled by a different Session"
-        );
-        program
-            .lambda_b
-            .get_or_init(|| {
-                self.tree_builds.set(self.tree_builds.get() + 1);
-                bc_lambda_b::bterm::decompile(&program.lambda_b_compiled, &self.types.borrow())
-            })
-            .clone()
+        self.check_owner(program);
+        self.tree_builds.set(self.tree_builds.get() + 1);
+        self.decompile_b(program)
     }
 
-    /// The tree-form λC term of a program (`|·|BC`), built lazily from
-    /// the λB tree view on first access and cached in the handle
-    /// thereafter.
+    fn decompile_b(&self, program: &Program) -> bc_lambda_b::Term {
+        bc_lambda_b::bterm::decompile(&self.lambda_b_compiled(program), &self.types.borrow())
+    }
+
+    /// The compiled λB term of a program: cast insertion's output with
+    /// every type annotation an interned id. Paired with
+    /// [`Program::ty_id`], this is the session-independent job payload
+    /// — `Arc`-spined and `Send`, with every id below the program's
+    /// watermarks, so a session sharing those ids (via a
+    /// [`FrozenBase`]) can [`Session::load_compiled`] it without
+    /// re-parsing or re-elaborating.
+    ///
+    /// A program compiled from source is re-elaborated here, against
+    /// this session's type arena, where every type it needs is already
+    /// interned: the result is the term the compile produced, ids and
+    /// labels included. Loaded programs return their term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` was compiled by a different session.
+    pub fn lambda_b_compiled(&self, program: &Program) -> BTerm {
+        self.check_owner(program);
+        match &program.origin {
+            Origin::Source { text, .. } => {
+                bc_gtlc::compile_compiled(text, &mut self.types.borrow_mut())
+                    .expect("a program's own source elaborates again")
+                    .term
+            }
+            Origin::Term(term) => term.clone(),
+        }
+    }
+
+    /// The tree-form λC term of a program (`|·|BC` of its λB tree),
+    /// built on demand and counted as one tree build.
     ///
     /// # Panics
     ///
     /// Panics if `program` was compiled by a different session.
     pub fn lambda_c(&self, program: &Program) -> bc_lambda_c::Term {
-        assert_eq!(
-            program.session, self.id,
-            "program was compiled by a different Session"
-        );
-        program
-            .lambda_c
-            .get_or_init(|| {
-                self.tree_builds.set(self.tree_builds.get() + 1);
-                term_b_to_c(&self.lambda_b(program))
-            })
-            .clone()
+        self.check_owner(program);
+        self.tree_builds.set(self.tree_builds.get() + 1);
+        term_b_to_c(&self.decompile_b(program))
     }
 
-    /// The tree-form λS term of a program, decompiled from the
-    /// compiled IR through this session's arenas on first access and
-    /// cached in the handle thereafter (cheap `Rc`-spine clones).
+    /// The tree-form λS term of a program, decompiled from its code
+    /// block through this session's arenas on demand and counted as
+    /// one tree build.
     ///
     /// # Panics
     ///
     /// Panics if `program` was compiled by a different session.
     pub fn lambda_s(&self, program: &Program) -> bc_core::Term {
+        self.check_owner(program);
+        self.tree_builds.set(self.tree_builds.get() + 1);
+        decompile_term(
+            &program.lambda_s_compiled.decode(),
+            &self.arena.borrow(),
+            &self.types.borrow(),
+        )
+    }
+
+    fn check_owner(&self, program: &Program) {
         assert_eq!(
             program.session, self.id,
-            "program was compiled by a different Session"
+            "program was compiled by a different Session: \
+             its ids belong to another arena id-space"
         );
-        program
-            .lambda_s
-            .get_or_init(|| {
-                self.tree_builds.set(self.tree_builds.get() + 1);
-                decompile_term(
-                    &program.lambda_s_compiled,
-                    &self.arena.borrow(),
-                    &self.types.borrow(),
-                )
-            })
-            .clone()
     }
 
     /// Runs a program on the chosen engine with the session's default
@@ -1026,85 +1026,42 @@ impl Session {
         engine: Engine,
         fuel: u64,
     ) -> Result<RunReport, RunError> {
-        assert_eq!(
-            program.session, self.id,
-            "program was compiled by a different Session: \
-             its ids belong to another arena id-space"
-        );
+        // One engine dispatch: an unsliced run is a sliced run whose
+        // single slice covers the whole fuel (which can never park).
+        match self.resume_slice(self.start_run(program, engine, fuel)?, fuel) {
+            SliceOutcome::Done(report) => report,
+            SliceOutcome::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
+        }
+    }
+
+    /// Runs one of the tree small-step oracles ([`Engine::LambdaB`],
+    /// [`Engine::LambdaC`]) to completion on the program's tree view.
+    fn run_tree_oracle(
+        &self,
+        program: &Program,
+        engine: Engine,
+        fuel: u64,
+    ) -> Result<RunReport, RunError> {
         let started = Instant::now();
-        match engine {
+        let (observation, steps) = match engine {
             Engine::LambdaB => {
-                // The λB small-step engine rewrites trees; materialise
-                // the (lazily decompiled) tree view first.
-                let lambda_b = self.lambda_b(program);
-                let r = bc_lambda_b::eval::run(&lambda_b, fuel)
+                let r = bc_lambda_b::eval::run(&self.lambda_b(program), fuel)
                     .map_err(small_step_run_error!(bc_lambda_b))?;
-                Ok(RunReport {
-                    observation: observe_b(&r.outcome),
-                    steps: r.steps,
-                    metrics: None,
-                    elapsed: started.elapsed(),
-                })
+                (observe_b(&r.outcome), r.steps)
             }
             Engine::LambdaC => {
-                let lambda_c = self.lambda_c(program);
-                let r = bc_lambda_c::eval::run(&lambda_c, fuel)
+                let r = bc_lambda_c::eval::run(&self.lambda_c(program), fuel)
                     .map_err(small_step_run_error!(bc_lambda_c))?;
-                Ok(RunReport {
-                    observation: observe_c(&r.outcome),
-                    steps: r.steps,
-                    metrics: None,
-                    elapsed: started.elapsed(),
-                })
+                (observe_c(&r.outcome), r.steps)
             }
-            Engine::LambdaS => {
-                // λS small-steps on the compiled IR directly: merges
-                // go through the session's compose cache and no tree
-                // is ever materialised (the tree-rewriting
-                // `bc_core::eval::run` survives as this engine's
-                // property-test oracle).
-                let mut arena = self.arena.borrow_mut();
-                let mut cache = self.cache.borrow_mut();
-                let mut types = self.types.borrow_mut();
-                let r = bc_core::eval::run_compiled(
-                    &program.lambda_s_compiled,
-                    fuel,
-                    &mut arena,
-                    &mut cache,
-                    &mut types,
-                )
-                .map_err(small_step_run_error!(bc_core))?;
-                Ok(RunReport {
-                    observation: observe_s_compiled(&r.outcome, &arena),
-                    steps: r.steps,
-                    metrics: None,
-                    elapsed: started.elapsed(),
-                })
-            }
-            Engine::MachineB => machine_report(
-                bc_machine::cek_b::run(&self.lambda_b(program), fuel),
-                started.elapsed(),
-            ),
-            Engine::MachineC => machine_report(
-                bc_machine::cek_c::run(&self.lambda_c(program), fuel),
-                started.elapsed(),
-            ),
-            Engine::MachineS => {
-                // The compiled fast path: the IR's coercions are
-                // already interned in the shared arena, so each run
-                // performs zero tree interning and merges through the
-                // session-wide compose cache.
-                let mut arena = self.arena.borrow_mut();
-                let mut cache = self.cache.borrow_mut();
-                let r = bc_machine::cek_s::run_compiled_in(
-                    &program.lambda_s_compiled,
-                    &mut arena,
-                    &mut cache,
-                    fuel,
-                );
-                machine_report(r, started.elapsed())
-            }
-        }
+            other => unreachable!("{other} is not a tree small-step oracle"),
+        };
+        Ok(RunReport {
+            observation,
+            steps,
+            metrics: None,
+            elapsed: started.elapsed(),
+        })
     }
 
     /// Begins a preemptible run: like [`Session::run_with_fuel`], but
@@ -1140,11 +1097,8 @@ impl Session {
         engine: Engine,
         fuel: u64,
     ) -> Result<PausedRun, RunError> {
-        assert_eq!(
-            program.session, self.id,
-            "program was compiled by a different Session: \
-             its ids belong to another arena id-space"
-        );
+        self.check_owner(program);
+        let started = Instant::now();
         let inner = match engine {
             Engine::MachineB => {
                 PausedInner::MachineB(bc_machine::cek_b::start(&self.lambda_b(program), fuel))
@@ -1183,7 +1137,8 @@ impl Session {
         Ok(PausedRun {
             inner,
             session: self.id,
-            active: Duration::ZERO,
+            // Decoding and type checking up front are part of the run.
+            active: started.elapsed(),
         })
     }
 
@@ -1258,8 +1213,8 @@ impl Session {
                 engine,
                 fuel,
                 // The unsliced oracles run whole inside this slice, so
-                // run_with_fuel's own measurement is the active time.
-            } => SliceOutcome::Done(self.run_with_fuel(&program, engine, fuel)),
+                // their own measurement is the active time.
+            } => SliceOutcome::Done(self.run_tree_oracle(&program, engine, fuel)),
         }
     }
 
@@ -1836,29 +1791,39 @@ mod tests {
 
     #[test]
     fn lambda_s_is_decompiled_lazily() {
-        // Satellite: the hot compile path allocates no λS tree; the
-        // tree form materialises on first access and is cached in the
-        // handle.
+        // The hot compile path allocates no λS tree; the tree form is
+        // decompiled from the code block on demand, one counted build
+        // per access.
         let session = Session::new();
         let program = session.compile(LOOP_32).expect("compiles");
-        assert!(
-            !program.lambda_s_materialized(),
+        assert_eq!(
+            session.stats().tree_builds,
+            0,
             "compile must not build the λS tree"
         );
         let tree = session.lambda_s(&program);
-        assert!(program.lambda_s_materialized());
-        // The decompiled tree is exactly what the old eager path
-        // stored: the tree-level λC → λS translation.
+        assert_eq!(session.stats().tree_builds, 1);
+        // The decompiled tree is exactly the tree-level λC → λS
+        // translation.
         assert_eq!(tree, bc_translate::term_c_to_s(&session.lambda_c(&program)));
-        // Cached: the second access is a handle clone of the same tree.
-        assert_eq!(session.lambda_s(&program), tree);
-        // The λS small-step engine runs the compiled IR directly —
-        // even it no longer materialises the tree.
+        assert_eq!(session.stats().tree_builds, 2);
+        // The λS small-step engine runs the compiled IR directly and
+        // builds no tree either.
         let fresh = session.compile(LOOP_32).expect("compiles");
-        assert!(!fresh.lambda_s_materialized());
         let report = session.run(&fresh, Engine::LambdaS).expect("runs");
         assert_eq!(report.observation.to_string(), "true");
-        assert!(!fresh.lambda_s_materialized());
+        assert_eq!(session.stats().tree_builds, 2);
+    }
+
+    #[test]
+    fn program_handles_stay_small() {
+        // The handle holds the two compiled forms, the source and its
+        // span map, and nothing lazily cached.
+        assert!(
+            std::mem::size_of::<Program>() <= 128,
+            "Program grew to {} bytes",
+            std::mem::size_of::<Program>()
+        );
     }
 
     #[test]

@@ -156,7 +156,7 @@ fn mangled_s(chooser: &mut Chooser, gen: &mut Gen) -> bc_core::Term {
 }
 
 fn assert_s_equivalent(term: &bc_core::Term, ctx: &mut bc_core::CompileCtx) {
-    let compiled = ctx.compile(term);
+    let compiled = ctx.compile(term).decode();
     let tree = bc_core::typing::type_of(term);
     let interned = bc_core::styping::type_of_interned(&compiled, &ctx.arena, &mut ctx.types);
     match (tree, interned) {

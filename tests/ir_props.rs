@@ -12,12 +12,14 @@
 //! * **`decompile ∘ compile = id`** for the interned λB term IR
 //!   ([`bc_lambda_b::bterm`]) and the interned λC term IR
 //!   ([`bc_lambda_c::cterm`]), again cold and warm — the `Program`
-//!   handles of the session API hold only the compiled forms and
-//!   rebuild trees lazily through exactly these decompilers, so the
-//!   round trip is what keeps the lazy tree views honest.
+//!   handles of the session API hold only compiled forms and rebuild
+//!   trees on demand through exactly these decompilers, so the round
+//!   trip is what keeps the tree views honest.
+//! * **`decode ∘ encode = id`** for the flat λS code block
+//!   ([`bc_core::SCode`]) the λS engines run, names included.
 
 use bc_core::eval::{run, run_compiled, RunError};
-use bc_core::CompileCtx;
+use bc_core::{compile_term, CompileCtx, SCode};
 use bc_lambda_b::bterm;
 use bc_lambda_c::cterm;
 use bc_lambda_c::CArena;
@@ -147,6 +149,24 @@ proptest! {
             prop_assert_eq!(&cterm::decompile(&warm, &arena, &types), &term);
             prop_assert_eq!(arena.len(), cmark, "warm recompile interned a coercion");
             prop_assert_eq!(types.len(), tmark, "warm recompile interned a type");
+        }
+    }
+
+    /// λS: `decode ∘ encode = id` on the code blocks the engines run,
+    /// binder and variable names included, and the block's node
+    /// counts match the named term's.
+    #[test]
+    fn scode_decode_round_trips(seed in any::<u64>()) {
+        let mut gen = Gen::new(seed);
+        let mut ctx = CompileCtx::new();
+        for _ in 0..4 {
+            let ty = gen.ty(2);
+            let tree = gen.term_s(&ty, 4);
+            let named = compile_term(&tree, &mut ctx.arena, &mut ctx.types);
+            let code = SCode::encode(&named);
+            prop_assert_eq!(&code.decode(), &named);
+            prop_assert_eq!(code.size(), named.size());
+            prop_assert_eq!(code.coercion_nodes(), named.coercion_nodes());
         }
     }
 }
