@@ -32,8 +32,6 @@ pub struct Program {
     pub blame_spans: HashMap<u32, Span>,
 }
 
-/// Renders a blame label as a source diagnostic, given an
-/// elaboration's label-to-span map.
 /// Renders a blame label as a source diagnostic through a span map
 /// produced by elaboration ([`Program::blame_spans`],
 /// [`ProgramC::blame_spans`]), if the map holds the label.

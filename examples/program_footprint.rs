@@ -5,8 +5,10 @@
 //!
 //! A warm session has already interned every type, coercion and
 //! composition the program needs, so what the compile leaves behind
-//! is exactly the handle's own state: the compiled λB term, the λS
-//! code block, the blame-span map and the source text.
+//! is exactly the handle's own state: the λS code block plus the
+//! source text and blame-span map. (A handle keeps its λB term only
+//! when the program was loaded as a λB term rather than compiled from
+//! source.)
 //!
 //! ```sh
 //! cargo run --release --example program_footprint

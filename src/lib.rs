@@ -59,7 +59,9 @@
 //! [`Session::stats`] returns one consolidated [`SessionStats`]
 //! snapshot. (The pre-session `Compiled` shim is gone — its one
 //! deprecation release has passed; the migration recipe lives in
-//! CHANGES.md.)
+//! CHANGES.md. `Program::lambda_b_compiled()` moved to
+//! [`Session::lambda_b_compiled`], since a handle compiled from source
+//! keeps its text rather than its λB term.)
 //!
 //! Once warm, the pipeline builds **no tree and interns nothing**: the
 //! parser interns annotations as it reads them, elaboration and both

@@ -226,7 +226,7 @@ pub struct JobOutput {
 /// loop reaches its steady-state coercion working set within its first
 /// iterations — so the bound is small and *independent* of the pool's
 /// job fuel: a divergent warmup source must not burn the job fuel at
-/// build time. See [`SessionPool::warmup_peak_steps`].
+/// build time. See [`PoolStats::warmup_peak_steps`].
 pub const WARMUP_RUN_FUEL: u64 = 64;
 
 /// A program compiled once at warmup and shipped to workers by id:
@@ -796,6 +796,9 @@ pub struct PoolStats {
     pub last_promotion_ns: u64,
     /// Workers respawned after a caught serve panic.
     pub respawns: u64,
+    /// The most machine steps any one warmup run took at build —
+    /// never more than [`WARMUP_RUN_FUEL`], whatever the job fuel.
+    pub warmup_peak_steps: u64,
     /// Per-worker snapshots, indexed by worker.
     pub workers: Vec<WorkerStats>,
 }
@@ -1986,12 +1989,6 @@ impl SessionPool {
         self.default_fuel
     }
 
-    /// The most machine steps any one warmup run took at build — never
-    /// more than [`WARMUP_RUN_FUEL`], whatever the pool's job fuel.
-    pub fn warmup_peak_steps(&self) -> u64 {
-        self.warmup_peak_steps
-    }
-
     /// Total jobs currently waiting in worker queues (excludes jobs
     /// parked in run queues or being served right now — for the full
     /// standing-work signal, the pool enforces
@@ -2217,6 +2214,7 @@ impl SessionPool {
             promotion_ns: self.shared.promotion_ns.load(Ordering::Relaxed),
             last_promotion_ns: self.shared.last_promotion_ns.load(Ordering::Relaxed),
             respawns: self.shared.respawns.load(Ordering::Relaxed),
+            warmup_peak_steps: self.warmup_peak_steps,
             workers: slots
                 .iter()
                 .zip(queue_depths)

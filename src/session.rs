@@ -939,11 +939,21 @@ impl Session {
     /// A program compiled from source is re-elaborated here, against
     /// this session's type arena, where every type it needs is already
     /// interned: the result is the term the compile produced, ids and
-    /// labels included. Loaded programs return their term.
+    /// labels included. Loaded programs return their term. The λB and
+    /// λC engines reach their term through this call, so each of their
+    /// runs on a source-compiled program pays one warm elaboration.
+    ///
+    /// This replaces `Program::lambda_b_compiled()`: a handle compiled
+    /// from source no longer holds the term, so the accessor moved to
+    /// the session that can rebuild it. Migrate
+    /// `program.lambda_b_compiled().clone()` to
+    /// `session.lambda_b_compiled(&program)`.
     ///
     /// # Panics
     ///
-    /// Panics if `program` was compiled by a different session.
+    /// Panics if `program` was compiled by a different session. (The
+    /// re-elaboration itself cannot fail: the same text elaborated
+    /// against the same arena when the program was compiled.)
     pub fn lambda_b_compiled(&self, program: &Program) -> BTerm {
         self.check_owner(program);
         match &program.origin {
@@ -1817,8 +1827,9 @@ mod tests {
 
     #[test]
     fn program_handles_stay_small() {
-        // The handle holds the two compiled forms, the source and its
-        // span map, and nothing lazily cached.
+        // The handle keeps the λS code block plus the source text and
+        // span map (the λB term only for loaded programs), and nothing
+        // lazily cached.
         assert!(
             std::mem::size_of::<Program>() <= 128,
             "Program grew to {} bytes",

@@ -132,7 +132,10 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
         "a warmed pool must re-intern zero types: {stats}"
     );
     // Per-worker: everyone who served traffic proves base-tier
-    // sharing individually.
+    // sharing individually — every coercion probe it made was
+    // answered by the base. (Which jobs a worker serves depends on
+    // stealing, and one that only met cast-free shapes probes no
+    // coercion at all.)
     let mut served = 0usize;
     for w in &stats.workers {
         if w.jobs == 0 {
@@ -143,7 +146,12 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
         assert_eq!(s.tier.base_coercion_nodes, base.coercion_nodes());
         assert_eq!(s.tier.local_coercion_nodes, 0, "worker {}", w.worker);
         assert_eq!(s.tier.local_type_nodes, 0, "worker {}", w.worker);
-        assert!(s.tier.coercion_base_hits > 0, "worker {}", w.worker);
+        assert_eq!(
+            w.coercion_base_hits(),
+            w.coercion_probes(),
+            "worker {}",
+            w.worker
+        );
         assert!(s.tier.type_base_hits > 0, "worker {}", w.worker);
     }
     assert!(served >= 1);
@@ -594,6 +602,41 @@ fn idle_workers_steal_from_busy_queues() {
     assert_eq!(stats.queue_depths(), vec![0, 0], "drained pool: {stats}");
 }
 
+#[test]
+fn quick_jobs_overtake_a_spinner_under_default_slicing() {
+    // The default-config companion of the stealing test above: with
+    // slicing on, whether the quick jobs are stolen or served between
+    // the spinner's slices depends on thread timing, but either way
+    // every one of them resolves while the spinner is still running.
+    let pool = SessionPool::builder()
+        .workers(2)
+        .default_fuel(FUEL)
+        .build()
+        .expect("builds");
+    let spin = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
+    let long = pool.submit_with_fuel(spin, Engine::MachineS, 1_000_000_000);
+    let quick: Vec<_> = (0..12)
+        .map(|k| {
+            pool.submit(
+                format!("let inc = fun x => x + {k} in (inc 1 : Int)"),
+                Engine::MachineS,
+            )
+        })
+        .collect();
+    for (k, handle) in quick.into_iter().enumerate() {
+        let out = handle.wait().expect("quick jobs run");
+        assert_eq!(out.observation.to_string(), (k as i64 + 1).to_string());
+    }
+    assert!(
+        long.try_wait().is_none(),
+        "the spinner must still be running when the quick jobs are done"
+    );
+    long.cancel();
+    assert_eq!(long.wait(), Err(JobError::Canceled));
+    let stats = pool.shutdown();
+    assert_eq!(stats.queue_depths(), vec![0, 0], "drained pool: {stats}");
+}
+
 /// Regression guard for the `pool/lifecycle64` inversion, whose two
 /// causes were warmup burning the job fuel at build (+55%) and workers
 /// re-lowering every job from source. Both are checked exactly rather
@@ -621,7 +664,7 @@ fn warmed_lifecycle_is_not_slower_than_cold() {
         .expect("warmup compiles");
     // The mix holds a divergent shape, so some warmup run reaches the
     // cap — and none passes it.
-    assert_eq!(pool.warmup_peak_steps(), WARMUP_RUN_FUEL);
+    assert_eq!(pool.stats().warmup_peak_steps, WARMUP_RUN_FUEL);
     let handles = pool.submit_batch(jobs.iter().map(String::as_str), Engine::MachineS);
     for handle in handles {
         match handle.wait() {
@@ -652,5 +695,5 @@ fn warmed_lifecycle_is_not_slower_than_cold() {
         .warmup([spin])
         .build()
         .expect("warmup compiles");
-    assert_eq!(pool.warmup_peak_steps(), WARMUP_RUN_FUEL);
+    assert_eq!(pool.stats().warmup_peak_steps, WARMUP_RUN_FUEL);
 }
