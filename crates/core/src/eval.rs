@@ -26,12 +26,21 @@
 //! evaluate under any *single* coercion frame; the merge rule still
 //! takes priority, so determinism and the space bound are unaffected
 //! (see DESIGN.md §3).
+//!
+//! Two engines implement the relation. [`run`] steps [`Term`] trees
+//! by walking from the root to the redex each time; it is the oracle.
+//! [`run_compiled`] runs compiled programs on a focused state: the
+//! subterm in focus plus the evaluation-context frames around it
+//! (a coercion frame is never pushed onto another, which is the
+//! merge rule again). It finds each next redex by refocusing from the
+//! last contractum and tracks the space peaks by per-rule deltas.
 
 use std::fmt;
+use std::rc::Rc;
 
-use bc_syntax::{Constant, Label, Type, TypeArena, TypeId};
+use bc_syntax::{Constant, Label, Name, Op, Type, TypeArena, TypeId};
 
-use crate::arena::{CoercionArena, ComposeCache, GNode, INode, MergeCtx, SNode};
+use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 use crate::sterm::{SCode, STerm};
 use crate::styping::type_of_interned;
@@ -316,17 +325,6 @@ pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
 // The compiled-IR small-step: Figure 5 on `STerm`
 // ---------------------------------------------------------------------
 
-/// The result of attempting one reduction step on the compiled IR.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepC {
-    /// `M ⟶S N`.
-    Next(STerm),
-    /// The term is a value.
-    Value,
-    /// The term is `blame p`.
-    Blame(Label),
-}
-
 /// The final outcome of evaluating a compiled term.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OutcomeC {
@@ -352,165 +350,281 @@ pub struct RunC {
     pub peak_coercion_size: usize,
 }
 
-enum SubC {
-    Stepped(STerm),
-    Value,
-    Raise(Label),
+/// One layer of the evaluation context around the focus of a compiled
+/// run. Everything a frame holds to the left of the hole is a value.
+#[derive(Debug, Clone)]
+enum Frame {
+    /// `op(□, N)`, `op(k, □)` or `op(□)`: every operator takes one or
+    /// two operands, so at most one constant waits beside the hole.
+    Op(Op, Option<Constant>, Option<STerm>),
+    /// `if □ then M else N`.
+    If(Rc<STerm>, Rc<STerm>),
+    /// `let x = □ in N`.
+    Let(Name, Rc<STerm>),
+    /// `□ M`.
+    AppFun(Rc<STerm>),
+    /// `V □`.
+    AppArg(STerm),
+    /// `□⟨t⟩`. Never directly inside another coercion frame: a
+    /// coercion meeting one merges instead of descending.
+    Coerce(CoercionId),
 }
 
-/// Performs one reduction step on a closed, well-typed compiled λS
-/// term — [`step_in`] transcribed onto the IR the machine actually
-/// runs. The merge rule composes *ids* through the arena's memoized
-/// [`CoercionArena::compose`], so stepping never materialises a
-/// coercion tree: a loop crossing the same boundary repeatedly is pure
-/// cache hits.
-///
-/// # Panics
-///
-/// Panics if the term is open or ill-typed.
-pub fn step_compiled(
+/// The next redex, taken apart: the frames it spans are popped.
+enum Redex {
+    /// `M⟨s⟩⟨t⟩`.
+    Merge(Rc<STerm>, CoercionId, CoercionId),
+    /// `U⟨s⟩` that is not a value: `s` is an identity or a failure.
+    Coerce(STerm, CoercionId),
+    /// `blame p` under at least one frame.
+    Raise(Label),
+    /// `op(k)` or `op(k, k')`.
+    Op(Op, Option<Constant>, Constant),
+    /// `if V then M else N`.
+    If(STerm, Rc<STerm>, Rc<STerm>),
+    /// `let x = V in N`.
+    Let(Name, STerm, Rc<STerm>),
+    /// `V W`.
+    App(STerm, STerm),
+}
+
+fn take(t: Rc<STerm>) -> STerm {
+    Rc::try_unwrap(t).unwrap_or_else(|t| (*t).clone())
+}
+
+fn constant(t: &STerm) -> Constant {
+    match t {
+        STerm::Const(k) => *k,
+        _ => panic!("operator argument is not a constant"),
+    }
+}
+
+/// Finds the next redex of `frames[focus]`, starting at the focus: a
+/// non-value focus is descended into, a value focus ascends, and a
+/// coercion meeting a coercion frame merges before anything inside
+/// it. The refocusing invariant — frames hold values to the left of
+/// their hole — makes this the redex the tree [`step_in`] finds by
+/// walking from the root. `Err` is the run's outcome: a value or
+/// `blame p` with no frame left.
+fn refocus(
+    frames: &mut Vec<Frame>,
+    mut focus: STerm,
+    arena: &CoercionArena,
+) -> Result<Redex, OutcomeC> {
+    loop {
+        // Merge FIRST: F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], for any M.
+        if let (STerm::Coerce(_, _), Some(&Frame::Coerce(t))) = (&focus, frames.last()) {
+            frames.pop();
+            let STerm::Coerce(m, s) = focus else {
+                unreachable!()
+            };
+            return Ok(Redex::Merge(m, s, t));
+        }
+        if focus.is_value(arena) {
+            let Some(frame) = frames.pop() else {
+                return Err(OutcomeC::Value(focus));
+            };
+            focus = match frame {
+                // The focus is uncoerced here (a coerced one merged).
+                Frame::Coerce(s) => match arena.node(s) {
+                    SNode::Mid(INode::Ground(GNode::Fun(_, _)) | INode::Inj(_, _)) => {
+                        STerm::Coerce(focus.into(), s)
+                    }
+                    _ => return Ok(Redex::Coerce(focus, s)),
+                },
+                Frame::AppFun(arg) => {
+                    frames.push(Frame::AppArg(focus));
+                    take(arg)
+                }
+                Frame::AppArg(fun) => return Ok(Redex::App(fun, focus)),
+                Frame::If(then_, else_) => return Ok(Redex::If(focus, then_, else_)),
+                Frame::Let(x, body) => return Ok(Redex::Let(x, focus, body)),
+                Frame::Op(op, _, Some(right)) => {
+                    frames.push(Frame::Op(op, Some(constant(&focus)), None));
+                    right
+                }
+                Frame::Op(op, left, None) => return Ok(Redex::Op(op, left, constant(&focus))),
+            };
+            continue;
+        }
+        focus = match focus {
+            STerm::Blame(p, _) if frames.is_empty() => return Err(OutcomeC::Blame(p)),
+            STerm::Blame(p, _) => return Ok(Redex::Raise(p)),
+            STerm::Var(x) => panic!("evaluation reached a free variable `{x}`"),
+            STerm::Op(op, args) => {
+                let mut args = args.into_iter();
+                let (Some(first), right, None) = (args.next(), args.next(), args.next()) else {
+                    panic!("operator {op} takes one or two operands");
+                };
+                frames.push(Frame::Op(op, None, right));
+                first
+            }
+            STerm::If(cond, then_, else_) => {
+                frames.push(Frame::If(then_, else_));
+                take(cond)
+            }
+            STerm::Let(x, bound, body) => {
+                frames.push(Frame::Let(x, body));
+                take(bound)
+            }
+            STerm::App(fun, arg) => {
+                frames.push(Frame::AppFun(arg));
+                take(fun)
+            }
+            STerm::Coerce(m, t) => {
+                frames.push(Frame::Coerce(t));
+                take(m)
+            }
+            STerm::Const(_) | STerm::Lam(_, _, _) | STerm::Fix(_, _, _, _, _) => {
+                unreachable!("uncoerced values are values")
+            }
+        };
+    }
+}
+
+/// Replaces the `removed` part of the whole term's `(size, coercion
+/// size)` with the `added` one.
+fn reprice(measure: &mut (usize, usize), removed: (usize, usize), added: (usize, usize)) {
+    measure.0 = measure.0 + added.0 - removed.0;
+    measure.1 = measure.1 + added.1 - removed.1;
+}
+
+/// Contracts the redex refocusing found, returning the contractum as
+/// the new focus and updating the whole term's `measure` from the
+/// redex alone.
+fn contract(
+    redex: Redex,
+    frames: &mut Vec<Frame>,
+    measure: &mut (usize, usize),
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
-    term: &STerm,
     program_ty: TypeId,
-) -> StepC {
-    if let STerm::Blame(p, _) = term {
-        return StepC::Blame(*p);
-    }
-    if term.is_value(arena) {
-        return StepC::Value;
-    }
-    match step_sub_compiled(arena, cache, term) {
-        SubC::Stepped(t) => StepC::Next(t),
-        SubC::Raise(p) => StepC::Next(STerm::Blame(p, program_ty)),
-        SubC::Value => unreachable!("non-value compiled term did not step"),
-    }
-}
-
-fn step_sub_compiled(arena: &mut CoercionArena, cache: &mut ComposeCache, term: &STerm) -> SubC {
-    if term.is_value(arena) {
-        return SubC::Value;
-    }
-    match term {
-        STerm::Const(_) | STerm::Lam(_, _, _) | STerm::Fix(_, _, _, _, _) => SubC::Value,
-        STerm::Var(x) => panic!("evaluation reached a free variable `{x}`"),
-        STerm::Blame(p, _) => SubC::Raise(*p),
-        STerm::Op(op, args) => {
-            for (i, arg) in args.iter().enumerate() {
-                match step_sub_compiled(arena, cache, arg) {
-                    SubC::Stepped(a2) => {
-                        let mut args2 = args.clone();
-                        args2[i] = a2;
-                        return SubC::Stepped(STerm::Op(*op, args2));
-                    }
-                    SubC::Raise(p) => return SubC::Raise(p),
-                    SubC::Value => continue,
-                }
-            }
-            let consts: Vec<Constant> = args
-                .iter()
-                .map(|a| match a {
-                    STerm::Const(k) => *k,
-                    _ => panic!("operator argument is not a constant"),
-                })
-                .collect();
-            SubC::Stepped(STerm::Const(op.apply(&consts)))
+) -> STerm {
+    let mut raise = |p| {
+        frames.clear();
+        *measure = (1, 0);
+        STerm::Blame(p, program_ty)
+    };
+    match redex {
+        // F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], on ids through the memoized
+        // composition, so the same pair is composed structurally only
+        // once per arena.
+        Redex::Merge(m, s, t) => {
+            let u = arena.compose(cache, s, t);
+            let (s, t, su) = (arena.size(s), arena.size(t), arena.size(u));
+            reprice(measure, (1 + s + t, s + t), (su, su));
+            STerm::Coerce(m, u)
         }
-        STerm::If(cond, then_, else_) => match step_sub_compiled(arena, cache, cond) {
-            SubC::Stepped(c2) => SubC::Stepped(STerm::If(c2.into(), then_.clone(), else_.clone())),
-            SubC::Raise(p) => SubC::Raise(p),
-            SubC::Value => match &**cond {
-                STerm::Const(Constant::Bool(true)) => SubC::Stepped((**then_).clone()),
-                STerm::Const(Constant::Bool(false)) => SubC::Stepped((**else_).clone()),
-                _ => panic!("if condition is not a boolean"),
-            },
-        },
-        STerm::Let(x, m, n) => match step_sub_compiled(arena, cache, m) {
-            SubC::Stepped(m2) => SubC::Stepped(STerm::Let(x.clone(), m2.into(), n.clone())),
-            SubC::Raise(p) => SubC::Raise(p),
-            SubC::Value => SubC::Stepped(subst_closed(n, &[(x, m)])),
-        },
-        STerm::App(l, m) => match step_sub_compiled(arena, cache, l) {
-            SubC::Stepped(l2) => SubC::Stepped(STerm::App(l2.into(), m.clone())),
-            SubC::Raise(p) => SubC::Raise(p),
-            SubC::Value => match step_sub_compiled(arena, cache, m) {
-                SubC::Stepped(m2) => SubC::Stepped(STerm::App(l.clone(), m2.into())),
-                SubC::Raise(p) => SubC::Raise(p),
-                SubC::Value => apply_compiled(arena, l, m),
-            },
-        },
-        STerm::Coerce(m, t) => {
-            // Merge FIRST: F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], for any M —
-            // on ids through the memoized composition, so the same
-            // pair is composed structurally only once per arena.
-            if let STerm::Coerce(inner, s) = &**m {
-                return SubC::Stepped(STerm::Coerce(inner.clone(), arena.compose(cache, *s, *t)));
+        Redex::Coerce(value, s) => match arena.node(s) {
+            // F[U⟨id?⟩] ⟶ F[U] and F[U⟨idι⟩] ⟶ F[U]
+            SNode::IdDyn | SNode::Mid(INode::Ground(GNode::IdBase(_))) => {
+                let c = arena.size(s);
+                reprice(measure, (1 + c, c), (0, 0));
+                value
             }
-            match step_sub_compiled(arena, cache, m) {
-                SubC::Stepped(m2) => SubC::Stepped(STerm::Coerce(m2.into(), *t)),
-                SubC::Raise(p) => SubC::Raise(p),
-                SubC::Value => coerce_value_compiled(arena, m, *t),
-            }
-        }
-    }
-}
-
-/// Contracts an application of compiled values.
-fn apply_compiled(arena: &CoercionArena, fun: &STerm, arg: &STerm) -> SubC {
-    match fun {
-        STerm::Lam(x, _, body) => SubC::Stepped(subst_closed(body, &[(x, arg)])),
-        // Unrolling and β in one pass: N[f := fix f..][x := V].
-        STerm::Fix(f, x, _, _, body) => SubC::Stepped(subst_closed(body, &[(f, fun), (x, arg)])),
-        // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
-        STerm::Coerce(u, c) => match arena.node(*c) {
-            SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
-                let coerced_arg = STerm::Coerce(arg.clone().into(), s);
-                SubC::Stepped(STerm::Coerce(
-                    STerm::App(u.clone(), coerced_arg.into()).into(),
-                    t,
-                ))
-            }
-            _ => panic!("applied a non-function coerced value"),
-        },
-        _ => panic!("applied a non-function value"),
-    }
-}
-
-/// Reduces `U⟨s⟩` where `U` is an uncoerced value and the whole term
-/// is not a value, deciding the rule from the interned node.
-fn coerce_value_compiled(
-    arena: &CoercionArena,
-    value: &STerm,
-    s: crate::arena::CoercionId,
-) -> SubC {
-    debug_assert!(value.is_uncoerced_value());
-    match arena.node(s) {
-        // F[U⟨id?⟩] ⟶ F[U]
-        SNode::IdDyn => SubC::Stepped(value.clone()),
-        SNode::Mid(i) => match i {
-            // F[U⟨idι⟩] ⟶ F[U]
-            INode::Ground(GNode::IdBase(_)) => SubC::Stepped(value.clone()),
             // F[U⟨⊥GpH⟩] ⟶ blame p
-            INode::Fail(_, p, _) => SubC::Raise(p),
-            INode::Ground(GNode::Fun(_, _)) | INode::Inj(_, _) => {
-                unreachable!("function coercions and injections of values are values")
-            }
+            SNode::Mid(INode::Fail(_, p, _)) => raise(p),
+            _ => unreachable!("coerced values and projections of uncoerced values do not step"),
         },
-        SNode::Proj(_, _, _) => {
-            unreachable!("an uncoerced value cannot have type ? (so no projection applies)")
+        // E[blame p] ⟶ blame p
+        Redex::Raise(p) => raise(p),
+        Redex::Op(op, left, right) => {
+            let (k, arity) = match left {
+                Some(left) => (op.apply(&[left, right]), 2),
+                None => (op.apply(&[right]), 1),
+            };
+            reprice(measure, (1 + arity, 0), (1, 0));
+            STerm::Const(k)
         }
+        Redex::If(cond, then_, else_) => {
+            let (taken, dropped) = match cond {
+                STerm::Const(Constant::Bool(true)) => (then_, else_),
+                STerm::Const(Constant::Bool(false)) => (else_, then_),
+                _ => panic!("if condition is not a boolean"),
+            };
+            let (size, coercion_size) = dropped.measure(arena);
+            reprice(measure, (2 + size, coercion_size), (0, 0));
+            take(taken)
+        }
+        Redex::Let(x, value, body) => beta(measure, arena, &body, &[(&x, &value)], 1),
+        Redex::App(fun, arg) => match &fun {
+            STerm::Lam(x, _, body) => beta(measure, arena, body, &[(x, &arg)], 2),
+            // Unrolling and β in one pass: N[f := fix f..][x := V].
+            STerm::Fix(f, x, _, _, body) => beta(measure, arena, body, &[(f, &fun), (x, &arg)], 2),
+            // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
+            STerm::Coerce(u, c) => match arena.node(*c) {
+                SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
+                    let (sc, ss, st) = (arena.size(*c), arena.size(s), arena.size(t));
+                    reprice(measure, (sc, sc), (1 + ss + st, ss + st));
+                    let coerced_arg = STerm::Coerce(arg.into(), s);
+                    STerm::Coerce(STerm::App(u.clone(), coerced_arg.into()).into(), t)
+                }
+                _ => panic!("applied a non-function coerced value"),
+            },
+            _ => panic!("applied a non-function value"),
+        },
     }
+}
+
+/// β for `let` and application: substitutes the closed values into
+/// `body` and prices the step from the substitution's tally. The last
+/// binding is the argument (or the `let`-bound value); a first of two
+/// is the `fix` itself, which weighs one node more than its body.
+/// `spine` counts the redex's own nodes: the `let`, or the application
+/// and its λ or `fix`.
+fn beta(
+    measure: &mut (usize, usize),
+    arena: &CoercionArena,
+    body: &STerm,
+    bindings: &[(&Name, &STerm)],
+    spine: usize,
+) -> STerm {
+    let arg = bindings[bindings.len() - 1].1.measure(arena);
+    let (out, tally) = subst_closed(body, bindings, arena);
+    let fix = (1 + tally.measure.0, tally.measure.1);
+    // Each replaced variable node now weighs its whole value.
+    let mut added = (0, 0);
+    for (i, &n) in tally.occurrences[..bindings.len()].iter().enumerate() {
+        let value = if i + 1 == bindings.len() { arg } else { fix };
+        added.0 += n * (value.0 - 1);
+        added.1 += n * value.1;
+    }
+    reprice(measure, (spine + arg.0, arg.1), added);
+    out
+}
+
+/// The whole term a focused run stands for: the focus plugged into its
+/// frames.
+fn plug(frames: &[Frame], focus: STerm) -> STerm {
+    frames
+        .iter()
+        .rev()
+        .fold(focus, |m, frame| match frame.clone() {
+            Frame::Op(op, None, right) => STerm::Op(op, std::iter::once(m).chain(right).collect()),
+            Frame::Op(op, Some(left), _) => STerm::Op(op, vec![STerm::Const(left), m]),
+            Frame::If(then_, else_) => STerm::If(m.into(), then_, else_),
+            Frame::Let(x, body) => STerm::Let(x, m.into(), body),
+            Frame::AppFun(arg) => STerm::App(m.into(), arg),
+            Frame::AppArg(fun) => STerm::App(fun.into(), m.into()),
+            Frame::Coerce(t) => STerm::Coerce(m.into(), t),
+        })
 }
 
 /// Evaluates a closed, well-typed compiled λS program for at most
 /// `fuel` steps — [`run`] on interned ids, against caller-owned
 /// arenas. The program's code block is decoded into a named [`STerm`]
-/// once, at the start; each step then substitutes closed values
-/// ([`subst_closed`]: no free-variable sets, no renaming) and measures
-/// the space peaks in one walk. This is the production engine; the tree
-/// [`run`] is its property-test oracle (same outcome, same step count,
-/// same space peaks — pinned by the equivalence suite in
-/// `tests/`/testkit).
+/// once, at the start. The run then keeps a *focus* and the
+/// evaluation-context frames around it, and finds each next redex by
+/// refocusing from the last contractum instead of walking from the
+/// root. Each step rewrites the redex alone: a merge composes ids
+/// through the memoized [`CoercionArena::compose`], and β substitutes
+/// closed values ([`subst_closed`]: no free-variable sets, no
+/// renaming). The space peaks are tracked by delta, priced from the
+/// redex: arithmetic on coercion sizes, or one walk of a discarded `if`
+/// branch, or of a β body (the substitution's own walk) and its
+/// argument. This is the production engine; the tree [`run`] is its
+/// property-test oracle (same outcome, same step count, same space
+/// peaks — pinned by `tests/ir_props.rs`).
 ///
 /// # Errors
 ///
@@ -533,15 +647,18 @@ pub fn run_compiled(
 
 /// A preempted compiled small-step run, parked between fuel slices.
 ///
-/// Small-step state is just the current term plus counters: the term
-/// is its own continuation, so parking holds no stack at all. The
-/// program type is interned once at [`start_compiled`] and reused by
-/// every slice, exactly as the unsliced [`run_compiled`] computes it
-/// once up front. The `STerm` spine is `Rc`-shared, so a parked run
-/// is not `Send`.
+/// It holds the focused state: the subterm in focus, the
+/// evaluation-context frames around it, and the whole term's tracked
+/// size and coercion size, plus the counters. Resuming refocuses from
+/// where the last slice stopped. The program type is interned once at
+/// [`start_compiled`] and reused by every slice, exactly as the
+/// unsliced [`run_compiled`] computes it once up front. The terms are
+/// `Rc`-shared, so a parked run is not `Send`.
 #[derive(Debug, Clone)]
 pub struct PausedC {
-    current: STerm,
+    focus: STerm,
+    frames: Vec<Frame>,
+    measure: (usize, usize),
     ty: TypeId,
     steps: u64,
     peak_size: usize,
@@ -566,9 +683,10 @@ pub enum SliceC {
 }
 
 /// Begins a resumable compiled run: decodes the code block into the
-/// named term the steps rewrite, interns the program type (the
-/// once-per-run costs the unsliced engine also pays up front) and
-/// parks before the first step.
+/// named term the steps rewrite, interns the program type and measures
+/// the term (the once-per-run costs the unsliced engine also pays up
+/// front), and parks before the first step with the whole term in
+/// focus.
 ///
 /// # Errors
 ///
@@ -580,17 +698,19 @@ pub fn start_compiled(
     arena: &mut CoercionArena,
     types: &mut TypeArena,
 ) -> Result<PausedC, RunError> {
-    let current = code.decode();
-    let ty = type_of_interned(&current, arena, types)?;
+    let focus = code.decode();
+    let ty = type_of_interned(&focus, arena, types)?;
     // Tree-equivalent measures: node count includes each coercion's
     // implicit tree size, matching `Term::size`/`Term::coercion_size`.
-    let (peak_size, peak_coercion_size) = current.measure(arena);
+    let measure = focus.measure(arena);
     Ok(PausedC {
-        current,
+        focus,
+        frames: Vec::new(),
+        measure,
         ty,
         steps: 0,
-        peak_size,
-        peak_coercion_size,
+        peak_size: measure.0,
+        peak_coercion_size: measure.1,
         fuel,
     })
 }
@@ -615,7 +735,9 @@ pub fn resume_compiled(
     cache: &mut ComposeCache,
 ) -> SliceC {
     let PausedC {
-        mut current,
+        mut focus,
+        mut frames,
+        mut measure,
         ty,
         mut steps,
         mut peak_size,
@@ -626,11 +748,13 @@ pub fn resume_compiled(
     loop {
         // Park only strictly below the fuel line: at `steps == fuel`
         // the unsliced engine still distinguishes a value (completes)
-        // from a pending step (FuelExhausted), so let the step
-        // dispatch below make that call.
+        // from a pending step (FuelExhausted), so let the refocus
+        // below make that call.
         if steps >= until && steps < fuel {
             return SliceC::Parked(PausedC {
-                current,
+                focus,
+                frames,
+                measure,
                 ty,
                 steps,
                 peak_size,
@@ -638,40 +762,35 @@ pub fn resume_compiled(
                 fuel,
             });
         }
-        match step_compiled(arena, cache, &current, ty) {
-            StepC::Value => {
+        let redex = match refocus(&mut frames, focus, arena) {
+            Ok(redex) => redex,
+            Err(outcome) => {
                 return SliceC::Done(Ok(RunC {
-                    outcome: OutcomeC::Value(current),
+                    outcome,
                     steps,
                     peak_size,
                     peak_coercion_size,
                 }))
             }
-            StepC::Blame(p) => {
-                return SliceC::Done(Ok(RunC {
-                    outcome: OutcomeC::Blame(p),
-                    steps,
-                    peak_size,
-                    peak_coercion_size,
-                }))
-            }
-            StepC::Next(next) => {
-                // Charge fuel *before* committing the step, exactly as
-                // the tree engine does.
-                if steps >= fuel {
-                    return SliceC::Done(Err(RunError::FuelExhausted {
-                        steps,
-                        peak_size,
-                        peak_coercion_size,
-                    }));
-                }
-                steps += 1;
-                let (size, coercion_size) = next.measure(arena);
-                peak_size = peak_size.max(size);
-                peak_coercion_size = peak_coercion_size.max(coercion_size);
-                current = next;
-            }
+        };
+        // Charge fuel *before* committing the step, exactly as the
+        // tree engine does.
+        if steps >= fuel {
+            return SliceC::Done(Err(RunError::FuelExhausted {
+                steps,
+                peak_size,
+                peak_coercion_size,
+            }));
         }
+        steps += 1;
+        focus = contract(redex, &mut frames, &mut measure, arena, cache, ty);
+        debug_assert_eq!(
+            measure,
+            plug(&frames, focus.clone()).measure(arena),
+            "tracked size drifted from the term at step {steps}"
+        );
+        peak_size = peak_size.max(measure.0);
+        peak_coercion_size = peak_coercion_size.max(measure.1);
     }
 }
 
@@ -814,94 +933,179 @@ mod tests {
         assert_eq!(eval_blame(&m), p(3));
     }
 
-    #[test]
-    fn compiled_run_agrees_with_tree_run() {
+    /// Runs `m` on both engines and asserts the full fingerprint:
+    /// outcome, step count and both space peaks.
+    fn assert_compiled_matches_tree(m: &Term) {
         use crate::sterm::compile_term;
 
-        let inc = Term::lam(
+        let tree = run(m, 10_000).unwrap();
+        let mut arena = CoercionArena::new();
+        let mut cache = ComposeCache::new();
+        let mut types = TypeArena::new();
+        let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
+        let compiled = run_compiled(&st, 10_000, &mut arena, &mut cache, &mut types).unwrap();
+        match (&tree.outcome, &compiled.outcome) {
+            (Outcome::Value(v), OutcomeC::Value(cv)) => {
+                assert_eq!(
+                    crate::sterm::decompile_term(cv, &arena, &types),
+                    *v,
+                    "outcome of {m}"
+                );
+            }
+            (Outcome::Blame(l), OutcomeC::Blame(cl)) => assert_eq!(l, cl, "blame of {m}"),
+            (a, b) => panic!("outcomes diverge on {m}: {a:?} vs {b:?}"),
+        }
+        assert_eq!(tree.steps, compiled.steps, "steps of {m}");
+        assert_eq!(tree.peak_size, compiled.peak_size, "peak size of {m}");
+        assert_eq!(
+            tree.peak_coercion_size, compiled.peak_coercion_size,
+            "peak coercion size of {m}"
+        );
+    }
+
+    fn inc() -> Term {
+        Term::lam(
             "x",
             Type::INT,
             Term::op2(Op::Add, Term::var("x"), Term::int(1)),
-        );
-        let s = SpaceCoercion::proj(gi(), p(0), Intermediate::Ground(id_int()));
-        let t = SpaceCoercion::inj(id_int(), gi());
+        )
+    }
+
+    /// `Int?p` and `Int!`, the two halves of a boundary crossing.
+    fn proj_int(n: u32) -> SpaceCoercion {
+        SpaceCoercion::proj(gi(), p(n), Intermediate::Ground(id_int()))
+    }
+    fn inj_int() -> SpaceCoercion {
+        SpaceCoercion::inj(id_int(), gi())
+    }
+
+    #[test]
+    fn compiled_run_agrees_with_tree_run() {
         let samples = [
             // Value via a wrapped function.
-            inc.clone()
-                .coerce(SpaceCoercion::fun(s.clone(), t.clone()))
-                .app(Term::int(1).coerce(SpaceCoercion::inj(id_int(), gi()))),
+            inc()
+                .coerce(SpaceCoercion::fun(proj_int(0), inj_int()))
+                .app(Term::int(1).coerce(inj_int())),
             // Blame via a ground mismatch.
-            Term::int(7)
-                .coerce(SpaceCoercion::inj(id_int(), gi()))
-                .coerce(SpaceCoercion::proj(
-                    gb(),
-                    p(1),
-                    Intermediate::Ground(GroundCoercion::IdBase(BaseType::Bool)),
-                )),
+            Term::int(7).coerce(inj_int()).coerce(SpaceCoercion::proj(
+                gb(),
+                p(1),
+                Intermediate::Ground(GroundCoercion::IdBase(BaseType::Bool)),
+            )),
             // Merge-heavy stacking.
             Term::int(1)
-                .coerce(SpaceCoercion::inj(id_int(), gi()))
-                .coerce(SpaceCoercion::proj(
-                    gi(),
-                    p(2),
-                    Intermediate::Ground(id_int()),
-                ))
-                .coerce(SpaceCoercion::inj(id_int(), gi()))
-                .coerce(SpaceCoercion::proj(
-                    gi(),
-                    p(3),
-                    Intermediate::Ground(id_int()),
-                )),
+                .coerce(inj_int())
+                .coerce(proj_int(2))
+                .coerce(inj_int())
+                .coerce(proj_int(3)),
+            // Recursion: each call substitutes the whole fix for f.
+            Term::Fix(
+                "f".into(),
+                "n".into(),
+                Type::INT,
+                Type::INT,
+                Term::If(
+                    Term::op2(Op::Eq, Term::var("n"), Term::int(0)).into(),
+                    Term::int(0).into(),
+                    Term::var("f")
+                        .app(Term::op2(Op::Sub, Term::var("n"), Term::int(1)))
+                        .into(),
+                )
+                .into(),
+            )
+            .app(Term::int(3)),
         ];
         for m in &samples {
-            let tree = run(m, 10_000).unwrap();
-            let mut arena = CoercionArena::new();
-            let mut cache = ComposeCache::new();
-            let mut types = TypeArena::new();
-            let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
-            let compiled = run_compiled(&st, 10_000, &mut arena, &mut cache, &mut types).unwrap();
-            match (&tree.outcome, &compiled.outcome) {
-                (Outcome::Value(v), OutcomeC::Value(cv)) => {
-                    assert_eq!(
-                        crate::sterm::decompile_term(cv, &arena, &types),
-                        *v,
-                        "outcome of {m}"
-                    );
-                }
-                (Outcome::Blame(l), OutcomeC::Blame(cl)) => assert_eq!(l, cl, "blame of {m}"),
-                (a, b) => panic!("outcomes diverge on {m}: {a:?} vs {b:?}"),
-            }
-            assert_eq!(tree.steps, compiled.steps, "steps of {m}");
-            assert_eq!(tree.peak_size, compiled.peak_size, "peak size of {m}");
-            assert_eq!(
-                tree.peak_coercion_size, compiled.peak_coercion_size,
-                "peak coercion size of {m}"
-            );
+            assert_compiled_matches_tree(m);
         }
+    }
+
+    #[test]
+    fn proxy_application_result_merges_with_the_enclosing_coercion() {
+        // (inc⟨Int?p→Int!⟩ 1⟨Int!⟩)⟨Int?q⟩: the proxy step leaves
+        // (inc 1⟨Int!⟩⟨Int?p⟩)⟨Int!⟩ in focus directly under the ⟨Int?q⟩
+        // frame, and that pair must merge before anything inside.
+        let m = inc()
+            .coerce(SpaceCoercion::fun(proj_int(0), inj_int()))
+            .app(Term::int(1).coerce(inj_int()))
+            .coerce(proj_int(4));
+        assert_compiled_matches_tree(&m);
+    }
+
+    #[test]
+    fn blame_raised_under_three_frames() {
+        // 1 + ((λx:Int. x) (let y = B in if y then 1 else 2)): the
+        // blame arises under the +, argument and let frames, from a
+        // failed projection and from a blame already in the program.
+        let id = Term::lam("x", Type::INT, Term::var("x"));
+        let failing = Term::int(7).coerce(inj_int()).coerce(SpaceCoercion::proj(
+            gb(),
+            p(6),
+            Intermediate::Ground(GroundCoercion::IdBase(BaseType::Bool)),
+        ));
+        for bound in [failing, Term::Blame(p(7), Type::BOOL)] {
+            let body = Term::If(
+                Term::var("y").into(),
+                Term::int(1).into(),
+                Term::int(2).into(),
+            );
+            let m = Term::op2(
+                Op::Add,
+                Term::int(1),
+                id.clone().app(Term::let_("y", bound, body)),
+            );
+            assert_compiled_matches_tree(&m);
+        }
+    }
+
+    #[test]
+    fn if_discards_a_branch_full_of_coercions() {
+        let big = inc()
+            .coerce(SpaceCoercion::fun(proj_int(0), inj_int()))
+            .app(Term::int(3).coerce(inj_int()))
+            .coerce(proj_int(1));
+        for cond in [true, false] {
+            let (then_, else_) = if cond {
+                (Term::int(1), big.clone())
+            } else {
+                (big.clone(), Term::int(1))
+            };
+            let m = Term::If(
+                Term::op2(Op::Lt, Term::int(1), Term::int(i64::from(cond) * 2)).into(),
+                then_.into(),
+                else_.into(),
+            );
+            assert_compiled_matches_tree(&m);
+        }
+    }
+
+    #[test]
+    fn let_bound_proxy_used_twice() {
+        // let f = inc⟨Int?p→Int!⟩ in (f (f 1⟨Int!⟩))⟨Int?q⟩: both
+        // occurrences of f are replaced by the whole coerced λ.
+        let m = Term::let_(
+            "f",
+            inc().coerce(SpaceCoercion::fun(proj_int(0), inj_int())),
+            Term::var("f")
+                .app(Term::var("f").app(Term::int(1).coerce(inj_int())))
+                .coerce(proj_int(1)),
+        );
+        assert_compiled_matches_tree(&m);
     }
 
     #[test]
     fn sliced_compiled_run_is_identical_to_unsliced() {
         use crate::sterm::compile_term;
 
-        let inc = Term::lam(
-            "x",
-            Type::INT,
-            Term::op2(Op::Add, Term::var("x"), Term::int(1)),
-        );
-        let s = SpaceCoercion::proj(gi(), p(0), Intermediate::Ground(id_int()));
-        let t = SpaceCoercion::inj(id_int(), gi());
         let samples = [
-            inc.clone()
-                .coerce(SpaceCoercion::fun(s.clone(), t.clone()))
-                .app(Term::int(1).coerce(SpaceCoercion::inj(id_int(), gi()))),
-            Term::int(7)
-                .coerce(SpaceCoercion::inj(id_int(), gi()))
-                .coerce(SpaceCoercion::proj(
-                    gb(),
-                    p(1),
-                    Intermediate::Ground(GroundCoercion::IdBase(BaseType::Bool)),
-                )),
+            inc()
+                .coerce(SpaceCoercion::fun(proj_int(0), inj_int()))
+                .app(Term::int(1).coerce(inj_int())),
+            Term::int(7).coerce(inj_int()).coerce(SpaceCoercion::proj(
+                gb(),
+                p(1),
+                Intermediate::Ground(GroundCoercion::IdBase(BaseType::Bool)),
+            )),
         ];
         // Fuel bounds chosen to exercise completion *and* exhaustion
         // (tiny fuels make even short runs time out), so the slice

@@ -76,7 +76,7 @@ pub use arena::{
 };
 pub use coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 pub use compose::compose;
-pub use eval::{run_compiled, step_compiled, OutcomeC, RunC, StepC};
+pub use eval::{run_compiled, OutcomeC, RunC};
 pub use sterm::{compile_term, decompile_term, CompileCtx, SCode, STerm};
 pub use term::Term;
 pub use typing::type_of;

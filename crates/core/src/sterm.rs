@@ -60,8 +60,9 @@ use crate::term::Term;
 /// Ids are only meaningful together with the [`CoercionArena`] and
 /// [`TypeArena`] that [`compile_term`] interned them into. The spine
 /// is `Rc`, and therefore not `Send`: this is the working form of the
-/// λS small-step, which rebuilds the spine along the redex path on
-/// every step. Stored programs hold the flat [`SCode`] instead.
+/// λS small-step, which holds the subterm in focus and the evaluation
+/// context around it and rewrites only the redex on each step. Stored
+/// programs hold the flat [`SCode`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum STerm {
     /// A constant `k`.

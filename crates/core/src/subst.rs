@@ -7,6 +7,7 @@ use std::rc::Rc;
 use bc_syntax::fresh::fresh_avoiding;
 use bc_syntax::Name;
 
+use crate::arena::CoercionArena;
 use crate::sterm::STerm;
 use crate::term::Term;
 
@@ -191,6 +192,18 @@ pub fn free_vars_compiled(term: &STerm) -> HashSet<Name> {
     out
 }
 
+/// What [`subst_closed`] learned about the term it substituted into,
+/// on the same walk: enough to price the substitution without
+/// measuring its result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Tally {
+    /// [`STerm::measure`] of the input term: its tree-equivalent size
+    /// and its total coercion size.
+    pub measure: (usize, usize),
+    /// How many free occurrences of each binding's name were replaced.
+    pub occurrences: [usize; 2],
+}
+
 /// Substitution of *closed* values on the compiled IR: replaces the
 /// free occurrences of each bound name by its value, all at once.
 ///
@@ -201,87 +214,128 @@ pub fn free_vars_compiled(term: &STerm) -> HashSet<Name> {
 /// nothing to substitute are shared with `term`, not copied.
 ///
 /// This is the only substitution a closed call-by-value run performs:
-/// a `let`-bound value, an argument, or a recursive function itself.
-pub fn subst_closed(term: &STerm, bindings: &[(&Name, &STerm)]) -> STerm {
+/// a `let`-bound value, an argument, or a recursive function and its
+/// argument together — so there are at most two bindings. The same
+/// walk measures `term` and counts the occurrences it replaced (the
+/// [`Tally`]), from which the small-step prices the step.
+///
+/// # Panics
+///
+/// Panics if more than two bindings are given.
+pub fn subst_closed(
+    term: &STerm,
+    bindings: &[(&Name, &STerm)],
+    arena: &CoercionArena,
+) -> (STerm, Tally) {
+    assert!(bindings.len() <= 2, "subst_closed binds at most two names");
     debug_assert!(
         bindings
             .iter()
             .all(|(_, v)| free_vars_compiled(v).is_empty()),
         "subst_closed substitutes closed values only"
     );
-    subst_closed_go(term, bindings).unwrap_or_else(|| term.clone())
+    let mut walk = ClosedSubst {
+        bindings,
+        arena,
+        tally: Tally::default(),
+    };
+    let all = (1u8 << bindings.len()) - 1;
+    let out = walk.go(term, all).unwrap_or_else(|| term.clone());
+    (out, walk.tally)
 }
 
-/// `None` when `term` contains no free occurrence of a bound name.
-fn subst_closed_go(term: &STerm, bindings: &[(&Name, &STerm)]) -> Option<STerm> {
-    // Drops the pairs a binder shadows; borrows when none is shadowed.
-    fn under<'a, 'b>(
-        bindings: &'b [(&'a Name, &'a STerm)],
-        binders: &[&Name],
-        buf: &'b mut Vec<(&'a Name, &'a STerm)>,
-    ) -> &'b [(&'a Name, &'a STerm)] {
-        if bindings.iter().any(|(x, _)| binders.contains(x)) {
-            buf.extend(bindings.iter().filter(|(x, _)| !binders.contains(x)));
-            buf
-        } else {
-            bindings
+struct ClosedSubst<'a> {
+    bindings: &'a [(&'a Name, &'a STerm)],
+    arena: &'a CoercionArena,
+    tally: Tally,
+}
+
+impl ClosedSubst<'_> {
+    /// Clears the bits of the bindings the `binders` shadow.
+    fn under(&self, live: u8, binders: &[&Name]) -> u8 {
+        (0..self.bindings.len())
+            .filter(|&i| binders.contains(&self.bindings[i].0))
+            .fold(live, |live, i| live & !(1 << i))
+    }
+
+    fn child(&mut self, t: &Rc<STerm>, live: u8) -> Option<Rc<STerm>> {
+        self.go(t, live).map(Rc::new)
+    }
+
+    /// Substitutes the `live` bindings into `term` and tallies it;
+    /// `None` when `term` contains no free occurrence of a live name.
+    fn go(&mut self, term: &STerm, live: u8) -> Option<STerm> {
+        fn or_keep(new: Option<Rc<STerm>>, old: &Rc<STerm>) -> Rc<STerm> {
+            new.unwrap_or_else(|| old.clone())
         }
-    }
-    fn child(t: &Rc<STerm>, bindings: &[(&Name, &STerm)]) -> Option<Rc<STerm>> {
-        subst_closed_go(t, bindings).map(Rc::new)
-    }
-    fn or_keep(new: Option<Rc<STerm>>, old: &Rc<STerm>) -> Rc<STerm> {
-        new.unwrap_or_else(|| old.clone())
-    }
-    if bindings.is_empty() {
-        return None;
-    }
-    match term {
-        STerm::Const(_) | STerm::Blame(_, _) => None,
-        STerm::Var(y) => bindings
-            .iter()
-            .find(|(x, _)| *x == y)
-            .map(|(_, v)| (*v).clone()),
-        STerm::Op(op, args) => {
-            let new: Vec<Option<STerm>> =
-                args.iter().map(|a| subst_closed_go(a, bindings)).collect();
-            if new.iter().all(Option::is_none) {
-                return None;
+        if live == 0 {
+            let (size, coercion_size) = term.measure(self.arena);
+            self.tally.measure.0 += size;
+            self.tally.measure.1 += coercion_size;
+            return None;
+        }
+        self.tally.measure.0 += 1;
+        match term {
+            STerm::Const(_) | STerm::Blame(_, _) => None,
+            STerm::Var(y) => {
+                let i = (0..self.bindings.len())
+                    .find(|&i| live & (1 << i) != 0 && self.bindings[i].0 == y)?;
+                self.tally.occurrences[i] += 1;
+                Some(self.bindings[i].1.clone())
             }
-            Some(STerm::Op(
-                *op,
-                new.into_iter()
-                    .zip(args)
-                    .map(|(n, a)| n.unwrap_or_else(|| a.clone()))
-                    .collect(),
-            ))
-        }
-        STerm::Lam(y, ty, body) => {
-            let mut buf = Vec::new();
-            let inner = under(bindings, &[y], &mut buf);
-            child(body, inner).map(|b| STerm::Lam(y.clone(), *ty, b))
-        }
-        STerm::Fix(f, y, dom, cod, body) => {
-            let mut buf = Vec::new();
-            let inner = under(bindings, &[f, y], &mut buf);
-            child(body, inner).map(|b| STerm::Fix(f.clone(), y.clone(), *dom, *cod, b))
-        }
-        STerm::App(a, b) => match (child(a, bindings), child(b, bindings)) {
-            (None, None) => None,
-            (a2, b2) => Some(STerm::App(or_keep(a2, a), or_keep(b2, b))),
-        },
-        STerm::Coerce(m, s) => child(m, bindings).map(|m| STerm::Coerce(m, *s)),
-        STerm::If(a, b, c) => match (child(a, bindings), child(b, bindings), child(c, bindings)) {
-            (None, None, None) => None,
-            (a2, b2, c2) => Some(STerm::If(or_keep(a2, a), or_keep(b2, b), or_keep(c2, c))),
-        },
-        STerm::Let(y, m, n) => {
-            let m2 = child(m, bindings);
-            let mut buf = Vec::new();
-            let n2 = child(n, under(bindings, &[y], &mut buf));
-            match (m2, n2) {
+            STerm::Op(op, args) => {
+                let mut new: Option<Vec<STerm>> = None;
+                for (i, a) in args.iter().enumerate() {
+                    match (self.go(a, live), &mut new) {
+                        (Some(a2), None) => {
+                            let mut v = Vec::with_capacity(args.len());
+                            v.extend_from_slice(&args[..i]);
+                            v.push(a2);
+                            new = Some(v);
+                        }
+                        (a2, Some(v)) => v.push(a2.unwrap_or_else(|| a.clone())),
+                        (None, None) => {}
+                    }
+                }
+                new.map(|v| STerm::Op(*op, v))
+            }
+            STerm::Lam(y, ty, body) => {
+                let inner = self.under(live, &[y]);
+                self.child(body, inner)
+                    .map(|b| STerm::Lam(y.clone(), *ty, b))
+            }
+            STerm::Fix(f, y, dom, cod, body) => {
+                let inner = self.under(live, &[f, y]);
+                self.child(body, inner)
+                    .map(|b| STerm::Fix(f.clone(), y.clone(), *dom, *cod, b))
+            }
+            STerm::App(a, b) => match (self.child(a, live), self.child(b, live)) {
                 (None, None) => None,
-                (m2, n2) => Some(STerm::Let(y.clone(), or_keep(m2, m), or_keep(n2, n))),
+                (a2, b2) => Some(STerm::App(or_keep(a2, a), or_keep(b2, b))),
+            },
+            STerm::Coerce(m, s) => {
+                let c = self.arena.size(*s);
+                self.tally.measure.0 += c;
+                self.tally.measure.1 += c;
+                self.child(m, live).map(|m| STerm::Coerce(m, *s))
+            }
+            STerm::If(a, b, c) => {
+                match (
+                    self.child(a, live),
+                    self.child(b, live),
+                    self.child(c, live),
+                ) {
+                    (None, None, None) => None,
+                    (a2, b2, c2) => Some(STerm::If(or_keep(a2, a), or_keep(b2, b), or_keep(c2, c))),
+                }
+            }
+            STerm::Let(y, m, n) => {
+                let m2 = self.child(m, live);
+                let inner = self.under(live, &[y]);
+                match (m2, self.child(n, inner)) {
+                    (None, None) => None,
+                    (m2, n2) => Some(STerm::Let(y.clone(), or_keep(m2, m), or_keep(n2, n))),
+                }
             }
         }
     }
@@ -319,7 +373,6 @@ mod tests {
 
     #[test]
     fn closed_substitution_matches_capture_avoiding_substitution() {
-        use crate::arena::CoercionArena;
         use crate::sterm::compile_term;
         let mut arena = CoercionArena::new();
         let mut types = TypeArena::new();
@@ -345,12 +398,17 @@ mod tests {
         let x = Name::from("x");
         let f = Name::from("f");
         let sequential = c(&subst(&subst(&body, &f, &fun_tree), &x, &Term::bool(true)));
-        assert_eq!(
-            subst_closed(&c(&body), &[(&f, &fun), (&x, &arg)]),
-            sequential
-        );
-        // Nothing to substitute: the term comes back as is.
+        let body = c(&body);
         let closed = c(&Term::int(3));
-        assert_eq!(subst_closed(&closed, &[(&x, &arg)]), closed);
+        let (out, tally) = subst_closed(&body, &[(&f, &fun), (&x, &arg)], &arena);
+        assert_eq!(out, sequential);
+        // The walk measured the body and counted the free `x` in the
+        // condition and the two free `f`s, not the `x` the λ binds.
+        assert_eq!(tally.measure, body.measure(&arena));
+        assert_eq!(tally.occurrences, [2, 1]);
+        // Nothing to substitute: the term comes back as is.
+        let (out, tally) = subst_closed(&closed, &[(&x, &arg)], &arena);
+        assert_eq!(out, closed);
+        assert_eq!(tally.occurrences, [0, 0]);
     }
 }

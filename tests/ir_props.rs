@@ -9,6 +9,10 @@
 //!   the bound cuts a run short. Checked cold (fresh arenas per
 //!   program) and warm (one shared [`CompileCtx`] across the whole
 //!   run, where every intern and compose is a cache hit).
+//! * **Sliced ≡ unsliced** for that engine: driving a run in fuel
+//!   slices through its parked focused state ([`bc_core::eval::start_compiled`]
+//!   and [`bc_core::eval::resume_compiled`]) gives exactly the unsliced
+//!   result — outcome, steps, both peaks, and the cutoff accounting.
 //! * **`decompile ∘ compile = id`** for the interned λB term IR
 //!   ([`bc_lambda_b::bterm`]) and the interned λC term IR
 //!   ([`bc_lambda_c::cterm`]), again cold and warm — the `Program`
@@ -18,7 +22,7 @@
 //! * **`decode ∘ encode = id`** for the flat λS code block
 //!   ([`bc_core::SCode`]) the λS engines run, names included.
 
-use bc_core::eval::{run, run_compiled, RunError};
+use bc_core::eval::{resume_compiled, run, run_compiled, start_compiled, RunError, SliceC};
 use bc_core::{compile_term, CompileCtx, SCode};
 use bc_lambda_b::bterm;
 use bc_lambda_c::cterm;
@@ -86,8 +90,50 @@ fn assert_engines_agree(gen: &mut Gen, ctx: &mut CompileCtx) {
     }
 }
 
+/// Runs one generated λS program unsliced and then in slices of 1
+/// and 7 steps, each through fresh arenas, at a fuel that cuts some
+/// runs short and at [`FUEL`], and asserts the results are identical
+/// to the letter.
+fn assert_sliced_matches_unsliced(gen: &mut Gen) {
+    let ty = gen.ty(2);
+    let tree = gen.term_s(&ty, 4);
+    let fresh = || {
+        let mut ctx = CompileCtx::new();
+        let code = ctx.compile(&tree);
+        (ctx, code)
+    };
+    for fuel in [5, FUEL] {
+        let unsliced = {
+            let (mut ctx, code) = fresh();
+            run_compiled(&code, fuel, &mut ctx.arena, &mut ctx.cache, &mut ctx.types)
+        };
+        for slice in [1, 7] {
+            let (mut ctx, code) = fresh();
+            let mut paused = start_compiled(&code, fuel, &mut ctx.arena, &mut ctx.types)
+                .expect("generated programs are well typed");
+            let sliced = loop {
+                match resume_compiled(paused, slice, &mut ctx.arena, &mut ctx.cache) {
+                    SliceC::Done(result) => break result,
+                    SliceC::Parked(next) => paused = next,
+                }
+            };
+            assert_eq!(unsliced, sliced, "slice {slice}, fuel {fuel} of {tree}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The compiled λS small-step parks and resumes its focused state
+    /// without changing anything observable.
+    #[test]
+    fn sliced_compiled_eval_matches_unsliced(seed in any::<u64>()) {
+        let mut gen = Gen::new(seed);
+        for _ in 0..4 {
+            assert_sliced_matches_unsliced(&mut gen);
+        }
+    }
 
     /// Compiled λS evaluation ≡ tree small-step, cold: every program
     /// gets fresh arenas, so each intern and compose happens for the
