@@ -29,22 +29,26 @@
 //!
 //! Two engines implement the relation. [`run`] steps [`Term`] trees
 //! by walking from the root to the redex each time; it is the oracle.
-//! [`run_compiled`] runs compiled programs on a focused state: the
-//! subterm in focus plus the evaluation-context frames around it
-//! (a coercion frame is never pushed onto another, which is the
-//! merge rule again). It finds each next redex by refocusing from the
-//! last contractum and tracks the space peaks by per-rule deltas.
+//! [`run_compiled`] runs a program's [`SCode`] block on a focused
+//! state: the subterm in focus plus the evaluation-context frames
+//! around it (a coercion frame is never pushed onto another, which is
+//! the merge rule again), both holding code offsets with persistent
+//! environments. It finds each next redex by refocusing from the last
+//! contractum, performs β by binding instead of substituting (the step
+//! after refocusing in Biernacka and Danvy's functional
+//! correspondence), and tracks the space peaks of the term the state
+//! stands for by per-rule deltas.
 
 use std::fmt;
 use std::rc::Rc;
 
-use bc_syntax::{Constant, Label, Name, Op, Type, TypeArena, TypeId};
+use bc_syntax::{Constant, Label, Op, Type, TypeArena, TypeId};
 
 use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
-use crate::sterm::{SCode, STerm};
+use crate::sterm::{Node, SCode, STerm};
 use crate::styping::type_of_interned;
-use crate::subst::{subst, subst_closed};
+use crate::subst::subst;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
 
@@ -322,7 +326,7 @@ pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
 }
 
 // ---------------------------------------------------------------------
-// The compiled-IR small-step: Figure 5 on `STerm`
+// The compiled small-step: Figure 5 on the code block, with environments
 // ---------------------------------------------------------------------
 
 /// The final outcome of evaluating a compiled term.
@@ -350,21 +354,181 @@ pub struct RunC {
     pub peak_coercion_size: usize,
 }
 
-/// One layer of the evaluation context around the focus of a compiled
-/// run. Everything a frame holds to the left of the hole is a value.
+/// A persistent environment of run-time values, indexed by de Bruijn
+/// position: the substitution a run has performed so far, kept instead
+/// of applied.
+#[derive(Debug, Clone, Default)]
+struct Env(Option<Rc<Bind>>);
+
+#[derive(Debug)]
+enum Bind {
+    /// One binding: a `let` or a `λ` call.
+    One(Value, Env),
+    /// A `fix` call: the argument (index 0) and the function itself
+    /// (index 1), the closure over `code` and `rest` whose closed term
+    /// measures `measure` — rebuilt on lookup instead of stored.
+    Fix {
+        arg: Value,
+        code: u32,
+        measure: (usize, usize),
+        rest: Env,
+    },
+}
+
+impl Env {
+    fn bind(self, value: Value) -> Env {
+        Env(Some(Rc::new(Bind::One(value, self))))
+    }
+
+    /// Extends a `fix` closure's environment for a call: the function
+    /// over `code` (and this environment) at index 1, `arg` at 0.
+    fn bind_fix(self, code: u32, measure: (usize, usize), arg: Value) -> Env {
+        Env(Some(Rc::new(Bind::Fix {
+            arg,
+            code,
+            measure,
+            rest: self,
+        })))
+    }
+
+    fn lookup(&self, mut index: u32) -> Value {
+        let mut cur = self;
+        loop {
+            match cur.0.as_deref() {
+                None => panic!("evaluation reached a free variable"),
+                Some(Bind::One(value, rest)) => {
+                    if index == 0 {
+                        return value.clone();
+                    }
+                    index -= 1;
+                    cur = rest;
+                }
+                Some(Bind::Fix {
+                    arg,
+                    code,
+                    measure,
+                    rest,
+                }) => match index {
+                    0 => return arg.clone(),
+                    1 => {
+                        return Value::Plain(Plain::Closure {
+                            code: *code,
+                            env: rest.clone(),
+                            measure: *measure,
+                        })
+                    }
+                    _ => {
+                        index -= 2;
+                        cur = rest;
+                    }
+                },
+            }
+        }
+    }
+}
+
+/// An uncoerced run-time value `U`.
+#[derive(Debug, Clone)]
+enum Plain {
+    Const(Constant),
+    /// The `λ` or `fix` node at `code` closed over `env`, with the
+    /// measure of the closed term it stands for.
+    Closure {
+        code: u32,
+        env: Env,
+        measure: (usize, usize),
+    },
+}
+
+/// A run-time value `V`: `U`, or `U⟨s⟩` with `s` a function coercion
+/// or an injection.
+#[derive(Debug, Clone)]
+enum Value {
+    Plain(Plain),
+    Coerced(Plain, CoercionId),
+}
+
+impl Plain {
+    fn measure(&self) -> (usize, usize) {
+        match self {
+            Plain::Const(_) => (1, 0),
+            Plain::Closure { measure, .. } => *measure,
+        }
+    }
+}
+
+impl Value {
+    /// [`STerm::measure`] of the closed term the value stands for.
+    fn measure(&self, arena: &CoercionArena) -> (usize, usize) {
+        match self {
+            Value::Plain(u) => u.measure(),
+            Value::Coerced(u, s) => {
+                let (size, coercion_size) = u.measure();
+                let c = arena.size(*s);
+                (size + 1 + c, coercion_size + c)
+            }
+        }
+    }
+
+    fn constant(self) -> Constant {
+        match self {
+            Value::Plain(Plain::Const(k)) => k,
+            _ => panic!("expected a constant"),
+        }
+    }
+}
+
+/// Whether `U⟨s⟩` is a value: `s` is a function coercion or an
+/// injection.
+fn coerces_to_value(arena: &CoercionArena, s: CoercionId) -> bool {
+    matches!(
+        arena.node(s),
+        SNode::Mid(INode::Ground(GNode::Fun(_, _)) | INode::Inj(_, _))
+    )
+}
+
+/// The `M` of a coercion `M⟨s⟩` in focus or in a merge redex.
+#[derive(Debug, Clone)]
+enum Inner {
+    /// Code under an environment.
+    Code(u32, Env),
+    /// A value.
+    Value(Value),
+    /// `U (V⟨s⟩)`, from the proxy rule.
+    Proxy(Plain, Value, CoercionId),
+}
+
+/// The subterm in focus.
+#[derive(Debug, Clone)]
+enum Focus {
+    /// The code at an offset, its free variables bound by the
+    /// environment.
+    Code(u32, Env),
+    /// A value.
+    Value(Value),
+    /// `M⟨s⟩`: a focus rather than a frame, so that it merges with an
+    /// enclosing coercion frame before anything inside it steps.
+    Coerce(Inner, CoercionId),
+    /// `blame p`, with no frame left around it.
+    Blame(Label),
+}
+
+/// One layer of the evaluation context around the focus. Everything a
+/// frame holds to the left of the hole is a value.
 #[derive(Debug, Clone)]
 enum Frame {
-    /// `op(□, N)`, `op(k, □)` or `op(□)`: every operator takes one or
-    /// two operands, so at most one constant waits beside the hole.
-    Op(Op, Option<Constant>, Option<STerm>),
+    /// `op(□, N)`.
+    OpLeft(Op, u32, Env),
+    /// `op(k, □)` or `op(□)`.
+    OpRight(Op, Option<Constant>),
     /// `if □ then M else N`.
-    If(Rc<STerm>, Rc<STerm>),
-    /// `let x = □ in N`.
-    Let(Name, Rc<STerm>),
+    If(u32, u32, Env),
+    /// `let x = □ in N`, holding the `let` node.
+    Let(u32, Env),
     /// `□ M`.
-    AppFun(Rc<STerm>),
+    AppFun(u32, Env),
     /// `V □`.
-    AppArg(STerm),
+    AppArg(Value),
     /// `□⟨t⟩`. Never directly inside another coercion frame: a
     /// coercion meeting one merges instead of descending.
     Coerce(CoercionId),
@@ -373,111 +537,297 @@ enum Frame {
 /// The next redex, taken apart: the frames it spans are popped.
 enum Redex {
     /// `M⟨s⟩⟨t⟩`.
-    Merge(Rc<STerm>, CoercionId, CoercionId),
+    Merge(Inner, CoercionId, CoercionId),
     /// `U⟨s⟩` that is not a value: `s` is an identity or a failure.
-    Coerce(STerm, CoercionId),
+    Coerce(Plain, CoercionId),
     /// `blame p` under at least one frame.
     Raise(Label),
     /// `op(k)` or `op(k, k')`.
     Op(Op, Option<Constant>, Constant),
-    /// `if V then M else N`.
-    If(STerm, Rc<STerm>, Rc<STerm>),
-    /// `let x = V in N`.
-    Let(Name, STerm, Rc<STerm>),
+    /// `if k then M else N`.
+    If(Constant, u32, u32, Env),
+    /// `let x = V in N`, with the `let` node.
+    Let(u32, Env, Value),
     /// `V W`.
-    App(STerm, STerm),
+    App(Value, Value),
 }
 
-fn take(t: Rc<STerm>) -> STerm {
-    Rc::try_unwrap(t).unwrap_or_else(|t| (*t).clone())
-}
-
-fn constant(t: &STerm) -> Constant {
-    match t {
-        STerm::Const(k) => *k,
-        _ => panic!("operator argument is not a constant"),
+/// Calls `f` on each child of the node at `at`, with the number of
+/// variables the node binds around that child.
+fn for_each_child(code: &SCode, at: u32, mut f: impl FnMut(u32, u32)) {
+    match code.node(at) {
+        Node::Const(_) | Node::Var(_) | Node::Free(_) | Node::Blame(_, _) => {}
+        Node::Lam { body, .. } => f(body, 1),
+        Node::Fix { body, .. } => f(body, 2),
+        Node::Let { bound, body, .. } => {
+            f(bound, 0);
+            f(body, 1);
+        }
+        Node::App(a, b) | Node::Op2(_, a, b) => {
+            f(a, 0);
+            f(b, 0);
+        }
+        Node::Op1(_, a) | Node::Coerce(a, _) => f(a, 0),
+        Node::OpN { start, len, .. } => code.operands(start, len).iter().for_each(|&a| f(a, 0)),
+        Node::If(a, b, c) => {
+            f(a, 0);
+            f(b, 0);
+            f(c, 0);
+        }
     }
 }
 
-/// Finds the next redex of `frames[focus]`, starting at the focus: a
-/// non-value focus is descended into, a value focus ascends, and a
-/// coercion meeting a coercion frame merges before anything inside
-/// it. The refocusing invariant — frames hold values to the left of
-/// their hole — makes this the redex the tree [`step_in`] finds by
-/// walking from the root. `Err` is the run's outcome: a value or
-/// `blame p` with no frame left.
+/// How often each binder's variables occur in its scope, by the
+/// binder's offset: slot 0 counts a `λ`'s or `let`'s variable or a
+/// `fix`'s parameter, slot 1 a `fix`'s function (their de Bruijn
+/// indices at the binder).
+fn occurrences(code: &SCode) -> Box<[[u32; 2]]> {
+    fn go(code: &SCode, at: u32, scope: &mut Vec<(u32, usize)>, counts: &mut [[u32; 2]]) {
+        if let Node::Var(i) = code.node(at) {
+            let (binder, slot) = scope[scope.len() - 1 - i as usize];
+            counts[binder as usize][slot] += 1;
+        }
+        for_each_child(code, at, |child, binds| {
+            scope.extend((0..binds as usize).rev().map(|slot| (at, slot)));
+            go(code, child, scope, counts);
+            scope.truncate(scope.len() - binds as usize);
+        });
+    }
+    let mut counts = vec![[0; 2]; code.size()].into_boxed_slice();
+    go(code, code.root(), &mut Vec::new(), &mut counts);
+    counts
+}
+
+/// [`STerm::measure`] of the code at `at` read back under `env`,
+/// without building it: each variable `env` binds weighs its value.
+fn measure_code(code: &SCode, at: u32, env: &Env, arena: &CoercionArena) -> (usize, usize) {
+    fn go(
+        code: &SCode,
+        at: u32,
+        depth: u32,
+        env: &Env,
+        arena: &CoercionArena,
+        acc: &mut (usize, usize),
+    ) {
+        match code.node(at) {
+            Node::Var(i) if i >= depth => {
+                let (size, coercion_size) = env.lookup(i - depth).measure(arena);
+                acc.0 += size;
+                acc.1 += coercion_size;
+                return;
+            }
+            Node::Coerce(_, s) => {
+                let c = arena.size(s);
+                acc.0 += c;
+                acc.1 += c;
+            }
+            _ => {}
+        }
+        acc.0 += 1;
+        for_each_child(code, at, |child, binds| {
+            go(code, child, depth + binds, env, arena, acc);
+        });
+    }
+    let mut acc = (0, 0);
+    go(code, at, 0, env, arena, &mut acc);
+    acc
+}
+
+/// Reads the code at `at`, inside `binders`, back into the named term
+/// it stands for under `env`.
+fn read_code(code: &SCode, at: u32, binders: &[u32], env: &Env) -> STerm {
+    code.decode_open(at, binders, &|i| read_value(code, &env.lookup(i)))
+}
+
+/// Reads a value back into the closed named term it stands for.
+fn read_value(code: &SCode, v: &Value) -> STerm {
+    let read_plain = |u: &Plain| match u {
+        Plain::Const(k) => STerm::Const(*k),
+        Plain::Closure { code: at, env, .. } => read_code(code, *at, &[], env),
+    };
+    match v {
+        Value::Plain(u) => read_plain(u),
+        Value::Coerced(u, s) => STerm::Coerce(read_plain(u).into(), *s),
+    }
+}
+
+/// The whole term a run stands for: the focus read back and plugged
+/// into its frames.
+fn read_back(code: &SCode, frames: &[Frame], focus: &Focus, ty: TypeId) -> STerm {
+    let value = |v: &Value| Rc::new(read_value(code, v));
+    let m = match focus {
+        Focus::Code(at, env) => read_code(code, *at, &[], env),
+        Focus::Value(v) => read_value(code, v),
+        Focus::Coerce(inner, s) => {
+            let inner = match inner {
+                Inner::Code(at, env) => read_code(code, *at, &[], env),
+                Inner::Value(v) => read_value(code, v),
+                Inner::Proxy(u, v, s) => STerm::App(
+                    value(&Value::Plain(u.clone())),
+                    STerm::Coerce(value(v), *s).into(),
+                ),
+            };
+            STerm::Coerce(inner.into(), *s)
+        }
+        Focus::Blame(p) => STerm::Blame(*p, ty),
+    };
+    let code_at = |at: u32, env: &Env| Rc::new(read_code(code, at, &[], env));
+    frames.iter().rev().fold(m, |m, frame| match frame {
+        Frame::OpLeft(op, right, env) => STerm::Op(*op, vec![m, read_code(code, *right, &[], env)]),
+        Frame::OpRight(op, Some(left)) => STerm::Op(*op, vec![STerm::Const(*left), m]),
+        Frame::OpRight(op, None) => STerm::Op(*op, vec![m]),
+        Frame::If(then_, else_, env) => {
+            STerm::If(m.into(), code_at(*then_, env), code_at(*else_, env))
+        }
+        Frame::Let(at, env) => {
+            let Node::Let { name, body, .. } = code.node(*at) else {
+                unreachable!("a let frame holds a let node")
+            };
+            let body = read_code(code, body, &[name], env);
+            STerm::Let(code.name(name).clone(), m.into(), body.into())
+        }
+        Frame::AppFun(arg, env) => STerm::App(m.into(), code_at(*arg, env)),
+        Frame::AppArg(fun) => STerm::App(value(fun), m.into()),
+        Frame::Coerce(t) => STerm::Coerce(m.into(), *t),
+    })
+}
+
+/// The value of a constant or a variable, which refocusing reaches
+/// without descending.
+fn atom(code: &SCode, at: u32, env: &Env) -> Option<Value> {
+    match code.node(at) {
+        Node::Const(k) => Some(Value::Plain(Plain::Const(k))),
+        Node::Var(i) => Some(env.lookup(i)),
+        _ => None,
+    }
+}
+
+/// Pops the top frame if it is a coercion `□⟨t⟩` and returns `t`: a
+/// coercion `M⟨s⟩` in its hole is then the merge redex `M⟨s⟩⟨t⟩`.
+fn pop_coercion(frames: &mut Vec<Frame>) -> Option<CoercionId> {
+    match frames.last() {
+        Some(&Frame::Coerce(t)) => {
+            frames.pop();
+            Some(t)
+        }
+        _ => None,
+    }
+}
+
+/// `V⟨s⟩` with no coercion frame around it: a value, or a redex — the
+/// merge if `V` is itself coerced.
+fn apply_coercion(v: Value, s: CoercionId, arena: &CoercionArena) -> Result<Value, Redex> {
+    match v {
+        Value::Coerced(u, s0) => Err(Redex::Merge(Inner::Value(Value::Plain(u)), s0, s)),
+        Value::Plain(u) if coerces_to_value(arena, s) => Ok(Value::Coerced(u, s)),
+        Value::Plain(u) => Err(Redex::Coerce(u, s)),
+    }
+}
+
+/// Finds the next redex, starting at the focus: code is descended
+/// into, a value ascends, and a coercion meeting a coercion frame
+/// merges before anything inside it. The refocusing invariant — frames
+/// hold values to the left of their hole — makes this the redex the
+/// tree [`step_in`] finds by walking from the root. Looking a variable
+/// up is no step: the tree term holds the value in its place. `Err` is
+/// the run's outcome: a value or `blame p` with no frame left.
 fn refocus(
+    code: &SCode,
     frames: &mut Vec<Frame>,
-    mut focus: STerm,
+    mut focus: Focus,
     arena: &CoercionArena,
 ) -> Result<Redex, OutcomeC> {
     loop {
-        // Merge FIRST: F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], for any M.
-        if let (STerm::Coerce(_, _), Some(&Frame::Coerce(t))) = (&focus, frames.last()) {
-            frames.pop();
-            let STerm::Coerce(m, s) = focus else {
-                unreachable!()
-            };
-            return Ok(Redex::Merge(m, s, t));
-        }
-        if focus.is_value(arena) {
-            let Some(frame) = frames.pop() else {
-                return Err(OutcomeC::Value(focus));
-            };
-            focus = match frame {
-                // The focus is uncoerced here (a coerced one merged).
-                Frame::Coerce(s) => match arena.node(s) {
-                    SNode::Mid(INode::Ground(GNode::Fun(_, _)) | INode::Inj(_, _)) => {
-                        STerm::Coerce(focus.into(), s)
+        let value = match focus {
+            Focus::Value(v) => v,
+            Focus::Blame(p) => return Err(OutcomeC::Blame(p)),
+            // Merge FIRST: F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], for any M.
+            Focus::Coerce(m, s) => {
+                if let Some(t) = pop_coercion(frames) {
+                    return Ok(Redex::Merge(m, s, t));
+                }
+                match m {
+                    Inner::Code(at, env) => {
+                        frames.push(Frame::Coerce(s));
+                        focus = Focus::Code(at, env);
+                        continue;
                     }
-                    _ => return Ok(Redex::Coerce(focus, s)),
-                },
-                Frame::AppFun(arg) => {
-                    frames.push(Frame::AppArg(focus));
-                    take(arg)
+                    Inner::Value(v) => match apply_coercion(v, s, arena) {
+                        Ok(v) => v,
+                        Err(redex) => return Ok(redex),
+                    },
+                    Inner::Proxy(u, v, s0) => {
+                        frames.push(Frame::Coerce(s));
+                        frames.push(Frame::AppArg(Value::Plain(u)));
+                        focus = Focus::Coerce(Inner::Value(v), s0);
+                        continue;
+                    }
                 }
-                Frame::AppArg(fun) => return Ok(Redex::App(fun, focus)),
-                Frame::If(then_, else_) => return Ok(Redex::If(focus, then_, else_)),
-                Frame::Let(x, body) => return Ok(Redex::Let(x, focus, body)),
-                Frame::Op(op, _, Some(right)) => {
-                    frames.push(Frame::Op(op, Some(constant(&focus)), None));
-                    right
+            }
+            Focus::Code(at, env) => match code.node(at) {
+                Node::Const(k) => Value::Plain(Plain::Const(k)),
+                Node::Var(i) => env.lookup(i),
+                Node::Lam { .. } | Node::Fix { .. } => {
+                    let measure = measure_code(code, at, &env, arena);
+                    Value::Plain(Plain::Closure {
+                        code: at,
+                        env,
+                        measure,
+                    })
                 }
-                Frame::Op(op, left, None) => return Ok(Redex::Op(op, left, constant(&focus))),
-            };
-            continue;
-        }
-        focus = match focus {
-            STerm::Blame(p, _) if frames.is_empty() => return Err(OutcomeC::Blame(p)),
-            STerm::Blame(p, _) => return Ok(Redex::Raise(p)),
-            STerm::Var(x) => panic!("evaluation reached a free variable `{x}`"),
-            STerm::Op(op, args) => {
-                let mut args = args.into_iter();
-                let (Some(first), right, None) = (args.next(), args.next(), args.next()) else {
-                    panic!("operator {op} takes one or two operands");
-                };
-                frames.push(Frame::Op(op, None, right));
-                first
+                Node::Blame(p, _) if frames.is_empty() => return Err(OutcomeC::Blame(p)),
+                Node::Blame(p, _) => return Ok(Redex::Raise(p)),
+                node => {
+                    let (child, frame) = match node {
+                        Node::Coerce(m, s) => match pop_coercion(frames) {
+                            Some(t) => return Ok(Redex::Merge(Inner::Code(m, env), s, t)),
+                            None => (m, Frame::Coerce(s)),
+                        },
+                        Node::App(fun, arg) => (fun, Frame::AppFun(arg, env.clone())),
+                        Node::Op1(op, a) => (a, Frame::OpRight(op, None)),
+                        Node::Op2(op, a, b) => match (atom(code, a, &env), atom(code, b, &env)) {
+                            (Some(l), Some(r)) => {
+                                return Ok(Redex::Op(op, Some(l.constant()), r.constant()))
+                            }
+                            _ => (a, Frame::OpLeft(op, b, env.clone())),
+                        },
+                        Node::If(cond, then_, else_) => {
+                            (cond, Frame::If(then_, else_, env.clone()))
+                        }
+                        Node::Let { bound, .. } => (bound, Frame::Let(at, env.clone())),
+                        Node::OpN { op, .. } => panic!("operator {op} takes one or two operands"),
+                        Node::Free(_) => panic!("evaluation reached a free variable"),
+                        _ => unreachable!("values and blame are handled above"),
+                    };
+                    frames.push(frame);
+                    focus = Focus::Code(child, env);
+                    continue;
+                }
+            },
+        };
+        // The value ascends into the innermost frame.
+        let Some(frame) = frames.pop() else {
+            return Err(OutcomeC::Value(read_value(code, &value)));
+        };
+        focus = match frame {
+            Frame::Coerce(s) => match apply_coercion(value, s, arena) {
+                Ok(v) => Focus::Value(v),
+                Err(redex) => return Ok(redex),
+            },
+            Frame::AppFun(arg, env) => {
+                frames.push(Frame::AppArg(value));
+                Focus::Code(arg, env)
             }
-            STerm::If(cond, then_, else_) => {
-                frames.push(Frame::If(then_, else_));
-                take(cond)
+            Frame::AppArg(fun) => return Ok(Redex::App(fun, value)),
+            Frame::If(then_, else_, env) => {
+                return Ok(Redex::If(value.constant(), then_, else_, env))
             }
-            STerm::Let(x, bound, body) => {
-                frames.push(Frame::Let(x, body));
-                take(bound)
+            Frame::Let(at, env) => return Ok(Redex::Let(at, env, value)),
+            Frame::OpLeft(op, right, env) => {
+                frames.push(Frame::OpRight(op, Some(value.constant())));
+                Focus::Code(right, env)
             }
-            STerm::App(fun, arg) => {
-                frames.push(Frame::AppFun(arg));
-                take(fun)
-            }
-            STerm::Coerce(m, t) => {
-                frames.push(Frame::Coerce(t));
-                take(m)
-            }
-            STerm::Const(_) | STerm::Lam(_, _, _) | STerm::Fix(_, _, _, _, _) => {
-                unreachable!("uncoerced values are values")
-            }
+            Frame::OpRight(op, left) => return Ok(Redex::Op(op, left, value.constant())),
         };
     }
 }
@@ -489,21 +839,31 @@ fn reprice(measure: &mut (usize, usize), removed: (usize, usize), added: (usize,
     measure.1 = measure.1 + added.1 - removed.1;
 }
 
+/// What `n` occurrences of a variable gain when each becomes a value
+/// of measure `value`.
+fn replaced(n: u32, value: (usize, usize)) -> (usize, usize) {
+    let n = n as usize;
+    (n * (value.0 - 1), n * value.1)
+}
+
 /// Contracts the redex refocusing found, returning the contractum as
 /// the new focus and updating the whole term's `measure` from the
-/// redex alone.
+/// redex alone. β and `let` bind the value in one environment node and
+/// substitute nothing: each of the `n` occurrences of the variable
+/// (`counts`) now stands for the whole value.
 fn contract(
     redex: Redex,
+    code: &SCode,
+    counts: &[[u32; 2]],
     frames: &mut Vec<Frame>,
     measure: &mut (usize, usize),
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
-    program_ty: TypeId,
-) -> STerm {
+) -> Focus {
     let mut raise = |p| {
         frames.clear();
         *measure = (1, 0);
-        STerm::Blame(p, program_ty)
+        Focus::Blame(p)
     };
     match redex {
         // F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], on ids through the memoized
@@ -513,14 +873,14 @@ fn contract(
             let u = arena.compose(cache, s, t);
             let (s, t, su) = (arena.size(s), arena.size(t), arena.size(u));
             reprice(measure, (1 + s + t, s + t), (su, su));
-            STerm::Coerce(m, u)
+            Focus::Coerce(m, u)
         }
-        Redex::Coerce(value, s) => match arena.node(s) {
+        Redex::Coerce(u, s) => match arena.node(s) {
             // F[U⟨id?⟩] ⟶ F[U] and F[U⟨idι⟩] ⟶ F[U]
             SNode::IdDyn | SNode::Mid(INode::Ground(GNode::IdBase(_))) => {
                 let c = arena.size(s);
                 reprice(measure, (1 + c, c), (0, 0));
-                value
+                Focus::Value(Value::Plain(u))
             }
             // F[U⟨⊥GpH⟩] ⟶ blame p
             SNode::Mid(INode::Fail(_, p, _)) => raise(p),
@@ -534,97 +894,83 @@ fn contract(
                 None => (op.apply(&[right]), 1),
             };
             reprice(measure, (1 + arity, 0), (1, 0));
-            STerm::Const(k)
+            Focus::Value(Value::Plain(Plain::Const(k)))
         }
-        Redex::If(cond, then_, else_) => {
+        Redex::If(cond, then_, else_, env) => {
             let (taken, dropped) = match cond {
-                STerm::Const(Constant::Bool(true)) => (then_, else_),
-                STerm::Const(Constant::Bool(false)) => (else_, then_),
+                Constant::Bool(true) => (then_, else_),
+                Constant::Bool(false) => (else_, then_),
                 _ => panic!("if condition is not a boolean"),
             };
-            let (size, coercion_size) = dropped.measure(arena);
+            let (size, coercion_size) = measure_code(code, dropped, &env, arena);
             reprice(measure, (2 + size, coercion_size), (0, 0));
-            take(taken)
+            Focus::Code(taken, env)
         }
-        Redex::Let(x, value, body) => beta(measure, arena, &body, &[(&x, &value)], 1),
-        Redex::App(fun, arg) => match &fun {
-            STerm::Lam(x, _, body) => beta(measure, arena, body, &[(x, &arg)], 2),
-            // Unrolling and β in one pass: N[f := fix f..][x := V].
-            STerm::Fix(f, x, _, _, body) => beta(measure, arena, body, &[(f, &fun), (x, &arg)], 2),
-            // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
-            STerm::Coerce(u, c) => match arena.node(*c) {
-                SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
-                    let (sc, ss, st) = (arena.size(*c), arena.size(s), arena.size(t));
-                    reprice(measure, (sc, sc), (1 + ss + st, ss + st));
-                    let coerced_arg = STerm::Coerce(arg.into(), s);
-                    STerm::Coerce(STerm::App(u.clone(), coerced_arg.into()).into(), t)
+        Redex::Let(at, env, value) => {
+            let Node::Let { body, .. } = code.node(at) else {
+                unreachable!("a let frame holds a let node")
+            };
+            let v = value.measure(arena);
+            reprice(measure, (1 + v.0, v.1), replaced(counts[at as usize][0], v));
+            Focus::Code(body, env.bind(value))
+        }
+        Redex::App(
+            Value::Plain(Plain::Closure {
+                code: at,
+                env,
+                measure: fun,
+            }),
+            arg,
+        ) => {
+            let v = arg.measure(arena);
+            let [n_arg, n_fun] = counts[at as usize];
+            let mut added = replaced(n_arg, v);
+            let (body, env) = match code.node(at) {
+                Node::Lam { body, .. } => (body, env.bind(arg)),
+                // Unrolling and β in one step: the call binds the
+                // function and its argument in one environment node.
+                Node::Fix { body, .. } => {
+                    let f = replaced(n_fun, fun);
+                    added = (added.0 + f.0, added.1 + f.1);
+                    (body, env.bind_fix(at, fun, arg))
                 }
-                _ => panic!("applied a non-function coerced value"),
-            },
-            _ => panic!("applied a non-function value"),
+                _ => unreachable!("a closure holds a λ or fix node"),
+            };
+            reprice(measure, (2 + v.0, v.1), added);
+            Focus::Code(body, env)
+        }
+        // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
+        Redex::App(Value::Coerced(u, c), arg) => match arena.node(c) {
+            SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
+                let (sc, ss, st) = (arena.size(c), arena.size(s), arena.size(t));
+                reprice(measure, (sc, sc), (1 + ss + st, ss + st));
+                Focus::Coerce(Inner::Proxy(u, arg, s), t)
+            }
+            _ => panic!("applied a non-function coerced value"),
         },
+        Redex::App(_, _) => panic!("applied a non-function value"),
     }
-}
-
-/// β for `let` and application: substitutes the closed values into
-/// `body` and prices the step from the substitution's tally. The last
-/// binding is the argument (or the `let`-bound value); a first of two
-/// is the `fix` itself, which weighs one node more than its body.
-/// `spine` counts the redex's own nodes: the `let`, or the application
-/// and its λ or `fix`.
-fn beta(
-    measure: &mut (usize, usize),
-    arena: &CoercionArena,
-    body: &STerm,
-    bindings: &[(&Name, &STerm)],
-    spine: usize,
-) -> STerm {
-    let arg = bindings[bindings.len() - 1].1.measure(arena);
-    let (out, tally) = subst_closed(body, bindings, arena);
-    let fix = (1 + tally.measure.0, tally.measure.1);
-    // Each replaced variable node now weighs its whole value.
-    let mut added = (0, 0);
-    for (i, &n) in tally.occurrences[..bindings.len()].iter().enumerate() {
-        let value = if i + 1 == bindings.len() { arg } else { fix };
-        added.0 += n * (value.0 - 1);
-        added.1 += n * value.1;
-    }
-    reprice(measure, (spine + arg.0, arg.1), added);
-    out
-}
-
-/// The whole term a focused run stands for: the focus plugged into its
-/// frames.
-fn plug(frames: &[Frame], focus: STerm) -> STerm {
-    frames
-        .iter()
-        .rev()
-        .fold(focus, |m, frame| match frame.clone() {
-            Frame::Op(op, None, right) => STerm::Op(op, std::iter::once(m).chain(right).collect()),
-            Frame::Op(op, Some(left), _) => STerm::Op(op, vec![STerm::Const(left), m]),
-            Frame::If(then_, else_) => STerm::If(m.into(), then_, else_),
-            Frame::Let(x, body) => STerm::Let(x, m.into(), body),
-            Frame::AppFun(arg) => STerm::App(m.into(), arg),
-            Frame::AppArg(fun) => STerm::App(fun.into(), m.into()),
-            Frame::Coerce(t) => STerm::Coerce(m.into(), t),
-        })
 }
 
 /// Evaluates a closed, well-typed compiled λS program for at most
-/// `fuel` steps — [`run`] on interned ids, against caller-owned
-/// arenas. The program's code block is decoded into a named [`STerm`]
-/// once, at the start. The run then keeps a *focus* and the
-/// evaluation-context frames around it, and finds each next redex by
-/// refocusing from the last contractum instead of walking from the
-/// root. Each step rewrites the redex alone: a merge composes ids
-/// through the memoized [`CoercionArena::compose`], and β substitutes
-/// closed values ([`subst_closed`]: no free-variable sets, no
-/// renaming). The space peaks are tracked by delta, priced from the
-/// redex: arithmetic on coercion sizes, or one walk of a discarded `if`
-/// branch, or of a β body (the substitution's own walk) and its
-/// argument. This is the production engine; the tree [`run`] is its
-/// property-test oracle (same outcome, same step count, same space
-/// peaks — pinned by `tests/ir_props.rs`).
+/// `fuel` steps — [`run`] on the program's code block, against
+/// caller-owned arenas.
+///
+/// The run keeps a *focus* and the evaluation-context frames around
+/// it, and finds each next redex by refocusing from the last
+/// contractum instead of walking from the root. Code is never
+/// rewritten: the focus and the frames hold code offsets with
+/// persistent environments, so β and `let` push one environment node
+/// and substitute nothing (a `fix` call binds the function and its
+/// argument in a single node), and a merge composes ids through the
+/// memoized [`CoercionArena::compose`]. The space peaks are those of
+/// the term the state stands for, tracked by delta and priced from the
+/// redex: arithmetic on coercion sizes and on each binder's occurrence
+/// count, or one walk of a discarded `if` branch. A final value is
+/// read back into the named [`STerm`] it stands for. This is the
+/// production engine; the tree [`run`] is its property-test oracle
+/// (same outcome, same step count, same space peaks — pinned by
+/// `tests/ir_props.rs`).
 ///
 /// # Errors
 ///
@@ -647,16 +993,20 @@ pub fn run_compiled(
 
 /// A preempted compiled small-step run, parked between fuel slices.
 ///
-/// It holds the focused state: the subterm in focus, the
-/// evaluation-context frames around it, and the whole term's tracked
-/// size and coercion size, plus the counters. Resuming refocuses from
-/// where the last slice stopped. The program type is interned once at
+/// It holds the program's code block (one shared `Rc`), the per-run
+/// table of binder occurrence counts, the focus and the
+/// evaluation-context frames around it (code offsets with their
+/// environments, and run-time values), the whole term's tracked size
+/// and coercion size, and the counters. Resuming refocuses from where
+/// the last slice stopped. The program type is interned once at
 /// [`start_compiled`] and reused by every slice, exactly as the
-/// unsliced [`run_compiled`] computes it once up front. The terms are
-/// `Rc`-shared, so a parked run is not `Send`.
+/// unsliced [`run_compiled`] computes it once up front. Environments
+/// are `Rc`-shared, so a parked run is not `Send`.
 #[derive(Debug, Clone)]
 pub struct PausedC {
-    focus: STerm,
+    code: SCode,
+    counts: Box<[[u32; 2]]>,
+    focus: Focus,
     frames: Vec<Frame>,
     measure: (usize, usize),
     ty: TypeId,
@@ -682,11 +1032,10 @@ pub enum SliceC {
     Parked(PausedC),
 }
 
-/// Begins a resumable compiled run: decodes the code block into the
-/// named term the steps rewrite, interns the program type and measures
-/// the term (the once-per-run costs the unsliced engine also pays up
-/// front), and parks before the first step with the whole term in
-/// focus.
+/// Begins a resumable compiled run: type checks the decoded program,
+/// interns its type, measures it and counts each binder's occurrences
+/// (the once-per-run costs the unsliced engine also pays up front),
+/// and parks before the first step with the program's root in focus.
 ///
 /// # Errors
 ///
@@ -698,13 +1047,15 @@ pub fn start_compiled(
     arena: &mut CoercionArena,
     types: &mut TypeArena,
 ) -> Result<PausedC, RunError> {
-    let focus = code.decode();
-    let ty = type_of_interned(&focus, arena, types)?;
+    let term = code.decode();
+    let ty = type_of_interned(&term, arena, types)?;
     // Tree-equivalent measures: node count includes each coercion's
     // implicit tree size, matching `Term::size`/`Term::coercion_size`.
-    let measure = focus.measure(arena);
+    let measure = term.measure(arena);
     Ok(PausedC {
-        focus,
+        code: code.clone(),
+        counts: occurrences(code),
+        focus: Focus::Code(code.root(), Env::default()),
         frames: Vec::new(),
         measure,
         ty,
@@ -735,6 +1086,8 @@ pub fn resume_compiled(
     cache: &mut ComposeCache,
 ) -> SliceC {
     let PausedC {
+        code,
+        counts,
         mut focus,
         mut frames,
         mut measure,
@@ -752,6 +1105,8 @@ pub fn resume_compiled(
         // below make that call.
         if steps >= until && steps < fuel {
             return SliceC::Parked(PausedC {
+                code,
+                counts,
                 focus,
                 frames,
                 measure,
@@ -762,7 +1117,7 @@ pub fn resume_compiled(
                 fuel,
             });
         }
-        let redex = match refocus(&mut frames, focus, arena) {
+        let redex = match refocus(&code, &mut frames, focus, arena) {
             Ok(redex) => redex,
             Err(outcome) => {
                 return SliceC::Done(Ok(RunC {
@@ -783,11 +1138,25 @@ pub fn resume_compiled(
             }));
         }
         steps += 1;
-        focus = contract(redex, &mut frames, &mut measure, arena, cache, ty);
+        focus = contract(
+            redex,
+            &code,
+            &counts,
+            &mut frames,
+            &mut measure,
+            arena,
+            cache,
+        );
         debug_assert_eq!(
             measure,
-            plug(&frames, focus.clone()).measure(arena),
+            read_back(&code, &frames, &focus, ty).measure(arena),
             "tracked size drifted from the term at step {steps}"
+        );
+        debug_assert!(
+            !frames
+                .windows(2)
+                .any(|w| matches!(w, [Frame::Coerce(_), Frame::Coerce(_)])),
+            "a coercion frame was stacked on another at step {steps}"
         );
         peak_size = peak_size.max(measure.0);
         peak_coercion_size = peak_coercion_size.max(measure.1);
@@ -998,7 +1367,8 @@ mod tests {
                 .coerce(proj_int(2))
                 .coerce(inj_int())
                 .coerce(proj_int(3)),
-            // Recursion: each call substitutes the whole fix for f.
+            // Recursion: each call unrolls the fix (the tree run
+            // substitutes it for f, the compiled run binds it).
             Term::Fix(
                 "f".into(),
                 "n".into(),
@@ -1091,6 +1461,121 @@ mod tests {
                 .coerce(proj_int(1)),
         );
         assert_compiled_matches_tree(&m);
+    }
+
+    /// `inc⟨Int?p→Int!⟩ : ? → ?`, a proxy.
+    fn proxy(n: u32) -> Term {
+        inc().coerce(SpaceCoercion::fun(proj_int(n), inj_int()))
+    }
+
+    #[test]
+    fn closure_capturing_a_let_bound_proxy_applied_twice() {
+        // let f = proxy in let h = λy:?. f y in
+        // (λk:?→?. (k (k 1⟨Int!⟩))⟨Int?q⟩) h: h's environment holds
+        // the proxy, and h reaches both calls through k's.
+        let twice = Term::lam(
+            "k",
+            Type::fun(Type::DYN, Type::DYN),
+            Term::var("k")
+                .app(Term::var("k").app(Term::int(1).coerce(inj_int())))
+                .coerce(proj_int(1)),
+        );
+        let m = Term::let_(
+            "f",
+            proxy(0),
+            Term::let_(
+                "h",
+                Term::lam("y", Type::DYN, Term::var("f").app(Term::var("y"))),
+                twice.app(Term::var("h")),
+            ),
+        );
+        assert_compiled_matches_tree(&m);
+    }
+
+    #[test]
+    fn if_discards_a_branch_over_a_proxy_and_a_closure() {
+        // The discarded branch weighs f and g at their values' size.
+        let call = |x| {
+            Term::var("f")
+                .app(Term::var("g").app(Term::int(x)).coerce(inj_int()))
+                .coerce(proj_int(1))
+        };
+        for cond in [true, false] {
+            let m = Term::let_(
+                "f",
+                proxy(0),
+                Term::let_(
+                    "g",
+                    inc(),
+                    Term::If(
+                        Term::op2(Op::Lt, Term::int(1), Term::int(i64::from(cond) * 2)).into(),
+                        call(1).into(),
+                        Term::op2(Op::Add, call(2), Term::var("g").app(Term::int(3))).into(),
+                    ),
+                ),
+            );
+            assert_compiled_matches_tree(&m);
+        }
+    }
+
+    #[test]
+    fn fix_returning_a_closure_over_f_and_n_reads_back_exactly() {
+        // fix f (n:Int):Int→Int. if n = 0 then λm. m + n
+        //                        else λm. (f (n − 1)) m
+        // applied to 3 ends in the second λ, whose f and n live in a
+        // fix call's environment node; applied once more, it unrolls.
+        let fun = Term::Fix(
+            "f".into(),
+            "n".into(),
+            Type::INT,
+            Type::fun(Type::INT, Type::INT),
+            Term::If(
+                Term::op2(Op::Eq, Term::var("n"), Term::int(0)).into(),
+                Term::lam(
+                    "m",
+                    Type::INT,
+                    Term::op2(Op::Add, Term::var("m"), Term::var("n")),
+                )
+                .into(),
+                Term::lam(
+                    "m",
+                    Type::INT,
+                    Term::var("f")
+                        .app(Term::op2(Op::Sub, Term::var("n"), Term::int(1)))
+                        .app(Term::var("m")),
+                )
+                .into(),
+            )
+            .into(),
+        );
+        assert_compiled_matches_tree(&fun.clone().app(Term::int(3)));
+        assert_compiled_matches_tree(&fun.app(Term::int(3)).app(Term::int(10)));
+    }
+
+    #[test]
+    fn let_whose_name_never_occurs() {
+        let m = Term::let_("x", proxy(0), Term::int(5).coerce(inj_int()));
+        assert_compiled_matches_tree(&m);
+    }
+
+    #[test]
+    fn coercion_merges_with_a_coerced_value_from_the_environment() {
+        // let x = 1⟨Int!⟩ in x⟨Int?p⟩ — and a proxy f re-coerced to
+        // Int→Int: the merge fires on the looked-up value first.
+        let injected = Term::let_(
+            "x",
+            Term::int(1).coerce(inj_int()),
+            Term::var("x").coerce(proj_int(0)),
+        );
+        let reproxied = Term::let_(
+            "f",
+            proxy(0),
+            Term::var("f")
+                .coerce(SpaceCoercion::fun(inj_int(), proj_int(2)))
+                .app(Term::int(1)),
+        );
+        assert_compiled_matches_tree(&injected);
+        assert_compiled_matches_tree(&reproxied);
     }
 
     #[test]

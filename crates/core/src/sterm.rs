@@ -11,8 +11,8 @@
 //! [`STerm`] is the same term with `Coerce` holding a `Copy`
 //! [`CoercionId`] and type annotations holding `Copy` [`TypeId`]s, both
 //! minted once by [`compile_term`]. It keeps binder and variable
-//! *names*, so substitution-based engines (the λS small-step) and the
-//! interned type checker run on it directly.
+//! *names*: the interned type checker runs on it, and the λS engines
+//! read their results back into it. No engine rewrites it.
 //!
 //! [`SCode`] is the form a compiled program is stored and executed in:
 //! one immutable node array per program. Children are `u32` offsets
@@ -59,10 +59,9 @@ use crate::term::Term;
 ///
 /// Ids are only meaningful together with the [`CoercionArena`] and
 /// [`TypeArena`] that [`compile_term`] interned them into. The spine
-/// is `Rc`, and therefore not `Send`: this is the working form of the
-/// λS small-step, which holds the subterm in focus and the evaluation
-/// context around it and rewrites only the redex on each step. Stored
-/// programs hold the flat [`SCode`] instead.
+/// is `Rc`, and therefore not `Send`. It is the form a program is type
+/// checked in and a run's value is read back into; programs are stored
+/// and run as the flat [`SCode`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum STerm {
     /// A constant `k`.
@@ -166,35 +165,6 @@ impl STerm {
         let mut acc = (0, 0);
         go(self, arena, &mut acc);
         acc
-    }
-
-    /// Whether the term is an *uncoerced value* `U ::= k | λx:A.N`
-    /// (including `fix`) — the compiled counterpart of
-    /// [`Term::is_uncoerced_value`](crate::term::Term::is_uncoerced_value).
-    pub fn is_uncoerced_value(&self) -> bool {
-        matches!(
-            self,
-            STerm::Const(_) | STerm::Lam(_, _, _) | STerm::Fix(_, _, _, _, _)
-        )
-    }
-
-    /// Whether the term is a value `V ::= U | U⟨s→t⟩ | U⟨g;G!⟩`
-    /// (Figure 5), deciding the coercion shape from its interned node
-    /// — the compiled counterpart of
-    /// [`Term::is_value`](crate::term::Term::is_value).
-    pub fn is_value(&self, arena: &CoercionArena) -> bool {
-        use crate::arena::{GNode, INode, SNode};
-        match self {
-            _ if self.is_uncoerced_value() => true,
-            STerm::Coerce(u, s) => {
-                u.is_uncoerced_value()
-                    && matches!(
-                        arena.node(*s),
-                        SNode::Mid(INode::Ground(GNode::Fun(_, _))) | SNode::Mid(INode::Inj(_, _))
-                    )
-            }
-            _ => false,
-        }
     }
 
     /// Renders the compiled term in the paper grammar by resolving its
@@ -448,18 +418,37 @@ impl SCode {
     /// Rebuilds the named term, binder and variable names included
     /// (the inverse of [`SCode::encode`]).
     pub fn decode(&self) -> STerm {
-        self.decode_at(self.root(), &mut Vec::new())
+        self.decode_open(self.root(), &[], &|_| {
+            unreachable!("a block resolves every bound variable")
+        })
     }
 
-    fn decode_at(&self, at: u32, scope: &mut Vec<u32>) -> STerm {
+    /// Rebuilds the named term at `at` with the `binders` (name-table
+    /// offsets, outermost first) open around it: a variable they do not
+    /// bind reads as `outer` of its index past them. This is how a run
+    /// reads code under an environment back into the term it stands
+    /// for.
+    pub(crate) fn decode_open(
+        &self,
+        at: u32,
+        binders: &[u32],
+        outer: &dyn Fn(u32) -> STerm,
+    ) -> STerm {
+        self.decode_at(at, &mut binders.to_vec(), outer)
+    }
+
+    fn decode_at(&self, at: u32, scope: &mut Vec<u32>, outer: &dyn Fn(u32) -> STerm) -> STerm {
         match self.node(at) {
             Node::Const(k) => STerm::Const(k),
-            Node::Var(i) => STerm::Var(self.name(scope[scope.len() - 1 - i as usize]).clone()),
+            Node::Var(i) => match scope.len().checked_sub(1 + i as usize) {
+                Some(j) => STerm::Var(self.name(scope[j]).clone()),
+                None => outer(i - scope.len() as u32),
+            },
             Node::Free(x) => STerm::Var(self.name(x).clone()),
             Node::Lam { name, ty, body } => STerm::Lam(
                 self.name(name).clone(),
                 ty,
-                self.decode_under(&[name], body, scope),
+                self.decode_under(&[name], body, scope, outer),
             ),
             Node::Fix {
                 fun,
@@ -472,41 +461,51 @@ impl SCode {
                 self.name(param).clone(),
                 dom,
                 cod,
-                self.decode_under(&[fun, param], body, scope),
+                self.decode_under(&[fun, param], body, scope, outer),
             ),
             Node::App(l, m) => STerm::App(
-                self.decode_under(&[], l, scope),
-                self.decode_under(&[], m, scope),
+                self.decode_under(&[], l, scope, outer),
+                self.decode_under(&[], m, scope, outer),
             ),
-            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, scope)]),
-            Node::Op2(op, a, b) => {
-                STerm::Op(op, vec![self.decode_at(a, scope), self.decode_at(b, scope)])
-            }
+            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, scope, outer)]),
+            Node::Op2(op, a, b) => STerm::Op(
+                op,
+                vec![
+                    self.decode_at(a, scope, outer),
+                    self.decode_at(b, scope, outer),
+                ],
+            ),
             Node::OpN { op, start, len } => STerm::Op(
                 op,
                 self.operands(start, len)
                     .iter()
-                    .map(|&a| self.decode_at(a, scope))
+                    .map(|&a| self.decode_at(a, scope, outer))
                     .collect(),
             ),
-            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, scope), s),
+            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, scope, outer), s),
             Node::Blame(p, ty) => STerm::Blame(p, ty),
             Node::If(c, t, e) => STerm::If(
-                self.decode_under(&[], c, scope),
-                self.decode_under(&[], t, scope),
-                self.decode_under(&[], e, scope),
+                self.decode_under(&[], c, scope, outer),
+                self.decode_under(&[], t, scope, outer),
+                self.decode_under(&[], e, scope, outer),
             ),
             Node::Let { name, bound, body } => STerm::Let(
                 self.name(name).clone(),
-                self.decode_under(&[], bound, scope),
-                self.decode_under(&[name], body, scope),
+                self.decode_under(&[], bound, scope, outer),
+                self.decode_under(&[name], body, scope, outer),
             ),
         }
     }
 
-    fn decode_under(&self, binders: &[u32], body: u32, scope: &mut Vec<u32>) -> Rc<STerm> {
+    fn decode_under(
+        &self,
+        binders: &[u32],
+        body: u32,
+        scope: &mut Vec<u32>,
+        outer: &dyn Fn(u32) -> STerm,
+    ) -> Rc<STerm> {
         scope.extend_from_slice(binders);
-        let t = self.decode_at(body, scope);
+        let t = self.decode_at(body, scope, outer);
         scope.truncate(scope.len() - binders.len());
         Rc::new(t)
     }

@@ -5,10 +5,12 @@
 //!   production engine, driven entirely on interned ids) agrees with
 //!   the tree small-step [`bc_core::eval::run`] (the oracle) on
 //!   random well-typed programs: same observation, same step count,
-//!   same space peaks, and the same fuel-exhaustion fingerprint when
-//!   the bound cuts a run short. Checked cold (fresh arenas per
-//!   program) and warm (one shared [`CompileCtx`] across the whole
-//!   run, where every intern and compose is a cache hit).
+//!   same outcome term, same step count, same space peaks, and the
+//!   same fuel-exhaustion fingerprint when the bound cuts a run short.
+//!   Checked cold (fresh arenas per program) and warm (one shared
+//!   [`CompileCtx`] across the whole run, where every intern and
+//!   compose is a cache hit), and on generated recursive count-down
+//!   loops whose recursive call crosses `?`.
 //! * **Sliced ≡ unsliced** for that engine: driving a run in fuel
 //!   slices through its parked focused state ([`bc_core::eval::start_compiled`]
 //!   and [`bc_core::eval::resume_compiled`]) gives exactly the unsliced
@@ -22,12 +24,15 @@
 //! * **`decode ∘ encode = id`** for the flat λS code block
 //!   ([`bc_core::SCode`]) the λS engines run, names included.
 
-use bc_core::eval::{resume_compiled, run, run_compiled, start_compiled, RunError, SliceC};
-use bc_core::{compile_term, CompileCtx, SCode};
+use bc_core::eval::{
+    resume_compiled, run, run_compiled, start_compiled, Outcome, RunError, SliceC,
+};
+use bc_core::{compile_term, decompile_term, CompileCtx, OutcomeC, SCode, Term};
+use bc_lambda_b as lb;
 use bc_lambda_b::bterm;
 use bc_lambda_c::cterm;
 use bc_lambda_c::CArena;
-use bc_syntax::TypeArena;
+use bc_syntax::{Label, Op, Type, TypeArena};
 use bc_testkit::Gen;
 use bc_translate::bisim::{observe_s, observe_s_compiled};
 use bc_translate::term_b_to_c;
@@ -37,17 +42,28 @@ use proptest::prelude::*;
 /// that the divergent ones exercise the fuel-exhaustion arm cheaply.
 const FUEL: u64 = 512;
 
+/// More than a generated count-down loop of at most 12 calls needs.
+const LOOP_FUEL: u64 = 10_000;
+
 /// Runs one generated λS program through both engines against the
-/// given context and asserts the full fingerprint matches: outcome
-/// observation, step count, and both space peaks — or, when fuel runs
-/// out, the identical cutoff accounting on both sides.
+/// given context (see [`assert_agree_on`]).
 fn assert_engines_agree(gen: &mut Gen, ctx: &mut CompileCtx) {
     let ty = gen.ty(2);
     let (tree, compiled) = gen.compiled_s(ctx, &ty, 4);
-    let oracle = run(&tree, FUEL);
+    assert_agree_on(&tree, &compiled, ctx, FUEL);
+}
+
+/// Runs a λS program through the tree oracle and, compiled into
+/// `ctx`, through the compiled engine, and asserts the full
+/// fingerprint matches: the outcome (a value read back and decompiled
+/// is the oracle's term exactly), step count, and both space peaks —
+/// or, when fuel runs out, the identical cutoff accounting on both
+/// sides.
+fn assert_agree_on(tree: &Term, compiled: &SCode, ctx: &mut CompileCtx, fuel: u64) {
+    let oracle = run(tree, fuel);
     let subject = run_compiled(
-        &compiled,
-        FUEL,
+        compiled,
+        fuel,
         &mut ctx.arena,
         &mut ctx.cache,
         &mut ctx.types,
@@ -59,6 +75,17 @@ fn assert_engines_agree(gen: &mut Gen, ctx: &mut CompileCtx) {
                 observe_s_compiled(&c.outcome, &ctx.arena),
                 "engines disagree on the outcome of {tree}"
             );
+            match (&t.outcome, &c.outcome) {
+                (Outcome::Value(v), OutcomeC::Value(cv)) => assert_eq!(
+                    &decompile_term(cv, &ctx.arena, &ctx.types),
+                    v,
+                    "engines reach different values from {tree}"
+                ),
+                (Outcome::Blame(p), OutcomeC::Blame(q)) => {
+                    assert_eq!(p, q, "engines blame different labels in {tree}")
+                }
+                (a, b) => panic!("engines disagree on the outcome of {tree}: {a:?} vs {b:?}"),
+            }
             assert_eq!(t.steps, c.steps, "step counts diverge on {tree}");
             assert_eq!(t.peak_size, c.peak_size, "peak sizes diverge on {tree}");
             assert_eq!(
@@ -90,19 +117,23 @@ fn assert_engines_agree(gen: &mut Gen, ctx: &mut CompileCtx) {
     }
 }
 
-/// Runs one generated λS program unsliced and then in slices of 1
-/// and 7 steps, each through fresh arenas, at a fuel that cuts some
-/// runs short and at [`FUEL`], and asserts the results are identical
-/// to the letter.
+/// Runs one generated λS program through [`assert_sliced_on`].
 fn assert_sliced_matches_unsliced(gen: &mut Gen) {
     let ty = gen.ty(2);
     let tree = gen.term_s(&ty, 4);
+    assert_sliced_on(&tree, &[5, FUEL]);
+}
+
+/// Runs a λS program unsliced and then in slices of 1 and 7 steps,
+/// each through fresh arenas, at each of the `fuels`, and asserts the
+/// results are identical to the letter.
+fn assert_sliced_on(tree: &Term, fuels: &[u64]) {
     let fresh = || {
         let mut ctx = CompileCtx::new();
-        let code = ctx.compile(&tree);
+        let code = ctx.compile(tree);
         (ctx, code)
     };
-    for fuel in [5, FUEL] {
+    for &fuel in fuels {
         let unsliced = {
             let (mut ctx, code) = fresh();
             run_compiled(&code, fuel, &mut ctx.arena, &mut ctx.cache, &mut ctx.types)
@@ -120,6 +151,95 @@ fn assert_sliced_matches_unsliced(gen: &mut Gen) {
             assert_eq!(unsliced, sliced, "slice {slice}, fuel {fuel} of {tree}");
         }
     }
+}
+
+/// The recursive-loop generator's own random stream (splitmix64), so
+/// the [`Gen`] streams the other properties draw from stay as they
+/// are.
+struct Dice(u64);
+
+impl Dice {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    fn pick(&mut self, types: &[Type]) -> Type {
+        types[self.below(types.len() as u64) as usize].clone()
+    }
+
+    /// `m : from ⇒p ? ⇒q to`.
+    fn through_dyn(&mut self, m: lb::Term, from: &Type, to: &Type) -> lb::Term {
+        let (p, q) = (
+            Label::new(self.below(64) as u32),
+            Label::new(self.below(64) as u32),
+        );
+        m.cast(from.clone(), p, Type::DYN)
+            .cast(Type::DYN, q, to.clone())
+    }
+}
+
+/// A count-down loop `(fix f (n:Int):B. if n = 0 then … else F (n − 1)) k`
+/// with `k` in 0..=12, where `F` is `f` cast through `?` once or twice
+/// (the last cast may change the result type, which is then cast back
+/// through `?` and may blame). The call is made directly, through a
+/// `let`-bound proxy, or from a `λ` capturing `n` and `f`.
+fn count_down_loop(dice: &mut Dice) -> lb::Term {
+    let n = || lb::Term::var("n");
+    let results = [Type::INT, Type::BOOL, Type::DYN];
+    let b = dice.pick(&results);
+    let b2 = if dice.below(4) == 0 {
+        dice.pick(&results)
+    } else {
+        b.clone()
+    };
+    let own = Type::fun(Type::INT, b.clone());
+    let mids = [
+        Type::fun(Type::DYN, Type::DYN),
+        Type::fun(Type::INT, Type::DYN),
+        Type::fun(Type::DYN, b.clone()),
+        own.clone(),
+    ];
+    let mut fun = lb::Term::var("f");
+    let mut from = own;
+    for _ in 0..dice.below(2) {
+        let mid = dice.pick(&mids);
+        fun = dice.through_dyn(fun, &from, &mid);
+        from = mid;
+    }
+    fun = dice.through_dyn(fun, &from, &Type::fun(Type::INT, b2.clone()));
+    let call = match dice.below(3) {
+        0 => fun.app(lb::Term::op2(Op::Sub, n(), lb::Term::int(1))),
+        1 => lb::Term::let_(
+            "g",
+            fun,
+            lb::Term::var("g").app(lb::Term::op2(Op::Sub, n(), lb::Term::int(1))),
+        ),
+        _ => lb::Term::let_(
+            "h",
+            lb::Term::lam(
+                "u",
+                Type::INT,
+                fun.app(lb::Term::op2(Op::Sub, n(), lb::Term::var("u"))),
+            ),
+            lb::Term::var("h").app(lb::Term::int(1)),
+        ),
+    };
+    let call = if b2 == b {
+        call
+    } else {
+        dice.through_dyn(call, &b2, &b)
+    };
+    let base = match &b {
+        Type::Base(bc_syntax::BaseType::Int) => n(),
+        Type::Base(_) => lb::Term::bool(true),
+        _ => dice.through_dyn(n(), &Type::INT, &Type::DYN),
+    };
+    let body = lb::Term::ite(lb::Term::op2(Op::Eq, n(), lb::Term::int(0)), base, call);
+    lb::Term::fix("f", "n", Type::INT, b, body).app(lb::Term::int(dice.below(13) as i64))
 }
 
 proptest! {
@@ -156,6 +276,21 @@ proptest! {
         for _ in 0..8 {
             assert_engines_agree(&mut gen, &mut ctx);
         }
+    }
+
+    /// Compiled λS evaluation ≡ tree small-step, and sliced ≡
+    /// unsliced, on recursive loops: each call unrolls the `fix` from
+    /// its environment node, and the coercions it crosses merge.
+    #[test]
+    fn compiled_eval_matches_tree_oracle_on_recursive_loops(seed in any::<u64>()) {
+        let mut dice = Dice(seed);
+        let source = count_down_loop(&mut dice);
+        lb::type_of(&source).expect("generated loops are well typed");
+        let tree = bc_translate::term_b_to_s(&source);
+        let mut ctx = CompileCtx::new();
+        let code = ctx.compile(&tree);
+        assert_agree_on(&tree, &code, &mut ctx, LOOP_FUEL);
+        assert_sliced_on(&tree, &[LOOP_FUEL]);
     }
 
     /// λB: `decompile ∘ compile = id`, cold and warm. The second
