@@ -11,7 +11,8 @@
 //!   underlying λS.
 //! * [`s_to_c`] — `|·|SC`: the trivial inclusion of λS back into λC.
 //! * [`b_to_s`] — the composite `|·|BS = |·|CS ∘ |·|BC` used by the
-//!   applications in §5.
+//!   applications in §5, and its one-pass interned form that lowers
+//!   compiled λB straight to the λS code block.
 //! * [`bisim`] — executable bisimulation checkers: the lockstep
 //!   co-execution of λB/λC and the normalised-trace alignment of
 //!   λC/λS.
@@ -30,7 +31,7 @@ pub mod fundamental;
 pub mod s_to_c;
 
 pub use b_to_c::{cast_to_coercion, cast_to_coercion_in, term_b_to_c, term_b_to_c_compiled};
-pub use b_to_s::term_b_to_s;
+pub use b_to_s::{cast_to_space, cast_to_space_in, term_b_to_s, term_b_to_s_compiled};
 pub use c_to_b::{coercion_to_casts, term_c_to_b};
 pub use c_to_s::{
     coercion_to_space, coercion_to_space_in, term_c_to_s, term_c_to_s_compiled,

@@ -22,7 +22,7 @@
 //!
 //! The [`session`] module ties them together: a [`Session`] owns the
 //! coercion arena, compose cache, and type arena, and compiles source
-//! text (source → λB → λC → λS → compiled term IR) into lightweight
+//! text (source → λB → λS code block) into lightweight
 //! [`Program`] handles that *share* them — N programs compiled into
 //! one session intern each distinct coercion, memoize each
 //! composition, and answer each subtyping question exactly once

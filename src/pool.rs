@@ -234,11 +234,12 @@ pub const WARMUP_RUN_FUEL: u64 = 64;
 /// pool base's frozen watermarks (the warmup compiles *before* the
 /// freeze), so any worker session built over the base adopts it with
 /// no lexing, no parsing, no elaboration, and no λB re-check — the
-/// worker only re-lowers λB → λC → λS, which on a warm base is pure
-/// arena and memo hits. (The lowered λS code block does not travel:
-/// it is `Rc`-shared with the runs it feeds, and its coercion ids may
-/// name a worker's local overlay nodes.) `Send + Sync` by
-/// construction: the λB spine is `Arc`, the ids plain integers.
+/// worker only re-lowers λB → λS, which on a warm base is pure arena
+/// hits: every coercion the lowering builds is already a frozen base
+/// node. (The lowered λS code block does not travel: it is
+/// `Rc`-shared with the runs it feeds, and its coercion ids may name a
+/// worker's local overlay nodes.) `Send + Sync` by construction: the
+/// λB spine is `Arc`, the ids plain integers.
 ///
 /// The payload also carries its *provenance* — the warmup session's
 /// identity and the arena watermarks at compile time — which is what
@@ -1911,8 +1912,8 @@ fn admit(
             // Pool-made `CompiledProgram`s were elaborated and checked
             // by warmup itself before the freeze, so the worker skips
             // the λB re-check and goes straight to lowering — every
-            // intern, normalisation, and compose a base-covered term
-            // needs is already frozen, so this is memo lookups only.
+            // coercion node a base-covered term needs is already
+            // frozen, so this is base-index lookups only.
             // The provenance check keeps the trust honest across
             // epoch swaps (promotion preserves it by extension; a
             // mismatch falls back to the bundled source).

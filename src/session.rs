@@ -14,7 +14,7 @@
 //! warm cache.
 //!
 //! * [`Session::compile`] / [`Session::compile_batch`] — GTLC source →
-//!   λB → λC → λS → compiled IR, interned into the shared arenas;
+//!   λB → λS code block, interned into the shared arenas;
 //!   returns a lightweight [`Program`] handle bound to this session.
 //! * [`Session::run`] / [`Session::run_with_fuel`] — execute a program
 //!   on any [`Engine`], returning `Result<RunReport, RunError>`:
@@ -48,14 +48,11 @@ use bc_core::arena::{CoercionArena, ComposeCache, FrozenCoercions};
 use bc_core::sterm::{decompile_term, SCode};
 use bc_gtlc::Diagnostic;
 use bc_lambda_b::BTerm;
-use bc_lambda_c::CArena;
 use bc_machine::metrics::Metrics;
 use bc_syntax::intern::FrozenTypes;
 use bc_syntax::{Label, Type, TypeArena, TypeId};
 use bc_translate::bisim::{observe_b, observe_c, observe_s_compiled, Observation};
-use bc_translate::{
-    term_b_to_c, term_b_to_c_compiled, term_c_to_s_from_compiled, CNormalizer, CNormalizerStats,
-};
+use bc_translate::{term_b_to_c, term_b_to_s_compiled};
 
 /// Which semantics executes the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,12 +390,6 @@ pub struct SessionStats {
     pub type_memo_capacity: usize,
     /// Relational-query hit/miss/eviction counters.
     pub type_queries: bc_syntax::intern::QueryStats,
-    /// Distinct λC coercion nodes interned (the derived λC tier is
-    /// session-local; see [`Session`]'s field docs).
-    pub lambda_c_nodes: usize,
-    /// The `|·|CS` normalisation memo's entry/hit/miss counters — a
-    /// warm recompile is all hits.
-    pub normalizer: CNormalizerStats,
     /// Tree views built since the session was built (one per
     /// [`Session::lambda_b`]/[`Session::lambda_c`]/
     /// [`Session::lambda_s`] call, and per run of a tree engine). Zero for a session that
@@ -552,8 +543,6 @@ impl SessionBuilder {
             arena: RefCell::new(arena),
             cache: RefCell::new(cache),
             types: RefCell::new(types),
-            carena: RefCell::new(CArena::default()),
-            normalizer: RefCell::new(CNormalizer::new()),
             default_fuel: self.default_fuel,
             programs: Cell::new(0),
             tree_builds: Cell::new(0),
@@ -590,14 +579,6 @@ pub struct Session {
     arena: RefCell<CoercionArena>,
     cache: RefCell<ComposeCache>,
     types: RefCell<TypeArena>,
-    /// The λC coercion arena: one hash-consed node per distinct cast
-    /// the session's programs cross. Session-local (not part of a
-    /// [`FrozenBase`]) — λC forms are derived, so workers re-intern
-    /// them privately; the memo below makes that a per-shape cost.
-    carena: RefCell<CArena>,
-    /// The `|·|CS` memo: λC coercion id → normalised space coercion
-    /// id. A warm recompile normalises nothing (all hits).
-    normalizer: RefCell<CNormalizer>,
     default_fuel: u64,
     programs: Cell<usize>,
     /// How many tree views ([`Session::lambda_b`]/[`Session::lambda_c`]/
@@ -853,42 +834,24 @@ impl Session {
     /// compiled jobs, which its own warmup elaborated and checked
     /// before the freeze. Lowering still happens here (the λS form is
     /// session-local by design; see `bc_core::sterm`), but against a
-    /// warm base it is pure arena and memo hits. (The debug assertions
-    /// in `lower` still verify both intermediate forms in debug
-    /// builds.)
+    /// warm base it is pure arena hits. (The debug assertion in
+    /// `lower` still type-checks the λS form in debug builds.)
     pub(crate) fn load_compiled_trusted(&self, term: BTerm, ty: TypeId) -> Program {
         self.lower(&term, ty, Origin::Term(term.clone()))
     }
 
     /// Lowers a well-typed compiled λB term into a session-bound
-    /// program: λB → λC → λS entirely on interned ids. Casts become
-    /// hash-consed λC coercions in the session's [`CArena`], which the
-    /// session-wide [`CNormalizer`] memo normalises into the space
-    /// arena — so a warm recompile interns nothing, normalises
-    /// nothing, and builds no tree of any kind.
+    /// program: λB straight to the λS code block on interned ids
+    /// ([`term_b_to_s_compiled`]). Each cast becomes its canonical
+    /// space coercion, built in one pass in the session's coercion
+    /// arena — so a warm recompile interns nothing and builds no tree
+    /// of any kind.
     fn lower(&self, term: &BTerm, ty: TypeId, origin: Origin) -> Program {
         let mut arena = self.arena.borrow_mut();
-        let mut cache = self.cache.borrow_mut();
         let mut types = self.types.borrow_mut();
-        let mut carena = self.carena.borrow_mut();
-        let mut normalizer = self.normalizer.borrow_mut();
-        let lambda_c_compiled = term_b_to_c_compiled(term, &mut carena, &mut types);
-        let lambda_s_compiled = term_c_to_s_from_compiled(
-            &lambda_c_compiled,
-            &carena,
-            &mut normalizer,
-            &mut arena,
-            &mut cache,
-            &types,
-        );
-        // Cast insertion and both translations preserve typing; audit
-        // the intermediate forms with the compiled checkers on debug
-        // builds (each IR is validated in place, never decompiled for
-        // checking).
-        debug_assert!(
-            bc_lambda_c::has_type_compiled(&lambda_c_compiled, ty, &carena, &mut types),
-            "λB → λC translation must preserve the program type"
-        );
+        let lambda_s_compiled = term_b_to_s_compiled(term, &mut types, &mut arena);
+        // Cast insertion and the translation preserve typing; audit the
+        // λS form with the compiled checker on debug builds.
         debug_assert!(
             bc_core::styping::has_type_interned(
                 &lambda_s_compiled.decode(),
@@ -896,7 +859,7 @@ impl Session {
                 &arena,
                 &mut types
             ),
-            "λC → λS lowering must preserve the program type"
+            "λB → λS lowering must preserve the program type"
         );
         self.programs.set(self.programs.get() + 1);
         Program {
@@ -1243,8 +1206,6 @@ impl Session {
             type_memo_pairs: types.memo_len(),
             type_memo_capacity: types.memo_capacity(),
             type_queries: types.query_stats(),
-            lambda_c_nodes: self.carena.borrow().len(),
-            normalizer: self.normalizer.borrow().stats(),
             tree_builds: self.tree_builds.get(),
             tier: TierStats {
                 base_coercion_nodes: arena.base_len(),
@@ -1370,8 +1331,6 @@ impl Session {
             arena: RefCell::new(arena),
             cache: RefCell::new(cache),
             types: RefCell::new(self.types.borrow().clone()),
-            carena: RefCell::new(self.carena.borrow().clone()),
-            normalizer: RefCell::new(self.normalizer.borrow().clone()),
             default_fuel: self.default_fuel,
             programs: Cell::new(self.programs.get()),
             tree_builds: Cell::new(self.tree_builds.get()),

@@ -23,7 +23,13 @@
 //!   trip is what keeps the tree views honest.
 //! * **`decode ∘ encode = id`** for the flat λS code block
 //!   ([`bc_core::SCode`]) the λS engines run, names included.
+//! * **One-pass `|·|BS` ≡ `|·|CS ∘ |·|BC`**: the direct lowering
+//!   ([`bc_translate::cast_to_space_in`],
+//!   [`bc_translate::term_b_to_s_compiled`]) gives the same interned
+//!   coercions and the same code block as the two-stage λB → λC → λS
+//!   path through a `CNormalizer`, in shared arenas.
 
+use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
 use bc_core::eval::{
     resume_compiled, run, run_compiled, start_compiled, Outcome, RunError, SliceC,
 };
@@ -32,10 +38,13 @@ use bc_lambda_b as lb;
 use bc_lambda_b::bterm;
 use bc_lambda_c::cterm;
 use bc_lambda_c::CArena;
-use bc_syntax::{Label, Op, Type, TypeArena};
+use bc_syntax::{Label, Op, Type, TypeArena, TypeId};
 use bc_testkit::Gen;
 use bc_translate::bisim::{observe_s, observe_s_compiled};
-use bc_translate::term_b_to_c;
+use bc_translate::{
+    cast_to_coercion_in, cast_to_space, cast_to_space_in, term_b_to_c, term_b_to_c_compiled,
+    term_b_to_s_compiled, term_c_to_s_from_compiled, CNormalizer,
+};
 use proptest::prelude::*;
 
 /// Enough fuel that most generated programs converge, small enough
@@ -44,6 +53,37 @@ const FUEL: u64 = 512;
 
 /// More than a generated count-down loop of at most 12 calls needs.
 const LOOP_FUEL: u64 = 10_000;
+
+/// The arenas both lowerings share: the space arena, compose cache
+/// and type arena, plus the λC tier only the two-stage path uses.
+#[derive(Default)]
+struct Lowerings {
+    types: TypeArena,
+    arena: CoercionArena,
+    cache: ComposeCache,
+    carena: CArena,
+    norm: CNormalizer,
+}
+
+impl Lowerings {
+    /// `|A ⇒p B|BS` in one pass.
+    fn direct_cast(&mut self, a: TypeId, p: Label, b: TypeId) -> CoercionId {
+        cast_to_space_in(&mut self.types, &mut self.arena, a, p, b)
+    }
+
+    /// `|·|CS ∘ |·|BC` on one compiled λB term: the reference lowering.
+    fn two_stage(&mut self, term: &lb::BTerm) -> SCode {
+        let c = term_b_to_c_compiled(term, &mut self.carena, &mut self.types);
+        term_c_to_s_from_compiled(
+            &c,
+            &self.carena,
+            &mut self.norm,
+            &mut self.arena,
+            &mut self.cache,
+            &self.types,
+        )
+    }
+}
 
 /// Runs one generated λS program through both engines against the
 /// given context (see [`assert_agree_on`]).
@@ -330,6 +370,48 @@ proptest! {
             prop_assert_eq!(&cterm::decompile(&warm, &arena, &types), &term);
             prop_assert_eq!(arena.len(), cmark, "warm recompile interned a coercion");
             prop_assert_eq!(types.len(), tmark, "warm recompile interned a type");
+        }
+    }
+
+    /// `|A ⇒p B|BS` built in one pass is the very id the two-stage
+    /// path interns (`CNormalizer` over `cast_to_coercion_in`) in the
+    /// same arena, whichever runs first, and resolves to the tree
+    /// `cast_to_space`.
+    #[test]
+    fn direct_cast_lowering_matches_two_stage(seed in any::<u64>()) {
+        let mut gen = Gen::new(seed);
+        let mut l = Lowerings::default();
+        for i in 0..8 {
+            let (a, b) = gen.compatible_pair(3);
+            let p = gen.label();
+            let (a_id, b_id) = (l.types.intern(&a), l.types.intern(&b));
+            let first = (i % 2 == 0).then(|| l.direct_cast(a_id, p, b_id));
+            let c = cast_to_coercion_in(&mut l.types, &mut l.carena, a_id, p, b_id);
+            let reference = l.norm.normalize(c, &l.carena, &mut l.arena, &mut l.cache, &l.types);
+            let id = first.unwrap_or_else(|| l.direct_cast(a_id, p, b_id));
+            prop_assert_eq!(id, reference, "|{} ⇒ {}|BS", a, b);
+            prop_assert_eq!(l.arena.resolve(id), cast_to_space(&a, p, &b));
+        }
+    }
+
+    /// The one-pass term lowering gives the two-stage code block node
+    /// for node (coercion ids, names and operands included) on
+    /// generated λB programs, in shared arenas, whichever runs first.
+    #[test]
+    fn direct_term_lowering_matches_two_stage(seed in any::<u64>()) {
+        let mut gen = Gen::new(seed);
+        let mut l = Lowerings::default();
+        for i in 0..4 {
+            let ty = gen.ty(2);
+            let term = bterm::compile(&gen.term_b(&ty, 4), &mut l.types);
+            let (direct, reference) = if i % 2 == 0 {
+                let direct = term_b_to_s_compiled(&term, &mut l.types, &mut l.arena);
+                (direct, l.two_stage(&term))
+            } else {
+                let reference = l.two_stage(&term);
+                (term_b_to_s_compiled(&term, &mut l.types, &mut l.arena), reference)
+            };
+            prop_assert_eq!(&direct, &reference);
         }
     }
 

@@ -61,14 +61,13 @@ fn shared_session_runs_agree_with_fresh_sessions() {
     }
     assert!(checked >= 150, "property exercised only {checked} runs");
     // The shared session actually shared: across 64 generated
-    // programs, repeated coercions are answered either by the |·|CS
-    // normalisation memo (before they ever reach the space arena) or
-    // by the hash-consing index — together they must answer more
-    // probes than there are distinct nodes.
+    // programs, repeated coercions are answered by the hash-consing
+    // index — it must answer more probes than there are distinct
+    // nodes.
     let stats = shared.stats();
     assert_eq!(stats.programs, 64);
     assert!(
-        stats.normalizer.hits + stats.coercions.node_hits > stats.coercions.nodes as u64,
+        stats.coercions.node_hits > stats.coercions.nodes as u64,
         "sharing left no trace in the stats: {stats:?}"
     );
 }
@@ -119,8 +118,8 @@ fn warm_recompile_and_run_is_allocation_free_end_to_end() {
     // The allocation-free-pipeline acceptance criterion: in a warm
     // session, recompiling and re-running a structurally similar
     // program performs zero tree allocations end to end — zero type
-    // interns, zero coercion interns (tree or node), zero λC coercion
-    // interns, zero |·|CS normalisations, and zero Rc term trees
+    // interns, zero coercion interns (tree or node), every coercion
+    // answered by the hash-consing index, and zero Rc term trees
     // built — all asserted by counters.
     let source = |n: i64| {
         format!(
@@ -135,7 +134,7 @@ fn warm_recompile_and_run_is_allocation_free_end_to_end() {
     session.run(&p, Engine::MachineS).expect("runs");
     session.run(&p, Engine::LambdaS).expect("runs");
     let warm = session.stats();
-    assert!(warm.coercions.nodes > 0 && warm.lambda_c_nodes > 0);
+    assert!(warm.coercions.nodes > 0);
     assert_eq!(
         warm.tree_builds, 0,
         "even the cold compiled path must build no term tree"
@@ -152,12 +151,11 @@ fn warm_recompile_and_run_is_allocation_free_end_to_end() {
     let after = session.stats();
     assert_eq!(after.type_nodes, warm.type_nodes, "type interns");
     assert_eq!(after.coercions.nodes, warm.coercions.nodes, "coercions");
-    assert_eq!(after.lambda_c_nodes, warm.lambda_c_nodes, "λC coercions");
     assert_eq!(
-        after.normalizer.misses, warm.normalizer.misses,
-        "warm |·|CS must be answered entirely from the memo"
+        after.coercions.node_misses, warm.coercions.node_misses,
+        "warm lowering must be answered entirely by the hash-consing index"
     );
-    assert!(after.normalizer.hits > warm.normalizer.hits);
+    assert!(after.coercions.node_hits > warm.coercions.node_hits);
     assert_eq!(
         after.type_queries.misses, warm.type_queries.misses,
         "warm front end must compute no new relational verdicts"
