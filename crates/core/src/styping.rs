@@ -213,8 +213,7 @@ fn gnode_representative(
 ///
 /// Returns the same [`TypeError`] the tree checker
 /// [`crate::typing::type_of`] reports on the decompiled term (tree
-/// types in errors are resolved through the arena's shared-resolve
-/// memo).
+/// types in errors are resolved from the arena).
 ///
 /// # Panics
 ///
@@ -262,7 +261,7 @@ pub fn type_of_interned_in(
                     let found = type_of_interned_in(env, arg, arena, types)?;
                     return Err(TypeError::Mismatch {
                         expected: param.ty(),
-                        found: types.resolve_shared(found),
+                        found: types.resolve(found),
                         context: "operator argument",
                     });
                 }
@@ -284,13 +283,13 @@ pub fn type_of_interned_in(
                         Ok(cod)
                     } else {
                         Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(dom),
-                            found: types.resolve_shared(mt),
+                            expected: types.resolve(dom),
+                            found: types.resolve(mt),
                             context: "function argument",
                         })
                     }
                 }
-                _ => Err(TypeError::NotAFunction(types.resolve_shared(lt))),
+                _ => Err(TypeError::NotAFunction(types.resolve(lt))),
             }
         }
         STerm::Coerce(m, s) => {
@@ -301,8 +300,8 @@ pub fn type_of_interned_in(
                         Ok(tgt)
                     } else {
                         Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(src),
-                            found: types.resolve_shared(mt),
+                            expected: types.resolve(src),
+                            found: types.resolve(mt),
                             context: "coercion source",
                         })
                     }
@@ -313,7 +312,7 @@ pub fn type_of_interned_in(
                         Ok(tgt)
                     } else {
                         Err(TypeError::BadCoercion {
-                            subject: types.resolve_shared(mt),
+                            subject: types.resolve(mt),
                             coercion: arena.display(*s),
                         })
                     }
@@ -327,7 +326,7 @@ pub fn type_of_interned_in(
                 let ct = type_of_interned_in(env, cond, arena, types)?;
                 return Err(TypeError::Mismatch {
                     expected: Type::BOOL,
-                    found: types.resolve_shared(ct),
+                    found: types.resolve(ct),
                     context: "if condition",
                 });
             }
@@ -339,8 +338,8 @@ pub fn type_of_interned_in(
                 Ok(et)
             } else {
                 Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(tt),
-                    found: types.resolve_shared(et),
+                    expected: types.resolve(tt),
+                    found: types.resolve(et),
                     context: "if branches",
                 })
             }
@@ -368,8 +367,8 @@ pub fn type_of_interned_in(
                 env.pop();
                 if !ok {
                     return Err(TypeError::Mismatch {
-                        expected: types.resolve_shared(*cod),
-                        found: types.resolve_shared(bt),
+                        expected: types.resolve(*cod),
+                        found: types.resolve(bt),
                         context: "fix body",
                     });
                 }

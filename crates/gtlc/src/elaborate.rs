@@ -63,44 +63,6 @@ impl Program {
     }
 }
 
-/// The result of elaborating a GTLC program against a shared
-/// [`TypeArena`] — the interned counterpart of [`Program`], produced
-/// by [`elaborate_in`].
-///
-/// The λB term is the same tree [`elaborate`] produces (λB is the
-/// exchange format downstream translations consume); the program type
-/// is an arena handle, and every type the elaboration touched is
-/// interned in the arena the caller passed, so a warm arena makes a
-/// structurally similar recompile intern nothing.
-#[derive(Debug, Clone)]
-pub struct ProgramI {
-    /// The compiled λB term.
-    pub term: Term,
-    /// The type of the whole program, interned in the caller's arena.
-    pub ty: TypeId,
-    /// Maps each inserted blame label id to the source span of the
-    /// expression whose implicit conversion it guards.
-    pub blame_spans: HashMap<u32, Span>,
-}
-
-impl ProgramI {
-    /// Renders a blame label as a source diagnostic, if the label was
-    /// introduced by this program's elaboration.
-    pub fn explain_blame(&self, label: bc_syntax::Label, source: &str) -> Option<String> {
-        explain_blame_at(&self.blame_spans, label, source)
-    }
-
-    /// Resolves the program type and converts to the tree-typed
-    /// [`Program`] (the exchange form).
-    pub fn into_program(self, types: &mut TypeArena) -> Program {
-        Program {
-            term: self.term,
-            ty: types.resolve_shared(self.ty),
-            blame_spans: self.blame_spans,
-        }
-    }
-}
-
 /// Elaborates a surface expression into λB, checking gradual typing
 /// and inserting casts.
 ///
@@ -330,281 +292,8 @@ impl Context {
     }
 }
 
-/// Elaborates a surface expression into λB against a caller-owned
-/// [`TypeArena`]: the interned fast path of [`elaborate`].
-///
-/// The inference environment holds [`TypeId`]s, every consistency
-/// check goes through the arena's memoized [`TypeArena::compatible`],
-/// and the conditional join runs on ids ([`TypeArena::join`]) — no
-/// structural type equality anywhere, and repeated types cost no fresh
-/// `Rc` spine (tree annotations on the emitted term are materialised
-/// through the arena's shared-resolve memo). Agreement with
-/// [`elaborate`] — same term, same type, same blame spans, same
-/// diagnostics on ill-typed input — is validated by property test.
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] on inconsistent types, unbound variables,
-/// or applications of non-functions — byte-identical to the one
-/// [`elaborate`] produces.
-pub fn elaborate_in(expr: &Expr, types: &mut TypeArena) -> Result<ProgramI, Diagnostic> {
-    let mut cx = ContextI {
-        labels: LabelSupply::new(),
-        blame_spans: HashMap::new(),
-        env: Vec::new(),
-        types,
-    };
-    let (term, ty) = cx.infer(expr)?;
-    Ok(ProgramI {
-        term,
-        ty,
-        blame_spans: cx.blame_spans,
-    })
-}
-
-/// The interned elaboration context: [`Context`] with the environment
-/// and all comparisons on [`TypeId`]s.
-struct ContextI<'a> {
-    labels: LabelSupply,
-    blame_spans: HashMap<u32, Span>,
-    env: Vec<(Name, TypeId)>,
-    types: &'a mut TypeArena,
-}
-
-impl ContextI<'_> {
-    /// Wraps `term : from` in a cast to `to` (a no-op when the ids are
-    /// equal — hash-consing canonicity makes that the structural
-    /// equality of the tree elaborator), recording the span for blame
-    /// reporting.
-    fn coerce(&mut self, term: Term, from: TypeId, to: TypeId, span: Span) -> Term {
-        if from == to {
-            return term;
-        }
-        debug_assert!(
-            self.types.compatible(from, to),
-            "coerce on inconsistent types"
-        );
-        let label = self.labels.fresh();
-        self.blame_spans.insert(label.id(), span);
-        let source = self.types.resolve_shared(from);
-        let target = self.types.resolve_shared(to);
-        term.cast(source, label, target)
-    }
-
-    fn lookup(&self, name: &str) -> Option<TypeId> {
-        self.env
-            .iter()
-            .rev()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, t)| *t)
-    }
-
-    fn infer(&mut self, expr: &Expr) -> Result<(Term, TypeId), Diagnostic> {
-        match &expr.kind {
-            ExprKind::Int(n) => Ok((Term::int(*n), self.types.base(BaseType::Int))),
-            ExprKind::Bool(b) => Ok((Term::bool(*b), self.types.base(BaseType::Bool))),
-            ExprKind::Var(x) => match self.lookup(x) {
-                Some(t) => Ok((Term::Var(Name::from(x.as_str())), t)),
-                None => Err(Diagnostic::new(
-                    format!("unbound variable `{x}`"),
-                    expr.span,
-                )),
-            },
-            ExprKind::Lam { param, ty, body } => {
-                let tid = self.types.intern(ty);
-                self.env.push((Name::from(param.as_str()), tid));
-                let result = self.infer(body);
-                self.env.pop();
-                let (bt, b_ty) = result?;
-                Ok((
-                    Term::Lam(Name::from(param.as_str()), ty.clone(), bt.into()),
-                    self.types.fun(tid, b_ty),
-                ))
-            }
-            ExprKind::App(fun, arg) => {
-                let (ft, f_ty) = self.infer(fun)?;
-                let (at, a_ty) = self.infer(arg)?;
-                match self.types.node(f_ty) {
-                    // Applying a dynamic value: cast it to ? → ? and
-                    // inject the argument.
-                    TNode::Dyn => {
-                        let dyn_id = self.types.dyn_ty();
-                        let dyn_fun = self.types.fun(dyn_id, dyn_id);
-                        let ft = self.coerce(ft, dyn_id, dyn_fun, fun.span);
-                        let at = self.coerce(at, a_ty, dyn_id, arg.span);
-                        Ok((ft.app(at), dyn_id))
-                    }
-                    TNode::Fun(dom, cod) => {
-                        if !self.types.compatible(a_ty, dom) {
-                            return Err(Diagnostic::new(
-                                format!(
-                                    "this argument has type `{}`, but the function expects `{}`",
-                                    self.types.display(a_ty),
-                                    self.types.display(dom)
-                                ),
-                                arg.span,
-                            ));
-                        }
-                        let at = self.coerce(at, a_ty, dom, arg.span);
-                        Ok((ft.app(at), cod))
-                    }
-                    TNode::Base(_) => Err(Diagnostic::new(
-                        format!("cannot call a value of type `{}`", self.types.display(f_ty)),
-                        fun.span,
-                    )),
-                }
-            }
-            ExprKind::Prim(op, args) => {
-                let (params, result) = op.signature();
-                debug_assert_eq!(params.len(), args.len(), "parser arity mismatch");
-                let mut terms = Vec::with_capacity(args.len());
-                for (param, arg) in params.iter().zip(args) {
-                    let (at, a_ty) = self.infer(arg)?;
-                    let param_id = self.types.base(*param);
-                    if !self.types.compatible(a_ty, param_id) {
-                        return Err(Diagnostic::new(
-                            format!(
-                                "operator `{op}` expects `{}`, but this has type `{}`",
-                                param.ty(),
-                                self.types.display(a_ty)
-                            ),
-                            arg.span,
-                        ));
-                    }
-                    terms.push(self.coerce(at, a_ty, param_id, arg.span));
-                }
-                Ok((Term::Op(*op, terms), self.types.base(result)))
-            }
-            ExprKind::If(cond, then_, else_) => {
-                let (ct, c_ty) = self.infer(cond)?;
-                let bool_id = self.types.base(BaseType::Bool);
-                if !self.types.compatible(c_ty, bool_id) {
-                    return Err(Diagnostic::new(
-                        format!(
-                            "the condition has type `{}`, expected `Bool`",
-                            self.types.display(c_ty)
-                        ),
-                        cond.span,
-                    ));
-                }
-                let ct = self.coerce(ct, c_ty, bool_id, cond.span);
-                let (tt, t_ty) = self.infer(then_)?;
-                let (et, e_ty) = self.infer(else_)?;
-                let joined = self.types.join(t_ty, e_ty).ok_or_else(|| {
-                    Diagnostic::new(
-                        format!(
-                            "branches have inconsistent types `{}` and `{}`",
-                            self.types.display(t_ty),
-                            self.types.display(e_ty)
-                        ),
-                        expr.span,
-                    )
-                })?;
-                let tt = self.coerce(tt, t_ty, joined, then_.span);
-                let et = self.coerce(et, e_ty, joined, else_.span);
-                Ok((Term::If(ct.into(), tt.into(), et.into()), joined))
-            }
-            ExprKind::Let {
-                name,
-                ty,
-                bound,
-                body,
-            } => {
-                let (bt, b_ty) = self.infer(bound)?;
-                let (bt, bind_ty) = match ty {
-                    Some(annot) => {
-                        let annot_id = self.types.intern(annot);
-                        if !self.types.compatible(b_ty, annot_id) {
-                            return Err(Diagnostic::new(
-                                format!(
-                                    "`{name}` is annotated `{annot}` but bound to a value of type `{}`",
-                                    self.types.display(b_ty)
-                                ),
-                                bound.span,
-                            ));
-                        }
-                        (self.coerce(bt, b_ty, annot_id, bound.span), annot_id)
-                    }
-                    None => (bt, b_ty),
-                };
-                self.env.push((Name::from(name.as_str()), bind_ty));
-                let result = self.infer(body);
-                self.env.pop();
-                let (nt, n_ty) = result?;
-                Ok((
-                    Term::Let(Name::from(name.as_str()), bt.into(), nt.into()),
-                    n_ty,
-                ))
-            }
-            ExprKind::Letrec {
-                name,
-                param,
-                param_ty,
-                result_ty,
-                fun_body,
-                body,
-            } => {
-                let param_id = self.types.intern(param_ty);
-                let result_id = self.types.intern(result_ty);
-                let fun_id = self.types.fun(param_id, result_id);
-                self.env.push((Name::from(name.as_str()), fun_id));
-                self.env.push((Name::from(param.as_str()), param_id));
-                let fun_result = self.infer(fun_body);
-                self.env.pop();
-                let (ft, f_ty) = match fun_result {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.env.pop();
-                        return Err(e);
-                    }
-                };
-                if !self.types.compatible(f_ty, result_id) {
-                    self.env.pop();
-                    return Err(Diagnostic::new(
-                        format!(
-                            "`{name}` is declared to return `{result_ty}` but its body has type `{}`",
-                            self.types.display(f_ty)
-                        ),
-                        fun_body.span,
-                    ));
-                }
-                let ft = self.coerce(ft, f_ty, result_id, fun_body.span);
-                let fix = Term::Fix(
-                    Name::from(name.as_str()),
-                    Name::from(param.as_str()),
-                    param_ty.clone(),
-                    result_ty.clone(),
-                    ft.into(),
-                );
-                // `name` is still bound (to the function) in the body.
-                let result = self.infer(body);
-                self.env.pop();
-                let (nt, n_ty) = result?;
-                Ok((
-                    Term::Let(Name::from(name.as_str()), fix.into(), nt.into()),
-                    n_ty,
-                ))
-            }
-            ExprKind::Ascribe(inner, ty) => {
-                let (it, i_ty) = self.infer(inner)?;
-                let tid = self.types.intern(ty);
-                if !self.types.compatible(i_ty, tid) {
-                    return Err(Diagnostic::new(
-                        format!(
-                            "cannot ascribe type `{ty}` to a value of type `{}`",
-                            self.types.display(i_ty)
-                        ),
-                        expr.span,
-                    ));
-                }
-                Ok((self.coerce(it, i_ty, tid, expr.span), tid))
-            }
-        }
-    }
-}
-
 /// The result of elaborating a GTLC program straight to the compiled
-/// λB IR: the allocation-free counterpart of [`ProgramI`], produced by
+/// λB IR: the interned counterpart of [`Program`], produced by
 /// [`elaborate_compiled`] from an already-interned [`ExprI`].
 ///
 /// No `Rc<Type>` spine and no `Rc<Term>` tree is built anywhere on
@@ -663,8 +352,9 @@ pub fn elaborate_compiled(expr: &ExprI, types: &mut TypeArena) -> Result<Program
     })
 }
 
-/// The compiled elaboration context: [`ContextI`] emitting [`BTerm`]
-/// instead of tree terms, with annotations pre-interned by the parser.
+/// The compiled elaboration context: [`Context`] with the environment
+/// and every judgment on [`TypeId`]s, emitting [`BTerm`] instead of
+/// tree terms, with annotations pre-interned by the parser.
 struct ContextC<'a> {
     labels: LabelSupply,
     blame_spans: HashMap<u32, Span>,
@@ -674,9 +364,8 @@ struct ContextC<'a> {
 
 impl ContextC<'_> {
     /// Wraps `term : from` in a cast to `to` (a no-op when the ids are
-    /// equal), recording the span for blame reporting. Unlike
-    /// [`ContextI::coerce`] this never resolves an id to a tree — the
-    /// cast node carries the ids themselves.
+    /// equal), recording the span for blame reporting. The cast node
+    /// carries the ids themselves; no id is resolved to a tree.
     fn coerce(&mut self, term: BTerm, from: TypeId, to: TypeId, span: Span) -> BTerm {
         if from == to {
             return term;

@@ -42,7 +42,7 @@ pub mod parser;
 pub mod token;
 
 pub use diagnostics::{Diagnostic, Span};
-pub use elaborate::{elaborate, elaborate_compiled, elaborate_in, Program, ProgramC, ProgramI};
+pub use elaborate::{elaborate, elaborate_compiled, Program, ProgramC};
 
 /// Parses and elaborates a GTLC source program into a λB term.
 ///
@@ -54,22 +54,6 @@ pub fn compile(source: &str) -> Result<Program, Diagnostic> {
     let tokens = lexer::lex(source)?;
     let expr = parser::parse(&tokens)?;
     elaborate(&expr)
-}
-
-/// [`compile`] against a caller-owned [`bc_syntax::TypeArena`]: the
-/// type checker's environment, consistency checks, and joins all run
-/// on interned [`bc_syntax::TypeId`]s, so a warm arena answers every
-/// repeated question from its memo tables and a structurally similar
-/// recompile interns no new type nodes.
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] (with source span) on lexical, syntactic,
-/// or type errors — identical to the one [`compile`] produces.
-pub fn compile_in(source: &str, types: &mut bc_syntax::TypeArena) -> Result<ProgramI, Diagnostic> {
-    let tokens = lexer::lex(source)?;
-    let expr = parser::parse(&tokens)?;
-    elaborate_in(&expr, types)
 }
 
 /// The allocation-free front end: annotations are interned *at parse

@@ -26,9 +26,9 @@
 //!
 //! [`compile`] and [`decompile`] convert between the tree and compiled
 //! forms (`decompile ∘ compile = id`, pinned by property test), and
-//! [`type_of_compiled`] is the PR-4 interned checker retargeted to
-//! check the compiled form *in place* — no tree is ever built on the
-//! checking path.
+//! [`type_of_compiled`] checks the compiled form *in place* on
+//! interned ids — no tree is ever built on the checking path except
+//! the types a [`TypeError`] reports.
 //!
 //! [`Session::adopt`]: https://docs.rs/-/-/ (see `blame-coercion` session docs)
 
@@ -176,7 +176,7 @@ pub fn decompile(term: &BTerm, types: &TypeArena) -> Term {
 /// Agrees with [`type_of`](crate::type_of) on the decompiled tree:
 /// same verdict, `types.resolve(id)` of the result is the tree type,
 /// and errors carry the same [`TypeError`] (tree types in errors are
-/// resolved through the arena's shared-resolve memo).
+/// resolved from the arena).
 ///
 /// # Errors
 ///
@@ -217,7 +217,7 @@ pub fn type_of_compiled_in(
                 if found != types.base(*param) {
                     return Err(TypeError::Mismatch {
                         expected: param.ty(),
-                        found: types.resolve_shared(found),
+                        found: types.resolve(found),
                         context: "operator argument",
                     });
                 }
@@ -239,28 +239,28 @@ pub fn type_of_compiled_in(
                         Ok(cod)
                     } else {
                         Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(dom),
-                            found: types.resolve_shared(mt),
+                            expected: types.resolve(dom),
+                            found: types.resolve(mt),
                             context: "function argument",
                         })
                     }
                 }
-                _ => Err(TypeError::NotAFunction(types.resolve_shared(lt))),
+                _ => Err(TypeError::NotAFunction(types.resolve(lt))),
             }
         }
         BTerm::Cast(m, source, _, target) => {
             let mt = type_of_compiled_in(env, m, types)?;
             if mt != *source {
                 return Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(*source),
-                    found: types.resolve_shared(mt),
+                    expected: types.resolve(*source),
+                    found: types.resolve(mt),
                     context: "cast source",
                 });
             }
             if !types.compatible(*source, *target) {
                 return Err(TypeError::Incompatible(
-                    types.resolve_shared(*source),
-                    types.resolve_shared(*target),
+                    types.resolve(*source),
+                    types.resolve(*target),
                 ));
             }
             Ok(*target)
@@ -271,7 +271,7 @@ pub fn type_of_compiled_in(
             if ct != types.base(bc_syntax::BaseType::Bool) {
                 return Err(TypeError::Mismatch {
                     expected: Type::BOOL,
-                    found: types.resolve_shared(ct),
+                    found: types.resolve(ct),
                     context: "if condition",
                 });
             }
@@ -279,8 +279,8 @@ pub fn type_of_compiled_in(
             let et = type_of_compiled_in(env, else_, types)?;
             if tt != et {
                 return Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(tt),
-                    found: types.resolve_shared(et),
+                    expected: types.resolve(tt),
+                    found: types.resolve(et),
                     context: "if branches",
                 });
             }
@@ -303,8 +303,8 @@ pub fn type_of_compiled_in(
             let bt = bt?;
             if bt != *cod {
                 return Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(*cod),
-                    found: types.resolve_shared(bt),
+                    expected: types.resolve(*cod),
+                    found: types.resolve(bt),
                     context: "fix body",
                 });
             }

@@ -48,4 +48,4 @@ pub mod typing;
 
 pub use bterm::{type_of_compiled, BTerm};
 pub use term::{Cast, Term};
-pub use typing::{type_of, type_of_interned, TypeError};
+pub use typing::{type_of, TypeError};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bc_syntax::{Name, TNode, Type, TypeArena, TypeId};
+use bc_syntax::{Name, Type};
 
 use crate::term::Term;
 
@@ -222,157 +222,6 @@ pub fn type_of_in(env: &mut TypeEnv, term: &Term) -> Result<Type, TypeError> {
                 });
             }
             Ok(fun_ty)
-        }
-    }
-}
-
-/// Computes the type of a closed term against a caller-owned
-/// [`TypeArena`]: the interned fast path of [`type_of`].
-///
-/// Every annotation is interned once (idempotent in a warm arena),
-/// the environment holds [`TypeId`]s, and every comparison the tree
-/// checker does structurally — argument against domain, branch
-/// against branch, cast source against subject — is an O(1) id
-/// equality; cast well-formedness goes through the arena's memoized
-/// [`TypeArena::compatible`]. Agreement with [`type_of`] (same
-/// verdict, same resolved type, same [`TypeError`]) is validated by
-/// property test.
-///
-/// # Errors
-///
-/// Returns the same [`TypeError`] [`type_of`] would (tree types in
-/// errors are resolved through the arena's shared-resolve memo).
-pub fn type_of_interned(term: &Term, types: &mut TypeArena) -> Result<TypeId, TypeError> {
-    type_of_interned_in(&mut Vec::new(), term, types)
-}
-
-/// Computes the type of a term in an interned environment:
-/// `Γ ⊢B M : A` on [`TypeId`]s.
-///
-/// # Errors
-///
-/// See [`type_of_interned`].
-pub fn type_of_interned_in(
-    env: &mut Vec<(Name, TypeId)>,
-    term: &Term,
-    types: &mut TypeArena,
-) -> Result<TypeId, TypeError> {
-    match term {
-        Term::Const(k) => Ok(types.base(k.base_type())),
-        Term::Var(x) => env
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| *t)
-            .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
-        Term::Op(op, args) => {
-            let (params, result) = op.signature();
-            if params.len() != args.len() {
-                return Err(TypeError::OpArity {
-                    op: op.name(),
-                    expected: params.len(),
-                    found: args.len(),
-                });
-            }
-            for (param, arg) in params.iter().zip(args) {
-                let found = type_of_interned_in(env, arg, types)?;
-                if found != types.base(*param) {
-                    return Err(TypeError::Mismatch {
-                        expected: param.ty(),
-                        found: types.resolve_shared(found),
-                        context: "operator argument",
-                    });
-                }
-            }
-            Ok(types.base(result))
-        }
-        Term::Lam(x, dom, body) => {
-            let dom_id = types.intern(dom);
-            env.push((x.clone(), dom_id));
-            let cod = type_of_interned_in(env, body, types);
-            env.pop();
-            Ok(types.fun(dom_id, cod?))
-        }
-        Term::App(l, m) => {
-            let lt = type_of_interned_in(env, l, types)?;
-            let mt = type_of_interned_in(env, m, types)?;
-            match types.node(lt) {
-                TNode::Fun(dom, cod) => {
-                    if dom == mt {
-                        Ok(cod)
-                    } else {
-                        Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(dom),
-                            found: types.resolve_shared(mt),
-                            context: "function argument",
-                        })
-                    }
-                }
-                _ => Err(TypeError::NotAFunction(types.resolve_shared(lt))),
-            }
-        }
-        Term::Cast(m, c) => {
-            let mt = type_of_interned_in(env, m, types)?;
-            let source = types.intern(&c.source);
-            if mt != source {
-                return Err(TypeError::Mismatch {
-                    expected: c.source.clone(),
-                    found: types.resolve_shared(mt),
-                    context: "cast source",
-                });
-            }
-            let target = types.intern(&c.target);
-            if !types.compatible(source, target) {
-                return Err(TypeError::Incompatible(c.source.clone(), c.target.clone()));
-            }
-            Ok(target)
-        }
-        Term::Blame(_, ty) => Ok(types.intern(ty)),
-        Term::If(cond, then_, else_) => {
-            let ct = type_of_interned_in(env, cond, types)?;
-            if ct != types.base(bc_syntax::BaseType::Bool) {
-                return Err(TypeError::Mismatch {
-                    expected: Type::BOOL,
-                    found: types.resolve_shared(ct),
-                    context: "if condition",
-                });
-            }
-            let tt = type_of_interned_in(env, then_, types)?;
-            let et = type_of_interned_in(env, else_, types)?;
-            if tt != et {
-                return Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(tt),
-                    found: types.resolve_shared(et),
-                    context: "if branches",
-                });
-            }
-            Ok(tt)
-        }
-        Term::Let(x, m, n) => {
-            let mt = type_of_interned_in(env, m, types)?;
-            env.push((x.clone(), mt));
-            let nt = type_of_interned_in(env, n, types);
-            env.pop();
-            nt
-        }
-        Term::Fix(f, x, dom, cod, body) => {
-            let dom_id = types.intern(dom);
-            let cod_id = types.intern(cod);
-            let fun_id = types.fun(dom_id, cod_id);
-            env.push((f.clone(), fun_id));
-            env.push((x.clone(), dom_id));
-            let bt = type_of_interned_in(env, body, types);
-            env.pop();
-            env.pop();
-            let bt = bt?;
-            if bt != cod_id {
-                return Err(TypeError::Mismatch {
-                    expected: cod.clone(),
-                    found: types.resolve_shared(bt),
-                    context: "fix body",
-                });
-            }
-            Ok(fun_id)
         }
     }
 }

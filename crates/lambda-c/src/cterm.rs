@@ -216,7 +216,7 @@ pub fn type_of_compiled_in(
                     let found = type_of_compiled_in(env, arg, arena, types)?;
                     return Err(TypeError::Mismatch {
                         expected: param.ty(),
-                        found: types.resolve_shared(found),
+                        found: types.resolve(found),
                         context: "operator argument",
                     });
                 }
@@ -238,13 +238,13 @@ pub fn type_of_compiled_in(
                         Ok(cod)
                     } else {
                         Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(dom),
-                            found: types.resolve_shared(mt),
+                            expected: types.resolve(dom),
+                            found: types.resolve(mt),
                             context: "function argument",
                         })
                     }
                 }
-                _ => Err(TypeError::NotAFunction(types.resolve_shared(lt))),
+                _ => Err(TypeError::NotAFunction(types.resolve(lt))),
             }
         }
         CTerm::Coerce(m, c) => {
@@ -255,8 +255,8 @@ pub fn type_of_compiled_in(
                     Ok(tgt)
                 } else {
                     Err(TypeError::Mismatch {
-                        expected: types.resolve_shared(src),
-                        found: types.resolve_shared(mt),
+                        expected: types.resolve(src),
+                        found: types.resolve(mt),
                         context: "coercion source",
                     })
                 }
@@ -271,7 +271,7 @@ pub fn type_of_compiled_in(
                     Ok(tgt)
                 } else {
                     Err(TypeError::BadCoercion {
-                        subject: types.resolve_shared(mt),
+                        subject: types.resolve(mt),
                         coercion: tree.to_string(),
                     })
                 }
@@ -284,7 +284,7 @@ pub fn type_of_compiled_in(
                 let ct = type_of_compiled_in(env, cond, arena, types)?;
                 return Err(TypeError::Mismatch {
                     expected: Type::BOOL,
-                    found: types.resolve_shared(ct),
+                    found: types.resolve(ct),
                     context: "if condition",
                 });
             }
@@ -296,8 +296,8 @@ pub fn type_of_compiled_in(
                 Ok(et)
             } else {
                 Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(tt),
-                    found: types.resolve_shared(et),
+                    expected: types.resolve(tt),
+                    found: types.resolve(et),
                     context: "if branches",
                 })
             }
@@ -325,8 +325,8 @@ pub fn type_of_compiled_in(
                 env.pop();
                 if !ok {
                     return Err(TypeError::Mismatch {
-                        expected: types.resolve_shared(*cod),
-                        found: types.resolve_shared(bt),
+                        expected: types.resolve(*cod),
+                        found: types.resolve(bt),
                         context: "fix body",
                     });
                 }

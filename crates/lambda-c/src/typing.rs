@@ -376,7 +376,7 @@ pub fn type_of_interned_in(
                     let found = type_of_interned_in(env, arg, types)?;
                     return Err(TypeError::Mismatch {
                         expected: param.ty(),
-                        found: types.resolve_shared(found),
+                        found: types.resolve(found),
                         context: "operator argument",
                     });
                 }
@@ -399,13 +399,13 @@ pub fn type_of_interned_in(
                         Ok(cod)
                     } else {
                         Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(dom),
-                            found: types.resolve_shared(mt),
+                            expected: types.resolve(dom),
+                            found: types.resolve(mt),
                             context: "function argument",
                         })
                     }
                 }
-                _ => Err(TypeError::NotAFunction(types.resolve_shared(lt))),
+                _ => Err(TypeError::NotAFunction(types.resolve(lt))),
             }
         }
         Term::Coerce(m, c) => {
@@ -416,8 +416,8 @@ pub fn type_of_interned_in(
                         Ok(tgt)
                     } else {
                         Err(TypeError::Mismatch {
-                            expected: types.resolve_shared(src),
-                            found: types.resolve_shared(mt),
+                            expected: types.resolve(src),
+                            found: types.resolve(mt),
                             context: "coercion source",
                         })
                     }
@@ -431,7 +431,7 @@ pub fn type_of_interned_in(
                         Ok(tgt)
                     } else {
                         Err(TypeError::BadCoercion {
-                            subject: types.resolve_shared(mt),
+                            subject: types.resolve(mt),
                             coercion: c.to_string(),
                         })
                     }
@@ -445,7 +445,7 @@ pub fn type_of_interned_in(
                 let ct = type_of_interned_in(env, cond, types)?;
                 return Err(TypeError::Mismatch {
                     expected: Type::BOOL,
-                    found: types.resolve_shared(ct),
+                    found: types.resolve(ct),
                     context: "if condition",
                 });
             }
@@ -457,8 +457,8 @@ pub fn type_of_interned_in(
                 Ok(et)
             } else {
                 Err(TypeError::Mismatch {
-                    expected: types.resolve_shared(tt),
-                    found: types.resolve_shared(et),
+                    expected: types.resolve(tt),
+                    found: types.resolve(et),
                     context: "if branches",
                 })
             }
@@ -489,7 +489,7 @@ pub fn type_of_interned_in(
                 if !ok {
                     return Err(TypeError::Mismatch {
                         expected: cod.clone(),
-                        found: types.resolve_shared(bt),
+                        found: types.resolve(bt),
                         context: "fix body",
                     });
                 }

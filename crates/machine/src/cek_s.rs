@@ -804,7 +804,7 @@ mod tests {
 
     #[test]
     fn compiled_path_performs_zero_reinterning() {
-        // THE acceptance criterion of the compiled IR: once a program
+        // The compiled IR's defining property: once a program
         // is compiled, boundary crossings intern nothing — 512 loop
         // iterations, zero tree interns, and (warm) zero new nodes.
         let mut ctx = bc_core::CompileCtx::new();

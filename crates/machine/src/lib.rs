@@ -18,8 +18,9 @@
 //!
 //! Every machine reports [`metrics::Metrics`]: peak continuation
 //! depth, peak number of cast/coercion frames, and peak total size of
-//! coercions held by the continuation. The `space` benchmark and
-//! EXPERIMENTS.md table E15 are generated from these numbers.
+//! coercions held by the continuation. The `space_efficiency` example
+//! prints the space series from these numbers, and the `space_series`
+//! test checks it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Property tests for the abstract machines: agreement with the
 //! substitution-based small-step semantics on random well-typed
-//! programs, and the space bound of the λS machine (E15/E21).
+//! programs, and the space bound of the λS machine.
 
 use bc_machine::{cek_b, cek_c, cek_s};
 use bc_testkit::Gen;
@@ -62,21 +62,40 @@ proptest! {
     }
 }
 
-/// The headline bound, swept: λS machine space is flat in n while the
-/// λB machine grows linearly.
+/// The headline bound, swept at the space table's scale: λS machine
+/// space is flat in n while λB's cast frames and λC's coercion frames
+/// grow linearly, and all three machines agree on the outcome at
+/// every n.
 #[test]
 fn space_series() {
+    let ns = [4i64, 16, 64, 256, 1024, 4096];
     let mut b_frames = Vec::new();
+    let mut c_frames = Vec::new();
     let mut s_frames = Vec::new();
-    for n in [8i64, 32, 128] {
+    for n in ns {
         let m = bc_lambda_b::programs::even_odd_mixed(n);
-        let ms = term_c_to_s(&term_b_to_c(&m));
-        b_frames.push(cek_b::run(&m, u64::MAX).metrics.peak_cast_frames);
-        s_frames.push(cek_s::run(&ms, u64::MAX).metrics.peak_cast_frames);
+        let mc = term_b_to_c(&m);
+        let ms = term_c_to_s(&mc);
+        let rb = cek_b::run(&m, u64::MAX);
+        let rc = cek_c::run(&mc, u64::MAX);
+        let rs = cek_s::run(&ms, u64::MAX);
+        let observed = rb.outcome.to_observation();
+        assert_eq!(observed, rc.outcome.to_observation(), "λB/λC at n = {n}");
+        assert_eq!(observed, rs.outcome.to_observation(), "λB/λS at n = {n}");
+        b_frames.push(rb.metrics.peak_cast_frames);
+        c_frames.push(rc.metrics.peak_cast_frames);
+        s_frames.push(rs.metrics.peak_cast_frames);
     }
+    for (n, frames) in ns.iter().zip(&b_frames) {
+        assert!(
+            *frames as i64 >= *n,
+            "λB leak missing at n = {n}: {b_frames:?}"
+        );
+    }
+    // λB and λC run in lockstep, cast frame for coercion frame.
+    assert_eq!(c_frames, b_frames, "λC frames diverged from λB's");
     assert!(
-        b_frames[2] > b_frames[0] + 100,
-        "λB leak missing: {b_frames:?}"
+        s_frames.iter().all(|f| *f == s_frames[0]),
+        "λS space grew: {s_frames:?}"
     );
-    assert_eq!(s_frames[0], s_frames[2], "λS space grew: {s_frames:?}");
 }

@@ -396,13 +396,6 @@ pub struct TypeArena {
     /// symmetric, so one entry serves both orders), behind the shared
     /// second-chance eviction engine.
     memo: ClockMap<(Rel, TypeId, TypeId), bool>,
-    /// Lazily materialised tree forms, one per node (spanning base
-    /// and local tiers), shared via `Rc` substructure:
-    /// [`TypeArena::resolve_shared`] builds each distinct type's tree
-    /// exactly once per arena lifetime and hands out refcount-bump
-    /// clones thereafter. Kept local even for base ids — `Rc` trees
-    /// are not shareable across threads.
-    trees: Vec<Option<Type>>,
     stats: QueryStats,
     /// Node interns answered by the frozen base index.
     base_node_hits: u64,
@@ -441,7 +434,6 @@ impl TypeArena {
             meta: Vec::new(),
             index: HashMap::default(),
             memo: ClockMap::with_capacity(capacity),
-            trees: Vec::new(),
             stats: QueryStats::default(),
             base_node_hits: 0,
         };
@@ -472,7 +464,6 @@ impl TypeArena {
             meta: Vec::new(),
             index: HashMap::default(),
             memo: ClockMap::with_capacity(memo_capacity),
-            trees: vec![None; base_len],
             stats: QueryStats::default(),
             base_node_hits: 0,
         }
@@ -686,7 +677,6 @@ impl TypeArena {
         let meta = self.compute_meta(&node);
         self.nodes.push(node);
         self.meta.push(meta);
-        self.trees.push(None);
         self.index.insert(node, id);
         id
     }
@@ -776,25 +766,6 @@ impl TypeArena {
             TNode::Dyn => Type::Dyn,
             TNode::Fun(a, b) => Type::fun(self.resolve(a), self.resolve(b)),
         }
-    }
-
-    /// [`TypeArena::resolve`] through a per-node memo: the tree form
-    /// of each distinct type is materialised once per arena lifetime
-    /// (with `Rc`-shared substructure, children through the same
-    /// memo), and every later call is a refcount-bump clone. This is
-    /// what lets the interned front-end emit tree-typed terms without
-    /// allocating a fresh `Rc` spine for every repeated annotation.
-    pub fn resolve_shared(&mut self, id: TypeId) -> Type {
-        if let Some(t) = &self.trees[id.index()] {
-            return t.clone();
-        }
-        let tree = match self.node(id) {
-            TNode::Base(b) => Type::Base(b),
-            TNode::Dyn => Type::Dyn,
-            TNode::Fun(a, b) => Type::fun(self.resolve_shared(a), self.resolve_shared(b)),
-        };
-        self.trees[id.index()] = Some(tree.clone());
-        tree
     }
 
     /// The join (least upper bound with respect to precision `<:n`) of
@@ -1249,32 +1220,6 @@ mod tests {
         TypeArena::with_memo_capacity(0);
     }
 
-    #[test]
-    fn resolve_shared_matches_resolve() {
-        let mut arena = TypeArena::new();
-        for t in sample_types(2) {
-            let id = arena.intern(&t);
-            assert_eq!(arena.resolve_shared(id), t, "first call of {t}");
-            assert_eq!(arena.resolve_shared(id), t, "memoized call of {t}");
-            assert_eq!(arena.resolve(id), arena.resolve_shared(id));
-        }
-    }
-
-    #[test]
-    fn resolve_shared_reuses_the_same_allocation() {
-        let mut arena = TypeArena::new();
-        let id = arena.intern(&Type::fun(Type::INT, Type::DYN));
-        let first = arena.resolve_shared(id);
-        let second = arena.resolve_shared(id);
-        // Same Rc spine, not merely structurally equal.
-        match (&first, &second) {
-            (Type::Fun(a, _), Type::Fun(b, _)) => {
-                assert!(std::rc::Rc::ptr_eq(a, b), "children must be shared");
-            }
-            _ => unreachable!("interned a Fun"),
-        }
-    }
-
     /// The tree-level join (precision lub), as specified by the
     /// gradual elaborator — the oracle for [`TypeArena::join`].
     fn tree_join(a: &Type, b: &Type) -> Option<Type> {
@@ -1356,8 +1301,6 @@ mod tests {
         assert_eq!(overlay.intern(&novel), id, "local canonicity");
         assert_eq!(overlay.height(id), novel.height());
         assert_eq!(overlay.size(id), novel.size());
-        // resolve_shared spans both tiers.
-        assert_eq!(overlay.resolve_shared(id), novel);
     }
 
     #[test]

@@ -387,8 +387,8 @@ impl Gen {
 /// spinners — instantiated with seed-derived constants. Constants
 /// never change the set of types or coercions a shape interns, so a
 /// pool warmed on [`sources::shapes`] serves any [`sources::mixed`]
-/// batch with **zero** local interning (the base-sharing acceptance
-/// criterion). [`sources::drifting`] is the adversarial counterpart:
+/// batch with **zero** local interning (the base-sharing
+/// guarantee). [`sources::drifting`] is the adversarial counterpart:
 /// its hot set *rotates*, introducing new type structure every K
 /// jobs — the workload live base promotion is measured against.
 pub mod sources {

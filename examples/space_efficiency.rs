@@ -2,9 +2,8 @@
 //! even/odd where `even` is typed and `odd` is dynamically typed, all
 //! calls in tail position. Casts pile up in λB/λC but merge in λS.
 //!
-//! This example regenerates the space table of EXPERIMENTS.md (E15):
-//! peak cast/coercion frames on the machine continuation as the
-//! iteration count grows. The λS column runs on the compiled term IR
+//! This example prints the space table: peak cast/coercion frames on
+//! the machine continuation as the iteration count grows. The λS column runs on the compiled term IR
 //! (`bc_core::sterm`) — the fast path the pipeline serves — and checks
 //! on every row that evaluation re-interned nothing.
 //!

@@ -12,13 +12,13 @@
 //! | [`lambda_c`] | the coercion calculus λC (Fig. 3) |
 //! | [`core`] | **λS**, the space-efficient coercion calculus (Fig. 5): the composition operator `s # t`, the hash-consing [`core::arena`] — interned `CoercionId` handles with O(1) equality and a memoizing, second-chance-evicting `ComposeCache` — and the compiled term IR [`core::sterm`] whose `Coerce` nodes are `Copy` ids |
 //! | [`translate`] | the translations `\|·\|BC`, `\|·\|CB`, `\|·\|CS` (Figs. 4, 6) — with arena-threading `*_in` variants — executable bisimulations, the Fundamental Property of Casts |
-//! | [`gtlc`] | a gradually-typed surface language: parser, gradual type checker, cast insertion — with an interned fast path (`elaborate_in`) that infers, checks consistency, and joins on `TypeId`s against a shared `TypeArena` |
+//! | [`gtlc`] | a gradually-typed surface language: parser, gradual type checker, cast insertion — with an interned path (`compile_compiled`: `parse_in` + `elaborate_compiled`) that interns annotations as it parses and infers, checks consistency, and joins on `TypeId`s against a shared `TypeArena`, emitting the compiled λB IR |
 //! | [`machine`] | CEK machines for all three calculi; the λS machine executes the compiled IR — frames hold interned coercions, merges go through the compose cache, and boundary crossings intern nothing (reported per run by `Metrics::reuse`) — running boundary-crossing tail calls in constant space |
 //! | [`baselines`] | Siek–Wadler 2010 threesomes and Garcia 2013 supercoercions (with interned-coercion erasure) |
 //!
-//! Two auxiliary crates round out the workspace: `bc-testkit` (seeded
-//! generators of well-typed workloads) and `bc-bench` (the criterion
-//! suite and the EXPERIMENTS.md report binary).
+//! An auxiliary crate rounds out the workspace: `bc-testkit` (seeded
+//! generators of well-typed workloads). The repository benchmark lives
+//! in its own package, `perfbench/`.
 //!
 //! The [`session`] module ties them together: a [`Session`] owns the
 //! coercion arena, compose cache, and type arena, and compiles source

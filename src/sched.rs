@@ -49,12 +49,12 @@ use crate::pool::{JobError, JobOutput};
 /// queue is a few pointer moves plus one counter update), and two
 /// orders of magnitude below the default 1M-step fuel, so a divergent
 /// spinner is preempted ~244 times instead of pinning its worker
-/// once. `BENCH_8.json`'s E27 fairness table measures the ends of the
-/// trade: sliced and unsliced latency on an all-convergent batch
-/// agree within noise (p50 0.52 ms vs 0.51 ms on the bench host),
-/// while the p99 latency of convergent jobs sharing one worker with
-/// four spinners drops from the spinners' full fuel burn (~206 ms)
-/// to a handful of slices (~6 ms). Shrink the budget for
+/// once. In a release-mode measurement, sliced and unsliced latency
+/// on an all-convergent batch agreed within noise (p50 0.52 ms vs
+/// 0.51 ms), while the p99 latency of convergent jobs sharing one
+/// worker with four spinners dropped from the spinners' full fuel burn
+/// (~206 ms) to a handful of slices (~6 ms); `tests/sched.rs` checks
+/// the ordering on every change. Shrink the budget for
 /// tighter preemption latency (slice 1 still satisfies the identity
 /// property — it is just all scheduling overhead); grow it toward
 /// the fuel bound to approach unsliced behaviour.

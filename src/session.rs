@@ -762,9 +762,10 @@ impl Session {
     }
 
     /// Wraps an already-built λB term, checking it against the stated
-    /// type before lowering it into the session — through the interned
-    /// λB checker ([`bc_lambda_b::type_of_interned`]), so the audit
-    /// runs on this session's warm [`TypeArena`] and the
+    /// type before lowering it into the session: the term is compiled
+    /// to the id-annotated IR ([`bc_lambda_b::bterm::compile`]) and
+    /// checked in place by [`bc_lambda_b::type_of_compiled`], so the
+    /// audit runs on this session's warm [`TypeArena`] and the
     /// stated-vs-actual comparison is an O(1) id equality.
     ///
     /// # Errors
@@ -865,7 +866,7 @@ impl Session {
         Program {
             origin,
             lambda_s_compiled,
-            ty: types.resolve_shared(ty),
+            ty: types.resolve(ty),
             ty_id: ty,
             session: self.id,
             coercion_watermark: arena.len(),
@@ -1486,7 +1487,7 @@ mod tests {
 
     #[test]
     fn programs_in_one_session_share_interned_state() {
-        // The tentpole acceptance criterion: a second structurally
+        // Shared interning: a second structurally
         // similar program (same types and casts, different constants)
         // interns nothing new in a warm session.
         let source = |n: i64| {
@@ -1863,7 +1864,7 @@ mod tests {
 
     #[test]
     fn warm_session_front_end_interns_nothing_new() {
-        // The compile-time acceptance criterion: typechecking and
+        // The compile-time guarantee: typechecking and
         // elaborating a structurally similar program against a warm
         // session interns zero new type nodes *at compile time* (no
         // run needed — the front end itself is interned).

@@ -2,21 +2,24 @@
 //! well-typed *and* ill-typed — every interned checker agrees with its
 //! tree oracle, verdict for verdict, type for type, error for error.
 //!
-//! * λB: `type_of_interned ≡ type_of`;
+//! * λB: `type_of_compiled(bterm::compile(M)) ≡ type_of(M)` — the
+//!   checker `Session` runs on loaded and compiled terms;
 //! * λC: `type_of_interned ≡ type_of` (through coercion endpoint
 //!   synthesis on ids);
 //! * λS: `styping::type_of_interned(compile_term(M)) ≡ type_of(M)` —
 //!   the machine-ready IR is checked directly, never decompiled;
-//! * GTLC: `elaborate_in ≡ elaborate` — same λB term, same type, same
+//! * GTLC: `elaborate_compiled ≡ elaborate` — `decompile` of the
+//!   compiled λB term is the tree term, with the same type, the same
 //!   blame spans, and byte-identical `Diagnostic`s on rejection.
 //!
 //! Each case runs its comparison twice against the same arena, so the
 //! warm path (every verdict a memo hit, every annotation already
 //! interned) is exercised as densely as the cold one.
 
-use bc_gtlc::ast::{Expr, ExprKind};
+use bc_gtlc::ast::{Expr, ExprI, ExprKind};
 use bc_gtlc::diagnostics::Span;
-use bc_gtlc::{elaborate, elaborate_in};
+use bc_gtlc::{elaborate, elaborate_compiled, Diagnostic, Program, ProgramC};
+use bc_lambda_b::bterm;
 use bc_syntax::{BaseType, Ground, Label, Op, Type, TypeArena};
 use bc_testkit::Gen;
 use proptest::prelude::*;
@@ -84,7 +87,8 @@ fn mangled_b(chooser: &mut Chooser, gen: &mut Gen) -> bc_lambda_b::Term {
 
 fn assert_b_equivalent(term: &bc_lambda_b::Term, types: &mut TypeArena) {
     let tree = bc_lambda_b::typing::type_of(term);
-    let interned = bc_lambda_b::typing::type_of_interned(term, types);
+    let compiled = bterm::compile(term, types);
+    let interned = bc_lambda_b::type_of_compiled(&compiled, types);
     match (tree, interned) {
         (Ok(t), Ok(id)) => assert_eq!(types.resolve(id), t, "type of {term}"),
         (Err(a), Err(b)) => assert_eq!(a, b, "error on {term}"),
@@ -292,27 +296,99 @@ impl ExprGen {
     }
 }
 
-fn assert_elaborations_equivalent(expr: &Expr, types: &mut TypeArena) {
-    let tree = elaborate(expr);
-    let interned = elaborate_in(expr, types);
-    match (tree, interned) {
-        (Ok(p), Ok(pi)) => {
-            assert_eq!(pi.term, p.term, "elaborated terms diverged");
-            assert_eq!(types.resolve(pi.ty), p.ty, "program types diverged");
-            assert_eq!(pi.blame_spans, p.blame_spans, "blame spans diverged");
+/// Interns every annotation of a tree-annotated expression: the
+/// `ExprI` the intern-at-parse parser would build for the same source.
+fn intern_expr(expr: &Expr, types: &mut TypeArena) -> ExprI {
+    let mut boxed = |e: &Expr| Box::new(intern_expr(e, types));
+    let kind = match &expr.kind {
+        ExprKind::Int(n) => ExprKind::Int(*n),
+        ExprKind::Bool(b) => ExprKind::Bool(*b),
+        ExprKind::Var(x) => ExprKind::Var(x.clone()),
+        ExprKind::Lam { param, ty, body } => ExprKind::Lam {
+            param: param.clone(),
+            body: boxed(body),
+            ty: types.intern(ty),
+        },
+        ExprKind::App(f, a) => ExprKind::App(boxed(f), boxed(a)),
+        ExprKind::Prim(op, args) => {
+            ExprKind::Prim(*op, args.iter().map(|a| intern_expr(a, types)).collect())
         }
-        (Err(a), Err(b)) => assert_eq!(a, b, "diagnostics diverged"),
-        (tree, interned) => {
-            panic!("verdicts diverged: tree {tree:?}, interned {interned:?}")
+        ExprKind::If(c, t, e) => ExprKind::If(boxed(c), boxed(t), boxed(e)),
+        ExprKind::Let {
+            name,
+            ty,
+            bound,
+            body,
+        } => ExprKind::Let {
+            name: name.clone(),
+            bound: boxed(bound),
+            body: boxed(body),
+            ty: ty.as_ref().map(|t| types.intern(t)),
+        },
+        ExprKind::Letrec {
+            name,
+            param,
+            param_ty,
+            result_ty,
+            fun_body,
+            body,
+        } => ExprKind::Letrec {
+            name: name.clone(),
+            param: param.clone(),
+            fun_body: boxed(fun_body),
+            body: boxed(body),
+            param_ty: types.intern(param_ty),
+            result_ty: types.intern(result_ty),
+        },
+        ExprKind::Ascribe(e, ty) => ExprKind::Ascribe(boxed(e), types.intern(ty)),
+    };
+    Expr::new(kind, expr.span)
+}
+
+/// The compiled elaboration agrees with the tree one: `decompile` of
+/// the λB term is the tree term, with the same type and blame spans,
+/// or the same `Diagnostic` on rejection.
+fn assert_same_elaboration(
+    tree: Result<Program, Diagnostic>,
+    compiled: Result<ProgramC, Diagnostic>,
+    types: &TypeArena,
+    what: &str,
+) {
+    match (tree, compiled) {
+        (Ok(p), Ok(pc)) => {
+            assert_eq!(
+                bterm::decompile(&pc.term, types),
+                p.term,
+                "elaborated terms diverged on {what}"
+            );
+            assert_eq!(
+                types.resolve(pc.ty),
+                p.ty,
+                "program types diverged on {what}"
+            );
+            assert_eq!(
+                pc.blame_spans, p.blame_spans,
+                "blame spans diverged on {what}"
+            );
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "diagnostics diverged on {what}"),
+        (tree, compiled) => {
+            panic!("verdicts diverged on {what}: tree {tree:?}, compiled {compiled:?}")
         }
     }
+}
+
+fn assert_elaborations_equivalent(expr: &Expr, types: &mut TypeArena) {
+    let interned = intern_expr(expr, types);
+    let compiled = elaborate_compiled(&interned, types);
+    assert_same_elaboration(elaborate(expr), compiled, types, "a generated expression");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// λB: interned checker ≡ tree checker on generated well-typed
-    /// terms, cold and warm.
+    /// λB: the compiled checker ≡ tree checker on generated
+    /// well-typed terms, cold and warm.
     #[test]
     fn lambda_b_interned_checker_agrees(seed in any::<u64>()) {
         let mut gen = Gen::new(seed);
@@ -323,8 +399,8 @@ proptest! {
         assert_b_equivalent(&term, &mut types); // warm: memo hits only
     }
 
-    /// λB: interned checker ≡ tree checker on ill-typed terms — same
-    /// `TypeError`, payload for payload.
+    /// λB: the compiled checker ≡ tree checker on ill-typed terms —
+    /// same `TypeError`, payload for payload.
     #[test]
     fn lambda_b_interned_checker_agrees_on_ill_typed(seed in any::<u64>()) {
         let mut chooser = Chooser::new(seed);
@@ -383,8 +459,8 @@ proptest! {
         assert_s_equivalent(&term, &mut ctx);
     }
 
-    /// GTLC: `elaborate_in ≡ elaborate` on random surface expressions
-    /// (well- and ill-typed alike), warm and cold.
+    /// GTLC: `elaborate_compiled ≡ elaborate` on random surface
+    /// expressions (well- and ill-typed alike), cold and warm.
     #[test]
     fn elaborations_agree(seed in any::<u64>()) {
         let mut vars = Vec::new();
@@ -396,8 +472,8 @@ proptest! {
 }
 
 /// The corpus of concrete sources the integration tests compile —
-/// `compile_in` must agree with `compile` on every one, including the
-/// rejects.
+/// `compile_compiled` must agree with `compile` on every one, including
+/// the rejects, cold and warm.
 #[test]
 fn compile_in_agrees_with_compile_on_the_corpus() {
     let sources = [
@@ -419,19 +495,10 @@ fn compile_in_agrees_with_compile_on_the_corpus() {
         "1 2",
     ];
     let mut types = TypeArena::new();
-    for source in sources {
-        let tree = bc_gtlc::compile(source);
-        let interned = bc_gtlc::compile_in(source, &mut types);
-        match (tree, interned) {
-            (Ok(p), Ok(pi)) => {
-                assert_eq!(pi.term, p.term, "{source}");
-                assert_eq!(types.resolve(pi.ty), p.ty, "{source}");
-                assert_eq!(pi.blame_spans, p.blame_spans, "{source}");
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "{source}"),
-            (tree, interned) => {
-                panic!("verdicts diverged on {source}: {tree:?} vs {interned:?}")
-            }
+    for _warm in 0..2 {
+        for source in sources {
+            let compiled = bc_gtlc::compile_compiled(source, &mut types);
+            assert_same_elaboration(bc_gtlc::compile(source), compiled, &types, source);
         }
     }
 }

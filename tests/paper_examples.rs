@@ -9,6 +9,7 @@ use bc_syntax::{
 };
 use bc_translate::b_to_s::cast_to_space;
 use bc_translate::bisim::{lockstep_bc, Observation};
+use proptest::prelude::*;
 
 fn p(n: u32) -> Label {
     Label::new(n)
@@ -151,4 +152,23 @@ fn puzzling_threesome_composition() {
             proj: Some(p(7))
         }
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// §6: erasing λS coercions to threesomes is a homomorphism from
+    /// `#` to threesome composition, on generated composable pairs:
+    /// `from_space(s # t) = from_space(t) ∘ from_space(s)`.
+    #[test]
+    fn threesome_erasure_is_a_homomorphism(seed in any::<u64>()) {
+        use bc_baselines::threesome::{compose_labeled, from_space};
+        let mut gen = bc_testkit::Gen::new(seed);
+        let src = gen.ty(3);
+        let (s, mid) = gen.space_from(&src, 4);
+        let (t, _) = gen.space_from(&mid, 4);
+        let lhs = from_space(&compose(&s, &t));
+        let rhs = compose_labeled(&from_space(&t), &from_space(&s));
+        prop_assert_eq!(lhs, rhs, "on {} # {}", s, t);
+    }
 }

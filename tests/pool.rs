@@ -96,7 +96,7 @@ fn four_worker_pool_matches_a_sequential_warm_session() {
 
 #[test]
 fn warmed_pool_workers_intern_nothing_past_the_base() {
-    // The tentpole acceptance criterion: after warmup on one
+    // Base sharing: after warmup on one
     // representative per shape, a 64-program structurally-similar
     // batch leaves every worker with zero locally interned coercion
     // and type nodes — the whole warm working set is served from the
@@ -423,7 +423,7 @@ fn promoting_pool_is_observationally_identical_under_drift() {
 
 #[test]
 fn promotion_recovers_the_base_hit_rate_and_cuts_overlay_interning() {
-    // The drift acceptance criterion, on counters rather than timing:
+    // Drift recovery, on counters rather than timing:
     // after each rotation of a drifting workload, a promoting pool's
     // base-hit rate must return to >= 0.99 within the first half of
     // the phase (measured over the second half), and its cumulative

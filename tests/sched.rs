@@ -103,7 +103,7 @@ fn sliced_runs_are_identical_to_unsliced_runs_on_every_engine() {
     }
 }
 
-/// The fairness acceptance criterion: a 64-job single-worker batch
+/// Fairness: a 64-job single-worker batch
 /// with 4 divergent spinners completes *every* convergent job before
 /// *any* spinner exhausts its fuel — round-robin slicing gives a
 /// spinner one slice per rotation, never the whole worker.

@@ -115,7 +115,7 @@ fn second_similar_program_interns_near_zero_new_state() {
 
 #[test]
 fn warm_recompile_and_run_is_allocation_free_end_to_end() {
-    // The allocation-free-pipeline acceptance criterion: in a warm
+    // The allocation-free pipeline: in a warm
     // session, recompiling and re-running a structurally similar
     // program performs zero tree allocations end to end — zero type
     // interns, zero coercion interns (tree or node), every coercion
@@ -170,7 +170,7 @@ fn warm_recompile_and_run_is_allocation_free_end_to_end() {
 
 #[test]
 fn no_engine_panics_on_fuel_exhaustion() {
-    // Acceptance criterion: a fuel-starved run returns
+    // A fuel-starved run returns
     // RunError::FuelExhausted with the real step count on all six
     // engines — no panic, no sentinel observation.
     let session = Session::new();
