@@ -556,7 +556,7 @@ enum Redex {
 /// variables the node binds around that child.
 fn for_each_child(code: &SCode, at: u32, mut f: impl FnMut(u32, u32)) {
     match code.node(at) {
-        Node::Const(_) | Node::Var(_) | Node::Free(_) | Node::Blame(_, _) => {}
+        Node::Const(_) | Node::Var { .. } | Node::Free(_) | Node::Blame(_, _) => {}
         Node::Lam { body, .. } => f(body, 1),
         Node::Fix { body, .. } => f(body, 2),
         Node::Let { bound, body, .. } => {
@@ -583,7 +583,7 @@ fn for_each_child(code: &SCode, at: u32, mut f: impl FnMut(u32, u32)) {
 /// indices at the binder).
 fn occurrences(code: &SCode) -> Box<[[u32; 2]]> {
     fn go(code: &SCode, at: u32, scope: &mut Vec<(u32, usize)>, counts: &mut [[u32; 2]]) {
-        if let Node::Var(i) = code.node(at) {
+        if let Node::Var { index: i, .. } = code.node(at) {
             let (binder, slot) = scope[scope.len() - 1 - i as usize];
             counts[binder as usize][slot] += 1;
         }
@@ -610,7 +610,7 @@ fn measure_code(code: &SCode, at: u32, env: &Env, arena: &CoercionArena) -> (usi
         acc: &mut (usize, usize),
     ) {
         match code.node(at) {
-            Node::Var(i) if i >= depth => {
+            Node::Var { index: i, .. } if i >= depth => {
                 let (size, coercion_size) = env.lookup(i - depth).measure(arena);
                 acc.0 += size;
                 acc.1 += coercion_size;
@@ -697,7 +697,7 @@ fn read_back(code: &SCode, frames: &[Frame], focus: &Focus, ty: TypeId) -> STerm
 fn atom(code: &SCode, at: u32, env: &Env) -> Option<Value> {
     match code.node(at) {
         Node::Const(k) => Some(Value::Plain(Plain::Const(k))),
-        Node::Var(i) => Some(env.lookup(i)),
+        Node::Var { index: i, .. } => Some(env.lookup(i)),
         _ => None,
     }
 }
@@ -766,7 +766,7 @@ fn refocus(
             }
             Focus::Code(at, env) => match code.node(at) {
                 Node::Const(k) => Value::Plain(Plain::Const(k)),
-                Node::Var(i) => env.lookup(i),
+                Node::Var { index: i, .. } => env.lookup(i),
                 Node::Lam { .. } | Node::Fix { .. } => {
                     let measure = measure_code(code, at, &env, arena);
                     Value::Plain(Plain::Closure {

@@ -19,10 +19,23 @@
 //! into the array, variables are de Bruijn indices, operators are
 //! fixed-arity nodes, and binder names live in a side table, so
 //! [`SCode::decode`] rebuilds the named [`STerm`] exactly. A machine
-//! running on a block borrows it: control is an index, a closure is an
-//! index plus an environment, and a variable is an indexed lookup — no
-//! spine is cloned and no name is compared at run time. A block is
-//! three heap allocations whatever the program's size.
+//! running on a block borrows it: control is an index and a variable
+//! is an indexed lookup — no spine is cloned and no name is compared
+//! at run time. A block is at most three heap allocations whatever the
+//! program's size.
+//!
+//! Lowering also closure-converts the block for flat-closure machines.
+//! Each function body runs in an *activation*: slot 0 holds the
+//! function itself, slot 1 its parameter, and each `let` in the body
+//! the next slot; a program's top level is an activation with no
+//! function, whose `let`s start at slot 0. Every [`Node::Var`] records
+//! its slot next to its de Bruijn index. A variable bound by an
+//! enclosing function is *captured*: its slot has the [`CAPTURED`] bit
+//! set and names a position in the closure's capture list, which the
+//! [`Node::Lam`]/[`Node::Fix`] node keeps in the operand table as the
+//! slots to copy from the enclosing activation ([`SCode::captures`]).
+//! A function captures exactly the variables its body mentions, so a
+//! closure holds only what it can reach.
 //!
 //! The lowerings are straight structural walks; [`decompile_term`] and
 //! [`SCode::decode`] invert them, and all are mutually inverse by
@@ -271,10 +284,17 @@ pub fn decompile_term(term: &STerm, arena: &CoercionArena, types: &TypeArena) ->
 pub enum Node {
     /// A constant `k`.
     Const(Constant),
-    /// A bound variable, as a de Bruijn index: `0` is the innermost
-    /// binder in scope. A `fix` binds two variables, the parameter
-    /// (innermost) and the function itself.
-    Var(u32),
+    /// A bound variable.
+    Var {
+        /// Its de Bruijn index: `0` is the innermost binder in scope. A
+        /// `fix` binds two variables, the parameter (innermost) and the
+        /// function itself.
+        index: u32,
+        /// Its slot in the enclosing activation, or, with the
+        /// [`CAPTURED`] bit set, its position in the enclosing
+        /// function's capture list (see the [module docs](self)).
+        slot: u32,
+    },
     /// A variable bound nowhere in the block (open terms only — a
     /// closed program never contains one); the operand is its name.
     Free(u32),
@@ -286,19 +306,24 @@ pub enum Node {
         ty: TypeId,
         /// The body.
         body: u32,
+        /// The capture list's offset in the operand table, or
+        /// [`NO_CAPTURES`] (see [`SCode::captures`]).
+        caps: u32,
     },
     /// `fix f (x:A):B. N`.
     Fix {
-        /// The function's name.
+        /// The function's name; the parameter's is the next entry of
+        /// the name table.
         fun: u32,
-        /// The parameter's name.
-        param: u32,
         /// The parameter type `A`.
         dom: TypeId,
         /// The result type `B`.
         cod: TypeId,
         /// The body.
         body: u32,
+        /// The capture list's offset in the operand table, or
+        /// [`NO_CAPTURES`] (see [`SCode::captures`]).
+        caps: u32,
     },
     /// `L M`.
     App(u32, u32),
@@ -334,6 +359,18 @@ pub enum Node {
     },
 }
 
+/// The bit of a [`Node::Var`] slot that marks a captured variable; the
+/// other bits are its position in the function's capture list.
+pub const CAPTURED: u32 = 1 << 31;
+
+/// The `caps` of a [`Node::Lam`] or [`Node::Fix`] that captures
+/// nothing.
+pub const NO_CAPTURES: u32 = u32::MAX;
+
+// A node stays three words: a `fix` implies its parameter's name, which
+// leaves room for its capture list.
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
 #[derive(Debug, PartialEq)]
 struct Block {
     nodes: Box<[Node]>,
@@ -363,27 +400,14 @@ impl SCode {
                     b.op(*op, &ids)
                 }
                 STerm::Lam(x, ty, body) => {
-                    let name = b.bind(x);
+                    let name = b.open_fn(None, x);
                     let body = go(b, body);
-                    b.unbind(1);
-                    b.push(Node::Lam {
-                        name,
-                        ty: *ty,
-                        body,
-                    })
+                    b.close_lam(name, *ty, body)
                 }
                 STerm::Fix(f, x, dom, cod, body) => {
-                    let fun = b.bind(f);
-                    let param = b.bind(x);
+                    let fun = b.open_fn(Some(f), x);
                     let body = go(b, body);
-                    b.unbind(2);
-                    b.push(Node::Fix {
-                        fun,
-                        param,
-                        dom: *dom,
-                        cod: *cod,
-                        body,
-                    })
+                    b.close_fix(fun, *dom, *cod, body)
                 }
                 STerm::App(l, m) => {
                     let l = go(b, l);
@@ -440,28 +464,28 @@ impl SCode {
     fn decode_at(&self, at: u32, scope: &mut Vec<u32>, outer: &dyn Fn(u32) -> STerm) -> STerm {
         match self.node(at) {
             Node::Const(k) => STerm::Const(k),
-            Node::Var(i) => match scope.len().checked_sub(1 + i as usize) {
+            Node::Var { index: i, .. } => match scope.len().checked_sub(1 + i as usize) {
                 Some(j) => STerm::Var(self.name(scope[j]).clone()),
                 None => outer(i - scope.len() as u32),
             },
             Node::Free(x) => STerm::Var(self.name(x).clone()),
-            Node::Lam { name, ty, body } => STerm::Lam(
+            Node::Lam { name, ty, body, .. } => STerm::Lam(
                 self.name(name).clone(),
                 ty,
                 self.decode_under(&[name], body, scope, outer),
             ),
             Node::Fix {
                 fun,
-                param,
                 dom,
                 cod,
                 body,
+                ..
             } => STerm::Fix(
                 self.name(fun).clone(),
-                self.name(param).clone(),
+                self.name(fun + 1).clone(),
                 dom,
                 cod,
-                self.decode_under(&[fun, param], body, scope, outer),
+                self.decode_under(&[fun, fun + 1], body, scope, outer),
             ),
             Node::App(l, m) => STerm::App(
                 self.decode_under(&[], l, scope, outer),
@@ -541,6 +565,18 @@ impl SCode {
         &self.0.operands[start as usize..(start + len) as usize]
     }
 
+    /// The slots a [`Node::Lam`] or [`Node::Fix`] with capture list
+    /// `caps` copies from the enclosing activation into a closure, in
+    /// capture-list order; empty for [`NO_CAPTURES`].
+    #[inline]
+    pub fn captures(&self, caps: u32) -> &[u32] {
+        if caps == NO_CAPTURES {
+            return &[];
+        }
+        let len = self.0.operands[caps as usize];
+        self.operands(caps + 1, len)
+    }
+
     /// The number of syntax nodes — equal to [`STerm::size`] of the
     /// decoded term.
     pub fn size(&self) -> usize {
@@ -558,8 +594,8 @@ impl SCode {
     }
 
     /// The heap bytes the block owns: its node array, name table and
-    /// operand table, plus the shared header (name strings are shared
-    /// with the source term and not counted).
+    /// operand table (with the capture lists), plus the shared header
+    /// (name strings are shared with the source term and not counted).
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Block>()
             + 2 * std::mem::size_of::<usize>()
@@ -577,14 +613,39 @@ impl SCode {
 
 /// Emits an [`SCode`] block bottom-up: children first, each call
 /// returning the offset of the node it pushed. Variables are resolved
-/// against the binders opened with [`CodeBuilder::bind`] and not yet
-/// closed with [`CodeBuilder::unbind`].
+/// against the binders opened with [`CodeBuilder::bind`] or
+/// [`CodeBuilder::open_fn`] and not yet closed, and get their
+/// activation slots and the functions' capture lists as they go (see
+/// the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct CodeBuilder {
     nodes: Vec<Node>,
     names: Vec<Name>,
     operands: Vec<u32>,
-    scope: Vec<u32>,
+    scope: Vec<Binder>,
+    /// The number of open functions.
+    depth: u32,
+    /// The capture lists of the open functions, interleaved.
+    captures: Vec<Capture>,
+}
+
+/// An open binder: its name, its activation slot, and the depth of the
+/// function it belongs to.
+#[derive(Debug, Clone, Copy)]
+struct Binder {
+    name: u32,
+    slot: u32,
+    depth: u32,
+}
+
+/// One entry of an open function's capture list: the function's depth,
+/// the binder's position in the scope, and the slot to copy from the
+/// enclosing activation.
+#[derive(Debug, Clone, Copy)]
+struct Capture {
+    depth: u32,
+    binder: u32,
+    src: u32,
 }
 
 impl CodeBuilder {
@@ -610,36 +671,127 @@ impl CodeBuilder {
         at
     }
 
-    /// Appends a variable occurrence, resolved to the innermost open
-    /// binder of that name (or [`Node::Free`] if there is none).
-    pub fn var(&mut self, x: &Name) -> u32 {
-        let names = &self.names;
-        match self
-            .scope
-            .iter()
-            .rev()
-            .position(|&n| names[n as usize] == *x)
-        {
-            Some(i) => self.push(Node::Var(i as u32)),
-            None => {
-                let name = self.intern_name(x);
-                self.push(Node::Free(name))
-            }
-        }
-    }
-
-    /// Opens a binder: records its name and brings it into scope for
-    /// the nodes pushed until the matching [`CodeBuilder::unbind`].
-    /// Returns the name-table offset for the binding node.
-    pub fn bind(&mut self, x: &Name) -> u32 {
+    fn open(&mut self, x: &Name, slot: u32) -> u32 {
         let name = self.intern_name(x);
-        self.scope.push(name);
+        self.scope.push(Binder {
+            name,
+            slot,
+            depth: self.depth,
+        });
         name
     }
 
-    /// Closes the `count` innermost binders.
+    /// Appends a variable occurrence, resolved to the innermost open
+    /// binder of that name (or [`Node::Free`] if there is none). A
+    /// binder of an enclosing function is captured by every function
+    /// between it and the occurrence.
+    pub fn var(&mut self, x: &Name) -> u32 {
+        let names = &self.names;
+        let Some(at) = self
+            .scope
+            .iter()
+            .rposition(|b| names[b.name as usize] == *x)
+        else {
+            let name = self.intern_name(x);
+            return self.push(Node::Free(name));
+        };
+        let binder = self.scope[at];
+        let mut slot = binder.slot;
+        for depth in binder.depth + 1..=self.depth {
+            slot = self.capture(depth, at as u32, slot);
+        }
+        let index = (self.scope.len() - 1 - at) as u32;
+        self.push(Node::Var { index, slot })
+    }
+
+    /// The captured slot through which the function at `depth` reads
+    /// the binder at scope position `binder`, which the enclosing
+    /// activation holds at `src`.
+    fn capture(&mut self, depth: u32, binder: u32, src: u32) -> u32 {
+        let mut i = 0;
+        for c in &self.captures {
+            if c.depth == depth {
+                if c.binder == binder {
+                    return CAPTURED | i;
+                }
+                i += 1;
+            }
+        }
+        self.captures.push(Capture { depth, binder, src });
+        CAPTURED | i
+    }
+
+    /// Opens a `let` binder in the current activation: records its
+    /// name and brings it into scope for the nodes pushed until the
+    /// matching [`CodeBuilder::unbind`]. Returns the name-table offset
+    /// for the binding node.
+    pub fn bind(&mut self, x: &Name) -> u32 {
+        let slot = match self.scope.last() {
+            Some(b) if b.depth == self.depth => b.slot + 1,
+            _ => 0,
+        };
+        self.open(x, slot)
+    }
+
+    /// Closes the `count` innermost `let` binders.
     pub fn unbind(&mut self, count: usize) {
         self.scope.truncate(self.scope.len() - count);
+    }
+
+    /// Opens a function's activation and its binders: a `fix`'s own
+    /// name `fun` in slot 0 (a `λ` leaves slot 0 unnamed) and `param`
+    /// in slot 1. Returns the name-table offset of the first binder,
+    /// which [`CodeBuilder::close_lam`] or [`CodeBuilder::close_fix`]
+    /// takes once the body is pushed.
+    pub fn open_fn(&mut self, fun: Option<&Name>, param: &Name) -> u32 {
+        self.depth += 1;
+        let fun = fun.map(|f| self.open(f, 0));
+        let param = self.open(param, 1);
+        fun.unwrap_or(param)
+    }
+
+    /// Closes the innermost function, a `λ`, and appends its node.
+    pub fn close_lam(&mut self, name: u32, ty: TypeId, body: u32) -> u32 {
+        let caps = self.close_fn();
+        self.push(Node::Lam {
+            name,
+            ty,
+            body,
+            caps,
+        })
+    }
+
+    /// Closes the innermost function, a `fix`, and appends its node.
+    pub fn close_fix(&mut self, fun: u32, dom: TypeId, cod: TypeId, body: u32) -> u32 {
+        let caps = self.close_fn();
+        self.push(Node::Fix {
+            fun,
+            dom,
+            cod,
+            body,
+            caps,
+        })
+    }
+
+    /// Closes the innermost function's scope and stores its capture
+    /// list, returning the node's `caps`.
+    fn close_fn(&mut self) -> u32 {
+        let depth = self.depth;
+        assert!(depth > 0, "unbalanced CodeBuilder::open_fn");
+        let open = self.scope.partition_point(|b| b.depth < depth);
+        self.scope.truncate(open);
+        self.depth -= 1;
+        let mine = |c: &&Capture| c.depth == depth;
+        let len = self.captures.iter().filter(mine).count() as u32;
+        if len == 0 {
+            return NO_CAPTURES;
+        }
+        let start = self.operands.len() as u32;
+        self.operands.push(len);
+        let srcs = self.captures.iter().filter(mine).map(|c| c.src);
+        self.operands.extend(srcs);
+        self.captures.retain(|c| c.depth != depth);
+        start
     }
 
     /// Appends an operator application over already-pushed operands.
@@ -665,7 +817,10 @@ impl CodeBuilder {
     ///
     /// Panics if a binder is still open.
     pub fn finish(self, root: u32) -> SCode {
-        assert!(self.scope.is_empty(), "unbalanced CodeBuilder::bind");
+        assert!(
+            self.scope.is_empty() && self.depth == 0,
+            "unbalanced CodeBuilder::bind"
+        );
         SCode(Rc::new(Block {
             nodes: self.nodes.into_boxed_slice(),
             names: self.names.into_boxed_slice(),
@@ -794,14 +949,26 @@ mod tests {
             .nodes()
             .iter()
             .copied()
-            .filter(|n| matches!(n, Node::Var(_) | Node::Free(_)))
+            .filter(|n| matches!(n, Node::Var { .. } | Node::Free(_)))
             .collect();
-        // x ↦ 0; inside fix: y ↦ 0, g ↦ 1, f ↦ 2.
-        assert_eq!(
-            vars,
-            [Node::Var(0), Node::Var(2), Node::Var(0), Node::Var(1)]
-        );
+        // x ↦ 0 in slot 1; inside fix: y ↦ 0 in slot 1, g ↦ 1 in slot
+        // 0, and f ↦ 2, the fix's only capture, copied from slot 0.
+        let var = |index, slot| Node::Var { index, slot };
+        assert_eq!(vars, [var(0, 1), var(2, CAPTURED), var(0, 1), var(1, 0)]);
+        // λx captures nothing; the fix copies f from the top level's
+        // slot 0.
+        assert_eq!(capture_lists(&code), [&[][..], &[0]]);
         assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
+    }
+
+    fn capture_lists(code: &SCode) -> Vec<&[u32]> {
+        code.nodes()
+            .iter()
+            .filter_map(|n| match *n {
+                Node::Lam { caps, .. } | Node::Fix { caps, .. } => Some(code.captures(caps)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -824,11 +991,6 @@ mod tests {
         let code = ctx.compile(&m);
         assert!(matches!(code.node(code.root()), Node::OpN { len: 3, .. }));
         assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
-    }
-
-    #[test]
-    fn nodes_stay_three_words() {
-        assert_eq!(std::mem::size_of::<Node>(), 24);
     }
 
     #[test]

@@ -13,102 +13,179 @@
 //! The same merging is applied to values: coercing an already-coerced
 //! value composes the coercions, so proxy chains never grow either.
 //!
-//! # The code block
+//! # The run state
 //!
-//! This machine runs a program's flat [`SCode`] block in place:
+//! This machine runs a program's flat [`SCode`] block in place, and
+//! every value, frame and control register it holds is two words:
 //!
-//! * control is an offset into the borrowed node array, so evaluating
-//!   a subterm copies one `u32` and never clones a term spine;
-//! * variables are de Bruijn indices, looked up by position in a
-//!   persistent environment — no name is compared at run time;
-//! * a closure is the offset of its `λ`/`fix` node plus its
-//!   environment, and a `fix` call binds the function and its argument
-//!   in a single environment node;
-//! * an operator frame holds at most one evaluated constant;
+//! * control is an offset into the borrowed node array plus an
+//!   `Env`, so evaluating a subterm copies three `u32`s and never
+//!   clones a term spine;
+//! * closures are flat: a `λ`/`fix` that captures nothing is a bare
+//!   code offset, and any other is an `Rc` of its code offset and the
+//!   values of exactly the variables its body mentions, copied from the
+//!   enclosing activation when the closure is made (the capture lists
+//!   lowering records in the block; see [`bc_core::sterm`]);
+//! * locals live in one stack: a call pushes an activation of the
+//!   function itself (slot 0) and its argument (slot 1), and each `let`
+//!   pushes its value into the next slot. An `Env` names an
+//!   activation's base and end, and a variable reads its slot there, or
+//!   its capture through the closure in slot 0;
+//! * frames are `Copy` records of a node offset and an `Env`; a
+//!   pending function or first operand waits on a side stack of
+//!   temporaries;
 //! * coercion nodes hold `Copy` [`CoercionId`]s minted at lowering,
 //!   and every frame/proxy merge goes through the [`ComposeCache`]. A
-//!   proxy is a plain value next to its coercion, so coercing a proxy
-//!   again replaces the id and allocates nothing.
+//!   coerced value is a plain value's two words with its coercion's id
+//!   in the spare half, so coercing a proxy again replaces the id and
+//!   allocates nothing.
 //!
-//! A boundary crossing is therefore an id load plus a cached O(1)
-//! composition — **zero interning, zero coercion allocation** — which
-//! the per-run [`crate::metrics::ReuseStats`] counters make
-//! observable (`tree_interns == 0` on the compiled path). The only
-//! allocations on the run path are environment nodes (one per `let`
-//! or call) and continuation-stack growth.
+//! The locals stack is truncated, never scanned: a call drops every
+//! local above the end of the topmost frame's environment before it
+//! pushes its activation, and a `let` drops every local above its own
+//! frame's end before it pushes its value. Every frame but a coercion
+//! frame holds an environment, and coercion frames never sit on each
+//! other, so finding that end looks at two frames at most. A tail call,
+//! whose caller's frames are gone, therefore reuses its caller's
+//! activation: the loop through a boundary runs in constant space on
+//! the locals stack as well as on the continuation.
 //!
-//! Three entry points:
+//! A boundary crossing is an id load plus a cached O(1) composition —
+//! **zero interning, zero coercion allocation** — which the per-run
+//! [`crate::metrics::ReuseStats`] counters make observable
+//! (`tree_interns == 0` on a compiled block). The only allocations on
+//! the run path are closures that capture something (two each) and the
+//! growth of the three stacks.
 //!
-//! * [`run_compiled_in`] — the fast path: evaluate an already-compiled
-//!   [`SCode`] block against the arena and cache it was compiled into
-//!   (as the runtime's `Session` does across repeated runs);
-//! * [`run_in`] — accept a tree [`Term`], compile it into the
-//!   caller-owned arena (hash-consing makes repeat compiles
-//!   allocation-free), then run;
-//! * [`run`] — a self-contained run with fresh arenas.
+//! [`run_compiled_in`] runs a compiled block whole, [`start_compiled_in`]
+//! and [`resume_compiled_in`] run it in fuel slices, and [`run`]
+//! compiles a tree [`Term`] first.
 
 use std::rc::Rc;
 
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, SNode};
-use bc_core::sterm::{compile_term, Node, SCode};
+use bc_core::sterm::{CompileCtx, Node, SCode, CAPTURED};
 use bc_core::term::Term;
-use bc_syntax::{Constant, Label, Op, TypeArena};
+use bc_syntax::{Constant, Label};
 use bc_translate::bisim::Observation;
 
 use crate::metrics::{MachineOutcome, MachineRun, Metrics, ReuseStats, SliceResult};
 
-/// An uncoerced run-time value `U`.
+/// A run-time value `V`: an uncoerced value `U` or a proxy `U⟨s⟩`. The
+/// machine keeps the invariant that coerced values never nest, so one
+/// flat enum of {int, bool, code, closure} × {plain, coerced} covers
+/// them in two words.
 #[derive(Debug, Clone)]
-pub enum Plain {
-    /// A constant.
-    Const(Constant),
-    /// A closure: the offset of its `λ` or `fix` node in the running
-    /// program's code block, and the captured environment.
-    Closure {
-        /// The [`Node::Lam`] or [`Node::Fix`] this closure runs.
-        code: u32,
-        /// Captured environment.
-        env: Env,
-    },
+enum Value {
+    Int(i64),
+    Bool(bool),
+    /// A closure with no captures: its [`Node::Lam`] or [`Node::Fix`].
+    Code(u32),
+    Closure(Rc<Closure>),
+    CoercedInt(i64, CoercionId),
+    CoercedBool(bool, CoercionId),
+    CoercedCode(u32, CoercionId),
+    CoercedClosure(Rc<Closure>, CoercionId),
 }
 
-/// Run-time values of the λS machine.
-#[derive(Debug, Clone)]
-pub enum Value {
-    /// An uncoerced value.
-    Plain(Plain),
-    /// An uncoerced value under a *single* coercion (`U⟨s→t⟩` or
-    /// `U⟨g;G!⟩`); the machine maintains the invariant that coerced
-    /// values never nest.
-    Coerced(Plain, CoercionId),
+/// A closure that captures something: its [`Node::Lam`] or
+/// [`Node::Fix`] and the captured values, in capture-list order.
+#[derive(Debug)]
+struct Closure {
+    code: u32,
+    captures: Box<[Value]>,
 }
 
-impl Plain {
-    fn observe(&self) -> Observation {
-        match self {
-            Plain::Const(k) => Observation::Constant(*k),
-            Plain::Closure { .. } => Observation::Function,
+/// An activation's extent on the locals stack: slot `i` is
+/// `locals[fp + i]`, and the slots in scope end at `end`.
+#[derive(Debug, Clone, Copy)]
+struct Env {
+    fp: u32,
+    end: u32,
+}
+
+// Variant names deliberately carry the -Frame suffix: "cast frame" /
+// "coercion frame" is the paper's terminology for what leaks in
+// λB/λC and merges in λS.
+#[allow(clippy::enum_variant_names)]
+#[derive(Debug, Clone, Copy)]
+enum Frame {
+    /// `□ M`, for the `App` node at the offset.
+    AppArg(u32, Env),
+    /// `V □`; `V` is the top temporary.
+    AppCall(Env),
+    /// `op(□, M)`, for the `Op2` node at the offset.
+    OpArg(u32, Env),
+    /// `op(□)` or `op(k, □)` for the `Op1`/`Op2` node at the offset;
+    /// `k` is the top temporary.
+    OpApply(u32, Env),
+    /// `if □ then M else N`, for the `If` node at the offset.
+    If(u32, Env),
+    /// `let x = □ in N`, for the `Let` node at the offset.
+    Let(u32, Env),
+    CoerceFrame(CoercionId),
+}
+
+#[derive(Debug)]
+enum Control {
+    Eval(u32, Env),
+    Ret(Value),
+}
+
+// The layout this machine is built around: two words each.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+const _: () = assert!(std::mem::size_of::<Frame>() == 16);
+const _: () = assert!(std::mem::size_of::<Control>() == 16);
+
+impl Value {
+    fn of(k: Constant) -> Value {
+        match k {
+            Constant::Int(n) => Value::Int(n),
+            Constant::Bool(b) => Value::Bool(b),
         }
     }
 
     fn constant(self) -> Constant {
         match self {
-            Plain::Const(k) => k,
-            Plain::Closure { .. } => unreachable!("operator got a function"),
+            Value::Int(n) => Constant::Int(n),
+            Value::Bool(b) => Constant::Bool(b),
+            other => unreachable!("operator got {other:?}"),
         }
     }
-}
 
-impl Value {
+    /// Splits a proxy `U⟨s⟩` into `U` and `s`.
+    fn unproxy(self) -> (Value, Option<CoercionId>) {
+        match self {
+            Value::CoercedInt(n, s) => (Value::Int(n), Some(s)),
+            Value::CoercedBool(b, s) => (Value::Bool(b), Some(s)),
+            Value::CoercedCode(at, s) => (Value::Code(at), Some(s)),
+            Value::CoercedClosure(c, s) => (Value::Closure(c), Some(s)),
+            plain => (plain, None),
+        }
+    }
+
+    /// `U⟨s⟩` for an uncoerced `U`.
+    fn proxy(self, s: CoercionId) -> Value {
+        match self {
+            Value::Int(n) => Value::CoercedInt(n, s),
+            Value::Bool(b) => Value::CoercedBool(b, s),
+            Value::Code(at) => Value::CoercedCode(at, s),
+            Value::Closure(c) => Value::CoercedClosure(c, s),
+            coerced => unreachable!("coerced a proxy without merging: {coerced:?}"),
+        }
+    }
+
     /// The calculus-agnostic observation of this value, read through
     /// the arena that interned its coercions.
-    pub fn observe(&self, arena: &CoercionArena) -> Observation {
-        match self {
-            Value::Plain(u) => u.observe(),
-            Value::Coerced(u, coercion) => match arena.node(*coercion) {
+    fn observe(self, arena: &CoercionArena) -> Observation {
+        match self.unproxy() {
+            (Value::Int(n), None) => Observation::Constant(Constant::Int(n)),
+            (Value::Bool(b), None) => Observation::Constant(Constant::Bool(b)),
+            (_, None) => Observation::Function,
+            (u, Some(coercion)) => match arena.node(coercion) {
                 SNode::Mid(INode::Inj(g, ground)) => {
                     let payload = match g {
-                        GNode::IdBase(_) => u.observe(),
+                        GNode::IdBase(_) => u.observe(arena),
                         GNode::Fun(_, _) => Observation::Function,
                     };
                     Observation::Injected(ground, Box::new(payload))
@@ -116,149 +193,56 @@ impl Value {
                 SNode::Mid(INode::Ground(GNode::Fun(_, _))) => Observation::Function,
                 _ => unreachable!(
                     "coerced value with non-value coercion {}",
-                    arena.resolve(*coercion)
+                    arena.resolve(coercion)
                 ),
             },
         }
     }
+}
 
-    fn constant(self) -> Constant {
-        match self {
-            Value::Plain(u) => u.constant(),
-            Value::Coerced(..) => unreachable!("operator got a coerced value"),
+impl Frame {
+    fn env(&self) -> Option<Env> {
+        match *self {
+            Frame::AppArg(_, env)
+            | Frame::AppCall(env)
+            | Frame::OpArg(_, env)
+            | Frame::OpApply(_, env)
+            | Frame::If(_, env)
+            | Frame::Let(_, env) => Some(env),
+            Frame::CoerceFrame(_) => None,
         }
     }
 }
 
-/// A persistent environment, indexed by de Bruijn position.
-#[derive(Debug, Clone, Default)]
-pub struct Env(Option<Rc<EnvNode>>);
-
-#[derive(Debug)]
-enum EnvNode {
-    /// One binding (`let` or a `λ` call).
-    One { value: Value, rest: Env },
-    /// A `fix` call: the argument (index 0) and the function itself
-    /// (index 1), which is the closure over `code` and `rest` — so it
-    /// is rebuilt on lookup instead of stored.
-    Fix { arg: Value, code: u32, rest: Env },
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn new() -> Env {
-        Env(None)
-    }
-
-    /// Extends the environment with one binding.
-    #[must_use]
-    pub fn bind(&self, value: Value) -> Env {
-        Env(Some(Rc::new(EnvNode::One {
-            value,
-            rest: self.clone(),
-        })))
-    }
-
-    /// Extends a `fix` closure's environment for a call: the function
-    /// over `code` (and this environment) at index 1, `arg` at 0.
-    fn bind_fix(self, code: u32, arg: Value) -> Env {
-        Env(Some(Rc::new(EnvNode::Fix {
-            arg,
-            code,
-            rest: self,
-        })))
-    }
-
-    fn lookup(&self, mut index: u32) -> Value {
-        let mut cur = self;
-        loop {
-            match cur.0.as_deref() {
-                None => panic!("unbound variable (de Bruijn index out of range)"),
-                Some(EnvNode::One { value, rest }) => {
-                    if index == 0 {
-                        return value.clone();
-                    }
-                    index -= 1;
-                    cur = rest;
-                }
-                Some(EnvNode::Fix { arg, code, rest }) => match index {
-                    0 => return arg.clone(),
-                    1 => {
-                        return Value::Plain(Plain::Closure {
-                            code: *code,
-                            env: rest.clone(),
-                        })
-                    }
-                    _ => {
-                        index -= 2;
-                        cur = rest;
-                    }
-                },
-            }
-        }
-    }
-}
-
-// Variant names deliberately carry the -Frame suffix: "cast frame" /
-// "coercion frame" is the paper's terminology for what leaks in
-// λB/λC and merges in λS.
-#[allow(clippy::enum_variant_names)]
-enum Frame {
-    AppArg {
-        arg: u32,
-        env: Env,
-    },
-    AppCall {
-        fun: Value,
-    },
-    /// A binary operator whose first operand is being evaluated; the
-    /// second is `arg`.
-    OpArg {
-        op: Op,
-        arg: u32,
-        env: Env,
-    },
-    /// An operator whose last operand is being evaluated, holding the
-    /// first operand's constant if it has two.
-    OpApply {
-        op: Op,
-        first: Option<Constant>,
-    },
-    If {
-        then_: u32,
-        else_: u32,
-        env: Env,
-    },
-    Let {
-        body: u32,
-        env: Env,
-    },
-    CoerceFrame(CoercionId),
-}
-
-enum Control {
-    Eval(u32, Env),
-    Ret(Value),
-}
-
-struct Machine<'a> {
+/// The stacks and counters of a run, which a parked run keeps.
+#[derive(Default)]
+struct State {
     stack: Vec<Frame>,
+    locals: Vec<Value>,
+    temps: Vec<Value>,
     metrics: Metrics,
     coercion_frames: usize,
     coercion_size: usize,
+}
+
+struct Machine<'a> {
+    s: State,
     arena: &'a mut CoercionArena,
     cache: &'a mut ComposeCache,
 }
 
 impl Machine<'_> {
     fn push(&mut self, f: Frame) {
-        if let Frame::CoerceFrame(c) = &f {
-            self.coercion_frames += 1;
-            self.coercion_size += self.arena.size(*c);
+        if let Frame::CoerceFrame(c) = f {
+            self.s.coercion_frames += 1;
+            self.s.coercion_size += self.arena.size(c);
         }
-        self.stack.push(f);
-        self.metrics
-            .observe(self.stack.len(), self.coercion_frames, self.coercion_size);
+        self.s.stack.push(f);
+        self.s.metrics.observe(
+            self.s.stack.len(),
+            self.s.coercion_frames,
+            self.s.coercion_size,
+        );
     }
 
     /// Pushes a coercion frame, *merging* with an existing top
@@ -266,26 +250,29 @@ impl Machine<'_> {
     /// space-efficient. The merge is a [`ComposeCache`] lookup when
     /// the pair has been composed before.
     fn push_coercion(&mut self, s: CoercionId) {
-        if let Some(Frame::CoerceFrame(t)) = self.stack.last() {
+        if let Some(Frame::CoerceFrame(t)) = self.s.stack.last_mut() {
             // The value will meet `s` first and `t` second: replace
             // the top frame with `s # t`.
-            let t = *t;
-            let merged = self.arena.compose(self.cache, s, t);
-            self.coercion_size = self.coercion_size - self.arena.size(t) + self.arena.size(merged);
-            let top = self.stack.len() - 1;
-            self.stack[top] = Frame::CoerceFrame(merged);
-            self.metrics
-                .observe(self.stack.len(), self.coercion_frames, self.coercion_size);
+            let old = *t;
+            let merged = self.arena.compose(self.cache, s, old);
+            *t = merged;
+            self.s.coercion_size =
+                self.s.coercion_size - self.arena.size(old) + self.arena.size(merged);
+            self.s.metrics.observe(
+                self.s.stack.len(),
+                self.s.coercion_frames,
+                self.s.coercion_size,
+            );
         } else {
             self.push(Frame::CoerceFrame(s));
         }
     }
 
     fn pop(&mut self) -> Option<Frame> {
-        let f = self.stack.pop();
-        if let Some(Frame::CoerceFrame(c)) = &f {
-            self.coercion_frames -= 1;
-            self.coercion_size -= self.arena.size(*c);
+        let f = self.s.stack.pop();
+        if let Some(Frame::CoerceFrame(c)) = f {
+            self.s.coercion_frames -= 1;
+            self.s.coercion_size -= self.arena.size(c);
         }
         f
     }
@@ -293,82 +280,80 @@ impl Machine<'_> {
     /// Applies a coercion to a value immediately, merging with any
     /// existing proxy coercion (never nesting).
     fn coerce_value(&mut self, v: Value, s: CoercionId) -> Result<Value, Label> {
-        let (u, s) = match v {
-            Value::Plain(u) => (u, s),
-            Value::Coerced(u, proxy) => (u, self.arena.compose(self.cache, proxy, s)),
+        let (u, s) = match v.unproxy() {
+            (u, None) => (u, s),
+            (u, Some(proxy)) => (u, self.arena.compose(self.cache, proxy, s)),
         };
         match self.arena.node(s) {
-            SNode::IdDyn => Ok(Value::Plain(u)),
-            SNode::Mid(INode::Ground(GNode::IdBase(_))) => Ok(Value::Plain(u)),
+            SNode::IdDyn => Ok(u),
+            SNode::Mid(INode::Ground(GNode::IdBase(_))) => Ok(u),
             SNode::Mid(INode::Fail(_, p, _)) => Err(p),
             SNode::Mid(INode::Inj(_, _)) | SNode::Mid(INode::Ground(GNode::Fun(_, _))) => {
-                Ok(Value::Coerced(u, s))
+                Ok(u.proxy(s))
             }
             SNode::Proj(_, _, _) => {
                 unreachable!("projection applied to an uncoerced value (which cannot have type ?)")
             }
         }
     }
+
+    /// The value of the variable in `slot` of `env`.
+    #[inline]
+    fn local(&self, env: Env, slot: u32) -> Value {
+        if slot & CAPTURED == 0 {
+            return self.s.locals[(env.fp + slot) as usize].clone();
+        }
+        match &self.s.locals[env.fp as usize] {
+            Value::Closure(c) => c.captures[(slot & !CAPTURED) as usize].clone(),
+            other => unreachable!("captured variable read through {other:?}"),
+        }
+    }
+
+    /// Calls an uncoerced function: its activation replaces every local
+    /// above the topmost frame's environment.
+    fn call(&mut self, code: &[Node], fun: Value, arg: Value) -> Control {
+        let at = match &fun {
+            Value::Code(at) => *at,
+            Value::Closure(c) => c.code,
+            other => unreachable!("applied a non-function value {other:?}"),
+        };
+        let (Node::Lam { body, .. } | Node::Fix { body, .. }) = code[at as usize] else {
+            unreachable!("closure over a non-function node {:?}", code[at as usize])
+        };
+        let fp = self
+            .s
+            .stack
+            .iter()
+            .rev()
+            .find_map(Frame::env)
+            .map_or(0, |env| env.end);
+        debug_assert!(
+            self.s.locals.len() >= fp as usize,
+            "a frame's locals were dropped"
+        );
+        self.s.locals.truncate(fp as usize);
+        self.s.locals.push(fun);
+        self.s.locals.push(arg);
+        Control::Eval(body, Env { fp, end: fp + 2 })
+    }
 }
 
 /// Runs a closed, well-typed λS term on the space-efficient CEK
-/// machine with a fresh arena and compose cache.
+/// machine: the term is compiled into a code block in fresh arenas,
+/// which then runs exactly as [`run_compiled_in`] runs it.
 ///
 /// # Panics
 ///
 /// Panics on open or ill-typed input.
 pub fn run(term: &Term, fuel: u64) -> MachineRun {
-    let mut arena = CoercionArena::new();
-    let mut cache = ComposeCache::new();
-    run_in(term, &mut arena, &mut cache, fuel)
-}
-
-/// Runs a tree term reusing a caller-owned arena and compose cache:
-/// the term is compiled into the arena (a hash walk per node — free
-/// allocation-wise once the coercions are already interned) and then
-/// evaluated on the compiled path.
-///
-/// This entry point re-lowers the term on every call (an O(term-size)
-/// walk). Callers that run the *same* program repeatedly should
-/// compile once (e.g. with [`bc_core::sterm::CompileCtx::compile`]) and loop over
-/// [`run_compiled_in`] instead — that is what the runtime's `Session`
-/// does.
-///
-/// The reported [`ReuseStats`] *include* the compile-time interning,
-/// so this entry point shows `tree_interns > 0` where
-/// [`run_compiled_in`] shows zero — the observable difference between
-/// the tree path and the compiled path.
-///
-/// # Panics
-///
-/// Panics on open or ill-typed input.
-pub fn run_in(
-    term: &Term,
-    arena: &mut CoercionArena,
-    cache: &mut ComposeCache,
-    fuel: u64,
-) -> MachineRun {
-    let arena_before = arena.stats();
-    let cache_before = cache.stats();
-    // The machine never consults type annotations at run time, so the
-    // type arena is a per-call throwaway: its lifetime is bounded by
-    // the call (no hidden growing state), and callers who want the
-    // annotations interned for keeps use CompileCtx::compile +
-    // run_compiled_in with their own TypeArena.
-    let mut types = TypeArena::new();
-    let code = SCode::encode(&compile_term(term, arena, &mut types));
-    // The before-stats predate the compile, so the reported reuse
-    // *includes* the compile-time interning (see the doc above).
-    let paused = fresh_paused(&code, fuel, arena_before, cache_before);
-    match resume_compiled_in(paused, arena, cache, fuel) {
-        SliceResult::Done(run) => run,
-        SliceResult::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
-    }
+    let mut ctx = CompileCtx::new();
+    let code = ctx.compile(term);
+    run_compiled_in(&code, &mut ctx.arena, &mut ctx.cache, fuel)
 }
 
 /// Runs an already-compiled program against the arena and cache it
-/// was compiled into — the fast path: every boundary crossing is an id
-/// load plus a cached merge, with zero interning
+/// was compiled into: every boundary crossing is an id load plus a
+/// cached merge, with zero interning
 /// (`metrics.reuse.tree_interns == 0`).
 ///
 /// The block's ids are only meaningful in the arena that lowered them
@@ -398,22 +383,19 @@ pub fn run_compiled_in(
 ///
 /// Unlike the machine itself, the parked state holds **no arena or
 /// cache borrows** — only the program's code block (one shared `Rc`),
-/// the continuation stack, control, metrics, and the arena/cache
-/// counters captured at [`start_compiled_in`] (so the final
-/// [`ReuseStats`] delta spans all slices, exactly as an unsliced run
-/// would report). Each [`resume_compiled_in`] call re-borrows the
-/// arena/cache pair the program was compiled into; pass a different
-/// pair and the ids mean something else entirely (the same foreign-id
-/// caveat as [`run_compiled_in`]).
+/// the continuation, locals and temporaries stacks, control, metrics,
+/// and the arena/cache counters captured at [`start_compiled_in`] (so
+/// the final [`ReuseStats`] delta spans all slices, exactly as an
+/// unsliced run would report). Each [`resume_compiled_in`] call
+/// re-borrows the arena/cache pair the program was compiled into; pass
+/// a different pair and the ids mean something else entirely (the same
+/// foreign-id caveat as [`run_compiled_in`]).
 ///
-/// The block, values and environments are `Rc`-shared, so a parked
-/// run is not `Send`: it stays on the worker that started it.
+/// The block and capturing closures are `Rc`-shared, so a parked run
+/// is not `Send`: it stays on the worker that started it.
 pub struct Paused {
     code: SCode,
-    stack: Vec<Frame>,
-    metrics: Metrics,
-    coercion_frames: usize,
-    coercion_size: usize,
+    state: State,
     control: Control,
     fuel: u64,
     arena_before: bc_core::arena::ArenaStats,
@@ -423,26 +405,7 @@ pub struct Paused {
 impl Paused {
     /// Machine transitions taken so far, across all slices.
     pub fn steps(&self) -> u64 {
-        self.metrics.steps
-    }
-}
-
-fn fresh_paused(
-    code: &SCode,
-    fuel: u64,
-    arena_before: bc_core::arena::ArenaStats,
-    cache_before: bc_core::arena::CacheStats,
-) -> Paused {
-    Paused {
-        code: code.clone(),
-        stack: Vec::new(),
-        metrics: Metrics::default(),
-        coercion_frames: 0,
-        coercion_size: 0,
-        control: Control::Eval(code.root(), Env::new()),
-        fuel,
-        arena_before,
-        cache_before,
+        self.state.metrics.steps
     }
 }
 
@@ -455,7 +418,14 @@ pub fn start_compiled_in(
     cache: &ComposeCache,
     fuel: u64,
 ) -> Paused {
-    fresh_paused(code, fuel, arena.stats(), cache.stats())
+    Paused {
+        code: code.clone(),
+        state: State::default(),
+        control: Control::Eval(code.root(), Env { fp: 0, end: 0 }),
+        fuel,
+        arena_before: arena.stats(),
+        cache_before: cache.stats(),
+    }
 }
 
 /// Runs a parked machine for at most `slice` further transitions
@@ -472,56 +442,27 @@ pub fn start_compiled_in(
 /// Panics on open or ill-typed input, or if the block's ids are out of
 /// bounds for `arena`.
 pub fn resume_compiled_in(
-    paused: Paused,
+    mut paused: Paused,
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
     slice: u64,
 ) -> SliceResult<Paused> {
-    let Paused {
-        code,
-        stack,
-        metrics,
-        coercion_frames,
-        coercion_size,
-        control,
-        fuel,
-        arena_before,
-        cache_before,
-    } = paused;
     let mut m = Machine {
-        stack,
-        metrics,
-        coercion_frames,
-        coercion_size,
+        s: std::mem::take(&mut paused.state),
         arena,
         cache,
     };
-    let until = m.metrics.steps.saturating_add(slice);
-    match exec_slice(&mut m, code.nodes(), control, fuel, until) {
+    let until = m.s.metrics.steps.saturating_add(slice);
+    match exec_slice(&mut m, &paused.code, paused.control, paused.fuel, until) {
         Stepped::Done(mut run) => {
-            run.metrics.reuse = reuse_delta(m.arena, m.cache, arena_before, cache_before);
+            run.metrics.reuse =
+                reuse_delta(m.arena, m.cache, paused.arena_before, paused.cache_before);
             SliceResult::Done(run)
         }
         Stepped::Parked(control) => {
-            let Machine {
-                stack,
-                metrics,
-                coercion_frames,
-                coercion_size,
-                arena: _,
-                cache: _,
-            } = m;
-            SliceResult::Parked(Paused {
-                code,
-                stack,
-                metrics,
-                coercion_frames,
-                coercion_size,
-                control,
-                fuel,
-                arena_before,
-                cache_before,
-            })
+            paused.state = m.s;
+            paused.control = control;
+            SliceResult::Parked(paused)
         }
     }
 }
@@ -554,15 +495,16 @@ enum Stepped {
 
 fn exec_slice(
     m: &mut Machine<'_>,
-    code: &[Node],
+    block: &SCode,
     mut control: Control,
     fuel: u64,
     until: u64,
 ) -> Stepped {
+    let code = block.nodes();
     let done = |m: &Machine<'_>, outcome| {
         Stepped::Done(MachineRun {
             outcome,
-            metrics: m.metrics.clone(),
+            metrics: m.s.metrics.clone(),
         })
     };
     loop {
@@ -573,38 +515,37 @@ fn exec_slice(
         // the scheduler's SliceBudget, FuelExhausted step reports)
         // relies on this 1:1 accounting; the λB/λC machines and the
         // small-step engines enforce the same order.
-        if m.metrics.steps >= fuel {
+        if m.s.metrics.steps >= fuel {
             return done(m, MachineOutcome::Timeout);
         }
-        if m.metrics.steps >= until {
+        if m.s.metrics.steps >= until {
             return Stepped::Parked(control);
         }
-        m.metrics.steps += 1;
+        m.s.metrics.steps += 1;
         control = match control {
             Control::Eval(at, env) => match code[at as usize] {
-                Node::Const(k) => Control::Ret(Value::Plain(Plain::Const(k))),
-                Node::Var(i) => Control::Ret(env.lookup(i)),
+                Node::Const(k) => Control::Ret(Value::of(k)),
+                Node::Var { slot, .. } => Control::Ret(m.local(env, slot)),
                 Node::Free(_) => panic!("evaluation reached a free variable"),
-                Node::Lam { .. } | Node::Fix { .. } => {
-                    Control::Ret(Value::Plain(Plain::Closure { code: at, env }))
+                Node::Lam { caps, .. } | Node::Fix { caps, .. } => {
+                    let srcs = block.captures(caps);
+                    Control::Ret(if srcs.is_empty() {
+                        Value::Code(at)
+                    } else {
+                        let captures = srcs.iter().map(|&slot| m.local(env, slot)).collect();
+                        Value::Closure(Rc::new(Closure { code: at, captures }))
+                    })
                 }
-                Node::App(l, r) => {
-                    m.push(Frame::AppArg {
-                        arg: r,
-                        env: env.clone(),
-                    });
+                Node::App(l, _) => {
+                    m.push(Frame::AppArg(at, env));
                     Control::Eval(l, env)
                 }
-                Node::Op1(op, a) => {
-                    m.push(Frame::OpApply { op, first: None });
+                Node::Op1(_, a) => {
+                    m.push(Frame::OpApply(at, env));
                     Control::Eval(a, env)
                 }
-                Node::Op2(op, a, b) => {
-                    m.push(Frame::OpArg {
-                        op,
-                        arg: b,
-                        env: env.clone(),
-                    });
+                Node::Op2(_, a, _) => {
+                    m.push(Frame::OpArg(at, env));
                     Control::Eval(a, env)
                 }
                 Node::OpN { op, len, .. } => {
@@ -618,19 +559,12 @@ fn exec_slice(
                     Control::Eval(inner, env)
                 }
                 Node::Blame(p, _) => return done(m, MachineOutcome::Blame(p)),
-                Node::If(c, then_, else_) => {
-                    m.push(Frame::If {
-                        then_,
-                        else_,
-                        env: env.clone(),
-                    });
+                Node::If(c, _, _) => {
+                    m.push(Frame::If(at, env));
                     Control::Eval(c, env)
                 }
-                Node::Let { bound, body, .. } => {
-                    m.push(Frame::Let {
-                        body,
-                        env: env.clone(),
-                    });
+                Node::Let { bound, .. } => {
+                    m.push(Frame::Let(at, env));
                     Control::Eval(bound, env)
                 }
             },
@@ -639,35 +573,65 @@ fn exec_slice(
                     let observation = v.observe(m.arena);
                     return done(m, MachineOutcome::Value(observation));
                 }
-                Some(Frame::AppArg { arg, env }) => {
-                    m.push(Frame::AppCall { fun: v });
-                    Control::Eval(arg, env)
-                }
-                Some(Frame::AppCall { fun }) => match apply(m, code, fun, v) {
-                    Ok(c) => c,
-                    Err(p) => return done(m, MachineOutcome::Blame(p)),
-                },
-                Some(Frame::OpArg { op, arg, env }) => {
-                    m.push(Frame::OpApply {
-                        op,
-                        first: Some(v.constant()),
-                    });
-                    Control::Eval(arg, env)
-                }
-                Some(Frame::OpApply { op, first }) => {
-                    let k = v.constant();
-                    let result = match first {
-                        None => op.apply(&[k]),
-                        Some(first) => op.apply(&[first, k]),
+                Some(Frame::AppArg(at, env)) => {
+                    let Node::App(_, arg) = code[at as usize] else {
+                        unreachable!("an argument frame holds an application")
                     };
-                    Control::Ret(Value::Plain(Plain::Const(result)))
+                    m.s.temps.push(v);
+                    m.push(Frame::AppCall(env));
+                    Control::Eval(arg, env)
                 }
-                Some(Frame::If { then_, else_, env }) => match v {
-                    Value::Plain(Plain::Const(Constant::Bool(true))) => Control::Eval(then_, env),
-                    Value::Plain(Plain::Const(Constant::Bool(false))) => Control::Eval(else_, env),
-                    other => unreachable!("if condition returned {other:?}"),
-                },
-                Some(Frame::Let { body, env }) => Control::Eval(body, env.bind(v)),
+                Some(Frame::AppCall(_)) => {
+                    let fun = m.s.temps.pop().expect("a call frame's function");
+                    match apply(m, code, fun, v) {
+                        Ok(c) => c,
+                        Err(p) => return done(m, MachineOutcome::Blame(p)),
+                    }
+                }
+                Some(Frame::OpArg(at, env)) => {
+                    let Node::Op2(_, _, arg) = code[at as usize] else {
+                        unreachable!("an operand frame holds a binary operator")
+                    };
+                    m.s.temps.push(v);
+                    m.push(Frame::OpApply(at, env));
+                    Control::Eval(arg, env)
+                }
+                Some(Frame::OpApply(at, _)) => {
+                    let k = v.constant();
+                    let result = match code[at as usize] {
+                        Node::Op1(op, _) => op.apply(&[k]),
+                        Node::Op2(op, _, _) => {
+                            let first = m.s.temps.pop().expect("an operator's first operand");
+                            op.apply(&[first.constant(), k])
+                        }
+                        other => unreachable!("an operator frame holds {other:?}"),
+                    };
+                    Control::Ret(Value::of(result))
+                }
+                Some(Frame::If(at, env)) => {
+                    let Node::If(_, then_, else_) = code[at as usize] else {
+                        unreachable!("a conditional frame holds an if")
+                    };
+                    match v {
+                        Value::Bool(true) => Control::Eval(then_, env),
+                        Value::Bool(false) => Control::Eval(else_, env),
+                        other => unreachable!("if condition returned {other:?}"),
+                    }
+                }
+                Some(Frame::Let(at, env)) => {
+                    let Node::Let { body, .. } = code[at as usize] else {
+                        unreachable!("a let frame holds a let")
+                    };
+                    m.s.locals.truncate(env.end as usize);
+                    m.s.locals.push(v);
+                    Control::Eval(
+                        body,
+                        Env {
+                            fp: env.fp,
+                            end: env.end + 1,
+                        },
+                    )
+                }
                 Some(Frame::CoerceFrame(s)) => match m.coerce_value(v, s) {
                     Ok(v2) => Control::Ret(v2),
                     Err(p) => return done(m, MachineOutcome::Blame(p)),
@@ -678,26 +642,21 @@ fn exec_slice(
 }
 
 fn apply(m: &mut Machine<'_>, code: &[Node], fun: Value, arg: Value) -> Result<Control, Label> {
-    match fun {
-        Value::Plain(Plain::Closure { code: at, env }) => match code[at as usize] {
-            Node::Lam { body, .. } => Ok(Control::Eval(body, env.bind(arg))),
-            Node::Fix { body, .. } => Ok(Control::Eval(body, env.bind_fix(at, arg))),
-            other => unreachable!("closure over a non-function node {other:?}"),
-        },
-        Value::Coerced(u, coercion) => match m.arena.node(coercion) {
+    match fun.unproxy() {
+        (u, None) => Ok(m.call(code, u, arg)),
+        (u, Some(coercion)) => match m.arena.node(coercion) {
             SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
                 // (U⟨s→t⟩) V: coerce the argument by s, push (merging!)
                 // the result coercion t, apply the proxied function.
                 let arg2 = m.coerce_value(arg, s)?;
                 m.push_coercion(t);
-                apply(m, code, Value::Plain(u), arg2)
+                Ok(m.call(code, u, arg2))
             }
             _ => unreachable!(
                 "applied a non-function coercion {}",
                 m.arena.resolve(coercion)
             ),
         },
-        other => unreachable!("applied a non-function value {other:?}"),
     }
 }
 
@@ -712,44 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn machine_agrees_with_small_step() {
-        use bc_core::eval;
-        use bc_translate::bisim::observe_s;
-        for (name, t) in [
-            ("boundary_loop", programs::boundary_loop(6)),
-            ("even_odd_mixed", programs::even_odd_mixed(5)),
-            ("even_untyped", programs::even_untyped(4)),
-            ("wrapped_identity", programs::wrapped_identity(4)),
-        ] {
-            let ts = to_s(&t);
-            let small = observe_s(&eval::run(&ts, 1_000_000).unwrap().outcome);
-            let machine = run(&ts, 1_000_000).outcome.to_observation();
-            assert_eq!(small, machine, "{name}");
-        }
-    }
-
-    #[test]
-    fn tail_calls_run_in_constant_space() {
-        // THE headline claim: peak frames and peak coercion size are
-        // the same for 16 and 256 iterations.
-        let m16 = run(&to_s(&programs::boundary_loop(16)), 10_000_000);
-        let m256 = run(&to_s(&programs::boundary_loop(256)), 10_000_000);
-        assert_eq!(
-            m16.metrics.peak_frames, m256.metrics.peak_frames,
-            "λS continuation must not grow with n"
-        );
-        assert_eq!(m16.metrics.peak_cast_size, m256.metrics.peak_cast_size);
-        assert!(m16.metrics.peak_cast_frames <= 2);
-    }
-
-    #[test]
-    fn mixed_even_odd_is_space_bounded_too() {
-        let m8 = run(&to_s(&programs::even_odd_mixed(8)), 10_000_000);
-        let m128 = run(&to_s(&programs::even_odd_mixed(128)), 10_000_000);
-        assert_eq!(m8.metrics.peak_frames, m128.metrics.peak_frames);
-    }
-
-    #[test]
     fn blame_labels_survive_merging() {
         use bc_syntax::{Label, Type};
         let t = bc_lambda_b::Term::int(1)
@@ -760,95 +681,96 @@ mod tests {
     }
 
     #[test]
-    fn proxies_do_not_accumulate_on_values() {
-        // Wrapping a function 2·n times merges into one proxy.
-        let t = to_s(&programs::wrapped_identity(64));
-        let m = run(&t, 1_000_000);
-        assert!(matches!(m.outcome, MachineOutcome::Value(_)));
-    }
-
-    #[test]
     fn boundary_loop_hits_the_compose_cache() {
         // The whole point of the arena: after the first iteration,
         // every frame merge in the loop is a cache hit.
-        let mut arena = CoercionArena::new();
-        let mut cache = ComposeCache::new();
-        let t = to_s(&programs::boundary_loop(512));
-        let m = run_in(&t, &mut arena, &mut cache, 10_000_000);
+        let mut ctx = bc_core::CompileCtx::new();
+        let code = ctx.compile(&to_s(&programs::boundary_loop(512)));
+        let m = run_compiled_in(&code, &mut ctx.arena, &mut ctx.cache, 10_000_000);
         assert!(matches!(m.outcome, MachineOutcome::Value(_)));
-        let stats = cache.stats();
+        let stats = ctx.cache.stats();
         assert!(
             stats.hits > 8 * stats.misses,
             "expected overwhelmingly cache-hit merges, got {stats:?}"
         );
         // And the arena stays small even though the loop merged
         // thousands of times: bounded distinct coercions.
-        assert!(arena.len() < 64, "arena grew to {}", arena.len());
+        assert!(ctx.arena.len() < 64, "arena grew to {}", ctx.arena.len());
     }
 
-    #[test]
-    fn rerunning_with_a_shared_arena_reuses_everything() {
+    /// Runs a GTLC program one transition per slice, handing every
+    /// parked state to `inspect`.
+    fn step_through(source: &str, mut inspect: impl FnMut(&Paused)) -> MachineRun {
+        let mut types = bc_syntax::TypeArena::new();
         let mut arena = CoercionArena::new();
         let mut cache = ComposeCache::new();
-        let t = to_s(&programs::boundary_loop(64));
-        let first = run_in(&t, &mut arena, &mut cache, 10_000_000);
-        let misses_after_first = cache.stats().misses;
-        let second = run_in(&t, &mut arena, &mut cache, 10_000_000);
-        assert_eq!(first.outcome, second.outcome);
-        assert_eq!(
-            cache.stats().misses,
-            misses_after_first,
-            "second run must be answered entirely from the cache"
-        );
+        let program = bc_gtlc::compile_compiled(source, &mut types).expect("compiles");
+        let code = bc_translate::term_b_to_s_compiled(&program.term, &mut types, &mut arena);
+        let mut paused = start_compiled_in(&code, &arena, &cache, u64::MAX);
+        loop {
+            match resume_compiled_in(paused, &mut arena, &mut cache, 1) {
+                SliceResult::Done(run) => return run,
+                SliceResult::Parked(p) => {
+                    inspect(&p);
+                    paused = p;
+                }
+            }
+        }
+    }
+
+    /// The space a loop's run peaks at: continuation frames, coercion
+    /// frames and size, and the locals and temporaries stacks.
+    fn peak_space(source: &str) -> [usize; 5] {
+        let (mut locals, mut temps) = (0, 0);
+        let run = step_through(source, |p| {
+            locals = locals.max(p.state.locals.len());
+            temps = temps.max(p.state.temps.len());
+        });
+        let expected = MachineOutcome::Value(Observation::Constant(Constant::Bool(true)));
+        assert_eq!(run.outcome, expected, "{source}");
+        let m = run.metrics;
+        [
+            m.peak_frames,
+            m.peak_cast_frames,
+            m.peak_cast_size,
+            locals,
+            temps,
+        ]
     }
 
     #[test]
-    fn compiled_path_performs_zero_reinterning() {
-        // The compiled IR's defining property: once a program
-        // is compiled, boundary crossings intern nothing — 512 loop
-        // iterations, zero tree interns, and (warm) zero new nodes.
-        let mut ctx = bc_core::CompileCtx::new();
-        let t = to_s(&programs::boundary_loop(512));
-        let compiled = ctx.compile(&t);
-
-        let first = run_compiled_in(&compiled, &mut ctx.arena, &mut ctx.cache, 10_000_000);
-        assert!(matches!(first.outcome, MachineOutcome::Value(_)));
-        assert_eq!(
-            first.metrics.reuse.tree_interns, 0,
-            "a compiled run must never hash-walk a coercion tree"
-        );
-
-        // Warm re-run: no interning, no new nodes, no structural
-        // composition — pure cache hits.
-        let nodes_after_first = ctx.arena.len();
-        let second = run_compiled_in(&compiled, &mut ctx.arena, &mut ctx.cache, 10_000_000);
-        assert_eq!(first.outcome, second.outcome);
-        assert_eq!(second.metrics.reuse.tree_interns, 0);
-        assert_eq!(second.metrics.reuse.node_misses, 0);
-        assert_eq!(second.metrics.reuse.compose_misses, 0);
-        assert!(second.metrics.reuse.compose_hits > 0);
-        assert_eq!(ctx.arena.len(), nodes_after_first);
-
-        // Contrast: the tree entry point pays interning for the same
-        // program (the hash walks the compiled path eliminated).
-        let tree = run_in(&t, &mut ctx.arena, &mut ctx.cache, 10_000_000);
-        assert_eq!(tree.outcome, second.outcome);
-        assert!(tree.metrics.reuse.tree_interns > 0);
+    fn tail_calls_run_in_constant_space() {
+        // THE headline claim, for every stack the machine keeps: a loop
+        // peaks at the same space for 16 and 4096 iterations, whether it
+        // crosses a boundary, binds a `let` in its body, or calls a
+        // capturing closure, because a tail call reuses its caller's
+        // activation.
+        let loops = [
+            "letrec loop (n : Int) : Bool = \
+               if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) in loop",
+            "letrec loop (n : Int) : Bool = \
+               let m = n - 1 in if n = 0 then true else loop m in loop",
+            "let k = 1 in let step = fun (n : Int) => n - k in \
+             letrec loop (n : Int) : Bool = if n = 0 then true else loop (step n) in loop",
+        ];
+        for source in loops {
+            let small = peak_space(&format!("{source} 16"));
+            assert_eq!(small, peak_space(&format!("{source} 4096")), "{source}");
+        }
     }
 
     #[test]
-    fn compiled_and_tree_paths_agree_on_metrics() {
-        // Space metrics are a property of the evaluation, not of the
-        // term representation.
-        let t = to_s(&programs::even_odd_mixed(32));
-        let tree = run(&t, 10_000_000);
-        let mut ctx = bc_core::CompileCtx::new();
-        let compiled = ctx.compile(&t);
-        let fast = run_compiled_in(&compiled, &mut ctx.arena, &mut ctx.cache, 10_000_000);
-        assert_eq!(tree.outcome, fast.outcome);
-        assert_eq!(tree.metrics.peak_frames, fast.metrics.peak_frames);
-        assert_eq!(tree.metrics.peak_cast_frames, fast.metrics.peak_cast_frames);
-        assert_eq!(tree.metrics.peak_cast_size, fast.metrics.peak_cast_size);
-        assert_eq!(tree.metrics.steps, fast.metrics.steps);
+    fn closures_capture_only_their_free_variables() {
+        let mut sizes = Vec::new();
+        let outcome = step_through("let big = 41 in let a = 1 in fun x => x + a", |p| {
+            if let Control::Ret(Value::Closure(c)) = &p.control {
+                sizes.push(c.captures.len());
+            }
+        });
+        assert_eq!(
+            outcome.outcome,
+            MachineOutcome::Value(Observation::Function)
+        );
+        assert_eq!(sizes, [1]);
     }
 }

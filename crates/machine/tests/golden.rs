@@ -13,106 +13,47 @@
 //! regenerate the file with
 //! `BLESS_GOLDEN=1 cargo test -p bc-machine --test golden`.
 
-use bc_core::arena::{CoercionArena, ComposeCache};
 use bc_core::sterm::SCode;
 use bc_core::CompileCtx;
 use bc_lambda_b::programs;
 use bc_machine::cek_s;
 use bc_machine::metrics::{MachineRun, SliceResult};
-use bc_syntax::TypeArena;
 use bc_testkit::sources;
+use bc_translate::{term_b_to_s, term_b_to_s_compiled};
 
 const FUEL: u64 = 50_000;
 const SLICE: u64 = 7;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden.txt");
 
-fn boundary_loop(n: u64) -> String {
-    format!(
-        "letrec loop (n : Int) : Bool = \
-           if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) \
-         in loop {n}"
-    )
-}
-
-/// Closure programs written for the locals stack: every way a value
-/// can reach a function body other than as its argument.
-const CLOSURES: &[(&str, &str)] = &[
-    (
-        "let-captures",
-        "let a = 1 in let b = 2 in let f = fun (x : Int) => x + a + b in f 3",
-    ),
-    (
-        "captures-only-free",
-        "let big = 41 in let a = 1 in (fun x => x + a) 2",
-    ),
-    (
-        "closure-from-fix",
-        "letrec mk (n : Int) : Int -> Int = fun (x : Int) => x + n in (mk 5) 6",
-    ),
-    (
-        "escaping-closures",
-        "let mk = fun (n : Int) => fun (x : Int) => x + n in \
-         let add5 = mk 5 in let add7 = mk 7 in add5 1 + add7 2",
-    ),
-    (
-        "captures-of-captures",
-        "let a = 1 in let f = fun (x : Int) => fun (y : Int) => fun (z : Int) => x + y + z + a \
-         in f 10 20 30",
-    ),
-    (
-        "non-tail-recursion",
-        "letrec f (n : Int) : Int = if n = 0 then 0 else 1 + f (n - 1) in f 40",
-    ),
-    (
-        "fix-captures-let",
-        "let k = 2 in letrec loop (n : Int) : Int = if n = 0 then k else loop (n - k) in loop 40",
-    ),
-    (
-        "let-in-loop-body",
-        "letrec loop (n : Int) : Bool = let m = n - 1 in if n = 0 then true else loop m in loop 30",
-    ),
-    (
-        "loop-through-closure",
-        "let k = 1 in let step = fun (n : Int) => n - k in \
-         letrec loop (n : Int) : Bool = if n = 0 then true else loop (step n) in loop 30",
-    ),
-    (
-        "dynamic-capture",
-        "let k = 3 in let g = ((fun x => x + k) : ?) in (g : Int -> Int) 4",
-    ),
-    (
-        "dynamic-fix-capture",
-        "let k = 1 in letrec loop (n : Int) : Bool = \
-           if n = 0 then true else ((loop : ?) : Int -> Bool) (n - k) in loop 20",
-    ),
-    (
-        "shadowed-capture",
-        "let x = 1 in let f = fun (x : Int) => let y = x + 1 in fun (z : Int) => x + y + z \
-         in let x = 100 in f 2 3",
-    ),
-    (
-        "capture-blames",
-        "let d = (true : ?) in let f = fun (x : Int) => x + (d : Int) in f 1",
-    ),
-    (
-        "returns-closure",
-        "let a = 4 in let f = fun (x : Int) => fun (y : Int) => x + a in f 1",
-    ),
-];
+/// Hand-written programs, one `name: source` per line: the benchmark's
+/// boundary loop, then closure programs written for the locals stack,
+/// covering every way a value can reach a function body other than as
+/// its argument.
+const HANDWRITTEN: &str = "\
+boundary-loop/100: letrec loop (n : Int) : Bool = if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) in loop 100
+boundary-loop/1000: letrec loop (n : Int) : Bool = if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) in loop 1000
+closures/let-captures: let a = 1 in let b = 2 in let f = fun (x : Int) => x + a + b in f 3
+closures/captures-only-free: let big = 41 in let a = 1 in (fun x => x + a) 2
+closures/closure-from-fix: letrec mk (n : Int) : Int -> Int = fun (x : Int) => x + n in (mk 5) 6
+closures/escaping-closures: let mk = fun (n : Int) => fun (x : Int) => x + n in let add5 = mk 5 in let add7 = mk 7 in add5 1 + add7 2
+closures/captures-of-captures: let a = 1 in let f = fun (x : Int) => fun (y : Int) => fun (z : Int) => x + y + z + a in f 10 20 30
+closures/non-tail-recursion: letrec f (n : Int) : Int = if n = 0 then 0 else 1 + f (n - 1) in f 40
+closures/fix-captures-let: let k = 2 in letrec loop (n : Int) : Int = if n = 0 then k else loop (n - k) in loop 40
+closures/let-in-loop-body: letrec loop (n : Int) : Bool = let m = n - 1 in if n = 0 then true else loop m in loop 30
+closures/loop-through-closure: let k = 1 in let step = fun (n : Int) => n - k in letrec loop (n : Int) : Bool = if n = 0 then true else loop (step n) in loop 30
+closures/dynamic-capture: let k = 3 in let g = ((fun x => x + k) : ?) in (g : Int -> Int) 4
+closures/dynamic-fix-capture: let k = 1 in letrec loop (n : Int) : Bool = if n = 0 then true else ((loop : ?) : Int -> Bool) (n - k) in loop 20
+closures/shadowed-capture: let x = 1 in let f = fun (x : Int) => let y = x + 1 in fun (z : Int) => x + y + z in let x = 100 in f 2 3
+closures/capture-blames: let d = (true : ?) in let f = fun (x : Int) => x + (d : Int) in f 1
+closures/returns-closure: let a = 4 in let f = fun (x : Int) => fun (y : Int) => x + a in f 1";
 
 fn corpus() -> Vec<(String, SCode, CompileCtx)> {
     let mut out = Vec::new();
     let mut sourced = |name: String, source: &str| {
-        let mut types = TypeArena::new();
-        let mut arena = CoercionArena::new();
-        let program = bc_gtlc::compile_compiled(source, &mut types)
+        let mut ctx = CompileCtx::new();
+        let program = bc_gtlc::compile_compiled(source, &mut ctx.types)
             .unwrap_or_else(|d| panic!("{name} does not compile: {d:?}"));
-        let code = bc_translate::term_b_to_s_compiled(&program.term, &mut types, &mut arena);
-        let ctx = CompileCtx {
-            arena,
-            cache: ComposeCache::new(),
-            types,
-        };
+        let code = term_b_to_s_compiled(&program.term, &mut ctx.types, &mut ctx.arena);
         out.push((name, code, ctx));
     };
     for (i, s) in sources::shapes().iter().enumerate() {
@@ -124,11 +65,8 @@ fn corpus() -> Vec<(String, SCode, CompileCtx)> {
     for (i, s) in sources::drifting(9, 64, 16).iter().enumerate() {
         sourced(format!("drifting/{i}"), s);
     }
-    for n in [100, 1_000] {
-        sourced(format!("boundary-loop/{n}"), &boundary_loop(n));
-    }
-    for (name, s) in CLOSURES {
-        sourced(format!("closures/{name}"), s);
+    for (name, s) in HANDWRITTEN.lines().filter_map(|l| l.split_once(": ")) {
+        sourced(name.to_string(), s);
     }
     for (name, t) in [
         ("boundary_loop", programs::boundary_loop(50)),
@@ -138,7 +76,7 @@ fn corpus() -> Vec<(String, SCode, CompileCtx)> {
         ("wrapped_identity", programs::wrapped_identity(8)),
     ] {
         let mut ctx = CompileCtx::new();
-        let code = ctx.compile(&bc_translate::term_b_to_s(&t));
+        let code = ctx.compile(&term_b_to_s(&t));
         out.push((format!("programs/{name}"), code, ctx));
     }
     out

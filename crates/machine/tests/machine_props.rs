@@ -84,7 +84,7 @@ fn space_series() {
         assert_eq!(observed, rs.outcome.to_observation(), "λB/λS at n = {n}");
         b_frames.push(rb.metrics.peak_cast_frames);
         c_frames.push(rc.metrics.peak_cast_frames);
-        s_frames.push(rs.metrics.peak_cast_frames);
+        s_frames.push((rs.metrics.peak_frames, rs.metrics.peak_cast_frames));
     }
     for (n, frames) in ns.iter().zip(&b_frames) {
         assert!(

@@ -148,14 +148,9 @@ pub fn term_b_to_s_compiled(
                 }
                 BTerm::Var(x) => self.b.var(x),
                 BTerm::Lam(x, ty, body) => {
-                    let name = self.b.bind(x);
+                    let name = self.b.open_fn(None, x);
                     let body = self.go(body);
-                    self.b.unbind(1);
-                    self.b.push(Node::Lam {
-                        name,
-                        ty: *ty,
-                        body,
-                    })
+                    self.b.close_lam(name, *ty, body)
                 }
                 BTerm::App(l, m) => {
                     let l = self.go(l);
@@ -182,17 +177,9 @@ pub fn term_b_to_s_compiled(
                     self.b.push(Node::Let { name, bound, body })
                 }
                 BTerm::Fix(f, x, dom, cod, body) => {
-                    let fun = self.b.bind(f);
-                    let param = self.b.bind(x);
+                    let fun = self.b.open_fn(Some(f), x);
                     let body = self.go(body);
-                    self.b.unbind(2);
-                    self.b.push(Node::Fix {
-                        fun,
-                        param,
-                        dom: *dom,
-                        cod: *cod,
-                        body,
-                    })
+                    self.b.close_fix(fun, *dom, *cod, body)
                 }
             }
         }

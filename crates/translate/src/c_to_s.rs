@@ -331,14 +331,9 @@ pub fn term_c_to_s_from_compiled(
                 }
                 CTermC::Var(x) => self.b.var(x),
                 CTermC::Lam(x, ty, body) => {
-                    let name = self.b.bind(x);
+                    let name = self.b.open_fn(None, x);
                     let body = self.go(body);
-                    self.b.unbind(1);
-                    self.b.push(Node::Lam {
-                        name,
-                        ty: *ty,
-                        body,
-                    })
+                    self.b.close_lam(name, *ty, body)
                 }
                 CTermC::App(l, m) => {
                     let l = self.go(l);
@@ -367,17 +362,9 @@ pub fn term_c_to_s_from_compiled(
                     self.b.push(Node::Let { name, bound, body })
                 }
                 CTermC::Fix(f, x, dom, cod, body) => {
-                    let fun = self.b.bind(f);
-                    let param = self.b.bind(x);
+                    let fun = self.b.open_fn(Some(f), x);
                     let body = self.go(body);
-                    self.b.unbind(2);
-                    self.b.push(Node::Fix {
-                        fun,
-                        param,
-                        dom: *dom,
-                        cod: *cod,
-                        body,
-                    })
+                    self.b.close_fix(fun, *dom, *cod, body)
                 }
             }
         }
