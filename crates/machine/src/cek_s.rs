@@ -238,11 +238,13 @@ impl Machine<'_> {
             self.s.coercion_size += self.arena.size(c);
         }
         self.s.stack.push(f);
-        self.s.metrics.observe(
-            self.s.stack.len(),
-            self.s.coercion_frames,
-            self.s.coercion_size,
-        );
+        self.observe();
+    }
+
+    fn observe(&mut self) {
+        let s = &mut self.s;
+        s.metrics
+            .observe(s.stack.len(), s.coercion_frames, s.coercion_size);
     }
 
     /// Pushes a coercion frame, *merging* with an existing top
@@ -258,11 +260,7 @@ impl Machine<'_> {
             *t = merged;
             self.s.coercion_size =
                 self.s.coercion_size - self.arena.size(old) + self.arena.size(merged);
-            self.s.metrics.observe(
-                self.s.stack.len(),
-                self.s.coercion_frames,
-                self.s.coercion_size,
-            );
+            self.observe();
         } else {
             self.push(Frame::CoerceFrame(s));
         }
@@ -320,13 +318,8 @@ impl Machine<'_> {
         let (Node::Lam { body, .. } | Node::Fix { body, .. }) = code[at as usize] else {
             unreachable!("closure over a non-function node {:?}", code[at as usize])
         };
-        let fp = self
-            .s
-            .stack
-            .iter()
-            .rev()
-            .find_map(Frame::env)
-            .map_or(0, |env| env.end);
+        let top = self.s.stack.iter().rev().find_map(Frame::env);
+        let fp = top.map_or(0, |env| env.end);
         debug_assert!(
             self.s.locals.len() >= fp as usize,
             "a frame's locals were dropped"
@@ -624,13 +617,8 @@ fn exec_slice(
                     };
                     m.s.locals.truncate(env.end as usize);
                     m.s.locals.push(v);
-                    Control::Eval(
-                        body,
-                        Env {
-                            fp: env.fp,
-                            end: env.end + 1,
-                        },
-                    )
+                    let end = env.end + 1;
+                    Control::Eval(body, Env { end, ..env })
                 }
                 Some(Frame::CoerceFrame(s)) => match m.coerce_value(v, s) {
                     Ok(v2) => Control::Ret(v2),
@@ -671,6 +659,30 @@ mod tests {
     }
 
     #[test]
+    fn machine_agrees_with_small_step() {
+        use bc_core::eval;
+        use bc_translate::bisim::observe_s;
+        for (name, t) in [
+            ("boundary_loop", programs::boundary_loop(6)),
+            ("even_odd_mixed", programs::even_odd_mixed(5)),
+            ("even_untyped", programs::even_untyped(4)),
+            ("wrapped_identity", programs::wrapped_identity(4)),
+        ] {
+            let ts = to_s(&t);
+            let small = observe_s(&eval::run(&ts, 1_000_000).unwrap().outcome);
+            let machine = run(&ts, 1_000_000).outcome.to_observation();
+            assert_eq!(small, machine, "{name}");
+        }
+    }
+
+    #[test]
+    fn mixed_even_odd_is_space_bounded_too() {
+        let m8 = run(&to_s(&programs::even_odd_mixed(8)), 10_000_000);
+        let m128 = run(&to_s(&programs::even_odd_mixed(128)), 10_000_000);
+        assert_eq!(m8.metrics.peak_frames, m128.metrics.peak_frames);
+    }
+
+    #[test]
     fn blame_labels_survive_merging() {
         use bc_syntax::{Label, Type};
         let t = bc_lambda_b::Term::int(1)
@@ -678,6 +690,14 @@ mod tests {
             .cast(Type::DYN, Label::new(1), Type::BOOL);
         let out = run(&to_s(&t), 100).outcome;
         assert_eq!(out, MachineOutcome::Blame(Label::new(1)));
+    }
+
+    #[test]
+    fn proxies_do_not_accumulate_on_values() {
+        // Wrapping a function 2·n times merges into one proxy.
+        let t = to_s(&programs::wrapped_identity(64));
+        let m = run(&t, 1_000_000);
+        assert!(matches!(m.outcome, MachineOutcome::Value(_)));
     }
 
     #[test]
@@ -698,17 +718,43 @@ mod tests {
         assert!(ctx.arena.len() < 64, "arena grew to {}", ctx.arena.len());
     }
 
+    #[test]
+    fn compiled_path_performs_zero_reinterning() {
+        // The compiled IR's defining property: once a program
+        // is compiled, boundary crossings intern nothing — 512 loop
+        // iterations, zero tree interns, and (warm) zero new nodes.
+        let mut ctx = bc_core::CompileCtx::new();
+        let compiled = ctx.compile(&to_s(&programs::boundary_loop(512)));
+
+        let first = run_compiled_in(&compiled, &mut ctx.arena, &mut ctx.cache, 10_000_000);
+        assert!(matches!(first.outcome, MachineOutcome::Value(_)));
+        assert_eq!(
+            first.metrics.reuse.tree_interns, 0,
+            "a compiled run must never hash-walk a coercion tree"
+        );
+
+        // Warm re-run: no interning, no new nodes, no structural
+        // composition — pure cache hits.
+        let nodes_after_first = ctx.arena.len();
+        let second = run_compiled_in(&compiled, &mut ctx.arena, &mut ctx.cache, 10_000_000);
+        assert_eq!(first.outcome, second.outcome);
+        assert_eq!(second.metrics.reuse.tree_interns, 0);
+        assert_eq!(second.metrics.reuse.node_misses, 0);
+        assert_eq!(second.metrics.reuse.compose_misses, 0);
+        assert!(second.metrics.reuse.compose_hits > 0);
+        assert_eq!(ctx.arena.len(), nodes_after_first);
+    }
+
     /// Runs a GTLC program one transition per slice, handing every
     /// parked state to `inspect`.
     fn step_through(source: &str, mut inspect: impl FnMut(&Paused)) -> MachineRun {
-        let mut types = bc_syntax::TypeArena::new();
-        let mut arena = CoercionArena::new();
-        let mut cache = ComposeCache::new();
-        let program = bc_gtlc::compile_compiled(source, &mut types).expect("compiles");
-        let code = bc_translate::term_b_to_s_compiled(&program.term, &mut types, &mut arena);
-        let mut paused = start_compiled_in(&code, &arena, &cache, u64::MAX);
+        let mut ctx = CompileCtx::new();
+        let program = bc_gtlc::compile_compiled(source, &mut ctx.types).expect("compiles");
+        let code =
+            bc_translate::term_b_to_s_compiled(&program.term, &mut ctx.types, &mut ctx.arena);
+        let mut paused = start_compiled_in(&code, &ctx.arena, &ctx.cache, u64::MAX);
         loop {
-            match resume_compiled_in(paused, &mut arena, &mut cache, 1) {
+            match resume_compiled_in(paused, &mut ctx.arena, &mut ctx.cache, 1) {
                 SliceResult::Done(run) => return run,
                 SliceResult::Parked(p) => {
                     inspect(&p);
@@ -756,6 +802,7 @@ mod tests {
         for source in loops {
             let small = peak_space(&format!("{source} 16"));
             assert_eq!(small, peak_space(&format!("{source} 4096")), "{source}");
+            assert!(small[1] <= 2, "{source}: {small:?}");
         }
     }
 

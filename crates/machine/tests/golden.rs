@@ -7,11 +7,9 @@
 //! `bc_lambda_b::programs`, and hand-written closure programs
 //! (captures through `let`, closures returned from `fix`, captures of
 //! captures, non-tail recursion). Any change to the machine's run
-//! state must leave every line unchanged.
-//!
-//! After a deliberate change to the machine's observable accounting,
-//! regenerate the file with
-//! `BLESS_GOLDEN=1 cargo test -p bc-machine --test golden`.
+//! state must leave every line unchanged. On a mismatch the failure
+//! message carries the whole generated text, so a deliberate change to
+//! what the machine counts is pasted into `golden.txt` by hand.
 
 use bc_core::sterm::SCode;
 use bc_core::CompileCtx;
@@ -56,14 +54,14 @@ fn corpus() -> Vec<(String, SCode, CompileCtx)> {
         let code = term_b_to_s_compiled(&program.term, &mut ctx.types, &mut ctx.arena);
         out.push((name, code, ctx));
     };
-    for (i, s) in sources::shapes().iter().enumerate() {
-        sourced(format!("shapes/{i}"), s);
-    }
-    for (i, s) in sources::mixed(7, 96).iter().enumerate() {
-        sourced(format!("mixed/{i}"), s);
-    }
-    for (i, s) in sources::drifting(9, 64, 16).iter().enumerate() {
-        sourced(format!("drifting/{i}"), s);
+    for (batch, srcs) in [
+        ("shapes", sources::shapes()),
+        ("mixed", sources::mixed(7, 96)),
+        ("drifting", sources::drifting(9, 64, 16)),
+    ] {
+        for (i, s) in srcs.iter().enumerate() {
+            sourced(format!("{batch}/{i}"), s);
+        }
     }
     for (name, s) in HANDWRITTEN.lines().filter_map(|l| l.split_once(": ")) {
         sourced(name.to_string(), s);
@@ -109,17 +107,12 @@ fn cek_s_matches_the_golden_runs() {
         lines.push(line(&name, "sliced", &sliced(&code, &mut ctx)));
     }
     let got = lines.join("\n") + "\n";
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &got).expect("write golden.txt");
-        return;
-    }
     let want = std::fs::read_to_string(GOLDEN).expect("read golden.txt");
-    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "golden line {}", i + 1);
-    }
-    assert_eq!(
-        got.lines().count(),
-        want.lines().count(),
-        "golden corpus size"
+    let common = got.lines().zip(want.lines());
+    let first = common.clone().position(|(g, w)| g != w);
+    assert!(
+        got == want,
+        "golden runs differ from line {}; the generated text is:\n{got}",
+        first.unwrap_or(common.count()) + 1
     );
 }
