@@ -294,9 +294,6 @@ pub struct FrozenCoercions {
     nodes_mark: usize,
     /// Pair rows visible to this view: rows `0..pairs_mark`.
     pairs_mark: usize,
-    /// Slab node count when this view's freeze began appending (zero
-    /// for a flat build); see [`FrozenCoercions::contiguous_over`].
-    appended_from: usize,
 }
 
 impl fmt::Debug for FrozenCoercions {
@@ -336,16 +333,6 @@ impl FrozenCoercions {
         Arc::ptr_eq(&self.slab, &other.slab)
             && other.nodes_mark <= self.nodes_mark
             && other.pairs_mark <= self.pairs_mark
-    }
-
-    /// Whether this view's freeze appended *contiguously* over
-    /// `other` (same slab, no sibling freeze in between): when true,
-    /// the freezing overlay's local ids were assigned verbatim, so
-    /// ids minted by the frozen session stay valid against this view.
-    /// See `FrozenTypes::contiguous_over` in `bc_syntax` for the full
-    /// contract; the pool's serialized promotions always satisfy it.
-    pub fn contiguous_over(&self, other: &FrozenCoercions) -> bool {
-        Arc::ptr_eq(&self.slab, &other.slab) && self.appended_from == other.nodes_mark
     }
 
     /// The node behind a visible id (callers stay below `len()`).
@@ -607,56 +594,31 @@ impl CoercionArena {
     /// higher watermarks; the result
     /// [`extends`](FrozenCoercions::extends) the base by construction.
     /// Appenders over one slab serialize on its writer lock; a freeze
-    /// racing a sibling's dedups against the sibling's rows. For a
-    /// freeze into fresh, independent storage see
-    /// [`CoercionArena::freeze_flat`].
+    /// racing a sibling's dedups against the sibling's rows.
     ///
     /// # Panics
     ///
     /// Panics if `cache` is bound to a *different* arena (its pairs
     /// would freeze foreign ids into the snapshot).
     pub fn freeze(&self, cache: &ComposeCache) -> FrozenCoercions {
-        self.assert_cache_owner(cache, "freeze");
+        assert!(
+            cache.owner.is_none() || cache.owner == Some(self.generation),
+            "CoercionArena::freeze called with a ComposeCache bound to a different arena"
+        );
         match &self.base {
             None => self.freeze_flat(cache),
             Some(base) => self.freeze_append(base, cache),
         }
     }
 
-    /// Freezes into a **fresh, independent slab**, flattening both
-    /// tiers with ids preserved verbatim — the clone-on-promote
-    /// semantics the append path replaced: O(base + overlay), no
-    /// sharing with the base's lineage. The oracle the append path is
-    /// property-tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is bound to a different arena.
-    pub fn freeze_flat(&self, cache: &ComposeCache) -> FrozenCoercions {
-        self.assert_cache_owner(cache, "freeze_flat");
+    /// The flat arena's freeze: its nodes and memoized pairs, ids
+    /// verbatim, into a fresh slab.
+    fn freeze_flat(&self, cache: &ComposeCache) -> FrozenCoercions {
         let slab = CoercionSlab::new();
-        if let Some(base) = &self.base {
-            for i in 0..base.nodes_mark {
-                slab.append_node(base.node_at(i), base.meta_at(i));
-            }
-            for row in 0..base.pairs_mark {
-                let (key, result) = *base.slab.pairs.get(row);
-                slab.append_pair(key, result);
-            }
+        for (node, meta) in self.nodes.iter().zip(&self.meta) {
+            slab.append_node(*node, *meta);
         }
-        for (k, node) in self.nodes.iter().enumerate() {
-            let id = slab.append_node(*node, self.meta[k]);
-            debug_assert_eq!(
-                id.index(),
-                self.base_len + k,
-                "flat freeze re-assigned an id"
-            );
-        }
-        // Local cache pairs are disjoint from the copied base rows: a
-        // base-answered composition returns before it can be cached
-        // locally.
         for (&key, &result) in cache.pairs.iter() {
-            debug_assert!(slab.probe_pair(&key, usize::MAX).is_none());
             slab.append_pair(key, result);
         }
         let nodes_mark = slab.nodes.len();
@@ -665,7 +627,6 @@ impl CoercionArena {
             slab: Arc::new(slab),
             nodes_mark,
             pairs_mark,
-            appended_from: 0,
         }
     }
 
@@ -680,7 +641,6 @@ impl CoercionArena {
             .writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let appended_from = slab.nodes.len();
         let mut remap: Vec<CoercionId> = Vec::with_capacity(self.nodes.len());
         for (k, node) in self.nodes.iter().enumerate() {
             let mapped = map_node(*node, self.base_len, &remap);
@@ -715,16 +675,7 @@ impl CoercionArena {
             slab: Arc::clone(&base.slab),
             nodes_mark: slab.nodes.len(),
             pairs_mark: slab.pairs.len(),
-            appended_from,
         }
-    }
-
-    /// The shared owner guard of the freeze entry points.
-    fn assert_cache_owner(&self, cache: &ComposeCache, what: &str) {
-        assert!(
-            cache.owner.is_none() || cache.owner == Some(self.generation),
-            "CoercionArena::{what} called with a ComposeCache bound to a different arena"
-        );
     }
 
     /// Number of nodes in the frozen base tier (zero for a flat
@@ -738,14 +689,6 @@ impl CoercionArena {
     /// zero is the base-sharing guarantee.
     pub fn local_len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The frozen base view this arena overlays (`None` for a flat
-    /// arena). Compare a fresh [`CoercionArena::freeze`] result
-    /// against it with [`FrozenCoercions::contiguous_over`] to learn
-    /// whether the freeze appended this arena's local ids verbatim.
-    pub fn base_view(&self) -> Option<&Arc<FrozenCoercions>> {
-        self.base.as_ref()
     }
 
     /// Clones this arena *together with* a cache bound to it,
@@ -1778,13 +1721,10 @@ mod tests {
         assert!(refrozen.extends(&base));
         assert!(refrozen.extends(&refrozen));
         assert!(!base.extends(&refrozen), "extension is strictly larger");
-        assert!(refrozen.contiguous_over(&base), "no sibling froze first");
         // A sibling freezing *after* refrozen appends onto the same
         // slab: freezes over one base serialize into one id space, so
         // the later view subsumes the earlier one (but not vice
-        // versa), and it is not contiguous over the base (refrozen's
-        // rows landed first, so the sibling's local ids were
-        // remapped).
+        // versa).
         let mut sibling = CoercionArena::with_base(Arc::clone(&base));
         let sibling_cache = ComposeCache::with_base(Arc::clone(&base), 1 << 10);
         sibling.proj_ground(gb(), p(12));
@@ -1792,12 +1732,11 @@ mod tests {
         assert!(other.extends(&base));
         assert!(other.extends(&refrozen), "later sibling subsumes earlier");
         assert!(!refrozen.extends(&other));
-        assert!(!other.contiguous_over(&base));
-        // An independent lineage (fresh flat freeze) never extends.
-        let detached = overlay.freeze_flat(&cache);
-        assert_eq!(detached.len(), overlay.len());
-        assert!(!detached.extends(&base), "different slab, no extension");
-        assert!(!detached.contiguous_over(&base));
+        // An unrelated flat freeze roots another slab: it never
+        // extends, even with identical content.
+        let unrelated = warm_base();
+        assert_eq!(unrelated.len(), base.len());
+        assert!(!unrelated.extends(&base), "different slab, no extension");
     }
 
     #[test]

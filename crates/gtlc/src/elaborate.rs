@@ -298,10 +298,8 @@ impl Context {
 ///
 /// No `Rc<Type>` spine and no `Rc<Term>` tree is built anywhere on
 /// this path — the term is an id-annotated [`BTerm`] whose every
-/// annotation is a handle into the arena the caller parsed against.
-/// The ids inherit that arena's offset contract (see
-/// [`bc_lambda_b::bterm`]): compile before the arena freezes and the
-/// program is portable to any session sharing the same frozen base.
+/// annotation is a handle into the arena the caller parsed against,
+/// and meaningful only there (see [`bc_lambda_b::bterm`]).
 #[derive(Debug, Clone)]
 pub struct ProgramC {
     /// The compiled λB term.

@@ -3,34 +3,22 @@
 //! [`BTerm`] mirrors [`Term`] node for node but carries
 //! `Copy` [`TypeId`] handles into a [`TypeArena`] instead of `Rc<Type>`
 //! trees: a cast is `Cast(M, A, p, B)` with interned endpoints, a
-//! lambda annotation is a single id. The spine is `Arc`, and every
-//! payload (`Name = Arc<str>`, ids, labels, constants) is `Send`, so a
-//! compiled program can travel to another thread — this is what lets
-//! `SessionPool` ship warmup's compile work to workers instead of
-//! source text.
+//! lambda annotation is a single id. The spine is `Arc`, so cloning a
+//! term is a reference-count increment.
 //!
-//! # The id-offset / foreign-id contract
+//! # The foreign-id contract
 //!
 //! A `BTerm` is only meaningful *relative to the arena its ids were
-//! interned in*. The ids inherit the two-tier offset contract of
-//! [`TypeArena`]: ids **below the frozen-base length** are portable to
-//! any arena built over the same [`FrozenTypes`](bc_syntax::FrozenTypes)
-//! base (this is how compiled pool jobs work — warmup compiles before
-//! the freeze, so every id in a shipped `BTerm` is a base id every
-//! worker resolves identically); ids **at or above** the base length
-//! are private to the arena that created them, and handing such a term
-//! to a session with a different local tail is a logic error the type
-//! checker cannot detect (ids are plain integers). Sessions enforce
-//! this with watermarks ([`Session::adopt`]-style ancestry checks) —
-//! the IR itself stays unchecked and cheap.
+//! interned in*: ids are plain integers, and resolving one against
+//! another arena is a logic error the type checker cannot detect. The
+//! session layer keeps every compiled term inside the session that
+//! interned it, and the IR itself stays unchecked and cheap.
 //!
 //! [`compile`] and [`decompile`] convert between the tree and compiled
 //! forms (`decompile ∘ compile = id`, pinned by property test), and
 //! [`type_of_compiled`] checks the compiled form *in place* on
 //! interned ids — no tree is ever built on the checking path except
 //! the types a [`TypeError`] reports.
-//!
-//! [`Session::adopt`]: https://docs.rs/-/-/ (see `blame-coercion` session docs)
 
 use std::sync::Arc;
 

@@ -300,7 +300,6 @@ mod tests {
             steps: 20,
             peak_frames: 3,
             peak_cast_frames: 1,
-            compiled: false,
             latency_ns: 5_000,
             queue_wait_ns: 500,
             shape: shape.to_owned(),

@@ -128,9 +128,6 @@ pub struct AuditRecord {
     /// Peak *cast* frames — the λB/λC space-leak signal the paper's
     /// λS design eliminates (machine engines; 0 otherwise).
     pub peak_cast_frames: u64,
-    /// Whether the job travelled pre-compiled (no parse on the
-    /// worker).
-    pub compiled: bool,
     /// Wall-clock nanoseconds from submission to resolution.
     pub latency_ns: u64,
     /// Wall-clock nanoseconds the job waited before a worker first
@@ -184,12 +181,11 @@ impl AuditRecord {
         }
         let _ = write!(
             out,
-            ",\"steps\":{},\"peak_frames\":{},\"peak_cast_frames\":{},\"compiled\":{},\
+            ",\"steps\":{},\"peak_frames\":{},\"peak_cast_frames\":{},\
              \"latency_ns\":{},\"queue_wait_ns\":{},\"shape\":\"{}\"}}",
             self.steps,
             self.peak_frames,
             self.peak_cast_frames,
-            self.compiled,
             self.latency_ns,
             self.queue_wait_ns,
             escape_json(&self.shape)
@@ -311,7 +307,6 @@ mod tests {
             steps: 10,
             peak_frames: 2,
             peak_cast_frames: 0,
-            compiled: true,
             latency_ns: 1_000,
             queue_wait_ns: 100,
             shape: shape.to_owned(),

@@ -267,10 +267,6 @@ pub struct FrozenTypes {
     nodes_mark: usize,
     /// Verdict rows visible to this view: rows `0..verdicts_mark`.
     verdicts_mark: usize,
-    /// The slab node count when this view's freeze began appending
-    /// (zero for a flat build): the receipt for
-    /// [`FrozenTypes::contiguous_over`].
-    appended_from: usize,
 }
 
 impl fmt::Debug for FrozenTypes {
@@ -313,18 +309,6 @@ impl FrozenTypes {
         Arc::ptr_eq(&self.slab, &other.slab)
             && other.nodes_mark <= self.nodes_mark
             && other.verdicts_mark <= self.verdicts_mark
-    }
-
-    /// Whether this view's freeze appended *contiguously* over
-    /// `other`: same slab, and no sibling freeze had grown the slab
-    /// past `other`'s watermark when this one started. When true, the
-    /// freezing overlay's local ids were assigned verbatim (its id
-    /// `other.len() + k` is slab id `other.len() + k`), so ids minted
-    /// by the frozen session — not just inherited base ids — remain
-    /// valid against this view. Promotion relies on this: the pool
-    /// serializes promoters, so its freezes are always contiguous.
-    pub fn contiguous_over(&self, other: &FrozenTypes) -> bool {
-        Arc::ptr_eq(&self.slab, &other.slab) && self.appended_from == other.nodes_mark
     }
 
     /// The node behind a visible id (callers stay below `len()`).
@@ -481,9 +465,7 @@ impl TypeArena {
     /// Appenders over one slab serialize on the slab's writer lock;
     /// if a sibling overlay froze first, this freeze dedups against
     /// the sibling's rows (the slab stays hash-consed), and the
-    /// resulting view subsumes both. For a freeze guaranteed to share
-    /// nothing with its base's lineage, see
-    /// [`TypeArena::freeze_flat`].
+    /// resulting view subsumes both.
     pub fn freeze(&self) -> FrozenTypes {
         match &self.base {
             None => self.freeze_flat(),
@@ -491,37 +473,14 @@ impl TypeArena {
         }
     }
 
-    /// Freezes into a **fresh, independent slab**, flattening both
-    /// tiers with ids preserved verbatim — the clone-on-promote
-    /// semantics the append path replaced: O(base + overlay) time and
-    /// space, no sharing with the base's slab. This is the oracle the
-    /// append path is property-tested against, and the right tool
-    /// when a snapshot must not keep its ancestor lineage's storage
-    /// alive.
-    pub fn freeze_flat(&self) -> FrozenTypes {
+    /// The flat arena's freeze: its nodes and memoized verdicts, ids
+    /// verbatim, into a fresh slab.
+    fn freeze_flat(&self) -> FrozenTypes {
         let slab = TypeSlab::new();
-        if let Some(base) = &self.base {
-            for i in 0..base.nodes_mark {
-                slab.append_node(base.node_at(i), base.meta_at(i));
-            }
-            for row in 0..base.verdicts_mark {
-                let (key, verdict) = *base.slab.verdicts.get(row);
-                slab.append_verdict(key, verdict);
-            }
+        for (node, meta) in self.nodes.iter().zip(&self.meta) {
+            slab.append_node(*node, *meta);
         }
-        for (k, node) in self.nodes.iter().enumerate() {
-            let id = slab.append_node(*node, self.meta[k]);
-            debug_assert_eq!(
-                id.index(),
-                self.base_len + k,
-                "flat freeze re-assigned an id"
-            );
-        }
-        // Local memo keys are disjoint from the base rows copied
-        // above: a base-answered query returns before it can be
-        // memoized locally.
         for (&key, &verdict) in self.memo.iter() {
-            debug_assert!(slab.probe_verdict(&key, usize::MAX).is_none());
             slab.append_verdict(key, verdict);
         }
         let nodes_mark = slab.nodes.len();
@@ -530,7 +489,6 @@ impl TypeArena {
             slab: Arc::new(slab),
             nodes_mark,
             verdicts_mark,
-            appended_from: 0,
         }
     }
 
@@ -539,8 +497,7 @@ impl TypeArena {
     /// and returns a view whose watermarks cover the appended rows.
     ///
     /// If no sibling grew the slab first, local ids are appended
-    /// verbatim (the common, promotion path — see
-    /// [`FrozenTypes::contiguous_over`]). Otherwise local rows are
+    /// verbatim (the common, promotion path). Otherwise local rows are
     /// *remapped*: children rewritten through the ids their own
     /// append produced (locals intern bottom-up, so children precede
     /// parents), nodes deduped against rows a sibling already
@@ -552,7 +509,6 @@ impl TypeArena {
             .writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let appended_from = slab.nodes.len();
         let mut remap: Vec<TypeId> = Vec::with_capacity(self.nodes.len());
         let map = |id: TypeId, remap: &[TypeId]| -> TypeId {
             let i = id.index();
@@ -598,7 +554,6 @@ impl TypeArena {
             slab: Arc::clone(&base.slab),
             nodes_mark: slab.nodes.len(),
             verdicts_mark: slab.verdicts.len(),
-            appended_from,
         }
     }
 
@@ -623,14 +578,6 @@ impl TypeArena {
     /// Node interns answered by the frozen base index.
     pub fn base_node_hits(&self) -> u64 {
         self.base_node_hits
-    }
-
-    /// The frozen base view this arena overlays (`None` for a flat
-    /// arena). Compare a fresh [`TypeArena::freeze`] result against it
-    /// with [`FrozenTypes::contiguous_over`] to learn whether the
-    /// freeze appended this arena's local ids verbatim.
-    pub fn base_view(&self) -> Option<&Arc<FrozenTypes>> {
-        self.base.as_ref()
     }
 
     /// Whether nothing has been interned (never true: the leaf types
@@ -1383,26 +1330,21 @@ mod tests {
         assert!(refrozen.extends(&base));
         assert!(refrozen.extends(&refrozen));
         assert!(!base.extends(&refrozen), "extension is strictly larger");
-        // No sibling froze first, so the overlay's local ids were
-        // appended verbatim.
-        assert!(refrozen.contiguous_over(&base));
         // A sibling freezing *after* refrozen appends onto the same
         // slab: freezes over one base serialize into one id space, so
         // the later view subsumes the earlier one (but not vice
-        // versa) — and it is *not* contiguous over the base, because
-        // refrozen's rows landed first (its local ids were remapped).
+        // versa).
         let mut sibling = TypeArena::with_base(Arc::clone(&base), 1 << 10);
         sibling.intern(&Type::fun(Type::DYN, Type::BOOL));
         let other = sibling.freeze();
         assert!(other.extends(&base));
         assert!(other.extends(&refrozen), "later sibling subsumes earlier");
         assert!(!refrozen.extends(&other));
-        assert!(!other.contiguous_over(&base));
-        // An independent lineage (fresh flat freeze) never extends.
-        let detached = overlay.freeze_flat();
-        assert_eq!(detached.len(), overlay.len());
-        assert!(!detached.extends(&base), "different slab, no extension");
-        assert!(!detached.contiguous_over(&base));
+        // An unrelated flat freeze roots another slab: it never
+        // extends, even with identical content.
+        let unrelated = warm.freeze();
+        assert_eq!(unrelated.len(), base.len());
+        assert!(!unrelated.extends(&base), "different slab, no extension");
     }
 
     #[test]

@@ -70,11 +70,11 @@
 //! built on demand, and only if something asks for one
 //! ([`SessionStats::tree_builds`]). The [`pool`] module scales this
 //! across threads: a [`SessionPool`] freezes a warm session into a
-//! shared base, and jobs matching a warmup source travel as
-//! [`CompiledProgram`]s — the interned, `Arc`-spined λB term with ids
-//! below the frozen watermarks — so workers adopt them without
-//! parsing or elaborating; each worker lowers the λB term to λS
-//! against its warm arenas, which is pure memo hits. The [`sched`] module makes the serving
+//! shared base, jobs carry only source text, and each worker compiles
+//! a job against its own overlay over that base — for warmed shapes,
+//! pure memo hits — caching the program per source, so a repeated
+//! source compiles once per worker. A [`Program`] never leaves the
+//! session that compiled it. The [`sched`] module makes the serving
 //! preemptive: every machine is resumable, so workers run jobs in
 //! deterministic step-counted slices ([`SliceBudget`]) with
 //! round-robin fairness, wall-clock [`Deadline`]s, cooperative
@@ -103,11 +103,11 @@ pub use bc_obs::{
     HistogramSnapshot, Registry,
 };
 pub use pool::{
-    CompiledProgram, JobError, JobHandle, JobOutput, PoolStats, PromotionPolicy, SessionPool,
-    SessionPoolBuilder, WorkerStats,
+    JobError, JobHandle, JobOutput, PoolStats, PromotionPolicy, SessionPool, SessionPoolBuilder,
+    WorkerStats,
 };
 pub use sched::{Deadline, SliceBudget};
 pub use session::{
-    AdoptError, Engine, FrozenBase, PausedRun, Program, RunError, RunReport, Session,
-    SessionBuilder, SessionStats, SliceOutcome, TierStats,
+    Engine, FrozenBase, PausedRun, Program, RunError, RunReport, Session, SessionBuilder,
+    SessionStats, SliceOutcome, TierStats,
 };

@@ -21,7 +21,8 @@
 //! * **live base promotion** ([`PromotionPolicy`]): when traffic
 //!   *drifts* past what the warmup predicted, the base does not stay
 //!   stale forever — the fattest overlay is re-frozen (freezing
-//!   flattens base + overlay, preserving every base id verbatim) and
+//!   appends the overlay to the base's slab, preserving every base id
+//!   verbatim) and
 //!   published as a new **epoch** that every worker adopts at its next
 //!   job boundary.
 //!
@@ -41,9 +42,7 @@
 //!    base-miss rate, a job interval). The worker holding the
 //!    *fattest* overlay re-freezes its session — base ids are
 //!    preserved verbatim, so the new snapshot [`FrozenBase::extends`]
-//!    the old one and every outstanding id and compiled payload stays
-//!    valid. The warmup's [`CompiledProgram`]s are re-validated
-//!    against the new snapshot's watermarks before it is published.
+//!    the old one and every id below the old watermarks stays valid.
 //! 4. **hot-swap** — the new epoch is published through an
 //!    `ArcSwap`-shaped cell (`EpochBase`): an atomic epoch counter
 //!    over a mutex-guarded `Arc<FrozenBase>`. Readers pay one atomic
@@ -112,18 +111,14 @@
 //! is always an *extension* of epoch N (checked by
 //! [`FrozenBase::extends`] in debug builds before every publish).
 //!
-//! # Compiled jobs
+//! # Source jobs
 //!
-//! The one payload that *may* travel is a [`CompiledProgram`]: the
-//! warmup's interned λB term plus its type id, compiled **before**
-//! the freeze, so every id it references is below the base watermarks
-//! and denotes the same node in every worker — in epoch 1 and, by the
-//! extension property, in every later epoch (each serve re-checks the
-//! payload's watermarks against its epoch's ancestry before taking
-//! the no-recheck load path). [`SessionPool::submit`] upgrades any
-//! submission whose source text exactly matches a warmup source to
-//! this path automatically ([`SessionPool::submit_compiled`] is the
-//! explicit form).
+//! A job carries only its source text. The serving worker compiles it
+//! against its own overlay session, consulting a worker-local program
+//! cache keyed by that text first, so a repeated source is lexed,
+//! parsed, elaborated and lowered once per worker session. A
+//! [`Program`](crate::Program) never leaves the session that compiled
+//! it; only the job's `Send` result travels back.
 //!
 //! # Worker failure
 //!
@@ -171,10 +166,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bc_gtlc::Diagnostic;
-use bc_lambda_b::BTerm;
 use bc_machine::metrics::Metrics;
 use bc_obs::{AuditOutcome, AuditRecord};
-use bc_syntax::TypeId;
 use bc_translate::bisim::Observation;
 
 use crate::obs::{ns, PoolObs, DEFAULT_AUDIT_CAPACITY};
@@ -207,10 +200,6 @@ pub struct JobOutput {
     /// jobs are dispatched round-robin and stolen by idle workers, so
     /// the assignment is load-dependent).
     pub worker: usize,
-    /// Whether the job travelled as a compiled program (the warmup's
-    /// interned λB term) rather than source text — `true` means the
-    /// serving worker never touched the parser or the elaborator.
-    pub compiled: bool,
     /// End-to-end wall-clock time from submission to resolution —
     /// queueing, any parked turns, and execution together. For the
     /// execution time alone see
@@ -228,52 +217,6 @@ pub struct JobOutput {
 /// job fuel: a divergent warmup source must not burn the job fuel at
 /// build time. See [`PoolStats::warmup_peak_steps`].
 pub const WARMUP_RUN_FUEL: u64 = 64;
-
-/// A program compiled once at warmup and shipped to workers by id:
-/// the interned λB term plus its type id, with every id below the
-/// pool base's frozen watermarks (the warmup compiles *before* the
-/// freeze), so any worker session built over the base adopts it with
-/// no lexing, no parsing, no elaboration, and no λB re-check — the
-/// worker only re-lowers λB → λS, which on a warm base is pure arena
-/// hits: every coercion the lowering builds is already a frozen base
-/// node. (The lowered λS code block does not travel: it is
-/// `Rc`-shared with the runs it feeds, and its coercion ids may name a
-/// worker's local overlay nodes.) `Send + Sync` by construction: the
-/// λB spine is `Arc`, the ids plain integers.
-///
-/// The payload also carries its *provenance* — the warmup session's
-/// identity and the arena watermarks at compile time — which is what
-/// keeps the no-recheck path honest across base promotions: before
-/// trusting the ids, a serving worker asks its current epoch's base
-/// whether it inherits that provenance (epoch N+1 extends epoch N, so
-/// the answer stays yes; a `false` falls back to compiling the
-/// bundled source).
-#[derive(Debug, Clone)]
-pub struct CompiledProgram {
-    source: String,
-    term: BTerm,
-    ty: TypeId,
-    /// Compiling session id + (coercion, type) watermarks — the
-    /// [`FrozenBase::inherits`] query key.
-    session: u64,
-    coercion_watermark: usize,
-    type_watermark: usize,
-}
-
-impl CompiledProgram {
-    /// The source text this program was compiled from (the key
-    /// [`SessionPool::submit`] uses to upgrade matching submissions).
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
-    /// Whether a base snapshot carries every id this payload
-    /// references — true for the epoch the warmup froze and, because
-    /// promotion only extends bases, for every epoch after it.
-    fn valid_against(&self, base: &FrozenBase) -> bool {
-        base.inherits(self.session, self.coercion_watermark, self.type_watermark)
-    }
-}
 
 /// Why a pool job produced no [`JobOutput`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -367,7 +310,9 @@ impl JobHandle {
     /// job completed in time, `None` on timeout. Timing out does
     /// **not** lose or cancel the job — it stays in flight and a
     /// later [`JobHandle::wait`], [`JobHandle::wait_timeout`], or
-    /// [`JobHandle::try_wait`] can still collect it.
+    /// [`JobHandle::try_wait`] can still collect it. A `timeout` past
+    /// the range an `Instant` can hold (e.g. `Duration::MAX`) waits
+    /// until the job resolves.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
         self.state.wait_timeout(timeout)
     }
@@ -402,18 +347,13 @@ impl JobHandle {
     }
 }
 
-/// What a job asks a worker to execute: source text (parsed and
-/// elaborated by the worker) or an already-compiled program (loaded
-/// straight into the worker's session — the no-re-parse path).
+/// What a job asks a worker to execute.
 #[derive(Debug)]
 enum JobSpec {
     /// Source text; the worker compiles it (consulting its local
     /// program cache first, so a repeated source parses once per
     /// worker).
     Source(String),
-    /// A warmup-compiled program shipped by reference; the worker
-    /// loads the interned term without ever seeing the source.
-    Compiled(Arc<CompiledProgram>),
     /// Deliberate fault injection: serving this job panics inside the
     /// worker. Test-only ([`SessionPool::submit_poison`]); exercises
     /// the catch-unwind + respawn path.
@@ -421,12 +361,10 @@ enum JobSpec {
 }
 
 impl JobSpec {
-    /// The cache key: compiled jobs and their source-text twins hash
-    /// to the same worker-local program.
+    /// The key the audit record's shape is derived from.
     fn key(&self) -> &str {
         match self {
             JobSpec::Source(s) => s,
-            JobSpec::Compiled(p) => &p.source,
             JobSpec::Poison => "\u{22a5}poison",
         }
     }
@@ -462,7 +400,6 @@ impl Job {
 struct ParkedEntry {
     job: Job,
     run: PausedRun,
-    compiled: bool,
     /// How long the job sat queued before this worker admitted it
     /// (already recorded in the queue-wait histogram; kept for the
     /// job's eventual audit record).
@@ -486,30 +423,30 @@ enum Disposition {
 ///
 /// # Default rationale (measured)
 ///
-/// * `min_local_nodes` = **64**: the *entire* warm working set of the
-///   six-shape bench workload freezes to well under this (report E22
-///   measures ≤ 16 type nodes and ≤ 10 compose pairs live at ≥ 0.999
-///   hit rates; the full warmup base is ~100 nodes of each kind).
+/// * `min_local_nodes` = **64**: a base warmed on the six testkit
+///   shapes serves a 64-program mixed batch with zero overlay nodes
+///   (`tests/pool.rs::warmed_pool_workers_intern_nothing_past_the_base`).
 ///   An overlay that has grown 64 nodes past such a base is not
 ///   noise — the hot set has structurally moved.
 /// * `min_miss_rate` = **0.02**: the pool's steady-state acceptance
-///   bar is a ≥ 0.99 coercion base-hit rate (E23 asserts 1.000 on
-///   covered traffic), so a session-lifetime miss rate of 2% is twice
-///   the healthy ceiling — drift, not jitter.
+///   bar is a ≥ 0.99 coercion base-hit rate (the same test asserts a
+///   rate above 0.999 on covered traffic; perfbench reports
+///   `pool.coercion_base_hit_rate`), so a session-lifetime miss rate
+///   of 2% is twice the healthy ceiling — drift, not jitter.
 /// * `min_interval_jobs` = **256**: a freeze *appends* the promoting
 ///   worker's overlay to the shared slab — O(overlay) work, flat in
-///   base size (E28 measures it staying within 1.5× from a 1× to a
-///   64× base while the old clone path grows with the base) — so the
-///   charge to the promoting worker's job is small and stays small as
-///   the base grows. The interval gate is therefore less about freeze
-///   cost than about churn: a fresh epoch needs traffic to prove
-///   itself before being re-judged, and respawning workers onto a new
-///   epoch re-warms their overlays. 256 jobs keeps a pathological
-///   workload (a hot set rotating every job) from thrashing epochs.
+///   base size (no test gates the flatness; perfbench's
+///   `pool.promotion_us_mean` prices a promotion) — so the charge to
+///   the promoting worker's job is small. The interval gate is
+///   therefore less about freeze cost than about churn: a fresh epoch
+///   needs traffic to prove itself before being re-judged, and
+///   respawning workers onto a new epoch re-warms their overlays. 256
+///   jobs keeps a pathological workload (a hot set rotating every job)
+///   from thrashing epochs.
 ///
 /// Promotion is enabled by default with these settings; they are
 /// deliberately conservative — a pool whose warmup covers its traffic
-/// never promotes (the bench-suite pools all stay at epoch 1).
+/// never promotes (the module example asserts it stays at epoch 1).
 /// Tighten them (or promote on an interval of 1) in tests and drills;
 /// disable promotion entirely with
 /// [`SessionPoolBuilder::no_promotion`].
@@ -786,14 +723,15 @@ pub struct PoolStats {
     /// Overlay-to-base promotions published so far.
     pub promotions: u64,
     /// Cumulative wall-clock nanoseconds spent inside promotion
-    /// (freeze-append + validation + publish), across every promotion
+    /// (freeze-append + publish), across every promotion
     /// since pool startup. Monotone across epoch rebuilds and
     /// respawns, like every other pool counter; divide by
     /// [`PoolStats::promotions`] for the mean cost of a hot-swap.
     pub promotion_ns: u64,
     /// Wall-clock nanoseconds of the most recent promotion (0 until
     /// the first one). With append-based freezing this should stay
-    /// flat as the base grows — the E28 bench table asserts it.
+    /// flat as the base grows; no test gates it, and perfbench reports
+    /// the mean as `pool.promotion_us_mean`.
     pub last_promotion_ns: u64,
     /// Workers respawned after a caught serve panic.
     pub respawns: u64,
@@ -943,7 +881,6 @@ pub struct SessionPoolBuilder {
     type_memo_capacity: usize,
     default_fuel: u64,
     warmup: Vec<String>,
-    base: Option<Arc<FrozenBase>>,
     promotion: Option<PromotionPolicy>,
     slice: Option<SliceBudget>,
     queue_capacity: usize,
@@ -959,7 +896,6 @@ impl Default for SessionPoolBuilder {
             type_memo_capacity: SessionBuilder::DEFAULT_TYPE_MEMO_CAPACITY,
             default_fuel: SessionBuilder::DEFAULT_FUEL,
             warmup: Vec::new(),
-            base: None,
             promotion: Some(PromotionPolicy::default()),
             slice: Some(SliceBudget::default()),
             queue_capacity: usize::MAX,
@@ -1017,15 +953,6 @@ impl SessionPoolBuilder {
         self
     }
 
-    /// Starts the warmup session from an existing frozen base instead
-    /// of empty (the warmup sources, if any, are layered on top and
-    /// the combination re-frozen) — how a pool inherits yesterday's
-    /// warm state.
-    pub fn base(mut self, base: Arc<FrozenBase>) -> SessionPoolBuilder {
-        self.base = Some(base);
-        self
-    }
-
     /// Sets the live-promotion policy (see [`PromotionPolicy`] for
     /// the default and its rationale).
     pub fn promotion(mut self, policy: PromotionPolicy) -> SessionPoolBuilder {
@@ -1035,8 +962,8 @@ impl SessionPoolBuilder {
 
     /// Disables live base promotion: the pool serves its warmup epoch
     /// forever, and drifted traffic interns per worker, duplicated —
-    /// the pre-promotion behaviour, kept for comparison benches and
-    /// for bases managed externally.
+    /// the pre-promotion behaviour, kept as the control pool of the
+    /// promotion tests in `tests/pool.rs`.
     pub fn no_promotion(mut self) -> SessionPoolBuilder {
         self.promotion = None;
         self
@@ -1054,7 +981,8 @@ impl SessionPoolBuilder {
 
     /// Disables timeslicing: every job runs to completion (or fuel
     /// exhaustion) in a single turn, pinning its worker — the
-    /// pre-scheduler behaviour, kept for comparison benches.
+    /// pre-scheduler behaviour, kept so a test can pin a worker behind
+    /// a spinner (`tests/pool.rs::idle_workers_steal_from_busy_queues`).
     /// Deadlines and cancellation still work but are only checked
     /// when a job starts.
     pub fn no_slicing(mut self) -> SessionPoolBuilder {
@@ -1078,10 +1006,10 @@ impl SessionPoolBuilder {
     /// registry, no per-job instrument updates, no audit records.
     /// [`SessionPool::metrics_text`] renders a one-line comment and
     /// [`SessionPool::audit_records`] returns nothing. Observability
-    /// is **on by default** — its measured cost is ≤ 2% of mixed-batch
-    /// throughput (bench table E29) — so this switch exists for
-    /// overhead comparisons and for embedders running their own
-    /// telemetry.
+    /// is **on by default**; its cost was last measured at ≤ 2% of
+    /// mixed-batch throughput, and no test or benchmark key measures
+    /// it now. This switch exists for overhead comparisons and for
+    /// embedders running their own telemetry.
     pub fn no_observability(mut self) -> SessionPoolBuilder {
         self.observability = false;
         self
@@ -1113,15 +1041,11 @@ impl SessionPoolBuilder {
     /// be spawned.
     pub fn build(self) -> Result<SessionPool, Diagnostic> {
         assert!(self.workers > 0, "SessionPool needs at least 1 worker");
-        let mut warm = Session::builder()
+        let warm = Session::builder()
             .compose_cache_capacity(self.compose_cache_capacity)
             .type_memo_capacity(self.type_memo_capacity)
-            .default_fuel(self.default_fuel);
-        if let Some(base) = self.base {
-            warm = warm.base(base);
-        }
-        let warm = warm.build();
-        let mut compiled = HashMap::new();
+            .default_fuel(self.default_fuel)
+            .build();
         // Warmup runs are capped at WARMUP_RUN_FUEL. The unit is
         // machine *steps* — the same unit job fuel,
         // `SliceBudget`, and `Metrics::steps` count, one transition
@@ -1131,7 +1055,7 @@ impl SessionPoolBuilder {
         // all directly comparable numbers.
         let mut warmup_peak_steps = 0;
         for source in &self.warmup {
-            let (program, term) = warm.compile_with_term(source)?;
+            let program = warm.compile(source)?;
             // Warm the compose pairs; outcome (including fuel
             // exhaustion) is irrelevant here. Every warmup source runs:
             // even one whose compile interned nothing new can reach
@@ -1148,27 +1072,8 @@ impl SessionPoolBuilder {
                 Err(RunError::IllTyped(_)) => 0,
             };
             warmup_peak_steps = warmup_peak_steps.max(steps);
-            // Keep the compiled form: every id it references is about
-            // to be frozen into the base, so workers can load it
-            // without re-parsing (`SessionPool::submit_compiled`).
-            let (session, coercion_watermark, type_watermark) = program.provenance();
-            compiled.insert(
-                source.clone(),
-                Arc::new(CompiledProgram {
-                    source: source.clone(),
-                    term,
-                    ty: program.ty_id(),
-                    session,
-                    coercion_watermark,
-                    type_watermark,
-                }),
-            );
         }
         let base = warm.freeze();
-        debug_assert!(
-            compiled.values().all(|p| p.valid_against(&base)),
-            "warmup payloads must be carried by the warmup's own freeze"
-        );
 
         let shared = Arc::new(PoolShared {
             epoch: EpochBase::new(base),
@@ -1188,10 +1093,6 @@ impl SessionPoolBuilder {
             respawns: AtomicU64::new(0),
             jobs_since_promotion: AtomicU64::new(0),
             policy: self.promotion,
-            compiled_provenance: compiled
-                .values()
-                .map(|p| (p.session, p.coercion_watermark, p.type_watermark))
-                .collect(),
             compose_cache_capacity: self.compose_cache_capacity,
             type_memo_capacity: self.type_memo_capacity,
             default_fuel: self.default_fuel,
@@ -1210,7 +1111,6 @@ impl SessionPoolBuilder {
         Ok(SessionPool {
             shared,
             next: AtomicUsize::new(0),
-            compiled,
             default_fuel: self.default_fuel,
             warmup_peak_steps,
         })
@@ -1237,7 +1137,7 @@ struct PoolShared {
     /// False once shutdown starts: no new jobs, no respawns; workers
     /// drain every queue and exit.
     open: AtomicBool,
-    /// Serialises promotions (freeze + validate + publish); never
+    /// Serialises promotions (freeze + publish); never
     /// blocks submit or serving — a worker that loses the race just
     /// keeps serving and adopts the winner's epoch.
     promoting: AtomicBool,
@@ -1250,9 +1150,6 @@ struct PoolShared {
     respawns: AtomicU64,
     jobs_since_promotion: AtomicU64,
     policy: Option<PromotionPolicy>,
-    /// Provenance of every warmup [`CompiledProgram`], re-validated
-    /// against each candidate epoch before it is published.
-    compiled_provenance: Vec<(u64, usize, usize)>,
     compose_cache_capacity: usize,
     type_memo_capacity: usize,
     default_fuel: u64,
@@ -1301,7 +1198,6 @@ fn base_record(
         steps: 0,
         peak_frames: 0,
         peak_cast_frames: 0,
-        compiled: matches!(job.spec, JobSpec::Compiled(_)),
         latency_ns: ns(job.submitted.elapsed()),
         queue_wait_ns: ns(queue_wait),
         shape: bc_obs::shape_key(job.spec.key()),
@@ -1492,19 +1388,6 @@ impl PoolShared {
                 next.extends(old),
                 "a promoted epoch must extend the epoch it was grown over"
             );
-            // Re-validate the warmup's compiled payloads: the new
-            // base must carry every id they reference, or the
-            // no-recheck adopt path would be unsound after the swap.
-            // Guaranteed by the extension property; checked for real
-            // because publishing an invalid base is the one mistake
-            // the pool could never recover from.
-            if !self
-                .compiled_provenance
-                .iter()
-                .all(|&(s, c, t)| next.inherits(s, c, t))
-            {
-                return None;
-            }
             let epoch = self.epoch.publish(Arc::clone(&next));
             let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.promotion_ns.fetch_add(elapsed, Ordering::Relaxed);
@@ -1585,10 +1468,9 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
     let (mut epoch, mut base) = shared.epoch.load();
     let mut session = shared.build_session(Arc::clone(&base));
     // The worker-local program cache: one lowered Program per distinct
-    // job key. Programs hold session-bound ids, so the cache lives and
+    // source. Programs hold session-bound ids, so the cache lives and
     // dies with the current session; it is what makes a repeated job
-    // (compiled or source) a pure lookup — zero parsing, zero
-    // lowering.
+    // a pure lookup — zero parsing, zero lowering.
     let mut programs: HashMap<String, crate::session::Program> = HashMap::new();
     let mut run_queue: VecDeque<ParkedEntry> = VecDeque::new();
     loop {
@@ -1659,14 +1541,12 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                 // panic (session, program cache, and parked runs die
                 // with this worker; the replacement starts fresh over
                 // the current epoch).
-                let admitted = catch_unwind(AssertUnwindSafe(|| {
-                    admit(&session, &mut programs, &base, &job)
-                }));
+                let admitted =
+                    catch_unwind(AssertUnwindSafe(|| admit(&session, &mut programs, &job)));
                 match admitted {
-                    Ok(Ok((run, compiled))) => run_queue.push_back(ParkedEntry {
+                    Ok(Ok(run)) => run_queue.push_back(ParkedEntry {
                         job,
                         run,
-                        compiled,
                         queue_wait,
                     }),
                     Ok(Err(err)) => {
@@ -1708,7 +1588,6 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
             let ParkedEntry {
                 job,
                 run,
-                compiled,
                 queue_wait,
             } = entry;
             if job.reply.is_canceled() {
@@ -1752,7 +1631,6 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                             obs.slices.inc();
                             let mut record =
                                 base_record(index, epoch, &job, queue_wait, AuditOutcome::Value);
-                            record.compiled = compiled;
                             match &result {
                                 Ok(report) => {
                                     record.steps = report.steps;
@@ -1776,7 +1654,6 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                                 steps: report.steps,
                                 metrics: report.metrics,
                                 worker: index,
-                                compiled,
                                 elapsed,
                             })
                             .map_err(JobError::Run);
@@ -1805,7 +1682,6 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                         run_queue.push_back(ParkedEntry {
                             job,
                             run,
-                            compiled,
                             queue_wait,
                         });
                     }
@@ -1892,52 +1768,29 @@ fn adopt_if_promoted(
 /// warm, so a re-lower interns nothing).
 const WORKER_PROGRAM_CACHE_CAP: usize = 1024;
 
-/// Admits one job: resolves the program (worker cache → compiled
-/// payload → source compile) and starts a resumable run parked at
-/// step zero — no machine steps run here; the scheduling loop doles
-/// those out in slices.
+/// Admits one job: resolves the program (worker cache, else a source
+/// compile) and starts a resumable run parked at step zero — no
+/// machine steps run here; the scheduling loop doles those out in
+/// slices.
 fn admit(
     session: &Session,
     programs: &mut HashMap<String, crate::session::Program>,
-    base: &Arc<FrozenBase>,
     job: &Job,
-) -> Result<(PausedRun, bool), JobError> {
-    if matches!(job.spec, JobSpec::Poison) {
+) -> Result<PausedRun, JobError> {
+    let JobSpec::Source(source) = &job.spec else {
         panic!("deliberate pool fault injection (JobSpec::Poison)");
-    }
-    let mut compiled = false;
-    let key = job.spec.key();
-    if !programs.contains_key(key) {
-        let program = match &job.spec {
-            // Pool-made `CompiledProgram`s were elaborated and checked
-            // by warmup itself before the freeze, so the worker skips
-            // the λB re-check and goes straight to lowering — every
-            // coercion node a base-covered term needs is already
-            // frozen, so this is base-index lookups only.
-            // The provenance check keeps the trust honest across
-            // epoch swaps (promotion preserves it by extension; a
-            // mismatch falls back to the bundled source).
-            JobSpec::Compiled(p) if p.valid_against(base) => {
-                compiled = true;
-                session.load_compiled_trusted(p.term.clone(), p.ty)
-            }
-            JobSpec::Compiled(p) => session.compile(&p.source).map_err(JobError::Compile)?,
-            JobSpec::Source(source) => session.compile(source).map_err(JobError::Compile)?,
-            JobSpec::Poison => unreachable!("poison panics before program resolution"),
-        };
+    };
+    if !programs.contains_key(source) {
+        let program = session.compile(source).map_err(JobError::Compile)?;
         if programs.len() >= WORKER_PROGRAM_CACHE_CAP {
             programs.clear();
         }
-        programs.insert(key.to_owned(), program);
-    } else {
-        compiled = matches!(job.spec, JobSpec::Compiled(_));
+        programs.insert(source.clone(), program);
     }
-    let program = &programs[key];
     let fuel = job.fuel.unwrap_or_else(|| session.default_fuel());
-    let run = session
-        .start_run(program, job.engine, fuel)
-        .map_err(JobError::Run)?;
-    Ok((run, compiled))
+    session
+        .start_run(&programs[source], job.engine, fuel)
+        .map_err(JobError::Run)
 }
 
 /// A multi-threaded serving pool: N worker threads, each with a
@@ -1951,10 +1804,6 @@ pub struct SessionPool {
     shared: Arc<PoolShared>,
     /// Round-robin dispatch cursor.
     next: AtomicUsize,
-    /// The warmup's compiled programs, keyed by their source text:
-    /// the payloads [`SessionPool::submit_compiled`] ships and
-    /// [`SessionPool::submit`] upgrades matching submissions to.
-    compiled: HashMap<String, Arc<CompiledProgram>>,
     default_fuel: u64,
     /// The most machine steps any one warmup run took.
     warmup_peak_steps: u64,
@@ -2016,12 +1865,8 @@ impl SessionPool {
 
     /// Submits one compile+run job, dispatched round-robin (idle
     /// workers steal it if its assigned worker is busy).
-    ///
-    /// If `source` is byte-for-byte one of the warmup sources, the job
-    /// is upgraded to the compiled path automatically: the worker
-    /// receives the warmup's interned λB term and never re-parses.
     pub fn submit(&self, source: impl Into<String>, engine: Engine) -> JobHandle {
-        self.submit_job(self.spec_for(source.into()), engine, None, None)
+        self.submit_job(JobSpec::Source(source.into()), engine, None, None)
     }
 
     /// [`SessionPool::submit`] with an explicit step bound.
@@ -2031,7 +1876,7 @@ impl SessionPool {
         engine: Engine,
         fuel: u64,
     ) -> JobHandle {
-        self.submit_job(self.spec_for(source.into()), engine, Some(fuel), None)
+        self.submit_job(JobSpec::Source(source.into()), engine, Some(fuel), None)
     }
 
     /// [`SessionPool::submit`] with a wall-clock deadline: a job that
@@ -2045,7 +1890,7 @@ impl SessionPool {
         engine: Engine,
         deadline: Deadline,
     ) -> JobHandle {
-        self.submit_job(self.spec_for(source.into()), engine, None, Some(deadline))
+        self.submit_job(JobSpec::Source(source.into()), engine, None, Some(deadline))
     }
 
     /// The fully-explicit submission: step bound and/or deadline.
@@ -2056,13 +1901,11 @@ impl SessionPool {
         fuel: Option<u64>,
         deadline: Option<Deadline>,
     ) -> JobHandle {
-        self.submit_job(self.spec_for(source.into()), engine, fuel, deadline)
+        self.submit_job(JobSpec::Source(source.into()), engine, fuel, deadline)
     }
 
     /// Submits a batch of jobs, returning one handle per source (in
-    /// submission order; completion order is up to the workers). Each
-    /// source gets the same compiled-path upgrade as
-    /// [`SessionPool::submit`].
+    /// submission order; completion order is up to the workers).
     pub fn submit_batch<I, S>(&self, sources: I, engine: Engine) -> Vec<JobHandle>
     where
         I: IntoIterator<Item = S>,
@@ -2070,36 +1913,8 @@ impl SessionPool {
     {
         sources
             .into_iter()
-            .map(|s| self.submit_job(self.spec_for(s.into()), engine, None, None))
+            .map(|s| self.submit_job(JobSpec::Source(s.into()), engine, None, None))
             .collect()
-    }
-
-    /// Submits a warmup source by name as a compiled job — the
-    /// explicit form of the upgrade [`SessionPool::submit`] applies:
-    /// the worker loads the warmup's interned λB term
-    /// ([`Session::load_compiled`]) instead of parsing. Returns `None`
-    /// if `source` was not among the pool's warmup sources (nothing
-    /// compiled exists to ship — use [`SessionPool::submit`], which
-    /// compiles on the worker).
-    pub fn submit_compiled(&self, source: &str, engine: Engine) -> Option<JobHandle> {
-        let program = self.compiled.get(source)?;
-        Some(self.submit_job(JobSpec::Compiled(Arc::clone(program)), engine, None, None))
-    }
-
-    /// [`SessionPool::submit_compiled`] with an explicit step bound.
-    pub fn submit_compiled_with_fuel(
-        &self,
-        source: &str,
-        engine: Engine,
-        fuel: u64,
-    ) -> Option<JobHandle> {
-        let program = self.compiled.get(source)?;
-        Some(self.submit_job(
-            JobSpec::Compiled(Arc::clone(program)),
-            engine,
-            Some(fuel),
-            None,
-        ))
     }
 
     /// Test-only fault injection: submits a job whose serve panics
@@ -2109,21 +1924,6 @@ impl SessionPool {
     #[doc(hidden)]
     pub fn submit_poison(&self) -> JobHandle {
         self.submit_job(JobSpec::Poison, Engine::MachineS, None, None)
-    }
-
-    /// The warmup sources with a compiled program ready to ship
-    /// (the keys [`SessionPool::submit_compiled`] accepts).
-    pub fn compiled_sources(&self) -> impl Iterator<Item = &str> {
-        self.compiled.keys().map(String::as_str)
-    }
-
-    /// Upgrades a source submission to the compiled path when the
-    /// warmup compiled exactly this text.
-    fn spec_for(&self, source: String) -> JobSpec {
-        match self.compiled.get(&source) {
-            Some(program) => JobSpec::Compiled(Arc::clone(program)),
-            None => JobSpec::Source(source),
-        }
     }
 
     fn submit_job(
@@ -2166,7 +1966,6 @@ impl SessionPool {
                     steps: 0,
                     peak_frames: 0,
                     peak_cast_frames: 0,
-                    compiled: matches!(spec, JobSpec::Compiled(_)),
                     latency_ns: 0,
                     queue_wait_ns: 0,
                     shape: bc_obs::shape_key(spec.key()),

@@ -100,25 +100,28 @@ impl fmt::Display for SliceBudget {
 /// run queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
-    at: Instant,
+    /// `None` when the deadline lies past what an `Instant` can hold:
+    /// it never expires.
+    at: Option<Instant>,
 }
 
 impl Deadline {
-    /// A deadline `timeout` from now.
+    /// A deadline `timeout` from now. A `timeout` past the range an
+    /// `Instant` can hold (e.g. `Duration::MAX`) never expires.
     pub fn after(timeout: Duration) -> Deadline {
         Deadline {
-            at: Instant::now() + timeout,
+            at: Instant::now().checked_add(timeout),
         }
     }
 
     /// A deadline at an absolute instant.
     pub fn at(at: Instant) -> Deadline {
-        Deadline { at }
+        Deadline { at: Some(at) }
     }
 
     /// Whether the deadline has passed.
     pub(crate) fn expired(&self) -> bool {
-        Instant::now() >= self.at
+        self.at.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -228,9 +231,12 @@ impl JobState {
     }
 
     /// Blocks until resolved or `timeout` elapses; `None` on timeout
-    /// (the job stays in flight and the cell stays valid).
+    /// (the job stays in flight and the cell stays valid). A `timeout`
+    /// past the range an `Instant` can hold waits until resolution.
     pub(crate) fn wait_timeout(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait());
+        };
         let mut cell = self.lock();
         loop {
             if let Some(result) = &cell.result {

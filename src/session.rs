@@ -176,21 +176,6 @@ macro_rules! small_step_run_error {
     };
 }
 
-/// One hop of a session's fork history: an ancestor session's
-/// identity, with the arena watermarks (node counts) this lineage
-/// held at the moment it forked away from that ancestor (via
-/// [`Session::clone_state`] or [`Session::freeze`]).
-///
-/// A program compiled in the ancestor *before* those watermarks
-/// references only state every descendant inherited verbatim — the
-/// soundness condition [`Session::adopt`] checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AncestryEntry {
-    session: u64,
-    coercions: usize,
-    types: usize,
-}
-
 /// A frozen, immutable snapshot of a warm [`Session`]'s shared state —
 /// the base tier of the two-tier (base + per-worker overlay) sharing
 /// model.
@@ -201,10 +186,11 @@ struct AncestryEntry {
 /// the frozen coercion arena (nodes plus every memoized composition
 /// pair); it is `Send + Sync`, so one `Arc<FrozenBase>` can back any
 /// number of worker sessions on any number of threads, each layering
-/// a cheap private overlay on top. E22 measured the warm working set
-/// this captures at ≤ 16 type nodes and ≤ 10 compose pairs on every
-/// bench workload — a few hundred bytes buying every worker a fully
-/// warm start.
+/// a cheap private overlay on top. A base warmed on the six testkit
+/// shapes covers a 64-program mixed batch with zero overlay nodes
+/// (`tests/pool.rs::warmed_pool_workers_intern_nothing_past_the_base`);
+/// perfbench's `pool.coercion_base_hit_rate` measures the coverage
+/// under drifting traffic.
 ///
 /// **When to freeze**: after compiling (and ideally running) a
 /// representative warmup workload, so the snapshot holds the types,
@@ -216,8 +202,7 @@ struct AncestryEntry {
 /// storage. Snapshots taken over one base therefore share memory and
 /// stay cheap to take even as the base grows, but a base is still a
 /// deployment artifact: freeze at traffic boundaries, not per
-/// request. Use [`Session::freeze_detached`] for a fully independent
-/// copy.
+/// request.
 ///
 /// **Id-offset contract**: ids below the frozen lengths denote
 /// snapshot nodes and mean the same thing in every session built over
@@ -228,10 +213,6 @@ struct AncestryEntry {
 pub struct FrozenBase {
     types: Arc<FrozenTypes>,
     coercions: Arc<FrozenCoercions>,
-    /// The freezing session's own fork history plus the freezing
-    /// session itself — sessions built over this base extend it, so
-    /// programs compiled before the freeze can be adopted by them.
-    ancestry: Vec<AncestryEntry>,
 }
 
 impl FrozenBase {
@@ -257,89 +238,19 @@ impl FrozenBase {
 
     /// Whether this base *extends* `other`: both frozen tiers are
     /// views over the *same* append-only slab with this base's
-    /// watermarks at or past `other`'s, and this base's ancestry
-    /// begins with `other`'s. Because slab ids are never re-assigned,
-    /// the watermark comparison alone proves every node `other` holds
-    /// appears here at the same id — the hot-swap soundness
-    /// condition: any id or compiled program valid against `other` is
-    /// valid, unchanged, against an extension, which a
-    /// [`Session::freeze`] of a session built over `other` produces
-    /// by construction (freezing appends the overlay above the base
-    /// watermark, leaving base ids untouched). O(1) — three pointer
-    /// identities and a handful of integer compares plus the ancestry
-    /// prefix — cheap enough for promotion-time validation on every
-    /// swap.
+    /// watermarks at or past `other`'s. Because slab ids are never
+    /// re-assigned, this proves every node `other` holds appears here
+    /// at the same id — the hot-swap soundness condition: any id
+    /// valid against `other` is valid, unchanged, against an
+    /// extension, which a [`Session::freeze`] of a session built over
+    /// `other` produces by construction (freezing appends the overlay
+    /// above the base watermark, leaving base ids untouched). O(1) —
+    /// two pointer identities and a handful of integer compares —
+    /// cheap enough for promotion-time validation on every swap.
     pub fn extends(&self, other: &FrozenBase) -> bool {
-        self.types.extends(&other.types)
-            && self.coercions.extends(&other.coercions)
-            && self.ancestry.starts_with(&other.ancestry)
-    }
-
-    /// Whether a program compiled by `session` at the given watermarks
-    /// references only state frozen into this base — the per-program
-    /// form of the [`Session::adopt`] soundness condition, answered
-    /// from the ancestry chain without building a session. The pool
-    /// uses it to re-validate its warmup-compiled payloads against
-    /// each newly promoted epoch before trusting the no-recheck load
-    /// path.
-    pub(crate) fn inherits(&self, session: u64, coercions: usize, types: usize) -> bool {
-        self.ancestry
-            .iter()
-            .any(|e| e.session == session && coercions <= e.coercions && types <= e.types)
+        self.types.extends(&other.types) && self.coercions.extends(&other.coercions)
     }
 }
-
-/// Why [`Session::adopt`] refused to re-bind a program — the typed
-/// error for cross-session handle transfer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdoptError {
-    /// The adopting session is not a descendant (via
-    /// [`Session::clone_state`] or a [`FrozenBase`]) of the session
-    /// that compiled the program, so the program's ids belong to an
-    /// unrelated id-space.
-    ForeignSession,
-    /// The adopting session *is* a descendant of the compiling
-    /// session, but the program was compiled **after** the fork: it
-    /// may reference nodes this session never inherited.
-    PostFork {
-        /// Coercion nodes the program's session held when the program
-        /// was compiled.
-        program_coercions: usize,
-        /// Coercion nodes inherited at the fork.
-        inherited_coercions: usize,
-        /// Type nodes the program's session held when the program was
-        /// compiled.
-        program_types: usize,
-        /// Type nodes inherited at the fork.
-        inherited_types: usize,
-    },
-}
-
-impl fmt::Display for AdoptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdoptError::ForeignSession => f.write_str(
-                "cannot adopt: the program was compiled by an unrelated session \
-                 (adopt only works in a session forked from the compiling one via \
-                 Session::clone_state or a FrozenBase; recompile the program here instead)",
-            ),
-            AdoptError::PostFork {
-                program_coercions,
-                inherited_coercions,
-                program_types,
-                inherited_types,
-            } => write!(
-                f,
-                "cannot adopt: the program was compiled after this session forked \
-                 from its owner (program watermarks: {program_coercions} coercion / \
-                 {program_types} type nodes; inherited: {inherited_coercions} / \
-                 {inherited_types}) — fork again after compiling, or recompile here"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AdoptError {}
 
 /// The two-tier sharing counters of a [`Session`]: how much of its
 /// state lives in the frozen base versus the private overlay, and how
@@ -446,23 +357,23 @@ impl SessionBuilder {
     /// The default step bound used by [`Session::run`].
     pub const DEFAULT_FUEL: u64 = 1_000_000;
 
-    /// The default compose-cache pair cap, picked from measured reuse
-    /// on the benchmark workloads (report E22): a 16-program
-    /// boundary-loop batch — the most composition-heavy workload in
-    /// the suite — peaks at **10** live pairs with a 99.9% hit rate,
-    /// and no workload reaches triple digits. 2¹⁶ keeps >5000×
-    /// headroom over anything observed while bounding a long-lived
-    /// multi-tenant session's table at a few MB (the raw-arena default
-    /// `ComposeCache::DEFAULT_CAPACITY` of 2²⁰ stays for callers
-    /// managing their own arenas).
+    /// The default compose-cache pair cap. When it was chosen, a
+    /// 16-program boundary-loop batch — the most composition-heavy
+    /// workload then measured — peaked at **10** live pairs with a
+    /// 99.9% hit rate. The live pair count is no longer measured;
+    /// perfbench's `core.compose_hit_ratio` reports the hit rate on
+    /// its workloads. 2¹⁶ keeps >5000× headroom over that peak while
+    /// bounding a long-lived multi-tenant session's table at a few MB
+    /// (the raw-arena default `ComposeCache::DEFAULT_CAPACITY` of 2²⁰
+    /// stays for callers managing their own arenas).
     pub const DEFAULT_COMPOSE_CACHE_CAPACITY: usize = 1 << 16;
 
-    /// The default verdict-table cap, picked from the same
-    /// measurements: the interned front end answers its relational
-    /// questions almost entirely from the O(1) fast paths (hit rates
-    /// ≥ 0.999 on every E22 workload) and holds at most a few dozen
-    /// memoized verdicts, so 2¹⁶ is again >1000× headroom at bounded
-    /// memory.
+    /// The default verdict-table cap, chosen the same way: the
+    /// interned front end answers its relational questions almost
+    /// entirely from the O(1) fast paths (hit rates ≥ 0.999 when
+    /// measured; perfbench's `syntax.verdict_hit_ratio` reports it
+    /// now) and held at most a few dozen memoized verdicts, so 2¹⁶ is
+    /// again >1000× headroom at bounded memory.
     pub const DEFAULT_TYPE_MEMO_CAPACITY: usize = 1 << 16;
 
     /// Caps the compose cache at `capacity` memoized pairs (evicted
@@ -523,23 +434,20 @@ impl SessionBuilder {
     ///
     /// Panics if either configured capacity is zero.
     pub fn build(self) -> Session {
-        let (arena, cache, types, ancestry) = match self.base {
+        let (arena, cache, types) = match self.base {
             Some(base) => (
                 CoercionArena::with_base(Arc::clone(&base.coercions)),
                 ComposeCache::with_base(Arc::clone(&base.coercions), self.compose_cache_capacity),
                 TypeArena::with_base(Arc::clone(&base.types), self.type_memo_capacity),
-                base.ancestry.clone(),
             ),
             None => (
                 CoercionArena::new(),
                 ComposeCache::with_capacity(self.compose_cache_capacity),
                 TypeArena::with_memo_capacity(self.type_memo_capacity),
-                Vec::new(),
             ),
         };
         Session {
             id: next_session_id(),
-            ancestry,
             arena: RefCell::new(arena),
             cache: RefCell::new(cache),
             types: RefCell::new(types),
@@ -572,10 +480,6 @@ pub struct Session {
     /// Identity of this session's id-spaces; programs record it so a
     /// handle can never be resolved against the wrong arenas.
     id: u64,
-    /// Fork history: the chain of ancestor sessions (with the
-    /// watermarks inherited from each), consulted by
-    /// [`Session::adopt`].
-    ancestry: Vec<AncestryEntry>,
     arena: RefCell<CoercionArena>,
     cache: RefCell<ComposeCache>,
     types: RefCell<TypeArena>,
@@ -622,16 +526,8 @@ pub struct Program {
     /// once per distinct type per session — a warm recompile clones an
     /// `Rc`, allocating nothing).
     pub ty: Type,
-    /// The program's type as an id in the owning session's arena.
-    ty_id: TypeId,
     /// Owning session id (checked by every [`Session::run`]).
     session: u64,
-    /// Coercion nodes the owning session held when this program was
-    /// compiled (every id this program references is below it).
-    coercion_watermark: usize,
-    /// Type nodes the owning session held when this program was
-    /// compiled.
-    type_watermark: usize,
 }
 
 /// A program's λB form: re-derivable source text, or a loaded term.
@@ -663,22 +559,10 @@ impl Program {
 
     /// The λS code block the λS engines execute. It is `Rc`-shared
     /// and stays in the session that lowered it: pool jobs carry only
-    /// the λB form ([`Session::lambda_b_compiled`]), and a worker
-    /// lowers it against its own (warm) arenas.
+    /// source text, and a worker compiles it against its own (warm)
+    /// arenas.
     pub fn lambda_s_compiled(&self) -> &SCode {
         &self.lambda_s_compiled
-    }
-
-    /// The program's type as an id in the owning session's type arena.
-    pub fn ty_id(&self) -> TypeId {
-        self.ty_id
-    }
-
-    /// The compiling session's identity plus the arena watermarks at
-    /// compile time — everything [`FrozenBase::inherits`] needs to
-    /// decide whether a frozen snapshot carries this program's ids.
-    pub(crate) fn provenance(&self) -> (u64, usize, usize) {
-        (self.session, self.coercion_watermark, self.type_watermark)
     }
 
     /// Explains a blame label as a source-level diagnostic, when the
@@ -727,13 +611,6 @@ impl Session {
     /// Returns a [`Diagnostic`] on lexical, syntax, or gradual type
     /// errors.
     pub fn compile(&self, source: &str) -> Result<Program, Diagnostic> {
-        self.compile_with_term(source).map(|(program, _)| program)
-    }
-
-    /// [`Session::compile`], also handing back the compiled λB term
-    /// the handle does not keep (the pool's warmup ships it to
-    /// workers).
-    pub(crate) fn compile_with_term(&self, source: &str) -> Result<(Program, BTerm), Diagnostic> {
         let program = {
             let mut types = self.types.borrow_mut();
             bc_gtlc::compile_compiled(source, &mut types)?
@@ -742,7 +619,7 @@ impl Session {
             text: source.into(),
             blame_spans: program.blame_spans,
         };
-        Ok((self.lower(&program.term, program.ty, origin), program.term))
+        Ok(self.lower(&program.term, program.ty, origin))
     }
 
     /// Compiles a batch of sources into this session, so the whole
@@ -793,54 +670,6 @@ impl Session {
         Ok(self.lower(&compiled, stated, Origin::Term(compiled.clone())))
     }
 
-    /// Wraps an already-compiled λB term — the `Send` job payload a
-    /// warm sibling produced ([`Session::lambda_b_compiled`] /
-    /// [`Program::ty_id`]) — checking it with the compiled λB checker
-    /// before lowering. This is the no-re-parse path the
-    /// [`crate::pool::SessionPool`] uses for warmed jobs.
-    ///
-    /// Every id in `term` and `ty` must be valid in this session's
-    /// type arena: either interned here, or below the frozen-base
-    /// watermark of a shared [`FrozenBase`] (the id-offset contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::IllTyped`] if the term is open, ill typed,
-    /// or well typed at a different type than stated.
-    ///
-    /// # Panics
-    ///
-    /// May panic if an id does not denote a node in this session's
-    /// arenas — a foreign id-space is a caller bug, not a typed error.
-    pub fn load_compiled(&self, term: BTerm, ty: TypeId) -> Result<Program, RunError> {
-        {
-            let mut types = self.types.borrow_mut();
-            match bc_lambda_b::type_of_compiled(&term, &mut types) {
-                Err(e) => return Err(ill_typed(e)),
-                Ok(actual) if actual != ty => {
-                    return Err(ill_typed(format!(
-                        "term has type `{}`, not the stated `{}`",
-                        types.display(actual),
-                        types.display(ty)
-                    )))
-                }
-                Ok(_) => {}
-            }
-        }
-        Ok(self.lower(&term, ty, Origin::Term(term.clone())))
-    }
-
-    /// [`Session::load_compiled`] without the λB re-check, for terms
-    /// whose well-typedness is already established — the pool's
-    /// compiled jobs, which its own warmup elaborated and checked
-    /// before the freeze. Lowering still happens here (the λS form is
-    /// session-local by design; see `bc_core::sterm`), but against a
-    /// warm base it is pure arena hits. (The debug assertion in
-    /// `lower` still type-checks the λS form in debug builds.)
-    pub(crate) fn load_compiled_trusted(&self, term: BTerm, ty: TypeId) -> Program {
-        self.lower(&term, ty, Origin::Term(term.clone()))
-    }
-
     /// Lowers a well-typed compiled λB term into a session-bound
     /// program: λB straight to the λS code block on interned ids
     /// ([`term_b_to_s_compiled`]). Each cast becomes its canonical
@@ -867,10 +696,7 @@ impl Session {
             origin,
             lambda_s_compiled,
             ty: types.resolve(ty),
-            ty_id: ty,
             session: self.id,
-            coercion_watermark: arena.len(),
-            type_watermark: types.len(),
         }
     }
 
@@ -893,12 +719,8 @@ impl Session {
     }
 
     /// The compiled λB term of a program: cast insertion's output with
-    /// every type annotation an interned id. Paired with
-    /// [`Program::ty_id`], this is the session-independent job payload
-    /// — `Arc`-spined and `Send`, with every id below the program's
-    /// watermarks, so a session sharing those ids (via a
-    /// [`FrozenBase`]) can [`Session::load_compiled`] it without
-    /// re-parsing or re-elaborating.
+    /// every type annotation an interned id, valid only in this
+    /// session's type arena.
     ///
     /// A program compiled from source is re-elaborated here, against
     /// this session's type arena, where every type it needs is already
@@ -1225,77 +1047,16 @@ impl Session {
     /// composition pairs into an immutable [`FrozenBase`] snapshot
     /// that any number of sessions — on any number of threads — can
     /// be built over via [`SessionBuilder::base`]. The freezing
-    /// session keeps working unchanged; programs it compiled *before*
-    /// the freeze can be [`Session::adopt`]ed by sessions built over
-    /// the snapshot.
+    /// session keeps working unchanged.
     ///
-    /// A session built over a base freezes by **appending** its
-    /// overlay to the base's shared slab — O(overlay) work, flat in
-    /// base size — and the result [`FrozenBase::extends`] the base by
-    /// construction. When this session is the *first* to freeze over
-    /// its base (the promotion path), its local ids land in the slab
-    /// verbatim and programs it compiled remain adoptable at full
-    /// watermarks; if a sibling session froze over the same base
-    /// first, local ids may be re-numbered during the append, so the
-    /// ancestry entry conservatively admits only programs compiled
-    /// before this session interned anything local.
+    /// A session without a base freezes into a fresh slab. A session
+    /// built over a base freezes by **appending** its overlay to the
+    /// base's shared slab — O(overlay) work, flat in base size — and
+    /// the result [`FrozenBase::extends`] the base by construction.
     pub fn freeze(&self) -> Arc<FrozenBase> {
-        let types_arena = self.types.borrow();
-        let coercion_arena = self.arena.borrow();
-        let types = Arc::new(types_arena.freeze());
-        let coercions = Arc::new(coercion_arena.freeze(&self.cache.borrow()));
-        let verbatim = match (types_arena.base_view(), coercion_arena.base_view()) {
-            (None, None) => true,
-            (Some(tb), Some(cb)) => types.contiguous_over(tb) && coercions.contiguous_over(cb),
-            _ => unreachable!("SessionBuilder wires both arenas to the same base"),
-        };
-        let entry = if verbatim {
-            AncestryEntry {
-                session: self.id,
-                coercions: coercions.len(),
-                types: types.len(),
-            }
-        } else {
-            AncestryEntry {
-                session: self.id,
-                coercions: coercion_arena.base_len(),
-                types: types_arena.base_len(),
-            }
-        };
-        let mut ancestry = self.ancestry.clone();
-        ancestry.push(entry);
         Arc::new(FrozenBase {
-            types,
-            coercions,
-            ancestry,
-        })
-    }
-
-    /// Like [`Session::freeze`], but always builds a **fresh,
-    /// detached slab** — base rows copied, local rows appended
-    /// verbatim — sharing no storage with the session's own base.
-    ///
-    /// This is the clone-semantics snapshot: O(base + overlay) work,
-    /// useful when the original base's slab must remain untouched (a
-    /// golden baseline, a bench control) or to cap a long append
-    /// chain's memory at exactly the live rows. The result does *not*
-    /// [`FrozenBase::extends`] the session's base — it is a new
-    /// id-space root — but programs this session compiled remain
-    /// adoptable by sessions built over it, because detached freezing
-    /// preserves every id verbatim.
-    pub fn freeze_detached(&self) -> Arc<FrozenBase> {
-        let types = Arc::new(self.types.borrow().freeze_flat());
-        let coercions = Arc::new(self.arena.borrow().freeze_flat(&self.cache.borrow()));
-        let mut ancestry = self.ancestry.clone();
-        ancestry.push(AncestryEntry {
-            session: self.id,
-            coercions: coercions.len(),
-            types: types.len(),
-        });
-        Arc::new(FrozenBase {
-            types,
-            coercions,
-            ancestry,
+            types: Arc::new(self.types.borrow().freeze()),
+            coercions: Arc::new(self.arena.borrow().freeze(&self.cache.borrow())),
         })
     }
 
@@ -1313,67 +1074,6 @@ impl Session {
         program
             .lambda_s_compiled
             .display(&self.arena.borrow(), &self.types.borrow())
-    }
-
-    /// Clones the session state (arenas, cache, counters) under a
-    /// fresh session identity; programs of the original must be
-    /// re-bound via [`Session::adopt`] to run here.
-    pub fn clone_state(&self) -> Session {
-        let (arena, cache) = self.arena.borrow().clone_pair(&self.cache.borrow());
-        let mut ancestry = self.ancestry.clone();
-        ancestry.push(AncestryEntry {
-            session: self.id,
-            coercions: arena.len(),
-            types: self.types.borrow().len(),
-        });
-        Session {
-            id: next_session_id(),
-            ancestry,
-            arena: RefCell::new(arena),
-            cache: RefCell::new(cache),
-            types: RefCell::new(self.types.borrow().clone()),
-            default_fuel: self.default_fuel,
-            programs: Cell::new(self.programs.get()),
-            tree_builds: Cell::new(self.tree_builds.get()),
-        }
-    }
-
-    /// Re-binds a program compiled by an ancestor session to this
-    /// one. Sound exactly when this session inherited every id the
-    /// program references — i.e. this session descends (via
-    /// [`Session::clone_state`] or a [`FrozenBase`]) from the
-    /// compiling session *at or after* the point the program was
-    /// compiled; anything else is a typed [`AdoptError`], never a
-    /// silent id-space confusion.
-    ///
-    /// # Errors
-    ///
-    /// [`AdoptError::ForeignSession`] when this session does not
-    /// descend from the compiling one; [`AdoptError::PostFork`] when
-    /// it does, but the program was compiled after the fork (its ids
-    /// may exceed what was inherited).
-    pub fn adopt(&self, program: &Program) -> Result<Program, AdoptError> {
-        if program.session == self.id {
-            return Ok(program.clone());
-        }
-        let fork = self
-            .ancestry
-            .iter()
-            .find(|e| e.session == program.session)
-            .ok_or(AdoptError::ForeignSession)?;
-        if program.coercion_watermark <= fork.coercions && program.type_watermark <= fork.types {
-            Ok(Program {
-                session: self.id,
-                ..program.clone()
-            })
-        } else {
-            Err(AdoptError::PostFork {
-                program_coercions: program.coercion_watermark,
-                inherited_coercions: fork.coercions,
-                program_types: program.type_watermark,
-                inherited_types: fork.types,
-            })
-        }
     }
 }
 
@@ -1687,79 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn cloned_sessions_keep_working_arenas() {
-        // clone_state re-binds the compose cache to the cloned arena
-        // under a fresh identity; adopt re-binds a program to the
-        // clone. Both sides keep running — with their warm caches.
-        let session = Session::builder().default_fuel(1_000_000).build();
-        let program = session.compile(LOOP_32).expect("compiles");
-        let before = session.run(&program, Engine::MachineS).expect("runs");
-        let clone = session.clone_state();
-        let adopted = clone.adopt(&program).expect("sibling adoption is sound");
-        let from_clone = clone.run(&adopted, Engine::MachineS).expect("runs");
-        let from_original = session.run(&program, Engine::MachineS).expect("runs");
-        assert_eq!(before.observation, from_clone.observation);
-        assert_eq!(before.observation, from_original.observation);
-        assert!(
-            clone.stats().compose.hits > 0,
-            "clone must inherit the warm cache"
-        );
-        // The original program still belongs to the original session.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = clone.run(&program, Engine::MachineS);
-        }));
-        assert!(err.is_err(), "foreign program must fail loudly");
-    }
-
-    #[test]
-    fn adopt_rejects_a_foreign_session() {
-        // Two unrelated sessions: adoption is a typed error, not a
-        // silent id-space confusion (satellite: adopt ergonomics).
-        let a = Session::new();
-        let b = Session::new();
-        let program = a.compile("1 + 2").expect("compiles");
-        assert!(matches!(b.adopt(&program), Err(AdoptError::ForeignSession)));
-        // The error message tells the caller what to do instead.
-        let msg = AdoptError::ForeignSession.to_string();
-        assert!(msg.contains("clone_state"), "{msg}");
-    }
-
-    #[test]
-    fn adopt_rejects_a_post_fork_program() {
-        // Fork first, compile after: the clone never inherited the
-        // new program's nodes, so adoption must fail typed-ly.
-        let session = Session::new();
-        let early = session.compile("1 + 2").expect("compiles");
-        let clone = session.clone_state();
-        let late = session
-            .compile("let f = fun (x : Int -> Bool) => x in 3")
-            .expect("compiles");
-        match clone.adopt(&late) {
-            Err(AdoptError::PostFork {
-                program_types,
-                inherited_types,
-                ..
-            }) => {
-                // The late program's annotation interned new type
-                // nodes past what the clone inherited.
-                assert!(program_types > inherited_types);
-            }
-            other => panic!("expected PostFork, got {other:?}"),
-        }
-        // The program compiled *before* the fork still adopts fine.
-        clone.adopt(&early).expect("pre-fork program is inherited");
-    }
-
-    #[test]
-    fn adopting_into_the_same_session_is_a_noop() {
-        let session = Session::new();
-        let program = session.compile("1 + 2").expect("compiles");
-        let adopted = session.adopt(&program).expect("self-adoption");
-        let report = session.run(&adopted, Engine::MachineS).expect("runs");
-        assert_eq!(report.observation.to_string(), "3");
-    }
-
-    #[test]
     fn lambda_s_is_decompiled_lazily() {
         // The hot compile path allocates no λS tree; the tree form is
         // decompiled from the code block on demand, one counted build
@@ -1844,22 +1471,6 @@ mod tests {
         if base.verdicts() > 0 {
             assert!(tier.verdict_base_hits > 0, "{tier:?}");
         }
-
-        // A program compiled before the freeze adopts into the
-        // base-child (the base inherited its ids).
-        let adopted = worker.adopt(&p).expect("pre-freeze program adopts");
-        let r = worker.run(&adopted, Engine::MachineS).expect("runs");
-        assert_eq!(r.observation.to_string(), "true");
-
-        // A program compiled in the warm session *after* the freeze
-        // does not (the base never saw its ids) — unless it interned
-        // nothing new past the frozen watermarks.
-        warm.compile("let g = fun (x : (Int -> Int) -> Bool) => 7 in 1")
-            .expect("compiles");
-        // Sessions without lineage are still rejected outright.
-        let stranger = Session::new();
-        let sp = stranger.compile("1 + 2").expect("compiles");
-        assert!(matches!(worker.adopt(&sp), Err(AdoptError::ForeignSession)));
     }
 
     #[test]

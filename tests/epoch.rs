@@ -1,10 +1,9 @@
 //! Integration tests for the append-only slab base behind epoch
 //! promotion: appending a session's overlay to its base's shared slab
-//! ([`Session::freeze`]) must be observationally identical to
-//! rebuilding the base from scratch ([`Session::freeze_detached`] —
-//! the old clone-on-promote semantics), and readers pinned to an old
-//! watermark must be undisturbed by a writer appending new epochs to
-//! the same slab underneath them.
+//! ([`Session::freeze`]) must be observationally identical to freezing
+//! one base-less session that replayed the same traffic, and readers
+//! pinned to an old watermark must be undisturbed by a writer
+//! appending new epochs to the same slab underneath them.
 
 use std::sync::{Arc, Barrier};
 
@@ -39,54 +38,38 @@ fn session_over(base: Option<&Arc<FrozenBase>>) -> Session {
 #[test]
 fn append_promotion_matches_refreeze_promotion() {
     // Equivalence acceptance: growing a base by appending each
-    // phase's overlay to the shared slab must agree with rebuilding a
-    // detached base at every step — same node/verdict/pair counts
-    // (ids are dense, so equal counts over identical interning order
-    // means identical ids) and byte-identical run outcomes — across
-    // 4 append-promotions of a drifting workload.
+    // phase's overlay to the shared slab must agree, phase by phase,
+    // with one base-less session that replays every phase so far and
+    // is frozen flat — same node/verdict/pair counts (ids are dense,
+    // so equal counts over identical interning order means identical
+    // ids) and byte-identical run outcomes — across 4
+    // append-promotions of a drifting workload.
     const ROTATE: usize = 48;
     let batch = sources::drifting(0xE9_0C47, 5 * ROTATE, ROTATE);
+    let replay = session_over(None);
     let mut appended: Option<Arc<FrozenBase>> = None;
-    let mut detached: Option<Arc<FrozenBase>> = None;
     for (phase, chunk) in batch.chunks(ROTATE).enumerate() {
         let via_append = session_over(appended.as_ref());
-        let via_refreeze = session_over(detached.as_ref());
         let append_outcomes: Vec<String> =
             chunk.iter().map(|s| fingerprint(&via_append, s)).collect();
-        let refreeze_outcomes: Vec<String> = chunk
-            .iter()
-            .map(|s| fingerprint(&via_refreeze, s))
-            .collect();
+        let replay_outcomes: Vec<String> = chunk.iter().map(|s| fingerprint(&replay, s)).collect();
         assert_eq!(
-            append_outcomes, refreeze_outcomes,
-            "phase {phase}: append and re-freeze lineages diverged"
+            append_outcomes, replay_outcomes,
+            "phase {phase}: append lineage and replay diverged"
         );
         assert!(
             append_outcomes.iter().all(|f| !f.contains("compile error")),
             "drifting sources must compile: {append_outcomes:?}"
         );
 
-        // A program compiled *before* the freeze must adopt into a
-        // session built over the appended epoch — the no-recheck
-        // provenance path promotion relies on.
-        let probe = via_append.compile(&chunk[0]).expect("compiles");
-        let probe_outcome = via_append
-            .run_with_fuel(&probe, Engine::MachineS, FUEL)
-            .expect("probe runs")
-            .observation
-            .to_string();
-
         let next_appended = via_append.freeze();
-        let next_detached = via_refreeze.freeze_detached();
-        assert_eq!(next_appended.type_nodes(), next_detached.type_nodes());
-        assert_eq!(
-            next_appended.coercion_nodes(),
-            next_detached.coercion_nodes()
-        );
-        assert_eq!(next_appended.verdicts(), next_detached.verdicts());
+        let flat = replay.freeze();
+        assert_eq!(next_appended.type_nodes(), flat.type_nodes());
+        assert_eq!(next_appended.coercion_nodes(), flat.coercion_nodes());
+        assert_eq!(next_appended.verdicts(), flat.verdicts());
         assert_eq!(
             next_appended.compose_pairs(),
-            next_detached.compose_pairs(),
+            flat.compose_pairs(),
             "phase {phase}: slab-append lost or duplicated compose pairs"
         );
         if let Some(prev) = &appended {
@@ -94,27 +77,12 @@ fn append_promotion_matches_refreeze_promotion() {
                 next_appended.extends(prev),
                 "an append-freeze must extend the base it grew over"
             );
-            assert!(
-                !next_detached.extends(prev),
-                "a detached freeze roots a fresh id-space"
-            );
         }
-
-        let over_next = session_over(Some(&next_appended));
-        let adopted = over_next
-            .adopt(&probe)
-            .expect("pre-freeze programs adopt into the appended epoch");
-        assert_eq!(
-            over_next
-                .run_with_fuel(&adopted, Engine::MachineS, FUEL)
-                .expect("adopted probe runs")
-                .observation
-                .to_string(),
-            probe_outcome
+        assert!(
+            !flat.extends(&next_appended) && !next_appended.extends(&flat),
+            "the replay's flat freeze roots a fresh id-space"
         );
-
         appended = Some(next_appended);
-        detached = Some(next_detached);
     }
 }
 

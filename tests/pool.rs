@@ -164,12 +164,10 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
 }
 
 #[test]
-fn warmed_jobs_travel_compiled_and_are_equivalent_to_source_jobs() {
-    // The compiled-job satellite: a warmed pool ships warmup sources
-    // as interned λB terms (`submit` auto-upgrades on exact source
-    // match), the serving workers never parse, and the outcomes are
-    // observationally identical to a cold pool compiling the same
-    // text from scratch.
+fn warmed_jobs_are_equivalent_to_source_jobs() {
+    // A warmed pool serves its warmup sources with the same outcomes
+    // as a cold pool compiling the same text from scratch, and each
+    // worker compiles a repeated source once.
     let warmed = SessionPool::builder()
         .workers(3)
         .default_fuel(FUEL)
@@ -181,8 +179,6 @@ fn warmed_jobs_travel_compiled_and_are_equivalent_to_source_jobs() {
         .default_fuel(FUEL)
         .build()
         .expect("builds");
-    assert_eq!(warmed.compiled_sources().count(), sources::SHAPES);
-    assert_eq!(cold.compiled_sources().count(), 0);
 
     // A mixed batch of repeated warmup sources, alternating engines.
     let batch: Vec<(String, Engine)> = sources::shapes()
@@ -202,28 +198,17 @@ fn warmed_jobs_travel_compiled_and_are_equivalent_to_source_jobs() {
     for ((source, engine), (warm_handle, cold_handle)) in
         batch.iter().zip(from_warmed.into_iter().zip(from_cold))
     {
-        let warm_out = warm_handle.wait();
-        let cold_out = cold_handle.wait();
-        if let Ok(out) = &warm_out {
-            assert!(
-                out.compiled,
-                "warmed pool must serve {engine} compiled: {source}"
-            );
-        }
-        if let Ok(out) = &cold_out {
-            assert!(!out.compiled, "cold pool has nothing compiled to ship");
-        }
         assert_eq!(
-            job_fingerprint(warm_out),
-            job_fingerprint(cold_out),
-            "compiled and source paths diverged on {engine}: {source}"
+            job_fingerprint(warm_handle.wait()),
+            job_fingerprint(cold_handle.wait()),
+            "warmed and cold pools diverged on {engine}: {source}"
         );
     }
 
-    // The warmed pool's workers parsed nothing and lowered each
-    // distinct program at most once: across 24 jobs over 6 shapes and
-    // 3 workers, at most 18 programs exist pool-wide (the worker-local
-    // cache served every repeat).
+    // The warmed pool's workers lowered each distinct program at most
+    // once: across 24 jobs over 6 shapes and 3 workers, at most 18
+    // programs exist pool-wide (the worker-local cache served every
+    // repeat).
     let stats = warmed.shutdown();
     assert_eq!(stats.jobs(), 24);
     let lowered: usize = stats
@@ -236,29 +221,6 @@ fn warmed_jobs_travel_compiled_and_are_equivalent_to_source_jobs() {
         "workers must cache programs across repeated jobs, lowered {lowered}"
     );
     cold.shutdown();
-
-    // submit_compiled is the explicit form of the same upgrade — and
-    // honestly refuses sources the warmup never compiled.
-    let pool = SessionPool::builder()
-        .workers(1)
-        .default_fuel(FUEL)
-        .warmup(["let inc = fun x => x + 1 in (inc 41 : Int)"])
-        .build()
-        .expect("warmup compiles");
-    let out = pool
-        .submit_compiled(
-            "let inc = fun x => x + 1 in (inc 41 : Int)",
-            Engine::MachineS,
-        )
-        .expect("was warmed")
-        .wait()
-        .expect("runs");
-    assert!(out.compiled);
-    assert_eq!(out.observation.to_string(), "42");
-    assert!(
-        pool.submit_compiled("1 + 1", Engine::MachineS).is_none(),
-        "an unwarmed source has no compiled program to ship"
-    );
 }
 
 #[test]
@@ -383,10 +345,28 @@ fn promoting_pool_is_observationally_identical_under_drift() {
         .no_promotion()
         .build()
         .expect("builds");
+    // A third pool, warmed on the shapes, serves the drift with the
+    // exact warmup sources interleaved: jobs matching a warmup source
+    // must keep agreeing with the sequential session across every
+    // promotion, not only in the warmup epoch.
+    let warmed = SessionPool::builder()
+        .workers(4)
+        .default_fuel(FUEL)
+        .warmup(sources::shapes())
+        .promotion(eager_promotion())
+        .build()
+        .expect("warmup compiles");
+    let interleaved: Vec<String> = batch
+        .iter()
+        .zip(sources::shapes().into_iter().cycle())
+        .flat_map(|(drift, shape)| [drift.clone(), shape])
+        .collect();
 
     let promoting_handles =
         promoting.submit_batch(batch.iter().map(String::as_str), Engine::MachineS);
     let frozen_handles = frozen.submit_batch(batch.iter().map(String::as_str), Engine::MachineS);
+    let warmed_handles =
+        warmed.submit_batch(interleaved.iter().map(String::as_str), Engine::MachineS);
     let from_promoting: Vec<String> = promoting_handles
         .into_iter()
         .map(|h| job_fingerprint(h.wait()))
@@ -395,10 +375,19 @@ fn promoting_pool_is_observationally_identical_under_drift() {
         .into_iter()
         .map(|h| job_fingerprint(h.wait()))
         .collect();
+    let from_warmed: Vec<String> = warmed_handles
+        .into_iter()
+        .map(|h| job_fingerprint(h.wait()))
+        .collect();
     let sequential = Session::builder().default_fuel(FUEL).build();
     let from_session: Vec<String> = batch
         .iter()
         .map(|s| session_fingerprint(&sequential, s, Engine::MachineS))
+        .collect();
+    let interleaved_sequential = Session::builder().default_fuel(FUEL).build();
+    let from_interleaved_session: Vec<String> = interleaved
+        .iter()
+        .map(|s| session_fingerprint(&interleaved_sequential, s, Engine::MachineS))
         .collect();
 
     // The drifting generator must produce real programs, not parse
@@ -409,6 +398,7 @@ fn promoting_pool_is_observationally_identical_under_drift() {
     );
     assert_eq!(from_promoting, from_session);
     assert_eq!(from_frozen, from_session);
+    assert_eq!(from_warmed, from_interleaved_session);
 
     let stats = promoting.shutdown();
     assert!(
@@ -419,6 +409,11 @@ fn promoting_pool_is_observationally_identical_under_drift() {
     let frozen_stats = frozen.shutdown();
     assert_eq!(frozen_stats.epoch, 1);
     assert_eq!(frozen_stats.promotions, 0);
+    let warmed_stats = warmed.shutdown();
+    assert!(
+        warmed_stats.promotions >= 1,
+        "the warmed pool must serve warmup sources past a promotion: {warmed_stats}"
+    );
 }
 
 #[test]
@@ -637,15 +632,15 @@ fn quick_jobs_overtake_a_spinner_under_default_slicing() {
     assert_eq!(stats.queue_depths(), vec![0, 0], "drained pool: {stats}");
 }
 
-/// Regression guard for the `pool/lifecycle64` inversion, whose two
-/// causes were warmup burning the job fuel at build (+55%) and workers
-/// re-lowering every job from source. Both are checked exactly rather
-/// than timed (a wall-clock ratio of the two lifecycles flaked on
-/// loaded machines, since the warmup cost is fixed while job runs get
-/// cheaper): every job of a warmed batch must travel compiled, and no
-/// warmup run may take more than [`WARMUP_RUN_FUEL`] steps, even when
-/// the job fuel is far larger and a warmup source diverges. The timed
-/// comparison lives in the `report` binary (E23).
+/// Regression guard for the `pool/lifecycle64` inversion, whose
+/// cause was warmup burning the job fuel at build (+55%). Checked
+/// exactly rather than timed (a wall-clock ratio of the two lifecycles
+/// flaked on loaded machines, since the warmup cost is fixed while job
+/// runs get cheaper): no warmup run may take more than
+/// [`WARMUP_RUN_FUEL`] steps, even when the job fuel is far larger and
+/// a warmup source diverges, and every job of a warmed batch resolves
+/// with one audit record. No timed comparison of the two lifecycles
+/// remains; perfbench's `pool_serve` workload times a warmed pool.
 #[test]
 fn warmed_lifecycle_is_not_slower_than_cold() {
     const JOB_FUEL: u64 = 5_000;
@@ -668,11 +663,9 @@ fn warmed_lifecycle_is_not_slower_than_cold() {
     let handles = pool.submit_batch(jobs.iter().map(String::as_str), Engine::MachineS);
     for handle in handles {
         match handle.wait() {
-            Ok(output) => assert!(output.compiled, "a warmed job travelled as source"),
             // Fuel exhaustion (the divergent shape) is workload, not
-            // failure; its audit record below still says how it
-            // travelled.
-            Err(JobError::Run(RunError::FuelExhausted { .. })) => {}
+            // failure.
+            Ok(_) | Err(JobError::Run(RunError::FuelExhausted { .. })) => {}
             Err(other) => panic!("warmed job failed: {other:?}"),
         }
     }
@@ -680,10 +673,6 @@ fn warmed_lifecycle_is_not_slower_than_cold() {
     assert_eq!(
         records.len() as u64 + pool.audit_dropped(),
         jobs.len() as u64
-    );
-    assert!(
-        records.iter().all(|r| r.compiled),
-        "every warmed job must be served from its compiled form"
     );
 
     // A divergent warmup source under a huge job fuel still stops at

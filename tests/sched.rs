@@ -207,6 +207,13 @@ fn wait_timeout_expires_without_losing_the_job() {
         Some(Ok(out)) => assert_eq!(out.observation.to_string(), "2"),
         other => panic!("expected completion, got {other:?}"),
     }
+    // A wait past the range an `Instant` can hold waits until the job
+    // resolves, instead of overflowing.
+    let unbounded = pool.submit("2 + 2", Engine::MachineS);
+    match unbounded.wait_timeout(Duration::MAX) {
+        Some(Ok(out)) => assert_eq!(out.observation.to_string(), "4"),
+        other => panic!("expected completion, got {other:?}"),
+    }
 }
 
 /// Cancellation resolves the handle immediately and the worker
@@ -266,6 +273,15 @@ fn deadlines_resolve_to_typed_misses_with_accounting() {
         Some(Deadline::after(Duration::from_secs(60))),
     );
     assert!(easy.wait().is_ok());
+    // Nor does one past the range an `Instant` can hold: it never
+    // expires, instead of overflowing.
+    let unbounded = pool.submit_with_options(
+        "1 + 1",
+        Engine::MachineS,
+        None,
+        Some(Deadline::after(Duration::MAX)),
+    );
+    assert!(unbounded.wait().is_ok());
     let stats = pool.shutdown();
     assert_eq!(stats.deadline_misses(), 1);
 }
