@@ -205,10 +205,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// One registered instrument.
+/// One registered instrument. A counter series may span several
+/// cells (e.g. one per worker); it renders their sum.
 #[derive(Debug, Clone)]
 enum Instrument {
-    Counter(Arc<Counter>),
+    Counter(Vec<Arc<Counter>>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -256,27 +257,23 @@ impl Registry {
     /// exposition emits the header once, at the first series.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let counter = Arc::new(Counter::new());
-        self.push(
-            name,
-            help,
-            labels,
-            Instrument::Counter(Arc::clone(&counter)),
-        );
+        self.attach_counter(name, help, labels, &[Arc::clone(&counter)]);
         counter
     }
 
-    /// Registers an *existing* counter cell as a series — for
-    /// counters owned elsewhere (e.g. the [`crate::AuditSink`]'s drop
-    /// counter), so one cell is both the live accounting and the
-    /// rendered metric.
+    /// Registers *existing* counter cells as one series that renders
+    /// their sum — for counters owned elsewhere (e.g. the
+    /// [`crate::AuditSink`]'s drop counter, or one cell per worker),
+    /// so the cells are both the live accounting and the rendered
+    /// metric.
     pub fn attach_counter(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        counter: &Arc<Counter>,
+        cells: &[Arc<Counter>],
     ) {
-        self.push(name, help, labels, Instrument::Counter(Arc::clone(counter)));
+        self.push(name, help, labels, Instrument::Counter(cells.to_vec()));
     }
 
     /// Registers a gauge series and returns its handle.
@@ -376,9 +373,10 @@ fn escape_label(value: &str) -> String {
 
 fn render_series(out: &mut String, entry: &Entry) {
     match &entry.instrument {
-        Instrument::Counter(c) => {
+        Instrument::Counter(cells) => {
             let labels = label_block(&entry.labels, &[]);
-            writeln!(out, "{}{labels} {}", entry.name, c.get()).expect("string writes");
+            let total: u64 = cells.iter().map(|c| c.get()).sum();
+            writeln!(out, "{}{labels} {total}", entry.name).expect("string writes");
         }
         Instrument::Gauge(g) => {
             let labels = label_block(&entry.labels, &[]);
@@ -453,6 +451,10 @@ mod tests {
         let b = registry.counter("jobs_total", "Jobs by outcome.", &[("outcome", "blame")]);
         let g = registry.gauge("depth", "Queue depth.", &[]);
         let h = registry.histogram("latency_ns", "Latency.", &[]);
+        let cells = [Arc::new(Counter::new()), Arc::new(Counter::new())];
+        registry.attach_counter("steals_total", "Steals.", &[], &cells);
+        cells[0].add(2);
+        cells[1].add(5);
         a.add(3);
         b.inc();
         g.set(2.5);
@@ -463,6 +465,8 @@ mod tests {
         assert!(text.contains("jobs_total{outcome=\"value\"} 3"));
         assert!(text.contains("jobs_total{outcome=\"blame\"} 1"));
         assert!(text.contains("depth 2.5"));
+        // A multi-cell series renders the sum of its cells.
+        assert!(text.contains("steals_total 7"));
         assert!(text.contains("latency_ns_bucket{le=\"1\"} 1"));
         // 900 lands in [512, 1023]; the cumulative count includes the
         // earlier bucket.

@@ -3,18 +3,16 @@
 //! [`Registry`], plus the bounded [`AuditSink`] the workers emit
 //! per-job records into.
 //!
-//! The bundle is built once at pool construction (unless
-//! [`SessionPoolBuilder::no_observability`] turned it off) and shared
-//! by reference through `PoolShared`; the hot path touches only
-//! wait-free cells — counter `fetch_add`s, histogram `fetch_add`s,
+//! The bundle is built once at pool construction and shared by
+//! reference through `PoolShared`. Its counter cells are the pool's
+//! only store of counts: [`PoolStats`](crate::PoolStats) reads the
+//! same cells the exposition renders. The hot path touches only
+//! wait-free cells — counter `fetch_add`s, histogram `fetch_add`s —
 //! and the audit ring's short push-only mutex. Gauges (queue depths,
 //! epoch, base hit rates) are *polled*: they are refreshed from a
-//! coherent [`PoolStats`](crate::PoolStats) snapshot at render time
-//! rather than written on the job path, so a gauge read costs serving
+//! [`PoolStats`](crate::PoolStats) snapshot at render time rather
+//! than written on the job path, so a gauge read costs serving
 //! nothing.
-//!
-//! [`SessionPoolBuilder::no_observability`]:
-//! crate::SessionPoolBuilder::no_observability
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,28 +33,62 @@ pub(crate) fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// All pool instruments plus the audit sink. Counters are incremented
-/// at the same sites as the `WorkerSlot` accounting they mirror, so
-/// they are monotone across epoch rebuilds, session retirements, and
-/// worker respawns by construction — nothing is re-derived from a
-/// session that could be retired out from under it.
-#[derive(Debug)]
-pub(crate) struct PoolObs {
-    registry: Registry,
-    /// One series per [`AuditOutcome`], indexed by
-    /// [`AuditOutcome::index`].
-    jobs: Vec<Arc<Counter>>,
-    /// End-to-end latency (submission → resolution), nanoseconds.
-    pub(crate) latency: Arc<Histogram>,
-    /// Time queued before a worker first claimed the job,
-    /// nanoseconds.
-    pub(crate) queue_wait: Arc<Histogram>,
+/// One worker's counter cells. Each cell is incremented at exactly
+/// one site in the pool, and the exposition renders each series as
+/// the sum of its cells over the workers.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerCounters {
+    /// Jobs resolved on this worker, indexed by
+    /// [`AuditOutcome::index`]. A rejected submission counts on the
+    /// worker it targeted.
+    outcomes: [Arc<Counter>; AuditOutcome::ALL.len()],
     pub(crate) slices: Arc<Counter>,
     pub(crate) preemptions: Arc<Counter>,
     pub(crate) steals: Arc<Counter>,
+    pub(crate) sessions_retired: Arc<Counter>,
+}
+
+impl WorkerCounters {
+    /// Jobs this worker resolved with `outcome`.
+    pub(crate) fn resolved(&self, outcome: AuditOutcome) -> u64 {
+        self.outcomes[outcome.index()].get()
+    }
+
+    /// Jobs this worker claimed and resolved: every outcome but a
+    /// rejection, which never reached a worker.
+    pub(crate) fn jobs(&self) -> u64 {
+        AuditOutcome::ALL
+            .iter()
+            .filter(|&&outcome| outcome != AuditOutcome::Rejected)
+            .map(|&outcome| self.resolved(outcome))
+            .sum()
+    }
+}
+
+/// One cell per worker, picked by `cell`: the cells of one
+/// exposition series.
+fn per_worker(
+    counters: &[WorkerCounters],
+    cell: impl Fn(&WorkerCounters) -> &Arc<Counter>,
+) -> Vec<Arc<Counter>> {
+    counters.iter().map(|w| Arc::clone(cell(w))).collect()
+}
+
+/// All pool instruments plus the audit sink. Counters only ever
+/// grow, and no cell belongs to a session, so they are monotone
+/// across epoch rebuilds, session retirements, and worker respawns
+/// by construction.
+#[derive(Debug)]
+pub(crate) struct PoolObs {
+    registry: Registry,
+    /// Per-worker counter cells, indexed by worker.
+    pub(crate) counters: Vec<WorkerCounters>,
+    /// End-to-end latency (submission → resolution), nanoseconds.
+    latency: Arc<Histogram>,
+    /// Time queued before a worker claimed the job, nanoseconds.
+    queue_wait: Arc<Histogram>,
     pub(crate) promotions: Arc<Counter>,
     pub(crate) respawns: Arc<Counter>,
-    pub(crate) sessions_retired: Arc<Counter>,
     epoch: Arc<Gauge>,
     workers: Arc<Gauge>,
     base_hit_rate: Arc<Gauge>,
@@ -69,16 +101,16 @@ pub(crate) struct PoolObs {
 impl PoolObs {
     pub(crate) fn new(workers: usize, audit_capacity: usize) -> PoolObs {
         let registry = Registry::new();
-        let jobs = AuditOutcome::ALL
-            .iter()
-            .map(|outcome| {
-                registry.counter(
-                    "bc_jobs_total",
-                    "Jobs resolved, by outcome.",
-                    &[("outcome", outcome.as_str())],
-                )
-            })
-            .collect();
+        let counters: Vec<WorkerCounters> =
+            (0..workers).map(|_| WorkerCounters::default()).collect();
+        for outcome in AuditOutcome::ALL {
+            registry.attach_counter(
+                "bc_jobs_total",
+                "Jobs resolved, by outcome.",
+                &[("outcome", outcome.as_str())],
+                &per_worker(&counters, |w| &w.outcomes[outcome.index()]),
+            );
+        }
         let latency = registry.histogram(
             "bc_job_latency_ns",
             "End-to-end job latency (submission to resolution), nanoseconds.",
@@ -89,20 +121,23 @@ impl PoolObs {
             "Time a job waited in a queue before a worker claimed it, nanoseconds.",
             &[],
         );
-        let slices = registry.counter(
+        registry.attach_counter(
             "bc_slices_total",
             "Scheduling turns executed (one job, up to one slice budget of steps).",
             &[],
+            &per_worker(&counters, |w| &w.slices),
         );
-        let preemptions = registry.counter(
+        registry.attach_counter(
             "bc_preemptions_total",
             "Slices that ended with the job parked rather than finished.",
             &[],
+            &per_worker(&counters, |w| &w.preemptions),
         );
-        let steals = registry.counter(
+        registry.attach_counter(
             "bc_steals_total",
             "Jobs claimed from a sibling worker's queue.",
             &[],
+            &per_worker(&counters, |w| &w.steals),
         );
         let promotions = registry.counter(
             "bc_promotions_total",
@@ -114,17 +149,18 @@ impl PoolObs {
             "Workers respawned after a caught serve panic.",
             &[],
         );
-        let sessions_retired = registry.counter(
+        registry.attach_counter(
             "bc_sessions_retired_total",
             "Worker sessions retired (epoch adoptions + panic recoveries).",
             &[],
+            &per_worker(&counters, |w| &w.sessions_retired),
         );
         let sink = AuditSink::new(audit_capacity);
         registry.attach_counter(
             "bc_audit_dropped_total",
             "Audit records evicted from the ring without being drained.",
             &[],
-            &sink.dropped_cell(),
+            &[sink.dropped_cell()],
         );
         let epoch = registry.gauge("bc_epoch", "Current base epoch (1 = warmup).", &[]);
         let workers_gauge = registry.gauge("bc_workers", "Worker threads.", &[]);
@@ -155,15 +191,11 @@ impl PoolObs {
         );
         PoolObs {
             registry,
-            jobs,
+            counters,
             latency,
             queue_wait,
-            slices,
-            preemptions,
-            steals,
             promotions,
             respawns,
-            sessions_retired,
             epoch,
             workers: workers_gauge,
             base_hit_rate,
@@ -174,13 +206,18 @@ impl PoolObs {
         }
     }
 
-    /// Records one job resolution: its outcome series, the latency
-    /// histogram (every resolved job lands here exactly once — the
-    /// histogram's `_count` equals jobs resolved), and one audit
-    /// record. Wait-free except for the audit ring's push mutex.
+    /// Records one job resolution: its worker's outcome cell, the
+    /// latency histogram, the queue-wait histogram (unless the job was
+    /// rejected and so never queued), and one audit record. Every
+    /// resolved job lands here exactly once, so each histogram's
+    /// `_count` equals the jobs it covers. Wait-free except for the
+    /// audit ring's push mutex.
     pub(crate) fn resolved(&self, record: AuditRecord) {
-        self.jobs[record.outcome.index()].inc();
+        self.counters[record.worker].outcomes[record.outcome.index()].inc();
         self.latency.record(record.latency_ns);
+        if record.outcome != AuditOutcome::Rejected {
+            self.queue_wait.record(record.queue_wait_ns);
+        }
         self.sink.emit(record);
     }
 
@@ -189,7 +226,7 @@ impl PoolObs {
         &self.sink
     }
 
-    /// Refreshes the polled gauges from a coherent stats snapshot,
+    /// Refreshes the polled gauges from a stats snapshot,
     /// then renders the full text exposition.
     pub(crate) fn render(&self, stats: &PoolStats) -> String {
         self.epoch.set(stats.epoch as f64);

@@ -172,6 +172,7 @@ use bc_translate::bisim::Observation;
 
 use crate::obs::{ns, PoolObs, DEFAULT_AUDIT_CAPACITY};
 use crate::sched::{Deadline, JobState, ReplySlot, SliceBudget};
+use crate::session::RunReport;
 use crate::session::{
     Engine, FrozenBase, PausedRun, RunError, Session, SessionBuilder, SessionStats, SliceOutcome,
 };
@@ -383,12 +384,26 @@ struct Job {
     reply: ReplySlot,
     deadline: Option<Deadline>,
     submitted: Instant,
+    /// How long the job waited in a queue before a worker claimed it:
+    /// zero until then, and stamped again if a panic requeues it.
+    queue_wait: Duration,
 }
 
 impl Job {
-    /// Whether the job's deadline (if any) has passed.
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| d.expired())
+    /// Why the job stops at this scheduling boundary, if it does: its
+    /// submitter canceled it, or its deadline passed after `steps`
+    /// steps.
+    fn abandoned(&self, steps: u64) -> Option<JobError> {
+        if self.reply.is_canceled() {
+            Some(JobError::Canceled)
+        } else if self.deadline.is_some_and(|d| d.expired()) {
+            Some(JobError::DeadlineExceeded {
+                steps,
+                elapsed: self.submitted.elapsed(),
+            })
+        } else {
+            None
+        }
     }
 }
 
@@ -400,18 +415,6 @@ impl Job {
 struct ParkedEntry {
     job: Job,
     run: PausedRun,
-    /// How long the job sat queued before this worker admitted it
-    /// (already recorded in the queue-wait histogram; kept for the
-    /// job's eventual audit record).
-    queue_wait: Duration,
-}
-
-/// How a job left its worker (for the slot counters).
-#[derive(Clone, Copy)]
-enum Disposition {
-    Completed,
-    Canceled,
-    DeadlineMissed,
 }
 
 /// When (if ever) a pool promotes a worker overlay into a new base
@@ -554,7 +557,6 @@ struct WorkerQueue {
 /// exactly that, not "nodes the *current* sessions happen to hold".
 #[derive(Debug, Clone, Copy, Default)]
 struct RetiredTotals {
-    sessions: u64,
     local_coercion_nodes: u64,
     local_type_nodes: u64,
     coercion_base_hits: u64,
@@ -566,7 +568,6 @@ struct RetiredTotals {
 
 impl RetiredTotals {
     fn absorb(&mut self, stats: &SessionStats) {
-        self.sessions += 1;
         self.local_coercion_nodes += stats.tier.local_coercion_nodes as u64;
         self.local_type_nodes += stats.tier.local_type_nodes as u64;
         self.coercion_base_hits += stats.coercions.base_hits;
@@ -577,16 +578,12 @@ impl RetiredTotals {
     }
 }
 
-/// One worker's published counters (refreshed after every job).
+/// One worker's published state: its current session's stats
+/// (refreshed at every resolution), its retired sessions' totals, and
+/// its liveness and parked-depth gauges. Its counts live in the
+/// worker's `bc-obs` cells.
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerSlot {
-    jobs: u64,
-    steals: u64,
-    panics: u64,
-    slices: u64,
-    preemptions: u64,
-    deadline_misses: u64,
-    cancellations: u64,
     parked_depth: usize,
     dead: bool,
     stats: Option<SessionStats>,
@@ -599,8 +596,9 @@ pub struct WorkerStats {
     /// The worker's index (stable for the pool's lifetime, across
     /// respawns).
     pub worker: usize,
-    /// Jobs this worker has completed (including jobs that resolved
-    /// to [`JobError::WorkerPanicked`]).
+    /// Jobs this worker has resolved, whatever the outcome (including
+    /// [`JobError::WorkerPanicked`]); rejected submissions never
+    /// reach a worker and are not counted.
     pub jobs: u64,
     /// Jobs this worker claimed from a sibling's queue.
     pub steals: u64,
@@ -609,7 +607,7 @@ pub struct WorkerStats {
     pub panics: u64,
     /// Scheduling turns executed: each ran one job for up to one
     /// slice budget of steps. Monotone across epoch rebuilds and
-    /// respawns (slot-level, not session-level).
+    /// respawns (worker-level, not session-level).
     pub slices: u64,
     /// Slices that ended with the job parked (preempted) rather than
     /// finished; `slices - preemptions` is the number of jobs whose
@@ -636,6 +634,7 @@ pub struct WorkerStats {
     /// an epoch adoption rebuilds it). Counters for retired sessions
     /// live on in the accessor methods below.
     pub session: Option<SessionStats>,
+    sessions_retired: u64,
     retired: RetiredTotals,
 }
 
@@ -643,7 +642,7 @@ impl WorkerStats {
     /// Sessions this worker has retired (epoch adoptions + panic
     /// recoveries).
     pub fn sessions_retired(&self) -> u64 {
-        self.retired.sessions
+        self.sessions_retired
     }
 
     /// Coercion nodes this worker has interned past its base,
@@ -702,19 +701,20 @@ impl WorkerStats {
 ///
 /// # Consistency contract
 ///
-/// [`SessionPool::stats`] takes one **coherent snapshot per call**:
-/// every worker's slot is locked simultaneously before any counter is
-/// read, and the queue depths are sampled while those locks are still
-/// held — so the rows in [`PoolStats::workers`] describe the pool at
-/// a single instant. In particular, a sum over workers (e.g.
-/// [`PoolStats::jobs`]) can never mix one worker's pre-job state with
-/// another's post-job state for jobs that were counted before the
-/// call began. What the snapshot does *not* include is work in
-/// flight: each worker publishes its counters at job boundaries, so a
-/// job being served right now appears only in the in-flight depth
-/// gauges, not yet in `jobs`. Two snapshots are ordered — every
-/// monotone counter in the later one is ≥ its value in the earlier
-/// one (asserted across promotions and respawns in `tests/obs.rs`).
+/// The counts (jobs by outcome, slices, preemptions, steals, sessions
+/// retired, promotions, respawns) are read from the same `bc-obs`
+/// cells [`SessionPool::metrics_text`] renders, so `PoolStats` and the
+/// exposition cannot drift apart. Each count is one atomic read and
+/// monotone between calls: every count in a later `PoolStats` is ≥
+/// its value in an earlier one (asserted across promotions and
+/// respawns in `tests/obs.rs`). Counts read while workers serve may
+/// straddle a job, e.g. catch its slice but not yet its resolution;
+/// once the pool is quiescent they are exact. A job is counted before
+/// its handle resolves, so a caller that has seen a handle resolve
+/// finds the job counted — except a cancel, which resolves the handle
+/// at [`JobHandle::cancel`] and is counted when the serving worker
+/// discards the job. The session-derived counts (local nodes, probes,
+/// hit rates) are published by each worker at every resolution.
 #[derive(Debug, Clone)]
 pub struct PoolStats {
     /// The current base epoch (1 = the warmup base; +1 per
@@ -884,7 +884,6 @@ pub struct SessionPoolBuilder {
     promotion: Option<PromotionPolicy>,
     slice: Option<SliceBudget>,
     queue_capacity: usize,
-    observability: bool,
     audit_capacity: usize,
 }
 
@@ -899,7 +898,6 @@ impl Default for SessionPoolBuilder {
             promotion: Some(PromotionPolicy::default()),
             slice: Some(SliceBudget::default()),
             queue_capacity: usize::MAX,
-            observability: true,
             audit_capacity: DEFAULT_AUDIT_CAPACITY,
         }
     }
@@ -1002,19 +1000,6 @@ impl SessionPoolBuilder {
         self
     }
 
-    /// Disables the observability layer entirely: no metric
-    /// registry, no per-job instrument updates, no audit records.
-    /// [`SessionPool::metrics_text`] renders a one-line comment and
-    /// [`SessionPool::audit_records`] returns nothing. Observability
-    /// is **on by default**; its cost was last measured at ≤ 2% of
-    /// mixed-batch throughput, and no test or benchmark key measures
-    /// it now. This switch exists for overhead comparisons and for
-    /// embedders running their own telemetry.
-    pub fn no_observability(mut self) -> SessionPoolBuilder {
-        self.observability = false;
-        self
-    }
-
     /// Bounds the audit ring: at most `capacity` undrained
     /// [`AuditRecord`]s are retained; beyond that the oldest is
     /// evicted (counted exactly — `bc_audit_dropped_total` in the
@@ -1087,10 +1072,8 @@ impl SessionPoolBuilder {
             handles: Mutex::new((0..self.workers).map(|_| None).collect()),
             open: AtomicBool::new(true),
             promoting: AtomicBool::new(false),
-            promotions: AtomicU64::new(0),
             promotion_ns: AtomicU64::new(0),
             last_promotion_ns: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
             jobs_since_promotion: AtomicU64::new(0),
             policy: self.promotion,
             compose_cache_capacity: self.compose_cache_capacity,
@@ -1100,9 +1083,7 @@ impl SessionPoolBuilder {
             // `resume_slice` then finishes every job in one turn.
             slice_steps: self.slice.map_or(u64::MAX, SliceBudget::steps),
             queue_capacity: self.queue_capacity,
-            obs: self
-                .observability
-                .then(|| PoolObs::new(self.workers, self.audit_capacity)),
+            obs: PoolObs::new(self.workers, self.audit_capacity),
         });
         for index in 0..self.workers {
             let handle = shared.spawn_worker(index);
@@ -1141,13 +1122,11 @@ struct PoolShared {
     /// blocks submit or serving — a worker that loses the race just
     /// keeps serving and adopts the winner's epoch.
     promoting: AtomicBool,
-    promotions: AtomicU64,
     /// Cumulative / most-recent promotion wall-clock cost (ns);
     /// snapshot into [`PoolStats::promotion_ns`] /
     /// [`PoolStats::last_promotion_ns`].
     promotion_ns: AtomicU64,
     last_promotion_ns: AtomicU64,
-    respawns: AtomicU64,
     jobs_since_promotion: AtomicU64,
     policy: Option<PromotionPolicy>,
     compose_cache_capacity: usize,
@@ -1157,10 +1136,9 @@ struct PoolShared {
     slice_steps: u64,
     /// Max unresolved jobs per worker before submissions reject.
     queue_capacity: usize,
-    /// The observability bundle (`None` when the builder disabled
-    /// it): instruments incremented at the same sites as the slot
-    /// counters, plus the audit ring.
-    obs: Option<PoolObs>,
+    /// The observability bundle: the counter cells every count is
+    /// read from, the histograms, and the audit ring.
+    obs: PoolObs,
 }
 
 /// The engine's audit-stream name, without a per-job `format!`
@@ -1174,33 +1152,6 @@ fn engine_name(engine: Engine) -> &'static str {
         Engine::MachineB => "MachineB",
         Engine::MachineC => "MachineC",
         Engine::MachineS => "MachineS",
-    }
-}
-
-/// The skeleton of a job's audit record, filled at a resolution site:
-/// identity, timing, and shape are known here; steps, peaks, and
-/// blame are patched in by the site that has them.
-fn base_record(
-    worker: usize,
-    epoch: u64,
-    job: &Job,
-    queue_wait: Duration,
-    outcome: AuditOutcome,
-) -> AuditRecord {
-    AuditRecord {
-        seq: 0, // stamped by the sink
-        worker,
-        epoch,
-        engine: engine_name(job.engine),
-        outcome,
-        blame_label: None,
-        cast_site: None,
-        steps: 0,
-        peak_frames: 0,
-        peak_cast_frames: 0,
-        latency_ns: ns(job.submitted.elapsed()),
-        queue_wait_ns: ns(queue_wait),
-        shape: bc_obs::shape_key(job.spec.key()),
     }
 }
 
@@ -1278,10 +1229,7 @@ impl PoolShared {
         let (victim, _) = victim?;
         let job = lock(&self.queues[victim].deque).pop_back();
         if job.is_some() {
-            lock(&self.slots[thief]).steals += 1;
-            if let Some(obs) = &self.obs {
-                obs.steals.inc();
-            }
+            self.obs.counters[thief].steals.inc();
         }
         job
     }
@@ -1297,21 +1245,87 @@ impl PoolShared {
         self.steal(index)
     }
 
-    /// Publishes a finished job into the worker's slot — *before* the
-    /// reply, so a caller that observes a job as complete via its
-    /// handle finds it counted in [`SessionPool::stats`] too. Every
-    /// disposition counts as a job; misses and cancellations bump
-    /// their own monotone counters on top.
-    fn count_job(&self, index: usize, session: &Session, disposition: Disposition) {
+    /// The one exit of every job a worker claimed: bumps the
+    /// promotion interval, publishes the session's stats, builds the
+    /// job's audit record from `result`, counts and audits it, and
+    /// replies — in that order, so a caller that sees the handle
+    /// resolve finds the job in [`SessionPool::stats`], the exposition
+    /// and the audit stream. `steps` is what the run had executed when
+    /// the job stopped; a run report or a fuel exhaustion carries its
+    /// own.
+    fn resolve(
+        &self,
+        index: usize,
+        epoch: u64,
+        session: &Session,
+        job: Job,
+        steps: u64,
+        result: Result<RunReport, JobError>,
+    ) {
         self.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
-        let mut slot = lock(&self.slots[index]);
-        slot.jobs += 1;
-        match disposition {
-            Disposition::Completed => {}
-            Disposition::Canceled => slot.cancellations += 1,
-            Disposition::DeadlineMissed => slot.deadline_misses += 1,
+        lock(&self.slots[index]).stats = Some(session.stats());
+        let elapsed = job.submitted.elapsed();
+        let mut record = AuditRecord {
+            seq: 0, // stamped by the sink
+            worker: index,
+            epoch,
+            engine: engine_name(job.engine),
+            outcome: AuditOutcome::Value,
+            blame_label: None,
+            cast_site: None,
+            steps,
+            peak_frames: 0,
+            peak_cast_frames: 0,
+            latency_ns: ns(elapsed),
+            queue_wait_ns: ns(job.queue_wait),
+            shape: bc_obs::shape_key(job.spec.key()),
+        };
+        // Fuel exhaustion carries real step and peak-frame accounting:
+        // the cutoff metrics are what make λB/λC space leaks measurable
+        // on diverging programs.
+        let metrics = match &result {
+            Ok(report) => {
+                record.steps = report.steps;
+                if let Observation::Blame(label) = &report.observation {
+                    record.outcome = AuditOutcome::Blame;
+                    record.blame_label = Some(label.to_string());
+                    record.cast_site = Some(label.id());
+                }
+                report.metrics.as_ref()
+            }
+            Err(JobError::Run(RunError::FuelExhausted { steps, metrics })) => {
+                record.outcome = AuditOutcome::FuelExhausted;
+                record.steps = *steps;
+                metrics.as_ref()
+            }
+            Err(err) => {
+                record.outcome = match err {
+                    JobError::Compile(_) => AuditOutcome::CompileError,
+                    JobError::Run(_) => AuditOutcome::IllTyped,
+                    JobError::WorkerPanicked => AuditOutcome::WorkerPanicked,
+                    JobError::DeadlineExceeded { .. } => AuditOutcome::DeadlineExceeded,
+                    JobError::Canceled => AuditOutcome::Canceled,
+                    JobError::Rejected { .. } | JobError::Lost => {
+                        unreachable!("rejected and lost jobs never reach a worker")
+                    }
+                };
+                None
+            }
+        };
+        if let Some(m) = metrics {
+            record.peak_frames = m.peak_frames as u64;
+            record.peak_cast_frames = m.peak_cast_frames as u64;
         }
-        slot.stats = Some(session.stats());
+        self.obs.resolved(record);
+        // A canceled job's handle already resolved; this reply is then
+        // a no-op (the first resolution wins).
+        job.reply.resolve(result.map(|report| JobOutput {
+            observation: report.observation,
+            steps: report.steps,
+            metrics: report.metrics,
+            worker: index,
+            elapsed,
+        }));
     }
 
     /// Folds the session's counters into the worker's retired totals
@@ -1322,9 +1336,7 @@ impl PoolShared {
         slot.retired.absorb(&stats);
         slot.stats = None;
         drop(slot);
-        if let Some(obs) = &self.obs {
-            obs.sessions_retired.inc();
-        }
+        self.obs.counters[index].sessions_retired.inc();
     }
 
     /// The cheap per-job promotion gate: policy thresholds on this
@@ -1389,14 +1401,11 @@ impl PoolShared {
                 "a promoted epoch must extend the epoch it was grown over"
             );
             let epoch = self.epoch.publish(Arc::clone(&next));
-            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let elapsed = ns(started.elapsed());
             self.promotion_ns.fetch_add(elapsed, Ordering::Relaxed);
             self.last_promotion_ns.store(elapsed, Ordering::Relaxed);
-            self.promotions.fetch_add(1, Ordering::Relaxed);
+            self.obs.promotions.inc();
             self.jobs_since_promotion.store(0, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.promotions.inc();
-            }
             Some((epoch, next))
         })();
         self.promoting.store(false, Ordering::Release);
@@ -1411,44 +1420,11 @@ impl PoolShared {
             return;
         }
         let handle = self.spawn_worker(index);
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.respawns.inc();
-        }
+        self.obs.respawns.inc();
         // Overwrites the dying worker's own handle: it is past
         // everything observable and exits right after this call, so
         // nothing is lost by detaching it.
         lock(&self.handles)[index] = Some(handle);
-    }
-}
-
-/// Overwrites an audit record's default (`CompileError`) outcome with
-/// the one a [`JobError`] actually denotes, plus whatever accounting
-/// the error carries.
-fn patch_error(record: &mut AuditRecord, err: &JobError) {
-    match err {
-        JobError::Compile(_) => record.outcome = AuditOutcome::CompileError,
-        JobError::Run(e) => patch_run_error(record, e),
-        // The remaining variants never reach a worker's resolution
-        // sites (they resolve on the submitter's side or in `die`).
-        _ => {}
-    }
-}
-
-/// Fills an audit record from a run error: fuel exhaustion carries
-/// real step and peak-frame accounting (the cutoff metrics are what
-/// make λB/λC space leaks measurable on diverging programs).
-fn patch_run_error(record: &mut AuditRecord, err: &RunError) {
-    match err {
-        RunError::FuelExhausted { steps, metrics } => {
-            record.outcome = AuditOutcome::FuelExhausted;
-            record.steps = *steps;
-            if let Some(m) = metrics {
-                record.peak_frames = m.peak_frames as u64;
-                record.peak_cast_frames = m.peak_cast_frames as u64;
-            }
-        }
-        RunError::IllTyped(_) => record.outcome = AuditOutcome::IllTyped,
     }
 }
 
@@ -1483,13 +1459,10 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
         } else {
             shared.try_claim(index)
         };
-        if let Some(job) = incoming {
+        if let Some(mut job) = incoming {
             // The job is claimed: everything before this instant was
             // queueing (dispatch, standing in a deque, being stolen).
-            let queue_wait = job.submitted.elapsed();
-            if let Some(obs) = &shared.obs {
-                obs.queue_wait.record(ns(queue_wait));
-            }
+            job.queue_wait = job.submitted.elapsed();
             // Epoch adoption happens only with an empty run queue:
             // parked runs hold ids interned in the current session,
             // which an adoption would rebuild. A parked spinner thus
@@ -1505,34 +1478,8 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                     programs.clear();
                 }
             }
-            if job.reply.is_canceled() {
-                // Canceled while queued: the handle resolved when the
-                // submitter canceled; drop the worker's side here.
-                shared.count_job(index, &session, Disposition::Canceled);
-                if let Some(obs) = &shared.obs {
-                    obs.resolved(base_record(
-                        index,
-                        epoch,
-                        &job,
-                        queue_wait,
-                        AuditOutcome::Canceled,
-                    ));
-                }
-            } else if job.expired() {
-                shared.count_job(index, &session, Disposition::DeadlineMissed);
-                if let Some(obs) = &shared.obs {
-                    obs.resolved(base_record(
-                        index,
-                        epoch,
-                        &job,
-                        queue_wait,
-                        AuditOutcome::DeadlineExceeded,
-                    ));
-                }
-                job.reply.resolve(Err(JobError::DeadlineExceeded {
-                    steps: 0,
-                    elapsed: job.submitted.elapsed(),
-                }));
+            if let Some(err) = job.abandoned(0) {
+                shared.resolve(index, epoch, &session, job, 0, Err(err));
             } else {
                 // Admission is the first unwind boundary: it runs
                 // job-determined work (parsing, elaboration,
@@ -1544,38 +1491,10 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                 let admitted =
                     catch_unwind(AssertUnwindSafe(|| admit(&session, &mut programs, &job)));
                 match admitted {
-                    Ok(Ok(run)) => run_queue.push_back(ParkedEntry {
-                        job,
-                        run,
-                        queue_wait,
-                    }),
-                    Ok(Err(err)) => {
-                        shared.count_job(index, &session, Disposition::Completed);
-                        if let Some(obs) = &shared.obs {
-                            let mut record = base_record(
-                                index,
-                                epoch,
-                                &job,
-                                queue_wait,
-                                AuditOutcome::CompileError,
-                            );
-                            patch_error(&mut record, &err);
-                            obs.resolved(record);
-                        }
-                        job.reply.resolve(Err(err));
-                        if run_queue.is_empty() {
-                            adopt_if_promoted(
-                                &shared,
-                                index,
-                                &mut epoch,
-                                &mut base,
-                                &mut session,
-                                &mut programs,
-                            );
-                        }
-                    }
+                    Ok(Ok(run)) => run_queue.push_back(ParkedEntry { job, run }),
+                    Ok(Err(err)) => shared.resolve(index, epoch, &session, job, 0, Err(err)),
                     Err(_) => {
-                        die(&shared, index, &session, job, queue_wait, run_queue);
+                        die(&shared, index, epoch, &session, job, run_queue);
                         return;
                     }
                 }
@@ -1584,112 +1503,45 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
         // One scheduling turn: slice the head of the run queue; a job
         // parked again goes to the back (round-robin — every parked
         // job advances one slice per rotation).
-        if let Some(entry) = run_queue.pop_front() {
-            let ParkedEntry {
-                job,
-                run,
-                queue_wait,
-            } = entry;
-            if job.reply.is_canceled() {
-                shared.count_job(index, &session, Disposition::Canceled);
-                if let Some(obs) = &shared.obs {
-                    let mut record =
-                        base_record(index, epoch, &job, queue_wait, AuditOutcome::Canceled);
-                    record.steps = run.steps();
-                    obs.resolved(record);
-                }
-            } else if job.expired() {
-                let steps = run.steps();
-                shared.count_job(index, &session, Disposition::DeadlineMissed);
-                if let Some(obs) = &shared.obs {
-                    let mut record = base_record(
-                        index,
-                        epoch,
-                        &job,
-                        queue_wait,
-                        AuditOutcome::DeadlineExceeded,
-                    );
-                    record.steps = steps;
-                    obs.resolved(record);
-                }
-                job.reply.resolve(Err(JobError::DeadlineExceeded {
-                    steps,
-                    elapsed: job.submitted.elapsed(),
-                }));
+        if let Some(ParkedEntry { job, run }) = run_queue.pop_front() {
+            let steps = run.steps();
+            if let Some(err) = job.abandoned(steps) {
+                shared.resolve(index, epoch, &session, job, steps, Err(err));
             } else {
                 // The slice is the other unwind boundary (machine
                 // steps run job-determined work too).
                 let sliced = catch_unwind(AssertUnwindSafe(|| {
                     session.resume_slice(run, shared.slice_steps)
                 }));
+                let Ok(sliced) = sliced else {
+                    die(&shared, index, epoch, &session, job, run_queue);
+                    return;
+                };
+                let counters = &shared.obs.counters[index];
+                counters.slices.inc();
                 match sliced {
-                    Ok(SliceOutcome::Done(result)) => {
-                        lock(&shared.slots[index]).slices += 1;
-                        shared.count_job(index, &session, Disposition::Completed);
-                        let elapsed = job.submitted.elapsed();
-                        if let Some(obs) = &shared.obs {
-                            obs.slices.inc();
-                            let mut record =
-                                base_record(index, epoch, &job, queue_wait, AuditOutcome::Value);
-                            match &result {
-                                Ok(report) => {
-                                    record.steps = report.steps;
-                                    if let Some(m) = &report.metrics {
-                                        record.peak_frames = m.peak_frames as u64;
-                                        record.peak_cast_frames = m.peak_cast_frames as u64;
-                                    }
-                                    if let Observation::Blame(label) = &report.observation {
-                                        record.outcome = AuditOutcome::Blame;
-                                        record.blame_label = Some(label.to_string());
-                                        record.cast_site = Some(label.id());
-                                    }
-                                }
-                                Err(err) => patch_run_error(&mut record, err),
-                            }
-                            obs.resolved(record);
-                        }
-                        let result = result
-                            .map(|report| JobOutput {
-                                observation: report.observation,
-                                steps: report.steps,
-                                metrics: report.metrics,
-                                worker: index,
-                                elapsed,
-                            })
-                            .map_err(JobError::Run);
-                        job.reply.resolve(result);
-                        if run_queue.is_empty() {
-                            adopt_if_promoted(
-                                &shared,
-                                index,
-                                &mut epoch,
-                                &mut base,
-                                &mut session,
-                                &mut programs,
-                            );
-                        }
+                    SliceOutcome::Done(result) => {
+                        let result = result.map_err(JobError::Run);
+                        shared.resolve(index, epoch, &session, job, 0, result);
                     }
-                    Ok(SliceOutcome::Parked(run)) => {
-                        {
-                            let mut slot = lock(&shared.slots[index]);
-                            slot.slices += 1;
-                            slot.preemptions += 1;
-                        }
-                        if let Some(obs) = &shared.obs {
-                            obs.slices.inc();
-                            obs.preemptions.inc();
-                        }
-                        run_queue.push_back(ParkedEntry {
-                            job,
-                            run,
-                            queue_wait,
-                        });
-                    }
-                    Err(_) => {
-                        die(&shared, index, &session, job, queue_wait, run_queue);
-                        return;
+                    SliceOutcome::Parked(run) => {
+                        counters.preemptions.inc();
+                        run_queue.push_back(ParkedEntry { job, run });
                     }
                 }
+            }
+        }
+        // Promotion rebuilds the session parked runs reference, so it
+        // is considered only with an empty run queue — at the end of a
+        // turn, that means the turn resolved a job.
+        if run_queue.is_empty() && shared.should_promote(index, &session) {
+            if let Some((e, b)) = shared.promote(epoch, &base, &session) {
+                // The promoting worker adopts its own epoch at once — its
+                // overlay *is* the new base.
+                shared.retire(index, &session);
+                (epoch, base) = (e, b);
+                session = shared.build_session(Arc::clone(&base));
+                programs.clear();
             }
         }
         lock(&shared.slots[index]).parked_depth = run_queue.len();
@@ -1704,63 +1556,24 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
 fn die(
     shared: &Arc<PoolShared>,
     index: usize,
+    epoch: u64,
     session: &Session,
     job: Job,
-    queue_wait: Duration,
     run_queue: VecDeque<ParkedEntry>,
 ) {
+    shared.resolve(index, epoch, session, job, 0, Err(JobError::WorkerPanicked));
     shared.retire(index, session);
     {
         let mut slot = lock(&shared.slots[index]);
-        slot.jobs += 1;
-        slot.panics += 1;
         slot.dead = true;
         slot.parked_depth = 0;
     }
-    if let Some(obs) = &shared.obs {
-        obs.resolved(base_record(
-            index,
-            shared.epoch.epoch(),
-            &job,
-            queue_wait,
-            AuditOutcome::WorkerPanicked,
-        ));
-    }
-    job.reply.resolve(Err(JobError::WorkerPanicked));
     if !run_queue.is_empty() {
         let queue = &shared.queues[index];
-        {
-            let mut deque = lock(&queue.deque);
-            for entry in run_queue {
-                deque.push_back(entry.job);
-            }
-        }
+        lock(&queue.deque).extend(run_queue.into_iter().map(|entry| entry.job));
         queue.ready.notify_one();
     }
     shared.respawn(index);
-}
-
-/// The promotion gate + adoption, shared by every completion site.
-/// Callers only reach here with an empty run queue (adoption rebuilds
-/// the session that parked runs reference).
-fn adopt_if_promoted(
-    shared: &PoolShared,
-    index: usize,
-    epoch: &mut u64,
-    base: &mut Arc<FrozenBase>,
-    session: &mut Session,
-    programs: &mut HashMap<String, crate::session::Program>,
-) {
-    if shared.should_promote(index, session) {
-        if let Some((e, b)) = shared.promote(*epoch, base, session) {
-            // The promoting worker adopts its own epoch at once — its
-            // overlay *is* the new base.
-            shared.retire(index, session);
-            (*epoch, *base) = (e, b);
-            *session = shared.build_session(Arc::clone(base));
-            programs.clear();
-        }
-    }
 }
 
 /// Bound on the worker-local program cache; beyond it the cache is
@@ -1951,26 +1764,24 @@ impl SessionPool {
             (depth < capacity).then_some(depth + 1)
         });
         if let Err(depth) = reserved {
-            if let Some(obs) = &self.shared.obs {
-                // Rejected jobs never became a `Job`; audit them here
-                // (zero steps, zero waits — they were refused at the
-                // door), so `bc_jobs_total` sums to submissions.
-                obs.resolved(AuditRecord {
-                    seq: 0,
-                    worker: target,
-                    epoch: self.shared.epoch.epoch(),
-                    engine: engine_name(engine),
-                    outcome: AuditOutcome::Rejected,
-                    blame_label: None,
-                    cast_site: None,
-                    steps: 0,
-                    peak_frames: 0,
-                    peak_cast_frames: 0,
-                    latency_ns: 0,
-                    queue_wait_ns: 0,
-                    shape: bc_obs::shape_key(spec.key()),
-                });
-            }
+            // Rejected jobs never became a `Job`; audit them here
+            // (zero steps, zero waits — they were refused at the
+            // door), so `bc_jobs_total` sums to submissions.
+            self.shared.obs.resolved(AuditRecord {
+                seq: 0,
+                worker: target,
+                epoch: self.shared.epoch.epoch(),
+                engine: engine_name(engine),
+                outcome: AuditOutcome::Rejected,
+                blame_label: None,
+                cast_site: None,
+                steps: 0,
+                peak_frames: 0,
+                peak_cast_frames: 0,
+                latency_ns: 0,
+                queue_wait_ns: 0,
+                shape: bc_obs::shape_key(spec.key()),
+            });
             return JobHandle {
                 state: JobState::resolved(Err(JobError::Rejected { queue_depth: depth })),
             };
@@ -1983,6 +1794,7 @@ impl SessionPool {
             reply: ReplySlot::new(Arc::clone(&state)),
             deadline,
             submitted: Instant::now(),
+            queue_wait: Duration::ZERO,
         };
         let queue = &self.shared.queues[target];
         lock(&queue.deque).push_back(job);
@@ -1990,49 +1802,45 @@ impl SessionPool {
         JobHandle { state }
     }
 
-    /// A coherent snapshot of the pool accounting — see the
+    /// The pool accounting, read from the `bc-obs` cells the
+    /// exposition renders — see the
     /// [consistency contract](PoolStats#consistency-contract) on
-    /// [`PoolStats`]. Each worker republishes its counters after
-    /// every job, so in-flight jobs are not yet counted.
-    ///
-    /// The snapshot holds every worker slot's lock at once for the
-    /// read (deadlock-free: no worker-side path acquires a second
-    /// pool lock while holding a slot or deque lock), so calling this
-    /// stalls each worker's *accounting* publish for the duration of
-    /// one copy per worker, never its serving.
+    /// [`PoolStats`]. Each count is monotone between calls and exact
+    /// once the pool is quiescent; a job is counted before its handle
+    /// resolves (a cancel excepted, which resolves at
+    /// [`JobHandle::cancel`]).
     pub fn stats(&self) -> PoolStats {
-        let slots: Vec<MutexGuard<'_, WorkerSlot>> = self.shared.slots.iter().map(lock).collect();
-        let queue_depths: Vec<usize> = self
-            .shared
-            .queues
-            .iter()
-            .map(|q| lock(&q.deque).len())
-            .collect();
+        let shared = &self.shared;
         PoolStats {
-            epoch: self.shared.epoch.epoch(),
-            promotions: self.shared.promotions.load(Ordering::Relaxed),
-            promotion_ns: self.shared.promotion_ns.load(Ordering::Relaxed),
-            last_promotion_ns: self.shared.last_promotion_ns.load(Ordering::Relaxed),
-            respawns: self.shared.respawns.load(Ordering::Relaxed),
+            epoch: shared.epoch.epoch(),
+            promotions: shared.obs.promotions.get(),
+            promotion_ns: shared.promotion_ns.load(Ordering::Relaxed),
+            last_promotion_ns: shared.last_promotion_ns.load(Ordering::Relaxed),
+            respawns: shared.obs.respawns.get(),
             warmup_peak_steps: self.warmup_peak_steps,
-            workers: slots
+            workers: shared
+                .obs
+                .counters
                 .iter()
-                .zip(queue_depths)
                 .enumerate()
-                .map(|(worker, (slot, queue_depth))| WorkerStats {
-                    worker,
-                    jobs: slot.jobs,
-                    steals: slot.steals,
-                    panics: slot.panics,
-                    slices: slot.slices,
-                    preemptions: slot.preemptions,
-                    deadline_misses: slot.deadline_misses,
-                    cancellations: slot.cancellations,
-                    parked_depth: slot.parked_depth,
-                    dead: slot.dead,
-                    queue_depth,
-                    session: slot.stats,
-                    retired: slot.retired,
+                .map(|(worker, cells)| {
+                    let slot = *lock(&shared.slots[worker]);
+                    WorkerStats {
+                        worker,
+                        jobs: cells.jobs(),
+                        steals: cells.steals.get(),
+                        panics: cells.resolved(AuditOutcome::WorkerPanicked),
+                        slices: cells.slices.get(),
+                        preemptions: cells.preemptions.get(),
+                        deadline_misses: cells.resolved(AuditOutcome::DeadlineExceeded),
+                        cancellations: cells.resolved(AuditOutcome::Canceled),
+                        parked_depth: slot.parked_depth,
+                        dead: slot.dead,
+                        queue_depth: lock(&shared.queues[worker].deque).len(),
+                        session: slot.stats,
+                        sessions_retired: cells.sessions_retired.get(),
+                        retired: slot.retired,
+                    }
                 })
                 .collect(),
         }
@@ -2047,53 +1855,36 @@ impl SessionPool {
     /// polled gauges (`bc_epoch`, `bc_workers`, per-worker
     /// `bc_queue_depth` / `bc_parked_depth`, and the cumulative
     /// `bc_coercion_base_hit_rate` / `bc_compose_base_hit_rate`).
-    /// Gauges are refreshed from one coherent [`SessionPool::stats`]
-    /// snapshot at render time; counters and histograms read their
-    /// live cells.
-    ///
-    /// With [`SessionPoolBuilder::no_observability`] the exposition
-    /// is a single comment line.
+    /// Gauges are refreshed from a [`SessionPool::stats`] snapshot at
+    /// render time; counters and histograms read their live cells.
     pub fn metrics_text(&self) -> String {
-        match &self.shared.obs {
-            Some(obs) => obs.render(&self.stats()),
-            None => "# observability disabled (SessionPoolBuilder::no_observability)\n".to_owned(),
-        }
+        self.shared.obs.render(&self.stats())
     }
 
     /// Drains the audit stream: every buffered [`AuditRecord`]
     /// (oldest first), leaving the ring empty. Records evicted
     /// between drains are counted by [`SessionPool::audit_dropped`],
-    /// never silently lost. Empty when observability is off.
+    /// never silently lost.
     pub fn audit_records(&self) -> Vec<AuditRecord> {
-        self.shared
-            .obs
-            .as_ref()
-            .map_or_else(Vec::new, |obs| obs.sink().drain())
+        self.shared.obs.sink().drain()
     }
 
     /// Audit records evicted from the ring without being drained
     /// (exact — the overload accounting is deterministic: emitted =
     /// drained + buffered + dropped).
     pub fn audit_dropped(&self) -> u64 {
-        self.shared
-            .obs
-            .as_ref()
-            .map_or(0, |obs| obs.sink().dropped())
+        self.shared.obs.sink().dropped()
     }
 
     /// Drains the audit stream into `out` as JSON lines, returning
-    /// how many records were written (0, without touching `out`, when
-    /// observability is off).
+    /// how many records were written.
     ///
     /// # Errors
     ///
     /// Propagates the writer's error (see
     /// [`AuditSink::drain_to`](bc_obs::AuditSink::drain_to)).
     pub fn drain_audit_to(&self, out: &mut dyn std::io::Write) -> std::io::Result<usize> {
-        self.shared
-            .obs
-            .as_ref()
-            .map_or(Ok(0), |obs| obs.sink().drain_to(out))
+        self.shared.obs.sink().drain_to(out)
     }
 
     /// Graceful shutdown: closes intake, lets the workers drain every

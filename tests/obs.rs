@@ -6,14 +6,16 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bc_testkit::sources;
 use blame_coercion::translate::bisim::Observation;
 use blame_coercion::{
-    AuditOutcome, BlameAnalytics, Counter, Engine, Histogram, JobError, PromotionPolicy,
-    SessionPool,
+    AuditOutcome, BlameAnalytics, Counter, Deadline, Engine, Histogram, JobError, JobHandle,
+    JobOutput, PoolStats, PromotionPolicy, SessionPool,
 };
+
+const SPINNER: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
 
 /// Every sample line (`name{labels} value`) in an exposition, keyed
 /// by the full series string (metric name + label block).
@@ -34,6 +36,15 @@ fn value(text: &str, series: &str) -> f64 {
     *samples(text)
         .get(series)
         .unwrap_or_else(|| panic!("series {series} missing from exposition:\n{text}"))
+}
+
+/// Polls `stats` until `done` holds, failing after ten seconds.
+fn wait_until(pool: &SessionPool, what: &str, done: impl Fn(&PoolStats) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(&pool.stats()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -140,30 +151,6 @@ fn warmed_pool_exposition_reflects_the_batch() {
 }
 
 #[test]
-fn no_observability_pool_serves_with_empty_exposition() {
-    let pool = SessionPool::builder()
-        .workers(2)
-        .warmup(sources::shapes())
-        .no_observability()
-        .build()
-        .expect("warmup compiles");
-    let handles = pool.submit_batch(
-        sources::mixed(3, 16).iter().map(String::as_str),
-        Engine::MachineS,
-    );
-    for handle in handles {
-        let _ = handle.wait();
-    }
-    let text = pool.metrics_text();
-    assert!(text.starts_with('#'), "exposition is a comment: {text}");
-    assert!(samples(&text).is_empty());
-    assert!(pool.audit_records().is_empty());
-    assert_eq!(pool.audit_dropped(), 0);
-    // The slot-counter accounting is unaffected by the switch.
-    assert_eq!(pool.stats().jobs(), 16);
-}
-
-#[test]
 fn concurrent_recorders_and_snapshot_reader_agree_exactly() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;
@@ -254,14 +241,10 @@ fn counters_stay_monotone_across_promotions_and_respawns() {
         // The poison's reply resolves *inside* the dying serve; the
         // replacement worker (and the respawn counter) lands a moment
         // later. Wait for it so the snapshot below is post-recovery.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.stats().respawns < wave + 1 {
-            assert!(std::time::Instant::now() < deadline, "respawn never landed");
-            std::thread::yield_now();
-        }
+        wait_until(&pool, "the respawn", |s| s.respawns > wave);
 
         let stats = pool.stats();
-        // Slot-level accounting: monotone even though sessions were
+        // Worker-level accounting: monotone even though sessions were
         // retired (promotion adoptions + the poison respawn) between
         // the snapshots.
         assert!(stats.jobs() > prev_stats.jobs() + WAVE_JOBS as u64);
@@ -349,7 +332,6 @@ fn audit_ring_overflow_accounting_is_exact() {
 
 #[test]
 fn rejected_submissions_are_audited() {
-    const SPINNER: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
     let pool = SessionPool::builder()
         .workers(1)
         .warmup([SPINNER])
@@ -381,4 +363,154 @@ fn rejected_submissions_are_audited() {
         .filter(|r| r.outcome == AuditOutcome::Rejected)
         .count() as u64;
     assert_eq!(audited_rejects, rejected);
+}
+
+/// A panic hands the worker's parked jobs back to its queue, and the
+/// replacement claims them a second time. Their queue wait is still
+/// recorded once, when they resolve.
+#[test]
+fn a_requeued_job_records_its_queue_wait_once() {
+    let pool = SessionPool::builder()
+        .workers(1)
+        .warmup([SPINNER])
+        .build()
+        .expect("warmup compiles");
+    let spinners: Vec<JobHandle> = (0..2)
+        .map(|_| pool.submit_with_fuel(SPINNER, Engine::MachineS, 2_000_000))
+        .collect();
+    wait_until(&pool, "both spinners to park", |s| {
+        s.parked_depths()[0] == 2
+    });
+    assert!(matches!(
+        pool.submit_poison().wait(),
+        Err(JobError::WorkerPanicked)
+    ));
+    for spinner in spinners {
+        assert!(matches!(spinner.wait(), Err(JobError::Run(_))));
+    }
+    let text = pool.metrics_text();
+    assert_eq!(value(&text, "bc_job_latency_ns_count"), 3.0);
+    assert_eq!(
+        value(&text, "bc_job_queue_wait_ns_count"),
+        value(&text, "bc_job_latency_ns_count")
+    );
+}
+
+/// The outcome a handle resolved to, in the audit vocabulary.
+fn outcome_of(result: &Result<JobOutput, JobError>) -> AuditOutcome {
+    match result {
+        Ok(out) if matches!(out.observation, Observation::Blame(_)) => AuditOutcome::Blame,
+        Ok(_) => AuditOutcome::Value,
+        Err(JobError::Compile(_)) => AuditOutcome::CompileError,
+        Err(JobError::Run(_)) => AuditOutcome::FuelExhausted,
+        Err(JobError::DeadlineExceeded { .. }) => AuditOutcome::DeadlineExceeded,
+        Err(JobError::Canceled) => AuditOutcome::Canceled,
+        Err(JobError::WorkerPanicked) => AuditOutcome::WorkerPanicked,
+        Err(JobError::Rejected { .. }) => AuditOutcome::Rejected,
+        Err(JobError::Lost) => panic!("an open pool loses no job"),
+    }
+}
+
+/// One pool serves every kind of resolution; the outcome counters,
+/// the audit stream, `PoolStats` and the handles all agree.
+#[test]
+fn every_resolution_is_counted_audited_and_answered_once() {
+    let pool = SessionPool::builder()
+        .workers(1)
+        .warmup([SPINNER])
+        .queue_capacity(2)
+        .build()
+        .expect("warmup compiles");
+    let mut results = Vec::new();
+    // One at a time, so the in-flight bound of 2 refuses none of them.
+    for (source, fuel) in [
+        ("1 + 1", None),
+        ("let f = fun x => x + 1 in f true", None),
+        (SPINNER, Some(1_000)),
+        ("1 +", None),
+    ] {
+        let handle = pool.submit_with_options(source, Engine::MachineS, fuel, None);
+        results.push(handle.wait());
+    }
+    // A poison before anything parks, so the respawn requeues nothing.
+    results.push(pool.submit_poison().wait());
+    wait_until(&pool, "the respawn", |s| s.respawns == 1);
+
+    // Two parked spinners fill the worker's in-flight bound: the next
+    // submission is refused at the door.
+    let parked_cancel = pool.submit_with_fuel(SPINNER, Engine::MachineS, u64::MAX);
+    let parked_deadline = pool.submit_with_options(
+        SPINNER,
+        Engine::MachineS,
+        Some(u64::MAX),
+        Some(Deadline::after(Duration::from_millis(20))),
+    );
+    let rejected = pool.submit("1 + 1", Engine::MachineS);
+    assert!(matches!(
+        rejected.try_wait(),
+        Some(Err(JobError::Rejected { .. }))
+    ));
+    results.push(rejected.wait());
+    let missed = parked_deadline.wait();
+    assert!(
+        matches!(missed, Err(JobError::DeadlineExceeded { steps, .. }) if steps > 0),
+        "the parked spinner ran before missing its deadline: {missed:?}"
+    );
+    results.push(missed);
+    // Canceled while still queued behind the parked spinner's slices
+    // (or, if the worker claims it first, at its first slice boundary).
+    let queued_cancel = pool.submit_with_fuel(SPINNER, Engine::MachineS, u64::MAX);
+    queued_cancel.cancel();
+    results.push(queued_cancel.wait());
+    parked_cancel.cancel();
+    results.push(parked_cancel.wait());
+    let queued_deadline = pool.submit_with_options(
+        "1 + 1",
+        Engine::MachineS,
+        None,
+        Some(Deadline::at(Instant::now())),
+    );
+    let missed = queued_deadline.wait();
+    assert!(
+        matches!(missed, Err(JobError::DeadlineExceeded { steps: 0, .. })),
+        "an expired job is discarded at intake: {missed:?}"
+    );
+    results.push(missed);
+    // The worker discards canceled jobs after their handles resolved.
+    // A last job is claimed after every earlier one and runs after
+    // everything parked before it, so once it resolves, every job is
+    // counted.
+    results.push(pool.submit("2 + 2", Engine::MachineS).wait());
+
+    let mut tally: BTreeMap<AuditOutcome, u64> = BTreeMap::new();
+    for result in &results {
+        *tally.entry(outcome_of(result)).or_default() += 1;
+    }
+    assert!(
+        AuditOutcome::ALL
+            .iter()
+            .all(|o| *o == AuditOutcome::IllTyped || tally.contains_key(o)),
+        "the mix reaches every outcome a source job can: {tally:?}"
+    );
+    let handles = results.len() as u64;
+    let text = pool.metrics_text();
+    let records = pool.audit_records();
+    let mut counted = 0;
+    for o in AuditOutcome::ALL {
+        let expected = tally.get(&o).copied().unwrap_or(0);
+        let n = value(&text, &format!("bc_jobs_total{{outcome=\"{o}\"}}")) as u64;
+        assert_eq!(n, expected, "counted {o}");
+        let audited = records.iter().filter(|r| r.outcome == o).count() as u64;
+        assert_eq!(audited, expected, "audited {o}");
+        counted += n;
+    }
+    assert_eq!(counted, handles);
+    assert_eq!(records.len() as u64 + pool.audit_dropped(), handles);
+    let rejected = tally[&AuditOutcome::Rejected];
+    assert_eq!(pool.stats().jobs() + rejected, handles);
+    assert_eq!(value(&text, "bc_job_latency_ns_count") as u64, handles);
+    assert_eq!(
+        value(&text, "bc_job_queue_wait_ns_count") as u64,
+        handles - rejected
+    );
 }
