@@ -1,20 +1,11 @@
 //! A hash-consing arena for λC coercions.
 //!
 //! λC coercions are *not* the canonical λS coercions of
-//! `bc-core` — they keep their unnormalised `c ; d` spines, which is
-//! what makes `decompile ∘ compile = id` hold for the compiled λC term
-//! IR ([`crate::cterm`]). [`CArena`] interns them behind `Copy`
-//! [`CCoercionId`] handles the same way [`TypeArena`] interns types:
-//! structurally equal coercions get the same id, so a warm recompile
-//! of structurally similar source (labels restart at 0 per compile)
-//! interns nothing.
-//!
-//! Each node's *representative endpoints* `c : A ⇒ B` are synthesised
-//! once at intern time (the id analogue of
-//! [`Coercion::source_representative`]), together with whether the
-//! synthesis is *exact* — failure-free with all composition
-//! intermediates agreeing — so the compiled checker answers
-//! `M⟨c⟩`-typing questions with two id reads instead of a tree walk.
+//! `bc-core` — they keep their unnormalised `c ; d` spines. [`CArena`]
+//! interns them behind `Copy` [`CCoercionId`] handles the same way
+//! [`TypeArena`] interns types: structurally equal coercions get the
+//! same id, so a warm recompile of structurally similar source (labels
+//! restart at 0 per compile) interns nothing.
 //!
 //! # The id-offset / foreign-id contract
 //!
@@ -23,10 +14,7 @@
 //! they were interned against. A compiled λC term is therefore only
 //! meaningful alongside *its* `CArena`/`TypeArena` pair. Unlike the
 //! space-coercion arena, a `CArena` has no frozen base tier: the λC
-//! form is a lowering *intermediate* that never travels. Pool workers
-//! each own a private `CArena` and re-derive λC forms locally from
-//! the (portable, base-id-only) compiled λB term; on a warm base the
-//! re-derivation is pure hash-cons hits.
+//! form is a lowering *intermediate* that never travels.
 
 use std::collections::HashMap;
 
@@ -63,41 +51,11 @@ pub enum CNode {
     Fail(Ground, Label, Ground),
 }
 
-/// Per-node metadata computed once at intern time.
-#[derive(Debug, Clone, Copy)]
-struct Meta {
-    /// Representative source type `A` of `c : A ⇒ B`.
-    source: TypeId,
-    /// Representative target type `B`.
-    target: TypeId,
-    /// Whether the endpoints are *exact* (failure-free, and every
-    /// `c ; d` intermediate agrees): iff [`Coercion::synthesize`]
-    /// would succeed on the resolved tree.
-    exact: bool,
-    /// Height `‖c‖` (composition does not increase it).
-    height: u32,
-    /// Tree size (composition does increase it).
-    size: u32,
-}
-
-/// Interning statistics: how much work a warm arena avoided.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CArenaStats {
-    /// Number of distinct nodes in the arena.
-    pub nodes: usize,
-    /// Intern calls answered from the hash-cons table.
-    pub hits: u64,
-    /// Intern calls that allocated a new node.
-    pub misses: u64,
-}
-
 /// A hash-consing arena for λC coercions. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct CArena {
     nodes: Vec<CNode>,
-    meta: Vec<Meta>,
     map: HashMap<CNode, CCoercionId, FxBuildHasher>,
-    hits: u64,
 }
 
 impl CArena {
@@ -106,101 +64,47 @@ impl CArena {
         CArena::default()
     }
 
-    /// Interns a node, synthesising its endpoint metadata.
+    /// Interns a node.
     ///
     /// # Panics
     ///
-    /// Panics if the node is `⊥GpH` with `G = H`, or if a child id is
-    /// foreign to this arena.
-    pub fn intern_node(&mut self, node: CNode, types: &mut TypeArena) -> CCoercionId {
+    /// Panics if the node is `⊥GpH` with `G = H`.
+    pub fn intern_node(&mut self, node: CNode) -> CCoercionId {
         if let Some(&id) = self.map.get(&node) {
-            self.hits += 1;
             return id;
         }
-        let meta = match node {
-            CNode::Id(a) => Meta {
-                source: a,
-                target: a,
-                exact: true,
-                height: 1,
-                size: 1,
-            },
-            CNode::Inj(g) => Meta {
-                source: types.ground(g),
-                target: types.dyn_ty(),
-                exact: true,
-                height: 1,
-                size: 1,
-            },
-            CNode::Proj(g, _) => Meta {
-                source: types.dyn_ty(),
-                target: types.ground(g),
-                exact: true,
-                height: 1,
-                size: 1,
-            },
-            CNode::Fun(c, d) => {
-                let (mc, md) = (self.meta[c.index()], self.meta[d.index()]);
-                // c : A' ⇒ A, d : B ⇒ B'  gives  c→d : A→B ⇒ A'→B'.
-                Meta {
-                    source: types.fun(mc.target, md.source),
-                    target: types.fun(mc.source, md.target),
-                    exact: mc.exact && md.exact,
-                    height: 1 + mc.height.max(md.height),
-                    size: 1 + mc.size + md.size,
-                }
-            }
-            CNode::Seq(c, d) => {
-                let (mc, md) = (self.meta[c.index()], self.meta[d.index()]);
-                Meta {
-                    source: mc.source,
-                    target: md.target,
-                    exact: mc.exact && md.exact && mc.target == md.source,
-                    height: mc.height.max(md.height),
-                    size: 1 + mc.size + md.size,
-                }
-            }
-            CNode::Fail(g, _, h) => {
-                assert_ne!(g, h, "⊥GpH requires G ≠ H");
-                Meta {
-                    source: types.ground(g),
-                    target: types.ground(h),
-                    exact: false,
-                    height: 1,
-                    size: 1,
-                }
-            }
-        };
+        if let CNode::Fail(g, _, h) = node {
+            assert_ne!(g, h, "⊥GpH requires G ≠ H");
+        }
         let id = CCoercionId(u32::try_from(self.nodes.len()).expect("arena overflow"));
         self.nodes.push(node);
-        self.meta.push(meta);
         self.map.insert(node, id);
         id
     }
 
     /// Interns the identity `id_A`.
-    pub fn id(&mut self, a: TypeId, types: &mut TypeArena) -> CCoercionId {
-        self.intern_node(CNode::Id(a), types)
+    pub fn id(&mut self, a: TypeId) -> CCoercionId {
+        self.intern_node(CNode::Id(a))
     }
 
     /// Interns the injection `G!`.
-    pub fn inj(&mut self, g: Ground, types: &mut TypeArena) -> CCoercionId {
-        self.intern_node(CNode::Inj(g), types)
+    pub fn inj(&mut self, g: Ground) -> CCoercionId {
+        self.intern_node(CNode::Inj(g))
     }
 
     /// Interns the projection `G?p`.
-    pub fn proj(&mut self, g: Ground, p: Label, types: &mut TypeArena) -> CCoercionId {
-        self.intern_node(CNode::Proj(g, p), types)
+    pub fn proj(&mut self, g: Ground, p: Label) -> CCoercionId {
+        self.intern_node(CNode::Proj(g, p))
     }
 
     /// Interns the function coercion `c → d`.
-    pub fn fun(&mut self, c: CCoercionId, d: CCoercionId, types: &mut TypeArena) -> CCoercionId {
-        self.intern_node(CNode::Fun(c, d), types)
+    pub fn fun(&mut self, c: CCoercionId, d: CCoercionId) -> CCoercionId {
+        self.intern_node(CNode::Fun(c, d))
     }
 
     /// Interns the composition `c ; d`.
-    pub fn seq(&mut self, c: CCoercionId, d: CCoercionId, types: &mut TypeArena) -> CCoercionId {
-        self.intern_node(CNode::Seq(c, d), types)
+    pub fn seq(&mut self, c: CCoercionId, d: CCoercionId) -> CCoercionId {
+        self.intern_node(CNode::Seq(c, d))
     }
 
     /// Interns the failure `⊥GpH`.
@@ -208,8 +112,8 @@ impl CArena {
     /// # Panics
     ///
     /// Panics if `G = H`.
-    pub fn fail(&mut self, g: Ground, p: Label, h: Ground, types: &mut TypeArena) -> CCoercionId {
-        self.intern_node(CNode::Fail(g, p, h), types)
+    pub fn fail(&mut self, g: Ground, p: Label, h: Ground) -> CCoercionId {
+        self.intern_node(CNode::Fail(g, p, h))
     }
 
     /// The node behind an id.
@@ -217,67 +121,7 @@ impl CArena {
         self.nodes[id.index()]
     }
 
-    /// The representative source type `A` of `c : A ⇒ B`.
-    pub fn source(&self, id: CCoercionId) -> TypeId {
-        self.meta[id.index()].source
-    }
-
-    /// The representative target type `B` of `c : A ⇒ B`.
-    pub fn target(&self, id: CCoercionId) -> TypeId {
-        self.meta[id.index()].target
-    }
-
-    /// Whether the endpoints are exact: iff [`Coercion::synthesize`]
-    /// succeeds on the resolved tree (failure-free, compositions
-    /// agree).
-    pub fn is_exact(&self, id: CCoercionId) -> bool {
-        self.meta[id.index()].exact
-    }
-
-    /// The height `‖c‖` (Figure 3).
-    pub fn height(&self, id: CCoercionId) -> usize {
-        self.meta[id.index()].height as usize
-    }
-
-    /// The tree size of the coercion.
-    pub fn size(&self, id: CCoercionId) -> usize {
-        self.meta[id.index()].size as usize
-    }
-
-    /// Whether `c safeC q`: the coercion never mentions `q`.
-    pub fn safe_for(&self, id: CCoercionId, q: Label) -> bool {
-        match self.node(id) {
-            CNode::Id(_) | CNode::Inj(_) => true,
-            CNode::Proj(_, p) | CNode::Fail(_, p, _) => p != q,
-            CNode::Fun(c, d) | CNode::Seq(c, d) => self.safe_for(c, q) && self.safe_for(d, q),
-        }
-    }
-
-    /// Interns a tree coercion bottom-up.
-    pub fn intern(&mut self, c: &Coercion, types: &mut TypeArena) -> CCoercionId {
-        match c {
-            Coercion::Id(a) => {
-                let a = types.intern(a);
-                self.id(a, types)
-            }
-            Coercion::Inj(g) => self.inj(*g, types),
-            Coercion::Proj(g, p) => self.proj(*g, *p, types),
-            Coercion::Fun(c, d) => {
-                let c = self.intern(c, types);
-                let d = self.intern(d, types);
-                self.fun(c, d, types)
-            }
-            Coercion::Seq(c, d) => {
-                let c = self.intern(c, types);
-                let d = self.intern(d, types);
-                self.seq(c, d, types)
-            }
-            Coercion::Fail(g, p, h) => self.fail(*g, *p, *h, types),
-        }
-    }
-
-    /// Rebuilds the tree coercion behind an id; inverse of
-    /// [`CArena::intern`].
+    /// Rebuilds the tree coercion behind an id.
     pub fn resolve(&self, id: CCoercionId, types: &TypeArena) -> Coercion {
         match self.node(id) {
             CNode::Id(a) => Coercion::Id(types.resolve(a)),
@@ -302,85 +146,29 @@ impl CArena {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Interning statistics.
-    pub fn stats(&self) -> CArenaStats {
-        CArenaStats {
-            nodes: self.nodes.len(),
-            hits: self.hits,
-            misses: self.nodes.len() as u64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_syntax::{BaseType, Type};
-
-    fn gi() -> Ground {
-        Ground::Base(BaseType::Int)
-    }
-    fn gb() -> Ground {
-        Ground::Base(BaseType::Bool)
-    }
+    use bc_syntax::BaseType;
 
     #[test]
-    fn interning_is_idempotent_and_counts_hits() {
-        let mut types = TypeArena::new();
+    fn interning_is_idempotent() {
+        let gi = Ground::Base(BaseType::Int);
+        let p = Label::new(0);
         let mut arena = CArena::new();
-        let c = Coercion::proj(gi(), Label::new(0)).seq(Coercion::inj(gi()));
-        let a = arena.intern(&c, &mut types);
+        let proj = arena.proj(gi, p);
+        let inj = arena.inj(gi);
+        let a = arena.seq(proj, inj);
         let before = arena.len();
-        let b = arena.intern(&c, &mut types);
-        assert_eq!(a, b);
+        let proj = arena.proj(gi, p);
+        let inj = arena.inj(gi);
+        assert_eq!(arena.seq(proj, inj), a);
         assert_eq!(arena.len(), before);
-        assert!(arena.stats().hits >= 3);
-    }
-
-    #[test]
-    fn endpoints_match_the_tree_synthesis() {
-        let mut types = TypeArena::new();
-        let mut arena = CArena::new();
-        let ii = Type::fun(Type::INT, Type::INT);
-        let samples = [
-            Coercion::id(Type::INT),
-            Coercion::inj(gi()),
-            Coercion::proj(gb(), Label::new(1)),
-            Coercion::fun(Coercion::proj(gi(), Label::new(0)), Coercion::inj(gi())),
-            Coercion::inj(gi()).seq(Coercion::proj(gb(), Label::new(2))),
-            Coercion::id(ii).seq(Coercion::fun(
-                Coercion::proj(gi(), Label::new(3)),
-                Coercion::inj(gi()),
-            )),
-        ];
-        for c in &samples {
-            let id = arena.intern(c, &mut types);
-            let (src, tgt) = c.synthesize().expect("failure-free samples");
-            assert_eq!(types.resolve(arena.source(id)), src, "{c}");
-            assert_eq!(types.resolve(arena.target(id)), tgt, "{c}");
-            assert!(arena.is_exact(id), "{c}");
-            assert_eq!(arena.height(id), c.height(), "{c}");
-            assert_eq!(arena.size(id), c.size(), "{c}");
-            assert_eq!(arena.resolve(id, &types), *c, "{c}");
-        }
-    }
-
-    #[test]
-    fn inexact_coercions_use_representatives() {
-        let mut types = TypeArena::new();
-        let mut arena = CArena::new();
-        let c = Coercion::fail(gi(), Label::new(0), gb());
-        let id = arena.intern(&c, &mut types);
-        assert!(!arena.is_exact(id));
-        assert_eq!(types.resolve(arena.source(id)), c.source_representative());
-        assert_eq!(types.resolve(arena.target(id)), c.target_representative());
-        // A mismatched composition is representable but inexact.
-        let bad = Coercion::id(Type::INT).seq(Coercion::id(Type::BOOL));
-        let id = arena.intern(&bad, &mut types);
-        assert!(!arena.is_exact(id));
-        let fail_id = arena.intern(&c, &mut types);
-        assert!(!arena.safe_for(fail_id, Label::new(0)));
-        assert!(arena.safe_for(id, Label::new(0)));
+        assert_eq!(
+            arena.resolve(a, &TypeArena::new()),
+            Coercion::proj(gi, p).seq(Coercion::inj(gi))
+        );
     }
 }

@@ -5,7 +5,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use bc_syntax::{Ground, Label, TNode, Type, TypeArena, TypeId};
+use bc_syntax::{Ground, Label, Type};
 
 /// A coercion of the coercion calculus.
 ///
@@ -171,127 +171,6 @@ impl Coercion {
             Coercion::Fail(_, _, h) => h.ty(),
             Coercion::Seq(_, c2) => c2.target_representative(),
             Coercion::Fun(c, d) => Type::fun(c.source_representative(), d.target_representative()),
-        }
-    }
-
-    /// [`Coercion::synthesize`] on interned [`TypeId`]s: the unique
-    /// `c : A ⇒ B` of a failure-free coercion, with the intermediate
-    /// type agreement of `c ; d` an O(1) id comparison instead of a
-    /// structural one.
-    pub fn synthesize_in(&self, types: &mut TypeArena) -> Option<(TypeId, TypeId)> {
-        match self {
-            Coercion::Id(a) => {
-                let id = types.intern(a);
-                Some((id, id))
-            }
-            Coercion::Inj(g) => Some((types.ground(*g), types.dyn_ty())),
-            Coercion::Proj(g, _) => Some((types.dyn_ty(), types.ground(*g))),
-            Coercion::Fun(c, d) => {
-                // c : A' ⇒ A, d : B ⇒ B'  gives  c→d : A→B ⇒ A'→B'.
-                let (a_prime, a) = c.synthesize_in(types)?;
-                let (b, b_prime) = d.synthesize_in(types)?;
-                Some((types.fun(a, b), types.fun(a_prime, b_prime)))
-            }
-            Coercion::Seq(c, d) => {
-                let (a, b) = c.synthesize_in(types)?;
-                let (b2, c2) = d.synthesize_in(types)?;
-                (b == b2).then_some((a, c2))
-            }
-            Coercion::Fail(_, _, _) => None,
-        }
-    }
-
-    /// [`Coercion::check`] on interned [`TypeId`]s.
-    pub fn check_interned(&self, source: TypeId, target: TypeId, types: &mut TypeArena) -> bool {
-        self.check_opt_in(Some(source), Some(target), types)
-    }
-
-    /// [`Coercion::check_opt`] on ids; see the tree version for why
-    /// the endpoints are optional (`⊥GpH` leaves its target
-    /// unconstrained).
-    fn check_opt_in(
-        &self,
-        source: Option<TypeId>,
-        target: Option<TypeId>,
-        types: &mut TypeArena,
-    ) -> bool {
-        match self {
-            Coercion::Id(a) => {
-                let id = types.intern(a);
-                source.is_none_or(|s| s == id) && target.is_none_or(|t| t == id)
-            }
-            Coercion::Inj(g) => {
-                let gid = types.ground(*g);
-                source.is_none_or(|s| s == gid) && target.is_none_or(|t| types.is_dyn(t))
-            }
-            Coercion::Proj(g, _) => {
-                let gid = types.ground(*g);
-                source.is_none_or(|s| types.is_dyn(s)) && target.is_none_or(|t| t == gid)
-            }
-            Coercion::Fun(c, d) => {
-                let (a, b) = match source.map(|s| types.node(s)) {
-                    Some(TNode::Fun(a, b)) => (Some(a), Some(b)),
-                    Some(_) => return false,
-                    None => (None, None),
-                };
-                let (a2, b2) = match target.map(|t| types.node(t)) {
-                    Some(TNode::Fun(a2, b2)) => (Some(a2), Some(b2)),
-                    Some(_) => return false,
-                    None => (None, None),
-                };
-                c.check_opt_in(a2, a, types) && d.check_opt_in(b, b2, types)
-            }
-            Coercion::Seq(c, d) => {
-                if let Some((a, b)) = c.synthesize_in(types) {
-                    source.is_none_or(|s| s == a) && d.check_opt_in(Some(b), target, types)
-                } else if let Some((b, c2)) = d.synthesize_in(types) {
-                    target.is_none_or(|t| t == c2) && c.check_opt_in(source, Some(b), types)
-                } else {
-                    // Both sides contain ⊥: the intermediate type is
-                    // existentially quantified and a witness always
-                    // exists (the ground type demanded by `d`).
-                    c.check_opt_in(source, None, types) && d.check_opt_in(None, target, types)
-                }
-            }
-            Coercion::Fail(g, _, h) => {
-                g != h
-                    && source.is_none_or(|s| {
-                        let gid = types.ground(*g);
-                        !types.is_dyn(s) && types.compatible(s, gid)
-                    })
-                    && target.is_none_or(|_| true)
-            }
-        }
-    }
-
-    /// [`Coercion::source_representative`] interned.
-    pub fn source_representative_in(&self, types: &mut TypeArena) -> TypeId {
-        match self {
-            Coercion::Id(a) => types.intern(a),
-            Coercion::Inj(g) | Coercion::Fail(g, _, _) => types.ground(*g),
-            Coercion::Proj(_, _) => types.dyn_ty(),
-            Coercion::Seq(c1, _) => c1.source_representative_in(types),
-            Coercion::Fun(c, d) => {
-                let dom = c.target_representative_in(types);
-                let cod = d.source_representative_in(types);
-                types.fun(dom, cod)
-            }
-        }
-    }
-
-    /// [`Coercion::target_representative`] interned.
-    pub fn target_representative_in(&self, types: &mut TypeArena) -> TypeId {
-        match self {
-            Coercion::Id(a) => types.intern(a),
-            Coercion::Inj(_) => types.dyn_ty(),
-            Coercion::Proj(g, _) => types.ground(*g),
-            Coercion::Fail(_, _, h) => types.ground(*h),
-            Coercion::Seq(_, c2) => c2.target_representative_in(types),
-            Coercion::Fun(c, d) => {
-                let dom = c.source_representative_in(types);
-                let cod = d.target_representative_in(types);
-                types.fun(dom, cod)
-            }
         }
     }
 

@@ -44,8 +44,8 @@ pub mod subst;
 pub mod term;
 pub mod typing;
 
-pub use carena::{CArena, CArenaStats, CCoercionId, CNode};
+pub use carena::{CArena, CCoercionId, CNode};
 pub use coercion::Coercion;
-pub use cterm::{has_type_compiled, CTerm};
+pub use cterm::CTerm;
 pub use term::Term;
-pub use typing::{type_of, type_of_interned};
+pub use typing::type_of;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bc_syntax::{Name, TNode, Type, TypeArena, TypeId};
+use bc_syntax::{Name, Type};
 
 use crate::term::Term;
 
@@ -325,279 +325,6 @@ fn check_in(env: &mut Vec<(Name, Type)>, term: &Term, expected: &Type) -> bool {
                     .all(|(param, arg)| check_in(env, arg, &param.ty()))
         }
         _ => type_of_in(env, term).is_ok_and(|t| t == *expected),
-    }
-}
-
-/// Computes the type of a closed λC term against a caller-owned
-/// [`TypeArena`]: the interned fast path of [`type_of`]. Coercion
-/// endpoints are synthesised as ids ([`crate::Coercion::synthesize_in`]),
-/// so the `c ; d` intermediate-type agreement and every
-/// subject-against-source comparison is O(1). Agreement with
-/// [`type_of`] (same verdict, type, and [`TypeError`]) is validated by
-/// property test.
-///
-/// # Errors
-///
-/// Returns the same [`TypeError`] [`type_of`] would.
-pub fn type_of_interned(term: &Term, types: &mut TypeArena) -> Result<TypeId, TypeError> {
-    type_of_interned_in(&mut Vec::new(), term, types)
-}
-
-/// Computes the type of a λC term in an interned environment.
-///
-/// # Errors
-///
-/// See [`type_of_interned`].
-pub fn type_of_interned_in(
-    env: &mut Vec<(Name, TypeId)>,
-    term: &Term,
-    types: &mut TypeArena,
-) -> Result<TypeId, TypeError> {
-    match term {
-        Term::Const(k) => Ok(types.base(k.base_type())),
-        Term::Var(x) => env
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| *t)
-            .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
-        Term::Op(op, args) => {
-            let (params, result) = op.signature();
-            if params.len() != args.len() {
-                return Err(TypeError::OpArity {
-                    op: op.name(),
-                    expected: params.len(),
-                    found: args.len(),
-                });
-            }
-            for (param, arg) in params.iter().zip(args) {
-                let param_id = types.base(*param);
-                if !check_interned_in(env, arg, param_id, types) {
-                    let found = type_of_interned_in(env, arg, types)?;
-                    return Err(TypeError::Mismatch {
-                        expected: param.ty(),
-                        found: types.resolve(found),
-                        context: "operator argument",
-                    });
-                }
-            }
-            Ok(types.base(result))
-        }
-        Term::Lam(x, dom, body) => {
-            let dom_id = types.intern(dom);
-            env.push((x.clone(), dom_id));
-            let cod = type_of_interned_in(env, body, types);
-            env.pop();
-            Ok(types.fun(dom_id, cod?))
-        }
-        Term::App(l, m) => {
-            let lt = type_of_interned_in(env, l, types)?;
-            let mt = type_of_interned_in(env, m, types)?;
-            match types.node(lt) {
-                TNode::Fun(dom, cod) => {
-                    if dom == mt || check_interned_in(env, m, dom, types) {
-                        Ok(cod)
-                    } else {
-                        Err(TypeError::Mismatch {
-                            expected: types.resolve(dom),
-                            found: types.resolve(mt),
-                            context: "function argument",
-                        })
-                    }
-                }
-                _ => Err(TypeError::NotAFunction(types.resolve(lt))),
-            }
-        }
-        Term::Coerce(m, c) => {
-            let mt = type_of_interned_in(env, m, types)?;
-            match c.synthesize_in(types) {
-                Some((src, tgt)) => {
-                    if src == mt || check_interned_in(env, m, src, types) {
-                        Ok(tgt)
-                    } else {
-                        Err(TypeError::Mismatch {
-                            expected: types.resolve(src),
-                            found: types.resolve(mt),
-                            context: "coercion source",
-                        })
-                    }
-                }
-                None => {
-                    // The coercion contains ⊥; check the source side
-                    // and resolve the unconstrained positions of the
-                    // target with the coercion's representative type.
-                    let tgt = c.target_representative_in(types);
-                    if c.check_interned(mt, tgt, types) {
-                        Ok(tgt)
-                    } else {
-                        Err(TypeError::BadCoercion {
-                            subject: types.resolve(mt),
-                            coercion: c.to_string(),
-                        })
-                    }
-                }
-            }
-        }
-        Term::Blame(_, ty) => Ok(types.intern(ty)),
-        Term::If(cond, then_, else_) => {
-            let bool_id = types.base(bc_syntax::BaseType::Bool);
-            if !check_interned_in(env, cond, bool_id, types) {
-                let ct = type_of_interned_in(env, cond, types)?;
-                return Err(TypeError::Mismatch {
-                    expected: Type::BOOL,
-                    found: types.resolve(ct),
-                    context: "if condition",
-                });
-            }
-            let tt = type_of_interned_in(env, then_, types)?;
-            let et = type_of_interned_in(env, else_, types)?;
-            if tt == et || check_interned_in(env, else_, tt, types) {
-                Ok(tt)
-            } else if check_interned_in(env, then_, et, types) {
-                Ok(et)
-            } else {
-                Err(TypeError::Mismatch {
-                    expected: types.resolve(tt),
-                    found: types.resolve(et),
-                    context: "if branches",
-                })
-            }
-        }
-        Term::Let(x, m, n) => {
-            let mt = type_of_interned_in(env, m, types)?;
-            env.push((x.clone(), mt));
-            let nt = type_of_interned_in(env, n, types);
-            env.pop();
-            nt
-        }
-        Term::Fix(f, x, dom, cod, body) => {
-            let dom_id = types.intern(dom);
-            let cod_id = types.intern(cod);
-            let fun_id = types.fun(dom_id, cod_id);
-            env.push((f.clone(), fun_id));
-            env.push((x.clone(), dom_id));
-            let bt = type_of_interned_in(env, body, types);
-            env.pop();
-            env.pop();
-            let bt = bt?;
-            if bt != cod_id {
-                env.push((f.clone(), fun_id));
-                env.push((x.clone(), dom_id));
-                let ok = check_interned_in(env, body, cod_id, types);
-                env.pop();
-                env.pop();
-                if !ok {
-                    return Err(TypeError::Mismatch {
-                        expected: cod.clone(),
-                        found: types.resolve(bt),
-                        context: "fix body",
-                    });
-                }
-            }
-            Ok(fun_id)
-        }
-    }
-}
-
-/// The *checking* judgment `Γ ⊢C M : A` on interned types; the id
-/// counterpart of [`has_type`]. Preservation (Proposition 3) holds for
-/// this judgment.
-pub fn has_type_interned(term: &Term, ty: TypeId, types: &mut TypeArena) -> bool {
-    check_interned_in(&mut Vec::new(), term, ty, types)
-}
-
-fn check_interned_in(
-    env: &mut Vec<(Name, TypeId)>,
-    term: &Term,
-    expected: TypeId,
-    types: &mut TypeArena,
-) -> bool {
-    match term {
-        // blame p : A for every A.
-        Term::Blame(_, _) => true,
-        Term::Coerce(m, c) => {
-            if let Some((src, tgt)) = c.synthesize_in(types) {
-                tgt == expected && check_interned_in(env, m, src, types)
-            } else {
-                // ⊥ leaves the target unconstrained: use the
-                // relational judgment against the expected type.
-                match type_of_interned_in(env, m, types) {
-                    Ok(mt) => c.check_interned(mt, expected, types),
-                    Err(_) => false,
-                }
-            }
-        }
-        Term::If(c, t, e) => {
-            let bool_id = types.base(bc_syntax::BaseType::Bool);
-            check_interned_in(env, c, bool_id, types)
-                && check_interned_in(env, t, expected, types)
-                && check_interned_in(env, e, expected, types)
-        }
-        Term::Lam(x, dom, body) => match types.node(expected) {
-            TNode::Fun(d, c) => {
-                if d != types.intern(dom) {
-                    return false;
-                }
-                env.push((x.clone(), d));
-                let ok = check_interned_in(env, body, c, types);
-                env.pop();
-                ok
-            }
-            _ => false,
-        },
-        Term::Fix(f, x, dom, cod, body) => {
-            let dom_id = types.intern(dom);
-            let cod_id = types.intern(cod);
-            let fun_id = types.fun(dom_id, cod_id);
-            if fun_id != expected {
-                return false;
-            }
-            env.push((f.clone(), fun_id));
-            env.push((x.clone(), dom_id));
-            let ok = check_interned_in(env, body, cod_id, types);
-            env.pop();
-            env.pop();
-            ok
-        }
-        Term::Let(x, m, n) => match type_of_interned_in(env, m, types) {
-            Ok(mt) => {
-                env.push((x.clone(), mt));
-                let ok = check_interned_in(env, n, expected, types);
-                env.pop();
-                ok
-            }
-            Err(_) => false,
-        },
-        Term::App(l, m) => {
-            if let Ok(lt) = type_of_interned_in(env, l, types) {
-                if let TNode::Fun(d, c) = types.node(lt) {
-                    if c == expected && check_interned_in(env, m, d, types) {
-                        return true;
-                    }
-                }
-            }
-            // The function may be a ⊥-coerced term whose synthesised
-            // type is only a representative: check it against the
-            // function type demanded by the argument and the context.
-            match type_of_interned_in(env, m, types) {
-                Ok(mt) => {
-                    let fun_id = types.fun(mt, expected);
-                    check_interned_in(env, l, fun_id, types)
-                }
-                Err(_) => false,
-            }
-        }
-        // Synthesising forms: fall back to equality.
-        Term::Op(op, args) => {
-            let (params, result) = op.signature();
-            types.base(result) == expected
-                && params.len() == args.len()
-                && params.iter().zip(args).all(|(param, arg)| {
-                    let param_id = types.base(*param);
-                    check_interned_in(env, arg, param_id, types)
-                })
-        }
-        _ => type_of_interned_in(env, term, types).is_ok_and(|t| t == expected),
     }
 }
 

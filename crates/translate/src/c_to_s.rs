@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
 use bc_core::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 use bc_core::compose::compose;
-use bc_core::sterm::{CodeBuilder, CompileCtx, Node, SCode, STerm as CompiledTerm};
+use bc_core::sterm::{CodeBuilder, Node, SCode};
 use bc_core::term::Term as STerm;
 use bc_lambda_c::coercion::Coercion;
 use bc_lambda_c::term::Term as CTerm;
@@ -136,72 +136,6 @@ pub fn term_c_to_s_in(arena: &mut CoercionArena, cache: &mut ComposeCache, term:
             term_c_to_s_in(arena, cache, b).into(),
         ),
     }
-}
-
-/// Translates a λC term **directly into the compiled λS IR**: every
-/// normalised coercion lands in the arena as a [`CoercionId`] (never
-/// resolved back to a tree) and every type annotation is interned into
-/// `types`. This is the id-emitting fast path of the translation —
-/// λC in, machine-ready [`CompiledTerm`] out, with no intermediate
-/// tree term at all.
-///
-/// Agreement with the tree pipeline is structural: with shared arenas,
-/// `term_c_to_s_compiled(m)` equals
-/// `compile_term(&term_c_to_s_in(m))` — same ids, same shape
-/// (validated by test; hash-consing canonicity makes the resolve +
-/// re-intern round trip of the tree path the identity).
-pub fn term_c_to_s_compiled(
-    arena: &mut CoercionArena,
-    cache: &mut ComposeCache,
-    types: &mut TypeArena,
-    term: &CTerm,
-) -> CompiledTerm {
-    match term {
-        CTerm::Const(k) => CompiledTerm::Const(*k),
-        CTerm::Op(op, args) => CompiledTerm::Op(
-            *op,
-            args.iter()
-                .map(|a| term_c_to_s_compiled(arena, cache, types, a))
-                .collect(),
-        ),
-        CTerm::Var(x) => CompiledTerm::Var(x.clone()),
-        CTerm::Lam(x, ty, b) => CompiledTerm::Lam(
-            x.clone(),
-            types.intern(ty),
-            term_c_to_s_compiled(arena, cache, types, b).into(),
-        ),
-        CTerm::App(a, b) => CompiledTerm::App(
-            term_c_to_s_compiled(arena, cache, types, a).into(),
-            term_c_to_s_compiled(arena, cache, types, b).into(),
-        ),
-        CTerm::Coerce(m, c) => {
-            let id = coercion_to_space_in(arena, cache, c);
-            CompiledTerm::Coerce(term_c_to_s_compiled(arena, cache, types, m).into(), id)
-        }
-        CTerm::Blame(p, ty) => CompiledTerm::Blame(*p, types.intern(ty)),
-        CTerm::If(c, t, e) => CompiledTerm::If(
-            term_c_to_s_compiled(arena, cache, types, c).into(),
-            term_c_to_s_compiled(arena, cache, types, t).into(),
-            term_c_to_s_compiled(arena, cache, types, e).into(),
-        ),
-        CTerm::Let(x, m, n) => CompiledTerm::Let(
-            x.clone(),
-            term_c_to_s_compiled(arena, cache, types, m).into(),
-            term_c_to_s_compiled(arena, cache, types, n).into(),
-        ),
-        CTerm::Fix(f, x, dom, cod, b) => CompiledTerm::Fix(
-            f.clone(),
-            x.clone(),
-            types.intern(dom),
-            types.intern(cod),
-            term_c_to_s_compiled(arena, cache, types, b).into(),
-        ),
-    }
-}
-
-/// [`term_c_to_s_compiled`] over a bundled [`CompileCtx`].
-pub fn term_c_to_s_compiled_in(ctx: &mut CompileCtx, term: &CTerm) -> CompiledTerm {
-    term_c_to_s_compiled(&mut ctx.arena, &mut ctx.cache, &mut ctx.types, term)
 }
 
 /// Statistics for a [`CNormalizer`]: memo size and hit/miss counts.
@@ -482,37 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_translation_agrees_with_tree_translation() {
-        use crate::term_b_to_c;
-        use bc_core::sterm::compile_term;
-        use bc_lambda_b::programs;
-        for (name, b) in [
-            ("boundary_loop", programs::boundary_loop(4)),
-            ("even_odd_mixed", programs::even_odd_mixed(3)),
-            ("wrapped_identity", programs::wrapped_identity(3)),
-        ] {
-            let c = term_b_to_c(&b);
-            let mut ctx = CompileCtx::new();
-            let direct = term_c_to_s_compiled_in(&mut ctx, &c);
-            // The tree path through the same arenas produces the same
-            // ids (canonicity end to end)…
-            let tree = term_c_to_s_in(&mut ctx.arena, &mut ctx.cache, &c);
-            let via_tree = compile_term(&tree, &mut ctx.arena, &mut ctx.types);
-            assert_eq!(direct, via_tree, "{name}");
-            // …and decompiling recovers the tree translation exactly.
-            assert_eq!(
-                bc_core::sterm::decompile_term(&direct, &ctx.arena, &ctx.types),
-                tree,
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
     fn from_compiled_translation_agrees_with_tree_pipeline() {
         use crate::{term_b_to_c, term_b_to_c_compiled};
+        use bc_core::sterm::{compile_term, CompileCtx};
         use bc_lambda_b::programs;
-        use bc_lambda_c::CArena;
 
         let mut ctx = CompileCtx::new();
         let mut carena = CArena::new();
@@ -535,7 +442,8 @@ mod tests {
             );
             // Tree pipeline through the same arenas yields the same
             // ids — canonicity end to end.
-            let via_tree = term_c_to_s_compiled_in(&mut ctx, &term_b_to_c(&b));
+            let tree = term_c_to_s_in(&mut ctx.arena, &mut ctx.cache, &term_b_to_c(&b));
+            let via_tree = compile_term(&tree, &mut ctx.arena, &mut ctx.types);
             assert_eq!(direct.decode(), via_tree, "{name}");
         }
         // A warm second pass normalises from the memo alone: no new

@@ -34,8 +34,7 @@ pub use b_to_c::{cast_to_coercion, cast_to_coercion_in, term_b_to_c, term_b_to_c
 pub use b_to_s::{cast_to_space, cast_to_space_in, term_b_to_s, term_b_to_s_compiled};
 pub use c_to_b::{coercion_to_casts, term_c_to_b};
 pub use c_to_s::{
-    coercion_to_space, coercion_to_space_in, term_c_to_s, term_c_to_s_compiled,
-    term_c_to_s_compiled_in, term_c_to_s_from_compiled, term_c_to_s_in, CNormalizer,
-    CNormalizerStats,
+    coercion_to_space, coercion_to_space_in, term_c_to_s, term_c_to_s_from_compiled,
+    term_c_to_s_in, CNormalizer, CNormalizerStats,
 };
-pub use s_to_c::{coercion_id_to_c, term_s_to_c};
+pub use s_to_c::term_s_to_c;

@@ -1,16 +1,8 @@
 //! The inclusion `|·|SC` of λS into λC — trivial, since every
 //! space-efficient coercion *is* a coercion (§4.1).
 
-use bc_core::arena::{CoercionArena, CoercionId};
 use bc_core::term::Term as STerm;
-use bc_lambda_c::coercion::Coercion;
 use bc_lambda_c::term::Term as CTerm;
-
-/// Includes an *interned* canonical coercion into the λC grammar,
-/// resolving it out of the arena first.
-pub fn coercion_id_to_c(arena: &CoercionArena, id: CoercionId) -> Coercion {
-    arena.resolve(id).to_coercion()
-}
 
 /// Translates a λS term to a λC term by including each canonical
 /// coercion into the coercion grammar.
@@ -62,19 +54,5 @@ mod tests {
             ));
         assert_eq!(term_c_to_s(&term_s_to_c(&m)), m);
         let _ = Type::DYN;
-    }
-
-    #[test]
-    fn interned_inclusion_matches_tree_inclusion() {
-        use bc_core::arena::CoercionArena;
-        let gi = Ground::Base(BaseType::Int);
-        let s = SpaceCoercion::proj(
-            gi,
-            Label::new(2),
-            Intermediate::Inj(GroundCoercion::IdBase(BaseType::Int), gi),
-        );
-        let mut arena = CoercionArena::new();
-        let id = arena.intern(&s);
-        assert_eq!(coercion_id_to_c(&arena, id), s.to_coercion());
     }
 }

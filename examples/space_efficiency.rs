@@ -11,10 +11,10 @@
 //! cargo run --release --example space_efficiency
 //! ```
 
-use bc_core::{CompileCtx, SCode};
-use bc_lambda_b::programs;
+use bc_core::CompileCtx;
+use bc_lambda_b::{bterm, programs};
 use bc_machine::{cek_b, cek_c, cek_s};
-use bc_translate::{term_b_to_c, term_c_to_s_compiled_in};
+use bc_translate::{term_b_to_c, term_b_to_s_compiled};
 
 fn main() {
     println!("Peak cast/coercion frames on the machine continuation");
@@ -36,9 +36,10 @@ fn main() {
     for n in [4i64, 16, 64, 256, 1024] {
         let b = programs::even_odd_mixed(n);
         let c = term_b_to_c(&b);
-        // One pass, id-emitting: λC straight to the machine-ready IR,
-        // no intermediate λS tree.
-        let compiled = SCode::encode(&term_c_to_s_compiled_in(&mut ctx, &c));
+        // The lowering a `Session` runs: compiled λB straight to the
+        // machine-ready λS code block, no λC or λS tree in between.
+        let bcompiled = bterm::compile(&b, &mut ctx.types);
+        let compiled = term_b_to_s_compiled(&bcompiled, &mut ctx.types, &mut ctx.arena);
         let fuel = 100_000_000;
 
         let rb = cek_b::run(&b, fuel);

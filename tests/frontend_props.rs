@@ -4,8 +4,6 @@
 //!
 //! * λB: `type_of_compiled(bterm::compile(M)) ≡ type_of(M)` — the
 //!   checker `Session` runs on loaded and compiled terms;
-//! * λC: `type_of_interned ≡ type_of` (through coercion endpoint
-//!   synthesis on ids);
 //! * λS: `styping::type_of_interned(compile_term(M)) ≡ type_of(M)` —
 //!   the machine-ready IR is checked directly, never decompiled;
 //! * GTLC: `elaborate_compiled ≡ elaborate` — `decompile` of the
@@ -89,45 +87,6 @@ fn assert_b_equivalent(term: &bc_lambda_b::Term, types: &mut TypeArena) {
     let tree = bc_lambda_b::typing::type_of(term);
     let compiled = bterm::compile(term, types);
     let interned = bc_lambda_b::type_of_compiled(&compiled, types);
-    match (tree, interned) {
-        (Ok(t), Ok(id)) => assert_eq!(types.resolve(id), t, "type of {term}"),
-        (Err(a), Err(b)) => assert_eq!(a, b, "error on {term}"),
-        (tree, interned) => {
-            panic!("verdicts diverged on {term}: tree {tree:?}, interned {interned:?}")
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// λC
-// ---------------------------------------------------------------------
-
-/// A λC term that is ill-typed by construction (including the
-/// `⊥`-coercion paths the synthesising checker cannot reach).
-fn mangled_c(chooser: &mut Chooser, gen: &mut Gen) -> bc_lambda_c::Term {
-    use bc_lambda_c::{Coercion, Term};
-    let ty = gen.ty(1);
-    let well_b = gen.term_b(&ty, 2);
-    let well = bc_translate::term_b_to_c(&well_b);
-    let p = Label::new(97);
-    match chooser.pick(6) {
-        0 => Term::int(1).app(well),
-        1 => Term::op2(Op::Add, Term::bool(true), well),
-        2 => Term::ite(Term::int(0), well.clone(), well),
-        // Coercion whose source disagrees with the subject.
-        3 => Term::bool(true).coerce(Coercion::inj(gi())),
-        // A ⊥ coercion on an incompatible subject (exercises the
-        // relational `check` and the BadCoercion error).
-        4 => Term::bool(true).coerce(Coercion::fail(gi(), p, gb())),
-        // A well-typed ⊥ composition (exercises the representative
-        // target on the Ok path) applied to a bad argument.
-        _ => Term::int(1).coerce(Coercion::fail(gi(), p, gb())).app(well),
-    }
-}
-
-fn assert_c_equivalent(term: &bc_lambda_c::Term, types: &mut TypeArena) {
-    let tree = bc_lambda_c::typing::type_of(term);
-    let interned = bc_lambda_c::typing::type_of_interned(term, types);
     match (tree, interned) {
         (Ok(t), Ok(id)) => assert_eq!(types.resolve(id), t, "type of {term}"),
         (Err(a), Err(b)) => assert_eq!(a, b, "error on {term}"),
@@ -409,30 +368,6 @@ proptest! {
         let mut types = TypeArena::new();
         assert_b_equivalent(&term, &mut types);
         assert_b_equivalent(&term, &mut types);
-    }
-
-    /// λC: interned checker ≡ tree checker on translated well-typed
-    /// programs.
-    #[test]
-    fn lambda_c_interned_checker_agrees(seed in any::<u64>()) {
-        let mut gen = Gen::new(seed);
-        let ty = gen.ty(2);
-        let term = bc_translate::term_b_to_c(&gen.term_b(&ty, 4));
-        let mut types = TypeArena::new();
-        assert_c_equivalent(&term, &mut types);
-        assert_c_equivalent(&term, &mut types);
-    }
-
-    /// λC: interned checker ≡ tree checker on ill-typed terms,
-    /// including the `⊥`-coercion paths.
-    #[test]
-    fn lambda_c_interned_checker_agrees_on_ill_typed(seed in any::<u64>()) {
-        let mut chooser = Chooser::new(seed);
-        let mut gen = Gen::new(seed ^ 0x9e3779b97f4a7c15);
-        let term = mangled_c(&mut chooser, &mut gen);
-        let mut types = TypeArena::new();
-        assert_c_equivalent(&term, &mut types);
-        assert_c_equivalent(&term, &mut types);
     }
 
     /// λS: checking the compiled IR directly ≡ checking the tree term,

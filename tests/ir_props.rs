@@ -4,8 +4,8 @@
 //! * **λS engine equivalence** — [`bc_core::eval::run_compiled`] (the
 //!   production engine, driven entirely on interned ids) agrees with
 //!   the tree small-step [`bc_core::eval::run`] (the oracle) on
-//!   random well-typed programs: same observation, same step count,
-//!   same outcome term, same step count, same space peaks, and the
+//!   random well-typed programs: same observation, same outcome term,
+//!   same step count, same space peaks, and the
 //!   same fuel-exhaustion fingerprint when the bound cuts a run short.
 //!   Checked cold (fresh arenas per program) and warm (one shared
 //!   [`CompileCtx`] across the whole run, where every intern and
@@ -16,10 +16,9 @@
 //!   and [`bc_core::eval::resume_compiled`]) gives exactly the unsliced
 //!   result — outcome, steps, both peaks, and the cutoff accounting.
 //! * **`decompile ∘ compile = id`** for the interned λB term IR
-//!   ([`bc_lambda_b::bterm`]) and the interned λC term IR
-//!   ([`bc_lambda_c::cterm`]), again cold and warm — the `Program`
+//!   ([`bc_lambda_b::bterm`]), again cold and warm — the `Program`
 //!   handles of the session API hold only compiled forms and rebuild
-//!   trees on demand through exactly these decompilers, so the round
+//!   trees on demand through exactly this decompiler, so the round
 //!   trip is what keeps the tree views honest.
 //! * **`decode ∘ encode = id`** for the flat λS code block
 //!   ([`bc_core::SCode`]) the λS engines run, names included.
@@ -27,7 +26,8 @@
 //!   ([`bc_translate::cast_to_space_in`],
 //!   [`bc_translate::term_b_to_s_compiled`]) gives the same interned
 //!   coercions and the same code block as the two-stage λB → λC → λS
-//!   path through a `CNormalizer`, in shared arenas.
+//!   path through a `CNormalizer`, in shared arenas, and the block
+//!   decompiles to the tree translation [`bc_translate::term_b_to_s`].
 
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
 use bc_core::eval::{
@@ -36,13 +36,12 @@ use bc_core::eval::{
 use bc_core::{compile_term, decompile_term, CompileCtx, OutcomeC, SCode, Term};
 use bc_lambda_b as lb;
 use bc_lambda_b::bterm;
-use bc_lambda_c::cterm;
 use bc_lambda_c::CArena;
 use bc_syntax::{Label, Op, Type, TypeArena, TypeId};
 use bc_testkit::Gen;
 use bc_translate::bisim::{observe_s, observe_s_compiled};
 use bc_translate::{
-    cast_to_coercion_in, cast_to_space, cast_to_space_in, term_b_to_c, term_b_to_c_compiled,
+    cast_to_coercion_in, cast_to_space, cast_to_space_in, term_b_to_c_compiled, term_b_to_s,
     term_b_to_s_compiled, term_c_to_s_from_compiled, CNormalizer,
 };
 use proptest::prelude::*;
@@ -352,27 +351,6 @@ proptest! {
         }
     }
 
-    /// λC: `decompile ∘ compile = id` on translated λB terms, cold
-    /// and warm, with the warm recompile interning nothing into
-    /// either the λC coercion arena or the type arena.
-    #[test]
-    fn cterm_compile_round_trips(seed in any::<u64>()) {
-        let mut gen = Gen::new(seed);
-        let mut arena = CArena::new();
-        let mut types = TypeArena::new();
-        for _ in 0..4 {
-            let ty = gen.ty(2);
-            let term = term_b_to_c(&gen.term_b(&ty, 4));
-            let cold = cterm::compile(&term, &mut arena, &mut types);
-            prop_assert_eq!(&cterm::decompile(&cold, &arena, &types), &term);
-            let (cmark, tmark) = (arena.len(), types.len());
-            let warm = cterm::compile(&term, &mut arena, &mut types);
-            prop_assert_eq!(&cterm::decompile(&warm, &arena, &types), &term);
-            prop_assert_eq!(arena.len(), cmark, "warm recompile interned a coercion");
-            prop_assert_eq!(types.len(), tmark, "warm recompile interned a type");
-        }
-    }
-
     /// `|A ⇒p B|BS` built in one pass is the very id the two-stage
     /// path interns (`CNormalizer` over `cast_to_coercion_in`) in the
     /// same arena, whichever runs first, and resolves to the tree
@@ -396,14 +374,16 @@ proptest! {
 
     /// The one-pass term lowering gives the two-stage code block node
     /// for node (coercion ids, names and operands included) on
-    /// generated λB programs, in shared arenas, whichever runs first.
+    /// generated λB programs, in shared arenas, whichever runs first,
+    /// and the block decompiles to the tree `|·|BS` of the program.
     #[test]
     fn direct_term_lowering_matches_two_stage(seed in any::<u64>()) {
         let mut gen = Gen::new(seed);
         let mut l = Lowerings::default();
         for i in 0..4 {
             let ty = gen.ty(2);
-            let term = bterm::compile(&gen.term_b(&ty, 4), &mut l.types);
+            let tree = gen.term_b(&ty, 4);
+            let term = bterm::compile(&tree, &mut l.types);
             let (direct, reference) = if i % 2 == 0 {
                 let direct = term_b_to_s_compiled(&term, &mut l.types, &mut l.arena);
                 (direct, l.two_stage(&term))
@@ -412,6 +392,10 @@ proptest! {
                 (term_b_to_s_compiled(&term, &mut l.types, &mut l.arena), reference)
             };
             prop_assert_eq!(&direct, &reference);
+            prop_assert_eq!(
+                &decompile_term(&direct.decode(), &l.arena, &l.types),
+                &term_b_to_s(&tree)
+            );
         }
     }
 
