@@ -1,5 +1,5 @@
 //! Baseline composition algebras that the paper compares against
-//! (§6.1–§6.3), implemented for validation and benchmarking:
+//! (§6.1–§6.3), implemented for validation:
 //!
 //! * [`threesome`] — Siek–Wadler 2010 labeled types and their
 //!   composition `Q ∘ P`, the "easy to compute, hard to understand"
@@ -10,15 +10,9 @@
 //!   with the `N(·)` interpretation into λC coercions. Garcia derives
 //!   a sixty-case composition table; we show the ten-line λS `#`
 //!   subsumes it by composing through normalisation.
-//! * [`naive`] — a Henglein-style rewriting normaliser for λC
-//!   coercions ("easy to understand, hard to compute"): it flattens
-//!   compositions and rewrites adjacent pairs to a fixed point,
-//!   paying the associativity juggling that λS's canonical grammar
-//!   avoids. Used as the ablation baseline in the `compose` benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod naive;
 pub mod supercoercion;
 pub mod threesome;

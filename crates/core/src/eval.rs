@@ -42,12 +42,11 @@
 use std::fmt;
 use std::rc::Rc;
 
-use bc_syntax::{Constant, Label, Op, Type, TypeArena, TypeId};
+use bc_syntax::{Constant, Label, Op, Type, TypeArena};
 
 use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
-use crate::sterm::{Node, SCode, STerm};
-use crate::styping::type_of_interned;
+use crate::sterm::{decompile_term, Node, SCode, STerm};
 use crate::subst::subst;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
@@ -653,7 +652,7 @@ fn read_value(code: &SCode, v: &Value) -> STerm {
 
 /// The whole term a run stands for: the focus read back and plugged
 /// into its frames.
-fn read_back(code: &SCode, frames: &[Frame], focus: &Focus, ty: TypeId) -> STerm {
+fn read_back(code: &SCode, frames: &[Frame], focus: &Focus) -> STerm {
     let value = |v: &Value| Rc::new(read_value(code, v));
     let m = match focus {
         Focus::Code(at, env) => read_code(code, *at, &[], env),
@@ -669,7 +668,7 @@ fn read_back(code: &SCode, frames: &[Frame], focus: &Focus, ty: TypeId) -> STerm
             };
             STerm::Coerce(inner.into(), *s)
         }
-        Focus::Blame(p) => STerm::Blame(*p, ty),
+        Focus::Blame(_) => unreachable!("a blamed run is measured without reading back"),
     };
     let code_at = |at: u32, env: &Env| Rc::new(read_code(code, at, &[], env));
     frames.iter().rev().fold(m, |m, frame| match frame {
@@ -984,8 +983,8 @@ pub fn run_compiled(
     cache: &mut ComposeCache,
     types: &mut TypeArena,
 ) -> Result<RunC, RunError> {
-    let paused = start_compiled(code, fuel, arena, types)?;
-    match resume_compiled(paused, fuel, arena, cache) {
+    type_of(&decompile_term(&code.decode(), arena, types))?;
+    match resume_compiled(start_compiled(code, fuel, arena), fuel, arena, cache) {
         SliceC::Done(r) => r,
         SliceC::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
     }
@@ -998,10 +997,8 @@ pub fn run_compiled(
 /// evaluation-context frames around it (code offsets with their
 /// environments, and run-time values), the whole term's tracked size
 /// and coercion size, and the counters. Resuming refocuses from where
-/// the last slice stopped. The program type is interned once at
-/// [`start_compiled`] and reused by every slice, exactly as the
-/// unsliced [`run_compiled`] computes it once up front. Environments
-/// are `Rc`-shared, so a parked run is not `Send`.
+/// the last slice stopped. Environments are `Rc`-shared, so a parked
+/// run is not `Send`.
 #[derive(Debug, Clone)]
 pub struct PausedC {
     code: SCode,
@@ -1009,7 +1006,6 @@ pub struct PausedC {
     focus: Focus,
     frames: Vec<Frame>,
     measure: (usize, usize),
-    ty: TypeId,
     steps: u64,
     peak_size: usize,
     peak_coercion_size: usize,
@@ -1032,38 +1028,25 @@ pub enum SliceC {
     Parked(PausedC),
 }
 
-/// Begins a resumable compiled run: type checks the decoded program,
-/// interns its type, measures it and counts each binder's occurrences
-/// (the once-per-run costs the unsliced engine also pays up front),
-/// and parks before the first step with the program's root in focus.
-///
-/// # Errors
-///
-/// Returns [`RunError::IllTyped`] if the term is not closed and well
-/// typed.
-pub fn start_compiled(
-    code: &SCode,
-    fuel: u64,
-    arena: &mut CoercionArena,
-    types: &mut TypeArena,
-) -> Result<PausedC, RunError> {
-    let term = code.decode();
-    let ty = type_of_interned(&term, arena, types)?;
-    // Tree-equivalent measures: node count includes each coercion's
-    // implicit tree size, matching `Term::size`/`Term::coercion_size`.
-    let measure = term.measure(arena);
-    Ok(PausedC {
+/// Begins a resumable compiled run: measures the program and counts
+/// each binder's occurrences (the once-per-run costs the unsliced
+/// engine also pays up front), and parks before the first step with
+/// the program's root in focus. The block is trusted to be closed and
+/// well typed, as [`run_compiled`] checks and a session's lowering
+/// guarantees.
+pub fn start_compiled(code: &SCode, fuel: u64, arena: &CoercionArena) -> PausedC {
+    let measure = measure_code(code, code.root(), &Env::default(), arena);
+    PausedC {
         code: code.clone(),
         counts: occurrences(code),
         focus: Focus::Code(code.root(), Env::default()),
         frames: Vec::new(),
         measure,
-        ty,
         steps: 0,
         peak_size: measure.0,
         peak_coercion_size: measure.1,
         fuel,
-    })
+    }
 }
 
 /// Runs a parked compiled run for at most `slice` further steps.
@@ -1072,13 +1055,13 @@ pub fn start_compiled(
 /// before the step commits), and the park check yields to the final
 /// fuel/value decision once the fuel line is reached — so a slice at
 /// least as large as the remaining fuel can never park, and
-/// `resume_compiled(start_compiled(t, f, ..)?, f, ..)` is exactly
+/// `resume_compiled(start_compiled(t, f, ..), f, ..)` is exactly
 /// [`run_compiled`]`(t, f, ..)`, step counts and peaks included.
 ///
 /// # Panics
 ///
-/// Panics if the term is open or ill-typed (checked by
-/// [`start_compiled`]) or its ids are foreign to `arena`.
+/// Panics if the term is open or ill-typed (which [`start_compiled`]
+/// does not check) or its ids are foreign to `arena`.
 pub fn resume_compiled(
     paused: PausedC,
     slice: u64,
@@ -1091,7 +1074,6 @@ pub fn resume_compiled(
         mut focus,
         mut frames,
         mut measure,
-        ty,
         mut steps,
         mut peak_size,
         mut peak_coercion_size,
@@ -1110,7 +1092,6 @@ pub fn resume_compiled(
                 focus,
                 frames,
                 measure,
-                ty,
                 steps,
                 peak_size,
                 peak_coercion_size,
@@ -1149,7 +1130,10 @@ pub fn resume_compiled(
         );
         debug_assert_eq!(
             measure,
-            read_back(&code, &frames, &focus, ty).measure(arena),
+            match focus {
+                Focus::Blame(_) if frames.is_empty() => (1, 0),
+                _ => read_back(&code, &frames, &focus).measure(arena),
+            },
             "tracked size drifted from the term at step {steps}"
         );
         debug_assert!(
@@ -1609,8 +1593,7 @@ mod tests {
                     let mut cache = ComposeCache::new();
                     let mut types = TypeArena::new();
                     let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
-                    let mut paused = start_compiled(&st, fuel, &mut arena, &mut types)
-                        .expect("samples are well typed");
+                    let mut paused = start_compiled(&st, fuel, &arena);
                     let mut last_steps = 0;
                     let sliced = loop {
                         match resume_compiled(paused, slice, &mut arena, &mut cache) {

@@ -66,7 +66,6 @@ pub mod compose;
 pub mod eval;
 pub mod safety;
 pub mod sterm;
-pub mod styping;
 pub mod subst;
 pub mod term;
 pub mod typing;

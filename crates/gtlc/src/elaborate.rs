@@ -742,13 +742,8 @@ mod tests {
             );
             assert_eq!(types.resolve(compiled.ty), tree.ty, "on {src}");
             assert_eq!(compiled.blame_spans, tree.blame_spans, "on {src}");
-            // The compiled term is well-typed in place, at the program
-            // type, with no tree ever built.
-            assert_eq!(
-                bc_lambda_b::type_of_compiled(&compiled.term, &mut types),
-                Ok(compiled.ty),
-                "on {src}"
-            );
+            // The elaborated term is well typed at the program type.
+            assert_eq!(bc_lambda_b::type_of(&tree.term), Ok(tree.ty), "on {src}");
         }
     }
 

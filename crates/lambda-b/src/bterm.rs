@@ -15,17 +15,13 @@
 //! interned it, and the IR itself stays unchecked and cheap.
 //!
 //! [`compile`] and [`decompile`] convert between the tree and compiled
-//! forms (`decompile ∘ compile = id`, pinned by property test), and
-//! [`type_of_compiled`] checks the compiled form *in place* on
-//! interned ids — no tree is ever built on the checking path except
-//! the types a [`TypeError`] reports.
+//! forms (`decompile ∘ compile = id`, pinned by property test).
 
 use std::sync::Arc;
 
-use bc_syntax::{Constant, Label, Name, Op, TNode, Type, TypeArena, TypeId};
+use bc_syntax::{Constant, Label, Name, Op, TypeArena, TypeId};
 
 use crate::term::{Cast, Term};
-use crate::typing::TypeError;
 
 /// Compiled λB terms: [`Term`] with every type annotation
 /// replaced by an interned [`TypeId`].
@@ -158,154 +154,10 @@ pub fn decompile(term: &BTerm, types: &TypeArena) -> Term {
     }
 }
 
-/// Checks a compiled term in place: `⊢B M : A` on ids, never building
-/// a tree and never interning (annotations already *are* ids).
-///
-/// Agrees with [`type_of`](crate::type_of) on the decompiled tree:
-/// same verdict, `types.resolve(id)` of the result is the tree type,
-/// and errors carry the same [`TypeError`] (tree types in errors are
-/// resolved from the arena).
-///
-/// # Errors
-///
-/// Returns a [`TypeError`] if the term is not well typed.
-pub fn type_of_compiled(term: &BTerm, types: &mut TypeArena) -> Result<TypeId, TypeError> {
-    type_of_compiled_in(&mut Vec::new(), term, types)
-}
-
-/// Checks a compiled term in an interned environment.
-///
-/// # Errors
-///
-/// See [`type_of_compiled`].
-pub fn type_of_compiled_in(
-    env: &mut Vec<(Name, TypeId)>,
-    term: &BTerm,
-    types: &mut TypeArena,
-) -> Result<TypeId, TypeError> {
-    match term {
-        BTerm::Const(k) => Ok(types.base(k.base_type())),
-        BTerm::Var(x) => env
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| *t)
-            .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
-        BTerm::Op(op, args) => {
-            let (params, result) = op.signature();
-            if params.len() != args.len() {
-                return Err(TypeError::OpArity {
-                    op: op.name(),
-                    expected: params.len(),
-                    found: args.len(),
-                });
-            }
-            for (param, arg) in params.iter().zip(args) {
-                let found = type_of_compiled_in(env, arg, types)?;
-                if found != types.base(*param) {
-                    return Err(TypeError::Mismatch {
-                        expected: param.ty(),
-                        found: types.resolve(found),
-                        context: "operator argument",
-                    });
-                }
-            }
-            Ok(types.base(result))
-        }
-        BTerm::Lam(x, dom, body) => {
-            env.push((x.clone(), *dom));
-            let cod = type_of_compiled_in(env, body, types);
-            env.pop();
-            Ok(types.fun(*dom, cod?))
-        }
-        BTerm::App(l, m) => {
-            let lt = type_of_compiled_in(env, l, types)?;
-            let mt = type_of_compiled_in(env, m, types)?;
-            match types.node(lt) {
-                TNode::Fun(dom, cod) => {
-                    if dom == mt {
-                        Ok(cod)
-                    } else {
-                        Err(TypeError::Mismatch {
-                            expected: types.resolve(dom),
-                            found: types.resolve(mt),
-                            context: "function argument",
-                        })
-                    }
-                }
-                _ => Err(TypeError::NotAFunction(types.resolve(lt))),
-            }
-        }
-        BTerm::Cast(m, source, _, target) => {
-            let mt = type_of_compiled_in(env, m, types)?;
-            if mt != *source {
-                return Err(TypeError::Mismatch {
-                    expected: types.resolve(*source),
-                    found: types.resolve(mt),
-                    context: "cast source",
-                });
-            }
-            if !types.compatible(*source, *target) {
-                return Err(TypeError::Incompatible(
-                    types.resolve(*source),
-                    types.resolve(*target),
-                ));
-            }
-            Ok(*target)
-        }
-        BTerm::Blame(_, ty) => Ok(*ty),
-        BTerm::If(cond, then_, else_) => {
-            let ct = type_of_compiled_in(env, cond, types)?;
-            if ct != types.base(bc_syntax::BaseType::Bool) {
-                return Err(TypeError::Mismatch {
-                    expected: Type::BOOL,
-                    found: types.resolve(ct),
-                    context: "if condition",
-                });
-            }
-            let tt = type_of_compiled_in(env, then_, types)?;
-            let et = type_of_compiled_in(env, else_, types)?;
-            if tt != et {
-                return Err(TypeError::Mismatch {
-                    expected: types.resolve(tt),
-                    found: types.resolve(et),
-                    context: "if branches",
-                });
-            }
-            Ok(tt)
-        }
-        BTerm::Let(x, m, n) => {
-            let mt = type_of_compiled_in(env, m, types)?;
-            env.push((x.clone(), mt));
-            let nt = type_of_compiled_in(env, n, types);
-            env.pop();
-            nt
-        }
-        BTerm::Fix(f, x, dom, cod, body) => {
-            let fun_id = types.fun(*dom, *cod);
-            env.push((f.clone(), fun_id));
-            env.push((x.clone(), *dom));
-            let bt = type_of_compiled_in(env, body, types);
-            env.pop();
-            env.pop();
-            let bt = bt?;
-            if bt != *cod {
-                return Err(TypeError::Mismatch {
-                    expected: types.resolve(*cod),
-                    found: types.resolve(bt),
-                    context: "fix body",
-                });
-            }
-            Ok(fun_id)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::type_of;
-    use bc_syntax::Label;
+    use bc_syntax::Type;
 
     fn samples() -> Vec<Term> {
         let p = Label::new(0);
@@ -347,19 +199,6 @@ mod tests {
             assert_eq!(decompile(&compiled, &types), t, "{t}");
             assert_eq!(compiled.size(), t.size());
             assert_eq!(compiled.cast_count(), t.cast_count());
-        }
-    }
-
-    #[test]
-    fn compiled_checker_agrees_with_the_tree_checker() {
-        let mut types = TypeArena::new();
-        for t in samples() {
-            let compiled = compile(&t, &mut types);
-            match (type_of(&t), type_of_compiled(&compiled, &mut types)) {
-                (Ok(tree_ty), Ok(id)) => assert_eq!(types.resolve(id), tree_ty, "{t}"),
-                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{t}"),
-                (tree, compiled) => panic!("{t}: tree {tree:?} vs compiled {compiled:?}"),
-            }
         }
     }
 

@@ -46,6 +46,6 @@ pub mod subst;
 pub mod term;
 pub mod typing;
 
-pub use bterm::{type_of_compiled, BTerm};
+pub use bterm::BTerm;
 pub use term::{Cast, Term};
 pub use typing::{type_of, TypeError};

@@ -639,33 +639,28 @@ impl Session {
     }
 
     /// Wraps an already-built λB term, checking it against the stated
-    /// type before lowering it into the session: the term is compiled
-    /// to the id-annotated IR ([`bc_lambda_b::bterm::compile`]) and
-    /// checked in place by [`bc_lambda_b::type_of_compiled`], so the
-    /// audit runs on this session's warm [`TypeArena`] and the
-    /// stated-vs-actual comparison is an O(1) id equality.
+    /// type before lowering it into the session: the tree term is
+    /// checked by [`bc_lambda_b::type_of`] and its type compared with
+    /// `ty`, and only then compiled to the id-annotated IR
+    /// ([`bc_lambda_b::bterm::compile`]) and lowered.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::IllTyped`] if the term is open, ill typed,
     /// or well typed at a different type than stated.
     pub fn load_lambda_b(&self, term: bc_lambda_b::Term, ty: Type) -> Result<Program, RunError> {
+        let actual = bc_lambda_b::type_of(&term).map_err(ill_typed)?;
+        if actual != ty {
+            return Err(ill_typed(format!(
+                "term has type `{actual}`, not the stated `{ty}`"
+            )));
+        }
         let (compiled, stated) = {
             let mut types = self.types.borrow_mut();
-            let compiled = bc_lambda_b::bterm::compile(&term, &mut types);
-            let stated = types.intern(&ty);
-            match bc_lambda_b::type_of_compiled(&compiled, &mut types) {
-                Err(e) => return Err(ill_typed(e)),
-                Ok(actual) => {
-                    if actual != stated {
-                        return Err(ill_typed(format!(
-                            "term has type `{}`, not the stated `{ty}`",
-                            types.display(actual)
-                        )));
-                    }
-                }
-            }
-            (compiled, stated)
+            (
+                bc_lambda_b::bterm::compile(&term, &mut types),
+                types.intern(&ty),
+            )
         };
         Ok(self.lower(&compiled, stated, Origin::Term(compiled.clone())))
     }
@@ -681,14 +676,10 @@ impl Session {
         let mut types = self.types.borrow_mut();
         let lambda_s_compiled = term_b_to_s_compiled(term, &mut types, &mut arena);
         // Cast insertion and the translation preserve typing; audit the
-        // λS form with the compiled checker on debug builds.
+        // λS form with the tree checker on debug builds.
         debug_assert!(
-            bc_core::styping::has_type_interned(
-                &lambda_s_compiled.decode(),
-                ty,
-                &arena,
-                &mut types
-            ),
+            bc_core::type_of(&decompile_term(&lambda_s_compiled.decode(), &arena, &types))
+                == Ok(types.resolve(ty)),
             "λB → λS lowering must preserve the program type"
         );
         self.programs.set(self.programs.get() + 1);
@@ -795,8 +786,10 @@ impl Session {
     /// # Errors
     ///
     /// [`RunError::FuelExhausted`] (with the real step count) when the
-    /// bound is reached; [`RunError::IllTyped`] if a loaded term lied
-    /// about its type.
+    /// bound is reached. A session's programs are well typed, so
+    /// [`RunError::IllTyped`] does not arise: [`Session::load_lambda_b`]
+    /// rejects a term that lies about its type up front, and a λS run
+    /// never re-checks.
     ///
     /// # Panics
     ///
@@ -881,8 +874,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`RunError::IllTyped`] if a loaded term lied about its type
-    /// (checked up front, exactly as the unsliced entry does).
+    /// None: every engine starts without a type check, since
+    /// [`Session::load_lambda_b`] rejects a term that lies about its
+    /// type up front and a λS run never re-checks. Errors surface from
+    /// [`Session::resume_slice`].
     ///
     /// # Panics
     ///
@@ -908,19 +903,11 @@ impl Session {
                 &self.cache.borrow(),
                 fuel,
             )),
-            Engine::LambdaS => {
-                let mut arena = self.arena.borrow_mut();
-                let mut types = self.types.borrow_mut();
-                PausedInner::LambdaS(
-                    bc_core::eval::start_compiled(
-                        &program.lambda_s_compiled,
-                        fuel,
-                        &mut arena,
-                        &mut types,
-                    )
-                    .map_err(small_step_run_error!(bc_core))?,
-                )
-            }
+            Engine::LambdaS => PausedInner::LambdaS(bc_core::eval::start_compiled(
+                &program.lambda_s_compiled,
+                fuel,
+                &self.arena.borrow(),
+            )),
             // The tree oracles rewrite whole terms with no separable
             // machine state: they run unsliced inside the first
             // resume_slice call.
@@ -1285,17 +1272,39 @@ mod tests {
 
     #[test]
     fn loading_an_ill_typed_lambda_b_term_is_a_typed_error() {
+        use bc_lambda_b::Term;
         let session = Session::new();
-        // 1 2 is ill typed.
-        let bad = bc_lambda_b::Term::int(1).app(bc_lambda_b::Term::int(2));
-        match session.load_lambda_b(bad, Type::INT) {
-            Err(RunError::IllTyped(_)) => {}
-            other => panic!("expected IllTyped, got {other:?}"),
+        let p = Label::new(97);
+        // Each shape trips a different rule of the checker, and the
+        // error carries the tree checker's message.
+        let bad = [
+            // Applying a non-function.
+            Term::int(1).app(Term::int(2)),
+            // Operator argument of the wrong base type.
+            Term::op2(bc_syntax::Op::Add, Term::bool(true), Term::int(1)),
+            // Non-boolean condition.
+            Term::ite(Term::int(0), Term::int(1), Term::int(2)),
+            // Cast whose source disagrees with the subject.
+            Term::int(1).cast(Type::fun(Type::INT, Type::BOOL), p, Type::DYN),
+            // Cast between incompatible types.
+            Term::int(1).cast(Type::INT, p, Type::BOOL),
+            // Unbound variable under a binder.
+            Term::let_("x", Term::int(1), Term::var("nowhere")),
+        ];
+        for term in bad {
+            let expected = bc_lambda_b::type_of(&term)
+                .expect_err("ill typed by construction")
+                .to_string();
+            match session.load_lambda_b(term, Type::INT) {
+                Err(RunError::IllTyped(d)) => assert_eq!(d.message, expected),
+                other => panic!("expected IllTyped, got {other:?}"),
+            }
         }
         // A well-typed term with a wrong stated type is rejected too.
-        let one = bc_lambda_b::Term::int(1);
-        match session.load_lambda_b(one, Type::BOOL) {
-            Err(RunError::IllTyped(d)) => assert!(d.message.contains("stated"), "{d}"),
+        match session.load_lambda_b(Term::int(1), Type::BOOL) {
+            Err(RunError::IllTyped(d)) => {
+                assert_eq!(d.message, "term has type `Int`, not the stated `Bool`")
+            }
             other => panic!("expected IllTyped, got {other:?}"),
         }
     }

@@ -1,11 +1,7 @@
 //! Property tests for the interned front end: on random programs —
-//! well-typed *and* ill-typed — every interned checker agrees with its
-//! tree oracle, verdict for verdict, type for type, error for error.
+//! well-typed *and* ill-typed — the compiled elaboration agrees with
+//! its tree oracle, verdict for verdict, type for type, error for error.
 //!
-//! * λB: `type_of_compiled(bterm::compile(M)) ≡ type_of(M)` — the
-//!   checker `Session` runs on loaded and compiled terms;
-//! * λS: `styping::type_of_interned(compile_term(M)) ≡ type_of(M)` —
-//!   the machine-ready IR is checked directly, never decompiled;
 //! * GTLC: `elaborate_compiled ≡ elaborate` — `decompile` of the
 //!   compiled λB term is the tree term, with the same type, the same
 //!   blame spans, and byte-identical `Diagnostic`s on rejection.
@@ -18,12 +14,10 @@ use bc_gtlc::ast::{Expr, ExprI, ExprKind};
 use bc_gtlc::diagnostics::Span;
 use bc_gtlc::{elaborate, elaborate_compiled, Diagnostic, Program, ProgramC};
 use bc_lambda_b::bterm;
-use bc_syntax::{BaseType, Ground, Label, Op, Type, TypeArena};
-use bc_testkit::Gen;
+use bc_syntax::{Op, Type, TypeArena};
 use proptest::prelude::*;
 
-/// A deterministic chooser for structural decisions the testkit `Gen`
-/// does not expose (mutation shape, surface-expression shape).
+/// A deterministic chooser for surface-expression shapes.
 struct Chooser(u64);
 
 impl Chooser {
@@ -45,89 +39,6 @@ impl Chooser {
 
     fn flip(&mut self) -> bool {
         self.pick(2) == 0
-    }
-}
-
-fn gi() -> Ground {
-    Ground::Base(BaseType::Int)
-}
-
-fn gb() -> Ground {
-    Ground::Base(BaseType::Bool)
-}
-
-// ---------------------------------------------------------------------
-// λB
-// ---------------------------------------------------------------------
-
-/// A λB term that is ill-typed by construction (each shape trips a
-/// different rule of the checker).
-fn mangled_b(chooser: &mut Chooser, gen: &mut Gen) -> bc_lambda_b::Term {
-    use bc_lambda_b::Term;
-    let ty = gen.ty(1);
-    let well = gen.term_b(&ty, 2);
-    let p = Label::new(97);
-    match chooser.pick(6) {
-        // Applying a non-function.
-        0 => Term::int(1).app(well),
-        // Operator argument of the wrong base type.
-        1 => Term::op2(Op::Add, Term::bool(true), well),
-        // Non-boolean condition.
-        2 => Term::ite(Term::int(0), well.clone(), well),
-        // Cast whose source disagrees with the subject.
-        3 => well.cast(Type::fun(Type::INT, Type::BOOL), p, Type::DYN),
-        // Cast between incompatible types.
-        4 => Term::int(1).cast(Type::INT, p, Type::BOOL),
-        // Unbound variable under a binder.
-        _ => Term::let_("x", well, Term::var("nowhere")),
-    }
-}
-
-fn assert_b_equivalent(term: &bc_lambda_b::Term, types: &mut TypeArena) {
-    let tree = bc_lambda_b::typing::type_of(term);
-    let compiled = bterm::compile(term, types);
-    let interned = bc_lambda_b::type_of_compiled(&compiled, types);
-    match (tree, interned) {
-        (Ok(t), Ok(id)) => assert_eq!(types.resolve(id), t, "type of {term}"),
-        (Err(a), Err(b)) => assert_eq!(a, b, "error on {term}"),
-        (tree, interned) => {
-            panic!("verdicts diverged on {term}: tree {tree:?}, interned {interned:?}")
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// λS (compiled IR)
-// ---------------------------------------------------------------------
-
-/// A λS term that is ill-typed by construction.
-fn mangled_s(chooser: &mut Chooser, gen: &mut Gen) -> bc_core::Term {
-    use bc_core::{SpaceCoercion, Term};
-    let ty = gen.ty(1);
-    let well = gen.term_s(&ty, 2);
-    let p = Label::new(97);
-    match chooser.pick(5) {
-        0 => Term::int(1).app(well),
-        1 => Term::op2(Op::Add, Term::bool(true), well),
-        2 => Term::ite(Term::int(0), well.clone(), well),
-        3 => Term::bool(true).coerce(SpaceCoercion::inj(
-            bc_core::GroundCoercion::IdBase(BaseType::Int),
-            gi(),
-        )),
-        _ => Term::bool(true).coerce(SpaceCoercion::fail(gi(), p, gb())),
-    }
-}
-
-fn assert_s_equivalent(term: &bc_core::Term, ctx: &mut bc_core::CompileCtx) {
-    let compiled = ctx.compile(term).decode();
-    let tree = bc_core::typing::type_of(term);
-    let interned = bc_core::styping::type_of_interned(&compiled, &ctx.arena, &mut ctx.types);
-    match (tree, interned) {
-        (Ok(t), Ok(id)) => assert_eq!(ctx.types.resolve(id), t, "type of {term}"),
-        (Err(a), Err(b)) => assert_eq!(a, b, "error on {term}"),
-        (tree, interned) => {
-            panic!("verdicts diverged on {term}: tree {tree:?}, interned {interned:?}")
-        }
     }
 }
 
@@ -345,54 +256,6 @@ fn assert_elaborations_equivalent(expr: &Expr, types: &mut TypeArena) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// λB: the compiled checker ≡ tree checker on generated
-    /// well-typed terms, cold and warm.
-    #[test]
-    fn lambda_b_interned_checker_agrees(seed in any::<u64>()) {
-        let mut gen = Gen::new(seed);
-        let ty = gen.ty(2);
-        let term = gen.term_b(&ty, 4);
-        let mut types = TypeArena::new();
-        assert_b_equivalent(&term, &mut types);
-        assert_b_equivalent(&term, &mut types); // warm: memo hits only
-    }
-
-    /// λB: the compiled checker ≡ tree checker on ill-typed terms —
-    /// same `TypeError`, payload for payload.
-    #[test]
-    fn lambda_b_interned_checker_agrees_on_ill_typed(seed in any::<u64>()) {
-        let mut chooser = Chooser::new(seed);
-        let mut gen = Gen::new(seed ^ 0x9e3779b97f4a7c15);
-        let term = mangled_b(&mut chooser, &mut gen);
-        let mut types = TypeArena::new();
-        assert_b_equivalent(&term, &mut types);
-        assert_b_equivalent(&term, &mut types);
-    }
-
-    /// λS: checking the compiled IR directly ≡ checking the tree term,
-    /// on well-typed programs (canonical coercions by construction).
-    #[test]
-    fn lambda_s_compiled_checker_agrees(seed in any::<u64>()) {
-        let mut gen = Gen::new(seed);
-        let ty = gen.ty(2);
-        let term = gen.term_s(&ty, 4);
-        let mut ctx = bc_core::CompileCtx::new();
-        assert_s_equivalent(&term, &mut ctx);
-        assert_s_equivalent(&term, &mut ctx);
-    }
-
-    /// λS: the compiled checker rejects ill-typed IR with the tree
-    /// checker's exact error.
-    #[test]
-    fn lambda_s_compiled_checker_agrees_on_ill_typed(seed in any::<u64>()) {
-        let mut chooser = Chooser::new(seed);
-        let mut gen = Gen::new(seed ^ 0x9e3779b97f4a7c15);
-        let term = mangled_s(&mut chooser, &mut gen);
-        let mut ctx = bc_core::CompileCtx::new();
-        assert_s_equivalent(&term, &mut ctx);
-        assert_s_equivalent(&term, &mut ctx);
-    }
 
     /// GTLC: `elaborate_compiled ≡ elaborate` on random surface
     /// expressions (well- and ill-typed alike), cold and warm.

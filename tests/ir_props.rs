@@ -179,8 +179,7 @@ fn assert_sliced_on(tree: &Term, fuels: &[u64]) {
         };
         for slice in [1, 7] {
             let (mut ctx, code) = fresh();
-            let mut paused = start_compiled(&code, fuel, &mut ctx.arena, &mut ctx.types)
-                .expect("generated programs are well typed");
+            let mut paused = start_compiled(&code, fuel, &ctx.arena);
             let sliced = loop {
                 match resume_compiled(paused, slice, &mut ctx.arena, &mut ctx.cache) {
                     SliceC::Done(result) => break result,
