@@ -10,8 +10,13 @@
 //! state must leave every line unchanged. On a mismatch the failure
 //! message carries the whole generated text, so a deliberate change to
 //! what the machine counts is pasted into `golden.txt` by hand.
+//!
+//! The same corpus pins the compiled small-step (`bc_core::eval`) to
+//! the tree oracle: outcome, steps and both space peaks, whole and in
+//! slices of 7 steps.
 
-use bc_core::sterm::SCode;
+use bc_core::eval::{self, Outcome, OutcomeC, RunC, RunError, SliceC};
+use bc_core::sterm::{decompile_term, SCode};
 use bc_core::CompileCtx;
 use bc_lambda_b::programs;
 use bc_machine::cek_s;
@@ -115,4 +120,37 @@ fn cek_s_matches_the_golden_runs() {
         "golden runs differ from line {}; the generated text is:\n{got}",
         first.unwrap_or(common.count()) + 1
     );
+}
+
+/// A small-step run's outcome read back into the tree grammar, with
+/// its steps and both space peaks.
+type Fingerprint = Result<(Outcome, u64, usize, usize), RunError>;
+
+fn fingerprint(run: Result<RunC, RunError>, ctx: &CompileCtx) -> Fingerprint {
+    run.map(|r| {
+        let outcome = match r.outcome {
+            OutcomeC::Value(v) => Outcome::Value(decompile_term(&v, &ctx.arena, &ctx.types)),
+            OutcomeC::Blame(p) => Outcome::Blame(p),
+        };
+        (outcome, r.steps, r.peak_size, r.peak_coercion_size)
+    })
+}
+
+#[test]
+fn small_step_matches_the_tree_oracle() {
+    for (name, code, mut ctx) in corpus() {
+        let term = decompile_term(&code.decode(), &ctx.arena, &ctx.types);
+        let oracle =
+            eval::run(&term, FUEL).map(|r| (r.outcome, r.steps, r.peak_size, r.peak_coercion_size));
+        let whole = eval::run_compiled(&code, FUEL, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
+        assert_eq!(fingerprint(whole, &ctx), oracle, "{name} whole");
+        let mut paused = eval::start_compiled(&code, FUEL, &ctx.arena);
+        let sliced = loop {
+            match eval::resume_compiled(paused, SLICE, &mut ctx.arena, &mut ctx.cache) {
+                SliceC::Done(run) => break run,
+                SliceC::Parked(p) => paused = p,
+            }
+        };
+        assert_eq!(fingerprint(sliced, &ctx), oracle, "{name} sliced");
+    }
 }
