@@ -32,21 +32,22 @@
 //! [`run_compiled`] runs a program's [`SCode`] block on a focused
 //! state: the subterm in focus plus the evaluation-context frames
 //! around it (a coercion frame is never pushed onto another, which is
-//! the merge rule again), both holding code offsets with persistent
-//! environments. It finds each next redex by refocusing from the last
-//! contractum, performs β by binding instead of substituting (the step
-//! after refocusing in Biernacka and Danvy's functional
-//! correspondence), and tracks the space peaks of the term the state
-//! stands for by per-rule deltas.
+//! the merge rule again). Both hold code offsets in activations on the
+//! locals stack of [`crate::store`], the run state the λS CEK machine
+//! runs on too. It finds each next redex by refocusing from the last
+//! contractum, performs β by pushing the argument into its slot instead
+//! of substituting (the step after refocusing in Biernacka and Danvy's
+//! functional correspondence), and tracks the space peaks of the term
+//! the state stands for by per-rule deltas.
 
 use std::fmt;
-use std::rc::Rc;
 
 use bc_syntax::{Constant, Label, Op, Type, TypeArena};
 
 use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
-use crate::sterm::{decompile_term, Node, SCode, STerm};
+use crate::sterm::{decompile_term, Node, SCode, STerm, CAPTURED, NO_CAPTURES};
+use crate::store::{Closure, Env, Frame, Store, Value};
 use crate::subst::subst;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
@@ -325,7 +326,7 @@ pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
 }
 
 // ---------------------------------------------------------------------
-// The compiled small-step: Figure 5 on the code block, with environments
+// The compiled small-step: Figure 5 on the code block, in the λS store
 // ---------------------------------------------------------------------
 
 /// The final outcome of evaluating a compiled term.
@@ -353,132 +354,9 @@ pub struct RunC {
     pub peak_coercion_size: usize,
 }
 
-/// A persistent environment of run-time values, indexed by de Bruijn
-/// position: the substitution a run has performed so far, kept instead
-/// of applied.
-#[derive(Debug, Clone, Default)]
-struct Env(Option<Rc<Bind>>);
-
-#[derive(Debug)]
-enum Bind {
-    /// One binding: a `let` or a `λ` call.
-    One(Value, Env),
-    /// A `fix` call: the argument (index 0) and the function itself
-    /// (index 1), the closure over `code` and `rest` whose closed term
-    /// measures `measure` — rebuilt on lookup instead of stored.
-    Fix {
-        arg: Value,
-        code: u32,
-        measure: (usize, usize),
-        rest: Env,
-    },
-}
-
-impl Env {
-    fn bind(self, value: Value) -> Env {
-        Env(Some(Rc::new(Bind::One(value, self))))
-    }
-
-    /// Extends a `fix` closure's environment for a call: the function
-    /// over `code` (and this environment) at index 1, `arg` at 0.
-    fn bind_fix(self, code: u32, measure: (usize, usize), arg: Value) -> Env {
-        Env(Some(Rc::new(Bind::Fix {
-            arg,
-            code,
-            measure,
-            rest: self,
-        })))
-    }
-
-    fn lookup(&self, mut index: u32) -> Value {
-        let mut cur = self;
-        loop {
-            match cur.0.as_deref() {
-                None => panic!("evaluation reached a free variable"),
-                Some(Bind::One(value, rest)) => {
-                    if index == 0 {
-                        return value.clone();
-                    }
-                    index -= 1;
-                    cur = rest;
-                }
-                Some(Bind::Fix {
-                    arg,
-                    code,
-                    measure,
-                    rest,
-                }) => match index {
-                    0 => return arg.clone(),
-                    1 => {
-                        return Value::Plain(Plain::Closure {
-                            code: *code,
-                            env: rest.clone(),
-                            measure: *measure,
-                        })
-                    }
-                    _ => {
-                        index -= 2;
-                        cur = rest;
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// An uncoerced run-time value `U`.
-#[derive(Debug, Clone)]
-enum Plain {
-    Const(Constant),
-    /// The `λ` or `fix` node at `code` closed over `env`, with the
-    /// measure of the closed term it stands for.
-    Closure {
-        code: u32,
-        env: Env,
-        measure: (usize, usize),
-    },
-}
-
-/// A run-time value `V`: `U`, or `U⟨s⟩` with `s` a function coercion
-/// or an injection.
-#[derive(Debug, Clone)]
-enum Value {
-    Plain(Plain),
-    Coerced(Plain, CoercionId),
-}
-
-impl Plain {
-    fn measure(&self) -> (usize, usize) {
-        match self {
-            Plain::Const(_) => (1, 0),
-            Plain::Closure { measure, .. } => *measure,
-        }
-    }
-}
-
-impl Value {
-    /// [`STerm::measure`] of the closed term the value stands for.
-    fn measure(&self, arena: &CoercionArena) -> (usize, usize) {
-        match self {
-            Value::Plain(u) => u.measure(),
-            Value::Coerced(u, s) => {
-                let (size, coercion_size) = u.measure();
-                let c = arena.size(*s);
-                (size + 1 + c, coercion_size + c)
-            }
-        }
-    }
-
-    fn constant(self) -> Constant {
-        match self {
-            Value::Plain(Plain::Const(k)) => k,
-            _ => panic!("expected a constant"),
-        }
-    }
-}
-
 /// Whether `U⟨s⟩` is a value: `s` is a function coercion or an
 /// injection.
+#[inline]
 fn coerces_to_value(arena: &CoercionArena, s: CoercionId) -> bool {
     matches!(
         arena.node(s),
@@ -486,59 +364,33 @@ fn coerces_to_value(arena: &CoercionArena, s: CoercionId) -> bool {
     )
 }
 
-/// The `M` of a coercion `M⟨s⟩` in focus or in a merge redex.
-#[derive(Debug, Clone)]
-enum Inner {
-    /// Code under an environment.
-    Code(u32, Env),
-    /// A value.
-    Value(Value),
-    /// `U (V⟨s⟩)`, from the proxy rule.
-    Proxy(Plain, Value, CoercionId),
-}
-
-/// The subterm in focus.
+/// The subterm in focus. A coercion `M⟨s⟩` is a coercion frame over
+/// `M`, and two coercion frames never sit on each other: the only
+/// exception is a proxy's result coercion, which refocusing merges
+/// with the one below it before anything else.
 #[derive(Debug, Clone)]
 enum Focus {
-    /// The code at an offset, its free variables bound by the
-    /// environment.
+    /// Code in an activation.
     Code(u32, Env),
     /// A value.
     Value(Value),
-    /// `M⟨s⟩`: a focus rather than a frame, so that it merges with an
-    /// enclosing coercion frame before anything inside it steps.
-    Coerce(Inner, CoercionId),
+    /// `U (V⟨s⟩)`, from the proxy rule: `U` and `V` are the top two
+    /// temporaries, `V` on top.
+    Proxy(CoercionId),
     /// `blame p`, with no frame left around it.
     Blame(Label),
 }
 
-/// One layer of the evaluation context around the focus. Everything a
-/// frame holds to the left of the hole is a value.
-#[derive(Debug, Clone)]
-enum Frame {
-    /// `op(□, N)`.
-    OpLeft(Op, u32, Env),
-    /// `op(k, □)` or `op(□)`.
-    OpRight(Op, Option<Constant>),
-    /// `if □ then M else N`.
-    If(u32, u32, Env),
-    /// `let x = □ in N`, holding the `let` node.
-    Let(u32, Env),
-    /// `□ M`.
-    AppFun(u32, Env),
-    /// `V □`.
-    AppArg(Value),
-    /// `□⟨t⟩`. Never directly inside another coercion frame: a
-    /// coercion meeting one merges instead of descending.
-    Coerce(CoercionId),
-}
+// The frames are the store's two words (pinned there), and so is the
+// focus.
+const _: () = assert!(std::mem::size_of::<Focus>() == 16);
 
 /// The next redex, taken apart: the frames it spans are popped.
 enum Redex {
-    /// `M⟨s⟩⟨t⟩`.
-    Merge(Inner, CoercionId, CoercionId),
+    /// `M⟨s⟩⟨t⟩`, with `M` the focus.
+    Merge(Focus, CoercionId, CoercionId),
     /// `U⟨s⟩` that is not a value: `s` is an identity or a failure.
-    Coerce(Plain, CoercionId),
+    Coerce(Value, CoercionId),
     /// `blame p` under at least one frame.
     Raise(Label),
     /// `op(k)` or `op(k, k')`.
@@ -576,136 +428,250 @@ fn for_each_child(code: &SCode, at: u32, mut f: impl FnMut(u32, u32)) {
     }
 }
 
-/// How often each binder's variables occur in its scope, by the
-/// binder's offset: slot 0 counts a `λ`'s or `let`'s variable or a
-/// `fix`'s parameter, slot 1 a `fix`'s function (their de Bruijn
-/// indices at the binder).
-fn occurrences(code: &SCode) -> Box<[[u32; 2]]> {
-    fn go(code: &SCode, at: u32, scope: &mut Vec<(u32, usize)>, counts: &mut [[u32; 2]]) {
-        if let Node::Var { index: i, .. } = code.node(at) {
-            let (binder, slot) = scope[scope.len() - 1 - i as usize];
-            counts[binder as usize][slot] += 1;
-        }
-        for_each_child(code, at, |child, binds| {
-            scope.extend((0..binds as usize).rev().map(|slot| (at, slot)));
-            go(code, child, scope, counts);
-            scope.truncate(scope.len() - binds as usize);
-        });
-    }
-    let mut counts = vec![[0; 2]; code.size()].into_boxed_slice();
-    go(code, code.root(), &mut Vec::new(), &mut counts);
-    counts
+/// A program as a run reads it: its block, and what one walk of the
+/// block before the first step found at each node.
+#[derive(Debug, Clone)]
+struct Prog {
+    code: SCode,
+    facts: Box<[Facts]>,
 }
 
-/// [`STerm::measure`] of the code at `at` read back under `env`,
-/// without building it: each variable `env` binds weighs its value.
-fn measure_code(code: &SCode, at: u32, env: &Env, arena: &CoercionArena) -> (usize, usize) {
-    fn go(
-        code: &SCode,
+#[derive(Debug, Clone, Copy, Default)]
+struct Facts {
+    /// How often a binder's variables occur in its scope: slot 0
+    /// counts a `λ`'s or `let`'s variable or a `fix`'s parameter, slot 1
+    /// a `fix`'s function (their de Bruijn indices at the binder).
+    counts: [u32; 2],
+    /// [`STerm::measure`] of the subterm with every variable weighing
+    /// one: the closed term's for a `λ` or `fix` that captures nothing.
+    measure: (usize, usize),
+}
+
+impl Prog {
+    fn new(code: &SCode, arena: &CoercionArena) -> Prog {
+        fn go(
+            code: &SCode,
+            arena: &CoercionArena,
+            at: u32,
+            scope: &mut Vec<(u32, usize)>,
+            facts: &mut [Facts],
+        ) -> (usize, usize) {
+            let mut measure = match code.node(at) {
+                Node::Var { index: i, .. } => {
+                    let (binder, slot) = scope[scope.len() - 1 - i as usize];
+                    facts[binder as usize].counts[slot] += 1;
+                    (1, 0)
+                }
+                Node::Coerce(_, s) => (1 + arena.size(s), arena.size(s)),
+                _ => (1, 0),
+            };
+            for_each_child(code, at, |child, binds| {
+                scope.extend((0..binds as usize).rev().map(|slot| (at, slot)));
+                let (size, coercion_size) = go(code, arena, child, scope, facts);
+                measure = (measure.0 + size, measure.1 + coercion_size);
+                scope.truncate(scope.len() - binds as usize);
+            });
+            facts[at as usize].measure = measure;
+            measure
+        }
+        let mut facts = vec![Facts::default(); code.size()].into_boxed_slice();
+        go(code, arena, code.root(), &mut Vec::new(), &mut facts);
+        Prog {
+            code: code.clone(),
+            facts,
+        }
+    }
+}
+
+/// Where a walked subterm's free variables live: in an activation on
+/// the locals stack, or in the captures of a closure whose node the
+/// walk starts at.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    Env(Env),
+    Closure(&'a Closure),
+}
+
+/// What pricing and reading back look at.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    prog: &'a Prog,
+    store: &'a Store,
+    arena: &'a CoercionArena,
+}
+
+impl<'a> View<'a> {
+    /// The value of a variable free in a subterm walked from `scope`,
+    /// reached inside the functions whose capture lists are `entered`
+    /// (outermost first): each entered function's capture list maps the
+    /// variable's slot to one of the activation around it, down to
+    /// `scope`.
+    fn resolve(&self, scope: Scope<'a>, entered: &[u32], slot: u32) -> &'a Value {
+        let chain = match scope {
+            Scope::Env(_) => entered,
+            // The walk starts at the closure's own node, whose capture
+            // list its captures already hold.
+            Scope::Closure(_) => &entered[1..],
+        };
+        let code = &self.prog.code;
+        let slot = chain.iter().rev().fold(slot, |slot, &caps| {
+            code.captures(caps)[(slot & !CAPTURED) as usize]
+        });
+        match scope {
+            Scope::Env(env) => self.store.slot(env, slot),
+            Scope::Closure(c) => c.captured(slot),
+        }
+    }
+
+    /// [`STerm::measure`] of the code at `at` read back in `scope`,
+    /// without building it: each free variable weighs its value.
+    fn measure_code(&self, at: u32, scope: Scope<'a>) -> (usize, usize) {
+        self.measure_at(at, 0, scope, &mut Vec::new())
+    }
+
+    fn measure_at(
+        &self,
         at: u32,
         depth: u32,
-        env: &Env,
-        arena: &CoercionArena,
-        acc: &mut (usize, usize),
-    ) {
-        match code.node(at) {
-            Node::Var { index: i, .. } if i >= depth => {
-                let (size, coercion_size) = env.lookup(i - depth).measure(arena);
-                acc.0 += size;
-                acc.1 += coercion_size;
-                return;
+        scope: Scope<'a>,
+        entered: &mut Vec<u32>,
+    ) -> (usize, usize) {
+        let code = &self.prog.code;
+        let node = code.node(at);
+        let mut measure = match node {
+            Node::Var { index, slot } if index >= depth => {
+                return self.measure(self.resolve(scope, entered, slot))
             }
-            Node::Coerce(_, s) => {
-                let c = arena.size(s);
-                acc.0 += c;
-                acc.1 += c;
+            Node::Lam {
+                caps: NO_CAPTURES, ..
             }
-            _ => {}
-        }
-        acc.0 += 1;
+            | Node::Fix {
+                caps: NO_CAPTURES, ..
+            } => return self.prog.facts[at as usize].measure,
+            Node::Coerce(_, s) => (1 + self.arena.size(s), self.arena.size(s)),
+            _ => (1, 0),
+        };
+        let caps = match node {
+            Node::Lam { caps, .. } | Node::Fix { caps, .. } => Some(caps),
+            _ => None,
+        };
+        entered.extend(caps);
         for_each_child(code, at, |child, binds| {
-            go(code, child, depth + binds, env, arena, acc);
+            let (size, coercion_size) = self.measure_at(child, depth + binds, scope, entered);
+            measure = (measure.0 + size, measure.1 + coercion_size);
         });
+        entered.truncate(entered.len() - usize::from(caps.is_some()));
+        measure
     }
-    let mut acc = (0, 0);
-    go(code, at, 0, env, arena, &mut acc);
-    acc
-}
 
-/// Reads the code at `at`, inside `binders`, back into the named term
-/// it stands for under `env`.
-fn read_code(code: &SCode, at: u32, binders: &[u32], env: &Env) -> STerm {
-    code.decode_open(at, binders, &|i| read_value(code, &env.lookup(i)))
-}
+    /// [`STerm::measure`] of the closed term a value stands for.
+    #[inline]
+    fn measure(&self, value: &'a Value) -> (usize, usize) {
+        let (size, coercion_size) = match value {
+            Value::Int(_) | Value::Bool(_) | Value::CoercedInt(..) | Value::CoercedBool(..) => {
+                (1, 0)
+            }
+            Value::Code(at) | Value::CoercedCode(at, _) => self.prog.facts[*at as usize].measure,
+            Value::Closure(c) | Value::CoercedClosure(c, _) => {
+                self.measure_code(c.code, Scope::Closure(c))
+            }
+        };
+        match value.coercion().map(|s| self.arena.size(s)) {
+            Some(c) => (size + 1 + c, coercion_size + c),
+            None => (size, coercion_size),
+        }
+    }
 
-/// Reads a value back into the closed named term it stands for.
-fn read_value(code: &SCode, v: &Value) -> STerm {
-    let read_plain = |u: &Plain| match u {
-        Plain::Const(k) => STerm::Const(*k),
-        Plain::Closure { code: at, env, .. } => read_code(code, *at, &[], env),
-    };
-    match v {
-        Value::Plain(u) => read_plain(u),
-        Value::Coerced(u, s) => STerm::Coerce(read_plain(u).into(), *s),
+    /// Reads the code at `at`, inside `binders`, back into the named
+    /// term it stands for in `scope`.
+    fn read_code(&self, at: u32, binders: &[u32], scope: Scope<'a>) -> STerm {
+        let outer = |entered: &[u32], slot| self.read_value(self.resolve(scope, entered, slot));
+        self.prog.code.decode_open(at, binders, &outer)
+    }
+
+    /// Reads a value back into the closed named term it stands for.
+    fn read_value(&self, value: &'a Value) -> STerm {
+        let u = match value {
+            Value::Int(n) | Value::CoercedInt(n, _) => STerm::Const(Constant::Int(*n)),
+            Value::Bool(b) | Value::CoercedBool(b, _) => STerm::Const(Constant::Bool(*b)),
+            // Closed: no variable is looked up.
+            Value::Code(at) | Value::CoercedCode(at, _) => {
+                self.read_code(*at, &[], Scope::Env(Env::default()))
+            }
+            Value::Closure(c) | Value::CoercedClosure(c, _) => {
+                self.read_code(c.code, &[], Scope::Closure(c))
+            }
+        };
+        match value.coercion() {
+            Some(s) => STerm::Coerce(u.into(), s),
+            None => u,
+        }
+    }
+
+    /// The whole term a run stands for: the focus read back and plugged
+    /// into its frames, each pending value taken from the temporaries.
+    fn read_back(&self, focus: &Focus) -> STerm {
+        let code = &self.prog.code;
+        let mut temps = self.store.temps.iter().rev();
+        let mut temp = || self.read_value(temps.next().expect("a pending value"));
+        let at = |at: u32, env: Env| self.read_code(at, &[], Scope::Env(env));
+        let m = match focus {
+            Focus::Code(c, env) => at(*c, *env),
+            Focus::Value(v) => self.read_value(v),
+            Focus::Proxy(s) => {
+                let arg = STerm::Coerce(temp().into(), *s);
+                STerm::App(temp().into(), arg.into())
+            }
+            Focus::Blame(_) => unreachable!("a blamed run is measured without reading back"),
+        };
+        let term = self.store.frames.iter().rev().fold(m, |m, &frame| {
+            match (frame, frame.at().map(|at| code.node(at))) {
+                (Frame::OpArg(_, env), Some(Node::Op2(op, _, b))) => {
+                    STerm::Op(op, vec![m, at(b, env)])
+                }
+                (Frame::OpApply(..), Some(Node::Op1(op, _))) => STerm::Op(op, vec![m]),
+                (Frame::OpApply(..), Some(Node::Op2(op, ..))) => STerm::Op(op, vec![temp(), m]),
+                (Frame::If(_, env), Some(Node::If(_, t, e))) => {
+                    STerm::If(m.into(), at(t, env).into(), at(e, env).into())
+                }
+                (Frame::Let(_, env), Some(Node::Let { name, body, .. })) => {
+                    let body = self.read_code(body, &[name], Scope::Env(env));
+                    STerm::Let(code.name(name).clone(), m.into(), body.into())
+                }
+                (Frame::AppArg(_, env), Some(Node::App(_, arg))) => {
+                    STerm::App(m.into(), at(arg, env).into())
+                }
+                (Frame::AppCall(_), _) => STerm::App(temp().into(), m.into()),
+                (Frame::CoerceFrame(t), _) => STerm::Coerce(m.into(), t),
+                (frame, node) => unreachable!("{frame:?} holds {node:?}"),
+            }
+        });
+        debug_assert!(temps.next().is_none(), "a temporary without its frame");
+        term
     }
 }
 
-/// The whole term a run stands for: the focus read back and plugged
-/// into its frames.
-fn read_back(code: &SCode, frames: &[Frame], focus: &Focus) -> STerm {
-    let value = |v: &Value| Rc::new(read_value(code, v));
-    let m = match focus {
-        Focus::Code(at, env) => read_code(code, *at, &[], env),
-        Focus::Value(v) => read_value(code, v),
-        Focus::Coerce(inner, s) => {
-            let inner = match inner {
-                Inner::Code(at, env) => read_code(code, *at, &[], env),
-                Inner::Value(v) => read_value(code, v),
-                Inner::Proxy(u, v, s) => STerm::App(
-                    value(&Value::Plain(u.clone())),
-                    STerm::Coerce(value(v), *s).into(),
-                ),
-            };
-            STerm::Coerce(inner.into(), *s)
-        }
-        Focus::Blame(_) => unreachable!("a blamed run is measured without reading back"),
-    };
-    let code_at = |at: u32, env: &Env| Rc::new(read_code(code, at, &[], env));
-    frames.iter().rev().fold(m, |m, frame| match frame {
-        Frame::OpLeft(op, right, env) => STerm::Op(*op, vec![m, read_code(code, *right, &[], env)]),
-        Frame::OpRight(op, Some(left)) => STerm::Op(*op, vec![STerm::Const(*left), m]),
-        Frame::OpRight(op, None) => STerm::Op(*op, vec![m]),
-        Frame::If(then_, else_, env) => {
-            STerm::If(m.into(), code_at(*then_, env), code_at(*else_, env))
-        }
-        Frame::Let(at, env) => {
-            let Node::Let { name, body, .. } = code.node(*at) else {
-                unreachable!("a let frame holds a let node")
-            };
-            let body = read_code(code, body, &[name], env);
-            STerm::Let(code.name(name).clone(), m.into(), body.into())
-        }
-        Frame::AppFun(arg, env) => STerm::App(m.into(), code_at(*arg, env)),
-        Frame::AppArg(fun) => STerm::App(value(fun), m.into()),
-        Frame::Coerce(t) => STerm::Coerce(m.into(), *t),
-    })
-}
-
-/// The value of a constant or a variable, which refocusing reaches
-/// without descending.
-fn atom(code: &SCode, at: u32, env: &Env) -> Option<Value> {
+/// The constant an operand is when refocusing reaches it without
+/// descending: a constant, or a variable bound to one.
+#[inline]
+fn operand(code: &SCode, store: &Store, at: u32, env: Env) -> Option<Constant> {
     match code.node(at) {
-        Node::Const(k) => Some(Value::Plain(Plain::Const(k))),
-        Node::Var { index: i, .. } => Some(env.lookup(i)),
+        Node::Const(k) => Some(k),
+        Node::Var { slot, .. } => match *store.slot(env, slot) {
+            Value::Int(n) => Some(Constant::Int(n)),
+            Value::Bool(b) => Some(Constant::Bool(b)),
+            _ => None,
+        },
         _ => None,
     }
 }
 
 /// Pops the top frame if it is a coercion `□⟨t⟩` and returns `t`: a
 /// coercion `M⟨s⟩` in its hole is then the merge redex `M⟨s⟩⟨t⟩`.
+#[inline]
 fn pop_coercion(frames: &mut Vec<Frame>) -> Option<CoercionId> {
     match frames.last() {
-        Some(&Frame::Coerce(t)) => {
+        Some(&Frame::CoerceFrame(t)) => {
             frames.pop();
             Some(t)
         }
@@ -715,11 +681,12 @@ fn pop_coercion(frames: &mut Vec<Frame>) -> Option<CoercionId> {
 
 /// `V⟨s⟩` with no coercion frame around it: a value, or a redex — the
 /// merge if `V` is itself coerced.
+#[inline]
 fn apply_coercion(v: Value, s: CoercionId, arena: &CoercionArena) -> Result<Value, Redex> {
-    match v {
-        Value::Coerced(u, s0) => Err(Redex::Merge(Inner::Value(Value::Plain(u)), s0, s)),
-        Value::Plain(u) if coerces_to_value(arena, s) => Ok(Value::Coerced(u, s)),
-        Value::Plain(u) => Err(Redex::Coerce(u, s)),
+    match v.unproxy() {
+        (u, Some(s0)) => Err(Redex::Merge(Focus::Value(u), s0, s)),
+        (u, None) if coerces_to_value(arena, s) => Ok(u.proxy(s)),
+        (u, None) => Err(Redex::Coerce(u, s)),
     }
 }
 
@@ -729,104 +696,102 @@ fn apply_coercion(v: Value, s: CoercionId, arena: &CoercionArena) -> Result<Valu
 /// hold values to the left of their hole — makes this the redex the
 /// tree [`step_in`] finds by walking from the root. Looking a variable
 /// up is no step: the tree term holds the value in its place. `Err` is
-/// the run's outcome: a value or `blame p` with no frame left.
+/// how the run ends: a [`Focus::Value`] or [`Focus::Blame`] with no
+/// frame left.
 fn refocus(
     code: &SCode,
-    frames: &mut Vec<Frame>,
+    store: &mut Store,
     mut focus: Focus,
     arena: &CoercionArena,
-) -> Result<Redex, OutcomeC> {
+) -> Result<Redex, Focus> {
     loop {
         let value = match focus {
             Focus::Value(v) => v,
-            Focus::Blame(p) => return Err(OutcomeC::Blame(p)),
-            // Merge FIRST: F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], for any M.
-            Focus::Coerce(m, s) => {
-                if let Some(t) = pop_coercion(frames) {
-                    return Ok(Redex::Merge(m, s, t));
+            Focus::Blame(_) => return Err(focus),
+            // Merge FIRST: the proxy's result coercion on a coercion
+            // frame is F[M⟨t⟩⟨t'⟩], whatever M does next.
+            Focus::Proxy(s) => {
+                if let [.., Frame::CoerceFrame(outer), Frame::CoerceFrame(inner)] = store.frames[..]
+                {
+                    store.frames.truncate(store.frames.len() - 2);
+                    return Ok(Redex::Merge(focus, inner, outer));
                 }
-                match m {
-                    Inner::Code(at, env) => {
-                        frames.push(Frame::Coerce(s));
-                        focus = Focus::Code(at, env);
-                        continue;
-                    }
-                    Inner::Value(v) => match apply_coercion(v, s, arena) {
-                        Ok(v) => v,
-                        Err(redex) => return Ok(redex),
-                    },
-                    Inner::Proxy(u, v, s0) => {
-                        frames.push(Frame::Coerce(s));
-                        frames.push(Frame::AppArg(Value::Plain(u)));
-                        focus = Focus::Coerce(Inner::Value(v), s0);
-                        continue;
-                    }
+                let arg = store.temps.pop().expect("a proxy's argument");
+                store.frames.push(Frame::AppCall(store.top_env()));
+                match apply_coercion(arg, s, arena) {
+                    Ok(v) => v,
+                    Err(redex) => return Ok(redex),
                 }
             }
             Focus::Code(at, env) => match code.node(at) {
-                Node::Const(k) => Value::Plain(Plain::Const(k)),
-                Node::Var { index: i, .. } => env.lookup(i),
-                Node::Lam { .. } | Node::Fix { .. } => {
-                    let measure = measure_code(code, at, &env, arena);
-                    Value::Plain(Plain::Closure {
-                        code: at,
-                        env,
-                        measure,
-                    })
+                Node::Const(k) => Value::of(k),
+                Node::Var { slot, .. } => store.slot(env, slot).clone(),
+                Node::Lam { caps, .. } | Node::Fix { caps, .. } => {
+                    store.closure(code, at, caps, env)
                 }
-                Node::Blame(p, _) if frames.is_empty() => return Err(OutcomeC::Blame(p)),
+                Node::Blame(p, _) if store.frames.is_empty() => return Err(Focus::Blame(p)),
                 Node::Blame(p, _) => return Ok(Redex::Raise(p)),
                 node => {
                     let (child, frame) = match node {
-                        Node::Coerce(m, s) => match pop_coercion(frames) {
-                            Some(t) => return Ok(Redex::Merge(Inner::Code(m, env), s, t)),
-                            None => (m, Frame::Coerce(s)),
+                        Node::Coerce(m, s) => match pop_coercion(&mut store.frames) {
+                            Some(t) => return Ok(Redex::Merge(Focus::Code(m, env), s, t)),
+                            None => (m, Frame::CoerceFrame(s)),
                         },
-                        Node::App(fun, arg) => (fun, Frame::AppFun(arg, env.clone())),
-                        Node::Op1(op, a) => (a, Frame::OpRight(op, None)),
-                        Node::Op2(op, a, b) => match (atom(code, a, &env), atom(code, b, &env)) {
-                            (Some(l), Some(r)) => {
-                                return Ok(Redex::Op(op, Some(l.constant()), r.constant()))
+                        Node::App(fun, _) => (fun, Frame::AppArg(at, env)),
+                        Node::Op1(_, a) => (a, Frame::OpApply(at, env)),
+                        Node::Op2(op, a, b) => {
+                            match (operand(code, store, a, env), operand(code, store, b, env)) {
+                                (Some(l), Some(r)) => return Ok(Redex::Op(op, Some(l), r)),
+                                _ => (a, Frame::OpArg(at, env)),
                             }
-                            _ => (a, Frame::OpLeft(op, b, env.clone())),
-                        },
-                        Node::If(cond, then_, else_) => {
-                            (cond, Frame::If(then_, else_, env.clone()))
                         }
-                        Node::Let { bound, .. } => (bound, Frame::Let(at, env.clone())),
+                        Node::If(cond, _, _) => (cond, Frame::If(at, env)),
+                        Node::Let { bound, .. } => (bound, Frame::Let(at, env)),
                         Node::OpN { op, .. } => panic!("operator {op} takes one or two operands"),
                         Node::Free(_) => panic!("evaluation reached a free variable"),
                         _ => unreachable!("values and blame are handled above"),
                     };
-                    frames.push(frame);
+                    store.frames.push(frame);
                     focus = Focus::Code(child, env);
                     continue;
                 }
             },
         };
         // The value ascends into the innermost frame.
-        let Some(frame) = frames.pop() else {
-            return Err(OutcomeC::Value(read_value(code, &value)));
+        let Some(frame) = store.frames.pop() else {
+            return Err(Focus::Value(value));
         };
-        focus = match frame {
-            Frame::Coerce(s) => match apply_coercion(value, s, arena) {
+        focus = match (frame, frame.at().map(|at| code.node(at))) {
+            (Frame::CoerceFrame(s), _) => match apply_coercion(value, s, arena) {
                 Ok(v) => Focus::Value(v),
                 Err(redex) => return Ok(redex),
             },
-            Frame::AppFun(arg, env) => {
-                frames.push(Frame::AppArg(value));
+            (Frame::AppArg(_, env), Some(Node::App(_, arg))) => {
+                store.temps.push(value);
+                store.frames.push(Frame::AppCall(env));
                 Focus::Code(arg, env)
             }
-            Frame::AppArg(fun) => return Ok(Redex::App(fun, value)),
-            Frame::If(then_, else_, env) => {
+            (Frame::AppCall(_), _) => {
+                let fun = store.temps.pop().expect("a call frame's function");
+                return Ok(Redex::App(fun, value));
+            }
+            (Frame::If(_, env), Some(Node::If(_, then_, else_))) => {
                 return Ok(Redex::If(value.constant(), then_, else_, env))
             }
-            Frame::Let(at, env) => return Ok(Redex::Let(at, env, value)),
-            Frame::OpLeft(op, right, env) => {
-                frames.push(Frame::OpRight(op, Some(value.constant())));
+            (Frame::Let(at, env), _) => return Ok(Redex::Let(at, env, value)),
+            (Frame::OpArg(at, env), Some(Node::Op2(_, _, right))) => {
+                store.temps.push(value);
+                store.frames.push(Frame::OpApply(at, env));
                 Focus::Code(right, env)
             }
-            Frame::OpRight(op, left) => return Ok(Redex::Op(op, left, value.constant())),
+            (Frame::OpApply(..), Some(Node::Op1(op, _))) => {
+                return Ok(Redex::Op(op, None, value.constant()))
+            }
+            (Frame::OpApply(..), Some(Node::Op2(op, ..))) => {
+                let left = store.temps.pop().expect("an operator's first operand");
+                return Ok(Redex::Op(op, Some(left.constant()), value.constant()));
+            }
+            (frame, node) => unreachable!("{frame:?} holds {node:?}"),
         };
     }
 }
@@ -847,20 +812,22 @@ fn replaced(n: u32, value: (usize, usize)) -> (usize, usize) {
 
 /// Contracts the redex refocusing found, returning the contractum as
 /// the new focus and updating the whole term's `measure` from the
-/// redex alone. β and `let` bind the value in one environment node and
-/// substitute nothing: each of the `n` occurrences of the variable
-/// (`counts`) now stands for the whole value.
+/// redex alone. β and `let` push the value into its slot and substitute
+/// nothing: each of the `n` occurrences of the variable now stands for
+/// the whole value.
 fn contract(
     redex: Redex,
-    code: &SCode,
-    counts: &[[u32; 2]],
-    frames: &mut Vec<Frame>,
+    prog: &Prog,
+    store: &mut Store,
     measure: &mut (usize, usize),
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
 ) -> Focus {
-    let mut raise = |p| {
-        frames.clear();
+    let (code, facts) = (&prog.code, &prog.facts);
+    let view = View { prog, store, arena };
+    let mut raise = |store: &mut Store, p| {
+        store.frames.clear();
+        store.temps.clear();
         *measure = (1, 0);
         Focus::Blame(p)
     };
@@ -872,28 +839,29 @@ fn contract(
             let u = arena.compose(cache, s, t);
             let (s, t, su) = (arena.size(s), arena.size(t), arena.size(u));
             reprice(measure, (1 + s + t, s + t), (su, su));
-            Focus::Coerce(m, u)
+            store.frames.push(Frame::CoerceFrame(u));
+            m
         }
         Redex::Coerce(u, s) => match arena.node(s) {
             // F[U⟨id?⟩] ⟶ F[U] and F[U⟨idι⟩] ⟶ F[U]
             SNode::IdDyn | SNode::Mid(INode::Ground(GNode::IdBase(_))) => {
                 let c = arena.size(s);
                 reprice(measure, (1 + c, c), (0, 0));
-                Focus::Value(Value::Plain(u))
+                Focus::Value(u)
             }
             // F[U⟨⊥GpH⟩] ⟶ blame p
-            SNode::Mid(INode::Fail(_, p, _)) => raise(p),
+            SNode::Mid(INode::Fail(_, p, _)) => raise(store, p),
             _ => unreachable!("coerced values and projections of uncoerced values do not step"),
         },
         // E[blame p] ⟶ blame p
-        Redex::Raise(p) => raise(p),
+        Redex::Raise(p) => raise(store, p),
         Redex::Op(op, left, right) => {
             let (k, arity) = match left {
                 Some(left) => (op.apply(&[left, right]), 2),
                 None => (op.apply(&[right]), 1),
             };
             reprice(measure, (1 + arity, 0), (1, 0));
-            Focus::Value(Value::Plain(Plain::Const(k)))
+            Focus::Value(Value::of(k))
         }
         Redex::If(cond, then_, else_, env) => {
             let (taken, dropped) = match cond {
@@ -901,7 +869,7 @@ fn contract(
                 Constant::Bool(false) => (else_, then_),
                 _ => panic!("if condition is not a boolean"),
             };
-            let (size, coercion_size) = measure_code(code, dropped, &env, arena);
+            let (size, coercion_size) = view.measure_code(dropped, Scope::Env(env));
             reprice(measure, (2 + size, coercion_size), (0, 0));
             Focus::Code(taken, env)
         }
@@ -909,45 +877,46 @@ fn contract(
             let Node::Let { body, .. } = code.node(at) else {
                 unreachable!("a let frame holds a let node")
             };
-            let v = value.measure(arena);
-            reprice(measure, (1 + v.0, v.1), replaced(counts[at as usize][0], v));
-            Focus::Code(body, env.bind(value))
+            let v = view.measure(&value);
+            reprice(
+                measure,
+                (1 + v.0, v.1),
+                replaced(facts[at as usize].counts[0], v),
+            );
+            Focus::Code(body, store.bind(env, value))
         }
-        Redex::App(
-            Value::Plain(Plain::Closure {
-                code: at,
-                env,
-                measure: fun,
-            }),
-            arg,
-        ) => {
-            let v = arg.measure(arena);
-            let [n_arg, n_fun] = counts[at as usize];
-            let mut added = replaced(n_arg, v);
-            let (body, env) = match code.node(at) {
-                Node::Lam { body, .. } => (body, env.bind(arg)),
-                // Unrolling and β in one step: the call binds the
-                // function and its argument in one environment node.
-                Node::Fix { body, .. } => {
-                    let f = replaced(n_fun, fun);
-                    added = (added.0 + f.0, added.1 + f.1);
-                    (body, env.bind_fix(at, fun, arg))
-                }
-                _ => unreachable!("a closure holds a λ or fix node"),
-            };
-            reprice(measure, (2 + v.0, v.1), added);
-            Focus::Code(body, env)
-        }
-        // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
-        Redex::App(Value::Coerced(u, c), arg) => match arena.node(c) {
-            SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
+        Redex::App(fun, arg) => match fun.unproxy() {
+            // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
+            (u, Some(c)) => {
+                let SNode::Mid(INode::Ground(GNode::Fun(s, t))) = arena.node(c) else {
+                    panic!("applied a non-function coerced value")
+                };
                 let (sc, ss, st) = (arena.size(c), arena.size(s), arena.size(t));
                 reprice(measure, (sc, sc), (1 + ss + st, ss + st));
-                Focus::Coerce(Inner::Proxy(u, arg, s), t)
+                store.temps.extend([u, arg]);
+                store.frames.push(Frame::CoerceFrame(t));
+                Focus::Proxy(s)
             }
-            _ => panic!("applied a non-function coerced value"),
+            (fun, None) => {
+                let at = match &fun {
+                    Value::Code(at) => *at,
+                    Value::Closure(c) => c.code,
+                    other => panic!("applied a non-function value {other:?}"),
+                };
+                let v = view.measure(&arg);
+                let [n_arg, n_fun] = facts[at as usize].counts;
+                let mut added = replaced(n_arg, v);
+                // Unrolling and β in one step: a `fix` call binds the
+                // function and its argument in one activation.
+                if n_fun > 0 {
+                    let f = replaced(n_fun, view.measure(&fun));
+                    added = (added.0 + f.0, added.1 + f.1);
+                }
+                reprice(measure, (2 + v.0, v.1), added);
+                let (body, env) = store.call(code.nodes(), fun, arg);
+                Focus::Code(body, env)
+            }
         },
-        Redex::App(_, _) => panic!("applied a non-function value"),
     }
 }
 
@@ -958,16 +927,19 @@ fn contract(
 /// The run keeps a *focus* and the evaluation-context frames around
 /// it, and finds each next redex by refocusing from the last
 /// contractum instead of walking from the root. Code is never
-/// rewritten: the focus and the frames hold code offsets with
-/// persistent environments, so β and `let` push one environment node
+/// rewritten: the focus and the frames hold code offsets in
+/// activations on the locals stack of [`crate::store`], which the λS
+/// CEK machine runs on too. β and `let` push the value into its slot
 /// and substitute nothing (a `fix` call binds the function and its
-/// argument in a single node), and a merge composes ids through the
-/// memoized [`CoercionArena::compose`]. The space peaks are those of
-/// the term the state stands for, tracked by delta and priced from the
-/// redex: arithmetic on coercion sizes and on each binder's occurrence
-/// count, or one walk of a discarded `if` branch. A final value is
-/// read back into the named [`STerm`] it stands for. This is the
-/// production engine; the tree [`run`] is its property-test oracle
+/// argument in one activation), a tail call reuses its caller's
+/// activation, and a merge composes ids through the memoized
+/// [`CoercionArena::compose`]. The space peaks are those of the term
+/// the state stands for, tracked by delta and priced from the redex:
+/// arithmetic on coercion sizes, on each binder's occurrence count and
+/// on the measure of a closure (a per-run table for one that captures
+/// nothing, a walk of its body otherwise), or one walk of a discarded
+/// `if` branch. A final value is read back into the named [`STerm`] it
+/// stands for. The tree [`run`] is this engine's property-test oracle
 /// (same outcome, same step count, same space peaks — pinned by
 /// `tests/ir_props.rs`).
 ///
@@ -993,18 +965,16 @@ pub fn run_compiled(
 /// A preempted compiled small-step run, parked between fuel slices.
 ///
 /// It holds the program's code block (one shared `Rc`), the per-run
-/// table of binder occurrence counts, the focus and the
-/// evaluation-context frames around it (code offsets with their
-/// environments, and run-time values), the whole term's tracked size
-/// and coercion size, and the counters. Resuming refocuses from where
-/// the last slice stopped. Environments are `Rc`-shared, so a parked
-/// run is not `Send`.
+/// table of binder occurrence counts and subterm measures, the focus,
+/// the run's [`Store`] (frames, locals and temporaries), the whole
+/// term's tracked size and coercion size, and the counters. Resuming
+/// refocuses from where the last slice stopped. The block and
+/// capturing closures are `Rc`-shared, so a parked run is not `Send`.
 #[derive(Debug, Clone)]
 pub struct PausedC {
-    code: SCode,
-    counts: Box<[[u32; 2]]>,
+    prog: Prog,
     focus: Focus,
-    frames: Vec<Frame>,
+    store: Store,
     measure: (usize, usize),
     steps: u64,
     peak_size: usize,
@@ -1028,19 +998,19 @@ pub enum SliceC {
     Parked(PausedC),
 }
 
-/// Begins a resumable compiled run: measures the program and counts
-/// each binder's occurrences (the once-per-run costs the unsliced
-/// engine also pays up front), and parks before the first step with
-/// the program's root in focus. The block is trusted to be closed and
-/// well typed, as [`run_compiled`] checks and a session's lowering
-/// guarantees.
+/// Begins a resumable compiled run: counts each binder's occurrences
+/// and measures each subterm in one walk of the program (the
+/// once-per-run cost the unsliced engine also pays up front), and parks
+/// before the first step with the program's root in focus. The block is
+/// trusted to be closed and well typed, as [`run_compiled`] checks and
+/// a session's lowering guarantees.
 pub fn start_compiled(code: &SCode, fuel: u64, arena: &CoercionArena) -> PausedC {
-    let measure = measure_code(code, code.root(), &Env::default(), arena);
+    let prog = Prog::new(code, arena);
+    let measure = prog.facts[code.root() as usize].measure;
     PausedC {
-        code: code.clone(),
-        counts: occurrences(code),
+        prog,
         focus: Focus::Code(code.root(), Env::default()),
-        frames: Vec::new(),
+        store: Store::default(),
         measure,
         steps: 0,
         peak_size: measure.0,
@@ -1069,10 +1039,9 @@ pub fn resume_compiled(
     cache: &mut ComposeCache,
 ) -> SliceC {
     let PausedC {
-        code,
-        counts,
+        prog,
         mut focus,
-        mut frames,
+        mut store,
         mut measure,
         mut steps,
         mut peak_size,
@@ -1087,10 +1056,9 @@ pub fn resume_compiled(
         // below make that call.
         if steps >= until && steps < fuel {
             return SliceC::Parked(PausedC {
-                code,
-                counts,
+                prog,
                 focus,
-                frames,
+                store,
                 measure,
                 steps,
                 peak_size,
@@ -1098,15 +1066,23 @@ pub fn resume_compiled(
                 fuel,
             });
         }
-        let redex = match refocus(&code, &mut frames, focus, arena) {
+        let redex = match refocus(&prog.code, &mut store, focus, arena) {
             Ok(redex) => redex,
-            Err(outcome) => {
+            Err(halt) => {
+                let outcome = match halt {
+                    Focus::Value(v) => {
+                        let (prog, store) = (&prog, &store);
+                        OutcomeC::Value(View { prog, store, arena }.read_value(&v))
+                    }
+                    Focus::Blame(p) => OutcomeC::Blame(p),
+                    _ => unreachable!("a run ends in a value or blame"),
+                };
                 return SliceC::Done(Ok(RunC {
                     outcome,
                     steps,
                     peak_size,
                     peak_coercion_size,
-                }))
+                }));
             }
         };
         // Charge fuel *before* committing the step, exactly as the
@@ -1119,27 +1095,23 @@ pub fn resume_compiled(
             }));
         }
         steps += 1;
-        focus = contract(
-            redex,
-            &code,
-            &counts,
-            &mut frames,
-            &mut measure,
-            arena,
-            cache,
-        );
+        focus = contract(redex, &prog, &mut store, &mut measure, arena, cache);
         debug_assert_eq!(
             measure,
             match focus {
-                Focus::Blame(_) if frames.is_empty() => (1, 0),
-                _ => read_back(&code, &frames, &focus).measure(arena),
+                Focus::Blame(_) if store.frames.is_empty() => (1, 0),
+                _ => {
+                    let (prog, store) = (&prog, &store);
+                    View { prog, store, arena }.read_back(&focus).measure(arena)
+                }
             },
             "tracked size drifted from the term at step {steps}"
         );
+        let settled = store.frames.len() - usize::from(matches!(focus, Focus::Proxy(_)));
         debug_assert!(
-            !frames
+            !store.frames[..settled]
                 .windows(2)
-                .any(|w| matches!(w, [Frame::Coerce(_), Frame::Coerce(_)])),
+                .any(|w| matches!(w, [Frame::CoerceFrame(_), Frame::CoerceFrame(_)])),
             "a coercion frame was stacked on another at step {steps}"
         );
         peak_size = peak_size.max(measure.0);
@@ -1455,8 +1427,8 @@ mod tests {
     #[test]
     fn closure_capturing_a_let_bound_proxy_applied_twice() {
         // let f = proxy in let h = λy:?. f y in
-        // (λk:?→?. (k (k 1⟨Int!⟩))⟨Int?q⟩) h: h's environment holds
-        // the proxy, and h reaches both calls through k's.
+        // (λk:?→?. (k (k 1⟨Int!⟩))⟨Int?q⟩) h: h captures the proxy,
+        // and h reaches both calls through k's activation.
         let twice = Term::lam(
             "k",
             Type::fun(Type::DYN, Type::DYN),
@@ -1506,8 +1478,8 @@ mod tests {
     fn fix_returning_a_closure_over_f_and_n_reads_back_exactly() {
         // fix f (n:Int):Int→Int. if n = 0 then λm. m + n
         //                        else λm. (f (n − 1)) m
-        // applied to 3 ends in the second λ, whose f and n live in a
-        // fix call's environment node; applied once more, it unrolls.
+        // applied to 3 ends in the second λ, which captures f and n
+        // from a fix call's activation; applied once more, it unrolls.
         let fun = Term::Fix(
             "f".into(),
             "n".into(),
@@ -1613,6 +1585,89 @@ mod tests {
                     assert_eq!(unsliced, sliced, "slice {slice}, fuel {fuel} of {m}");
                 }
             }
+        }
+    }
+
+    /// Runs `m` one step per slice and returns its space peaks and those
+    /// of the locals and temporaries stacks.
+    fn peak_space(m: &Term) -> [usize; 4] {
+        let mut ctx = crate::sterm::CompileCtx::new();
+        let code = ctx.compile(m);
+        let (mut locals, mut temps) = (0, 0);
+        let mut paused = start_compiled(&code, u64::MAX, &ctx.arena);
+        let run = loop {
+            match resume_compiled(paused, 1, &mut ctx.arena, &mut ctx.cache) {
+                SliceC::Done(run) => break run.expect("the loop ends"),
+                SliceC::Parked(p) => {
+                    locals = locals.max(p.store.locals.len());
+                    temps = temps.max(p.store.temps.len());
+                    paused = p;
+                }
+            }
+        };
+        let done = OutcomeC::Value(STerm::Const(Constant::Bool(true)));
+        assert_eq!(run.outcome, done, "{m}");
+        [run.peak_size, run.peak_coercion_size, locals, temps]
+    }
+
+    #[test]
+    fn tail_calls_run_in_constant_space() {
+        // The λS machine's three loops — crossing a boundary, binding a
+        // `let` in the body, calling a capturing closure — peak at the
+        // same space for 16 and 4096 iterations here too: a tail call
+        // reuses its caller's activation.
+        let (n, one) = (|| Term::var("n"), || Term::int(1));
+        let fix_loop = |body: Term| {
+            Term::Fix(
+                "loop".into(),
+                "n".into(),
+                Type::INT,
+                Type::BOOL,
+                body.into(),
+            )
+        };
+        let zero_or = |else_: Term| {
+            let done = Term::Const(Constant::Bool(true));
+            let test = Term::op2(Op::Eq, n(), Term::int(0));
+            Term::If(test.into(), done.into(), else_.into())
+        };
+        let (gb, id_bool) = (gb(), GroundCoercion::IdBase(BaseType::Bool));
+        let bool_out = SpaceCoercion::inj(id_bool.clone(), gb);
+        let bool_in = SpaceCoercion::proj(gb, p(1), Intermediate::Ground(id_bool));
+        let to_dyn = GroundCoercion::Fun(proj_int(0).into(), bool_out.into());
+        let from_dyn = GroundCoercion::Fun(inj_int().into(), bool_in.into());
+        let boundary = fix_loop(zero_or(
+            Term::var("loop")
+                .coerce(SpaceCoercion::inj(to_dyn, Ground::Fun))
+                .coerce(SpaceCoercion::proj(
+                    Ground::Fun,
+                    p(1),
+                    Intermediate::Ground(from_dyn),
+                ))
+                .app(Term::op2(Op::Sub, n(), one())),
+        ));
+        let let_in_body = fix_loop(Term::let_(
+            "m",
+            Term::op2(Op::Sub, n(), one()),
+            zero_or(Term::var("loop").app(Term::var("m"))),
+        ));
+        let step = Term::lam("n", Type::INT, Term::op2(Op::Sub, n(), Term::var("k")));
+        let through_closure = |m| {
+            let loop_ = fix_loop(zero_or(Term::var("loop").app(Term::var("step").app(n()))));
+            Term::let_("k", one(), Term::let_("step", step.clone(), loop_.app(m)))
+        };
+        let loops: [&dyn Fn(Term) -> Term; 3] = [
+            &|m| boundary.clone().app(m),
+            &|m| let_in_body.clone().app(m),
+            &through_closure,
+        ];
+        for make in loops {
+            let small = make(Term::int(16));
+            assert_eq!(
+                peak_space(&small),
+                peak_space(&make(Term::int(4096))),
+                "{small}"
+            );
         }
     }
 

@@ -66,6 +66,7 @@ pub mod compose;
 pub mod eval;
 pub mod safety;
 pub mod sterm;
+pub mod store;
 pub mod subst;
 pub mod term;
 pub mod typing;

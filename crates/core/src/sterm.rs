@@ -442,95 +442,99 @@ impl SCode {
     /// Rebuilds the named term, binder and variable names included
     /// (the inverse of [`SCode::encode`]).
     pub fn decode(&self) -> STerm {
-        self.decode_open(self.root(), &[], &|_| {
+        self.decode_open(self.root(), &[], &|_, _| {
             unreachable!("a block resolves every bound variable")
         })
     }
 
     /// Rebuilds the named term at `at` with the `binders` (name-table
-    /// offsets, outermost first) open around it: a variable they do not
-    /// bind reads as `outer` of its index past them. This is how a run
-    /// reads code under an environment back into the term it stands
-    /// for.
+    /// offsets, outermost first) open around it. A variable they do not
+    /// bind reads as `outer` of the capture lists of the functions
+    /// entered on the way to it (outermost first) and its slot. This is
+    /// how a run reads code in an activation back into the term it
+    /// stands for.
     pub(crate) fn decode_open(
         &self,
         at: u32,
         binders: &[u32],
-        outer: &dyn Fn(u32) -> STerm,
+        outer: &dyn Fn(&[u32], u32) -> STerm,
     ) -> STerm {
-        self.decode_at(at, &mut binders.to_vec(), outer)
+        let mut open = Open {
+            scope: binders.to_vec(),
+            entered: Vec::new(),
+            outer,
+        };
+        self.decode_at(at, &mut open)
     }
 
-    fn decode_at(&self, at: u32, scope: &mut Vec<u32>, outer: &dyn Fn(u32) -> STerm) -> STerm {
+    fn decode_at(&self, at: u32, o: &mut Open<'_>) -> STerm {
         match self.node(at) {
             Node::Const(k) => STerm::Const(k),
-            Node::Var { index: i, .. } => match scope.len().checked_sub(1 + i as usize) {
-                Some(j) => STerm::Var(self.name(scope[j]).clone()),
-                None => outer(i - scope.len() as u32),
+            Node::Var { index: i, slot } => match o.scope.len().checked_sub(1 + i as usize) {
+                Some(j) => STerm::Var(self.name(o.scope[j]).clone()),
+                None => (o.outer)(&o.entered, slot),
             },
             Node::Free(x) => STerm::Var(self.name(x).clone()),
-            Node::Lam { name, ty, body, .. } => STerm::Lam(
-                self.name(name).clone(),
+            Node::Lam {
+                name,
                 ty,
-                self.decode_under(&[name], body, scope, outer),
-            ),
+                body,
+                caps,
+            } => {
+                o.entered.push(caps);
+                let body = self.decode_under(&[name], body, o);
+                o.entered.pop();
+                STerm::Lam(self.name(name).clone(), ty, body)
+            }
             Node::Fix {
                 fun,
                 dom,
                 cod,
                 body,
-                ..
-            } => STerm::Fix(
-                self.name(fun).clone(),
-                self.name(fun + 1).clone(),
-                dom,
-                cod,
-                self.decode_under(&[fun, fun + 1], body, scope, outer),
-            ),
-            Node::App(l, m) => STerm::App(
-                self.decode_under(&[], l, scope, outer),
-                self.decode_under(&[], m, scope, outer),
-            ),
-            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, scope, outer)]),
-            Node::Op2(op, a, b) => STerm::Op(
-                op,
-                vec![
-                    self.decode_at(a, scope, outer),
-                    self.decode_at(b, scope, outer),
-                ],
-            ),
+                caps,
+            } => {
+                o.entered.push(caps);
+                let body = self.decode_under(&[fun, fun + 1], body, o);
+                o.entered.pop();
+                STerm::Fix(
+                    self.name(fun).clone(),
+                    self.name(fun + 1).clone(),
+                    dom,
+                    cod,
+                    body,
+                )
+            }
+            Node::App(l, m) => {
+                STerm::App(self.decode_under(&[], l, o), self.decode_under(&[], m, o))
+            }
+            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, o)]),
+            Node::Op2(op, a, b) => STerm::Op(op, vec![self.decode_at(a, o), self.decode_at(b, o)]),
             Node::OpN { op, start, len } => STerm::Op(
                 op,
                 self.operands(start, len)
                     .iter()
-                    .map(|&a| self.decode_at(a, scope, outer))
+                    .map(|&a| self.decode_at(a, o))
                     .collect(),
             ),
-            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, scope, outer), s),
+            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, o), s),
             Node::Blame(p, ty) => STerm::Blame(p, ty),
             Node::If(c, t, e) => STerm::If(
-                self.decode_under(&[], c, scope, outer),
-                self.decode_under(&[], t, scope, outer),
-                self.decode_under(&[], e, scope, outer),
+                self.decode_under(&[], c, o),
+                self.decode_under(&[], t, o),
+                self.decode_under(&[], e, o),
             ),
             Node::Let { name, bound, body } => STerm::Let(
                 self.name(name).clone(),
-                self.decode_under(&[], bound, scope, outer),
-                self.decode_under(&[name], body, scope, outer),
+                self.decode_under(&[], bound, o),
+                self.decode_under(&[name], body, o),
             ),
         }
     }
 
-    fn decode_under(
-        &self,
-        binders: &[u32],
-        body: u32,
-        scope: &mut Vec<u32>,
-        outer: &dyn Fn(u32) -> STerm,
-    ) -> Rc<STerm> {
-        scope.extend_from_slice(binders);
-        let t = self.decode_at(body, scope, outer);
-        scope.truncate(scope.len() - binders.len());
+    fn decode_under(&self, binders: &[u32], body: u32, o: &mut Open<'_>) -> Rc<STerm> {
+        o.scope.extend_from_slice(binders);
+        let t = self.decode_at(body, o);
+        o.scope.truncate(o.scope.len() - binders.len());
         Rc::new(t)
     }
 
@@ -609,6 +613,14 @@ impl SCode {
     pub fn display(&self, arena: &CoercionArena, types: &TypeArena) -> String {
         self.decode().display(arena, types)
     }
+}
+
+/// The binders and functions a decoding walk is inside, and what the
+/// variables bound outside it read as (see [`SCode::decode_open`]).
+struct Open<'a> {
+    scope: Vec<u32>,
+    entered: Vec<u32>,
+    outer: &'a dyn Fn(&[u32], u32) -> STerm,
 }
 
 /// Emits an [`SCode`] block bottom-up: children first, each call

@@ -15,116 +15,36 @@
 //!
 //! # The run state
 //!
-//! This machine runs a program's flat [`SCode`] block in place, and
-//! every value, frame and control register it holds is two words:
-//!
-//! * control is an offset into the borrowed node array plus an
-//!   `Env`, so evaluating a subterm copies three `u32`s and never
-//!   clones a term spine;
-//! * closures are flat: a `λ`/`fix` that captures nothing is a bare
-//!   code offset, and any other is an `Rc` of its code offset and the
-//!   values of exactly the variables its body mentions, copied from the
-//!   enclosing activation when the closure is made (the capture lists
-//!   lowering records in the block; see [`bc_core::sterm`]);
-//! * locals live in one stack: a call pushes an activation of the
-//!   function itself (slot 0) and its argument (slot 1), and each `let`
-//!   pushes its value into the next slot. An `Env` names an
-//!   activation's base and end, and a variable reads its slot there, or
-//!   its capture through the closure in slot 0;
-//! * frames are `Copy` records of a node offset and an `Env`; a
-//!   pending function or first operand waits on a side stack of
-//!   temporaries;
-//! * coercion nodes hold `Copy` [`CoercionId`]s minted at lowering,
-//!   and every frame/proxy merge goes through the [`ComposeCache`]. A
-//!   coerced value is a plain value's two words with its coercion's id
-//!   in the spare half, so coercing a proxy again replaces the id and
-//!   allocates nothing.
-//!
-//! The locals stack is truncated, never scanned: a call drops every
-//! local above the end of the topmost frame's environment before it
-//! pushes its activation, and a `let` drops every local above its own
-//! frame's end before it pushes its value. Every frame but a coercion
-//! frame holds an environment, and coercion frames never sit on each
-//! other, so finding that end looks at two frames at most. A tail call,
-//! whose caller's frames are gone, therefore reuses its caller's
-//! activation: the loop through a boundary runs in constant space on
-//! the locals stack as well as on the continuation.
-//!
-//! A boundary crossing is an id load plus a cached O(1) composition —
+//! The machine runs a program's flat [`SCode`] block in place on the
+//! two-word values, `Copy` frames and one locals stack of
+//! [`bc_core::store`], which the compiled small-step shares. Control is
+//! one more two-word record: code under an environment, or a value.
+//! Every frame/proxy merge goes through the [`ComposeCache`], so a
+//! boundary crossing is an id load plus a cached O(1) composition —
 //! **zero interning, zero coercion allocation** — which the per-run
 //! [`crate::metrics::ReuseStats`] counters make observable
-//! (`tree_interns == 0` on a compiled block). The only allocations on
-//! the run path are closures that capture something (two each) and the
-//! growth of the three stacks.
+//! (`tree_interns == 0` on a compiled block).
 //!
 //! [`run_compiled_in`] runs a compiled block whole, [`start_compiled_in`]
 //! and [`resume_compiled_in`] run it in fuel slices, and [`run`]
 //! compiles a tree [`Term`] first.
 
-use std::rc::Rc;
-
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, SNode};
-use bc_core::sterm::{CompileCtx, Node, SCode, CAPTURED};
+use bc_core::sterm::{CompileCtx, Node, SCode};
+use bc_core::store::{Env, Frame};
 use bc_core::term::Term;
 use bc_syntax::{Constant, Label};
 use bc_translate::bisim::Observation;
 
 use crate::metrics::{MachineOutcome, MachineRun, Metrics, ReuseStats, SliceResult};
 
-/// A run-time value `V`: an uncoerced value `U` or a proxy `U⟨s⟩`. The
-/// machine keeps the invariant that coerced values never nest, so one
-/// flat enum of {int, bool, code, closure} × {plain, coerced} covers
-/// them in two words.
-#[derive(Debug, Clone)]
-enum Value {
-    Int(i64),
-    Bool(bool),
-    /// A closure with no captures: its [`Node::Lam`] or [`Node::Fix`].
-    Code(u32),
-    Closure(Rc<Closure>),
-    CoercedInt(i64, CoercionId),
-    CoercedBool(bool, CoercionId),
-    CoercedCode(u32, CoercionId),
-    CoercedClosure(Rc<Closure>, CoercionId),
-}
+/// This machine's instance of the shared λS store (see
+/// [`bc_core::store::Value`] for why each engine has its own).
+#[derive(Debug, Clone, Default)]
+struct Cek;
 
-/// A closure that captures something: its [`Node::Lam`] or
-/// [`Node::Fix`] and the captured values, in capture-list order.
-#[derive(Debug)]
-struct Closure {
-    code: u32,
-    captures: Box<[Value]>,
-}
-
-/// An activation's extent on the locals stack: slot `i` is
-/// `locals[fp + i]`, and the slots in scope end at `end`.
-#[derive(Debug, Clone, Copy)]
-struct Env {
-    fp: u32,
-    end: u32,
-}
-
-// Variant names deliberately carry the -Frame suffix: "cast frame" /
-// "coercion frame" is the paper's terminology for what leaks in
-// λB/λC and merges in λS.
-#[allow(clippy::enum_variant_names)]
-#[derive(Debug, Clone, Copy)]
-enum Frame {
-    /// `□ M`, for the `App` node at the offset.
-    AppArg(u32, Env),
-    /// `V □`; `V` is the top temporary.
-    AppCall(Env),
-    /// `op(□, M)`, for the `Op2` node at the offset.
-    OpArg(u32, Env),
-    /// `op(□)` or `op(k, □)` for the `Op1`/`Op2` node at the offset;
-    /// `k` is the top temporary.
-    OpApply(u32, Env),
-    /// `if □ then M else N`, for the `If` node at the offset.
-    If(u32, Env),
-    /// `let x = □ in N`, for the `Let` node at the offset.
-    Let(u32, Env),
-    CoerceFrame(CoercionId),
-}
+type Value = bc_core::store::Value<Cek>;
+type Store = bc_core::store::Store<Cek>;
 
 #[derive(Debug)]
 enum Control {
@@ -132,94 +52,37 @@ enum Control {
     Ret(Value),
 }
 
-// The layout this machine is built around: two words each.
-const _: () = assert!(std::mem::size_of::<Value>() == 16);
-const _: () = assert!(std::mem::size_of::<Frame>() == 16);
+// Control is two words, like the values and frames.
 const _: () = assert!(std::mem::size_of::<Control>() == 16);
 
-impl Value {
-    fn of(k: Constant) -> Value {
-        match k {
-            Constant::Int(n) => Value::Int(n),
-            Constant::Bool(b) => Value::Bool(b),
-        }
-    }
-
-    fn constant(self) -> Constant {
-        match self {
-            Value::Int(n) => Constant::Int(n),
-            Value::Bool(b) => Constant::Bool(b),
-            other => unreachable!("operator got {other:?}"),
-        }
-    }
-
-    /// Splits a proxy `U⟨s⟩` into `U` and `s`.
-    fn unproxy(self) -> (Value, Option<CoercionId>) {
-        match self {
-            Value::CoercedInt(n, s) => (Value::Int(n), Some(s)),
-            Value::CoercedBool(b, s) => (Value::Bool(b), Some(s)),
-            Value::CoercedCode(at, s) => (Value::Code(at), Some(s)),
-            Value::CoercedClosure(c, s) => (Value::Closure(c), Some(s)),
-            plain => (plain, None),
-        }
-    }
-
-    /// `U⟨s⟩` for an uncoerced `U`.
-    fn proxy(self, s: CoercionId) -> Value {
-        match self {
-            Value::Int(n) => Value::CoercedInt(n, s),
-            Value::Bool(b) => Value::CoercedBool(b, s),
-            Value::Code(at) => Value::CoercedCode(at, s),
-            Value::Closure(c) => Value::CoercedClosure(c, s),
-            coerced => unreachable!("coerced a proxy without merging: {coerced:?}"),
-        }
-    }
-
-    /// The calculus-agnostic observation of this value, read through
-    /// the arena that interned its coercions.
-    fn observe(self, arena: &CoercionArena) -> Observation {
-        match self.unproxy() {
-            (Value::Int(n), None) => Observation::Constant(Constant::Int(n)),
-            (Value::Bool(b), None) => Observation::Constant(Constant::Bool(b)),
-            (_, None) => Observation::Function,
-            (u, Some(coercion)) => match arena.node(coercion) {
-                SNode::Mid(INode::Inj(g, ground)) => {
-                    let payload = match g {
-                        GNode::IdBase(_) => u.observe(arena),
-                        GNode::Fun(_, _) => Observation::Function,
-                    };
-                    Observation::Injected(ground, Box::new(payload))
-                }
-                SNode::Mid(INode::Ground(GNode::Fun(_, _))) => Observation::Function,
-                _ => unreachable!(
-                    "coerced value with non-value coercion {}",
-                    arena.resolve(coercion)
-                ),
-            },
-        }
-    }
-}
-
-impl Frame {
-    fn env(&self) -> Option<Env> {
-        match *self {
-            Frame::AppArg(_, env)
-            | Frame::AppCall(env)
-            | Frame::OpArg(_, env)
-            | Frame::OpApply(_, env)
-            | Frame::If(_, env)
-            | Frame::Let(_, env) => Some(env),
-            Frame::CoerceFrame(_) => None,
-        }
+/// The calculus-agnostic observation of a value, read through the
+/// arena that interned its coercions.
+fn observe(v: Value, arena: &CoercionArena) -> Observation {
+    match v.unproxy() {
+        (Value::Int(n), None) => Observation::Constant(Constant::Int(n)),
+        (Value::Bool(b), None) => Observation::Constant(Constant::Bool(b)),
+        (_, None) => Observation::Function,
+        (u, Some(coercion)) => match arena.node(coercion) {
+            SNode::Mid(INode::Inj(g, ground)) => {
+                let payload = match g {
+                    GNode::IdBase(_) => observe(u, arena),
+                    GNode::Fun(_, _) => Observation::Function,
+                };
+                Observation::Injected(ground, Box::new(payload))
+            }
+            SNode::Mid(INode::Ground(GNode::Fun(_, _))) => Observation::Function,
+            _ => unreachable!(
+                "coerced value with non-value coercion {}",
+                arena.resolve(coercion)
+            ),
+        },
     }
 }
 
 /// The stacks and counters of a run, which a parked run keeps.
 #[derive(Default)]
 struct State {
-    stack: Vec<Frame>,
-    locals: Vec<Value>,
-    temps: Vec<Value>,
+    store: Store,
     metrics: Metrics,
     coercion_frames: usize,
     coercion_size: usize,
@@ -237,14 +100,14 @@ impl Machine<'_> {
             self.s.coercion_frames += 1;
             self.s.coercion_size += self.arena.size(c);
         }
-        self.s.stack.push(f);
+        self.s.store.frames.push(f);
         self.observe();
     }
 
     fn observe(&mut self) {
         let s = &mut self.s;
         s.metrics
-            .observe(s.stack.len(), s.coercion_frames, s.coercion_size);
+            .observe(s.store.frames.len(), s.coercion_frames, s.coercion_size);
     }
 
     /// Pushes a coercion frame, *merging* with an existing top
@@ -252,7 +115,7 @@ impl Machine<'_> {
     /// space-efficient. The merge is a [`ComposeCache`] lookup when
     /// the pair has been composed before.
     fn push_coercion(&mut self, s: CoercionId) {
-        if let Some(Frame::CoerceFrame(t)) = self.s.stack.last_mut() {
+        if let Some(Frame::CoerceFrame(t)) = self.s.store.frames.last_mut() {
             // The value will meet `s` first and `t` second: replace
             // the top frame with `s # t`.
             let old = *t;
@@ -267,7 +130,7 @@ impl Machine<'_> {
     }
 
     fn pop(&mut self) -> Option<Frame> {
-        let f = self.s.stack.pop();
+        let f = self.s.store.frames.pop();
         if let Some(Frame::CoerceFrame(c)) = f {
             self.s.coercion_frames -= 1;
             self.s.coercion_size -= self.arena.size(c);
@@ -295,39 +158,10 @@ impl Machine<'_> {
         }
     }
 
-    /// The value of the variable in `slot` of `env`.
-    #[inline]
-    fn local(&self, env: Env, slot: u32) -> Value {
-        if slot & CAPTURED == 0 {
-            return self.s.locals[(env.fp + slot) as usize].clone();
-        }
-        match &self.s.locals[env.fp as usize] {
-            Value::Closure(c) => c.captures[(slot & !CAPTURED) as usize].clone(),
-            other => unreachable!("captured variable read through {other:?}"),
-        }
-    }
-
-    /// Calls an uncoerced function: its activation replaces every local
-    /// above the topmost frame's environment.
+    /// Calls an uncoerced function in a fresh activation.
     fn call(&mut self, code: &[Node], fun: Value, arg: Value) -> Control {
-        let at = match &fun {
-            Value::Code(at) => *at,
-            Value::Closure(c) => c.code,
-            other => unreachable!("applied a non-function value {other:?}"),
-        };
-        let (Node::Lam { body, .. } | Node::Fix { body, .. }) = code[at as usize] else {
-            unreachable!("closure over a non-function node {:?}", code[at as usize])
-        };
-        let top = self.s.stack.iter().rev().find_map(Frame::env);
-        let fp = top.map_or(0, |env| env.end);
-        debug_assert!(
-            self.s.locals.len() >= fp as usize,
-            "a frame's locals were dropped"
-        );
-        self.s.locals.truncate(fp as usize);
-        self.s.locals.push(fun);
-        self.s.locals.push(arg);
-        Control::Eval(body, Env { fp, end: fp + 2 })
+        let (body, env) = self.s.store.call(code, fun, arg);
+        Control::Eval(body, env)
     }
 }
 
@@ -414,7 +248,7 @@ pub fn start_compiled_in(
     Paused {
         code: code.clone(),
         state: State::default(),
-        control: Control::Eval(code.root(), Env { fp: 0, end: 0 }),
+        control: Control::Eval(code.root(), Env::default()),
         fuel,
         arena_before: arena.stats(),
         cache_before: cache.stats(),
@@ -518,16 +352,10 @@ fn exec_slice(
         control = match control {
             Control::Eval(at, env) => match code[at as usize] {
                 Node::Const(k) => Control::Ret(Value::of(k)),
-                Node::Var { slot, .. } => Control::Ret(m.local(env, slot)),
+                Node::Var { slot, .. } => Control::Ret(m.s.store.slot(env, slot).clone()),
                 Node::Free(_) => panic!("evaluation reached a free variable"),
                 Node::Lam { caps, .. } | Node::Fix { caps, .. } => {
-                    let srcs = block.captures(caps);
-                    Control::Ret(if srcs.is_empty() {
-                        Value::Code(at)
-                    } else {
-                        let captures = srcs.iter().map(|&slot| m.local(env, slot)).collect();
-                        Value::Closure(Rc::new(Closure { code: at, captures }))
-                    })
+                    Control::Ret(m.s.store.closure(block, at, caps, env))
                 }
                 Node::App(l, _) => {
                     m.push(Frame::AppArg(at, env));
@@ -563,19 +391,19 @@ fn exec_slice(
             },
             Control::Ret(v) => match m.pop() {
                 None => {
-                    let observation = v.observe(m.arena);
+                    let observation = observe(v, m.arena);
                     return done(m, MachineOutcome::Value(observation));
                 }
                 Some(Frame::AppArg(at, env)) => {
                     let Node::App(_, arg) = code[at as usize] else {
                         unreachable!("an argument frame holds an application")
                     };
-                    m.s.temps.push(v);
+                    m.s.store.temps.push(v);
                     m.push(Frame::AppCall(env));
                     Control::Eval(arg, env)
                 }
                 Some(Frame::AppCall(_)) => {
-                    let fun = m.s.temps.pop().expect("a call frame's function");
+                    let fun = m.s.store.temps.pop().expect("a call frame's function");
                     match apply(m, code, fun, v) {
                         Ok(c) => c,
                         Err(p) => return done(m, MachineOutcome::Blame(p)),
@@ -585,7 +413,7 @@ fn exec_slice(
                     let Node::Op2(_, _, arg) = code[at as usize] else {
                         unreachable!("an operand frame holds a binary operator")
                     };
-                    m.s.temps.push(v);
+                    m.s.store.temps.push(v);
                     m.push(Frame::OpApply(at, env));
                     Control::Eval(arg, env)
                 }
@@ -594,7 +422,7 @@ fn exec_slice(
                     let result = match code[at as usize] {
                         Node::Op1(op, _) => op.apply(&[k]),
                         Node::Op2(op, _, _) => {
-                            let first = m.s.temps.pop().expect("an operator's first operand");
+                            let first = m.s.store.temps.pop().expect("an operator's first operand");
                             op.apply(&[first.constant(), k])
                         }
                         other => unreachable!("an operator frame holds {other:?}"),
@@ -615,10 +443,7 @@ fn exec_slice(
                     let Node::Let { body, .. } = code[at as usize] else {
                         unreachable!("a let frame holds a let")
                     };
-                    m.s.locals.truncate(env.end as usize);
-                    m.s.locals.push(v);
-                    let end = env.end + 1;
-                    Control::Eval(body, Env { end, ..env })
+                    Control::Eval(body, m.s.store.bind(env, v))
                 }
                 Some(Frame::CoerceFrame(s)) => match m.coerce_value(v, s) {
                     Ok(v2) => Control::Ret(v2),
@@ -769,8 +594,8 @@ mod tests {
     fn peak_space(source: &str) -> [usize; 5] {
         let (mut locals, mut temps) = (0, 0);
         let run = step_through(source, |p| {
-            locals = locals.max(p.state.locals.len());
-            temps = temps.max(p.state.temps.len());
+            locals = locals.max(p.state.store.locals.len());
+            temps = temps.max(p.state.store.temps.len());
         });
         let expected = MachineOutcome::Value(Observation::Constant(Constant::Bool(true)));
         assert_eq!(run.outcome, expected, "{source}");

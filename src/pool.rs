@@ -1601,9 +1601,7 @@ fn admit(
         programs.insert(source.clone(), program);
     }
     let fuel = job.fuel.unwrap_or_else(|| session.default_fuel());
-    session
-        .start_run(&programs[source], job.engine, fuel)
-        .map_err(JobError::Run)
+    Ok(session.start_run(&programs[source], job.engine, fuel))
 }
 
 /// A multi-threaded serving pool: N worker threads, each with a

@@ -817,7 +817,7 @@ impl Session {
     ) -> Result<RunReport, RunError> {
         // One engine dispatch: an unsliced run is a sliced run whose
         // single slice covers the whole fuel (which can never park).
-        match self.resume_slice(self.start_run(program, engine, fuel)?, fuel) {
+        match self.resume_slice(self.start_run(program, engine, fuel), fuel) {
             SliceOutcome::Done(report) => report,
             SliceOutcome::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
         }
@@ -872,9 +872,7 @@ impl Session {
     /// their first slice (documented, deliberate — they exist as
     /// property-test oracles, not serving engines).
     ///
-    /// # Errors
-    ///
-    /// None: every engine starts without a type check, since
+    /// Starting cannot fail: no engine type checks here, since
     /// [`Session::load_lambda_b`] rejects a term that lies about its
     /// type up front and a λS run never re-checks. Errors surface from
     /// [`Session::resume_slice`].
@@ -882,12 +880,7 @@ impl Session {
     /// # Panics
     ///
     /// Panics if `program` was compiled by a different session.
-    pub fn start_run(
-        &self,
-        program: &Program,
-        engine: Engine,
-        fuel: u64,
-    ) -> Result<PausedRun, RunError> {
+    pub fn start_run(&self, program: &Program, engine: Engine, fuel: u64) -> PausedRun {
         self.check_owner(program);
         let started = Instant::now();
         let inner = match engine {
@@ -917,12 +910,16 @@ impl Session {
                 fuel,
             },
         };
-        Ok(PausedRun {
+        PausedRun {
             inner,
             session: self.id,
-            // Decoding and type checking up front are part of the run.
+            // A start's own work is part of the run: re-elaborating the
+            // program for the λB/λC machines, and the one walk that
+            // counts binder occurrences and measures the program for the
+            // λS small-step. The λS machine and the tree oracles start
+            // with nothing to do.
             active: started.elapsed(),
-        })
+        }
     }
 
     /// Runs a parked run for at most `slice` further steps against

@@ -317,8 +317,8 @@ proptest! {
     }
 
     /// Compiled λS evaluation ≡ tree small-step, and sliced ≡
-    /// unsliced, on recursive loops: each call unrolls the `fix` from
-    /// its environment node, and the coercions it crosses merge.
+    /// unsliced, on recursive loops: each call finds the `fix` in slot 0
+    /// of its activation, and the coercions it crosses merge.
     #[test]
     fn compiled_eval_matches_tree_oracle_on_recursive_loops(seed in any::<u64>()) {
         let mut dice = Dice(seed);

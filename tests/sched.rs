@@ -45,10 +45,7 @@ const SPINNER: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
 fn sliced_fingerprint(source: &str, engine: Engine, slice: u64) -> String {
     let session = Session::new();
     let program = session.compile(source).expect("testkit sources compile");
-    let mut paused = match session.start_run(&program, engine, FUEL) {
-        Ok(p) => p,
-        Err(e) => return format!("{e:?}"),
-    };
+    let mut paused = session.start_run(&program, engine, FUEL);
     let mut last_steps = paused.steps();
     let mut turns = 0u64;
     let result = loop {
