@@ -136,7 +136,6 @@ const _: () = assert!(std::mem::size_of::<Env>() == 8);
 
 impl<E> Value<E> {
     /// The value of a constant.
-    #[inline]
     pub fn of(k: Constant) -> Self {
         match k {
             Constant::Int(n) => Value::Int(n),
@@ -149,7 +148,6 @@ impl<E> Value<E> {
     /// # Panics
     ///
     /// Panics on a function or a proxy.
-    #[inline]
     pub fn constant(self) -> Constant {
         match self {
             Value::Int(n) => Constant::Int(n),
@@ -159,7 +157,6 @@ impl<E> Value<E> {
     }
 
     /// The coercion of a proxy `U⟨s⟩`, or `None` for an uncoerced value.
-    #[inline]
     pub fn coercion(&self) -> Option<CoercionId> {
         match *self {
             Value::CoercedInt(_, s)
@@ -171,7 +168,6 @@ impl<E> Value<E> {
     }
 
     /// Splits a proxy `U⟨s⟩` into `U` and `s`.
-    #[inline]
     pub fn unproxy(self) -> (Self, Option<CoercionId>) {
         match self {
             Value::CoercedInt(n, s) => (Value::Int(n), Some(s)),
@@ -187,7 +183,6 @@ impl<E> Value<E> {
     /// # Panics
     ///
     /// Panics if `self` is already a proxy: coercions merge, never nest.
-    #[inline]
     pub fn proxy(self, s: CoercionId) -> Self {
         match self {
             Value::Int(n) => Value::CoercedInt(n, s),
@@ -202,7 +197,6 @@ impl<E> Value<E> {
 impl<E> Closure<E> {
     /// The captured value a [`CAPTURED`] slot of the function's body
     /// names.
-    #[inline]
     pub fn captured(&self, slot: u32) -> &Value<E> {
         debug_assert!(slot & CAPTURED != 0, "slot {slot} is not a capture");
         &self.captures[(slot & !CAPTURED) as usize]
@@ -211,7 +205,6 @@ impl<E> Closure<E> {
 
 impl Frame {
     /// The offset of the node the frame was pushed for, if it holds one.
-    #[inline]
     pub fn at(&self) -> Option<u32> {
         match *self {
             Frame::AppArg(at, _)
@@ -224,7 +217,6 @@ impl Frame {
     }
 
     /// The environment the frame holds, if it is not a coercion frame.
-    #[inline]
     pub fn env(&self) -> Option<Env> {
         match *self {
             Frame::AppArg(_, env)
@@ -253,7 +245,6 @@ pub struct Store<E = ()> {
 impl<E> Store<E> {
     /// The value of the variable in `slot` of `env`: a local, or with
     /// the [`CAPTURED`] bit set, a capture of the closure in slot 0.
-    #[inline]
     pub fn slot(&self, env: Env, slot: u32) -> &Value<E> {
         if slot & CAPTURED == 0 {
             return &self.locals[(env.fp + slot) as usize];
@@ -266,7 +257,6 @@ impl<E> Store<E> {
 
     /// The closure the `λ`/`fix` node at `at`, with capture list
     /// `caps`, makes in `env`.
-    #[inline]
     pub fn closure(&self, block: &SCode, at: u32, caps: u32, env: Env) -> Value<E>
     where
         E: Clone,
@@ -285,7 +275,6 @@ impl<E> Store<E> {
 
     /// The environment of the topmost frame that holds one, or the
     /// empty one at the base of the stack.
-    #[inline]
     pub fn top_env(&self) -> Env {
         self.frames
             .iter()
@@ -297,7 +286,6 @@ impl<E> Store<E> {
     /// Calls an uncoerced function: its activation replaces every local
     /// above the topmost frame's environment. Returns the function's
     /// body and the activation it runs in.
-    #[inline]
     pub fn call(&mut self, code: &[Node], fun: Value<E>, arg: Value<E>) -> (u32, Env) {
         let at = match &fun {
             Value::Code(at) => *at,
@@ -320,7 +308,6 @@ impl<E> Store<E> {
 
     /// Binds a `let` whose frame held `env`: the value replaces every
     /// local above `env`'s end. Returns the body's environment.
-    #[inline]
     pub fn bind(&mut self, env: Env, value: Value<E>) -> Env {
         self.locals.truncate(env.end as usize);
         self.locals.push(value);

@@ -158,6 +158,14 @@ impl Machine<'_> {
         }
     }
 
+    /// The value of the variable in `slot` of `env`. Kept out of line:
+    /// inlined, the capture path and the clone grow the transition loop
+    /// and slow every transition.
+    #[inline(never)]
+    fn local(&self, env: Env, slot: u32) -> Value {
+        self.s.store.slot(env, slot).clone()
+    }
+
     /// Calls an uncoerced function in a fresh activation.
     fn call(&mut self, code: &[Node], fun: Value, arg: Value) -> Control {
         let (body, env) = self.s.store.call(code, fun, arg);
@@ -352,7 +360,7 @@ fn exec_slice(
         control = match control {
             Control::Eval(at, env) => match code[at as usize] {
                 Node::Const(k) => Control::Ret(Value::of(k)),
-                Node::Var { slot, .. } => Control::Ret(m.s.store.slot(env, slot).clone()),
+                Node::Var { slot, .. } => Control::Ret(m.local(env, slot)),
                 Node::Free(_) => panic!("evaluation reached a free variable"),
                 Node::Lam { caps, .. } | Node::Fix { caps, .. } => {
                     Control::Ret(m.s.store.closure(block, at, caps, env))
