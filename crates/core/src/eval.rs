@@ -46,8 +46,8 @@ use bc_syntax::{Constant, Label, Op, Type, TypeArena};
 
 use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
-use crate::sterm::{decompile_term, Node, SCode, STerm, CAPTURED, NO_CAPTURES};
-use crate::store::{Closure, Env, Frame, Store, Value};
+use crate::sterm::{decompile_term, Node, SCode, STerm, NO_CAPTURES};
+use crate::store::{Env, Frame};
 use crate::subst::subst;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
@@ -354,15 +354,11 @@ pub struct RunC {
     pub peak_coercion_size: usize,
 }
 
-/// Whether `U⟨s⟩` is a value: `s` is a function coercion or an
-/// injection.
-#[inline]
-fn coerces_to_value(arena: &CoercionArena, s: CoercionId) -> bool {
-    matches!(
-        arena.node(s),
-        SNode::Mid(INode::Ground(GNode::Fun(_, _)) | INode::Inj(_, _))
-    )
-}
+/// The small-step's instance of the λS store: a capturing closure keeps
+/// [`STerm::measure`] of the closed term it stands for, computed once
+/// when it is made.
+type Value = crate::store::Value<(usize, usize)>;
+type Store = crate::store::Store<(usize, usize)>;
 
 /// The subterm in focus. A coercion `M⟨s⟩` is a coercion frame over
 /// `M`, and two coercion frames never sit on each other: the only
@@ -483,16 +479,10 @@ impl Prog {
     }
 }
 
-/// Where a walked subterm's free variables live: in an activation on
-/// the locals stack, or in the captures of a closure whose node the
-/// walk starts at.
-#[derive(Clone, Copy)]
-enum Scope<'a> {
-    Env(Env),
-    Closure(&'a Closure),
-}
-
-/// What pricing and reading back look at.
+/// What pricing and reading back look at. A walk resolves each variable
+/// free in the walked code by its slot in the activation the code runs
+/// in; inside a `λ`/`fix` the walk entered, the slot is a capture, which
+/// [`SCode::captured_from`] maps to the slot around the function.
 #[derive(Clone, Copy)]
 struct View<'a> {
     prog: &'a Prog,
@@ -501,66 +491,35 @@ struct View<'a> {
 }
 
 impl<'a> View<'a> {
-    /// The value of a variable free in a subterm walked from `scope`,
-    /// reached inside the functions whose capture lists are `entered`
-    /// (outermost first): each entered function's capture list maps the
-    /// variable's slot to one of the activation around it, down to
-    /// `scope`.
-    fn resolve(&self, scope: Scope<'a>, entered: &[u32], slot: u32) -> &'a Value {
-        let chain = match scope {
-            Scope::Env(_) => entered,
-            // The walk starts at the closure's own node, whose capture
-            // list its captures already hold.
-            Scope::Closure(_) => &entered[1..],
-        };
-        let code = &self.prog.code;
-        let slot = chain.iter().rev().fold(slot, |slot, &caps| {
-            code.captures(caps)[(slot & !CAPTURED) as usize]
-        });
-        match scope {
-            Scope::Env(env) => self.store.slot(env, slot),
-            Scope::Closure(c) => c.captured(slot),
-        }
-    }
-
-    /// [`STerm::measure`] of the code at `at` read back in `scope`,
+    /// [`STerm::measure`] of the code at `at` read back in `env`,
     /// without building it: each free variable weighs its value.
-    fn measure_code(&self, at: u32, scope: Scope<'a>) -> (usize, usize) {
-        self.measure_at(at, 0, scope, &mut Vec::new())
+    fn measure_code(&self, at: u32, env: Env) -> (usize, usize) {
+        self.measure_at(at, 0, &|slot| self.store.slot(env, slot))
     }
 
-    fn measure_at(
-        &self,
-        at: u32,
-        depth: u32,
-        scope: Scope<'a>,
-        entered: &mut Vec<u32>,
-    ) -> (usize, usize) {
+    fn measure_at(&self, at: u32, depth: u32, lookup: &dyn Fn(u32) -> &'a Value) -> (usize, usize) {
         let code = &self.prog.code;
-        let node = code.node(at);
-        let mut measure = match node {
-            Node::Var { index, slot } if index >= depth => {
-                return self.measure(self.resolve(scope, entered, slot))
-            }
+        let (mut measure, caps) = match code.node(at) {
+            Node::Var { index, slot } if index >= depth => return self.measure(lookup(slot)),
             Node::Lam {
                 caps: NO_CAPTURES, ..
             }
             | Node::Fix {
                 caps: NO_CAPTURES, ..
             } => return self.prog.facts[at as usize].measure,
-            Node::Coerce(_, s) => (1 + self.arena.size(s), self.arena.size(s)),
-            _ => (1, 0),
+            Node::Lam { caps, .. } | Node::Fix { caps, .. } => ((1, 0), caps),
+            Node::Coerce(_, s) => ((1 + self.arena.size(s), self.arena.size(s)), NO_CAPTURES),
+            _ => ((1, 0), NO_CAPTURES),
         };
-        let caps = match node {
-            Node::Lam { caps, .. } | Node::Fix { caps, .. } => Some(caps),
-            _ => None,
+        let captured = |slot| lookup(code.captured_from(caps, slot));
+        let lookup: &dyn Fn(u32) -> &'a Value = match caps {
+            NO_CAPTURES => lookup,
+            _ => &captured,
         };
-        entered.extend(caps);
         for_each_child(code, at, |child, binds| {
-            let (size, coercion_size) = self.measure_at(child, depth + binds, scope, entered);
+            let (size, coercion_size) = self.measure_at(child, depth + binds, lookup);
             measure = (measure.0 + size, measure.1 + coercion_size);
         });
-        entered.truncate(entered.len() - usize::from(caps.is_some()));
         measure
     }
 
@@ -572,9 +531,7 @@ impl<'a> View<'a> {
                 (1, 0)
             }
             Value::Code(at) | Value::CoercedCode(at, _) => self.prog.facts[*at as usize].measure,
-            Value::Closure(c) | Value::CoercedClosure(c, _) => {
-                self.measure_code(c.code, Scope::Closure(c))
-            }
+            Value::Closure(c) | Value::CoercedClosure(c, _) => c.payload,
         };
         match value.coercion().map(|s| self.arena.size(s)) {
             Some(c) => (size + 1 + c, coercion_size + c),
@@ -583,23 +540,30 @@ impl<'a> View<'a> {
     }
 
     /// Reads the code at `at`, inside `binders`, back into the named
-    /// term it stands for in `scope`.
-    fn read_code(&self, at: u32, binders: &[u32], scope: Scope<'a>) -> STerm {
-        let outer = |entered: &[u32], slot| self.read_value(self.resolve(scope, entered, slot));
+    /// term it stands for in `env`.
+    fn read_code(&self, at: u32, binders: &[u32], env: Env) -> STerm {
+        let outer = |slot| self.read_value(self.store.slot(env, slot));
         self.prog.code.decode_open(at, binders, &outer)
     }
 
     /// Reads a value back into the closed named term it stands for.
     fn read_value(&self, value: &'a Value) -> STerm {
+        let code = &self.prog.code;
         let u = match value {
             Value::Int(n) | Value::CoercedInt(n, _) => STerm::Const(Constant::Int(*n)),
             Value::Bool(b) | Value::CoercedBool(b, _) => STerm::Const(Constant::Bool(*b)),
-            // Closed: no variable is looked up.
             Value::Code(at) | Value::CoercedCode(at, _) => {
-                self.read_code(*at, &[], Scope::Env(Env::default()))
+                code.decode_open(*at, &[], &|_| unreachable!("a closed function"))
             }
+            // Around the closure's node, a free variable's slot is the
+            // source of one of its captures.
             Value::Closure(c) | Value::CoercedClosure(c, _) => {
-                self.read_code(c.code, &[], Scope::Closure(c))
+                let (Node::Lam { caps, .. } | Node::Fix { caps, .. }) = code.node(c.code) else {
+                    unreachable!("a closure over {:?}", code.node(c.code))
+                };
+                let capture = |slot| code.captures(caps).iter().position(|&s| s == slot);
+                let outer = |slot| self.read_value(&c.captures[capture(slot).unwrap()]);
+                code.decode_open(c.code, &[], &outer)
             }
         };
         match value.coercion() {
@@ -614,7 +578,7 @@ impl<'a> View<'a> {
         let code = &self.prog.code;
         let mut temps = self.store.temps.iter().rev();
         let mut temp = || self.read_value(temps.next().expect("a pending value"));
-        let at = |at: u32, env: Env| self.read_code(at, &[], Scope::Env(env));
+        let at = |at: u32, env: Env| self.read_code(at, &[], env);
         let m = match focus {
             Focus::Code(c, env) => at(*c, *env),
             Focus::Value(v) => self.read_value(v),
@@ -635,7 +599,7 @@ impl<'a> View<'a> {
                     STerm::If(m.into(), at(t, env).into(), at(e, env).into())
                 }
                 (Frame::Let(_, env), Some(Node::Let { name, body, .. })) => {
-                    let body = self.read_code(body, &[name], Scope::Env(env));
+                    let body = self.read_code(body, &[name], env);
                     STerm::Let(code.name(name).clone(), m.into(), body.into())
                 }
                 (Frame::AppArg(_, env), Some(Node::App(_, arg))) => {
@@ -666,27 +630,15 @@ fn operand(code: &SCode, store: &Store, at: u32, env: Env) -> Option<Constant> {
     }
 }
 
-/// Pops the top frame if it is a coercion `□⟨t⟩` and returns `t`: a
-/// coercion `M⟨s⟩` in its hole is then the merge redex `M⟨s⟩⟨t⟩`.
-#[inline]
-fn pop_coercion(frames: &mut Vec<Frame>) -> Option<CoercionId> {
-    match frames.last() {
-        Some(&Frame::CoerceFrame(t)) => {
-            frames.pop();
-            Some(t)
-        }
-        _ => None,
-    }
-}
-
-/// `V⟨s⟩` with no coercion frame around it: a value, or a redex — the
-/// merge if `V` is itself coerced.
+/// `V⟨s⟩` with no coercion frame around it: a value if `s` is a
+/// function coercion or an injection, or a redex — the merge if `V` is
+/// itself coerced.
 #[inline]
 fn apply_coercion(v: Value, s: CoercionId, arena: &CoercionArena) -> Result<Value, Redex> {
-    match v.unproxy() {
-        (u, Some(s0)) => Err(Redex::Merge(Focus::Value(u), s0, s)),
-        (u, None) if coerces_to_value(arena, s) => Ok(u.proxy(s)),
-        (u, None) => Err(Redex::Coerce(u, s)),
+    match (v.unproxy(), arena.node(s)) {
+        ((u, Some(s0)), _) => Err(Redex::Merge(Focus::Value(u), s0, s)),
+        ((u, None), SNode::Mid(INode::Ground(GNode::Fun(..)) | INode::Inj(..))) => Ok(u.proxy(s)),
+        ((u, None), _) => Err(Redex::Coerce(u, s)),
     }
 }
 
@@ -699,11 +651,12 @@ fn apply_coercion(v: Value, s: CoercionId, arena: &CoercionArena) -> Result<Valu
 /// how the run ends: a [`Focus::Value`] or [`Focus::Blame`] with no
 /// frame left.
 fn refocus(
-    code: &SCode,
+    prog: &Prog,
     store: &mut Store,
     mut focus: Focus,
     arena: &CoercionArena,
 ) -> Result<Redex, Focus> {
+    let code = &prog.code;
     loop {
         let value = match focus {
             Focus::Value(v) => v,
@@ -727,15 +680,20 @@ fn refocus(
                 Node::Const(k) => Value::of(k),
                 Node::Var { slot, .. } => store.slot(env, slot).clone(),
                 Node::Lam { caps, .. } | Node::Fix { caps, .. } => {
-                    store.closure(code, at, caps, env)
+                    let view = View { prog, store, arena };
+                    store.closure(code, at, caps, env, || view.measure_code(at, env))
                 }
                 Node::Blame(p, _) if store.frames.is_empty() => return Err(Focus::Blame(p)),
                 Node::Blame(p, _) => return Ok(Redex::Raise(p)),
                 node => {
                     let (child, frame) = match node {
-                        Node::Coerce(m, s) => match pop_coercion(&mut store.frames) {
-                            Some(t) => return Ok(Redex::Merge(Focus::Code(m, env), s, t)),
-                            None => (m, Frame::CoerceFrame(s)),
+                        // A coercion frame in the hole: the merge redex.
+                        Node::Coerce(m, s) => match store.frames.last() {
+                            Some(&Frame::CoerceFrame(t)) => {
+                                store.frames.pop();
+                                return Ok(Redex::Merge(Focus::Code(m, env), s, t));
+                            }
+                            _ => (m, Frame::CoerceFrame(s)),
                         },
                         Node::App(fun, _) => (fun, Frame::AppArg(at, env)),
                         Node::Op1(_, a) => (a, Frame::OpApply(at, env)),
@@ -869,7 +827,7 @@ fn contract(
                 Constant::Bool(false) => (else_, then_),
                 _ => panic!("if condition is not a boolean"),
             };
-            let (size, coercion_size) = view.measure_code(dropped, Scope::Env(env));
+            let (size, coercion_size) = view.measure_code(dropped, env);
             reprice(measure, (2 + size, coercion_size), (0, 0));
             Focus::Code(taken, env)
         }
@@ -924,24 +882,17 @@ fn contract(
 /// `fuel` steps — [`run`] on the program's code block, against
 /// caller-owned arenas.
 ///
-/// The run keeps a *focus* and the evaluation-context frames around
-/// it, and finds each next redex by refocusing from the last
-/// contractum instead of walking from the root. Code is never
-/// rewritten: the focus and the frames hold code offsets in
-/// activations on the locals stack of [`crate::store`], which the λS
-/// CEK machine runs on too. β and `let` push the value into its slot
-/// and substitute nothing (a `fix` call binds the function and its
-/// argument in one activation), a tail call reuses its caller's
-/// activation, and a merge composes ids through the memoized
+/// The run refocuses from each contractum instead of walking from the
+/// root, on the store of [`crate::store`]: β and `let` push the value
+/// into its slot and substitute nothing, a tail call reuses its
+/// caller's activation, and a merge composes ids through the memoized
 /// [`CoercionArena::compose`]. The space peaks are those of the term
-/// the state stands for, tracked by delta and priced from the redex:
-/// arithmetic on coercion sizes, on each binder's occurrence count and
-/// on the measure of a closure (a per-run table for one that captures
-/// nothing, a walk of its body otherwise), or one walk of a discarded
-/// `if` branch. A final value is read back into the named [`STerm`] it
-/// stands for. The tree [`run`] is this engine's property-test oracle
-/// (same outcome, same step count, same space peaks — pinned by
-/// `tests/ir_props.rs`).
+/// the state stands for, priced from each redex: arithmetic on coercion
+/// sizes, on each binder's occurrence count and on closure measures (a
+/// per-run table for a closure that captures nothing, kept with the
+/// closure otherwise), or one walk of a discarded `if` branch. The tree
+/// [`run`] is this engine's oracle (same outcome, steps and peaks —
+/// pinned by `tests/ir_props.rs` and the golden corpus).
 ///
 /// # Errors
 ///
@@ -964,12 +915,10 @@ pub fn run_compiled(
 
 /// A preempted compiled small-step run, parked between fuel slices.
 ///
-/// It holds the program's code block (one shared `Rc`), the per-run
-/// table of binder occurrence counts and subterm measures, the focus,
-/// the run's [`Store`] (frames, locals and temporaries), the whole
-/// term's tracked size and coercion size, and the counters. Resuming
-/// refocuses from where the last slice stopped. The block and
-/// capturing closures are `Rc`-shared, so a parked run is not `Send`.
+/// It holds the program's code block, the per-run table of occurrence
+/// counts and measures, the focus, the run's store, the tracked measure
+/// and the counters. The block and capturing closures are `Rc`-shared,
+/// so a parked run is not `Send`.
 #[derive(Debug, Clone)]
 pub struct PausedC {
     prog: Prog,
@@ -1066,7 +1015,7 @@ pub fn resume_compiled(
                 fuel,
             });
         }
-        let redex = match refocus(&prog.code, &mut store, focus, arena) {
+        let redex = match refocus(&prog, &mut store, focus, arena) {
             Ok(redex) => redex,
             Err(halt) => {
                 let outcome = match halt {
@@ -1096,17 +1045,20 @@ pub fn resume_compiled(
         }
         steps += 1;
         focus = contract(redex, &prog, &mut store, &mut measure, arena, cache);
-        debug_assert_eq!(
-            measure,
-            match focus {
-                Focus::Blame(_) if store.frames.is_empty() => (1, 0),
-                _ => {
-                    let (prog, store) = (&prog, &store);
-                    View { prog, store, arena }.read_back(&focus).measure(arena)
-                }
-            },
-            "tracked size drifted from the term at step {steps}"
-        );
+        // Reading the term back costs its size: check up to 2^16 nodes.
+        if measure.0 <= 1 << 16 {
+            debug_assert_eq!(
+                measure,
+                match focus {
+                    Focus::Blame(_) if store.frames.is_empty() => (1, 0),
+                    _ => {
+                        let (prog, store) = (&prog, &store);
+                        View { prog, store, arena }.read_back(&focus).measure(arena)
+                    }
+                },
+                "tracked size drifted from the term at step {steps}"
+            );
+        }
         let settled = store.frames.len() - usize::from(matches!(focus, Focus::Proxy(_)));
         debug_assert!(
             !store.frames[..settled]
@@ -1669,6 +1621,34 @@ mod tests {
                 "{small}"
             );
         }
+    }
+
+    #[test]
+    fn closures_over_closures_are_priced_once() {
+        // let k = 1 in let f0 = λx. x + k in let f1 = λx. f0 (f0 x) in
+        // … let fn = λx. fn−1 (fn−1 x) in k: fn's closed term doubles
+        // with n, and binding it costs one step all the same.
+        let chain = |n: u32| {
+            let f = |i: u32| Term::var(&format!("f{i}"));
+            let twice = |i| Term::lam("x", Type::INT, f(i).app(f(i).app(Term::var("x"))));
+            let f0 = Term::lam(
+                "x",
+                Type::INT,
+                Term::op2(Op::Add, Term::var("x"), Term::var("k")),
+            );
+            let body = (1..=n).rev().fold(Term::var("k"), |body, i| {
+                Term::let_(&format!("f{i}"), twice(i - 1), body)
+            });
+            Term::let_("k", Term::int(1), Term::let_("f0", f0, body))
+        };
+        assert_compiled_matches_tree(&chain(6));
+        let mut ctx = crate::sterm::CompileCtx::new();
+        let code = ctx.compile(&chain(40));
+        let run = run_compiled(&code, 100, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
+        let run = run.expect("the chain ends");
+        assert_eq!(run.outcome, OutcomeC::Value(STerm::Const(Constant::Int(1))));
+        assert_eq!(run.steps, 42);
+        assert!(run.peak_size > 1 << 40, "{}", run.peak_size);
     }
 
     #[test]

@@ -442,37 +442,31 @@ impl SCode {
     /// Rebuilds the named term, binder and variable names included
     /// (the inverse of [`SCode::encode`]).
     pub fn decode(&self) -> STerm {
-        self.decode_open(self.root(), &[], &|_, _| {
+        self.decode_open(self.root(), &[], &|_| {
             unreachable!("a block resolves every bound variable")
         })
     }
 
     /// Rebuilds the named term at `at` with the `binders` (name-table
-    /// offsets, outermost first) open around it. A variable they do not
-    /// bind reads as `outer` of the capture lists of the functions
-    /// entered on the way to it (outermost first) and its slot. This is
-    /// how a run reads code in an activation back into the term it
-    /// stands for.
+    /// offsets, outermost first) open around it: a variable they do not
+    /// bind reads as `outer` of its slot in the activation `at` runs in
+    /// (see [`SCode::captured_from`]). This is how a run reads code in
+    /// an activation back into the term it stands for.
     pub(crate) fn decode_open(
         &self,
         at: u32,
         binders: &[u32],
-        outer: &dyn Fn(&[u32], u32) -> STerm,
+        outer: &dyn Fn(u32) -> STerm,
     ) -> STerm {
-        let mut open = Open {
-            scope: binders.to_vec(),
-            entered: Vec::new(),
-            outer,
-        };
-        self.decode_at(at, &mut open)
+        self.decode_at(at, &mut binders.to_vec(), outer)
     }
 
-    fn decode_at(&self, at: u32, o: &mut Open<'_>) -> STerm {
+    fn decode_at(&self, at: u32, scope: &mut Vec<u32>, outer: &dyn Fn(u32) -> STerm) -> STerm {
         match self.node(at) {
             Node::Const(k) => STerm::Const(k),
-            Node::Var { index: i, slot } => match o.scope.len().checked_sub(1 + i as usize) {
-                Some(j) => STerm::Var(self.name(o.scope[j]).clone()),
-                None => (o.outer)(&o.entered, slot),
+            Node::Var { index: i, slot } => match scope.len().checked_sub(1 + i as usize) {
+                Some(j) => STerm::Var(self.name(scope[j]).clone()),
+                None => outer(slot),
             },
             Node::Free(x) => STerm::Var(self.name(x).clone()),
             Node::Lam {
@@ -480,61 +474,72 @@ impl SCode {
                 ty,
                 body,
                 caps,
-            } => {
-                o.entered.push(caps);
-                let body = self.decode_under(&[name], body, o);
-                o.entered.pop();
-                STerm::Lam(self.name(name).clone(), ty, body)
-            }
+            } => STerm::Lam(
+                self.name(name).clone(),
+                ty,
+                self.decode_under(&[name], body, scope, &|slot| {
+                    outer(self.captured_from(caps, slot))
+                }),
+            ),
             Node::Fix {
                 fun,
                 dom,
                 cod,
                 body,
                 caps,
-            } => {
-                o.entered.push(caps);
-                let body = self.decode_under(&[fun, fun + 1], body, o);
-                o.entered.pop();
-                STerm::Fix(
-                    self.name(fun).clone(),
-                    self.name(fun + 1).clone(),
-                    dom,
-                    cod,
-                    body,
-                )
-            }
-            Node::App(l, m) => {
-                STerm::App(self.decode_under(&[], l, o), self.decode_under(&[], m, o))
-            }
-            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, o)]),
-            Node::Op2(op, a, b) => STerm::Op(op, vec![self.decode_at(a, o), self.decode_at(b, o)]),
+            } => STerm::Fix(
+                self.name(fun).clone(),
+                self.name(fun + 1).clone(),
+                dom,
+                cod,
+                self.decode_under(&[fun, fun + 1], body, scope, &|slot| {
+                    outer(self.captured_from(caps, slot))
+                }),
+            ),
+            Node::App(l, m) => STerm::App(
+                self.decode_under(&[], l, scope, outer),
+                self.decode_under(&[], m, scope, outer),
+            ),
+            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, scope, outer)]),
+            Node::Op2(op, a, b) => STerm::Op(
+                op,
+                vec![
+                    self.decode_at(a, scope, outer),
+                    self.decode_at(b, scope, outer),
+                ],
+            ),
             Node::OpN { op, start, len } => STerm::Op(
                 op,
                 self.operands(start, len)
                     .iter()
-                    .map(|&a| self.decode_at(a, o))
+                    .map(|&a| self.decode_at(a, scope, outer))
                     .collect(),
             ),
-            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, o), s),
+            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, scope, outer), s),
             Node::Blame(p, ty) => STerm::Blame(p, ty),
             Node::If(c, t, e) => STerm::If(
-                self.decode_under(&[], c, o),
-                self.decode_under(&[], t, o),
-                self.decode_under(&[], e, o),
+                self.decode_under(&[], c, scope, outer),
+                self.decode_under(&[], t, scope, outer),
+                self.decode_under(&[], e, scope, outer),
             ),
             Node::Let { name, bound, body } => STerm::Let(
                 self.name(name).clone(),
-                self.decode_under(&[], bound, o),
-                self.decode_under(&[name], body, o),
+                self.decode_under(&[], bound, scope, outer),
+                self.decode_under(&[name], body, scope, outer),
             ),
         }
     }
 
-    fn decode_under(&self, binders: &[u32], body: u32, o: &mut Open<'_>) -> Rc<STerm> {
-        o.scope.extend_from_slice(binders);
-        let t = self.decode_at(body, o);
-        o.scope.truncate(o.scope.len() - binders.len());
+    fn decode_under(
+        &self,
+        binders: &[u32],
+        body: u32,
+        scope: &mut Vec<u32>,
+        outer: &dyn Fn(u32) -> STerm,
+    ) -> Rc<STerm> {
+        scope.extend_from_slice(binders);
+        let t = self.decode_at(body, scope, outer);
+        scope.truncate(scope.len() - binders.len());
         Rc::new(t)
     }
 
@@ -581,6 +586,15 @@ impl SCode {
         self.operands(caps + 1, len)
     }
 
+    /// The slot, in the activation around a [`Node::Lam`] or
+    /// [`Node::Fix`] with capture list `caps`, of the variable its body
+    /// reads from the captured `slot`.
+    #[inline]
+    pub(crate) fn captured_from(&self, caps: u32, slot: u32) -> u32 {
+        debug_assert!(slot & CAPTURED != 0, "slot {slot} is not a capture");
+        self.captures(caps)[(slot & !CAPTURED) as usize]
+    }
+
     /// The number of syntax nodes — equal to [`STerm::size`] of the
     /// decoded term.
     pub fn size(&self) -> usize {
@@ -613,14 +627,6 @@ impl SCode {
     pub fn display(&self, arena: &CoercionArena, types: &TypeArena) -> String {
         self.decode().display(arena, types)
     }
-}
-
-/// The binders and functions a decoding walk is inside, and what the
-/// variables bound outside it read as (see [`SCode::decode_open`]).
-struct Open<'a> {
-    scope: Vec<u32>,
-    entered: Vec<u32>,
-    outer: &'a dyn Fn(&[u32], u32) -> STerm,
 }
 
 /// Emits an [`SCode`] block bottom-up: children first, each call

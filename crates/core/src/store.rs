@@ -8,43 +8,28 @@
 //! A run executes its block in place, and every value, frame and
 //! environment it holds is at most two words:
 //!
-//! * code is an offset into the borrowed node array plus an [`Env`], so
-//!   evaluating a subterm copies three `u32`s and never clones a term
-//!   spine;
-//! * closures are flat: a `λ`/`fix` that captures nothing is a bare
-//!   code offset ([`Value::Code`]), and any other is an `Rc` of its code
-//!   offset and the values of exactly the variables its body mentions
-//!   ([`Closure`]), copied from the enclosing activation when the
-//!   closure is made (the capture lists lowering records in the block;
-//!   see [`crate::sterm`]);
+//! * code is a node offset plus an [`Env`], so evaluating a subterm
+//!   copies three `u32`s and never clones a term spine;
+//! * a `λ`/`fix` that captures nothing is a bare code offset
+//!   ([`Value::Code`]), and any other an `Rc` of its offset and the
+//!   values of exactly the variables its body mentions ([`Closure`]),
+//!   copied along the capture list lowering recorded in the block;
 //! * locals live in one stack: a call pushes an activation of the
-//!   function itself (slot 0) and its argument (slot 1), and each `let`
-//!   pushes its value into the next slot. An [`Env`] names an
-//!   activation's base and end, and a variable reads its slot there, or
-//!   its capture through the closure in slot 0 ([`Store::slot`]);
+//!   function itself (slot 0) and its argument (slot 1), each `let`
+//!   pushes the next slot, and a variable reads its slot, or its
+//!   capture through the closure in slot 0 ([`Store::slot`]);
 //! * frames are `Copy` records of a node offset and an [`Env`]; a
-//!   pending function or first operand waits on a side stack of
-//!   temporaries;
-//! * coercion nodes hold `Copy` [`CoercionId`]s minted at lowering. A
-//!   coerced value is a plain value's two words with its coercion's id
-//!   in the spare half, so coercing a proxy again replaces the id and
-//!   allocates nothing.
+//!   pending function or first operand waits on the temporaries;
+//! * a proxy `U⟨s⟩` keeps its coercion's [`CoercionId`] in the spare
+//!   half of `U`'s two words, so coercing it again allocates nothing.
 //!
 //! The locals stack is truncated, never scanned: a call drops every
-//! local above the end of the topmost frame's environment before it
-//! pushes its activation ([`Store::call`]), and a `let` drops every
-//! local above its own frame's end before it pushes its value
-//! ([`Store::bind`]). Every frame but a coercion frame holds an
-//! environment, and coercion frames never sit on each other, so finding
-//! that end looks at two frames at most. A tail call, whose caller's
-//! frames are gone, therefore reuses its caller's activation: a loop
-//! through a boundary runs in constant space on the locals stack as
-//! well as on the frames.
-//!
-//! The only allocations on the run path are closures that capture
-//! something (two each) and the growth of the three stacks.
+//! local above the topmost frame's environment ([`Store::call`]), and a
+//! `let` every local above its own frame's ([`Store::bind`]). A tail
+//! call therefore reuses its caller's activation, and a loop through a
+//! boundary runs in constant locals as well as constant frames. The
+//! only allocations are capturing closures (two each) and stack growth.
 
-use std::marker::PhantomData;
 use std::rc::Rc;
 
 use bc_syntax::Constant;
@@ -55,13 +40,7 @@ use crate::sterm::{Node, SCode, CAPTURED};
 /// A run-time value `V`: an uncoerced value `U` or a proxy `U⟨s⟩`. Runs
 /// keep the invariant that coerced values never nest, so one flat enum
 /// of {int, bool, code, closure} × {plain, coerced} covers them in two
-/// words.
-///
-/// `E` marks the engine the run belongs to. Each engine instantiates
-/// the store at a marker of its own crate, so that the store's code,
-/// drop glue included, is compiled with the engine's transition loop:
-/// shared across crates, the glue's opaque `Rc` release would make the
-/// loop keep every value it holds in memory.
+/// words. `E` is what the engine keeps with each capturing closure.
 #[derive(Debug, Clone)]
 pub enum Value<E = ()> {
     /// An integer.
@@ -83,7 +62,8 @@ pub enum Value<E = ()> {
 }
 
 /// A closure that captures something: its [`Node::Lam`] or
-/// [`Node::Fix`] and the captured values, in capture-list order.
+/// [`Node::Fix`], the captured values in capture-list order, and what
+/// the engine keeps with it (the small-step, its measure).
 #[derive(Debug)]
 pub struct Closure<E = ()> {
     /// The offset of the function's node.
@@ -91,7 +71,8 @@ pub struct Closure<E = ()> {
     /// The values of the variables the function's body reads from
     /// outside it.
     pub captures: Box<[Value<E>]>,
-    engine: PhantomData<E>,
+    /// The engine's datum, computed when the closure is made.
+    pub payload: E,
 }
 
 /// An activation's extent on the locals stack: slot `i` is
@@ -148,8 +129,8 @@ impl<E> Value<E> {
     /// # Panics
     ///
     /// Panics on a function or a proxy.
-    pub fn constant(self) -> Constant {
-        match self {
+    pub fn constant(&self) -> Constant {
+        match *self {
             Value::Int(n) => Constant::Int(n),
             Value::Bool(b) => Constant::Bool(b),
             _ => unreachable!("expected a constant"),
@@ -191,15 +172,6 @@ impl<E> Value<E> {
             Value::Closure(c) => Value::CoercedClosure(c, s),
             _ => unreachable!("coerced a proxy without merging"),
         }
-    }
-}
-
-impl<E> Closure<E> {
-    /// The captured value a [`CAPTURED`] slot of the function's body
-    /// names.
-    pub fn captured(&self, slot: u32) -> &Value<E> {
-        debug_assert!(slot & CAPTURED != 0, "slot {slot} is not a capture");
-        &self.captures[(slot & !CAPTURED) as usize]
     }
 }
 
@@ -245,19 +217,29 @@ pub struct Store<E = ()> {
 impl<E> Store<E> {
     /// The value of the variable in `slot` of `env`: a local, or with
     /// the [`CAPTURED`] bit set, a capture of the closure in slot 0.
+    #[inline]
     pub fn slot(&self, env: Env, slot: u32) -> &Value<E> {
         if slot & CAPTURED == 0 {
             return &self.locals[(env.fp + slot) as usize];
         }
         match &self.locals[env.fp as usize] {
-            Value::Closure(c) => c.captured(slot),
+            Value::Closure(c) => &c.captures[(slot & !CAPTURED) as usize],
             _ => unreachable!("captured variable read through a non-closure"),
         }
     }
 
     /// The closure the `λ`/`fix` node at `at`, with capture list
-    /// `caps`, makes in `env`.
-    pub fn closure(&self, block: &SCode, at: u32, caps: u32, env: Env) -> Value<E>
+    /// `caps`, makes in `env`; `payload` is called only if it captures
+    /// something.
+    #[inline]
+    pub fn closure(
+        &self,
+        block: &SCode,
+        at: u32,
+        caps: u32,
+        env: Env,
+        payload: impl FnOnce() -> E,
+    ) -> Value<E>
     where
         E: Clone,
     {
@@ -269,12 +251,14 @@ impl<E> Store<E> {
         Value::Closure(Rc::new(Closure {
             code: at,
             captures: captures.collect(),
-            engine: PhantomData,
+            payload: payload(),
         }))
     }
 
     /// The environment of the topmost frame that holds one, or the
-    /// empty one at the base of the stack.
+    /// empty one at the base of the stack. Coercion frames never sit on
+    /// each other, so this looks at two frames at most.
+    #[inline]
     pub fn top_env(&self) -> Env {
         self.frames
             .iter()
@@ -286,6 +270,7 @@ impl<E> Store<E> {
     /// Calls an uncoerced function: its activation replaces every local
     /// above the topmost frame's environment. Returns the function's
     /// body and the activation it runs in.
+    #[inline]
     pub fn call(&mut self, code: &[Node], fun: Value<E>, arg: Value<E>) -> (u32, Env) {
         let at = match &fun {
             Value::Code(at) => *at,
@@ -308,6 +293,7 @@ impl<E> Store<E> {
 
     /// Binds a `let` whose frame held `env`: the value replaces every
     /// local above `env`'s end. Returns the body's environment.
+    #[inline]
     pub fn bind(&mut self, env: Env, value: Value<E>) -> Env {
         self.locals.truncate(env.end as usize);
         self.locals.push(value);

@@ -31,20 +31,12 @@
 
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, SNode};
 use bc_core::sterm::{CompileCtx, Node, SCode};
-use bc_core::store::{Env, Frame};
+use bc_core::store::{Env, Frame, Store, Value};
 use bc_core::term::Term;
 use bc_syntax::{Constant, Label};
 use bc_translate::bisim::Observation;
 
 use crate::metrics::{MachineOutcome, MachineRun, Metrics, ReuseStats, SliceResult};
-
-/// This machine's instance of the shared λS store (see
-/// [`bc_core::store::Value`] for why each engine has its own).
-#[derive(Debug, Clone, Default)]
-struct Cek;
-
-type Value = bc_core::store::Value<Cek>;
-type Store = bc_core::store::Store<Cek>;
 
 #[derive(Debug)]
 enum Control {
@@ -156,20 +148,6 @@ impl Machine<'_> {
                 unreachable!("projection applied to an uncoerced value (which cannot have type ?)")
             }
         }
-    }
-
-    /// The value of the variable in `slot` of `env`. Kept out of line:
-    /// inlined, the capture path and the clone grow the transition loop
-    /// and slow every transition.
-    #[inline(never)]
-    fn local(&self, env: Env, slot: u32) -> Value {
-        self.s.store.slot(env, slot).clone()
-    }
-
-    /// Calls an uncoerced function in a fresh activation.
-    fn call(&mut self, code: &[Node], fun: Value, arg: Value) -> Control {
-        let (body, env) = self.s.store.call(code, fun, arg);
-        Control::Eval(body, env)
     }
 }
 
@@ -360,10 +338,10 @@ fn exec_slice(
         control = match control {
             Control::Eval(at, env) => match code[at as usize] {
                 Node::Const(k) => Control::Ret(Value::of(k)),
-                Node::Var { slot, .. } => Control::Ret(m.local(env, slot)),
+                Node::Var { slot, .. } => Control::Ret(m.s.store.slot(env, slot).clone()),
                 Node::Free(_) => panic!("evaluation reached a free variable"),
                 Node::Lam { caps, .. } | Node::Fix { caps, .. } => {
-                    Control::Ret(m.s.store.closure(block, at, caps, env))
+                    Control::Ret(m.s.store.closure(block, at, caps, env, || ()))
                 }
                 Node::App(l, _) => {
                     m.push(Frame::AppArg(at, env));
@@ -463,22 +441,24 @@ fn exec_slice(
 }
 
 fn apply(m: &mut Machine<'_>, code: &[Node], fun: Value, arg: Value) -> Result<Control, Label> {
-    match fun.unproxy() {
-        (u, None) => Ok(m.call(code, u, arg)),
+    let (u, arg) = match fun.unproxy() {
+        (u, None) => (u, arg),
         (u, Some(coercion)) => match m.arena.node(coercion) {
             SNode::Mid(INode::Ground(GNode::Fun(s, t))) => {
                 // (U⟨s→t⟩) V: coerce the argument by s, push (merging!)
                 // the result coercion t, apply the proxied function.
-                let arg2 = m.coerce_value(arg, s)?;
+                let arg = m.coerce_value(arg, s)?;
                 m.push_coercion(t);
-                Ok(m.call(code, u, arg2))
+                (u, arg)
             }
             _ => unreachable!(
                 "applied a non-function coercion {}",
                 m.arena.resolve(coercion)
             ),
         },
-    }
+    };
+    let (body, env) = m.s.store.call(code, u, arg);
+    Ok(Control::Eval(body, env))
 }
 
 #[cfg(test)]
