@@ -60,16 +60,12 @@
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasher;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use bc_syntax::{
-    AppendLog, AtomicIndex, BaseType, ClockMap, FxBuildHasher, Ground, Label, TNode, Type,
-    TypeArena, TypeId,
-};
+use bc_syntax::slab::{Frozen, Node, Store};
+use bc_syntax::{BaseType, ClockMap, Ground, Label, TNode, Type, TypeArena, TypeId};
 
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 
@@ -127,7 +123,7 @@ pub enum GNode {
 
 /// Per-node facts computed once at interning time.
 #[derive(Debug, Clone, Copy)]
-struct NodeMeta {
+pub struct NodeMeta {
     height: u32,
     /// Implicit *tree* size of the node. u64 + saturating arithmetic:
     /// structural sharing lets the id-level `fun()` API build
@@ -157,253 +153,89 @@ pub struct ArenaStats {
     pub base_hits: u64,
 }
 
-/// The append-only concurrent storage behind every [`FrozenCoercions`]
-/// view: coercion nodes, their metadata, the hash-cons index, and the
-/// frozen composition pairs, in [`AppendLog`]s probed through
-/// [`AtomicIndex`]es (the same primitives as the type slab in
-/// `bc_syntax::slab`).
-///
-/// One slab serves an entire epoch lineage: freezing an overlay over a
-/// view of this slab appends only the overlay's genuinely new rows
-/// (O(overlay)) and returns a view with higher watermarks. Entries
-/// below a published watermark are immutable and pointer-stable
-/// forever; readers never lock, and the `writer` mutex only serializes
-/// appenders.
-struct CoercionSlab {
-    nodes: AppendLog<SNode>,
-    meta: AppendLog<NodeMeta>,
-    node_index: AtomicIndex,
-    /// The frozen composition table, as append-ordered
-    /// `((s, t), s # t)` rows: eviction-free (the base tier never
-    /// evicts, only grows).
-    pairs: AppendLog<((CoercionId, CoercionId), CoercionId)>,
-    pair_index: AtomicIndex,
-    hasher: FxBuildHasher,
-    /// Serializes appenders (freezes of overlays over this slab).
-    writer: Mutex<()>,
-}
+impl Node for SNode {
+    type Meta = NodeMeta;
+    type Key = (CoercionId, CoercionId);
+    type Value = CoercionId;
 
-impl CoercionSlab {
-    fn new() -> CoercionSlab {
-        CoercionSlab {
-            nodes: AppendLog::new(),
-            meta: AppendLog::new(),
-            node_index: AtomicIndex::new(),
-            pairs: AppendLog::new(),
-            pair_index: AtomicIndex::new(),
-            hasher: FxBuildHasher::default(),
-            writer: Mutex::new(()),
+    fn compute_meta(self, store: &Store<SNode>) -> NodeMeta {
+        let gmeta = |g: GNode| match g {
+            GNode::IdBase(_) => NodeMeta { height: 1, size: 1 },
+            GNode::Fun(s, t) => {
+                let (ms, mt) = (store.meta(s.0), store.meta(t.0));
+                NodeMeta {
+                    height: ms.height.max(mt.height).saturating_add(1),
+                    size: ms.size.saturating_add(mt.size).saturating_add(1),
+                }
+            }
+        };
+        // One more node of tree size over the same height.
+        let wrap = |m: NodeMeta| NodeMeta {
+            size: m.size.saturating_add(1),
+            ..m
+        };
+        let imeta = |i: INode| match i {
+            INode::Inj(g, _) => wrap(gmeta(g)),
+            INode::Ground(g) => gmeta(g),
+            INode::Fail(_, _, _) => NodeMeta { height: 1, size: 1 },
+        };
+        match self {
+            SNode::IdDyn => NodeMeta { height: 1, size: 1 },
+            SNode::Proj(_, _, i) => wrap(imeta(i)),
+            SNode::Mid(i) => imeta(i),
         }
     }
 
-    /// Lock-free hash-cons probe among slab ids below `below` (a view
-    /// watermark, or `usize::MAX` for writer-side probes).
-    fn probe_node(&self, node: &SNode, below: usize) -> Option<CoercionId> {
-        let hash = self.hasher.hash_one(node);
-        self.node_index
-            .get(hash, |id| {
-                (id as usize) < below && *self.nodes.get(id as usize) == *node
-            })
-            .map(CoercionId)
+    fn map_ids(self, f: impl Fn(u32) -> u32) -> SNode {
+        let mg = |g: GNode| match g {
+            GNode::Fun(s, t) => GNode::Fun(CoercionId(f(s.0)), CoercionId(f(t.0))),
+            leaf => leaf,
+        };
+        let mi = |i: INode| match i {
+            INode::Inj(g, ground) => INode::Inj(mg(g), ground),
+            INode::Ground(g) => INode::Ground(mg(g)),
+            fail => fail,
+        };
+        match self {
+            SNode::IdDyn => SNode::IdDyn,
+            SNode::Proj(g, p, i) => SNode::Proj(g, p, mi(i)),
+            SNode::Mid(i) => SNode::Mid(mi(i)),
+        }
     }
 
-    /// Lock-free composition-pair probe among rows below `below`.
-    fn probe_pair(&self, key: &(CoercionId, CoercionId), below: usize) -> Option<CoercionId> {
-        let hash = self.hasher.hash_one(key);
-        self.pair_index
-            .get(hash, |row| {
-                (row as usize) < below && self.pairs.get(row as usize).0 == *key
-            })
-            .map(|row| self.pairs.get(row as usize).1)
-    }
-
-    /// Appends a node known to be absent (writer lock held, or slab
-    /// not yet shared).
-    fn append_node(&self, node: SNode, meta: NodeMeta) -> CoercionId {
-        let id = self.nodes.push(node);
-        self.meta.push(meta);
-        self.node_index
-            .insert(self.hasher.hash_one(node), id as u32);
-        CoercionId(id as u32)
-    }
-
-    /// Appends a composition pair known to be absent (writer lock
-    /// held, or slab not yet shared).
-    fn append_pair(&self, key: (CoercionId, CoercionId), result: CoercionId) {
-        let row = self.pairs.push((key, result));
-        self.pair_index
-            .insert(self.hasher.hash_one(key), row as u32);
-    }
-}
-
-/// Maps a freezing overlay's id into slab coordinates: base ids are
-/// already slab ids; local ids go through the remap table built as
-/// the overlay's nodes are appended.
-fn map_id(id: CoercionId, base_len: usize, remap: &[CoercionId]) -> CoercionId {
-    let i = id.index();
-    if i < base_len {
-        id
-    } else {
-        remap[i - base_len]
-    }
-}
-
-/// [`map_id`] pushed through a node's structure (only
-/// [`GNode::Fun`] holds child ids).
-fn map_node(node: SNode, base_len: usize, remap: &[CoercionId]) -> SNode {
-    let mg = |g: GNode| match g {
-        GNode::Fun(s, t) => GNode::Fun(map_id(s, base_len, remap), map_id(t, base_len, remap)),
-        leaf => leaf,
-    };
-    let mi = |i: INode| match i {
-        INode::Inj(g, ground) => INode::Inj(mg(g), ground),
-        INode::Ground(g) => INode::Ground(mg(g)),
-        fail => fail,
-    };
-    match node {
-        SNode::IdDyn => SNode::IdDyn,
-        SNode::Proj(g, p, i) => SNode::Proj(g, p, mi(i)),
-        SNode::Mid(i) => SNode::Mid(mi(i)),
+    fn map_row(
+        ((s, t), r): ((CoercionId, CoercionId), CoercionId),
+        f: impl Fn(u32) -> u32,
+    ) -> ((CoercionId, CoercionId), CoercionId) {
+        // A pair's operands are ordered, not canonicalized: nothing to
+        // restore.
+        let f = |id: CoercionId| CoercionId(f(id.0));
+        ((f(s), f(t)), f(r))
     }
 }
 
 /// A frozen, read-only view of a [`CoercionArena`] *and* the
-/// composition pairs its [`ComposeCache`] had memoized — the shared
-/// base tier of the two-tier interning scheme.
-///
-/// A view is a pair of **watermarks** (nodes, pair rows) over an
-/// append-only concurrent slab. Freezing a flat arena
-/// ([`CoercionArena::freeze`]) builds a fresh slab; freezing an
-/// *overlay* **appends** its genuinely new nodes and pairs to the
-/// base's slab — O(overlay), not O(base) — so the result
-/// [`extends`](FrozenCoercions::extends) the base by construction and
-/// superseded views stay valid forever. `Send + Sync`; readers below
-/// the watermark are wait-free.
-///
-/// # Id-offset contract
-///
-/// Ids `0..len()` denote frozen nodes and mean the same coercion in
-/// every overlay over this base; overlay-local ids (`>= len()`) are
-/// private to the overlay that minted them. Every frozen compose pair
+/// composition pairs its [`ComposeCache`] had memoized: the shared
+/// base tier of [`CoercionArena::with_base`] overlays (see
+/// `bc_syntax::slab` for the id-offset contract). Every frozen pair
 /// maps base ids to a base id (compositions were interned before the
 /// freeze), so the pair table is sound in every overlay.
-#[derive(Clone)]
-pub struct FrozenCoercions {
-    slab: Arc<CoercionSlab>,
-    /// Nodes visible to this view: slab ids `0..nodes_mark`.
-    nodes_mark: usize,
-    /// Pair rows visible to this view: rows `0..pairs_mark`.
-    pairs_mark: usize,
-}
-
-impl fmt::Debug for FrozenCoercions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrozenCoercions")
-            .field("nodes", &self.nodes_mark)
-            .field("pairs", &self.pairs_mark)
-            .finish()
-    }
-}
-
-impl FrozenCoercions {
-    /// Number of frozen coercion nodes (the id offset of every
-    /// overlay built over this base).
-    pub fn len(&self) -> usize {
-        self.nodes_mark
-    }
-
-    /// Whether the snapshot holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes_mark == 0
-    }
-
-    /// Number of frozen composition pairs.
-    pub fn pairs_len(&self) -> usize {
-        self.pairs_mark
-    }
-
-    /// Whether this snapshot *extends* `other`: every node of `other`
-    /// appears here, at the same id — the id-stability condition for
-    /// hot-swapping one base for another. Freezing an overlay appends
-    /// to its base's slab and never re-assigns ids, so a re-frozen
-    /// overlay extends its base **by construction** and the check is
-    /// O(1) (same slab, watermarks at least as high). Views over
-    /// different slabs never extend each other.
-    pub fn extends(&self, other: &FrozenCoercions) -> bool {
-        Arc::ptr_eq(&self.slab, &other.slab)
-            && other.nodes_mark <= self.nodes_mark
-            && other.pairs_mark <= self.pairs_mark
-    }
-
-    /// The node behind a visible id (callers stay below `len()`).
-    fn node_at(&self, i: usize) -> SNode {
-        debug_assert!(i < self.nodes_mark, "read past the view watermark");
-        *self.slab.nodes.get(i)
-    }
-
-    /// The metadata behind a visible id.
-    fn meta_at(&self, i: usize) -> NodeMeta {
-        debug_assert!(i < self.nodes_mark, "read past the view watermark");
-        *self.slab.meta.get(i)
-    }
-
-    /// Hash-cons probe filtered to this view's watermark: nodes that
-    /// only exist above it (appended by later freezes) read as absent,
-    /// so over-watermark slab ids never leak into sessions keyed to
-    /// this view.
-    fn lookup_node(&self, node: &SNode) -> Option<CoercionId> {
-        self.slab.probe_node(node, self.nodes_mark)
-    }
-
-    /// Composition-pair probe filtered to this view's watermark.
-    fn lookup_pair(&self, key: &(CoercionId, CoercionId)) -> Option<CoercionId> {
-        self.slab.probe_pair(key, self.pairs_mark)
-    }
-}
+pub type FrozenCoercions = Frozen<SNode>;
 
 /// A hash-consing interner for λS coercions.
 ///
 /// See the [module docs](self) for the interning invariants.
 #[derive(Debug)]
 pub struct CoercionArena {
-    /// The frozen base tier, when this arena is an overlay (see
-    /// [`FrozenCoercions`]); `None` for a flat arena.
-    base: Option<Arc<FrozenCoercions>>,
-    /// `base.len()`, cached (zero for a flat arena): the id offset of
-    /// the local tier.
-    base_len: usize,
-    /// Local (overlay) nodes; global id = `base_len` + local index.
-    nodes: Vec<SNode>,
-    meta: Vec<NodeMeta>,
-    /// The hash-consing index of the *local* tier (the base has its
-    /// own frozen index, probed first). Fx-hashed: keys are small
-    /// `Copy` nodes (discriminants plus ids), so hashing must not
-    /// dominate the probe.
-    index: HashMap<SNode, CoercionId, bc_syntax::FxBuildHasher>,
-    stats: ArenaStats,
+    /// The nodes, over the frozen base when this arena is an overlay.
+    store: Store<SNode>,
+    /// Tree-interning operations ([`ArenaStats::tree_interns`]).
+    tree_interns: u64,
     /// Identity of this id-space, used to catch a [`ComposeCache`]
-    /// being replayed against an arena it was not built with. A clone
-    /// starts as an identical snapshot but may diverge (intern
-    /// different nodes), so it gets a *fresh* generation; clone an
-    /// arena together with its cache via [`CoercionArena::clone_pair`].
+    /// being replayed against an arena it was not built with: every
+    /// arena gets a fresh generation, and a cache binds to the first
+    /// arena it composes with.
     generation: u64,
-}
-
-impl Clone for CoercionArena {
-    fn clone(&self) -> CoercionArena {
-        CoercionArena {
-            base: self.base.clone(),
-            base_len: self.base_len,
-            nodes: self.nodes.clone(),
-            meta: self.meta.clone(),
-            index: self.index.clone(),
-            stats: self.stats,
-            // Fresh identity: the clone's id-space diverges from the
-            // original as soon as either side interns something new,
-            // so caches must not flow between them.
-            generation: next_generation(),
-        }
-    }
 }
 
 fn next_generation() -> u64 {
@@ -414,15 +246,7 @@ fn next_generation() -> u64 {
 
 impl Default for CoercionArena {
     fn default() -> CoercionArena {
-        CoercionArena {
-            base: None,
-            base_len: 0,
-            nodes: Vec::new(),
-            meta: Vec::new(),
-            index: HashMap::default(),
-            stats: ArenaStats::default(),
-            generation: next_generation(),
-        }
+        CoercionArena::over(Store::default())
     }
 }
 
@@ -549,18 +373,6 @@ impl ComposeCache {
             ..self.stats
         }
     }
-
-    /// Looks up a memoized pair, marking it recently used.
-    fn lookup(&mut self, key: (CoercionId, CoercionId)) -> Option<CoercionId> {
-        self.pairs.lookup(&key)
-    }
-
-    /// Inserts a freshly computed pair, evicting per second-chance if
-    /// the cache is full (see [`ClockMap::insert`] for the admission
-    /// and recursive-reinsert subtleties).
-    fn insert(&mut self, key: (CoercionId, CoercionId), result: CoercionId) {
-        self.pairs.insert(key, result);
-    }
 }
 
 impl CoercionArena {
@@ -569,32 +381,29 @@ impl CoercionArena {
         CoercionArena::default()
     }
 
+    fn over(store: Store<SNode>) -> CoercionArena {
+        CoercionArena {
+            store,
+            tree_interns: 0,
+            generation: next_generation(),
+        }
+    }
+
     /// An overlay arena over a frozen base (fresh generation): every
     /// intern consults the shared, read-only base first and stores
     /// only genuinely new nodes locally, with ids offset past the
-    /// base (see [`FrozenCoercions`] for the id-offset contract).
+    /// base (see `bc_syntax::slab` for the id-offset contract).
     /// Pair it with a cache from [`ComposeCache::with_base`] over the
     /// same snapshot.
     pub fn with_base(base: Arc<FrozenCoercions>) -> CoercionArena {
-        let base_len = base.len();
-        CoercionArena {
-            base: Some(base),
-            base_len,
-            ..CoercionArena::default()
-        }
+        CoercionArena::over(Store::with_base(base))
     }
 
     /// Freezes the arena's nodes, metadata, and index — together with
     /// every composition pair `cache` has memoized — into an
-    /// immutable, thread-shareable view.
-    ///
-    /// A flat arena builds a fresh slab. An **overlay** arena
-    /// *appends* its genuinely new rows to its base's slab —
-    /// O(overlay), regardless of base size — and returns a view with
-    /// higher watermarks; the result
-    /// [`extends`](FrozenCoercions::extends) the base by construction.
-    /// Appenders over one slab serialize on its writer lock; a freeze
-    /// racing a sibling's dedups against the sibling's rows.
+    /// immutable, thread-shareable view ([`Store::freeze`]: a flat
+    /// arena builds a fresh slab, an overlay appends to its base's and
+    /// the result [`extends`](Frozen::extends) the base).
     ///
     /// # Panics
     ///
@@ -605,120 +414,26 @@ impl CoercionArena {
             cache.owner.is_none() || cache.owner == Some(self.generation),
             "CoercionArena::freeze called with a ComposeCache bound to a different arena"
         );
-        match &self.base {
-            None => self.freeze_flat(cache),
-            Some(base) => self.freeze_append(base, cache),
-        }
-    }
-
-    /// The flat arena's freeze: its nodes and memoized pairs, ids
-    /// verbatim, into a fresh slab.
-    fn freeze_flat(&self, cache: &ComposeCache) -> FrozenCoercions {
-        let slab = CoercionSlab::new();
-        for (node, meta) in self.nodes.iter().zip(&self.meta) {
-            slab.append_node(*node, *meta);
-        }
-        for (&key, &result) in cache.pairs.iter() {
-            slab.append_pair(key, result);
-        }
-        let nodes_mark = slab.nodes.len();
-        let pairs_mark = slab.pairs.len();
-        FrozenCoercions {
-            slab: Arc::new(slab),
-            nodes_mark,
-            pairs_mark,
-        }
-    }
-
-    /// The O(overlay) freeze: appends local nodes and memoized pairs
-    /// to the base's slab under its writer lock. Local ids append
-    /// verbatim when no sibling froze first (the promotion path);
-    /// otherwise they are remapped bottom-up (children precede
-    /// parents in the local tier) and deduped against sibling rows.
-    fn freeze_append(&self, base: &FrozenCoercions, cache: &ComposeCache) -> FrozenCoercions {
-        let slab = &base.slab;
-        let _writer = slab
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut remap: Vec<CoercionId> = Vec::with_capacity(self.nodes.len());
-        for (k, node) in self.nodes.iter().enumerate() {
-            let mapped = map_node(*node, self.base_len, &remap);
-            // Writer-side probe: unfiltered, so sibling-appended rows
-            // above our base watermark dedup instead of duplicating.
-            let id = match slab.probe_node(&mapped, usize::MAX) {
-                Some(id) => id,
-                // Metadata is id-free (heights and sizes), so the
-                // session's copy is valid for the remapped node.
-                None => slab.append_node(mapped, self.meta[k]),
-            };
-            remap.push(id);
-        }
-        for (&(a, b), &r) in cache.pairs.iter() {
-            let key = (
-                map_id(a, self.base_len, &remap),
-                map_id(b, self.base_len, &remap),
-            );
-            let result = map_id(r, self.base_len, &remap);
-            match slab.probe_pair(&key, usize::MAX) {
-                // Hash-consing makes the composite's id a function of
-                // the operands' structure, so a sibling's row for the
-                // same pair must agree.
-                Some(prev) => debug_assert_eq!(
-                    prev, result,
-                    "conflicting composition for {key:?}: composition is pure"
-                ),
-                None => slab.append_pair(key, result),
-            }
-        }
-        FrozenCoercions {
-            slab: Arc::clone(&base.slab),
-            nodes_mark: slab.nodes.len(),
-            pairs_mark: slab.pairs.len(),
-        }
+        self.store
+            .freeze(cache.pairs.iter().map(|(&key, &r)| (key, r)))
     }
 
     /// Number of nodes in the frozen base tier (zero for a flat
     /// arena).
     pub fn base_len(&self) -> usize {
-        self.base_len
+        self.store.base_len()
     }
 
     /// Number of nodes interned *locally*, past the base tier. For an
     /// overlay serving inputs the base was warmed on, this staying at
     /// zero is the base-sharing guarantee.
     pub fn local_len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Clones this arena *together with* a cache bound to it,
-    /// re-binding the cloned cache to the clone's fresh generation.
-    /// This is the only supported way to duplicate a warm arena+cache
-    /// pair: cloning them separately yields a pair that panics on
-    /// first use (the clone has a new generation, precisely so a
-    /// cache can never be replayed across diverged clones).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is already bound to a *different* arena —
-    /// re-binding it here would launder foreign ids past the
-    /// generation guard.
-    pub fn clone_pair(&self, cache: &ComposeCache) -> (CoercionArena, ComposeCache) {
-        assert!(
-            cache.owner.is_none() || cache.owner == Some(self.generation),
-            "clone_pair called with a ComposeCache bound to a different CoercionArena"
-        );
-        let arena = self.clone();
-        let mut cache = cache.clone();
-        if cache.owner.is_some() {
-            cache.owner = Some(arena.generation);
-        }
-        (arena, cache)
+        self.store.local_len()
     }
 
     /// Number of distinct coercions interned (both tiers).
     pub fn len(&self) -> usize {
-        self.base_len + self.nodes.len()
+        self.store.len()
     }
 
     /// Whether nothing has been interned yet.
@@ -728,9 +443,13 @@ impl CoercionArena {
 
     /// Interning and reuse counters so far.
     pub fn stats(&self) -> ArenaStats {
+        let s = self.store.stats();
         ArenaStats {
             nodes: self.len(),
-            ..self.stats
+            tree_interns: self.tree_interns,
+            node_hits: s.hits,
+            node_misses: s.misses,
+            base_hits: s.base_hits,
         }
     }
 
@@ -738,85 +457,13 @@ impl CoercionArena {
     /// the id of the unique stored copy — from the frozen base when
     /// the node is already there, locally otherwise.
     pub fn intern_node(&mut self, node: SNode) -> CoercionId {
-        if let Some(base) = &self.base {
-            if let Some(id) = base.lookup_node(&node) {
-                self.stats.node_hits += 1;
-                self.stats.base_hits += 1;
-                return id;
-            }
-        }
-        if let Some(&id) = self.index.get(&node) {
-            self.stats.node_hits += 1;
-            return id;
-        }
-        self.stats.node_misses += 1;
-        let id = CoercionId(
-            u32::try_from(self.base_len + self.nodes.len())
-                .expect("more than u32::MAX distinct coercions"),
-        );
-        let meta = self.compute_meta(&node);
-        self.nodes.push(node);
-        self.meta.push(meta);
-        self.index.insert(node, id);
-        id
-    }
-
-    /// Per-node metadata across both tiers.
-    fn meta_of(&self, id: CoercionId) -> NodeMeta {
-        let i = id.index();
-        if i < self.base_len {
-            self.base
-                .as_ref()
-                .expect("base ids imply a base")
-                .meta_at(i)
-        } else {
-            self.meta[i - self.base_len]
-        }
-    }
-
-    fn compute_meta(&self, node: &SNode) -> NodeMeta {
-        let imeta = |i: &INode| -> NodeMeta {
-            let gmeta = |g: &GNode| -> NodeMeta {
-                match g {
-                    GNode::IdBase(_) => NodeMeta { height: 1, size: 1 },
-                    GNode::Fun(s, t) => {
-                        let (ms, mt) = (self.meta_of(*s), self.meta_of(*t));
-                        NodeMeta {
-                            height: ms.height.max(mt.height).saturating_add(1),
-                            size: ms.size.saturating_add(mt.size).saturating_add(1),
-                        }
-                    }
-                }
-            };
-            match i {
-                INode::Inj(g, _) => {
-                    let m = gmeta(g);
-                    NodeMeta {
-                        height: m.height,
-                        size: m.size.saturating_add(1),
-                    }
-                }
-                INode::Ground(g) => gmeta(g),
-                INode::Fail(_, _, _) => NodeMeta { height: 1, size: 1 },
-            }
-        };
-        match node {
-            SNode::IdDyn => NodeMeta { height: 1, size: 1 },
-            SNode::Proj(_, _, i) => {
-                let m = imeta(i);
-                NodeMeta {
-                    height: m.height,
-                    size: m.size.saturating_add(1),
-                }
-            }
-            SNode::Mid(i) => imeta(i),
-        }
+        CoercionId(self.store.intern_node(node))
     }
 
     /// Interns a tree coercion (recursively interning function
     /// children), returning its canonical id.
     pub fn intern(&mut self, s: &SpaceCoercion) -> CoercionId {
-        self.stats.tree_interns += 1;
+        self.tree_interns += 1;
         let node = match s {
             SpaceCoercion::IdDyn => SNode::IdDyn,
             SpaceCoercion::Proj(g, p, i) => SNode::Proj(*g, *p, self.intern_intermediate(i)),
@@ -848,15 +495,7 @@ impl CoercionArena {
     /// Panics if the id came from a different arena and is out of
     /// bounds (ids are only meaningful within their own arena).
     pub fn node(&self, id: CoercionId) -> SNode {
-        let i = id.index();
-        if i < self.base_len {
-            self.base
-                .as_ref()
-                .expect("base ids imply a base")
-                .node_at(i)
-        } else {
-            self.nodes[i - self.base_len]
-        }
+        self.store.node(id.0)
     }
 
     /// Rebuilds the tree form of an interned coercion (the exchange
@@ -972,14 +611,14 @@ impl CoercionArena {
 
     /// The height `‖s‖` (precomputed; O(1)).
     pub fn height(&self, id: CoercionId) -> usize {
-        self.meta_of(id).height as usize
+        self.store.meta(id.0).height as usize
     }
 
     /// The number of syntax nodes of the coercion's tree form
     /// (precomputed; O(1)). Saturates at `usize::MAX` for DAG-shaped
     /// coercions whose implicit tree would not fit in memory.
     pub fn size(&self, id: CoercionId) -> usize {
-        usize::try_from(self.meta_of(id).size).unwrap_or(usize::MAX)
+        usize::try_from(self.store.meta(id.0).size).unwrap_or(usize::MAX)
     }
 
     /// Whether the coercion is `id?` or `idι`.
@@ -1032,7 +671,7 @@ impl CoercionArena {
         // The frozen tiers must be the very same snapshot: a cache
         // carrying base pairs from a different base would answer with
         // ids from the wrong id-space.
-        let bases_agree = match (&self.base, &cache.base) {
+        let bases_agree = match (self.store.base(), &cache.base) {
             (None, None) => true,
             (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
             _ => false,
@@ -1051,13 +690,13 @@ impl CoercionArena {
             ),
         }
         if let Some(base) = &cache.base {
-            if let Some(r) = base.lookup_pair(&(a, b)) {
+            if let Some(r) = base.lookup_memo(&(a, b)) {
                 cache.stats.hits += 1;
                 cache.stats.base_hits += 1;
                 return r;
             }
         }
-        if let Some(r) = cache.lookup((a, b)) {
+        if let Some(r) = cache.pairs.lookup(&(a, b)) {
             cache.stats.hits += 1;
             return r;
         }
@@ -1075,7 +714,7 @@ impl CoercionArena {
                 self.intern_node(SNode::Mid(i2))
             }
         };
-        cache.insert((a, b), r);
+        cache.pairs.insert((a, b), r);
         r
     }
 
@@ -1171,13 +810,6 @@ pub struct MergeCtx {
     pub arena: CoercionArena,
     /// The memoized composition table.
     pub cache: ComposeCache,
-}
-
-impl Clone for MergeCtx {
-    fn clone(&self) -> MergeCtx {
-        let (arena, cache) = self.arena.clone_pair(&self.cache);
-        MergeCtx { arena, cache }
-    }
 }
 
 impl MergeCtx {
@@ -1356,49 +988,6 @@ mod tests {
         let mut other = CoercionArena::new();
         let b = other.intern(&SpaceCoercion::id_base(BaseType::Int));
         other.compose(&mut cache, b, b);
-    }
-
-    #[test]
-    fn clone_pair_keeps_the_cache_valid() {
-        let mut arena = CoercionArena::new();
-        let mut cache = ComposeCache::new();
-        let a = arena.intern(&SpaceCoercion::id_base(BaseType::Int));
-        let r = arena.compose(&mut cache, a, a);
-        // Cloning through clone_pair re-binds the cache to the
-        // clone's generation: the pair keeps working together.
-        let (mut arena2, mut cache2) = arena.clone_pair(&cache);
-        assert_eq!(arena2.compose(&mut cache2, a, a), r);
-        assert_eq!(cache2.stats().hits, cache.stats().hits + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bound to a different CoercionArena")]
-    fn clone_pair_rejects_a_foreign_cache() {
-        // A cache bound to arena B must not be re-bindable onto a
-        // clone of arena A — that would launder B's ids past the
-        // generation guard.
-        let mut a = CoercionArena::new();
-        let mut b = CoercionArena::new();
-        let mut cache_b = ComposeCache::new();
-        let id = b.intern(&SpaceCoercion::id_base(BaseType::Int));
-        b.compose(&mut cache_b, id, id);
-        a.intern(&SpaceCoercion::IdDyn);
-        let _ = a.clone_pair(&cache_b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different CoercionArena")]
-    fn cache_rejects_a_diverged_clone() {
-        // The scenario the generation guard exists for: clone the
-        // arena but keep the original's cache. The clone may intern
-        // different nodes, so its ids need not mean the same thing;
-        // mixing must fail loudly instead of resolving wrongly.
-        let mut arena = CoercionArena::new();
-        let mut cache = ComposeCache::new();
-        let a = arena.intern(&SpaceCoercion::id_base(BaseType::Int));
-        arena.compose(&mut cache, a, a);
-        let mut clone = arena.clone();
-        clone.compose(&mut cache, a, a);
     }
 
     #[test]
@@ -1691,7 +1280,7 @@ mod tests {
         let composed = overlay.compose(&mut cache, novel_inj, novel_proj);
         let refrozen = Arc::new(overlay.freeze(&cache));
         assert_eq!(refrozen.len(), overlay.len());
-        assert!(refrozen.pairs_len() > base.pairs_len());
+        assert!(refrozen.memo_len() > base.memo_len());
 
         let mut second = CoercionArena::with_base(Arc::clone(&refrozen));
         let mut second_cache = ComposeCache::with_base(refrozen, 1 << 10);
@@ -1708,35 +1297,67 @@ mod tests {
     }
 
     #[test]
-    fn refreezing_an_overlay_extends_its_base() {
+    fn sibling_freezes_remap_local_ids() {
+        // Two overlays over one base intern the same nested novel
+        // coercion (local children) and one of their own, and compose
+        // the two. `right` interns its own first, so the remap moves
+        // its ids (and its pairs' results) onto the rows `left` froze.
         let base = warm_base();
-        let mut overlay = CoercionArena::with_base(Arc::clone(&base));
-        let cache = ComposeCache::with_base(Arc::clone(&base), 1 << 10);
-        overlay.proj_ground(gb(), p(11));
-        let refrozen = overlay.freeze(&cache);
-        // Appending preserves every base id verbatim, so the new
-        // snapshot extends the old one (and trivially itself) — the
-        // condition that lets a serving pool hot-swap `base` for
-        // `refrozen` without invalidating a single outstanding id.
-        assert!(refrozen.extends(&base));
-        assert!(refrozen.extends(&refrozen));
-        assert!(!base.extends(&refrozen), "extension is strictly larger");
-        // A sibling freezing *after* refrozen appends onto the same
-        // slab: freezes over one base serialize into one id space, so
-        // the later view subsumes the earlier one (but not vice
-        // versa).
-        let mut sibling = CoercionArena::with_base(Arc::clone(&base));
-        let sibling_cache = ComposeCache::with_base(Arc::clone(&base), 1 << 10);
-        sibling.proj_ground(gb(), p(12));
-        let other = sibling.freeze(&sibling_cache);
-        assert!(other.extends(&base));
-        assert!(other.extends(&refrozen), "later sibling subsumes earlier");
-        assert!(!refrozen.extends(&other));
-        // An unrelated flat freeze roots another slab: it never
-        // extends, even with identical content.
-        let unrelated = warm_base();
-        assert_eq!(unrelated.len(), base.len());
-        assert!(!unrelated.extends(&base), "different slab, no extension");
+        // s : (? → ?) ⇒ (Bool → Bool), shared; o, each overlay's own,
+        // goes back.
+        let fun_b = |a: &mut CoercionArena, q: Label, back: bool| {
+            let (inj, proj) = (a.inj_ground(gb()), a.proj_ground(gb(), q));
+            let (dom, cod) = if back { (proj, inj) } else { (inj, proj) };
+            a.fun(dom, cod)
+        };
+        let overlay = |q: Label, own_first: bool| {
+            let mut arena = CoercionArena::with_base(Arc::clone(&base));
+            let mut cache = ComposeCache::with_base(Arc::clone(&base), 1 << 10);
+            let o = own_first.then(|| fun_b(&mut arena, q, true));
+            let s = fun_b(&mut arena, p(20), false);
+            let o = o.unwrap_or_else(|| fun_b(&mut arena, q, true));
+            arena.compose(&mut cache, s, o);
+            (arena, cache, (s, o))
+        };
+        let (left, lcache, lpair) = overlay(p(21), false);
+        let (right, rcache, rpair) = overlay(p(22), true);
+        assert!(rpair.1 < rpair.0 && lpair.0.index() >= base.len());
+
+        let first = Arc::new(left.freeze(&lcache));
+        // The nodes of right's that the first view lacks.
+        let mut probe = CoercionArena::with_base(Arc::clone(&first));
+        let trees: Vec<SpaceCoercion> = (base.len()..right.len())
+            .map(|i| right.resolve(CoercionId(i as u32)))
+            .collect();
+        for t in &trees {
+            probe.intern(t);
+        }
+        let second = Arc::new(right.freeze(&rcache));
+        assert_eq!(second.len() - first.len(), probe.local_len());
+        assert!(probe.local_len() < right.local_len(), "shared nodes dedup");
+        // Freezes append: each view extends the ones before it, and
+        // only those. A flat freeze roots another slab.
+        assert!(second.extends(&first) && second.extends(&base) && first.extends(&base));
+        assert!(first.extends(&first) && !first.extends(&second) && !base.extends(&first));
+        assert!(!warm_base().extends(&base));
+
+        let mut fresh = CoercionArena::with_base(Arc::clone(&second));
+        let mut cache = ComposeCache::with_base(Arc::clone(&second), 1 << 10);
+        for t in &trees {
+            let id = fresh.intern(t);
+            assert!(id.index() < second.len(), "{t} is a base node");
+            assert_eq!(fresh.resolve(id), *t);
+        }
+        for ((s, o), arena) in [(lpair, &left), (rpair, &right)] {
+            let (s, o) = (arena.resolve(s), arena.resolve(o));
+            let (fs, fo) = (fresh.intern(&s), fresh.intern(&o));
+            let r = fresh.compose(&mut cache, fs, fo);
+            assert_eq!(fresh.resolve(r), compose(&s, &o));
+        }
+        assert_eq!(fresh.local_len(), 0);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 0, "{stats:?}");
+        assert_eq!(stats.base_hits, 2);
     }
 
     #[test]

@@ -851,7 +851,16 @@ impl CodeBuilder {
 /// A coercion arena, type arena, and compose cache bundled together —
 /// everything a compiled program needs to evaluate. The one-stop state
 /// for callers that would otherwise thread three `&mut`s.
-#[derive(Debug, Clone, Default)]
+///
+/// A context is not `Clone`: the cache's ids belong to this arena, and
+/// a copy of the pair would be a second id-space that the cache's
+/// generation guard rejects.
+///
+/// ```compile_fail
+/// let ctx = bc_core::CompileCtx::new();
+/// let _copy = ctx.clone();
+/// ```
+#[derive(Debug, Default)]
 pub struct CompileCtx {
     /// The coercion interner.
     pub arena: CoercionArena,

@@ -44,15 +44,12 @@
 //!
 //! # Tiered interning
 //!
-//! For parallel serving, a warm arena can be **frozen**
-//! ([`TypeArena::freeze`]) into an immutable, `Send + Sync`
-//! [`FrozenTypes`] snapshot, and any number of **overlay** arenas
-//! ([`TypeArena::with_base`]) layered over one `Arc` of it. An
-//! overlay consults the base first on every intern and every
-//! memoized query, and interns only genuinely new nodes locally,
-//! with ids offset past the base — so N worker threads share one
-//! warm working set and the invariants above hold per overlay (base
-//! ids mean the same type in all of them).
+//! The nodes live in a two-tier [`crate::slab::Store`]: a warm arena
+//! **freezes** ([`TypeArena::freeze`]) into a `Send + Sync`
+//! [`FrozenTypes`] view, which any number of **overlay** arenas
+//! ([`TypeArena::with_base`]) consult first on every intern and every
+//! memoized query. So N worker threads share one warm working set,
+//! and the invariants above hold per overlay.
 //!
 //! ```
 //! use bc_syntax::{Type, TypeArena};
@@ -68,15 +65,12 @@
 //! assert!(types.query_stats().hits >= 1);
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasher;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::clock::ClockMap;
-use crate::fxhash::FxBuildHasher;
 use crate::label::Label;
-use crate::slab::{AppendLog, AtomicIndex};
+use crate::slab::{Frozen, Node, Store};
 use crate::types::{BaseType, Ground, Type};
 
 /// A handle to an interned type: a dense index into a [`TypeArena`].
@@ -113,7 +107,7 @@ pub enum TNode {
 
 /// Per-node facts computed once at interning time.
 #[derive(Debug, Clone, Copy)]
-struct TypeMeta {
+pub struct TypeMeta {
     height: u32,
     size: u64,
     /// Lemma 1: the unique ground type compatible with the node
@@ -141,7 +135,7 @@ pub struct QueryStats {
 /// The five memoized relations — `∼` plus the four subtyping
 /// relations of Figure 2 — as memo-table tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Rel {
+pub enum Rel {
     /// Compatibility `A ∼ B` (keys canonically ordered: symmetric).
     Compat,
     /// Ordinary subtyping `A <: B`.
@@ -154,197 +148,74 @@ enum Rel {
     Naive,
 }
 
-/// The append-only concurrent storage behind every [`FrozenTypes`]
-/// view: type nodes, their metadata, the hash-cons index, and the
-/// consolidated verdict table, all in [`AppendLog`]s probed through
-/// [`AtomicIndex`]es.
-///
-/// One slab is shared by an entire epoch *lineage*: freezing an
-/// overlay built over a view of this slab **appends** the overlay's
-/// genuinely new rows (O(overlay)) instead of copying the base
-/// (O(base)), and the resulting view is just a pair of larger
-/// watermarks over the same storage. Entries below a published
-/// watermark are immutable and pointer-stable forever, so superseded
-/// views stay valid while newer ones grow past them. Readers never
-/// lock; the `writer` mutex only serializes appenders.
-struct TypeSlab {
-    nodes: AppendLog<TNode>,
-    meta: AppendLog<TypeMeta>,
-    node_index: AtomicIndex,
-    /// The consolidated verdict table, as append-ordered rows (the
-    /// base tier never evicts, so it needs no clock — only an index).
-    verdicts: AppendLog<((Rel, TypeId, TypeId), bool)>,
-    verdict_index: AtomicIndex,
-    hasher: FxBuildHasher,
-    /// Serializes appenders (freezes of overlays over this slab).
-    /// Readers never take it.
-    writer: Mutex<()>,
-}
+/// A memoized verdict's key: the relation and its operands
+/// (compatibility operands stored with `a <= b`).
+type VerdictKey = (Rel, TypeId, TypeId);
 
-impl TypeSlab {
-    fn new() -> TypeSlab {
-        TypeSlab {
-            nodes: AppendLog::new(),
-            meta: AppendLog::new(),
-            node_index: AtomicIndex::new(),
-            verdicts: AppendLog::new(),
-            verdict_index: AtomicIndex::new(),
-            hasher: FxBuildHasher::default(),
-            writer: Mutex::new(()),
+impl Node for TNode {
+    type Meta = TypeMeta;
+    type Key = VerdictKey;
+    type Value = bool;
+
+    fn compute_meta(self, store: &Store<TNode>) -> TypeMeta {
+        let leaf = |ground| TypeMeta {
+            height: 1,
+            size: 1,
+            ground_of: ground,
+            as_ground: ground,
+        };
+        match self {
+            TNode::Base(b) => leaf(Some(Ground::Base(b))),
+            TNode::Dyn => leaf(None),
+            TNode::Fun(a, b) => {
+                let (ma, mb) = (store.meta(a.0), store.meta(b.0));
+                TypeMeta {
+                    height: ma.height.max(mb.height).saturating_add(1),
+                    size: ma.size.saturating_add(mb.size).saturating_add(1),
+                    ground_of: Some(Ground::Fun),
+                    as_ground: (store.node(a.0) == TNode::Dyn && store.node(b.0) == TNode::Dyn)
+                        .then_some(Ground::Fun),
+                }
+            }
         }
     }
 
-    /// Lock-free hash-cons probe for `node` among slab ids below
-    /// `below` (a watermark, or `usize::MAX` for a writer-side probe
-    /// that must see everything).
-    fn probe_node(&self, node: &TNode, below: usize) -> Option<TypeId> {
-        let hash = self.hasher.hash_one(node);
-        self.node_index
-            .get(hash, |id| {
-                (id as usize) < below && *self.nodes.get(id as usize) == *node
-            })
-            .map(TypeId)
+    fn map_ids(self, f: impl Fn(u32) -> u32) -> TNode {
+        match self {
+            TNode::Fun(a, b) => TNode::Fun(TypeId(f(a.0)), TypeId(f(b.0))),
+            leaf => leaf,
+        }
     }
 
-    /// Lock-free verdict probe among rows below `below`.
-    fn probe_verdict(&self, key: &(Rel, TypeId, TypeId), below: usize) -> Option<bool> {
-        let hash = self.hasher.hash_one(key);
-        self.verdict_index
-            .get(hash, |row| {
-                (row as usize) < below && self.verdicts.get(row as usize).0 == *key
-            })
-            .map(|row| self.verdicts.get(row as usize).1)
-    }
-
-    /// Appends a node known to be absent (writer lock held, or slab
-    /// not yet shared). The entry is fully written before its index
-    /// slot publishes, per the [`crate::slab`] ordering contract.
-    fn append_node(&self, node: TNode, meta: TypeMeta) -> TypeId {
-        let id = self.nodes.push(node);
-        self.meta.push(meta);
-        self.node_index
-            .insert(self.hasher.hash_one(node), id as u32);
-        TypeId(id as u32)
-    }
-
-    /// Appends a verdict row known to be absent (writer lock held, or
-    /// slab not yet shared).
-    fn append_verdict(&self, key: (Rel, TypeId, TypeId), verdict: bool) {
-        let row = self.verdicts.push((key, verdict));
-        self.verdict_index
-            .insert(self.hasher.hash_one(key), row as u32);
+    fn map_row(
+        ((rel, a, b), verdict): (VerdictKey, bool),
+        f: impl Fn(u32) -> u32,
+    ) -> (VerdictKey, bool) {
+        let (a, b) = (TypeId(f(a.0)), TypeId(f(b.0)));
+        // Compatibility keys are stored canonically ordered.
+        let key = if rel == Rel::Compat && a > b {
+            (rel, b, a)
+        } else {
+            (rel, a, b)
+        };
+        (key, verdict)
     }
 }
 
-/// A frozen, read-only view of a [`TypeArena`] — the shared base tier
-/// of the two-tier interning scheme.
-///
-/// A view is a pair of **watermarks** (nodes, verdict rows) over an
-/// append-only concurrent slab. Freezing a warm flat arena
-/// ([`TypeArena::freeze`]) builds a fresh slab; freezing an *overlay*
-/// **appends** the overlay's genuinely new nodes and verdicts to its
-/// base's slab — O(overlay), not O(base) — and returns a view with
-/// higher watermarks over the same storage. Ids are never re-assigned,
-/// so the new view [`extends`](FrozenTypes::extends) the old one by
-/// construction, and views superseded by later freezes stay valid
-/// forever (their entries are immutable and pointer-stable below their
-/// watermarks). The view is `Send + Sync`; readers below the watermark
-/// are wait-free (no locks — an atomic-word index probe plus a chunked
-/// log load).
-///
-/// # Id-offset contract
-///
-/// Ids `0..len()` denote the frozen nodes and mean the same thing in
-/// *every* overlay built over this base (and in the arena that was
-/// frozen). Ids `>= len()` are overlay-local: each overlay mints its
-/// own, so they are only meaningful within the overlay that created
-/// them — exactly the pre-existing "ids are not meaningful across
-/// arenas" rule, restricted to the local tier.
-#[derive(Clone)]
-pub struct FrozenTypes {
-    slab: Arc<TypeSlab>,
-    /// Nodes visible to this view: slab ids `0..nodes_mark`.
-    nodes_mark: usize,
-    /// Verdict rows visible to this view: rows `0..verdicts_mark`.
-    verdicts_mark: usize,
-}
-
-impl fmt::Debug for FrozenTypes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrozenTypes")
-            .field("nodes", &self.nodes_mark)
-            .field("verdicts", &self.verdicts_mark)
-            .finish()
-    }
-}
-
-impl FrozenTypes {
-    /// Number of frozen type nodes (the id-offset of every overlay
-    /// built over this base).
-    pub fn len(&self) -> usize {
-        self.nodes_mark
-    }
-
-    /// Whether the snapshot holds no nodes (never true: the leaf
-    /// types are pre-interned in every arena).
-    pub fn is_empty(&self) -> bool {
-        self.nodes_mark == 0
-    }
-
-    /// Number of frozen relational verdicts.
-    pub fn verdicts_len(&self) -> usize {
-        self.verdicts_mark
-    }
-
-    /// Whether this snapshot *extends* `other`: every node of `other`
-    /// appears here, at the same id. This is the id-stability
-    /// condition for hot-swapping bases. Because freezing an overlay
-    /// appends to its base's slab and ids are never re-assigned, a
-    /// re-frozen overlay extends its base **by construction**; the
-    /// check is O(1) — same slab, watermarks at least as high —
-    /// instead of the prefix comparison the clone-based design needed.
-    /// Views over different slabs (independent freeze lineages) never
-    /// extend each other.
-    pub fn extends(&self, other: &FrozenTypes) -> bool {
-        Arc::ptr_eq(&self.slab, &other.slab)
-            && other.nodes_mark <= self.nodes_mark
-            && other.verdicts_mark <= self.verdicts_mark
-    }
-
-    /// The node behind a visible id (callers stay below `len()`).
-    fn node_at(&self, i: usize) -> TNode {
-        debug_assert!(i < self.nodes_mark, "read past the view watermark");
-        *self.slab.nodes.get(i)
-    }
-
-    /// The metadata behind a visible id.
-    fn meta_at(&self, i: usize) -> TypeMeta {
-        debug_assert!(i < self.nodes_mark, "read past the view watermark");
-        *self.slab.meta.get(i)
-    }
-
-    /// Hash-cons probe filtered to this view's watermark: a node that
-    /// only exists above it (appended by a later freeze) reads as
-    /// absent, so overlays intern it locally — over-watermark slab
-    /// ids must never leak into a session keyed to this view.
-    fn lookup_node(&self, node: &TNode) -> Option<TypeId> {
-        self.slab.probe_node(node, self.nodes_mark)
-    }
-
-    /// Verdict probe filtered to this view's watermark.
-    fn lookup_verdict(&self, key: &(Rel, TypeId, TypeId)) -> Option<bool> {
-        self.slab.probe_verdict(key, self.verdicts_mark)
-    }
-}
+/// A frozen, read-only view of a [`TypeArena`]: its nodes and memoized
+/// verdicts as the shared base tier of [`TypeArena::with_base`]
+/// overlays (see [`crate::slab`] for the id-offset contract).
+pub type FrozenTypes = Frozen<TNode>;
 
 /// A hash-consing interner for types, with memoized `compatible` and
 /// subtyping queries.
 ///
-/// See the [module docs](self) for the interning invariants. Unlike
-/// the coercion arena's `ComposeCache` (in `bc_core::arena`), the
-/// memo tables live *inside* the arena — they hold only booleans, so
-/// there is no foreign-id hazard to guard against and no reason to let
-/// callers manage their lifetime separately.
+/// See the [module docs](self) for the interning invariants. The
+/// verdict memo lives *inside* the arena, so it can never be asked
+/// about another arena's ids. (The coercion arena's `ComposeCache` in
+/// `bc_core::arena` lives outside its arena, as callers pass it
+/// explicitly, so it carries a generation guard against a foreign
+/// arena instead.)
 ///
 /// # Verdict eviction
 ///
@@ -357,32 +228,17 @@ impl FrozenTypes {
 /// distinct questions and never evict; the cap protects a long-lived
 /// multi-tenant session from unbounded O(n²) pair growth across five
 /// relations.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TypeArena {
-    /// The frozen base tier, when this arena is an overlay: a shared,
-    /// read-only snapshot consulted before the local tier on every
-    /// intern and every memoized query. `None` for a flat arena.
-    base: Option<Arc<FrozenTypes>>,
-    /// `base.len()`, cached (zero for a flat arena): the id offset of
-    /// the local tier.
-    base_len: usize,
-    /// Local (overlay) nodes; global id = `base_len` + local index.
-    nodes: Vec<TNode>,
-    meta: Vec<TypeMeta>,
-    /// The hash-consing index of the *local* tier (the base has its
-    /// own frozen index, probed first). Fx-hashed: keys are one
-    /// discriminant plus at most two u32 ids, so hashing must not
-    /// dominate the probe (interning a type walks this map once per
-    /// node).
-    index: HashMap<TNode, TypeId, FxBuildHasher>,
+    /// The nodes, over the frozen base when this arena is an overlay.
+    store: Store<TNode>,
     /// Memoized verdicts of all five relations, tagged by [`Rel`]
     /// (compatibility keys are stored with `a <= b`: the relation is
     /// symmetric, so one entry serves both orders), behind the shared
-    /// second-chance eviction engine.
-    memo: ClockMap<(Rel, TypeId, TypeId), bool>,
+    /// second-chance eviction engine. An overlay consults its base's
+    /// frozen verdicts first.
+    memo: ClockMap<VerdictKey, bool>,
     stats: QueryStats,
-    /// Node interns answered by the frozen base index.
-    base_node_hits: u64,
 }
 
 impl Default for TypeArena {
@@ -412,14 +268,9 @@ impl TypeArena {
     /// verdict would make every query a miss *and* an eviction).
     pub fn with_memo_capacity(capacity: usize) -> TypeArena {
         let mut arena = TypeArena {
-            base: None,
-            base_len: 0,
-            nodes: Vec::new(),
-            meta: Vec::new(),
-            index: HashMap::default(),
+            store: Store::default(),
             memo: ClockMap::with_capacity(capacity),
             stats: QueryStats::default(),
-            base_node_hits: 0,
         };
         // Pre-intern the leaves every program mentions, so the common
         // constructors below are pure lookups.
@@ -432,7 +283,7 @@ impl TypeArena {
     /// An overlay arena over a frozen base: every intern and every
     /// memoized query consults the (shared, read-only) base first and
     /// touches local state only for genuinely new nodes or verdicts,
-    /// whose ids are offset past the base (see [`FrozenTypes`] for
+    /// whose ids are offset past the base (see [`crate::slab`] for
     /// the id-offset contract). The leaves need no re-interning: they
     /// live in the base of every frozen arena.
     ///
@@ -440,144 +291,44 @@ impl TypeArena {
     ///
     /// Panics if `memo_capacity` is zero.
     pub fn with_base(base: Arc<FrozenTypes>, memo_capacity: usize) -> TypeArena {
-        let base_len = base.len();
         TypeArena {
-            base: Some(base),
-            base_len,
-            nodes: Vec::new(),
-            meta: Vec::new(),
-            index: HashMap::default(),
+            store: Store::with_base(base),
             memo: ClockMap::with_capacity(memo_capacity),
             stats: QueryStats::default(),
-            base_node_hits: 0,
         }
     }
 
     /// Freezes the arena's current state — nodes, metadata, index,
     /// and every memoized verdict — into an immutable, thread-shareable
-    /// view.
-    ///
-    /// A flat arena builds a fresh slab. An **overlay** arena
-    /// *appends* its genuinely new rows to its base's slab —
-    /// O(overlay), regardless of base size — and returns a view with
-    /// higher watermarks over the same storage; the result
-    /// [`extends`](FrozenTypes::extends) the base by construction.
-    /// Appenders over one slab serialize on the slab's writer lock;
-    /// if a sibling overlay froze first, this freeze dedups against
-    /// the sibling's rows (the slab stays hash-consed), and the
-    /// resulting view subsumes both.
+    /// view ([`Store::freeze`]: a flat arena builds a fresh slab, an
+    /// overlay appends to its base's and the result
+    /// [`extends`](Frozen::extends) the base).
     pub fn freeze(&self) -> FrozenTypes {
-        match &self.base {
-            None => self.freeze_flat(),
-            Some(base) => self.freeze_append(base),
-        }
-    }
-
-    /// The flat arena's freeze: its nodes and memoized verdicts, ids
-    /// verbatim, into a fresh slab.
-    fn freeze_flat(&self) -> FrozenTypes {
-        let slab = TypeSlab::new();
-        for (node, meta) in self.nodes.iter().zip(&self.meta) {
-            slab.append_node(*node, *meta);
-        }
-        for (&key, &verdict) in self.memo.iter() {
-            slab.append_verdict(key, verdict);
-        }
-        let nodes_mark = slab.nodes.len();
-        let verdicts_mark = slab.verdicts.len();
-        FrozenTypes {
-            slab: Arc::new(slab),
-            nodes_mark,
-            verdicts_mark,
-        }
-    }
-
-    /// The O(overlay) freeze: appends this overlay's local nodes and
-    /// memoized verdicts to the base's slab (holding its writer lock)
-    /// and returns a view whose watermarks cover the appended rows.
-    ///
-    /// If no sibling grew the slab first, local ids are appended
-    /// verbatim (the common, promotion path). Otherwise local rows are
-    /// *remapped*: children rewritten through the ids their own
-    /// append produced (locals intern bottom-up, so children precede
-    /// parents), nodes deduped against rows a sibling already
-    /// appended, and symmetric compatibility keys re-canonicalized
-    /// under the new ids.
-    fn freeze_append(&self, base: &FrozenTypes) -> FrozenTypes {
-        let slab = &base.slab;
-        let _writer = slab
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut remap: Vec<TypeId> = Vec::with_capacity(self.nodes.len());
-        let map = |id: TypeId, remap: &[TypeId]| -> TypeId {
-            let i = id.index();
-            if i < self.base_len {
-                id
-            } else {
-                remap[i - self.base_len]
-            }
-        };
-        for (k, node) in self.nodes.iter().enumerate() {
-            let mapped = match *node {
-                TNode::Fun(a, b) => TNode::Fun(map(a, &remap), map(b, &remap)),
-                leaf => leaf,
-            };
-            // Writer-side probe: unfiltered, so sibling-appended rows
-            // above our base watermark dedup instead of duplicating.
-            let id = match slab.probe_node(&mapped, usize::MAX) {
-                Some(id) => id,
-                // Metadata is id-free (heights, sizes, groundings), so
-                // the session's copy is valid for the remapped node.
-                None => slab.append_node(mapped, self.meta[k]),
-            };
-            remap.push(id);
-        }
-        for (&(rel, a, b), &verdict) in self.memo.iter() {
-            let (ma, mb) = (map(a, &remap), map(b, &remap));
-            // Compatibility keys are stored canonically ordered; the
-            // remap can flip the order of a mixed-tier pair.
-            let key = if rel == Rel::Compat && ma > mb {
-                (rel, mb, ma)
-            } else {
-                (rel, ma, mb)
-            };
-            match slab.probe_verdict(&key, usize::MAX) {
-                Some(prev) => debug_assert_eq!(
-                    prev, verdict,
-                    "conflicting verdict for {key:?}: relations are pure"
-                ),
-                None => slab.append_verdict(key, verdict),
-            }
-        }
-        FrozenTypes {
-            slab: Arc::clone(&base.slab),
-            nodes_mark: slab.nodes.len(),
-            verdicts_mark: slab.verdicts.len(),
-        }
+        self.store
+            .freeze(self.memo.iter().map(|(&key, &verdict)| (key, verdict)))
     }
 
     /// Number of distinct type nodes interned (both tiers).
     pub fn len(&self) -> usize {
-        self.base_len + self.nodes.len()
+        self.store.len()
     }
 
     /// Number of nodes in the frozen base tier (zero for a flat
     /// arena).
     pub fn base_len(&self) -> usize {
-        self.base_len
+        self.store.base_len()
     }
 
     /// Number of nodes interned *locally*, past the base tier. For an
     /// overlay serving inputs the base was warmed on, this staying at
     /// zero is the base-sharing guarantee.
     pub fn local_len(&self) -> usize {
-        self.nodes.len()
+        self.store.local_len()
     }
 
     /// Node interns answered by the frozen base index.
     pub fn base_node_hits(&self) -> u64 {
-        self.base_node_hits
+        self.store.stats().base_hits
     }
 
     /// Whether nothing has been interned (never true: the leaf types
@@ -608,67 +359,7 @@ impl TypeArena {
     /// the id of the unique stored copy — from the frozen base when
     /// the node is already there, locally otherwise.
     pub fn intern_node(&mut self, node: TNode) -> TypeId {
-        if let Some(base) = &self.base {
-            if let Some(id) = base.lookup_node(&node) {
-                self.base_node_hits += 1;
-                return id;
-            }
-        }
-        if let Some(&id) = self.index.get(&node) {
-            return id;
-        }
-        let id = TypeId(
-            u32::try_from(self.base_len + self.nodes.len())
-                .expect("more than u32::MAX distinct types"),
-        );
-        let meta = self.compute_meta(&node);
-        self.nodes.push(node);
-        self.meta.push(meta);
-        self.index.insert(node, id);
-        id
-    }
-
-    /// Per-node metadata across both tiers.
-    fn meta_of(&self, id: TypeId) -> TypeMeta {
-        let i = id.index();
-        if i < self.base_len {
-            self.base
-                .as_ref()
-                .expect("base ids imply a base")
-                .meta_at(i)
-        } else {
-            self.meta[i - self.base_len]
-        }
-    }
-
-    fn compute_meta(&self, node: &TNode) -> TypeMeta {
-        match node {
-            TNode::Base(b) => TypeMeta {
-                height: 1,
-                size: 1,
-                ground_of: Some(Ground::Base(*b)),
-                as_ground: Some(Ground::Base(*b)),
-            },
-            TNode::Dyn => TypeMeta {
-                height: 1,
-                size: 1,
-                ground_of: None,
-                as_ground: None,
-            },
-            TNode::Fun(a, b) => {
-                let (ma, mb) = (self.meta_of(*a), self.meta_of(*b));
-                TypeMeta {
-                    height: ma.height.max(mb.height).saturating_add(1),
-                    size: ma.size.saturating_add(mb.size).saturating_add(1),
-                    ground_of: Some(Ground::Fun),
-                    as_ground: if self.node(*a) == TNode::Dyn && self.node(*b) == TNode::Dyn {
-                        Some(Ground::Fun)
-                    } else {
-                        None
-                    },
-                }
-            }
-        }
+        TypeId(self.store.intern_node(node))
     }
 
     /// Interns a tree type (recursively interning function children),
@@ -694,15 +385,7 @@ impl TypeArena {
     /// Panics if the id came from a different arena and is out of
     /// bounds (ids are only meaningful within their own arena).
     pub fn node(&self, id: TypeId) -> TNode {
-        let i = id.index();
-        if i < self.base_len {
-            self.base
-                .as_ref()
-                .expect("base ids imply a base")
-                .node_at(i)
-        } else {
-            self.nodes[i - self.base_len]
-        }
+        self.store.node(id.0)
     }
 
     /// Rebuilds the tree form of an interned type (the exchange
@@ -771,14 +454,14 @@ impl TypeArena {
 
     /// The height of the type (precomputed; O(1)).
     pub fn height(&self, id: TypeId) -> usize {
-        self.meta_of(id).height as usize
+        self.store.meta(id.0).height as usize
     }
 
     /// The number of syntax nodes of the type's tree form
     /// (precomputed; O(1)). Saturates for DAG-shaped types built via
     /// the id-level [`TypeArena::fun`] constructor.
     pub fn size(&self, id: TypeId) -> usize {
-        usize::try_from(self.meta_of(id).size).unwrap_or(usize::MAX)
+        usize::try_from(self.store.meta(id.0).size).unwrap_or(usize::MAX)
     }
 
     /// Whether the type is the dynamic type `?` (O(1)).
@@ -789,13 +472,13 @@ impl TypeArena {
     /// The unique ground type compatible with the type, per Lemma 1
     /// (precomputed; O(1)). `None` exactly when the type is `?`.
     pub fn ground_of(&self, id: TypeId) -> Option<Ground> {
-        self.meta_of(id).ground_of
+        self.store.meta(id.0).ground_of
     }
 
     /// `Some(G)` when the type *is* the ground type `G` (precomputed;
     /// O(1)); contrast with [`TypeArena::ground_of`].
     pub fn as_ground(&self, id: TypeId) -> Option<Ground> {
-        self.meta_of(id).as_ground
+        self.store.meta(id.0).as_ground
     }
 
     /// Whether the type is a ground type (O(1)).
@@ -879,8 +562,8 @@ impl TypeArena {
 
     /// A verdict answered by the frozen base tier, if there is one
     /// (counting it as a hit).
-    fn base_verdict(&mut self, key: &(Rel, TypeId, TypeId)) -> Option<bool> {
-        let r = self.base.as_ref()?.lookup_verdict(key)?;
+    fn base_verdict(&mut self, key: &VerdictKey) -> Option<bool> {
+        let r = self.store.base()?.lookup_memo(key)?;
         self.stats.hits += 1;
         self.stats.base_hits += 1;
         Some(r)
@@ -1201,7 +884,7 @@ mod tests {
         }
         let base = Arc::new(warm.freeze());
         assert_eq!(base.len(), warm.len());
-        assert!(base.verdicts_len() > 0);
+        assert!(base.memo_len() > 0);
 
         let mut overlay = TypeArena::with_base(base, 1 << 10);
         assert_eq!(overlay.base_len(), warm.len());
@@ -1317,37 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn refreezing_an_overlay_extends_its_base() {
-        let mut warm = TypeArena::new();
-        warm.intern(&Type::fun(Type::INT, Type::INT));
-        let base = Arc::new(warm.freeze());
-        let mut overlay = TypeArena::with_base(Arc::clone(&base), 1 << 10);
-        overlay.intern(&Type::fun(Type::BOOL, Type::BOOL));
-        let refrozen = overlay.freeze();
-        // Appending preserves base ids verbatim: the new snapshot
-        // extends the old (and itself), which is what lets a pool
-        // hot-swap bases without invalidating outstanding ids.
-        assert!(refrozen.extends(&base));
-        assert!(refrozen.extends(&refrozen));
-        assert!(!base.extends(&refrozen), "extension is strictly larger");
-        // A sibling freezing *after* refrozen appends onto the same
-        // slab: freezes over one base serialize into one id space, so
-        // the later view subsumes the earlier one (but not vice
-        // versa).
-        let mut sibling = TypeArena::with_base(Arc::clone(&base), 1 << 10);
-        sibling.intern(&Type::fun(Type::DYN, Type::BOOL));
-        let other = sibling.freeze();
-        assert!(other.extends(&base));
-        assert!(other.extends(&refrozen), "later sibling subsumes earlier");
-        assert!(!refrozen.extends(&other));
-        // An unrelated flat freeze roots another slab: it never
-        // extends, even with identical content.
-        let unrelated = warm.freeze();
-        assert_eq!(unrelated.len(), base.len());
-        assert!(!unrelated.extends(&base), "different slab, no extension");
-    }
-
-    #[test]
     fn sibling_overlays_diverge_independently() {
         // Two overlays over one base each mint their own local ids;
         // neither sees the other's nodes, and base ids stay shared.
@@ -1364,6 +1016,67 @@ mod tests {
         assert_eq!(right.resolve(r), Type::fun(Type::DYN, Type::BOOL));
         assert_eq!(left.intern(&Type::fun(Type::INT, Type::INT)), shared);
         assert_eq!(right.intern(&Type::fun(Type::INT, Type::INT)), shared);
+    }
+
+    #[test]
+    fn sibling_freezes_remap_local_ids() {
+        // Two overlays over one base intern the same nested novel type
+        // (local children) and one type of their own, and memoize a
+        // verdict over two local ids. `right` interns its own type
+        // first, so once `left` has frozen the shared nodes below it,
+        // the remap flips the order of right's compatibility key.
+        let base = Arc::new(TypeArena::new().freeze());
+        let shared = Type::fun(Type::fun(Type::BOOL, Type::INT), Type::BOOL);
+        let (own_l, own_r) = (
+            Type::fun(Type::INT, Type::BOOL),
+            Type::fun(Type::fun(Type::INT, Type::INT), Type::BOOL),
+        );
+        let mut left = TypeArena::with_base(Arc::clone(&base), 1 << 10);
+        let (sl, ol) = (left.intern(&shared), left.intern(&own_l));
+        assert!(!left.subtype(sl, ol));
+        let mut right = TypeArena::with_base(Arc::clone(&base), 1 << 10);
+        let (or, sr) = (right.intern(&own_r), right.intern(&shared));
+        assert!(!right.compatible(or, sr));
+        assert!(or < sr && sl.index() >= base.len());
+
+        let first = Arc::new(left.freeze());
+        // The nodes of right's that the first view lacks.
+        let mut probe = TypeArena::with_base(Arc::clone(&first), 1 << 10);
+        let trees: Vec<Type> = (base.len()..right.len())
+            .map(|i| right.resolve(TypeId(i as u32)))
+            .collect();
+        for t in &trees {
+            probe.intern(t);
+        }
+        let second = Arc::new(right.freeze());
+        assert_eq!(second.len() - first.len(), probe.local_len());
+        assert!(probe.local_len() < right.local_len(), "shared nodes dedup");
+        // Freezes append: each view extends the ones before it, and
+        // only those. A flat freeze roots another slab, so it extends
+        // nothing, even with identical content.
+        assert!(second.extends(&first) && second.extends(&base) && first.extends(&base));
+        assert!(first.extends(&first));
+        assert!(!first.extends(&second) && !base.extends(&first));
+        assert!(!TypeArena::new().freeze().extends(&base));
+
+        let mut fresh = TypeArena::with_base(Arc::clone(&second), 1 << 10);
+        for t in &trees {
+            let id = fresh.intern(t);
+            assert!(id.index() < second.len(), "{t} is a base node");
+            assert_eq!(fresh.resolve(id), *t);
+        }
+        let (s, ol, or) = (
+            fresh.intern(&shared),
+            fresh.intern(&own_l),
+            fresh.intern(&own_r),
+        );
+        assert!(or > s, "the remap flipped the pair's order");
+        assert!(!fresh.compatible(or, s) && !fresh.compatible(s, or));
+        assert!(!fresh.subtype(s, ol));
+        assert_eq!(fresh.local_len(), 0);
+        let stats = fresh.query_stats();
+        assert_eq!(stats.misses, 0, "{stats:?}");
+        assert_eq!(stats.base_hits, 3);
     }
 
     #[test]

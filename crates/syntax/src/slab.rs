@@ -1,7 +1,24 @@
-//! Append-only concurrent storage primitives for the frozen base
-//! tier.
+//! The two-tier hash-consing store behind `TypeArena` and
+//! `CoercionArena`, and the append-only concurrent primitives it is
+//! built from.
 //!
-//! Two building blocks live here, both written in safe Rust (the
+//! [`Store`] interns [`Node`]s: it stores each distinct node once and
+//! names it by a dense `u32` id. A store is either *flat* or an
+//! *overlay* over a [`Frozen`] base, a shared, read-only view that any
+//! number of overlays (one per worker) consult before their own local
+//! tier. [`Store::freeze`] turns a store, together with the memo rows
+//! its owner keeps beside it (type verdicts, composition pairs), into a
+//! new view.
+//!
+//! **Id-offset contract.** Ids `0..base.len()` denote frozen nodes and
+//! mean the same node in every overlay over that base (and in the
+//! store that was frozen). Ids `>= base.len()` are overlay-local: each
+//! overlay mints its own, so they mean something only in the overlay
+//! that made them. Freezing an overlay appends its new rows past the
+//! base, so the new view [`extends`](Frozen::extends) the base and every
+//! base id keeps its meaning.
+//!
+//! Two building blocks live here too, both written in safe Rust (the
 //! crate forbids `unsafe`):
 //!
 //! * [`AppendLog`] — a chunked, pointer-stable, append-only vector.
@@ -29,8 +46,13 @@
 //! words, so a visible id always dereferences to a fully-written
 //! entry.
 
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::fxhash::FxBuildHasher;
 
 /// Number of chunks in an [`AppendLog`] spine / tables in an
 /// [`AtomicIndex`] chain. Chunk `k` holds `BASE_CAP << k` entries, so
@@ -249,6 +271,334 @@ impl std::fmt::Debug for AtomicIndex {
         f.debug_struct("AtomicIndex")
             .field("tables", &(self.active.load(Ordering::Relaxed) + 1))
             .finish()
+    }
+}
+
+/// A hash-consed node kind a [`Store`] holds: `Copy` data whose
+/// children are ids of the same store, with the per-node metadata and
+/// the memo rows frozen beside the nodes.
+pub trait Node: Copy + Eq + Hash + fmt::Debug {
+    /// Facts computed once per node when it is interned. They must not
+    /// mention ids, so that a node's metadata stays valid when an
+    /// append freeze rewrites its children.
+    type Meta: Copy + fmt::Debug;
+    /// The key of a memo row (a verdict's relation and operands, a
+    /// composition's operand pair).
+    type Key: Copy + Eq + Hash + fmt::Debug;
+    /// The memoized answer.
+    type Value: Copy + PartialEq + fmt::Debug;
+
+    /// This node's metadata, from its children's entries in `store`.
+    fn compute_meta(self, store: &Store<Self>) -> Self::Meta;
+
+    /// This node with every child id rewritten through `f`.
+    fn map_ids(self, f: impl Fn(u32) -> u32) -> Self;
+
+    /// The key-remap hook: a memo row with every id rewritten through
+    /// `f`. An append freeze keeps base ids and appends local nodes in
+    /// interning order, but a local node that a sibling froze first
+    /// dedups to the sibling's earlier row. So two local ids can swap
+    /// order (never a base id and a local id: every remapped id lies
+    /// past the base), and a key stored in a canonical order must be
+    /// put back in it here.
+    fn map_row(row: (Self::Key, Self::Value), f: impl Fn(u32) -> u32) -> (Self::Key, Self::Value);
+}
+
+/// The append-only storage behind every [`Frozen`] view: nodes, their
+/// metadata and the memo rows, in [`AppendLog`]s probed through
+/// [`AtomicIndex`]es. One slab serves a whole lineage of views:
+/// readers never lock, and the `writer` mutex only serializes freezes.
+#[derive(Debug)]
+struct Slab<N: Node> {
+    nodes: AppendLog<N>,
+    meta: AppendLog<N::Meta>,
+    node_index: AtomicIndex,
+    memo: AppendLog<(N::Key, N::Value)>,
+    memo_index: AtomicIndex,
+    hasher: FxBuildHasher,
+    writer: Mutex<()>,
+}
+
+impl<N: Node> Slab<N> {
+    /// Hash-cons probe among slab ids below `below` (a view's
+    /// watermark, or `usize::MAX` for a writer that must see all).
+    fn probe_node(&self, node: &N, below: usize) -> Option<u32> {
+        let hash = self.hasher.hash_one(node);
+        self.node_index.get(hash, |id| {
+            (id as usize) < below && *self.nodes.get(id as usize) == *node
+        })
+    }
+
+    /// Memo probe among rows below `below`.
+    fn probe_memo(&self, key: &N::Key, below: usize) -> Option<N::Value> {
+        let hash = self.hasher.hash_one(key);
+        self.memo_index
+            .get(hash, |row| {
+                (row as usize) < below && self.memo.get(row as usize).0 == *key
+            })
+            .map(|row| self.memo.get(row as usize).1)
+    }
+}
+
+/// A frozen, read-only view of a [`Store`]: the shared base tier.
+///
+/// A view is two watermarks (nodes, memo rows) over an append-only
+/// slab that later freezes grow past it. Rows below a watermark never
+/// change or move, so superseded views stay valid. `Send + Sync`;
+/// reads are wait-free.
+#[derive(Debug, Clone)]
+pub struct Frozen<N: Node> {
+    slab: Arc<Slab<N>>,
+    len: usize,
+    memo_len: usize,
+}
+
+impl<N: Node> Frozen<N> {
+    /// Number of frozen nodes: the id offset of every overlay over
+    /// this view.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view holds no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of frozen memo rows.
+    pub fn memo_len(&self) -> usize {
+        self.memo_len
+    }
+
+    /// Whether this view *extends* `other`: every node of `other`
+    /// appears here at the same id, the condition for hot-swapping one
+    /// base for another. O(1): the same slab, watermarks at least as
+    /// high.
+    pub fn extends(&self, other: &Frozen<N>) -> bool {
+        Arc::ptr_eq(&self.slab, &other.slab)
+            && other.len <= self.len
+            && other.memo_len <= self.memo_len
+    }
+
+    /// The memoized answer for `key`, among this view's rows.
+    pub fn lookup_memo(&self, key: &N::Key) -> Option<N::Value> {
+        self.slab.probe_memo(key, self.memo_len)
+    }
+
+    fn node_at(&self, i: usize) -> N {
+        debug_assert!(i < self.len, "read past the view watermark");
+        *self.slab.nodes.get(i)
+    }
+
+    fn meta_at(&self, i: usize) -> N::Meta {
+        debug_assert!(i < self.len, "read past the view watermark");
+        *self.slab.meta.get(i)
+    }
+}
+
+/// Node-interning counters of a [`Store`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InternStats {
+    /// Interns answered by a node already stored, in either tier.
+    pub hits: u64,
+    /// Interns that stored a new node.
+    pub misses: u64,
+    /// The subset of [`InternStats::hits`] answered by the frozen
+    /// base (always zero for a flat store).
+    pub base_hits: u64,
+}
+
+/// A two-tier hash-consing store: an optional [`Frozen`] base,
+/// consulted first, and a local tier that holds only the nodes the
+/// base lacks, with ids offset past it (see the
+/// [module docs](self) for the id-offset contract).
+#[derive(Debug)]
+pub struct Store<N: Node> {
+    base: Option<Arc<Frozen<N>>>,
+    /// `base.len()`, cached (zero for a flat store).
+    base_len: usize,
+    /// Local nodes; id = `base_len` + local index. Children precede
+    /// their parents.
+    nodes: Vec<N>,
+    meta: Vec<N::Meta>,
+    /// The local tier's hash-cons index. Fx-hashed: keys are a
+    /// discriminant or two plus at most two ids, so hashing must not
+    /// dominate the probe.
+    index: HashMap<N, u32, FxBuildHasher>,
+    stats: InternStats,
+}
+
+impl<N: Node> Default for Store<N> {
+    fn default() -> Store<N> {
+        Store {
+            base: None,
+            base_len: 0,
+            nodes: Vec::new(),
+            meta: Vec::new(),
+            index: HashMap::default(),
+            stats: InternStats::default(),
+        }
+    }
+}
+
+impl<N: Node> Store<N> {
+    /// An overlay over `base`.
+    pub fn with_base(base: Arc<Frozen<N>>) -> Store<N> {
+        Store {
+            base_len: base.len(),
+            base: Some(base),
+            ..Store::default()
+        }
+    }
+
+    /// The frozen base, for an overlay.
+    pub fn base(&self) -> Option<&Arc<Frozen<N>>> {
+        self.base.as_ref()
+    }
+
+    /// Number of nodes in both tiers.
+    pub fn len(&self) -> usize {
+        self.base_len + self.nodes.len()
+    }
+
+    /// Whether no node is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of nodes in the base (zero for a flat store).
+    pub fn base_len(&self) -> usize {
+        self.base_len
+    }
+
+    /// Number of nodes in the local tier.
+    pub fn local_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Interning counters so far.
+    pub fn stats(&self) -> InternStats {
+        self.stats
+    }
+
+    /// Interns a node whose children are already interned, returning
+    /// the id of its unique copy: from the base when the base holds
+    /// it, locally otherwise.
+    pub fn intern_node(&mut self, node: N) -> u32 {
+        if let Some(base) = &self.base {
+            if let Some(id) = base.slab.probe_node(&node, base.len) {
+                self.stats.hits += 1;
+                self.stats.base_hits += 1;
+                return id;
+            }
+        }
+        if let Some(&id) = self.index.get(&node) {
+            self.stats.hits += 1;
+            return id;
+        }
+        self.stats.misses += 1;
+        let id = u32::try_from(self.len()).expect("more than u32::MAX distinct nodes");
+        let meta = node.compute_meta(self);
+        self.nodes.push(node);
+        self.meta.push(meta);
+        self.index.insert(node, id);
+        id
+    }
+
+    /// The node behind `id`, from whichever tier holds it.
+    pub fn node(&self, id: u32) -> N {
+        let i = id as usize;
+        if i < self.base_len {
+            self.base
+                .as_ref()
+                .expect("base ids imply a base")
+                .node_at(i)
+        } else {
+            self.nodes[i - self.base_len]
+        }
+    }
+
+    /// The metadata of the node behind `id`.
+    pub fn meta(&self, id: u32) -> N::Meta {
+        let i = id as usize;
+        if i < self.base_len {
+            self.base
+                .as_ref()
+                .expect("base ids imply a base")
+                .meta_at(i)
+        } else {
+            self.meta[i - self.base_len]
+        }
+    }
+
+    /// Freezes the nodes, with the owner's memo rows, into a view.
+    ///
+    /// A flat store builds a fresh slab. An overlay appends to its
+    /// base's slab under the writer lock, O(overlay), and the view
+    /// extends the base. If a sibling overlay froze first, local ids
+    /// are remapped bottom-up, nodes the sibling appended dedup to its
+    /// rows, and the view subsumes both.
+    pub fn freeze(&self, memo: impl IntoIterator<Item = (N::Key, N::Value)>) -> Frozen<N> {
+        let slab = match &self.base {
+            Some(base) => Arc::clone(&base.slab),
+            None => Arc::new(Slab {
+                nodes: AppendLog::new(),
+                meta: AppendLog::new(),
+                node_index: AtomicIndex::new(),
+                memo: AppendLog::new(),
+                memo_index: AtomicIndex::new(),
+                hasher: FxBuildHasher::default(),
+                writer: Mutex::new(()),
+            }),
+        };
+        let writer = slab
+            .writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut remap: Vec<u32> = Vec::with_capacity(self.nodes.len());
+        let map = |id: u32, remap: &[u32]| match (id as usize).checked_sub(self.base_len) {
+            Some(local) => remap[local],
+            None => id,
+        };
+        for (node, meta) in self.nodes.iter().zip(&self.meta) {
+            let node = node.map_ids(|id| map(id, &remap));
+            // Unfiltered: rows a sibling appended past our base dedup
+            // instead of duplicating.
+            let id = match slab.probe_node(&node, usize::MAX) {
+                Some(id) => id,
+                None => {
+                    // Checked before the push, so a failure leaves the
+                    // slab's logs in step.
+                    let id = u32::try_from(slab.nodes.len()).expect("more than u32::MAX nodes");
+                    slab.nodes.push(node);
+                    slab.meta.push(*meta);
+                    slab.node_index.insert(slab.hasher.hash_one(node), id);
+                    id
+                }
+            };
+            remap.push(id);
+        }
+        for row in memo {
+            let (key, value) = N::map_row(row, |id| map(id, &remap));
+            match slab.probe_memo(&key, usize::MAX) {
+                Some(prev) => debug_assert_eq!(
+                    prev, value,
+                    "conflicting memo rows for {key:?}: memoized answers are pure"
+                ),
+                None => {
+                    let row = u32::try_from(slab.memo.len()).expect("more than u32::MAX rows");
+                    slab.memo.push((key, value));
+                    slab.memo_index.insert(slab.hasher.hash_one(key), row);
+                }
+            }
+        }
+        let (len, memo_len) = (slab.nodes.len(), slab.memo.len());
+        drop(writer);
+        Frozen {
+            slab,
+            len,
+            memo_len,
+        }
     }
 }
 

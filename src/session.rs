@@ -207,8 +207,8 @@ macro_rules! small_step_run_error {
 /// **Id-offset contract**: ids below the frozen lengths denote
 /// snapshot nodes and mean the same thing in every session built over
 /// this base; each worker's locally interned ids start past them and
-/// are private to that worker (see `bc_syntax::intern::FrozenTypes`
-/// and `bc_core::arena::FrozenCoercions`).
+/// are private to that worker (see `bc_syntax::slab`, the store both
+/// frozen tiers are views of).
 #[derive(Debug)]
 pub struct FrozenBase {
     types: Arc<FrozenTypes>,
@@ -228,12 +228,12 @@ impl FrozenBase {
 
     /// Number of frozen composition pairs.
     pub fn compose_pairs(&self) -> usize {
-        self.coercions.pairs_len()
+        self.coercions.memo_len()
     }
 
     /// Number of frozen relational verdicts.
     pub fn verdicts(&self) -> usize {
-        self.types.verdicts_len()
+        self.types.memo_len()
     }
 
     /// Whether this base *extends* `other`: both frozen tiers are
