@@ -48,14 +48,14 @@
 //!
 //! # The compiled term IR
 //!
-//! [`sterm`] extends the same move to whole terms: [`sterm::STerm`]
-//! mirrors [`Term`] with `Coerce` nodes holding [`arena::CoercionId`]
-//! and type annotations holding `bc_syntax` [`bc_syntax::TypeId`]
-//! handles, lowered once by [`sterm::compile_term`]. Compiled programs
-//! are stored as [`sterm::SCode`]: one flat node array with de Bruijn
-//! variables, which the λS CEK machine runs in place, so a boundary
-//! crossing performs zero interning and zero coercion allocation — an
-//! id load plus a cached O(1) merge.
+//! [`sterm`] extends the same move to whole terms. Compiled programs
+//! are lowered straight from λB to [`sterm::SCode`]: one flat node
+//! array with de Bruijn variables, [`arena::CoercionId`] coercions and
+//! `bc_syntax` [`bc_syntax::TypeId`] annotations, which both λS engines
+//! run in place, so a boundary crossing performs zero interning and
+//! zero coercion allocation — an id load plus a cached O(1) merge.
+//! [`sterm::STerm`], the named tree over the same ids, is only a
+//! read-back and decoding form; nothing type checks it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,8 +11,10 @@
 //! [`STerm`] is the same term with `Coerce` holding a `Copy`
 //! [`CoercionId`] and type annotations holding `Copy` [`TypeId`]s, both
 //! minted once by [`compile_term`]. It keeps binder and variable
-//! *names*: the interned type checker runs on it, and the λS engines
-//! read their results back into it. No engine rewrites it.
+//! *names*. Nothing type checks it — a program is checked as λB and
+//! lowered straight to [`SCode`] — and no engine rewrites it: the λS
+//! small-step reads a run's value back into it, and [`SCode::decode`]
+//! rebuilds it for the tests and tools that decompile a block.
 //!
 //! [`SCode`] is the form a compiled program is stored and executed in:
 //! one immutable node array per program. Children are `u32` offsets
@@ -72,9 +74,9 @@ use crate::term::Term;
 ///
 /// Ids are only meaningful together with the [`CoercionArena`] and
 /// [`TypeArena`] that [`compile_term`] interned them into. The spine
-/// is `Rc`, and therefore not `Send`. It is the form a program is type
-/// checked in and a run's value is read back into; programs are stored
-/// and run as the flat [`SCode`].
+/// is `Rc`, and therefore not `Send`. It is the form a λS small-step
+/// run's value is read back into; programs are stored and run as the
+/// flat [`SCode`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum STerm {
     /// A constant `k`.

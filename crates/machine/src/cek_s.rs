@@ -321,11 +321,11 @@ fn exec_slice(
         })
     };
     loop {
-        // THE fuel-unit invariant: fuel, slice budgets, and
+        // THE fuel-unit invariant: fuel, slices, and
         // `Metrics::steps` all count the same unit — one machine
         // transition — and the check happens before a transition
         // commits. Everything above (the pool's WARMUP_RUN_FUEL cap,
-        // the scheduler's SliceBudget, FuelExhausted step reports)
+        // the pool's 4 096-step slices, FuelExhausted step reports)
         // relies on this 1:1 accounting; the λB/λC machines and the
         // small-step engines enforce the same order.
         if m.s.metrics.steps >= fuel {

@@ -47,7 +47,7 @@ pub enum AuditOutcome {
     DeadlineExceeded,
     /// The submitter canceled the job.
     Canceled,
-    /// The serving worker panicked mid-job (and respawned).
+    /// The serving worker panicked mid-job (and restarted).
     WorkerPanicked,
     /// Backpressure refused the submission before it entered a queue.
     Rejected,

@@ -144,17 +144,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Acquire),
         }
     }
-
-    /// Folds a snapshot (from this or any other histogram) into this
-    /// one — how per-shard histograms merge into a pool-wide view.
-    pub fn absorb(&self, snapshot: &HistogramSnapshot) {
-        for (bucket, &count) in self.buckets.iter().zip(&snapshot.buckets) {
-            if count > 0 {
-                bucket.fetch_add(count, Ordering::Release);
-            }
-        }
-        self.sum.fetch_add(snapshot.sum, Ordering::Release);
-    }
 }
 
 /// An owned, mergeable view of a [`Histogram`].

@@ -13,7 +13,7 @@
 //! → resume → resolve) on the same pool: million-step spinners are
 //! submitted *ahead* of convergent jobs, yet the convergent jobs all
 //! beat their wall-clock deadlines because each spinner is preempted
-//! every `SliceBudget` steps; one spinner is canceled mid-flight and
+//! every 4 096 steps; one spinner is canceled mid-flight and
 //! the rest burn their fuel in round-robin slices.
 //!
 //! ```sh

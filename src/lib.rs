@@ -76,7 +76,7 @@
 //! source compiles once per worker. A [`Program`] never leaves the
 //! session that compiled it. The [`sched`] module makes the serving
 //! preemptive: every machine is resumable, so workers run jobs in
-//! deterministic step-counted slices ([`SliceBudget`]) with
+//! deterministic step-counted slices (4 096 steps each) with
 //! round-robin fairness, wall-clock [`Deadline`]s, cooperative
 //! cancellation, and bounded-queue backpressure — a divergent job
 //! costs its neighbours one slice of latency, never a whole worker.
@@ -106,7 +106,7 @@ pub use pool::{
     JobError, JobHandle, JobOutput, PoolStats, PromotionPolicy, SessionPool, SessionPoolBuilder,
     WorkerStats,
 };
-pub use sched::{Deadline, SliceBudget};
+pub use sched::Deadline;
 pub use session::{
     Engine, FrozenBase, PausedRun, Program, RunError, RunReport, Session, SessionBuilder,
     SessionStats, SliceOutcome, TierStats,

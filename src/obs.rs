@@ -5,11 +5,13 @@
 //!
 //! The bundle is built once at pool construction and shared by
 //! reference through `PoolShared`. Its counter cells are the pool's
-//! only store of counts: [`PoolStats`](crate::PoolStats) reads the
-//! same cells the exposition renders. The hot path touches only
-//! wait-free cells — counter `fetch_add`s, histogram `fetch_add`s —
-//! and the audit ring's short push-only mutex. Gauges (queue depths,
-//! epoch, base hit rates) are *polled*: they are refreshed from a
+//! only store of counts, the interning counts of the worker sessions
+//! included: [`PoolStats`](crate::PoolStats) reads the same cells the
+//! exposition renders. The hot path touches only wait-free cells —
+//! counter `fetch_add`s, histogram `fetch_add`s, the parked-depth
+//! gauge each worker sets at the end of a turn — and the audit ring's
+//! short push-only mutex. The other gauges (queue depths, epoch, base
+//! hit rates) are *polled*: they are refreshed from a
 //! [`PoolStats`](crate::PoolStats) snapshot at render time rather
 //! than written on the job path, so a gauge read costs serving
 //! nothing.
@@ -20,6 +22,7 @@ use std::time::Duration;
 use bc_obs::{AuditOutcome, AuditRecord, AuditSink, Counter, Gauge, Histogram, Registry};
 
 use crate::pool::PoolStats;
+use crate::session::SessionStats;
 
 /// Default retention of the audit ring (records, not bytes): deep
 /// enough that a drain cadence of "every few thousand jobs" loses
@@ -31,6 +34,53 @@ pub(crate) const DEFAULT_AUDIT_CAPACITY: usize = 8192;
 /// nanoseconds is ~585 years; clamping is academic but total).
 pub(crate) fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The interning counts a worker's session accumulates: one `u64`
+/// each in a snapshot, one cell each in [`WorkerCounters`]. At each
+/// resolution the worker adds the change since its last resolution to
+/// its cells ([`WorkerCounters::publish`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SessionCounts<T = u64> {
+    pub(crate) local_coercion_nodes: T,
+    pub(crate) local_type_nodes: T,
+    pub(crate) coercion_probes: T,
+    pub(crate) coercion_base_hits: T,
+    pub(crate) compose_probes: T,
+    pub(crate) compose_base_hits: T,
+    pub(crate) type_base_hits: T,
+    pub(crate) programs_lowered: T,
+}
+
+impl SessionCounts {
+    pub(crate) fn of(stats: &SessionStats) -> SessionCounts {
+        SessionCounts {
+            local_coercion_nodes: stats.tier.local_coercion_nodes as u64,
+            local_type_nodes: stats.tier.local_type_nodes as u64,
+            coercion_probes: stats.coercions.node_hits + stats.coercions.node_misses,
+            coercion_base_hits: stats.coercions.base_hits,
+            compose_probes: stats.compose.hits + stats.compose.misses,
+            compose_base_hits: stats.compose.base_hits,
+            type_base_hits: stats.tier.type_base_hits,
+            programs_lowered: stats.programs as u64,
+        }
+    }
+}
+
+impl<T> SessionCounts<T> {
+    /// Every count with the exposition series it renders as.
+    fn series(&self) -> [(&'static str, &T); 8] {
+        [
+            ("bc_local_coercion_nodes_total", &self.local_coercion_nodes),
+            ("bc_local_type_nodes_total", &self.local_type_nodes),
+            ("bc_coercion_probes_total", &self.coercion_probes),
+            ("bc_coercion_base_hits_total", &self.coercion_base_hits),
+            ("bc_compose_probes_total", &self.compose_probes),
+            ("bc_compose_base_hits_total", &self.compose_base_hits),
+            ("bc_type_base_hits_total", &self.type_base_hits),
+            ("bc_programs_lowered_total", &self.programs_lowered),
+        ]
+    }
 }
 
 /// One worker's counter cells. Each cell is incremented at exactly
@@ -46,6 +96,8 @@ pub(crate) struct WorkerCounters {
     pub(crate) preemptions: Arc<Counter>,
     pub(crate) steals: Arc<Counter>,
     pub(crate) sessions_retired: Arc<Counter>,
+    /// The session counts, cumulative across the worker's sessions.
+    pub(crate) session: SessionCounts<Arc<Counter>>,
 }
 
 impl WorkerCounters {
@@ -63,6 +115,15 @@ impl WorkerCounters {
             .map(|&outcome| self.resolved(outcome))
             .sum()
     }
+
+    /// Adds what one session counted between the snapshots `seen`
+    /// and `now` to the session cells.
+    pub(crate) fn publish(&self, seen: &SessionCounts, now: &SessionCounts) {
+        let (cells, seen, now) = (self.session.series(), seen.series(), now.series());
+        for (((_, cell), (_, seen)), (_, now)) in cells.into_iter().zip(seen).zip(now) {
+            cell.add(now - seen);
+        }
+    }
 }
 
 /// One cell per worker, picked by `cell`: the cells of one
@@ -76,7 +137,7 @@ fn per_worker(
 
 /// All pool instruments plus the audit sink. Counters only ever
 /// grow, and no cell belongs to a session, so they are monotone
-/// across epoch rebuilds, session retirements, and worker respawns
+/// across epoch rebuilds, session retirements, and worker restarts
 /// by construction.
 #[derive(Debug)]
 pub(crate) struct PoolObs {
@@ -88,13 +149,17 @@ pub(crate) struct PoolObs {
     /// Time queued before a worker claimed the job, nanoseconds.
     queue_wait: Arc<Histogram>,
     pub(crate) promotions: Arc<Counter>,
+    /// Wall-clock nanoseconds spent promoting, summed.
+    pub(crate) promotion_ns: Arc<Counter>,
     pub(crate) respawns: Arc<Counter>,
     epoch: Arc<Gauge>,
     workers: Arc<Gauge>,
     base_hit_rate: Arc<Gauge>,
     compose_base_hit_rate: Arc<Gauge>,
     queue_depth: Vec<Arc<Gauge>>,
-    parked_depth: Vec<Arc<Gauge>>,
+    /// Per-worker parked-run-queue depths, each set by its worker at
+    /// the end of every turn.
+    pub(crate) parked_depth: Vec<Arc<Gauge>>,
     sink: AuditSink,
 }
 
@@ -123,7 +188,7 @@ impl PoolObs {
         );
         registry.attach_counter(
             "bc_slices_total",
-            "Scheduling turns executed (one job, up to one slice budget of steps).",
+            "Scheduling turns executed (one job, up to one slice of steps).",
             &[],
             &per_worker(&counters, |w| &w.slices),
         );
@@ -144,9 +209,14 @@ impl PoolObs {
             "Overlay-to-base promotions published.",
             &[],
         );
+        let promotion_ns = registry.counter(
+            "bc_promotion_ns_total",
+            "Wall-clock nanoseconds spent freezing and publishing promotions.",
+            &[],
+        );
         let respawns = registry.counter(
             "bc_respawns_total",
-            "Workers respawned after a caught serve panic.",
+            "Workers restarted in place after a caught serve panic.",
             &[],
         );
         registry.attach_counter(
@@ -155,6 +225,14 @@ impl PoolObs {
             &[],
             &per_worker(&counters, |w| &w.sessions_retired),
         );
+        for (i, (name, _)) in SessionCounts::<u64>::default().series().iter().enumerate() {
+            registry.attach_counter(
+                name,
+                "A worker-session interning count, cumulative across sessions.",
+                &[],
+                &per_worker(&counters, |w| w.session.series()[i].1),
+            );
+        }
         let sink = AuditSink::new(audit_capacity);
         registry.attach_counter(
             "bc_audit_dropped_total",
@@ -195,6 +273,7 @@ impl PoolObs {
             latency,
             queue_wait,
             promotions,
+            promotion_ns,
             respawns,
             epoch,
             workers: workers_gauge,
@@ -236,9 +315,6 @@ impl PoolObs {
             .set(stats.compose_base_hit_rate());
         for (gauge, w) in self.queue_depth.iter().zip(&stats.workers) {
             gauge.set(w.queue_depth as f64);
-        }
-        for (gauge, w) in self.parked_depth.iter().zip(&stats.workers) {
-            gauge.set(w.parked_depth as f64);
         }
         self.registry.render()
     }

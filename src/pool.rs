@@ -20,7 +20,7 @@
 //!   offset past the base;
 //! * **live base promotion** ([`PromotionPolicy`]): when traffic
 //!   *drifts* past what the warmup predicted, the base does not stay
-//!   stale forever — the fattest overlay is re-frozen (freezing
+//!   stale forever — a worker's overlay is re-frozen (freezing
 //!   appends the overlay to the base's slab, preserving every base id
 //!   verbatim) and
 //!   published as a new **epoch** that every worker adopts at its next
@@ -37,12 +37,14 @@
 //!    current epoch's base. Traffic the base covers interns nothing;
 //!    drifted traffic interns into per-worker overlays, duplicated
 //!    once per worker that meets it.
-//! 3. **promote** — each worker, at job boundaries, checks its own
-//!    overlay against the pool's [`PromotionPolicy`] (overlay size,
-//!    base-miss rate, a job interval). The worker holding the
-//!    *fattest* overlay re-freezes its session — base ids are
-//!    preserved verbatim, so the new snapshot [`FrozenBase::extends`]
-//!    the old one and every id below the old watermarks stays valid.
+//! 3. **promote** — each worker, at a job boundary with an empty run
+//!    queue, checks its own overlay against the pool's
+//!    [`PromotionPolicy`] (overlay size, base-miss rate, a pool-wide
+//!    job interval). The decision reads only the worker's own session,
+//!    so a busy or idle sibling never holds it back. The first worker
+//!    to pass re-freezes its session — base ids are preserved
+//!    verbatim, so the new snapshot [`FrozenBase::extends`] the old
+//!    one and every id below the old watermarks stays valid.
 //! 4. **hot-swap** — the new epoch is published through an
 //!    `ArcSwap`-shaped cell (`EpochBase`): an atomic epoch counter
 //!    over a mutex-guarded `Arc<FrozenBase>`. Readers pay one atomic
@@ -50,11 +52,14 @@
 //!    one `Arc` clone — never a torn base). Publication never pauses
 //!    job intake: [`SessionPool::submit`] touches only its target
 //!    queue.
-//! 5. **drain** — workers pick the new epoch up at their next job
-//!    boundary, rebuilding their overlays over the fatter base (the
-//!    nodes they had interned locally are now base nodes). The old
-//!    epoch's `Arc` drops reference by reference and frees itself;
-//!    nothing blocks on it.
+//! 5. **drain** — every other worker picks the new epoch up at its next
+//!    job claim made with an empty run queue, rebuilding its overlay
+//!    over the fatter base. The promoter's nodes are base nodes now;
+//!    what another worker had interned only in its own overlay goes
+//!    with that overlay and is interned again if traffic still needs
+//!    it (its counts stay in the worker's cells). The old epoch's
+//!    `Arc` drops reference by reference and frees itself; nothing
+//!    blocks on it.
 //!
 //! # Work-stealing queues
 //!
@@ -69,10 +74,10 @@
 //!
 //! # Timeslicing, deadlines, cancellation
 //!
-//! Workers serve **preemptively**: a job runs for a
-//! [`SliceBudget`] worth of machine steps,
-//! then parks its machine state (`Session::resume_slice`) into its
-//! worker's run queue behind the worker's other in-flight jobs —
+//! Workers serve **preemptively**: a job runs for a slice of 4 096
+//! machine steps, then parks its machine state
+//! (`Session::resume_slice`) into its worker's run queue behind the
+//! worker's other in-flight jobs —
 //! round-robin, so a divergent spinner costs its queue-mates one
 //! slice of latency per turn instead of its whole fuel bound. Slices
 //! are counted in steps, not wall-clock, so slicing is deterministic
@@ -105,7 +110,7 @@
 //! thing in every worker. Ids at or past them are worker-local:
 //! two workers may mint the same numeric id for different nodes, so
 //! local ids must never travel between workers — which the API
-//! enforces by keeping [`Program`](crate::Program) handles inside the
+//! enforces by keeping [`Program`] handles inside the
 //! worker that compiled them and returning only `Send` observations.
 //! Promotion respects the contract by construction: an epoch N+1 base
 //! is always an *extension* of epoch N (checked by
@@ -117,17 +122,19 @@
 //! against its own overlay session, consulting a worker-local program
 //! cache keyed by that text first, so a repeated source is lexed,
 //! parsed, elaborated and lowered once per worker session. A
-//! [`Program`](crate::Program) never leaves the session that compiled
+//! [`Program`] never leaves the session that compiled
 //! it; only the job's `Send` result travels back.
 //!
 //! # Worker failure
 //!
-//! A panic while serving a job is caught in the worker loop: the job
-//! resolves to [`JobError::WorkerPanicked`], the worker's session is
-//! retired (its counters fold into [`PoolStats`], so accounting stays
-//! monotone), and the worker respawns itself over the **current**
-//! epoch. Jobs already queued behind the panic are either stolen by
-//! siblings or served by the replacement.
+//! A panic while serving a job is caught in the worker loop, and the
+//! worker restarts in place: the job resolves to
+//! [`JobError::WorkerPanicked`], the session is retired (its counts
+//! are already in the worker's cells, so accounting stays monotone),
+//! the jobs parked in its run queue go back to its intake queue to
+//! restart from step zero, and the worker rebuilds its session over
+//! the **current** epoch. The thread itself never exits until
+//! shutdown.
 //!
 //! # Example
 //!
@@ -170,17 +177,17 @@ use bc_machine::metrics::Metrics;
 use bc_obs::{AuditOutcome, AuditRecord};
 use bc_translate::bisim::Observation;
 
-use crate::obs::{ns, PoolObs, DEFAULT_AUDIT_CAPACITY};
-use crate::sched::{Deadline, JobState, ReplySlot, SliceBudget};
-use crate::session::RunReport;
+use crate::obs::{ns, PoolObs, SessionCounts, DEFAULT_AUDIT_CAPACITY};
+use crate::sched::{Deadline, JobState, ReplySlot};
 use crate::session::{
-    Engine, FrozenBase, PausedRun, RunError, Session, SessionBuilder, SessionStats, SliceOutcome,
+    Engine, FrozenBase, PausedRun, Program, RunError, RunReport, Session, SessionBuilder,
+    SliceOutcome,
 };
 
 /// Locks a mutex, shrugging off poisoning: every structure the pool
-/// guards this way (slots, queues, the epoch cell, join handles) is
-/// valid after any panic — panics are caught at the serve boundary and
-/// the panicking worker's state is retired wholesale.
+/// guards this way (the queues and the epoch cell) is valid after any
+/// panic — panics are caught at the serve boundary and the panicking
+/// worker's session is retired wholesale.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
@@ -228,8 +235,9 @@ pub enum JobError {
     /// loaded term's type lie) — same payload as [`Session::run`].
     Run(RunError),
     /// The worker serving this job panicked mid-serve. The panic was
-    /// caught, the worker retired and respawned over the current
-    /// epoch, and the pool keeps serving — only this job is affected.
+    /// caught, the worker rebuilt its session over the current epoch,
+    /// and the pool keeps serving — only this job is affected (jobs
+    /// parked on the worker restart from step zero).
     WorkerPanicked,
     /// The job's [`Deadline`] passed before
     /// it finished. Enforced cooperatively at scheduling boundaries
@@ -267,7 +275,7 @@ impl fmt::Display for JobError {
             JobError::Compile(d) => write!(f, "compile error: {}", d.message),
             JobError::Run(e) => write!(f, "run error: {e}"),
             JobError::WorkerPanicked => {
-                f.write_str("worker panicked while serving the job (worker respawned)")
+                f.write_str("worker panicked while serving the job (worker restarted)")
             }
             JobError::DeadlineExceeded { steps, elapsed } => write!(
                 f,
@@ -357,7 +365,7 @@ enum JobSpec {
     Source(String),
     /// Deliberate fault injection: serving this job panics inside the
     /// worker. Test-only ([`SessionPool::submit_poison`]); exercises
-    /// the catch-unwind + respawn path.
+    /// the catch-unwind + restart path.
     Poison,
 }
 
@@ -410,19 +418,19 @@ impl Job {
 /// A job mid-run on a worker: the parked machine state plus the job
 /// it belongs to, waiting in the worker's run queue for its next
 /// slice. Worker-local by design (the run holds `Rc`-shared machine
-/// state and session-bound ids); if the worker dies, the run dies
-/// with it and [`Job::spec`] restarts from step zero elsewhere.
+/// state and session-bound ids); if the worker panics, the run dies
+/// with its session and [`Job::spec`] restarts from step zero.
 struct ParkedEntry {
     job: Job,
     run: PausedRun,
 }
 
 /// When (if ever) a pool promotes a worker overlay into a new base
-/// epoch. All three gates must pass on the *same* worker at a job
-/// boundary; the worker must also hold the fattest overlay in the
-/// pool at that moment (promotion freezes *one* overlay — freezing
-/// the fattest one retires the most duplicated-interning debt at
-/// once).
+/// epoch. A worker checks the three gates against its own session at
+/// each job boundary with an empty run queue; the first worker to
+/// pass all three freezes its overlay, unless another promotion is in
+/// flight. No worker reads another's counts, so a sibling that is
+/// busy or idle cannot hold a promotion back.
 ///
 /// # Default rationale (measured)
 ///
@@ -443,7 +451,7 @@ struct ParkedEntry {
 ///   the promoting worker's job is small. The interval gate is
 ///   therefore less about freeze cost than about churn: a fresh epoch
 ///   needs traffic to prove itself before being re-judged, and
-///   respawning workers onto a new epoch re-warms their overlays. 256
+///   rebuilding workers onto a new epoch re-warms their overlays. 256
 ///   jobs keeps a pathological workload (a hot set rotating every job)
 ///   from thrashing epochs.
 ///
@@ -550,51 +558,12 @@ struct WorkerQueue {
     ready: Condvar,
 }
 
-/// Counters that outlive a worker's current session: every time a
-/// session is retired (epoch adoption or panic recovery) its tier and
-/// probe counters are folded in here, so the pool's accounting stays
-/// monotone across rebuilds — "total overlay nodes interned" means
-/// exactly that, not "nodes the *current* sessions happen to hold".
-#[derive(Debug, Clone, Copy, Default)]
-struct RetiredTotals {
-    local_coercion_nodes: u64,
-    local_type_nodes: u64,
-    coercion_base_hits: u64,
-    coercion_probes: u64,
-    compose_base_hits: u64,
-    compose_probes: u64,
-    programs: u64,
-}
-
-impl RetiredTotals {
-    fn absorb(&mut self, stats: &SessionStats) {
-        self.local_coercion_nodes += stats.tier.local_coercion_nodes as u64;
-        self.local_type_nodes += stats.tier.local_type_nodes as u64;
-        self.coercion_base_hits += stats.coercions.base_hits;
-        self.coercion_probes += stats.coercions.node_hits + stats.coercions.node_misses;
-        self.compose_base_hits += stats.compose.base_hits;
-        self.compose_probes += stats.compose.hits + stats.compose.misses;
-        self.programs += stats.programs as u64;
-    }
-}
-
-/// One worker's published state: its current session's stats
-/// (refreshed at every resolution), its retired sessions' totals, and
-/// its liveness and parked-depth gauges. Its counts live in the
-/// worker's `bc-obs` cells.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerSlot {
-    parked_depth: usize,
-    dead: bool,
-    stats: Option<SessionStats>,
-    retired: RetiredTotals,
-}
-
-/// A snapshot of one worker's accounting.
+/// A snapshot of one worker's accounting. Every count is read from
+/// the worker's `bc-obs` cells and is cumulative across the sessions
+/// the worker has run (epoch adoptions and panic restarts included).
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerStats {
-    /// The worker's index (stable for the pool's lifetime, across
-    /// respawns).
+    /// The worker's index (stable for the pool's lifetime).
     pub worker: usize,
     /// Jobs this worker has resolved, whatever the outcome (including
     /// [`JobError::WorkerPanicked`]); rejected submissions never
@@ -602,119 +571,67 @@ pub struct WorkerStats {
     pub jobs: u64,
     /// Jobs this worker claimed from a sibling's queue.
     pub steals: u64,
-    /// Serve panics caught on this worker (each retired the session
-    /// and respawned the worker).
+    /// Serve panics caught on this worker (each restarted it in place).
     pub panics: u64,
-    /// Scheduling turns executed: each ran one job for up to one
-    /// slice budget of steps. Monotone across epoch rebuilds and
-    /// respawns (worker-level, not session-level).
+    /// Scheduling turns executed: each ran one job for up to a slice.
     pub slices: u64,
     /// Slices that ended with the job parked (preempted) rather than
     /// finished; `slices - preemptions` is the number of jobs whose
-    /// final slice ran here. Monotone.
+    /// final slice ran here.
     pub preemptions: u64,
-    /// Jobs resolved to [`JobError::DeadlineExceeded`] on this
-    /// worker. Monotone.
+    /// Jobs resolved to [`JobError::DeadlineExceeded`] on this worker.
     pub deadline_misses: u64,
     /// Canceled jobs whose worker-side state this worker discarded at
-    /// a scheduling boundary. Monotone.
+    /// a scheduling boundary.
     pub cancellations: u64,
-    /// Jobs parked mid-run in this worker's run queue at snapshot
-    /// time (a gauge, like `queue_depth`).
+    /// Sessions retired (epoch adoptions + panic restarts).
+    pub sessions_retired: u64,
+    /// Coercion nodes this worker's sessions interned past their base.
+    pub local_coercion_nodes: u64,
+    /// Type nodes this worker's sessions interned past their base.
+    pub local_type_nodes: u64,
+    /// Coercion-intern probes (hits + misses, either tier).
+    pub coercion_probes: u64,
+    /// Coercion-intern probes answered by a frozen base.
+    pub coercion_base_hits: u64,
+    /// Composition lookups (hits + misses).
+    pub compose_probes: u64,
+    /// Compositions answered by a frozen pair table.
+    pub compose_base_hits: u64,
+    /// Type interns answered by a frozen base.
+    pub type_base_hits: u64,
+    /// Programs this worker's sessions compiled (cache misses).
+    pub programs_lowered: u64,
+    /// Jobs parked in this worker's run queue at its last turn's end.
     pub parked_depth: usize,
-    /// Whether the worker is currently dead (its thread exited after
-    /// a panic and no replacement has started yet — transiently true
-    /// during a respawn, or permanently if the pool is shutting
-    /// down).
-    pub dead: bool,
     /// Jobs waiting in this worker's queue at snapshot time.
     pub queue_depth: usize,
-    /// The worker's *current* session's consolidated stats — `None`
-    /// until the session serves its first job (including right after
-    /// an epoch adoption rebuilds it). Counters for retired sessions
-    /// live on in the accessor methods below.
-    pub session: Option<SessionStats>,
-    sessions_retired: u64,
-    retired: RetiredTotals,
-}
-
-impl WorkerStats {
-    /// Sessions this worker has retired (epoch adoptions + panic
-    /// recoveries).
-    pub fn sessions_retired(&self) -> u64 {
-        self.sessions_retired
-    }
-
-    /// Coercion nodes this worker has interned past its base,
-    /// cumulative across every session it has run.
-    pub fn local_coercion_nodes(&self) -> u64 {
-        self.retired.local_coercion_nodes
-            + self
-                .session
-                .map_or(0, |s| s.tier.local_coercion_nodes as u64)
-    }
-
-    /// Type nodes this worker has interned past its base, cumulative
-    /// across every session it has run.
-    pub fn local_type_nodes(&self) -> u64 {
-        self.retired.local_type_nodes + self.session.map_or(0, |s| s.tier.local_type_nodes as u64)
-    }
-
-    /// Cumulative coercion-intern probes answered by a frozen base.
-    pub fn coercion_base_hits(&self) -> u64 {
-        self.retired.coercion_base_hits + self.session.map_or(0, |s| s.coercions.base_hits)
-    }
-
-    /// Cumulative coercion-intern probes (hits + misses, either
-    /// tier).
-    pub fn coercion_probes(&self) -> u64 {
-        self.retired.coercion_probes
-            + self
-                .session
-                .map_or(0, |s| s.coercions.node_hits + s.coercions.node_misses)
-    }
-
-    /// Cumulative compositions answered by a frozen pair table.
-    pub fn compose_base_hits(&self) -> u64 {
-        self.retired.compose_base_hits + self.session.map_or(0, |s| s.compose.base_hits)
-    }
-
-    /// Cumulative composition lookups (hits + misses).
-    pub fn compose_probes(&self) -> u64 {
-        self.retired.compose_probes
-            + self
-                .session
-                .map_or(0, |s| s.compose.hits + s.compose.misses)
-    }
-
-    /// Programs lowered on this worker, cumulative across sessions.
-    pub fn programs_lowered(&self) -> u64 {
-        self.retired.programs + self.session.map_or(0, |s| s.programs as u64)
-    }
 }
 
 /// Aggregated pool accounting: per-worker stats plus the sharing
-/// roll-ups the acceptance tests assert on. All counters are
-/// *cumulative across epochs*: retiring a session (promotion
-/// adoption, panic recovery) folds its counters into its worker's
-/// totals rather than dropping them.
+/// roll-ups the acceptance tests assert on. All counts are
+/// *cumulative across epochs*: a worker's cells outlive its sessions,
+/// so retiring a session (promotion adoption, panic restart) drops
+/// nothing.
 ///
 /// # Consistency contract
 ///
-/// The counts (jobs by outcome, slices, preemptions, steals, sessions
-/// retired, promotions, respawns) are read from the same `bc-obs`
-/// cells [`SessionPool::metrics_text`] renders, so `PoolStats` and the
-/// exposition cannot drift apart. Each count is one atomic read and
-/// monotone between calls: every count in a later `PoolStats` is ≥
-/// its value in an earlier one (asserted across promotions and
-/// respawns in `tests/obs.rs`). Counts read while workers serve may
-/// straddle a job, e.g. catch its slice but not yet its resolution;
-/// once the pool is quiescent they are exact. A job is counted before
-/// its handle resolves, so a caller that has seen a handle resolve
-/// finds the job counted — except a cancel, which resolves the handle
-/// at [`JobHandle::cancel`] and is counted when the serving worker
-/// discards the job. The session-derived counts (local nodes, probes,
-/// hit rates) are published by each worker at every resolution.
+/// Every count — jobs by outcome, slices, preemptions, steals,
+/// sessions retired, promotions, respawns, and the session-derived
+/// counts (local nodes, probes, base hits, programs lowered) — is
+/// read from the same `bc-obs` cells [`SessionPool::metrics_text`]
+/// renders, so `PoolStats` and the exposition cannot drift apart.
+/// Each count is one atomic read and monotone between calls: every
+/// count in a later `PoolStats` is ≥ its value in an earlier one
+/// (asserted across promotions and respawns in `tests/obs.rs`).
+/// Counts read while workers serve may straddle a job, e.g. catch its
+/// slice but not yet its resolution; once the pool is quiescent they
+/// are exact. A job is counted before its handle resolves, so a caller
+/// that has seen a handle resolve finds the job counted — except a
+/// cancel, which resolves the handle at [`JobHandle::cancel`] and is
+/// counted when the serving worker discards the job. A worker adds
+/// its session's counts to its cells at each resolution, before the
+/// reply, so they cover every job whose handle has resolved.
 #[derive(Debug, Clone)]
 pub struct PoolStats {
     /// The current base epoch (1 = the warmup base; +1 per
@@ -723,17 +640,12 @@ pub struct PoolStats {
     /// Overlay-to-base promotions published so far.
     pub promotions: u64,
     /// Cumulative wall-clock nanoseconds spent inside promotion
-    /// (freeze-append + publish), across every promotion
-    /// since pool startup. Monotone across epoch rebuilds and
-    /// respawns, like every other pool counter; divide by
-    /// [`PoolStats::promotions`] for the mean cost of a hot-swap.
+    /// (freeze-append + publish) since pool startup; divide by
+    /// [`PoolStats::promotions`] for the mean cost of a hot-swap
+    /// (perfbench's `pool.promotion_us_mean`).
     pub promotion_ns: u64,
-    /// Wall-clock nanoseconds of the most recent promotion (0 until
-    /// the first one). With append-based freezing this should stay
-    /// flat as the base grows; no test gates it, and perfbench reports
-    /// the mean as `pool.promotion_us_mean`.
-    pub last_promotion_ns: u64,
-    /// Workers respawned after a caught serve panic.
+    /// Worker restarts after a caught serve panic
+    /// (`bc_respawns_total`).
     pub respawns: u64,
     /// The most machine steps any one warmup run took at build —
     /// never more than [`WARMUP_RUN_FUEL`], whatever the job fuel.
@@ -743,14 +655,19 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
+    /// One per-worker count summed over the workers.
+    fn sum(&self, count: impl Fn(&WorkerStats) -> u64) -> u64 {
+        self.workers.iter().map(count).sum()
+    }
+
     /// Total jobs completed across all workers.
     pub fn jobs(&self) -> u64 {
-        self.workers.iter().map(|w| w.jobs).sum()
+        self.sum(|w| w.jobs)
     }
 
     /// Jobs claimed from a sibling's queue, summed over workers.
     pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
+        self.sum(|w| w.steals)
     }
 
     /// Per-worker queue depths at snapshot time (same order as
@@ -760,31 +677,29 @@ impl PoolStats {
     }
 
     /// Scheduling turns executed across all workers (each ran one job
-    /// for up to one slice budget of steps). Monotone across epoch
-    /// rebuilds, promotions, and respawns.
+    /// for up to one slice of steps).
     pub fn slices(&self) -> u64 {
-        self.workers.iter().map(|w| w.slices).sum()
+        self.sum(|w| w.slices)
     }
 
     /// Slices that ended parked (preempted) rather than finished,
-    /// summed over workers. Monotone.
+    /// summed over workers.
     pub fn preemptions(&self) -> u64 {
-        self.workers.iter().map(|w| w.preemptions).sum()
+        self.sum(|w| w.preemptions)
     }
 
     /// Jobs that missed their deadline, summed over workers.
-    /// Monotone.
     pub fn deadline_misses(&self) -> u64 {
-        self.workers.iter().map(|w| w.deadline_misses).sum()
+        self.sum(|w| w.deadline_misses)
     }
 
-    /// Canceled jobs discarded by workers, summed. Monotone.
+    /// Canceled jobs discarded by workers, summed.
     pub fn cancellations(&self) -> u64 {
-        self.workers.iter().map(|w| w.cancellations).sum()
+        self.sum(|w| w.cancellations)
     }
 
-    /// Per-worker parked-run-queue depths at snapshot time (same
-    /// order as [`PoolStats::workers`]).
+    /// Per-worker parked-run-queue depths (same order as
+    /// [`PoolStats::workers`]).
     pub fn parked_depths(&self) -> Vec<usize> {
         self.workers.iter().map(|w| w.parked_depth).collect()
     }
@@ -793,25 +708,25 @@ impl PoolStats {
     /// and cumulative across epochs. Zero means the frozen base
     /// absorbed every coercion the whole pool ever needed.
     pub fn local_coercion_nodes(&self) -> u64 {
-        self.workers.iter().map(|w| w.local_coercion_nodes()).sum()
+        self.sum(|w| w.local_coercion_nodes)
     }
 
     /// Type nodes interned past the base, summed over workers and
     /// cumulative across epochs.
     pub fn local_type_nodes(&self) -> u64 {
-        self.workers.iter().map(|w| w.local_type_nodes()).sum()
+        self.sum(|w| w.local_type_nodes)
     }
 
     /// Coercion-intern probes answered by a frozen base, summed over
     /// workers (cumulative across epochs).
     pub fn coercion_base_hits(&self) -> u64 {
-        self.workers.iter().map(|w| w.coercion_base_hits()).sum()
+        self.sum(|w| w.coercion_base_hits)
     }
 
     /// Coercion-intern probes issued, summed over workers (cumulative
     /// across epochs).
     pub fn coercion_probes(&self) -> u64 {
-        self.workers.iter().map(|w| w.coercion_probes()).sum()
+        self.sum(|w| w.coercion_probes)
     }
 
     /// Fraction of coercion-intern probes answered by the frozen base
@@ -824,9 +739,7 @@ impl PoolStats {
     /// Fraction of compositions answered by a frozen pair table,
     /// across all workers and epochs.
     pub fn compose_base_hit_rate(&self) -> f64 {
-        let base: u64 = self.workers.iter().map(|w| w.compose_base_hits()).sum();
-        let total: u64 = self.workers.iter().map(|w| w.compose_probes()).sum();
-        base as f64 / total.max(1) as f64
+        self.sum(|w| w.compose_base_hits) as f64 / self.sum(|w| w.compose_probes).max(1) as f64
     }
 }
 
@@ -857,16 +770,15 @@ impl fmt::Display for PoolStats {
             writeln!(
                 f,
                 "  worker {}: {} jobs ({} stolen), {} local coercions, {} local types, \
-                 {} base intern hits, {} sessions retired, queue {}{}",
+                 {} base intern hits, {} sessions retired, queue {}",
                 w.worker,
                 w.jobs,
                 w.steals,
-                w.local_coercion_nodes(),
-                w.local_type_nodes(),
-                w.coercion_base_hits(),
-                w.sessions_retired(),
+                w.local_coercion_nodes,
+                w.local_type_nodes,
+                w.coercion_base_hits,
+                w.sessions_retired,
                 w.queue_depth,
-                if w.dead { " [dead]" } else { "" },
             )?;
         }
         Ok(())
@@ -877,12 +789,10 @@ impl fmt::Display for PoolStats {
 #[derive(Debug, Clone)]
 pub struct SessionPoolBuilder {
     workers: usize,
-    compose_cache_capacity: usize,
-    type_memo_capacity: usize,
     default_fuel: u64,
     warmup: Vec<String>,
     promotion: Option<PromotionPolicy>,
-    slice: Option<SliceBudget>,
+    slice_steps: u64,
     queue_capacity: usize,
     audit_capacity: usize,
 }
@@ -891,12 +801,10 @@ impl Default for SessionPoolBuilder {
     fn default() -> SessionPoolBuilder {
         SessionPoolBuilder {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            compose_cache_capacity: SessionBuilder::DEFAULT_COMPOSE_CACHE_CAPACITY,
-            type_memo_capacity: SessionBuilder::DEFAULT_TYPE_MEMO_CAPACITY,
             default_fuel: SessionBuilder::DEFAULT_FUEL,
             warmup: Vec::new(),
             promotion: Some(PromotionPolicy::default()),
-            slice: Some(SliceBudget::default()),
+            slice_steps: SLICE_STEPS,
             queue_capacity: usize::MAX,
             audit_capacity: DEFAULT_AUDIT_CAPACITY,
         }
@@ -912,21 +820,6 @@ impl SessionPoolBuilder {
     /// [`SessionPoolBuilder::build`] panics if the count is zero.
     pub fn workers(mut self, workers: usize) -> SessionPoolBuilder {
         self.workers = workers;
-        self
-    }
-
-    /// Per-worker compose-cache pair cap (see
-    /// [`SessionBuilder::compose_cache_capacity`]); the frozen base's
-    /// pair table is not counted against it.
-    pub fn compose_cache_capacity(mut self, capacity: usize) -> SessionPoolBuilder {
-        self.compose_cache_capacity = capacity;
-        self
-    }
-
-    /// Per-worker verdict-table cap (see
-    /// [`SessionBuilder::type_memo_capacity`]).
-    pub fn type_memo_capacity(mut self, capacity: usize) -> SessionPoolBuilder {
-        self.type_memo_capacity = capacity;
         self
     }
 
@@ -967,16 +860,6 @@ impl SessionPoolBuilder {
         self
     }
 
-    /// Sets the per-turn step budget workers run each job for before
-    /// preempting it (see [`SliceBudget`]
-    /// for the default and its measured rationale). Smaller budgets
-    /// tighten latency fairness under divergent jobs; larger ones
-    /// approach unsliced behaviour.
-    pub fn slice_budget(mut self, budget: SliceBudget) -> SessionPoolBuilder {
-        self.slice = Some(budget);
-        self
-    }
-
     /// Disables timeslicing: every job runs to completion (or fuel
     /// exhaustion) in a single turn, pinning its worker — the
     /// pre-scheduler behaviour, kept so a test can pin a worker behind
@@ -984,7 +867,9 @@ impl SessionPoolBuilder {
     /// Deadlines and cancellation still work but are only checked
     /// when a job starts.
     pub fn no_slicing(mut self) -> SessionPoolBuilder {
-        self.slice = None;
+        // A slice the fuel bound can never exceed: `resume_slice` then
+        // finishes every job in one turn.
+        self.slice_steps = u64::MAX;
         self
     }
 
@@ -1026,14 +911,10 @@ impl SessionPoolBuilder {
     /// be spawned.
     pub fn build(self) -> Result<SessionPool, Diagnostic> {
         assert!(self.workers > 0, "SessionPool needs at least 1 worker");
-        let warm = Session::builder()
-            .compose_cache_capacity(self.compose_cache_capacity)
-            .type_memo_capacity(self.type_memo_capacity)
-            .default_fuel(self.default_fuel)
-            .build();
+        let warm = Session::builder().default_fuel(self.default_fuel).build();
         // Warmup runs are capped at WARMUP_RUN_FUEL. The unit is
-        // machine *steps* — the same unit job fuel,
-        // `SliceBudget`, and `Metrics::steps` count, one transition
+        // machine *steps* — the same unit job fuel, slices, and
+        // `Metrics::steps` count, one transition
         // each (the engines enforce the 1:1 accounting at their fuel
         // checks; see the invariant note in `bc_machine::cek_s`) — so
         // this cap, slice accounting, and fuel-exhaustion reports are
@@ -1063,74 +944,58 @@ impl SessionPoolBuilder {
         let shared = Arc::new(PoolShared {
             epoch: EpochBase::new(base),
             queues: (0..self.workers).map(|_| WorkerQueue::default()).collect(),
-            slots: (0..self.workers)
-                .map(|_| Mutex::new(WorkerSlot::default()))
-                .collect(),
             inflight: (0..self.workers)
                 .map(|_| Arc::new(AtomicUsize::new(0)))
                 .collect(),
-            handles: Mutex::new((0..self.workers).map(|_| None).collect()),
             open: AtomicBool::new(true),
             promoting: AtomicBool::new(false),
-            promotion_ns: AtomicU64::new(0),
-            last_promotion_ns: AtomicU64::new(0),
             jobs_since_promotion: AtomicU64::new(0),
             policy: self.promotion,
-            compose_cache_capacity: self.compose_cache_capacity,
-            type_memo_capacity: self.type_memo_capacity,
             default_fuel: self.default_fuel,
-            // No slicing = a slice the fuel bound can never exceed:
-            // `resume_slice` then finishes every job in one turn.
-            slice_steps: self.slice.map_or(u64::MAX, SliceBudget::steps),
+            slice_steps: self.slice_steps,
             queue_capacity: self.queue_capacity,
             obs: PoolObs::new(self.workers, self.audit_capacity),
         });
-        for index in 0..self.workers {
-            let handle = shared.spawn_worker(index);
-            lock(&shared.handles)[index] = Some(handle);
-        }
+        let handles = (0..self.workers)
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("bc-pool-worker-{index}"))
+                    .spawn(move || Worker::new(index, shared).serve())
+                    .expect("spawn pool worker")
+            })
+            .collect();
         Ok(SessionPool {
             shared,
+            handles,
             next: AtomicUsize::new(0),
-            default_fuel: self.default_fuel,
             warmup_peak_steps,
         })
     }
 }
 
 /// Everything the workers and the pool handle share: the epoch cell,
-/// the per-worker queues and slots, the promotion machinery, and the
-/// session configuration respawns and rebuilds need.
+/// the per-worker queues, the promotion machinery, the session
+/// configuration rebuilds need, and the observability cells.
 #[derive(Debug)]
 struct PoolShared {
     epoch: EpochBase,
     queues: Vec<WorkerQueue>,
-    slots: Vec<Mutex<WorkerSlot>>,
     /// Per-worker in-flight job counts (accepted but unresolved:
     /// queued + parked + running) — the bounded-backpressure gauge.
     /// `Arc`ed so each job's completion cell can decrement its
     /// worker's counter exactly once, at resolution, wherever that
     /// happens.
     inflight: Vec<Arc<AtomicUsize>>,
-    /// Worker join handles, indexed by worker; a dying worker writes
-    /// its replacement's handle over its own before exiting.
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
-    /// False once shutdown starts: no new jobs, no respawns; workers
-    /// drain every queue and exit.
+    /// False once shutdown starts: no new jobs; workers drain every
+    /// queue and exit.
     open: AtomicBool,
     /// Serialises promotions (freeze + publish); never
     /// blocks submit or serving — a worker that loses the race just
     /// keeps serving and adopts the winner's epoch.
     promoting: AtomicBool,
-    /// Cumulative / most-recent promotion wall-clock cost (ns);
-    /// snapshot into [`PoolStats::promotion_ns`] /
-    /// [`PoolStats::last_promotion_ns`].
-    promotion_ns: AtomicU64,
-    last_promotion_ns: AtomicU64,
     jobs_since_promotion: AtomicU64,
     policy: Option<PromotionPolicy>,
-    compose_cache_capacity: usize,
-    type_memo_capacity: usize,
     default_fuel: u64,
     /// Steps per scheduling turn (`u64::MAX` when slicing is off).
     slice_steps: u64,
@@ -1161,22 +1026,43 @@ fn engine_name(engine: Engine) -> &'static str {
 /// on a *busy* worker's queue while this one sleeps).
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
+/// Bound on the worker-local program cache; beyond it the cache is
+/// dropped wholesale (recompiling is always safe — the arenas stay
+/// warm, so a re-lower interns nothing).
+const WORKER_PROGRAM_CACHE_CAP: usize = 1024;
+
+/// Steps a job runs per scheduling turn before it is preempted.
+///
+/// Fuel, slices, and reported step counts all use the same unit: one
+/// machine transition (or one small-step reduction — the engines
+/// enforce a 1:1 accounting, see the fuel check in
+/// `bc_machine::cek_s`). A slice is therefore a *deterministic* unit
+/// of work, not a wall-clock guess, and sliced execution is
+/// observationally identical to unsliced execution by construction.
+///
+/// # Rationale (measured)
+///
+/// On the release-mode six-shape bench workload a λS machine
+/// transition cost on the order of 40–80 ns when this was chosen, so
+/// a slice is roughly 0.2–0.3 ms — two orders of magnitude above the
+/// park/resume overhead (moving a `PausedRun` through the run queue is
+/// a few pointer moves plus one counter update), and two orders of
+/// magnitude below the default 1M-step fuel, so a divergent spinner
+/// is preempted ~244 times instead of pinning its worker once. In a
+/// release-mode measurement, sliced and unsliced latency on an
+/// all-convergent batch agreed within noise (p50 0.52 ms vs 0.51 ms),
+/// while the p99 latency of convergent jobs sharing one worker with
+/// four spinners dropped from the spinners' full fuel burn (~206 ms)
+/// to a handful of slices (~6 ms); `tests/sched.rs` checks the
+/// ordering on every change.
+const SLICE_STEPS: u64 = 4096;
+
 impl PoolShared {
     fn build_session(&self, base: Arc<FrozenBase>) -> Session {
         Session::builder()
             .base(base)
-            .compose_cache_capacity(self.compose_cache_capacity)
-            .type_memo_capacity(self.type_memo_capacity)
             .default_fuel(self.default_fuel)
             .build()
-    }
-
-    fn spawn_worker(self: &Arc<Self>, index: usize) -> JoinHandle<()> {
-        let shared = Arc::clone(self);
-        std::thread::Builder::new()
-            .name(format!("bc-pool-worker-{index}"))
-            .spawn(move || worker_loop(index, shared))
-            .expect("spawn pool worker")
     }
 
     /// Claims the next job for `index`: own queue front, else steal
@@ -1185,10 +1071,7 @@ impl PoolShared {
     fn next_job(&self, index: usize) -> Option<Job> {
         let mine = &self.queues[index];
         loop {
-            if let Some(job) = lock(&mine.deque).pop_front() {
-                return Some(job);
-            }
-            if let Some(job) = self.steal(index) {
+            if let Some(job) = self.try_claim(index) {
                 return Some(job);
             }
             if !self.open.load(Ordering::Acquire) {
@@ -1245,30 +1128,222 @@ impl PoolShared {
         self.steal(index)
     }
 
+    /// The cheap per-job promotion gate: the policy thresholds on the
+    /// counts of one worker's own session.
+    fn should_promote(&self, counts: &SessionCounts) -> bool {
+        let Some(policy) = &self.policy else {
+            return false;
+        };
+        let probes = counts.coercion_probes;
+        let miss_rate = 1.0 - counts.coercion_base_hits as f64 / probes.max(1) as f64;
+        self.jobs_since_promotion.load(Ordering::Relaxed) >= policy.min_interval_jobs
+            && counts.local_coercion_nodes + counts.local_type_nodes
+                >= policy.min_local_nodes as u64
+            && (probes == 0 || miss_rate >= policy.min_miss_rate)
+    }
+
+    /// Freezes `session` and publishes it as the next epoch, unless a
+    /// concurrent promotion got there first. Returns the new epoch
+    /// pair for the promoting worker to adopt. Job intake is never
+    /// paused: only the promoting worker spends time here, and
+    /// submits/steals proceed against the per-worker queues
+    /// throughout.
+    fn promote(&self, epoch_seen: u64, session: &Session) -> Option<(u64, Arc<FrozenBase>)> {
+        if self.promoting.swap(true, Ordering::AcqRel) {
+            return None;
+        }
+        let started = Instant::now();
+        let published = (|| {
+            // Lost the race: someone published while this worker was
+            // deciding; adopt theirs instead of stacking a promotion
+            // from a stale overlay. Otherwise `old` is the base the
+            // session was grown over.
+            let (current, old) = self.epoch.load();
+            if current != epoch_seen {
+                return None;
+            }
+            let next = session.freeze();
+            debug_assert!(
+                next.extends(&old),
+                "a promoted epoch must extend the epoch it was grown over"
+            );
+            let epoch = self.epoch.publish(Arc::clone(&next));
+            self.obs.promotion_ns.add(ns(started.elapsed()));
+            self.obs.promotions.inc();
+            self.jobs_since_promotion.store(0, Ordering::Relaxed);
+            Some((epoch, next))
+        })();
+        self.promoting.store(false, Ordering::Release);
+        published
+    }
+}
+
+/// One worker: a private overlay [`Session`] over the epoch it last
+/// adopted, the program cache and run queue that belong to that
+/// session, and a scheduling loop that interleaves intake with
+/// round-robin timeslicing until the pool closes, every queue drains,
+/// and every parked job finishes.
+///
+/// Each loop turn does at most one intake claim (blocking only when
+/// nothing is parked — an idle worker parks on its condvar exactly
+/// like the pre-slicing loop) and one slice of the run queue's head.
+/// A 64-job batch with divergent spinners therefore finishes its
+/// convergent jobs in a bounded number of turns: a spinner gets one
+/// slice per rotation, never the whole worker.
+struct Worker {
+    index: usize,
+    shared: Arc<PoolShared>,
+    epoch: u64,
+    session: Session,
+    /// One lowered program per distinct source. Programs hold
+    /// session-bound ids, so the cache lives and dies with the
+    /// session; it is what makes a repeated job a pure lookup — zero
+    /// parsing, zero lowering.
+    programs: HashMap<String, Program>,
+    run_queue: VecDeque<ParkedEntry>,
+    /// The session's counts at its last resolution, already added to
+    /// the worker's cells (zero for a fresh session).
+    counted: SessionCounts,
+}
+
+impl Worker {
+    fn new(index: usize, shared: Arc<PoolShared>) -> Worker {
+        let (epoch, base) = shared.epoch.load();
+        Worker {
+            index,
+            epoch,
+            session: shared.build_session(base),
+            shared,
+            programs: HashMap::new(),
+            run_queue: VecDeque::new(),
+            counted: SessionCounts::default(),
+        }
+    }
+
+    fn serve(mut self) {
+        loop {
+            let incoming = if self.run_queue.is_empty() {
+                // Closed, every queue drained, nothing parked: done.
+                let Some(job) = self.shared.next_job(self.index) else {
+                    return;
+                };
+                Some(job)
+            } else {
+                self.shared.try_claim(self.index)
+            };
+            self.turn(incoming);
+            self.shared.obs.parked_depth[self.index].set(self.run_queue.len() as f64);
+        }
+    }
+
+    /// One scheduling turn: admit the claimed job, if any, slice the
+    /// head of the run queue, then consider promotion.
+    fn turn(&mut self, incoming: Option<Job>) {
+        if let Some(mut job) = incoming {
+            // The job is claimed: everything before this instant was
+            // queueing (dispatch, standing in a deque, being stolen).
+            job.queue_wait = job.submitted.elapsed();
+            // Epoch adoption happens only with an empty run queue:
+            // parked runs hold ids interned in the current session,
+            // which an adoption would rebuild. A parked spinner thus
+            // delays its worker's adoption until it finishes or
+            // exhausts its fuel — bounded by the fuel bound, never
+            // forever. The old base's Arc drops with the retired
+            // session — epochs drain, they are never collected.
+            if self.run_queue.is_empty() {
+                if let Some((epoch, base)) = self.shared.epoch.refresh(self.epoch) {
+                    self.adopt(epoch, base);
+                }
+            }
+            if let Some(err) = job.abandoned(0) {
+                self.resolve(job, 0, Err(err));
+            } else {
+                // Admission is the first unwind boundary: it runs
+                // job-determined work (parsing, elaboration,
+                // lowering). AssertUnwindSafe is sound because
+                // everything the closure touches is discarded on
+                // panic (the session, its program cache, and the
+                // parked runs; the worker restarts over a fresh
+                // session).
+                let admitted = catch_unwind(AssertUnwindSafe(|| self.admit(&job)));
+                match admitted {
+                    Ok(Ok(run)) => self.run_queue.push_back(ParkedEntry { job, run }),
+                    Ok(Err(err)) => self.resolve(job, 0, Err(err)),
+                    Err(_) => return self.restart(job),
+                }
+            }
+        }
+        // A job parked again goes to the back (round-robin — every
+        // parked job advances one slice per rotation).
+        if let Some(ParkedEntry { job, run }) = self.run_queue.pop_front() {
+            let steps = run.steps();
+            if let Some(err) = job.abandoned(steps) {
+                self.resolve(job, steps, Err(err));
+            } else {
+                // The slice is the other unwind boundary (machine
+                // steps run job-determined work too).
+                let sliced = catch_unwind(AssertUnwindSafe(|| {
+                    self.session.resume_slice(run, self.shared.slice_steps)
+                }));
+                let Ok(sliced) = sliced else {
+                    return self.restart(job);
+                };
+                let counters = &self.shared.obs.counters[self.index];
+                counters.slices.inc();
+                match sliced {
+                    SliceOutcome::Done(result) => {
+                        self.resolve(job, 0, result.map_err(JobError::Run));
+                    }
+                    SliceOutcome::Parked(run) => {
+                        counters.preemptions.inc();
+                        self.run_queue.push_back(ParkedEntry { job, run });
+                    }
+                }
+            }
+        }
+        // Promotion rebuilds the session parked runs reference, so it
+        // is considered only with an empty run queue — at the end of a
+        // turn, that means the turn resolved a job, and `counted` is
+        // the session's current count.
+        if self.run_queue.is_empty() && self.shared.should_promote(&self.counted) {
+            if let Some((epoch, base)) = self.shared.promote(self.epoch, &self.session) {
+                // The promoting worker adopts its own epoch at once —
+                // its overlay *is* the new base.
+                self.adopt(epoch, base);
+            }
+        }
+    }
+
+    /// Retires the session and rebuilds it over `base`. Its counts
+    /// are already in the worker's cells: a session is retired only
+    /// with an empty run queue, right after a resolution.
+    fn adopt(&mut self, epoch: u64, base: Arc<FrozenBase>) {
+        self.shared.obs.counters[self.index].sessions_retired.inc();
+        self.session = self.shared.build_session(base);
+        self.epoch = epoch;
+        self.programs.clear();
+        self.counted = SessionCounts::default();
+    }
+
     /// The one exit of every job a worker claimed: bumps the
-    /// promotion interval, publishes the session's stats, builds the
-    /// job's audit record from `result`, counts and audits it, and
-    /// replies — in that order, so a caller that sees the handle
-    /// resolve finds the job in [`SessionPool::stats`], the exposition
-    /// and the audit stream. `steps` is what the run had executed when
-    /// the job stopped; a run report or a fuel exhaustion carries its
-    /// own.
-    fn resolve(
-        &self,
-        index: usize,
-        epoch: u64,
-        session: &Session,
-        job: Job,
-        steps: u64,
-        result: Result<RunReport, JobError>,
-    ) {
-        self.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
-        lock(&self.slots[index]).stats = Some(session.stats());
+    /// promotion interval, adds the session's new counts to the
+    /// worker's cells, builds the job's audit record from `result`,
+    /// counts and audits it, and replies — in that order, so a caller
+    /// that sees the handle resolve finds the job in
+    /// [`SessionPool::stats`], the exposition and the audit stream.
+    /// `steps` is what the run had executed when the job stopped; a
+    /// run report or a fuel exhaustion carries its own.
+    fn resolve(&mut self, job: Job, steps: u64, result: Result<RunReport, JobError>) {
+        let shared = &self.shared;
+        shared.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
+        let counts = SessionCounts::of(&self.session.stats());
+        shared.obs.counters[self.index].publish(&self.counted, &counts);
+        self.counted = counts;
         let elapsed = job.submitted.elapsed();
         let mut record = AuditRecord {
             seq: 0, // stamped by the sink
-            worker: index,
-            epoch,
+            worker: self.index,
+            epoch: self.epoch,
             engine: engine_name(job.engine),
             outcome: AuditOutcome::Value,
             blame_label: None,
@@ -1316,292 +1391,56 @@ impl PoolShared {
             record.peak_frames = m.peak_frames as u64;
             record.peak_cast_frames = m.peak_cast_frames as u64;
         }
-        self.obs.resolved(record);
+        shared.obs.resolved(record);
         // A canceled job's handle already resolved; this reply is then
         // a no-op (the first resolution wins).
         job.reply.resolve(result.map(|report| JobOutput {
             observation: report.observation,
             steps: report.steps,
             metrics: report.metrics,
-            worker: index,
+            worker: self.index,
             elapsed,
         }));
     }
 
-    /// Folds the session's counters into the worker's retired totals
-    /// (called before the session is replaced or abandoned).
-    fn retire(&self, index: usize, session: &Session) {
-        let stats = session.stats();
-        let mut slot = lock(&self.slots[index]);
-        slot.retired.absorb(&stats);
-        slot.stats = None;
-        drop(slot);
-        self.obs.counters[index].sessions_retired.inc();
-    }
-
-    /// The cheap per-job promotion gate: policy thresholds on this
-    /// worker's own session, then the fattest-overlay check against
-    /// the other workers' published slots.
-    fn should_promote(&self, index: usize, session: &Session) -> bool {
-        let Some(policy) = &self.policy else {
-            return false;
+    /// Admits one job: resolves the program (the session's program
+    /// cache, else a source compile) and starts a resumable run parked
+    /// at step zero — no machine steps run here; the scheduling loop
+    /// doles those out in slices.
+    fn admit(&mut self, job: &Job) -> Result<PausedRun, JobError> {
+        let JobSpec::Source(source) = &job.spec else {
+            panic!("deliberate pool fault injection (JobSpec::Poison)");
         };
-        if self.jobs_since_promotion.load(Ordering::Relaxed) < policy.min_interval_jobs {
-            return false;
+        if !self.programs.contains_key(source) {
+            let program = self.session.compile(source).map_err(JobError::Compile)?;
+            if self.programs.len() >= WORKER_PROGRAM_CACHE_CAP {
+                self.programs.clear();
+            }
+            self.programs.insert(source.clone(), program);
         }
-        let stats = session.stats();
-        let local = stats.tier.local_coercion_nodes + stats.tier.local_type_nodes;
-        if local < policy.min_local_nodes {
-            return false;
-        }
-        let probes = stats.coercions.node_hits + stats.coercions.node_misses;
-        let miss_rate = 1.0 - stats.coercions.base_hits as f64 / probes.max(1) as f64;
-        if probes > 0 && miss_rate < policy.min_miss_rate {
-            return false;
-        }
-        // Freeze the fattest overlay: if some other worker's published
-        // overlay is fatter, leave promotion to it (its next job
-        // boundary will get here). Published slots lag by at most one
-        // job per worker, so a fatter-looking-but-stale slot delays
-        // promotion by a bounded number of jobs, never blocks it.
-        self.slots.iter().enumerate().all(|(i, s)| {
-            i == index
-                || lock(s).stats.is_none_or(|other| {
-                    other.tier.local_coercion_nodes + other.tier.local_type_nodes <= local
-                })
-        })
+        let fuel = job.fuel.unwrap_or_else(|| self.session.default_fuel());
+        Ok(self
+            .session
+            .start_run(&self.programs[source], job.engine, fuel))
     }
 
-    /// Freezes `session` and publishes it as the next epoch, unless a
-    /// concurrent promotion got there first. Returns the new epoch
-    /// pair for the promoting worker to adopt. Job intake is never
-    /// paused: only the promoting worker spends time here, and
-    /// submits/steals proceed against the per-worker queues
-    /// throughout.
-    fn promote(
-        &self,
-        epoch_seen: u64,
-        old: &Arc<FrozenBase>,
-        session: &Session,
-    ) -> Option<(u64, Arc<FrozenBase>)> {
-        if self.promoting.swap(true, Ordering::AcqRel) {
-            return None;
+    /// The caught-panic path: the worker restarts in place. It types
+    /// the panicking job, counts the restart, hands its parked jobs
+    /// back to its queue (their runs die with the session — they
+    /// restart from step zero by spec, at-least-once for a language
+    /// with no side effects to repeat), and rebuilds its session over
+    /// the current epoch, which counts the retired session.
+    fn restart(&mut self, job: Job) {
+        self.resolve(job, 0, Err(JobError::WorkerPanicked));
+        self.shared.obs.respawns.inc();
+        if !self.run_queue.is_empty() {
+            let queue = &self.shared.queues[self.index];
+            lock(&queue.deque).extend(self.run_queue.drain(..).map(|entry| entry.job));
+            queue.ready.notify_one();
         }
-        let started = Instant::now();
-        let published = (|| {
-            // Lost the race: someone published while this worker was
-            // deciding; adopt theirs instead of stacking a promotion
-            // from a stale overlay.
-            if self.epoch.epoch() != epoch_seen {
-                return None;
-            }
-            let next = session.freeze();
-            debug_assert!(
-                next.extends(old),
-                "a promoted epoch must extend the epoch it was grown over"
-            );
-            let epoch = self.epoch.publish(Arc::clone(&next));
-            let elapsed = ns(started.elapsed());
-            self.promotion_ns.fetch_add(elapsed, Ordering::Relaxed);
-            self.last_promotion_ns.store(elapsed, Ordering::Relaxed);
-            self.obs.promotions.inc();
-            self.jobs_since_promotion.store(0, Ordering::Relaxed);
-            Some((epoch, next))
-        })();
-        self.promoting.store(false, Ordering::Release);
-        published
+        let (epoch, base) = self.shared.epoch.load();
+        self.adopt(epoch, base);
     }
-
-    /// Spawns a replacement worker after a caught panic (unless the
-    /// pool is shutting down, in which case siblings drain the dead
-    /// worker's queue).
-    fn respawn(self: &Arc<Self>, index: usize) {
-        if !self.open.load(Ordering::Acquire) {
-            return;
-        }
-        let handle = self.spawn_worker(index);
-        self.obs.respawns.inc();
-        // Overwrites the dying worker's own handle: it is past
-        // everything observable and exits right after this call, so
-        // nothing is lost by detaching it.
-        lock(&self.handles)[index] = Some(handle);
-    }
-}
-
-/// One worker: a private overlay [`Session`] over the current epoch's
-/// base, a run queue of parked jobs, and a scheduling loop that
-/// interleaves intake with round-robin timeslicing until the pool
-/// closes, every queue drains, and every parked job finishes.
-///
-/// Each loop turn does at most one intake claim (blocking only when
-/// nothing is parked — an idle worker parks on its condvar exactly
-/// like the pre-slicing loop) and one slice of the run queue's head.
-/// A 64-job batch with divergent spinners therefore finishes its
-/// convergent jobs in a bounded number of turns: a spinner gets one
-/// slice per rotation, never the whole worker.
-fn worker_loop(index: usize, shared: Arc<PoolShared>) {
-    lock(&shared.slots[index]).dead = false;
-    let (mut epoch, mut base) = shared.epoch.load();
-    let mut session = shared.build_session(Arc::clone(&base));
-    // The worker-local program cache: one lowered Program per distinct
-    // source. Programs hold session-bound ids, so the cache lives and
-    // dies with the current session; it is what makes a repeated job
-    // a pure lookup — zero parsing, zero lowering.
-    let mut programs: HashMap<String, crate::session::Program> = HashMap::new();
-    let mut run_queue: VecDeque<ParkedEntry> = VecDeque::new();
-    loop {
-        let incoming = if run_queue.is_empty() {
-            match shared.next_job(index) {
-                Some(job) => Some(job),
-                // Closed, every queue drained, nothing parked: done.
-                None => return,
-            }
-        } else {
-            shared.try_claim(index)
-        };
-        if let Some(mut job) = incoming {
-            // The job is claimed: everything before this instant was
-            // queueing (dispatch, standing in a deque, being stolen).
-            job.queue_wait = job.submitted.elapsed();
-            // Epoch adoption happens only with an empty run queue:
-            // parked runs hold ids interned in the current session,
-            // which an adoption would rebuild. A parked spinner thus
-            // delays its worker's adoption until it finishes or
-            // exhausts its fuel — bounded by the fuel bound, never
-            // forever. The old base's Arc drops with the retired
-            // session — epochs drain, they are never collected.
-            if run_queue.is_empty() {
-                if let Some((e, b)) = shared.epoch.refresh(epoch) {
-                    shared.retire(index, &session);
-                    (epoch, base) = (e, b);
-                    session = shared.build_session(Arc::clone(&base));
-                    programs.clear();
-                }
-            }
-            if let Some(err) = job.abandoned(0) {
-                shared.resolve(index, epoch, &session, job, 0, Err(err));
-            } else {
-                // Admission is the first unwind boundary: it runs
-                // job-determined work (parsing, elaboration,
-                // lowering). AssertUnwindSafe is sound because
-                // everything the closure touches is discarded on
-                // panic (session, program cache, and parked runs die
-                // with this worker; the replacement starts fresh over
-                // the current epoch).
-                let admitted =
-                    catch_unwind(AssertUnwindSafe(|| admit(&session, &mut programs, &job)));
-                match admitted {
-                    Ok(Ok(run)) => run_queue.push_back(ParkedEntry { job, run }),
-                    Ok(Err(err)) => shared.resolve(index, epoch, &session, job, 0, Err(err)),
-                    Err(_) => {
-                        die(&shared, index, epoch, &session, job, run_queue);
-                        return;
-                    }
-                }
-            }
-        }
-        // One scheduling turn: slice the head of the run queue; a job
-        // parked again goes to the back (round-robin — every parked
-        // job advances one slice per rotation).
-        if let Some(ParkedEntry { job, run }) = run_queue.pop_front() {
-            let steps = run.steps();
-            if let Some(err) = job.abandoned(steps) {
-                shared.resolve(index, epoch, &session, job, steps, Err(err));
-            } else {
-                // The slice is the other unwind boundary (machine
-                // steps run job-determined work too).
-                let sliced = catch_unwind(AssertUnwindSafe(|| {
-                    session.resume_slice(run, shared.slice_steps)
-                }));
-                let Ok(sliced) = sliced else {
-                    die(&shared, index, epoch, &session, job, run_queue);
-                    return;
-                };
-                let counters = &shared.obs.counters[index];
-                counters.slices.inc();
-                match sliced {
-                    SliceOutcome::Done(result) => {
-                        let result = result.map_err(JobError::Run);
-                        shared.resolve(index, epoch, &session, job, 0, result);
-                    }
-                    SliceOutcome::Parked(run) => {
-                        counters.preemptions.inc();
-                        run_queue.push_back(ParkedEntry { job, run });
-                    }
-                }
-            }
-        }
-        // Promotion rebuilds the session parked runs reference, so it
-        // is considered only with an empty run queue — at the end of a
-        // turn, that means the turn resolved a job.
-        if run_queue.is_empty() && shared.should_promote(index, &session) {
-            if let Some((e, b)) = shared.promote(epoch, &base, &session) {
-                // The promoting worker adopts its own epoch at once — its
-                // overlay *is* the new base.
-                shared.retire(index, &session);
-                (epoch, base) = (e, b);
-                session = shared.build_session(Arc::clone(&base));
-                programs.clear();
-            }
-        }
-        lock(&shared.slots[index]).parked_depth = run_queue.len();
-    }
-}
-
-/// The caught-panic exit path: types the panicking job, retires the
-/// session, hands the surviving parked jobs back to the queue (their
-/// runs died with the session — the replacement restarts them from
-/// step zero by spec, at-least-once for a language with no side
-/// effects to repeat), and respawns.
-fn die(
-    shared: &Arc<PoolShared>,
-    index: usize,
-    epoch: u64,
-    session: &Session,
-    job: Job,
-    run_queue: VecDeque<ParkedEntry>,
-) {
-    shared.resolve(index, epoch, session, job, 0, Err(JobError::WorkerPanicked));
-    shared.retire(index, session);
-    {
-        let mut slot = lock(&shared.slots[index]);
-        slot.dead = true;
-        slot.parked_depth = 0;
-    }
-    if !run_queue.is_empty() {
-        let queue = &shared.queues[index];
-        lock(&queue.deque).extend(run_queue.into_iter().map(|entry| entry.job));
-        queue.ready.notify_one();
-    }
-    shared.respawn(index);
-}
-
-/// Bound on the worker-local program cache; beyond it the cache is
-/// dropped wholesale (recompiling is always safe — the arenas stay
-/// warm, so a re-lower interns nothing).
-const WORKER_PROGRAM_CACHE_CAP: usize = 1024;
-
-/// Admits one job: resolves the program (worker cache, else a source
-/// compile) and starts a resumable run parked at step zero — no
-/// machine steps run here; the scheduling loop doles those out in
-/// slices.
-fn admit(
-    session: &Session,
-    programs: &mut HashMap<String, crate::session::Program>,
-    job: &Job,
-) -> Result<PausedRun, JobError> {
-    let JobSpec::Source(source) = &job.spec else {
-        panic!("deliberate pool fault injection (JobSpec::Poison)");
-    };
-    if !programs.contains_key(source) {
-        let program = session.compile(source).map_err(JobError::Compile)?;
-        if programs.len() >= WORKER_PROGRAM_CACHE_CAP {
-            programs.clear();
-        }
-        programs.insert(source.clone(), program);
-    }
-    let fuel = job.fuel.unwrap_or_else(|| session.default_fuel());
-    Ok(session.start_run(&programs[source], job.engine, fuel))
 }
 
 /// A multi-threaded serving pool: N worker threads, each with a
@@ -1613,9 +1452,11 @@ fn admit(
 #[derive(Debug)]
 pub struct SessionPool {
     shared: Arc<PoolShared>,
+    /// Worker join handles, indexed by worker; emptied by the first
+    /// join.
+    handles: Vec<JoinHandle<()>>,
     /// Round-robin dispatch cursor.
     next: AtomicUsize,
-    default_fuel: u64,
     /// The most machine steps any one warmup run took.
     warmup_peak_steps: u64,
 }
@@ -1647,7 +1488,7 @@ impl SessionPool {
     /// The step bound applied to jobs submitted without explicit
     /// fuel.
     pub fn default_fuel(&self) -> u64 {
-        self.default_fuel
+        self.shared.default_fuel
     }
 
     /// Total jobs currently waiting in worker queues (excludes jobs
@@ -1656,11 +1497,7 @@ impl SessionPool {
     /// [`SessionPoolBuilder::queue_capacity`] against the per-worker
     /// in-flight counts and rejects with [`JobError::Rejected`]).
     pub fn queue_depth(&self) -> usize {
-        self.shared
-            .queues
-            .iter()
-            .map(|q| lock(&q.deque).len())
-            .sum()
+        self.queue_depths().iter().sum()
     }
 
     /// Per-worker queue depths (index = worker). Imbalance here is
@@ -1729,8 +1566,8 @@ impl SessionPool {
     }
 
     /// Test-only fault injection: submits a job whose serve panics
-    /// inside the worker, exercising the catch-unwind, dead-marking,
-    /// and respawn path end to end. Hidden rather than `cfg(test)`
+    /// inside the worker, exercising the catch-unwind and in-place
+    /// restart path end to end. Hidden rather than `cfg(test)`
     /// so integration tests and fault-injection drills can reach it.
     #[doc(hidden)]
     pub fn submit_poison(&self) -> JobHandle {
@@ -1802,59 +1639,61 @@ impl SessionPool {
 
     /// The pool accounting, read from the `bc-obs` cells the
     /// exposition renders — see the
-    /// [consistency contract](PoolStats#consistency-contract) on
-    /// [`PoolStats`]. Each count is monotone between calls and exact
-    /// once the pool is quiescent; a job is counted before its handle
-    /// resolves (a cancel excepted, which resolves at
-    /// [`JobHandle::cancel`]).
+    /// [consistency contract](PoolStats#consistency-contract).
     pub fn stats(&self) -> PoolStats {
-        let shared = &self.shared;
+        let obs = &self.shared.obs;
         PoolStats {
-            epoch: shared.epoch.epoch(),
-            promotions: shared.obs.promotions.get(),
-            promotion_ns: shared.promotion_ns.load(Ordering::Relaxed),
-            last_promotion_ns: shared.last_promotion_ns.load(Ordering::Relaxed),
-            respawns: shared.obs.respawns.get(),
+            epoch: self.shared.epoch.epoch(),
+            promotions: obs.promotions.get(),
+            promotion_ns: obs.promotion_ns.get(),
+            respawns: obs.respawns.get(),
             warmup_peak_steps: self.warmup_peak_steps,
-            workers: shared
-                .obs
-                .counters
-                .iter()
-                .enumerate()
-                .map(|(worker, cells)| {
-                    let slot = *lock(&shared.slots[worker]);
-                    WorkerStats {
-                        worker,
-                        jobs: cells.jobs(),
-                        steals: cells.steals.get(),
-                        panics: cells.resolved(AuditOutcome::WorkerPanicked),
-                        slices: cells.slices.get(),
-                        preemptions: cells.preemptions.get(),
-                        deadline_misses: cells.resolved(AuditOutcome::DeadlineExceeded),
-                        cancellations: cells.resolved(AuditOutcome::Canceled),
-                        parked_depth: slot.parked_depth,
-                        dead: slot.dead,
-                        queue_depth: lock(&shared.queues[worker].deque).len(),
-                        session: slot.stats,
-                        sessions_retired: cells.sessions_retired.get(),
-                        retired: slot.retired,
-                    }
-                })
-                .collect(),
+            workers: (0..self.workers()).map(|w| self.worker_stats(w)).collect(),
+        }
+    }
+
+    /// One worker's accounting, read from its cells and gauges.
+    fn worker_stats(&self, worker: usize) -> WorkerStats {
+        let cells = &self.shared.obs.counters[worker];
+        let session = &cells.session;
+        WorkerStats {
+            worker,
+            jobs: cells.jobs(),
+            steals: cells.steals.get(),
+            panics: cells.resolved(AuditOutcome::WorkerPanicked),
+            slices: cells.slices.get(),
+            preemptions: cells.preemptions.get(),
+            deadline_misses: cells.resolved(AuditOutcome::DeadlineExceeded),
+            cancellations: cells.resolved(AuditOutcome::Canceled),
+            sessions_retired: cells.sessions_retired.get(),
+            local_coercion_nodes: session.local_coercion_nodes.get(),
+            local_type_nodes: session.local_type_nodes.get(),
+            coercion_probes: session.coercion_probes.get(),
+            coercion_base_hits: session.coercion_base_hits.get(),
+            compose_probes: session.compose_probes.get(),
+            compose_base_hits: session.compose_base_hits.get(),
+            type_base_hits: session.type_base_hits.get(),
+            programs_lowered: session.programs_lowered.get(),
+            parked_depth: self.shared.obs.parked_depth[worker].get() as usize,
+            queue_depth: lock(&self.shared.queues[worker].deque).len(),
         }
     }
 
     /// Renders the pool's metrics as a Prometheus-style text
     /// exposition: `bc_jobs_total{outcome="…"}`, the
     /// `bc_job_latency_ns` and `bc_job_queue_wait_ns` histograms, the
-    /// scheduler counters (`bc_slices_total`, `bc_preemptions_total`,
-    /// `bc_steals_total`, `bc_promotions_total`, `bc_respawns_total`,
-    /// `bc_sessions_retired_total`, `bc_audit_dropped_total`), and the
-    /// polled gauges (`bc_epoch`, `bc_workers`, per-worker
-    /// `bc_queue_depth` / `bc_parked_depth`, and the cumulative
-    /// `bc_coercion_base_hit_rate` / `bc_compose_base_hit_rate`).
-    /// Gauges are refreshed from a [`SessionPool::stats`] snapshot at
-    /// render time; counters and histograms read their live cells.
+    /// scheduler and lifecycle counters (`bc_slices_total`,
+    /// `bc_preemptions_total`, `bc_steals_total`,
+    /// `bc_promotions_total`, `bc_promotion_ns_total`,
+    /// `bc_respawns_total`, `bc_sessions_retired_total`,
+    /// `bc_audit_dropped_total`), one counter per [`WorkerStats`]
+    /// session count (`bc_local_coercion_nodes_total`,
+    /// `bc_coercion_probes_total`, …), and the gauges (`bc_epoch`,
+    /// `bc_workers`, per-worker `bc_queue_depth` / `bc_parked_depth`,
+    /// and the cumulative `bc_coercion_base_hit_rate` /
+    /// `bc_compose_base_hit_rate`). Counters and histograms read their
+    /// live cells, as does the parked depth; the other gauges are
+    /// refreshed from a [`SessionPool::stats`] snapshot at render time.
     pub fn metrics_text(&self) -> String {
         self.shared.obs.render(&self.stats())
     }
@@ -1886,44 +1725,35 @@ impl SessionPool {
     }
 
     /// Graceful shutdown: closes intake, lets the workers drain every
-    /// already-submitted job (stealing covers queues whose owner
-    /// died), joins them, and returns the final accounting.
+    /// already-submitted job, joins them, and returns the final
+    /// accounting.
     ///
     /// # Panics
     ///
     /// Propagates a worker thread's panic (job-level panics are
     /// caught and typed as [`JobError::WorkerPanicked`]; a panic that
     /// escapes the worker loop itself is an internal bug).
-    pub fn shutdown(self) -> PoolStats {
+    pub fn shutdown(mut self) -> PoolStats {
         if let Some(panic) = self.close_and_join() {
             std::panic::resume_unwind(panic);
         }
         self.stats()
     }
 
-    /// Closes intake and joins every worker thread — looping, because
-    /// a worker dying mid-drain may have installed a replacement
-    /// handle while we were joining. Returns the first join panic.
-    fn close_and_join(&self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
+    /// Closes intake and joins every worker thread. Returns the first
+    /// join panic.
+    fn close_and_join(&mut self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
         self.shared.open.store(false, Ordering::Release);
         for queue in &self.shared.queues {
             queue.ready.notify_all();
         }
         let mut first_panic = None;
-        loop {
-            let batch: Vec<JoinHandle<()>> = lock(&self.shared.handles)
-                .iter_mut()
-                .filter_map(Option::take)
-                .collect();
-            if batch.is_empty() {
-                return first_panic;
-            }
-            for handle in batch {
-                if let Err(panic) = handle.join() {
-                    first_panic.get_or_insert(panic);
-                }
+        for handle in self.handles.drain(..) {
+            if let Err(panic) = handle.join() {
+                first_panic.get_or_insert(panic);
             }
         }
+        first_panic
     }
 }
 

@@ -1,16 +1,14 @@
 //! Scheduling primitives for the preemptive serving front end:
-//! fuel-timeslicing budgets, per-job deadlines, and the shared
-//! completion cell behind [`JobHandle`](crate::pool::JobHandle).
+//! per-job deadlines and the shared completion cell behind
+//! [`JobHandle`](crate::pool::JobHandle).
 //!
 //! The paper's machines are step-functions over explicit state, so
 //! preemption costs nothing in principle: a worker runs a job for a
-//! [`SliceBudget`] worth of machine transitions, parks the machine
-//! state (`Session::resume_slice`'s `PausedRun`), serves other jobs,
-//! and resumes later. This module holds the pieces that are *not*
-//! machine state:
+//! slice of machine transitions, parks the machine state
+//! (`Session::resume_slice`'s `PausedRun`), serves other jobs, and
+//! resumes later. This module holds the pieces that are *not* machine
+//! state:
 //!
-//! * [`SliceBudget`] — how many steps a job may take per turn before
-//!   it is preempted and re-queued behind its worker's other jobs;
 //! * [`Deadline`] — a wall-clock bound checked at slice boundaries
 //!   (cooperative, like the preemption itself: a job never observes
 //!   its deadline mid-slice);
@@ -31,73 +29,12 @@ use std::time::{Duration, Instant};
 
 use crate::pool::{JobError, JobOutput};
 
-/// Steps a job may run per scheduling turn before it is preempted.
-///
-/// Fuel, slices, and reported step counts all use the same unit: one
-/// machine transition (or one small-step reduction — the engines
-/// enforce a 1:1 accounting, see the fuel check in
-/// `bc_machine::cek_s`). A slice is therefore a *deterministic* unit
-/// of work, not a wall-clock guess, and sliced execution is
-/// observationally identical to unsliced execution by construction.
-///
-/// # Default rationale (measured)
-///
-/// The default is **4096 steps**. On the release-mode six-shape bench
-/// workload a λS machine transition costs on the order of 40–80 ns,
-/// so a slice is roughly 0.2–0.3 ms — two orders of magnitude above
-/// the park/resume overhead (moving a `PausedRun` through the run
-/// queue is a few pointer moves plus one counter update), and two
-/// orders of magnitude below the default 1M-step fuel, so a divergent
-/// spinner is preempted ~244 times instead of pinning its worker
-/// once. In a release-mode measurement, sliced and unsliced latency
-/// on an all-convergent batch agreed within noise (p50 0.52 ms vs
-/// 0.51 ms), while the p99 latency of convergent jobs sharing one
-/// worker with four spinners dropped from the spinners' full fuel burn
-/// (~206 ms) to a handful of slices (~6 ms); `tests/sched.rs` checks
-/// the ordering on every change. Shrink the budget for
-/// tighter preemption latency (slice 1 still satisfies the identity
-/// property — it is just all scheduling overhead); grow it toward
-/// the fuel bound to approach unsliced behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceBudget(u64);
-
-impl SliceBudget {
-    /// A budget of `steps` machine transitions per scheduling turn.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero: a zero-step slice parks without progressing —
-    /// the scheduler would spin forever.
-    pub fn new(steps: u64) -> SliceBudget {
-        assert!(steps > 0, "a SliceBudget must allow at least one step");
-        SliceBudget(steps)
-    }
-
-    /// The budget in steps (machine transitions).
-    pub fn steps(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for SliceBudget {
-    fn default() -> SliceBudget {
-        SliceBudget(4096)
-    }
-}
-
-impl fmt::Display for SliceBudget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} steps/slice", self.0)
-    }
-}
-
 /// A wall-clock bound on one job, enforced cooperatively at slice
 /// boundaries: before a job's next slice starts, an expired deadline
 /// resolves it to [`JobError::DeadlineExceeded`] with the steps it
 /// actually took and the time it actually spent. A job is never
 /// interrupted mid-slice, so the enforcement latency is bounded by
-/// one [`SliceBudget`] worth of steps (plus queueing on the worker's
-/// run queue).
+/// one slice of steps (plus queueing on the worker's run queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     /// `None` when the deadline lies past what an `Instant` can hold:
@@ -364,11 +301,5 @@ mod tests {
             seen.fetch_add(1, Ordering::AcqRel);
         }));
         assert_eq!(fired.load(Ordering::Acquire), 1);
-    }
-
-    #[test]
-    fn slice_budget_rejects_zero() {
-        assert!(std::panic::catch_unwind(|| SliceBudget::new(0)).is_err());
-        assert_eq!(SliceBudget::default().steps(), 4096);
     }
 }

@@ -126,6 +126,21 @@ fn warmed_pool_exposition_reflects_the_batch() {
     assert_eq!(value(&text, "bc_epoch"), 1.0);
     assert_eq!(value(&text, "bc_workers"), 2.0);
     assert_eq!(value(&text, "bc_audit_dropped_total"), 0.0);
+    // The session counts PoolStats reports are the rendered series.
+    let stats = pool.stats();
+    for (series, count) in [
+        ("bc_coercion_probes_total", stats.coercion_probes()),
+        ("bc_coercion_base_hits_total", stats.coercion_base_hits()),
+        (
+            "bc_local_coercion_nodes_total",
+            stats.local_coercion_nodes(),
+        ),
+        ("bc_local_type_nodes_total", stats.local_type_nodes()),
+        ("bc_promotion_ns_total", stats.promotion_ns),
+    ] {
+        assert_eq!(value(&text, series), count as f64, "{series}");
+    }
+    assert!(stats.coercion_probes() > 0);
 
     // The audit stream carries one record per job, consistent with
     // the exposition, and the analytics fold agrees with both.
@@ -238,9 +253,9 @@ fn counters_stay_monotone_across_promotions_and_respawns() {
             pool.submit_poison().wait(),
             Err(JobError::WorkerPanicked)
         ));
-        // The poison's reply resolves *inside* the dying serve; the
-        // replacement worker (and the respawn counter) lands a moment
-        // later. Wait for it so the snapshot below is post-recovery.
+        // The poison's reply resolves before the worker counts its
+        // restart and rebuilds its session. Wait for the restart so
+        // the snapshot below is post-recovery.
         wait_until(&pool, "the respawn", |s| s.respawns > wave);
 
         let stats = pool.stats();
@@ -255,7 +270,7 @@ fn counters_stay_monotone_across_promotions_and_respawns() {
         assert!(stats.respawns > prev_stats.respawns);
         assert!(stats.epoch >= prev_stats.epoch);
         let retired = |s: &blame_coercion::PoolStats| -> u64 {
-            s.workers.iter().map(|w| w.sessions_retired()).sum()
+            s.workers.iter().map(|w| w.sessions_retired).sum()
         };
         assert!(retired(&stats) > retired(&prev_stats));
 
@@ -366,7 +381,7 @@ fn rejected_submissions_are_audited() {
 }
 
 /// A panic hands the worker's parked jobs back to its queue, and the
-/// replacement claims them a second time. Their queue wait is still
+/// restarted worker claims them a second time. Their queue wait is still
 /// recorded once, when they resolve.
 #[test]
 fn a_requeued_job_records_its_queue_wait_once() {
@@ -432,7 +447,7 @@ fn every_resolution_is_counted_audited_and_answered_once() {
         let handle = pool.submit_with_options(source, Engine::MachineS, fuel, None);
         results.push(handle.wait());
     }
-    // A poison before anything parks, so the respawn requeues nothing.
+    // A poison before anything parks, so the restart requeues nothing.
     results.push(pool.submit_poison().wait());
     wait_until(&pool, "the respawn", |s| s.respawns == 1);
 

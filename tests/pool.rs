@@ -5,11 +5,14 @@
 //! local interning across all workers on structurally-covered
 //! traffic.
 
+use std::time::{Duration, Instant};
+
 use bc_testkit::sources;
 use blame_coercion::pool::WARMUP_RUN_FUEL;
 use blame_coercion::{Engine, JobError, PromotionPolicy, RunError, Session, SessionPool};
 
 const FUEL: u64 = 50_000;
+const SPIN: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
 
 /// A promotion policy with every gate floored: any worker holding any
 /// overlay growth promotes at its next job boundary. Tests use it so
@@ -135,24 +138,23 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
     // sharing individually — every coercion probe it made was
     // answered by the base. (Which jobs a worker serves depends on
     // stealing, and one that only met cast-free shapes probes no
-    // coercion at all.)
+    // coercion at all.) The pool never left the warmup epoch, so
+    // every worker session ran over the warmup base.
+    assert_eq!(stats.epoch, 1);
     let mut served = 0usize;
     for w in &stats.workers {
         if w.jobs == 0 {
             continue;
         }
         served += 1;
-        let s = w.session.expect("served workers publish stats");
-        assert_eq!(s.tier.base_coercion_nodes, base.coercion_nodes());
-        assert_eq!(s.tier.local_coercion_nodes, 0, "worker {}", w.worker);
-        assert_eq!(s.tier.local_type_nodes, 0, "worker {}", w.worker);
+        assert_eq!(w.local_coercion_nodes, 0, "worker {}", w.worker);
+        assert_eq!(w.local_type_nodes, 0, "worker {}", w.worker);
         assert_eq!(
-            w.coercion_base_hits(),
-            w.coercion_probes(),
+            w.coercion_base_hits, w.coercion_probes,
             "worker {}",
             w.worker
         );
-        assert!(s.tier.type_base_hits > 0, "worker {}", w.worker);
+        assert!(w.type_base_hits > 0, "worker {}", w.worker);
     }
     assert!(served >= 1);
     // Every intern probe across the pool was answered by the base.
@@ -207,17 +209,14 @@ fn warmed_jobs_are_equivalent_to_source_jobs() {
 
     // The warmed pool's workers lowered each distinct program at most
     // once: across 24 jobs over 6 shapes and 3 workers, at most 18
-    // programs exist pool-wide (the worker-local cache served every
-    // repeat).
+    // programs were lowered pool-wide (the worker-local cache served
+    // every repeat, and the warmup epoch never moved, so no session
+    // was rebuilt).
     let stats = warmed.shutdown();
     assert_eq!(stats.jobs(), 24);
-    let lowered: usize = stats
-        .workers
-        .iter()
-        .filter_map(|w| w.session.map(|s| s.programs))
-        .sum();
+    let lowered: u64 = stats.workers.iter().map(|w| w.programs_lowered).sum();
     assert!(
-        lowered <= sources::SHAPES * 3,
+        lowered <= sources::SHAPES as u64 * 3,
         "workers must cache programs across repeated jobs, lowered {lowered}"
     );
     cold.shutdown();
@@ -263,8 +262,7 @@ fn compile_errors_are_typed_job_errors() {
 #[test]
 fn fuel_exhaustion_reports_the_real_step_count_through_the_pool() {
     let pool = SessionPool::builder().workers(2).build().expect("builds");
-    let spin = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
-    match pool.submit_with_fuel(spin, Engine::MachineS, 123).wait() {
+    match pool.submit_with_fuel(SPIN, Engine::MachineS, 123).wait() {
         Err(JobError::Run(RunError::FuelExhausted { steps, metrics })) => {
             assert_eq!(steps, 123);
             assert!(metrics.is_some(), "machine engines carry metrics");
@@ -511,11 +509,87 @@ fn promotion_recovers_the_base_hit_rate_and_cuts_overlay_interning() {
     );
 }
 
+/// `depth` nested arrows whose leaves encode `variant` in binary, cast
+/// through `?`: each (depth, variant) pair interns nodes of its own.
+fn drifted(depth: usize, variant: usize) -> String {
+    let mut ty = String::from("Int");
+    for j in 0..depth {
+        ty = format!("{} -> ({ty})", ["Int", "Bool"][(variant >> (j % 8)) & 1]);
+    }
+    format!("let f = ((fun x => x) : ?) in let g = (f : {ty}) in {variant}")
+}
+
+/// Polls until `done` holds, for at most ten seconds; the caller
+/// asserts what it needs afterwards.
+fn eventually(done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_busy_worker_with_a_fat_overlay_does_not_block_a_siblings_promotion() {
+    // Worker A interns a deep drifted type, and the interval gate
+    // holds its promotion back; then a spinner parks on A, and a
+    // worker with a parked run never promotes. Worker B then serves
+    // small drifted jobs: once the interval gate opens, B must promote
+    // its own overlay, though A's is fatter and A stays busy.
+    let policy = PromotionPolicy {
+        min_local_nodes: 1,
+        min_miss_rate: 0.0,
+        min_interval_jobs: 3,
+    };
+    for _attempt in 0..8 {
+        let pool = SessionPool::builder()
+            .workers(2)
+            .promotion(policy)
+            .build()
+            .expect("builds");
+        let job = pool.submit(drifted(48, 0), Engine::MachineS).wait();
+        let fat = job.expect("runs").worker;
+        assert_eq!(pool.epoch(), 1, "one job is inside the interval gate");
+        // Dispatch is round-robin from worker 0, and job 1 took worker
+        // 0's turn: the spinner targets `fat` once a filler has taken
+        // worker 1's turn too.
+        if fat == 0 {
+            pool.submit("1 + 1", Engine::MachineS).wait().expect("runs");
+        }
+        // Bounded, so that a failed assertion still lets the pool
+        // shut down.
+        let spinner = pool.submit_with_fuel(SPIN, Engine::MachineS, 200_000_000);
+        eventually(|| pool.stats().parked_depths().contains(&1));
+        if pool.stats().parked_depths()[fat] != 1 {
+            // The sibling stole the spinner: set the scene up again.
+            spinner.cancel();
+            continue;
+        }
+        for variant in 1..=16 {
+            if pool.epoch() > 1 {
+                break;
+            }
+            let job = pool.submit(drifted(2, variant), Engine::MachineS);
+            job.wait().expect("runs");
+        }
+        eventually(|| pool.epoch() > 1 || spinner.try_wait().is_some());
+        assert!(
+            pool.epoch() > 1 && spinner.try_wait().is_none(),
+            "no promotion while the fat worker was busy: {}",
+            pool.stats()
+        );
+        spinner.cancel();
+        let stats = pool.shutdown();
+        assert_eq!(stats.parked_depths()[fat], 0, "{stats}");
+        return;
+    }
+    panic!("a sibling stole the spinner on every attempt");
+}
+
 #[test]
 fn a_panicking_job_is_typed_and_the_worker_respawns() {
-    // Worker-failure satellite: a deliberately panicking job resolves
-    // to JobError::WorkerPanicked, the pool survives, and — on a
-    // ONE-worker pool, the hardest case — the respawned worker drains
+    // Worker failure: a deliberately panicking job resolves to
+    // JobError::WorkerPanicked, the pool survives, and — on a
+    // ONE-worker pool, the hardest case — the restarted worker drains
     // every job queued behind the panic.
     let pool = SessionPool::builder()
         .workers(1)
@@ -539,17 +613,18 @@ fn a_panicking_job_is_typed_and_the_worker_respawns() {
         "poison must resolve to the typed panic error"
     );
     for (k, handle) in after.into_iter().enumerate() {
-        let out = handle.wait().expect("the replacement serves queued jobs");
+        let out = handle
+            .wait()
+            .expect("the restarted worker serves queued jobs");
         assert_eq!(out.observation.to_string(), (k as i64 + 1).to_string());
     }
     let stats = pool.shutdown();
     assert_eq!(stats.jobs(), 10, "panicked jobs count too: {stats}");
     assert_eq!(stats.respawns, 1);
     assert_eq!(stats.workers[0].panics, 1);
-    assert!(
-        !stats.workers[0].dead,
-        "the replacement must clear the dead flag: {stats}"
-    );
+    // The restart retired the panicking session: every job after it
+    // ran in a fresh one.
+    assert_eq!(stats.workers[0].sessions_retired, 1, "{stats}");
 }
 
 #[test]
@@ -570,8 +645,7 @@ fn idle_workers_steal_from_busy_queues() {
     assert_eq!(pool.queue_depth(), 0);
     assert_eq!(pool.queue_depths(), vec![0, 0]);
 
-    let spin = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
-    let long = pool.submit_with_fuel(spin, Engine::MachineS, 3_000_000);
+    let long = pool.submit_with_fuel(SPIN, Engine::MachineS, 3_000_000);
     let quick: Vec<_> = (0..12)
         .map(|k| {
             pool.submit(
@@ -608,8 +682,7 @@ fn quick_jobs_overtake_a_spinner_under_default_slicing() {
         .default_fuel(FUEL)
         .build()
         .expect("builds");
-    let spin = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
-    let long = pool.submit_with_fuel(spin, Engine::MachineS, 1_000_000_000);
+    let long = pool.submit_with_fuel(SPIN, Engine::MachineS, 1_000_000_000);
     let quick: Vec<_> = (0..12)
         .map(|k| {
             pool.submit(
@@ -677,11 +750,10 @@ fn warmed_lifecycle_is_not_slower_than_cold() {
 
     // A divergent warmup source under a huge job fuel still stops at
     // the warmup cap.
-    let spin = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
     let pool = SessionPool::builder()
         .workers(1)
         .default_fuel(u64::MAX)
-        .warmup([spin])
+        .warmup([SPIN])
         .build()
         .expect("warmup compiles");
     assert_eq!(pool.stats().warmup_peak_steps, WARMUP_RUN_FUEL);
