@@ -24,15 +24,17 @@
 //! (e.g. `|M⟨id_A⟩|CS`), and such terms must keep evaluating for
 //! progress and for the bisimulation of §4.1 to work. We therefore
 //! evaluate under any *single* coercion frame; the merge rule still
-//! takes priority, so determinism and the space bound are unaffected
-//! (see DESIGN.md §3).
+//! takes priority, so determinism and the space bound are unaffected:
+//! a coercion reaching a coercion frame merges with it before anything
+//! steps inside, so no layer ever carries two.
 //!
 //! Two engines implement the relation. [`run`] steps [`Term`] trees
 //! by walking from the root to the redex each time; it is the oracle.
 //! [`run_compiled`] runs a program's [`SCode`] block on a focused
 //! state: the subterm in focus plus the evaluation-context frames
 //! around it (a coercion frame is never pushed onto another, which is
-//! the merge rule again). Both hold code offsets in activations on the
+//! the merge rule again), and reads its final value back into a
+//! [`Term`]. Both hold code offsets in activations on the
 //! locals stack of [`crate::store`], the run state the λS CEK machine
 //! runs on too. It finds each next redex by refocusing from the last
 //! contractum, performs β by pushing the argument into its slot instead
@@ -46,7 +48,7 @@ use bc_syntax::{Constant, Label, Op, Type, TypeArena};
 
 use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
-use crate::sterm::{decompile_term, Node, SCode, STerm, NO_CAPTURES};
+use crate::sterm::{Node, SCode, NO_CAPTURES};
 use crate::store::{Env, Frame};
 use crate::subst::subst;
 use crate::term::Term;
@@ -109,7 +111,9 @@ impl From<TypeError> for RunError {
     }
 }
 
-/// Metrics and result of a fueled run.
+/// Metrics and result of a fueled run, on either engine: the peaks of
+/// a [`run_compiled`] run measure the tree term its state stands for,
+/// so they are number-for-number those of [`run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// The final outcome.
@@ -329,34 +333,10 @@ pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
 // The compiled small-step: Figure 5 on the code block, in the λS store
 // ---------------------------------------------------------------------
 
-/// The final outcome of evaluating a compiled term.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OutcomeC {
-    /// Evaluation converged to a value.
-    Value(STerm),
-    /// Evaluation allocated blame.
-    Blame(Label),
-}
-
-/// Metrics and result of a fueled compiled run. The peaks measure the
-/// *implicit tree* sizes (each coercion handle weighs its resolved
-/// tree), so they are number-for-number comparable with [`Run`] — the
-/// tree small-step is the property-test oracle for this engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunC {
-    /// The final outcome.
-    pub outcome: OutcomeC,
-    /// Number of reduction steps taken.
-    pub steps: u64,
-    /// Peak term size observed (tree-equivalent measure).
-    pub peak_size: usize,
-    /// Peak total coercion size observed — bounded in λS.
-    pub peak_coercion_size: usize,
-}
-
 /// The small-step's instance of the λS store: a capturing closure keeps
-/// [`STerm::measure`] of the closed term it stands for, computed once
-/// when it is made.
+/// the *measure* of the closed term it stands for, computed once when
+/// it is made. A measure is the pair `(t.size(), t.coercion_size())` of
+/// a tree [`Term`] `t`.
 type Value = crate::store::Value<(usize, usize)>;
 type Store = crate::store::Store<(usize, usize)>;
 
@@ -438,8 +418,8 @@ struct Facts {
     /// counts a `λ`'s or `let`'s variable or a `fix`'s parameter, slot 1
     /// a `fix`'s function (their de Bruijn indices at the binder).
     counts: [u32; 2],
-    /// [`STerm::measure`] of the subterm with every variable weighing
-    /// one: the closed term's for a `λ` or `fix` that captures nothing.
+    /// The measure of the subterm with every variable weighing one:
+    /// the closed term's for a `λ` or `fix` that captures nothing.
     measure: (usize, usize),
 }
 
@@ -491,8 +471,8 @@ struct View<'a> {
 }
 
 impl<'a> View<'a> {
-    /// [`STerm::measure`] of the code at `at` read back in `env`,
-    /// without building it: each free variable weighs its value.
+    /// The measure of the code at `at` read back in `env`, without
+    /// building it: each free variable weighs its value.
     fn measure_code(&self, at: u32, env: Env) -> (usize, usize) {
         self.measure_at(at, 0, &|slot| self.store.slot(env, slot))
     }
@@ -523,7 +503,7 @@ impl<'a> View<'a> {
         measure
     }
 
-    /// [`STerm::measure`] of the closed term a value stands for.
+    /// The measure of the closed term a value stands for.
     #[inline]
     fn measure(&self, value: &'a Value) -> (usize, usize) {
         let (size, coercion_size) = match value {
@@ -539,21 +519,23 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Reads the code at `at`, inside `binders`, back into the named
+    /// Reads the code at `at`, inside `binders`, back into the tree
     /// term it stands for in `env`.
-    fn read_code(&self, at: u32, binders: &[u32], env: Env) -> STerm {
-        let outer = |slot| self.read_value(self.store.slot(env, slot));
-        self.prog.code.decode_open(at, binders, &outer)
+    fn read_code(&self, at: u32, binders: &[u32], env: Env, types: &TypeArena) -> Term {
+        let outer = |slot| self.read_value(self.store.slot(env, slot), types);
+        let code = &self.prog.code;
+        code.decode_open(at, binders, self.arena, types, &outer)
     }
 
-    /// Reads a value back into the closed named term it stands for.
-    fn read_value(&self, value: &'a Value) -> STerm {
+    /// Reads a value back into the closed tree term it stands for.
+    fn read_value(&self, value: &'a Value, types: &TypeArena) -> Term {
         let code = &self.prog.code;
         let u = match value {
-            Value::Int(n) | Value::CoercedInt(n, _) => STerm::Const(Constant::Int(*n)),
-            Value::Bool(b) | Value::CoercedBool(b, _) => STerm::Const(Constant::Bool(*b)),
+            Value::Int(n) | Value::CoercedInt(n, _) => Term::int(*n),
+            Value::Bool(b) | Value::CoercedBool(b, _) => Term::bool(*b),
             Value::Code(at) | Value::CoercedCode(at, _) => {
-                code.decode_open(*at, &[], &|_| unreachable!("a closed function"))
+                let outer = |_| unreachable!("a closed function");
+                code.decode_open(*at, &[], self.arena, types, &outer)
             }
             // Around the closure's node, a free variable's slot is the
             // source of one of its captures.
@@ -562,51 +544,48 @@ impl<'a> View<'a> {
                     unreachable!("a closure over {:?}", code.node(c.code))
                 };
                 let capture = |slot| code.captures(caps).iter().position(|&s| s == slot);
-                let outer = |slot| self.read_value(&c.captures[capture(slot).unwrap()]);
-                code.decode_open(c.code, &[], &outer)
+                let outer = |slot| self.read_value(&c.captures[capture(slot).unwrap()], types);
+                code.decode_open(c.code, &[], self.arena, types, &outer)
             }
         };
         match value.coercion() {
-            Some(s) => STerm::Coerce(u.into(), s),
+            Some(s) => u.coerce(self.arena.resolve(s)),
             None => u,
         }
     }
 
     /// The whole term a run stands for: the focus read back and plugged
     /// into its frames, each pending value taken from the temporaries.
-    fn read_back(&self, focus: &Focus) -> STerm {
+    fn read_back(&self, focus: &Focus, types: &TypeArena) -> Term {
         let code = &self.prog.code;
+        let coercion = |s| self.arena.resolve(s);
         let mut temps = self.store.temps.iter().rev();
-        let mut temp = || self.read_value(temps.next().expect("a pending value"));
-        let at = |at: u32, env: Env| self.read_code(at, &[], env);
+        let mut temp = || self.read_value(temps.next().expect("a pending value"), types);
+        let at = |at: u32, env: Env| self.read_code(at, &[], env, types);
         let m = match focus {
             Focus::Code(c, env) => at(*c, *env),
-            Focus::Value(v) => self.read_value(v),
+            Focus::Value(v) => self.read_value(v, types),
             Focus::Proxy(s) => {
-                let arg = STerm::Coerce(temp().into(), *s);
-                STerm::App(temp().into(), arg.into())
+                let arg = temp().coerce(coercion(*s));
+                temp().app(arg)
             }
             Focus::Blame(_) => unreachable!("a blamed run is measured without reading back"),
         };
         let term = self.store.frames.iter().rev().fold(m, |m, &frame| {
             match (frame, frame.at().map(|at| code.node(at))) {
-                (Frame::OpArg(_, env), Some(Node::Op2(op, _, b))) => {
-                    STerm::Op(op, vec![m, at(b, env)])
-                }
-                (Frame::OpApply(..), Some(Node::Op1(op, _))) => STerm::Op(op, vec![m]),
-                (Frame::OpApply(..), Some(Node::Op2(op, ..))) => STerm::Op(op, vec![temp(), m]),
+                (Frame::OpArg(_, env), Some(Node::Op2(op, _, b))) => Term::op2(op, m, at(b, env)),
+                (Frame::OpApply(..), Some(Node::Op1(op, _))) => Term::Op(op, vec![m]),
+                (Frame::OpApply(..), Some(Node::Op2(op, ..))) => Term::op2(op, temp(), m),
                 (Frame::If(_, env), Some(Node::If(_, t, e))) => {
-                    STerm::If(m.into(), at(t, env).into(), at(e, env).into())
+                    Term::ite(m, at(t, env), at(e, env))
                 }
                 (Frame::Let(_, env), Some(Node::Let { name, body, .. })) => {
-                    let body = self.read_code(body, &[name], env);
-                    STerm::Let(code.name(name).clone(), m.into(), body.into())
+                    let body = self.read_code(body, &[name], env, types);
+                    Term::Let(code.name(name).clone(), m.into(), body.into())
                 }
-                (Frame::AppArg(_, env), Some(Node::App(_, arg))) => {
-                    STerm::App(m.into(), at(arg, env).into())
-                }
-                (Frame::AppCall(_), _) => STerm::App(temp().into(), m.into()),
-                (Frame::CoerceFrame(t), _) => STerm::Coerce(m.into(), t),
+                (Frame::AppArg(_, env), Some(Node::App(_, arg))) => m.app(at(arg, env)),
+                (Frame::AppCall(_), _) => temp().app(m),
+                (Frame::CoerceFrame(t), _) => m.coerce(coercion(t)),
                 (frame, node) => unreachable!("{frame:?} holds {node:?}"),
             }
         });
@@ -905,9 +884,9 @@ pub fn run_compiled(
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
     types: &mut TypeArena,
-) -> Result<RunC, RunError> {
-    type_of(&decompile_term(&code.decode(), arena, types))?;
-    match resume_compiled(start_compiled(code, fuel, arena), fuel, arena, cache) {
+) -> Result<Run, RunError> {
+    type_of(&code.decode(arena, types))?;
+    match resume_compiled(start_compiled(code, fuel, arena), fuel, arena, cache, types) {
         SliceC::Done(r) => r,
         SliceC::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
     }
@@ -942,7 +921,7 @@ impl PausedC {
 #[derive(Debug)]
 pub enum SliceC {
     /// The run finished — value, blame, or fuel exhaustion.
-    Done(Result<RunC, RunError>),
+    Done(Result<Run, RunError>),
     /// Preempted between steps; resume to continue.
     Parked(PausedC),
 }
@@ -977,15 +956,19 @@ pub fn start_compiled(code: &SCode, fuel: u64, arena: &CoercionArena) -> PausedC
 /// `resume_compiled(start_compiled(t, f, ..), f, ..)` is exactly
 /// [`run_compiled`]`(t, f, ..)`, step counts and peaks included.
 ///
+/// A final value is read back into a [`Term`] through `arena` and
+/// `types`.
+///
 /// # Panics
 ///
 /// Panics if the term is open or ill-typed (which [`start_compiled`]
-/// does not check) or its ids are foreign to `arena`.
+/// does not check) or its ids are foreign to `arena` or `types`.
 pub fn resume_compiled(
     paused: PausedC,
     slice: u64,
     arena: &mut CoercionArena,
     cache: &mut ComposeCache,
+    types: &TypeArena,
 ) -> SliceC {
     let PausedC {
         prog,
@@ -1021,12 +1004,12 @@ pub fn resume_compiled(
                 let outcome = match halt {
                     Focus::Value(v) => {
                         let (prog, store) = (&prog, &store);
-                        OutcomeC::Value(View { prog, store, arena }.read_value(&v))
+                        Outcome::Value(View { prog, store, arena }.read_value(&v, types))
                     }
-                    Focus::Blame(p) => OutcomeC::Blame(p),
+                    Focus::Blame(p) => Outcome::Blame(p),
                     _ => unreachable!("a run ends in a value or blame"),
                 };
-                return SliceC::Done(Ok(RunC {
+                return SliceC::Done(Ok(Run {
                     outcome,
                     steps,
                     peak_size,
@@ -1053,7 +1036,8 @@ pub fn resume_compiled(
                     Focus::Blame(_) if store.frames.is_empty() => (1, 0),
                     _ => {
                         let (prog, store) = (&prog, &store);
-                        View { prog, store, arena }.read_back(&focus).measure(arena)
+                        let t = View { prog, store, arena }.read_back(&focus, types);
+                        (t.size(), t.coercion_size())
                     }
                 },
                 "tracked size drifted from the term at step {steps}"
@@ -1213,31 +1197,16 @@ mod tests {
     /// Runs `m` on both engines and asserts the full fingerprint:
     /// outcome, step count and both space peaks.
     fn assert_compiled_matches_tree(m: &Term) {
-        use crate::sterm::compile_term;
-
-        let tree = run(m, 10_000).unwrap();
-        let mut arena = CoercionArena::new();
-        let mut cache = ComposeCache::new();
-        let mut types = TypeArena::new();
-        let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
-        let compiled = run_compiled(&st, 10_000, &mut arena, &mut cache, &mut types).unwrap();
-        match (&tree.outcome, &compiled.outcome) {
-            (Outcome::Value(v), OutcomeC::Value(cv)) => {
-                assert_eq!(
-                    crate::sterm::decompile_term(cv, &arena, &types),
-                    *v,
-                    "outcome of {m}"
-                );
-            }
-            (Outcome::Blame(l), OutcomeC::Blame(cl)) => assert_eq!(l, cl, "blame of {m}"),
-            (a, b) => panic!("outcomes diverge on {m}: {a:?} vs {b:?}"),
-        }
-        assert_eq!(tree.steps, compiled.steps, "steps of {m}");
-        assert_eq!(tree.peak_size, compiled.peak_size, "peak size of {m}");
-        assert_eq!(
-            tree.peak_coercion_size, compiled.peak_coercion_size,
-            "peak coercion size of {m}"
+        let mut ctx = crate::sterm::CompileCtx::new();
+        let code = ctx.compile(m);
+        let compiled = run_compiled(
+            &code,
+            10_000,
+            &mut ctx.arena,
+            &mut ctx.cache,
+            &mut ctx.types,
         );
+        assert_eq!(compiled, run(m, 10_000), "{m}");
     }
 
     fn inc() -> Term {
@@ -1488,8 +1457,6 @@ mod tests {
 
     #[test]
     fn sliced_compiled_run_is_identical_to_unsliced() {
-        use crate::sterm::compile_term;
-
         let samples = [
             inc()
                 .coerce(SpaceCoercion::fun(proj_int(0), inj_int()))
@@ -1506,21 +1473,23 @@ mod tests {
         for fuel in [1u64, 2, 3, 10_000] {
             for m in &samples {
                 let unsliced = {
-                    let mut arena = CoercionArena::new();
-                    let mut cache = ComposeCache::new();
-                    let mut types = TypeArena::new();
-                    let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
-                    run_compiled(&st, fuel, &mut arena, &mut cache, &mut types)
+                    let mut ctx = crate::sterm::CompileCtx::new();
+                    let code = ctx.compile(m);
+                    run_compiled(&code, fuel, &mut ctx.arena, &mut ctx.cache, &mut ctx.types)
                 };
                 for slice in [1u64, 2, 7, fuel] {
-                    let mut arena = CoercionArena::new();
-                    let mut cache = ComposeCache::new();
-                    let mut types = TypeArena::new();
-                    let st = SCode::encode(&compile_term(m, &mut arena, &mut types));
-                    let mut paused = start_compiled(&st, fuel, &arena);
+                    let mut ctx = crate::sterm::CompileCtx::new();
+                    let code = ctx.compile(m);
+                    let mut paused = start_compiled(&code, fuel, &ctx.arena);
                     let mut last_steps = 0;
                     let sliced = loop {
-                        match resume_compiled(paused, slice, &mut arena, &mut cache) {
+                        match resume_compiled(
+                            paused,
+                            slice,
+                            &mut ctx.arena,
+                            &mut ctx.cache,
+                            &ctx.types,
+                        ) {
                             SliceC::Done(result) => break result,
                             SliceC::Parked(next) => {
                                 assert!(
@@ -1548,7 +1517,7 @@ mod tests {
         let (mut locals, mut temps) = (0, 0);
         let mut paused = start_compiled(&code, u64::MAX, &ctx.arena);
         let run = loop {
-            match resume_compiled(paused, 1, &mut ctx.arena, &mut ctx.cache) {
+            match resume_compiled(paused, 1, &mut ctx.arena, &mut ctx.cache, &ctx.types) {
                 SliceC::Done(run) => break run.expect("the loop ends"),
                 SliceC::Parked(p) => {
                     locals = locals.max(p.store.locals.len());
@@ -1557,8 +1526,7 @@ mod tests {
                 }
             }
         };
-        let done = OutcomeC::Value(STerm::Const(Constant::Bool(true)));
-        assert_eq!(run.outcome, done, "{m}");
+        assert_eq!(run.outcome, Outcome::Value(Term::bool(true)), "{m}");
         [run.peak_size, run.peak_coercion_size, locals, temps]
     }
 
@@ -1646,21 +1614,18 @@ mod tests {
         let code = ctx.compile(&chain(40));
         let run = run_compiled(&code, 100, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
         let run = run.expect("the chain ends");
-        assert_eq!(run.outcome, OutcomeC::Value(STerm::Const(Constant::Int(1))));
+        assert_eq!(run.outcome, Outcome::Value(Term::int(1)));
         assert_eq!(run.steps, 42);
         assert!(run.peak_size > 1 << 40, "{}", run.peak_size);
     }
 
     #[test]
     fn compiled_run_rejects_ill_typed_terms() {
-        use crate::sterm::compile_term;
         let bad = Term::op2(Op::Add, Term::int(1), Term::Const(Constant::Bool(true)));
-        let mut arena = CoercionArena::new();
-        let mut cache = ComposeCache::new();
-        let mut types = TypeArena::new();
-        let st = SCode::encode(&compile_term(&bad, &mut arena, &mut types));
+        let mut ctx = crate::sterm::CompileCtx::new();
+        let code = ctx.compile(&bad);
         assert!(matches!(
-            run_compiled(&st, 10, &mut arena, &mut cache, &mut types),
+            run_compiled(&code, 10, &mut ctx.arena, &mut ctx.cache, &mut ctx.types),
             Err(RunError::IllTyped(_))
         ));
     }

@@ -54,8 +54,8 @@
 //! `bc_syntax` [`bc_syntax::TypeId`] annotations, which both λS engines
 //! run in place, so a boundary crossing performs zero interning and
 //! zero coercion allocation — an id load plus a cached O(1) merge.
-//! [`sterm::STerm`], the named tree over the same ids, is only a
-//! read-back and decoding form; nothing type checks it.
+//! [`sterm::SCode::decode`] reads a block back into the tree [`Term`],
+//! and the λS small-step reads a run's value back the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +76,7 @@ pub use arena::{
 };
 pub use coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 pub use compose::compose;
-pub use eval::{run_compiled, OutcomeC, RunC};
-pub use sterm::{compile_term, decompile_term, CompileCtx, SCode, STerm};
+pub use eval::run_compiled;
+pub use sterm::{CompileCtx, SCode};
 pub use term::Term;
 pub use typing::type_of;

@@ -1,5 +1,4 @@
-//! The compiled λS term IR, in two forms: the named [`STerm`] tree and
-//! the flat, index-resolved [`SCode`] block.
+//! The compiled λS term IR: the flat, index-resolved [`SCode`] block.
 //!
 //! [`Term`] is the paper-facing λS grammar — its `Coerce` nodes carry
 //! [`SpaceCoercion`](crate::coercion::SpaceCoercion) trees and its
@@ -8,23 +7,16 @@
 //! coercion node pay an O(size) hash walk to re-intern the same tree
 //! into the arena, and every cloned annotation an allocation.
 //!
-//! [`STerm`] is the same term with `Coerce` holding a `Copy`
-//! [`CoercionId`] and type annotations holding `Copy` [`TypeId`]s, both
-//! minted once by [`compile_term`]. It keeps binder and variable
-//! *names*. Nothing type checks it — a program is checked as λB and
-//! lowered straight to [`SCode`] — and no engine rewrites it: the λS
-//! small-step reads a run's value back into it, and [`SCode::decode`]
-//! rebuilds it for the tests and tools that decompile a block.
-//!
 //! [`SCode`] is the form a compiled program is stored and executed in:
-//! one immutable node array per program. Children are `u32` offsets
-//! into the array, variables are de Bruijn indices, operators are
-//! fixed-arity nodes, and binder names live in a side table, so
-//! [`SCode::decode`] rebuilds the named [`STerm`] exactly. A machine
-//! running on a block borrows it: control is an index and a variable
-//! is an indexed lookup — no spine is cloned and no name is compared
-//! at run time. A block is at most three heap allocations whatever the
-//! program's size.
+//! one immutable node array per program, with coercions as `Copy`
+//! [`CoercionId`]s and type annotations as `Copy` [`TypeId`]s, minted
+//! once by [`CompileCtx::compile`]. Children are `u32` offsets into the
+//! array, variables are de Bruijn indices, operators are fixed-arity
+//! nodes, and binder names live in a side table, so [`SCode::decode`]
+//! rebuilds the tree [`Term`] exactly. A machine running on a block
+//! borrows it: control is an index and a variable is an indexed lookup
+//! — no spine is cloned and no name is compared at run time. A block is
+//! at most three heap allocations whatever the program's size.
 //!
 //! Lowering also closure-converts the block for flat-closure machines.
 //! Each function body runs in an *activation*: slot 0 holds the
@@ -39,27 +31,22 @@
 //! A function captures exactly the variables its body mentions, so a
 //! closure holds only what it can reach.
 //!
-//! The lowerings are straight structural walks; [`decompile_term`] and
-//! [`SCode::decode`] invert them, and all are mutually inverse by
-//! property test. Compiling is idempotent in the arenas: compiling the
-//! same term twice yields equal code with identical ids (hash-consing
-//! canonicity, end to end).
+//! Lowering is a straight structural walk and [`SCode::decode`]
+//! inverts it, by property test. Compiling is idempotent in the
+//! arenas: compiling the same term twice yields equal code with
+//! identical ids (hash-consing canonicity, end to end).
 //!
 //! ```
-//! use bc_core::arena::CoercionArena;
-//! use bc_core::sterm::{compile_term, decompile_term, SCode};
-//! use bc_core::{SpaceCoercion, Term};
-//! use bc_syntax::{Type, TypeArena};
+//! use bc_core::{CompileCtx, SpaceCoercion, Term};
+//! use bc_syntax::{BaseType, Type};
 //!
 //! let m = Term::lam("x", Type::INT, Term::var("x"))
-//!     .app(Term::int(1).coerce(SpaceCoercion::id_base(bc_syntax::BaseType::Int)));
-//! let mut arena = CoercionArena::new();
-//! let mut types = TypeArena::new();
-//! let compiled = compile_term(&m, &mut arena, &mut types);
-//! assert_eq!(decompile_term(&compiled, &arena, &types), m);
-//! let code = SCode::encode(&compiled);
-//! assert_eq!(code.decode(), compiled);
-//! assert_eq!(code.size(), compiled.size());
+//!     .app(Term::int(1).coerce(SpaceCoercion::id_base(BaseType::Int)));
+//! let mut ctx = CompileCtx::new();
+//! let code = ctx.compile(&m);
+//! assert_eq!(code.decode(&ctx.arena, &ctx.types), m);
+//! // Each coercion is one node of the block, however large its tree.
+//! assert_eq!(code.size() + m.coercion_size(), m.size());
 //! ```
 
 use std::rc::Rc;
@@ -68,217 +55,6 @@ use bc_syntax::{Constant, Label, Name, Op, TypeArena, TypeId};
 
 use crate::arena::{CoercionArena, CoercionId};
 use crate::term::Term;
-
-/// A compiled λS term: the [`Term`] grammar with coercions as
-/// [`CoercionId`]s and type annotations as [`TypeId`]s.
-///
-/// Ids are only meaningful together with the [`CoercionArena`] and
-/// [`TypeArena`] that [`compile_term`] interned them into. The spine
-/// is `Rc`, and therefore not `Send`. It is the form a λS small-step
-/// run's value is read back into; programs are stored and run as the
-/// flat [`SCode`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum STerm {
-    /// A constant `k`.
-    Const(Constant),
-    /// An operator application.
-    Op(Op, Vec<STerm>),
-    /// A variable.
-    Var(Name),
-    /// An abstraction `λx:A. N`.
-    Lam(Name, TypeId, Rc<STerm>),
-    /// An application `L M`.
-    App(Rc<STerm>, Rc<STerm>),
-    /// A coercion application `M⟨s⟩` — the boundary crossing, now a
-    /// `Copy` handle instead of a tree.
-    Coerce(Rc<STerm>, CoercionId),
-    /// Allocated blame (carries its type, as in λB).
-    Blame(Label, TypeId),
-    /// A conditional.
-    If(Rc<STerm>, Rc<STerm>, Rc<STerm>),
-    /// A let binding.
-    Let(Name, Rc<STerm>, Rc<STerm>),
-    /// A recursive function `fix f (x:A):B. N`.
-    Fix(Name, Name, TypeId, TypeId, Rc<STerm>),
-}
-
-impl STerm {
-    /// The number of syntax nodes in the compiled term (each interned
-    /// coercion or type handle counts as one node — they are one word
-    /// at run time regardless of their tree size).
-    pub fn size(&self) -> usize {
-        match self {
-            STerm::Const(_) | STerm::Var(_) | STerm::Blame(_, _) => 1,
-            STerm::Op(_, args) => 1 + args.iter().map(STerm::size).sum::<usize>(),
-            STerm::Lam(_, _, b) | STerm::Fix(_, _, _, _, b) => 1 + b.size(),
-            STerm::Coerce(m, _) => 1 + m.size(),
-            STerm::App(a, b) | STerm::Let(_, a, b) => 1 + a.size() + b.size(),
-            STerm::If(a, b, c) => 1 + a.size() + b.size() + c.size(),
-        }
-    }
-
-    /// The number of `Coerce` nodes — the boundary crossings a single
-    /// pass over the term will hit at most once each.
-    pub fn coercion_nodes(&self) -> usize {
-        match self {
-            STerm::Const(_) | STerm::Var(_) | STerm::Blame(_, _) => 0,
-            STerm::Op(_, args) => args.iter().map(STerm::coercion_nodes).sum(),
-            STerm::Lam(_, _, b) | STerm::Fix(_, _, _, _, b) => b.coercion_nodes(),
-            STerm::Coerce(m, _) => 1 + m.coercion_nodes(),
-            STerm::App(a, b) | STerm::Let(_, a, b) => a.coercion_nodes() + b.coercion_nodes(),
-            STerm::If(a, b, c) => a.coercion_nodes() + b.coercion_nodes() + c.coercion_nodes(),
-        }
-    }
-
-    /// The total implicit *tree* size of all coercions in the term —
-    /// the λS space metric, equal to
-    /// [`Term::coercion_size`](crate::term::Term::coercion_size) of
-    /// the decompiled tree (each handle weighs its resolved tree, not
-    /// one word).
-    pub fn coercion_size(&self, arena: &CoercionArena) -> usize {
-        match self {
-            STerm::Const(_) | STerm::Var(_) | STerm::Blame(_, _) => 0,
-            STerm::Op(_, args) => args.iter().map(|a| a.coercion_size(arena)).sum(),
-            STerm::Lam(_, _, b) | STerm::Fix(_, _, _, _, b) => b.coercion_size(arena),
-            STerm::Coerce(m, s) => m.coercion_size(arena) + arena.size(*s),
-            STerm::App(a, b) | STerm::Let(_, a, b) => {
-                a.coercion_size(arena) + b.coercion_size(arena)
-            }
-            STerm::If(a, b, c) => {
-                a.coercion_size(arena) + b.coercion_size(arena) + c.coercion_size(arena)
-            }
-        }
-    }
-
-    /// The term's tree-equivalent size and its total coercion size in
-    /// one walk: `(self.size() + c, c)` where `c` is
-    /// [`STerm::coercion_size`].
-    pub fn measure(&self, arena: &CoercionArena) -> (usize, usize) {
-        fn go(t: &STerm, arena: &CoercionArena, acc: &mut (usize, usize)) {
-            acc.0 += 1;
-            match t {
-                STerm::Const(_) | STerm::Var(_) | STerm::Blame(_, _) => {}
-                STerm::Op(_, args) => args.iter().for_each(|a| go(a, arena, acc)),
-                STerm::Lam(_, _, b) | STerm::Fix(_, _, _, _, b) => go(b, arena, acc),
-                STerm::Coerce(m, s) => {
-                    let c = arena.size(*s);
-                    acc.0 += c;
-                    acc.1 += c;
-                    go(m, arena, acc);
-                }
-                STerm::App(a, b) | STerm::Let(_, a, b) => {
-                    go(a, arena, acc);
-                    go(b, arena, acc);
-                }
-                STerm::If(a, b, c) => {
-                    go(a, arena, acc);
-                    go(b, arena, acc);
-                    go(c, arena, acc);
-                }
-            }
-        }
-        let mut acc = (0, 0);
-        go(self, arena, &mut acc);
-        acc
-    }
-
-    /// Renders the compiled term in the paper grammar by resolving its
-    /// handles through the arenas.
-    pub fn display(&self, arena: &CoercionArena, types: &TypeArena) -> String {
-        decompile_term(self, arena, types).to_string()
-    }
-}
-
-/// Lowers a λS tree term into the compiled IR, interning every
-/// coercion into `arena` and every type annotation into `types`.
-///
-/// Each distinct coercion is hash-walked once *at compile time*; the
-/// produced [`STerm`] evaluates with no interning at all. Compiling is
-/// idempotent: the same term always lowers to the same ids within one
-/// arena pair.
-pub fn compile_term(term: &Term, arena: &mut CoercionArena, types: &mut TypeArena) -> STerm {
-    match term {
-        Term::Const(k) => STerm::Const(*k),
-        Term::Op(op, args) => STerm::Op(
-            *op,
-            args.iter().map(|a| compile_term(a, arena, types)).collect(),
-        ),
-        Term::Var(x) => STerm::Var(x.clone()),
-        Term::Lam(x, ty, b) => STerm::Lam(
-            x.clone(),
-            types.intern(ty),
-            compile_term(b, arena, types).into(),
-        ),
-        Term::App(a, b) => STerm::App(
-            compile_term(a, arena, types).into(),
-            compile_term(b, arena, types).into(),
-        ),
-        Term::Coerce(m, s) => STerm::Coerce(compile_term(m, arena, types).into(), arena.intern(s)),
-        Term::Blame(p, ty) => STerm::Blame(*p, types.intern(ty)),
-        Term::If(c, t, e) => STerm::If(
-            compile_term(c, arena, types).into(),
-            compile_term(t, arena, types).into(),
-            compile_term(e, arena, types).into(),
-        ),
-        Term::Let(x, m, n) => STerm::Let(
-            x.clone(),
-            compile_term(m, arena, types).into(),
-            compile_term(n, arena, types).into(),
-        ),
-        Term::Fix(f, x, dom, cod, b) => STerm::Fix(
-            f.clone(),
-            x.clone(),
-            types.intern(dom),
-            types.intern(cod),
-            compile_term(b, arena, types).into(),
-        ),
-    }
-}
-
-/// Rebuilds the tree term from the compiled IR (the inverse of
-/// [`compile_term`]; the exchange format for printing and tests).
-pub fn decompile_term(term: &STerm, arena: &CoercionArena, types: &TypeArena) -> Term {
-    match term {
-        STerm::Const(k) => Term::Const(*k),
-        STerm::Op(op, args) => Term::Op(
-            *op,
-            args.iter()
-                .map(|a| decompile_term(a, arena, types))
-                .collect(),
-        ),
-        STerm::Var(x) => Term::Var(x.clone()),
-        STerm::Lam(x, ty, b) => Term::Lam(
-            x.clone(),
-            types.resolve(*ty),
-            decompile_term(b, arena, types).into(),
-        ),
-        STerm::App(a, b) => Term::App(
-            decompile_term(a, arena, types).into(),
-            decompile_term(b, arena, types).into(),
-        ),
-        STerm::Coerce(m, s) => {
-            Term::Coerce(decompile_term(m, arena, types).into(), arena.resolve(*s))
-        }
-        STerm::Blame(p, ty) => Term::Blame(*p, types.resolve(*ty)),
-        STerm::If(c, t, e) => Term::If(
-            decompile_term(c, arena, types).into(),
-            decompile_term(t, arena, types).into(),
-            decompile_term(e, arena, types).into(),
-        ),
-        STerm::Let(x, m, n) => Term::Let(
-            x.clone(),
-            decompile_term(m, arena, types).into(),
-            decompile_term(n, arena, types).into(),
-        ),
-        STerm::Fix(f, x, dom, cod, b) => Term::Fix(
-            f.clone(),
-            x.clone(),
-            types.resolve(*dom),
-            types.resolve(*cod),
-            decompile_term(b, arena, types).into(),
-        ),
-    }
-}
 
 /// One node of an [`SCode`] block. Children are offsets into the same
 /// block; names are offsets into its name table.
@@ -384,72 +160,21 @@ struct Block {
 /// A compiled λS program as one immutable, index-resolved node array
 /// (see the [module docs](self)). Cloning shares the block.
 ///
-/// Like [`STerm`], its ids are only meaningful together with the
-/// arenas it was lowered into.
+/// Its ids are only meaningful together with the arenas it was
+/// lowered into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SCode(Rc<Block>);
 
 impl SCode {
-    /// Flattens a named term into a block (the inverse of
-    /// [`SCode::decode`]).
-    pub fn encode(term: &STerm) -> SCode {
-        fn go(b: &mut CodeBuilder, t: &STerm) -> u32 {
-            match t {
-                STerm::Const(k) => b.push(Node::Const(*k)),
-                STerm::Var(x) => b.var(x),
-                STerm::Op(op, args) => {
-                    let ids: Vec<u32> = args.iter().map(|a| go(b, a)).collect();
-                    b.op(*op, &ids)
-                }
-                STerm::Lam(x, ty, body) => {
-                    let name = b.open_fn(None, x);
-                    let body = go(b, body);
-                    b.close_lam(name, *ty, body)
-                }
-                STerm::Fix(f, x, dom, cod, body) => {
-                    let fun = b.open_fn(Some(f), x);
-                    let body = go(b, body);
-                    b.close_fix(fun, *dom, *cod, body)
-                }
-                STerm::App(l, m) => {
-                    let l = go(b, l);
-                    let m = go(b, m);
-                    b.push(Node::App(l, m))
-                }
-                STerm::Coerce(m, s) => {
-                    let m = go(b, m);
-                    b.push(Node::Coerce(m, *s))
-                }
-                STerm::Blame(p, ty) => b.push(Node::Blame(*p, *ty)),
-                STerm::If(c, t, e) => {
-                    let c = go(b, c);
-                    let t = go(b, t);
-                    let e = go(b, e);
-                    b.push(Node::If(c, t, e))
-                }
-                STerm::Let(x, m, n) => {
-                    let bound = go(b, m);
-                    let name = b.bind(x);
-                    let body = go(b, n);
-                    b.unbind(1);
-                    b.push(Node::Let { name, bound, body })
-                }
-            }
-        }
-        let mut b = CodeBuilder::new();
-        let root = go(&mut b, term);
-        b.finish(root)
+    /// Rebuilds the tree term, binder and variable names included, by
+    /// resolving its handles through the arenas it was lowered into
+    /// (the inverse of [`CompileCtx::compile`]).
+    pub fn decode(&self, arena: &CoercionArena, types: &TypeArena) -> Term {
+        let outer = |_| unreachable!("a block resolves every bound variable");
+        self.decode_open(self.root(), &[], arena, types, &outer)
     }
 
-    /// Rebuilds the named term, binder and variable names included
-    /// (the inverse of [`SCode::encode`]).
-    pub fn decode(&self) -> STerm {
-        self.decode_open(self.root(), &[], &|_| {
-            unreachable!("a block resolves every bound variable")
-        })
-    }
-
-    /// Rebuilds the named term at `at` with the `binders` (name-table
+    /// Rebuilds the tree term at `at` with the `binders` (name-table
     /// offsets, outermost first) open around it: a variable they do not
     /// bind reads as `outer` of its slot in the activation `at` runs in
     /// (see [`SCode::captured_from`]). This is how a run reads code in
@@ -458,91 +183,16 @@ impl SCode {
         &self,
         at: u32,
         binders: &[u32],
-        outer: &dyn Fn(u32) -> STerm,
-    ) -> STerm {
-        self.decode_at(at, &mut binders.to_vec(), outer)
-    }
-
-    fn decode_at(&self, at: u32, scope: &mut Vec<u32>, outer: &dyn Fn(u32) -> STerm) -> STerm {
-        match self.node(at) {
-            Node::Const(k) => STerm::Const(k),
-            Node::Var { index: i, slot } => match scope.len().checked_sub(1 + i as usize) {
-                Some(j) => STerm::Var(self.name(scope[j]).clone()),
-                None => outer(slot),
-            },
-            Node::Free(x) => STerm::Var(self.name(x).clone()),
-            Node::Lam {
-                name,
-                ty,
-                body,
-                caps,
-            } => STerm::Lam(
-                self.name(name).clone(),
-                ty,
-                self.decode_under(&[name], body, scope, &|slot| {
-                    outer(self.captured_from(caps, slot))
-                }),
-            ),
-            Node::Fix {
-                fun,
-                dom,
-                cod,
-                body,
-                caps,
-            } => STerm::Fix(
-                self.name(fun).clone(),
-                self.name(fun + 1).clone(),
-                dom,
-                cod,
-                self.decode_under(&[fun, fun + 1], body, scope, &|slot| {
-                    outer(self.captured_from(caps, slot))
-                }),
-            ),
-            Node::App(l, m) => STerm::App(
-                self.decode_under(&[], l, scope, outer),
-                self.decode_under(&[], m, scope, outer),
-            ),
-            Node::Op1(op, a) => STerm::Op(op, vec![self.decode_at(a, scope, outer)]),
-            Node::Op2(op, a, b) => STerm::Op(
-                op,
-                vec![
-                    self.decode_at(a, scope, outer),
-                    self.decode_at(b, scope, outer),
-                ],
-            ),
-            Node::OpN { op, start, len } => STerm::Op(
-                op,
-                self.operands(start, len)
-                    .iter()
-                    .map(|&a| self.decode_at(a, scope, outer))
-                    .collect(),
-            ),
-            Node::Coerce(m, s) => STerm::Coerce(self.decode_under(&[], m, scope, outer), s),
-            Node::Blame(p, ty) => STerm::Blame(p, ty),
-            Node::If(c, t, e) => STerm::If(
-                self.decode_under(&[], c, scope, outer),
-                self.decode_under(&[], t, scope, outer),
-                self.decode_under(&[], e, scope, outer),
-            ),
-            Node::Let { name, bound, body } => STerm::Let(
-                self.name(name).clone(),
-                self.decode_under(&[], bound, scope, outer),
-                self.decode_under(&[name], body, scope, outer),
-            ),
-        }
-    }
-
-    fn decode_under(
-        &self,
-        binders: &[u32],
-        body: u32,
-        scope: &mut Vec<u32>,
-        outer: &dyn Fn(u32) -> STerm,
-    ) -> Rc<STerm> {
-        scope.extend_from_slice(binders);
-        let t = self.decode_at(body, scope, outer);
-        scope.truncate(scope.len() - binders.len());
-        Rc::new(t)
+        arena: &CoercionArena,
+        types: &TypeArena,
+        outer: &dyn Fn(u32) -> Term,
+    ) -> Term {
+        let decoder = Decoder {
+            code: self,
+            arena,
+            types,
+        };
+        decoder.at(at, &mut binders.to_vec(), outer)
     }
 
     /// The offset of the program's root node.
@@ -597,14 +247,14 @@ impl SCode {
         self.captures(caps)[(slot & !CAPTURED) as usize]
     }
 
-    /// The number of syntax nodes — equal to [`STerm::size`] of the
-    /// decoded term.
+    /// The number of syntax nodes, each coercion counting as one: the
+    /// decoded term's [`Term::size`] less its [`Term::coercion_size`].
     pub fn size(&self) -> usize {
         self.0.nodes.len()
     }
 
-    /// The number of `Coerce` nodes — equal to
-    /// [`STerm::coercion_nodes`] of the decoded term.
+    /// The number of `Coerce` nodes — the boundary crossings a single
+    /// pass over the program hits at most once each.
     pub fn coercion_nodes(&self) -> usize {
         self.0
             .nodes
@@ -627,7 +277,98 @@ impl SCode {
     /// Renders the program in the paper grammar by resolving its
     /// handles through the arenas.
     pub fn display(&self, arena: &CoercionArena, types: &TypeArena) -> String {
-        self.decode().display(arena, types)
+        self.decode(arena, types).to_string()
+    }
+}
+
+/// The walk behind [`SCode::decode`]: a block and the arenas that
+/// resolve its handles.
+struct Decoder<'a> {
+    code: &'a SCode,
+    arena: &'a CoercionArena,
+    types: &'a TypeArena,
+}
+
+impl Decoder<'_> {
+    fn at(&self, at: u32, scope: &mut Vec<u32>, outer: &dyn Fn(u32) -> Term) -> Term {
+        let code = self.code;
+        match code.node(at) {
+            Node::Const(k) => Term::Const(k),
+            Node::Var { index: i, slot } => match scope.len().checked_sub(1 + i as usize) {
+                Some(j) => Term::Var(code.name(scope[j]).clone()),
+                None => outer(slot),
+            },
+            Node::Free(x) => Term::Var(code.name(x).clone()),
+            Node::Lam {
+                name,
+                ty,
+                body,
+                caps,
+            } => Term::Lam(
+                code.name(name).clone(),
+                self.types.resolve(ty),
+                self.under(&[name], body, scope, &|slot| {
+                    outer(code.captured_from(caps, slot))
+                }),
+            ),
+            Node::Fix {
+                fun,
+                dom,
+                cod,
+                body,
+                caps,
+            } => Term::Fix(
+                code.name(fun).clone(),
+                code.name(fun + 1).clone(),
+                self.types.resolve(dom),
+                self.types.resolve(cod),
+                self.under(&[fun, fun + 1], body, scope, &|slot| {
+                    outer(code.captured_from(caps, slot))
+                }),
+            ),
+            Node::App(l, m) => Term::App(
+                self.under(&[], l, scope, outer),
+                self.under(&[], m, scope, outer),
+            ),
+            Node::Op1(op, a) => Term::Op(op, vec![self.at(a, scope, outer)]),
+            Node::Op2(op, a, b) => {
+                Term::Op(op, vec![self.at(a, scope, outer), self.at(b, scope, outer)])
+            }
+            Node::OpN { op, start, len } => Term::Op(
+                op,
+                code.operands(start, len)
+                    .iter()
+                    .map(|&a| self.at(a, scope, outer))
+                    .collect(),
+            ),
+            Node::Coerce(m, s) => {
+                Term::Coerce(self.under(&[], m, scope, outer), self.arena.resolve(s))
+            }
+            Node::Blame(p, ty) => Term::Blame(p, self.types.resolve(ty)),
+            Node::If(c, t, e) => Term::If(
+                self.under(&[], c, scope, outer),
+                self.under(&[], t, scope, outer),
+                self.under(&[], e, scope, outer),
+            ),
+            Node::Let { name, bound, body } => Term::Let(
+                code.name(name).clone(),
+                self.under(&[], bound, scope, outer),
+                self.under(&[name], body, scope, outer),
+            ),
+        }
+    }
+
+    fn under(
+        &self,
+        binders: &[u32],
+        body: u32,
+        scope: &mut Vec<u32>,
+        outer: &dyn Fn(u32) -> Term,
+    ) -> Rc<Term> {
+        scope.extend_from_slice(binders);
+        let t = self.at(body, scope, outer);
+        scope.truncate(scope.len() - binders.len());
+        Rc::new(t)
     }
 }
 
@@ -880,8 +621,64 @@ impl CompileCtx {
 
     /// Lowers a term into this context's arenas, as the executable
     /// [`SCode`] block.
+    ///
+    /// Each distinct coercion is hash-walked once *at compile time*, so
+    /// the block evaluates with no interning at all. A binder's types
+    /// are interned before its body, a coercion after its subterm.
     pub fn compile(&mut self, term: &Term) -> SCode {
-        SCode::encode(&compile_term(term, &mut self.arena, &mut self.types))
+        let mut b = CodeBuilder::new();
+        let root = self.lower(&mut b, term);
+        b.finish(root)
+    }
+
+    fn lower(&mut self, b: &mut CodeBuilder, t: &Term) -> u32 {
+        match t {
+            Term::Const(k) => b.push(Node::Const(*k)),
+            Term::Var(x) => b.var(x),
+            Term::Op(op, args) => {
+                let ids: Vec<u32> = args.iter().map(|a| self.lower(b, a)).collect();
+                b.op(*op, &ids)
+            }
+            Term::Lam(x, ty, body) => {
+                let ty = self.types.intern(ty);
+                let name = b.open_fn(None, x);
+                let body = self.lower(b, body);
+                b.close_lam(name, ty, body)
+            }
+            Term::Fix(f, x, dom, cod, body) => {
+                let (dom, cod) = (self.types.intern(dom), self.types.intern(cod));
+                let fun = b.open_fn(Some(f), x);
+                let body = self.lower(b, body);
+                b.close_fix(fun, dom, cod, body)
+            }
+            Term::App(l, m) => {
+                let l = self.lower(b, l);
+                let m = self.lower(b, m);
+                b.push(Node::App(l, m))
+            }
+            Term::Coerce(m, s) => {
+                let m = self.lower(b, m);
+                let s = self.arena.intern(s);
+                b.push(Node::Coerce(m, s))
+            }
+            Term::Blame(p, ty) => {
+                let ty = self.types.intern(ty);
+                b.push(Node::Blame(*p, ty))
+            }
+            Term::If(c, t, e) => {
+                let c = self.lower(b, c);
+                let t = self.lower(b, t);
+                let e = self.lower(b, e);
+                b.push(Node::If(c, t, e))
+            }
+            Term::Let(x, m, n) => {
+                let bound = self.lower(b, m);
+                let name = b.bind(x);
+                let body = self.lower(b, n);
+                b.unbind(1);
+                b.push(Node::Let { name, bound, body })
+            }
+        }
     }
 }
 
@@ -911,10 +708,7 @@ mod tests {
         let m = sample();
         let mut ctx = CompileCtx::new();
         let compiled = ctx.compile(&m);
-        assert_eq!(
-            decompile_term(&compiled.decode(), &ctx.arena, &ctx.types),
-            m
-        );
+        assert_eq!(compiled.decode(&ctx.arena, &ctx.types), m);
     }
 
     #[test]
@@ -936,8 +730,8 @@ mod tests {
         let inj = SpaceCoercion::inj(GroundCoercion::IdBase(BaseType::Int), gi);
         let m = Term::int(1).coerce(inj.clone());
         let mut ctx = CompileCtx::new();
-        let compiled = ctx.compile(&m).decode();
-        let STerm::Coerce(_, id) = compiled else {
+        let code = ctx.compile(&m);
+        let Node::Coerce(_, id) = code.node(code.root()) else {
             panic!("compiled a Coerce to something else");
         };
         assert_eq!(id, ctx.arena.intern(&inj));
@@ -949,8 +743,8 @@ mod tests {
         let mut ctx = CompileCtx::new();
         let compiled = ctx.compile(&m);
         assert_eq!(compiled.coercion_nodes(), 2);
-        // The compiled term is never larger than the tree term.
-        assert!(compiled.size() <= m.size());
+        // Each handle is one node, whatever its tree size.
+        assert_eq!(compiled.size() + m.coercion_size(), m.size());
         assert_eq!(compiled.display(&ctx.arena, &ctx.types), m.to_string());
     }
 
@@ -987,7 +781,7 @@ mod tests {
         // λx captures nothing; the fix copies f from the top level's
         // slot 0.
         assert_eq!(capture_lists(&code), [&[][..], &[0]]);
-        assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
+        assert_eq!(code.decode(&ctx.arena, &ctx.types), m);
     }
 
     fn capture_lists(code: &SCode) -> Vec<&[u32]> {
@@ -1010,7 +804,7 @@ mod tests {
         let mut ctx = CompileCtx::new();
         let code = ctx.compile(&m);
         assert!(code.nodes().contains(&Node::Free(2)), "{code:?}");
-        assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
+        assert_eq!(code.decode(&ctx.arena, &ctx.types), m);
     }
 
     #[test]
@@ -1019,16 +813,6 @@ mod tests {
         let mut ctx = CompileCtx::new();
         let code = ctx.compile(&m);
         assert!(matches!(code.node(code.root()), Node::OpN { len: 3, .. }));
-        assert_eq!(decompile_term(&code.decode(), &ctx.arena, &ctx.types), m);
-    }
-
-    #[test]
-    fn measure_fuses_the_two_size_walks() {
-        let m = sample();
-        let mut ctx = CompileCtx::new();
-        let st = compile_term(&m, &mut ctx.arena, &mut ctx.types);
-        let c = st.coercion_size(&ctx.arena);
-        assert_eq!(st.measure(&ctx.arena), (st.size() + c, c));
-        assert_eq!(st.measure(&ctx.arena), (m.size(), m.coercion_size()));
+        assert_eq!(code.decode(&ctx.arena, &ctx.types), m);
     }
 }

@@ -1,5 +1,5 @@
-//! Property-based tests for the λS composition operator `#`
-//! (experiment E11 of DESIGN.md): Proposition 14 (height preservation),
+//! Property-based tests for the λS composition operator `#` (Figure 5
+//! of the paper): Proposition 14 (height preservation),
 //! the size-bounded-by-height corollary, associativity, identity laws,
 //! typing, and canonicity — all over randomly generated canonical
 //! coercions.

@@ -40,9 +40,10 @@ impl fmt::Display for Cast {
 ///
 /// The grammar of Figure 1 — constants, operator applications,
 /// variables, abstractions, applications, casts, and `blame p` —
-/// extended with `if`, `let`, and `fix` as standard constructs (see
-/// DESIGN.md §3). Subterms are reference counted so cloning during
-/// substitution is cheap.
+/// extended with `if`, `let`, and `fix`: standard constructs that the
+/// paper's grammar leaves out, and that recursive programs such as its
+/// even/odd example need. Subterms are reference counted so cloning
+/// during substitution is cheap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Term {
     /// A constant `k`.

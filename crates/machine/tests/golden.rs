@@ -12,12 +12,12 @@
 //! what the machine counts is pasted into `golden.txt` by hand.
 //!
 //! The same corpus pins the compiled small-step (`bc_core::eval`) to
-//! the tree oracle: outcome, steps and both space peaks, whole and in
-//! slices of 7 steps.
+//! the tree oracle: the whole run result (outcome, steps and both
+//! space peaks, or the fuel cutoff's accounting), whole and in slices
+//! of 7 steps.
 
-use bc_core::eval::{self, Outcome, OutcomeC, RunC, RunError, SliceC};
-use bc_core::sterm::{decompile_term, SCode};
-use bc_core::CompileCtx;
+use bc_core::eval::{self, SliceC};
+use bc_core::{CompileCtx, SCode};
 use bc_lambda_b::programs;
 use bc_machine::cek_s;
 use bc_machine::metrics::{MachineRun, SliceResult};
@@ -122,35 +122,19 @@ fn cek_s_matches_the_golden_runs() {
     );
 }
 
-/// A small-step run's outcome read back into the tree grammar, with
-/// its steps and both space peaks.
-type Fingerprint = Result<(Outcome, u64, usize, usize), RunError>;
-
-fn fingerprint(run: Result<RunC, RunError>, ctx: &CompileCtx) -> Fingerprint {
-    run.map(|r| {
-        let outcome = match r.outcome {
-            OutcomeC::Value(v) => Outcome::Value(decompile_term(&v, &ctx.arena, &ctx.types)),
-            OutcomeC::Blame(p) => Outcome::Blame(p),
-        };
-        (outcome, r.steps, r.peak_size, r.peak_coercion_size)
-    })
-}
-
 #[test]
 fn small_step_matches_the_tree_oracle() {
     for (name, code, mut ctx) in corpus() {
-        let term = decompile_term(&code.decode(), &ctx.arena, &ctx.types);
-        let oracle =
-            eval::run(&term, FUEL).map(|r| (r.outcome, r.steps, r.peak_size, r.peak_coercion_size));
+        let oracle = eval::run(&code.decode(&ctx.arena, &ctx.types), FUEL);
         let whole = eval::run_compiled(&code, FUEL, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
-        assert_eq!(fingerprint(whole, &ctx), oracle, "{name} whole");
+        assert_eq!(whole, oracle, "{name} whole");
         let mut paused = eval::start_compiled(&code, FUEL, &ctx.arena);
         let sliced = loop {
-            match eval::resume_compiled(paused, SLICE, &mut ctx.arena, &mut ctx.cache) {
+            match eval::resume_compiled(paused, SLICE, &mut ctx.arena, &mut ctx.cache, &ctx.types) {
                 SliceC::Done(run) => break run,
                 SliceC::Parked(p) => paused = p,
             }
         };
-        assert_eq!(fingerprint(sliced, &ctx), oracle, "{name} sliced");
+        assert_eq!(sliced, oracle, "{name} sliced");
     }
 }

@@ -590,7 +590,7 @@ impl TypeArena {
     }
 
     /// The Figure-2 rules, transcribed onto nodes. Each relation's
-    /// structure mirrors its tree implementation in [`crate::subtype`]
+    /// structure mirrors its tree implementation in [`crate::subtype`](mod@crate::subtype)
     /// exactly (agreement is validated by property test); recursive
     /// premises go back through [`TypeArena::rel`] so inner pairs
     /// memoize too.

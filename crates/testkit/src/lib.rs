@@ -14,8 +14,8 @@
 //! * [`Gen::term_b`] — random closed, well-typed λB terms of a
 //!   requested type (which translate to λC and λS via `bc-translate`);
 //! * [`Gen::term_s`] / [`Gen::compiled_s`] — the λS translations of
-//!   random λB terms, as trees and lowered to the compiled id-carrying
-//!   IR of `bc_core::sterm`;
+//!   random λB terms, as trees and lowered to the id-carrying code
+//!   block of `bc_core::sterm`;
 //! * [`Gen::context_b`] — random λB "contexts": terms with a free
 //!   variable `hole` of a requested type (plugging a *closed* term by
 //!   substitution coincides with context plugging).
@@ -609,10 +609,7 @@ mod tests {
         for _ in 0..50 {
             let ty = g.ty(1);
             let (tree, compiled) = g.compiled_s(&mut ctx, &ty, 3);
-            assert_eq!(
-                bc_core::decompile_term(&compiled.decode(), &ctx.arena, &ctx.types),
-                tree
-            );
+            assert_eq!(compiled.decode(&ctx.arena, &ctx.types), tree);
         }
     }
 

@@ -218,7 +218,6 @@ mod tests {
 
     #[test]
     fn compiled_lowering_decodes_to_tree_translation() {
-        use bc_core::sterm::decompile_term;
         use bc_lambda_b::programs;
         let mut types = TypeArena::new();
         let mut arena = CoercionArena::new();
@@ -229,11 +228,7 @@ mod tests {
         ] {
             let bterm = bc_lambda_b::bterm::compile(&b, &mut types);
             let code = term_b_to_s_compiled(&bterm, &mut types, &mut arena);
-            assert_eq!(
-                decompile_term(&code.decode(), &arena, &types),
-                term_b_to_s(&b),
-                "{name}"
-            );
+            assert_eq!(code.decode(&arena, &types), term_b_to_s(&b), "{name}");
         }
         // A second pass over the same programs interns nothing.
         let (t_len, c_len) = (types.len(), arena.len());

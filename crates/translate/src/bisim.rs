@@ -174,39 +174,14 @@ fn observe_s_value(v: &ls::Term) -> Observation {
     }
 }
 
-/// Observes a compiled λS outcome ([`ls::eval::run_compiled`]),
-/// resolving coercion handles through the arena that interned them —
-/// the observation is read straight off the IR, no tree is
-/// materialised.
+/// Observes a compiled λS outcome ([`ls::eval::run_compiled`]): its
+/// value is already read back into the tree grammar, so this is
+/// [`observe_s`], kept with the arena parameter its callers pass.
 pub fn observe_s_compiled(
-    outcome: &ls::eval::OutcomeC,
-    arena: &ls::arena::CoercionArena,
+    outcome: &ls::eval::Outcome,
+    _arena: &ls::arena::CoercionArena,
 ) -> Observation {
-    match outcome {
-        ls::eval::OutcomeC::Value(v) => observe_s_compiled_value(v, arena),
-        ls::eval::OutcomeC::Blame(p) => Observation::Blame(*p),
-    }
-}
-
-fn observe_s_compiled_value(v: &ls::sterm::STerm, arena: &ls::arena::CoercionArena) -> Observation {
-    use ls::arena::{GNode, INode, SNode};
-    use ls::sterm::STerm;
-    match v {
-        STerm::Const(k) => Observation::Constant(*k),
-        STerm::Lam(_, _, _) | STerm::Fix(_, _, _, _, _) => Observation::Function,
-        STerm::Coerce(u, s) => match arena.node(*s) {
-            SNode::Mid(INode::Inj(g, ground)) => {
-                let payload = match g {
-                    GNode::IdBase(_) => observe_s_compiled_value(u, arena),
-                    GNode::Fun(_, _) => Observation::Function,
-                };
-                Observation::Injected(ground, Box::new(payload))
-            }
-            SNode::Mid(INode::Ground(GNode::Fun(_, _))) => Observation::Function,
-            _ => unreachable!("not a compiled λS value"),
-        },
-        other => unreachable!("not a compiled λS value: {}", other.size()),
-    }
+    observe_s(outcome)
 }
 
 /// Report of a successful lockstep co-execution.

@@ -21,8 +21,7 @@
 //! Because `⊥GpH : A ⇒ B` leaves `B` unconstrained, nested failures
 //! can demand a final cast `H ⇒• B` with `H ≁ B`; we then route
 //! through `?` (`H ⇒• ? ⇒• B`), which is dead code behind the blaming
-//! projection `? ⇒p H` and keeps the sequence well-typed (DESIGN.md
-//! §3).
+//! projection `? ⇒p H` and keeps the sequence well-typed.
 
 use bc_lambda_b as lb;
 use bc_lambda_b::term::Cast;

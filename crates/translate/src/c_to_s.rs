@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn from_compiled_translation_agrees_with_tree_pipeline() {
         use crate::{term_b_to_c, term_b_to_c_compiled};
-        use bc_core::sterm::{compile_term, CompileCtx};
+        use bc_core::sterm::CompileCtx;
         use bc_lambda_b::programs;
 
         let mut ctx = CompileCtx::new();
@@ -429,7 +429,7 @@ mod tests {
             ("even_odd_mixed", programs::even_odd_mixed(3)),
             ("wrapped_identity", programs::wrapped_identity(3)),
         ] {
-            // Compiled pipeline: BTerm → CTerm (interned) → STerm.
+            // Compiled pipeline: BTerm → CTerm (interned) → SCode.
             let bterm = bc_lambda_b::bterm::compile(&b, &mut ctx.types);
             let cterm = term_b_to_c_compiled(&bterm, &mut carena, &mut ctx.types);
             let direct = term_c_to_s_from_compiled(
@@ -443,8 +443,7 @@ mod tests {
             // Tree pipeline through the same arenas yields the same
             // ids — canonicity end to end.
             let tree = term_c_to_s_in(&mut ctx.arena, &mut ctx.cache, &term_b_to_c(&b));
-            let via_tree = compile_term(&tree, &mut ctx.arena, &mut ctx.types);
-            assert_eq!(direct.decode(), via_tree, "{name}");
+            assert_eq!(direct, ctx.compile(&tree), "{name}");
         }
         // A warm second pass normalises from the memo alone: no new
         // space coercions, no new λC coercions, no new types.

@@ -1,6 +1,7 @@
 //! Cross-calculus property tests: the paper's metatheory, executable.
 //!
-//! Experiment ids refer to DESIGN.md §2:
+//! Each property is tagged with a short experiment id, named here by
+//! the paper's result it checks:
 //! E3 (type safety), E5 (blame safety), E7 (Lemma 8), E8 (Lemma 9),
 //! E9 (Props 10/15), E10 (Prop 11 lockstep), E12 (Prop 16 alignment),
 //! E13 (empirical full abstraction), E14 (Lemmas 20/21),

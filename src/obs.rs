@@ -6,13 +6,13 @@
 //! The bundle is built once at pool construction and shared by
 //! reference through `PoolShared`. Its counter cells are the pool's
 //! only store of counts, the interning counts of the worker sessions
-//! included: [`PoolStats`](crate::PoolStats) reads the same cells the
+//! included: [`PoolStats`] reads the same cells the
 //! exposition renders. The hot path touches only wait-free cells —
 //! counter `fetch_add`s, histogram `fetch_add`s, the parked-depth
 //! gauge each worker sets at the end of a turn — and the audit ring's
 //! short push-only mutex. The other gauges (queue depths, epoch, base
 //! hit rates) are *polled*: they are refreshed from a
-//! [`PoolStats`](crate::PoolStats) snapshot at render time rather
+//! [`PoolStats`] snapshot at render time rather
 //! than written on the job path, so a gauge read costs serving
 //! nothing.
 

@@ -251,10 +251,11 @@ pub enum JobError {
         /// Wall-clock time from submission to detection.
         elapsed: Duration,
     },
-    /// The submitter called [`JobHandle::cancel`] before the job
-    /// finished. Queued and parked jobs are discarded at the next
-    /// scheduling boundary; a running job stops at its next slice
-    /// boundary — cancellation is cooperative, never mid-step.
+    /// The submitter called [`JobHandle::cancel`], or dropped the
+    /// [`SessionPool`], before the job finished. Queued and parked jobs
+    /// are discarded at the next scheduling boundary; a running job
+    /// stops at its next slice boundary — cancellation is cooperative,
+    /// never mid-step.
     Canceled,
     /// The submission was refused up front: the target worker already
     /// holds [`SessionPoolBuilder::queue_capacity`] jobs in flight
@@ -399,10 +400,10 @@ struct Job {
 
 impl Job {
     /// Why the job stops at this scheduling boundary, if it does: its
-    /// submitter canceled it, or its deadline passed after `steps`
-    /// steps.
-    fn abandoned(&self, steps: u64) -> Option<JobError> {
-        if self.reply.is_canceled() {
+    /// submitter canceled it or the pool is `dropping`, or its deadline
+    /// passed after `steps` steps.
+    fn abandoned(&self, steps: u64, dropping: bool) -> Option<JobError> {
+        if dropping || self.reply.is_canceled() {
             Some(JobError::Canceled)
         } else if self.deadline.is_some_and(|d| d.expired()) {
             Some(JobError::DeadlineExceeded {
@@ -865,7 +866,7 @@ impl SessionPoolBuilder {
     /// pre-scheduler behaviour, kept so a test can pin a worker behind
     /// a spinner (`tests/pool.rs::idle_workers_steal_from_busy_queues`).
     /// Deadlines and cancellation still work but are only checked
-    /// when a job starts.
+    /// when a job starts, so dropping the pool waits for a running job.
     pub fn no_slicing(mut self) -> SessionPoolBuilder {
         // A slice the fuel bound can never exceed: `resume_slice` then
         // finishes every job in one turn.
@@ -948,6 +949,7 @@ impl SessionPoolBuilder {
                 .map(|_| Arc::new(AtomicUsize::new(0)))
                 .collect(),
             open: AtomicBool::new(true),
+            dropping: AtomicBool::new(false),
             promoting: AtomicBool::new(false),
             jobs_since_promotion: AtomicU64::new(0),
             policy: self.promotion,
@@ -990,6 +992,10 @@ struct PoolShared {
     /// False once shutdown starts: no new jobs; workers drain every
     /// queue and exit.
     open: AtomicBool,
+    /// True once the pool handle is dropped: workers cancel every job
+    /// they still hold at its next scheduling boundary instead of
+    /// running it.
+    dropping: AtomicBool,
     /// Serialises promotions (freeze + publish); never
     /// blocks submit or serving — a worker that loses the race just
     /// keeps serving and adopts the winner's epoch.
@@ -1255,7 +1261,7 @@ impl Worker {
                     self.adopt(epoch, base);
                 }
             }
-            if let Some(err) = job.abandoned(0) {
+            if let Some(err) = job.abandoned(0, self.shared.dropping.load(Ordering::Acquire)) {
                 self.resolve(job, 0, Err(err));
             } else {
                 // Admission is the first unwind boundary: it runs
@@ -1277,7 +1283,7 @@ impl Worker {
         // parked job advances one slice per rotation).
         if let Some(ParkedEntry { job, run }) = self.run_queue.pop_front() {
             let steps = run.steps();
-            if let Some(err) = job.abandoned(steps) {
+            if let Some(err) = job.abandoned(steps, self.shared.dropping.load(Ordering::Acquire)) {
                 self.resolve(job, steps, Err(err));
             } else {
                 // The slice is the other unwind boundary (machine
@@ -1758,11 +1764,18 @@ impl SessionPool {
 }
 
 impl Drop for SessionPool {
-    /// Dropping the pool shuts it down gracefully too (close intake,
-    /// drain, join the workers), minus the final stats; worker panics
-    /// are swallowed here — use [`SessionPool::shutdown`] to surface
-    /// them.
+    /// Dropping the pool cancels what it still holds: it closes intake,
+    /// and every queued, parked or running job resolves to
+    /// [`JobError::Canceled`] (with its audit record) at its next
+    /// scheduling boundary — admission or a slice boundary — so a
+    /// divergent job cannot hold the drop up. Then it joins the
+    /// workers. A [`SessionPoolBuilder::no_slicing`] pool's running job
+    /// has no slice boundary, so the drop waits for it to finish or
+    /// exhaust its fuel. Worker panics are swallowed here; use
+    /// [`SessionPool::shutdown`], which drains instead of canceling, to
+    /// surface them.
     fn drop(&mut self) {
+        self.shared.dropping.store(true, Ordering::Release);
         let _ = self.close_and_join();
     }
 }

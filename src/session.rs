@@ -45,13 +45,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bc_core::arena::{CoercionArena, ComposeCache, FrozenCoercions};
-use bc_core::sterm::{decompile_term, SCode};
+use bc_core::sterm::SCode;
 use bc_gtlc::Diagnostic;
 use bc_lambda_b::BTerm;
 use bc_machine::metrics::Metrics;
 use bc_syntax::intern::FrozenTypes;
 use bc_syntax::{Label, Type, TypeArena, TypeId};
-use bc_translate::bisim::{observe_b, observe_c, observe_s_compiled, Observation};
+use bc_translate::bisim::{observe_b, observe_c, observe_s, Observation};
 use bc_translate::{term_b_to_c, term_b_to_s_compiled};
 
 /// Which semantics executes the program.
@@ -678,8 +678,7 @@ impl Session {
         // Cast insertion and the translation preserve typing; audit the
         // λS form with the tree checker on debug builds.
         debug_assert!(
-            bc_core::type_of(&decompile_term(&lambda_s_compiled.decode(), &arena, &types))
-                == Ok(types.resolve(ty)),
+            bc_core::type_of(&lambda_s_compiled.decode(&arena, &types)) == Ok(types.resolve(ty)),
             "λB → λS lowering must preserve the program type"
         );
         self.programs.set(self.programs.get() + 1);
@@ -765,11 +764,9 @@ impl Session {
     pub fn lambda_s(&self, program: &Program) -> bc_core::Term {
         self.check_owner(program);
         self.tree_builds.set(self.tree_builds.get() + 1);
-        decompile_term(
-            &program.lambda_s_compiled.decode(),
-            &self.arena.borrow(),
-            &self.types.borrow(),
-        )
+        program
+            .lambda_s_compiled
+            .decode(&self.arena.borrow(), &self.types.borrow())
     }
 
     fn check_owner(&self, program: &Program) {
@@ -974,11 +971,12 @@ impl Session {
             PausedInner::LambdaS(p) => {
                 let mut arena = self.arena.borrow_mut();
                 let mut cache = self.cache.borrow_mut();
-                match bc_core::eval::resume_compiled(p, slice, &mut arena, &mut cache) {
+                let types = self.types.borrow();
+                match bc_core::eval::resume_compiled(p, slice, &mut arena, &mut cache, &types) {
                     bc_core::eval::SliceC::Done(r) => {
                         SliceOutcome::Done(r.map_err(small_step_run_error!(bc_core)).map(|r| {
                             RunReport {
-                                observation: observe_s_compiled(&r.outcome, &arena),
+                                observation: observe_s(&r.outcome),
                                 steps: r.steps,
                                 metrics: None,
                                 elapsed: active + slice_started.elapsed(),

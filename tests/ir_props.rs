@@ -20,7 +20,7 @@
 //!   handles of the session API hold only compiled forms and rebuild
 //!   trees on demand through exactly this decompiler, so the round
 //!   trip is what keeps the tree views honest.
-//! * **`decode ∘ encode = id`** for the flat λS code block
+//! * **`decode ∘ compile = id`** for the flat λS code block
 //!   ([`bc_core::SCode`]) the λS engines run, names included.
 //! * **One-pass `|·|BS` ≡ `|·|CS ∘ |·|BC`**: the direct lowering
 //!   ([`bc_translate::cast_to_space_in`],
@@ -33,7 +33,7 @@ use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
 use bc_core::eval::{
     resume_compiled, run, run_compiled, start_compiled, Outcome, RunError, SliceC,
 };
-use bc_core::{compile_term, decompile_term, CompileCtx, OutcomeC, SCode, Term};
+use bc_core::{CompileCtx, SCode, Term};
 use bc_lambda_b as lb;
 use bc_lambda_b::bterm;
 use bc_lambda_c::CArena;
@@ -94,8 +94,8 @@ fn assert_engines_agree(gen: &mut Gen, ctx: &mut CompileCtx) {
 
 /// Runs a λS program through the tree oracle and, compiled into
 /// `ctx`, through the compiled engine, and asserts the full
-/// fingerprint matches: the outcome (a value read back and decompiled
-/// is the oracle's term exactly), step count, and both space peaks —
+/// fingerprint matches: the outcome (a value read back is the
+/// oracle's term exactly), step count, and both space peaks —
 /// or, when fuel runs out, the identical cutoff accounting on both
 /// sides.
 fn assert_agree_on(tree: &Term, compiled: &SCode, ctx: &mut CompileCtx, fuel: u64) {
@@ -115,12 +115,10 @@ fn assert_agree_on(tree: &Term, compiled: &SCode, ctx: &mut CompileCtx, fuel: u6
                 "engines disagree on the outcome of {tree}"
             );
             match (&t.outcome, &c.outcome) {
-                (Outcome::Value(v), OutcomeC::Value(cv)) => assert_eq!(
-                    &decompile_term(cv, &ctx.arena, &ctx.types),
-                    v,
-                    "engines reach different values from {tree}"
-                ),
-                (Outcome::Blame(p), OutcomeC::Blame(q)) => {
+                (Outcome::Value(v), Outcome::Value(cv)) => {
+                    assert_eq!(cv, v, "engines reach different values from {tree}")
+                }
+                (Outcome::Blame(p), Outcome::Blame(q)) => {
                     assert_eq!(p, q, "engines blame different labels in {tree}")
                 }
                 (a, b) => panic!("engines disagree on the outcome of {tree}: {a:?} vs {b:?}"),
@@ -181,13 +179,25 @@ fn assert_sliced_on(tree: &Term, fuels: &[u64]) {
             let (mut ctx, code) = fresh();
             let mut paused = start_compiled(&code, fuel, &ctx.arena);
             let sliced = loop {
-                match resume_compiled(paused, slice, &mut ctx.arena, &mut ctx.cache) {
+                match resume_compiled(paused, slice, &mut ctx.arena, &mut ctx.cache, &ctx.types) {
                     SliceC::Done(result) => break result,
                     SliceC::Parked(next) => paused = next,
                 }
             };
             assert_eq!(unsliced, sliced, "slice {slice}, fuel {fuel} of {tree}");
         }
+    }
+}
+
+/// The number of `Coerce` nodes in a tree term.
+fn coercion_nodes(t: &Term) -> usize {
+    match t {
+        Term::Const(_) | Term::Var(_) | Term::Blame(_, _) => 0,
+        Term::Op(_, args) => args.iter().map(coercion_nodes).sum(),
+        Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => coercion_nodes(b),
+        Term::Coerce(m, _) => 1 + coercion_nodes(m),
+        Term::App(a, b) | Term::Let(_, a, b) => coercion_nodes(a) + coercion_nodes(b),
+        Term::If(a, b, c) => coercion_nodes(a) + coercion_nodes(b) + coercion_nodes(c),
     }
 }
 
@@ -392,15 +402,15 @@ proptest! {
             };
             prop_assert_eq!(&direct, &reference);
             prop_assert_eq!(
-                &decompile_term(&direct.decode(), &l.arena, &l.types),
+                &direct.decode(&l.arena, &l.types),
                 &term_b_to_s(&tree)
             );
         }
     }
 
-    /// λS: `decode ∘ encode = id` on the code blocks the engines run,
+    /// λS: `decode ∘ compile = id` on the code blocks the engines run,
     /// binder and variable names included, and the block's node
-    /// counts match the named term's.
+    /// counts match the tree's, each coercion counting as one node.
     #[test]
     fn scode_decode_round_trips(seed in any::<u64>()) {
         let mut gen = Gen::new(seed);
@@ -408,11 +418,10 @@ proptest! {
         for _ in 0..4 {
             let ty = gen.ty(2);
             let tree = gen.term_s(&ty, 4);
-            let named = compile_term(&tree, &mut ctx.arena, &mut ctx.types);
-            let code = SCode::encode(&named);
-            prop_assert_eq!(&code.decode(), &named);
-            prop_assert_eq!(code.size(), named.size());
-            prop_assert_eq!(code.coercion_nodes(), named.coercion_nodes());
+            let code = ctx.compile(&tree);
+            prop_assert_eq!(&code.decode(&ctx.arena, &ctx.types), &tree);
+            prop_assert_eq!(code.size() + tree.coercion_size(), tree.size());
+            prop_assert_eq!(code.coercion_nodes(), coercion_nodes(&tree));
         }
     }
 }

@@ -1,16 +1,20 @@
 //! End-to-end integration tests across all workspace crates:
-//! GTLC source → λB → λC → λS → six execution engines (E20 of
-//! DESIGN.md), through the session-centric API.
+//! GTLC source → λB → λC → λS → six execution engines, through the
+//! session-centric API.
 
-use bc_syntax::Constant;
+use bc_syntax::{BaseType, Constant, Ground};
 use blame_coercion::translate::bisim::Observation;
 use blame_coercion::{Engine, Session};
 
 const FUEL: u64 = 5_000_000;
 
 /// A corpus of gradually-typed programs with their expected results.
+/// The last three end in values that are not bare constants, so every
+/// engine's read-back of a closure, an injection and a proxy is
+/// observed too.
 fn corpus() -> Vec<(&'static str, &'static str, Observation)> {
     use Observation::Constant as K;
+    let injected = |g, payload| Observation::Injected(g, Box::new(payload));
     vec![
         ("arith", "1 + 2 * 3", K(Constant::Int(7))),
         (
@@ -55,6 +59,21 @@ fn corpus() -> Vec<(&'static str, &'static str, Observation)> {
                if n = 0 then 1 else 2 * ack2 (n - 1) \
              in ack2 10",
             K(Constant::Int(1024)),
+        ),
+        (
+            "injected_capturing_closure",
+            "let k = 1 in ((fun (x : Int) => x + k) : ?)",
+            injected(Ground::Fun, Observation::Function),
+        ),
+        (
+            "reinjected_constant",
+            "((1 : ?) : ?)",
+            injected(Ground::Base(BaseType::Int), K(Constant::Int(1))),
+        ),
+        (
+            "function_proxy",
+            "((fun x => x) : Int -> Int)",
+            Observation::Function,
         ),
     ]
 }

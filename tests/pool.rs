@@ -316,6 +316,31 @@ fn shutdown_drains_already_submitted_jobs() {
 }
 
 #[test]
+fn dropping_a_pool_cancels_its_divergent_jobs() {
+    // Unlike shutdown, a drop does not drain: two spinners with
+    // unbounded fuel on one worker (one running, one behind it) are
+    // canceled at their next scheduling boundary, and the drop
+    // returns. It runs on a helper thread so a hang fails the test
+    // instead of hanging the binary.
+    let pool = SessionPool::builder().workers(1).build().expect("builds");
+    let spinners = [
+        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
+        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
+    ];
+    let (dropped, done) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(pool);
+        dropped.send(()).expect("the test waits");
+    });
+    done.recv_timeout(Duration::from_secs(1))
+        .expect("dropping the pool returns within 1 s");
+    dropper.join().expect("the drop does not panic");
+    for handle in spinners {
+        assert!(matches!(handle.try_wait(), Some(Err(JobError::Canceled))));
+    }
+}
+
+#[test]
 #[should_panic(expected = "at least 1 worker")]
 fn zero_worker_pools_are_rejected() {
     let _ = SessionPool::builder().workers(0).build();
