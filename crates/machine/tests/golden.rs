@@ -15,18 +15,27 @@
 //! the tree oracle: the whole run result (outcome, steps and both
 //! space peaks, or the fuel cutoff's accounting), whole and in slices
 //! of 7 steps.
+//!
+//! `golden_trees.txt` pins the tree engines on the same corpus: the
+//! λB, λC and λS small-steps on the λB tree term and its `|·|BC` and
+//! `|·|BS` images (outcome, steps and both peaks, at fuel 2 000: λB's
+//! small-step is cubic on the long loops), and the `cek_b` and `cek_c`
+//! machines (outcome, steps and the three peaks, whole and in slices
+//! of 7, at fuel 50 000).
 
 use bc_core::eval::{self, SliceC};
 use bc_core::{CompileCtx, SCode};
 use bc_lambda_b::programs;
-use bc_machine::cek_s;
 use bc_machine::metrics::{MachineRun, SliceResult};
+use bc_machine::{cek_b, cek_c, cek_s};
 use bc_testkit::sources;
-use bc_translate::{term_b_to_s, term_b_to_s_compiled};
+use bc_translate::{term_b_to_c, term_b_to_s, term_b_to_s_compiled};
 
 const FUEL: u64 = 50_000;
+const SMALL_STEP_FUEL: u64 = 2_000;
 const SLICE: u64 = 7;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden.txt");
+const GOLDEN_TREES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_trees.txt");
 
 /// Hand-written programs, one `name: source` per line: the benchmark's
 /// boundary loop, then closure programs written for the locals stack,
@@ -50,14 +59,28 @@ closures/shadowed-capture: let x = 1 in let f = fun (x : Int) => let y = x + 1 i
 closures/capture-blames: let d = (true : ?) in let f = fun (x : Int) => x + (d : Int) in f 1
 closures/returns-closure: let a = 4 in let f = fun (x : Int) => fun (y : Int) => x + a in f 1";
 
-fn corpus() -> Vec<(String, SCode, CompileCtx)> {
+/// One corpus program: its λB tree term and its compiled λS block.
+struct Entry {
+    name: String,
+    term: bc_lambda_b::Term,
+    code: SCode,
+    ctx: CompileCtx,
+}
+
+fn corpus() -> Vec<Entry> {
     let mut out = Vec::new();
     let mut sourced = |name: String, source: &str| {
         let mut ctx = CompileCtx::new();
         let program = bc_gtlc::compile_compiled(source, &mut ctx.types)
             .unwrap_or_else(|d| panic!("{name} does not compile: {d:?}"));
         let code = term_b_to_s_compiled(&program.term, &mut ctx.types, &mut ctx.arena);
-        out.push((name, code, ctx));
+        let term = bc_gtlc::compile(source).expect("compiles").term;
+        out.push(Entry {
+            name,
+            term,
+            code,
+            ctx,
+        });
     };
     for (batch, srcs) in [
         ("shapes", sources::shapes()),
@@ -80,7 +103,12 @@ fn corpus() -> Vec<(String, SCode, CompileCtx)> {
     ] {
         let mut ctx = CompileCtx::new();
         let code = ctx.compile(&term_b_to_s(&t));
-        out.push((format!("programs/{name}"), code, ctx));
+        out.push(Entry {
+            name: format!("programs/{name}"),
+            term: t,
+            code,
+            ctx,
+        });
     }
     out
 }
@@ -106,25 +134,118 @@ fn sliced(code: &SCode, ctx: &mut CompileCtx) -> MachineRun {
 #[test]
 fn cek_s_matches_the_golden_runs() {
     let mut lines = Vec::new();
-    for (name, code, mut ctx) in corpus() {
+    for Entry {
+        name,
+        code,
+        mut ctx,
+        ..
+    } in corpus()
+    {
         let whole = cek_s::run_compiled_in(&code, &mut ctx.arena, &mut ctx.cache, FUEL);
         lines.push(line(&name, "whole", &whole));
         lines.push(line(&name, "sliced", &sliced(&code, &mut ctx)));
     }
+    assert_golden(&lines, GOLDEN);
+}
+
+fn assert_golden(lines: &[String], path: &str) {
     let got = lines.join("\n") + "\n";
-    let want = std::fs::read_to_string(GOLDEN).expect("read golden.txt");
+    let want = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let common = got.lines().zip(want.lines());
     let first = common.clone().position(|(g, w)| g != w);
     assert!(
         got == want,
-        "golden runs differ from line {}; the generated text is:\n{got}",
+        "golden runs differ from line {} of {path}; the generated text is:\n{got}",
         first.unwrap_or(common.count()) + 1
     );
 }
 
+/// One small-step run as a golden line: the outcome (a value printed
+/// as its term), steps and the two peaks, or the fuel cutoff's
+/// accounting. `$peak` names the calculus's second space peak.
+macro_rules! small_step_line {
+    ($name:expr, $engine:expr, $eval:ident, $result:expr, $peak:ident) => {
+        match $result {
+            Ok($eval::Run {
+                outcome,
+                steps,
+                peak_size,
+                $peak,
+            }) => {
+                let outcome = match outcome {
+                    $eval::Outcome::Value(v) => format!("value {v}"),
+                    $eval::Outcome::Blame(p) => format!("blame {p}"),
+                };
+                format!(
+                    "{} {}: {outcome}, steps {steps}, peak size {peak_size}, {} {}",
+                    $name,
+                    $engine,
+                    stringify!($peak).replace('_', " "),
+                    $peak
+                )
+            }
+            Err($eval::RunError::FuelExhausted {
+                steps,
+                peak_size,
+                $peak,
+            }) => format!(
+                "{} {}: fuel exhausted, steps {steps}, peak size {peak_size}, {} {}",
+                $name,
+                $engine,
+                stringify!($peak).replace('_', " "),
+                $peak
+            ),
+            Err(e) => panic!("{} {}: {e}", $name, $engine),
+        }
+    };
+}
+
+#[test]
+fn tree_engines_match_the_golden_runs() {
+    use bc_core::eval as es;
+    use bc_lambda_b::eval as eb;
+    use bc_lambda_c::eval as ec;
+    let mut lines = Vec::new();
+    for Entry { name, term, .. } in corpus() {
+        let c = term_b_to_c(&term);
+        let s = term_b_to_s(&term);
+        let b_run = eb::run(&term, SMALL_STEP_FUEL);
+        lines.push(small_step_line!(name, "b", eb, b_run, peak_casts));
+        let c_run = ec::run(&c, SMALL_STEP_FUEL);
+        lines.push(small_step_line!(name, "c", ec, c_run, peak_coercion_size));
+        let s_run = es::run(&s, SMALL_STEP_FUEL);
+        lines.push(small_step_line!(name, "s", es, s_run, peak_coercion_size));
+        lines.push(line(&name, "cek_b whole", &cek_b::run(&term, FUEL)));
+        let mut paused = cek_b::start(&term, FUEL);
+        let sliced = loop {
+            match cek_b::resume(paused, SLICE) {
+                SliceResult::Done(run) => break run,
+                SliceResult::Parked(p) => paused = p,
+            }
+        };
+        lines.push(line(&name, "cek_b sliced", &sliced));
+        lines.push(line(&name, "cek_c whole", &cek_c::run(&c, FUEL)));
+        let mut paused = cek_c::start(&c, FUEL);
+        let sliced = loop {
+            match cek_c::resume(paused, SLICE) {
+                SliceResult::Done(run) => break run,
+                SliceResult::Parked(p) => paused = p,
+            }
+        };
+        lines.push(line(&name, "cek_c sliced", &sliced));
+    }
+    assert_golden(&lines, GOLDEN_TREES);
+}
+
 #[test]
 fn small_step_matches_the_tree_oracle() {
-    for (name, code, mut ctx) in corpus() {
+    for Entry {
+        name,
+        code,
+        mut ctx,
+        ..
+    } in corpus()
+    {
         let oracle = eval::run(&code.decode(&ctx.arena, &ctx.types), FUEL);
         let whole = eval::run_compiled(&code, FUEL, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
         assert_eq!(whole, oracle, "{name} whole");
