@@ -50,9 +50,9 @@ use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeC
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 use crate::sterm::{Node, SCode, NO_CAPTURES};
 use crate::store::{Env, Frame};
-use crate::subst::subst;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
+use bc_syntax::term::subst;
 
 /// The result of attempting one reduction step.
 #[derive(Debug, Clone, PartialEq)]

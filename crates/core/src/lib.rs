@@ -67,7 +67,6 @@ pub mod eval;
 pub mod safety;
 pub mod sterm;
 pub mod store;
-pub mod subst;
 pub mod term;
 pub mod typing;
 

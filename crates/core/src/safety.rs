@@ -8,15 +8,7 @@ use crate::term::Term;
 
 /// Whether `M safeS q`.
 pub fn term_safe_for(term: &Term, q: Label) -> bool {
-    match term {
-        Term::Const(_) | Term::Var(_) => true,
-        Term::Blame(p, _) => *p != q,
-        Term::Op(_, args) => args.iter().all(|a| term_safe_for(a, q)),
-        Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => term_safe_for(b, q),
-        Term::Coerce(m, s) => term_safe_for(m, q) && s.safe_for(q),
-        Term::App(a, b) | Term::Let(_, a, b) => term_safe_for(a, q) && term_safe_for(b, q),
-        Term::If(a, b, c) => term_safe_for(a, q) && term_safe_for(b, q) && term_safe_for(c, q),
-    }
+    term.safe_for(q, &|s| s.safe_for(q))
 }
 
 #[cfg(test)]

@@ -1,182 +1,50 @@
-//! Terms of the space-efficient calculus λS (Figure 5).
+//! Terms of the space-efficient calculus λS (Figure 5): the shared
+//! grammar [`bc_syntax::term::Term`] with a canonical coercion `M⟨s⟩`
+//! in the cast position.
+//!
+//! Values are `V ::= U | U⟨s→t⟩ | U⟨g;G!⟩`: at most one coercion, a
+//! function coercion or an injection, over an uncoerced value `U`
+//! ([`Term::is_uncoerced_value`]). Every coercion node counts towards
+//! [`Term::size`], and the term prints as λC's does.
 
 use std::fmt;
-use std::rc::Rc;
 
-use bc_syntax::{Constant, Label, Name, Op, Type};
+use bc_syntax::term::CastForm;
+use bc_syntax::Label;
 
 use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 
 /// Terms `L, M, N` of λS: as λC, but coercions are restricted to
 /// space-efficient (canonical) coercions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Term {
-    /// A constant `k`.
-    Const(Constant),
-    /// An operator application.
-    Op(Op, Vec<Term>),
-    /// A variable.
-    Var(Name),
-    /// An abstraction `λx:A. N`.
-    Lam(Name, Type, Rc<Term>),
-    /// An application `L M`.
-    App(Rc<Term>, Rc<Term>),
-    /// A coercion application `M⟨s⟩`.
-    Coerce(Rc<Term>, SpaceCoercion),
-    /// Allocated blame (carries its type; see λB).
-    Blame(Label, Type),
-    /// A conditional.
-    If(Rc<Term>, Rc<Term>, Rc<Term>),
-    /// A let binding.
-    Let(Name, Rc<Term>, Rc<Term>),
-    /// A recursive function `fix f (x:A):B. N`.
-    Fix(Name, Name, Type, Type, Rc<Term>),
-}
+pub type Term = bc_syntax::term::Term<SpaceCoercion>;
 
-impl Term {
-    /// An integer constant.
-    pub fn int(n: i64) -> Term {
-        Term::Const(Constant::Int(n))
+impl CastForm for SpaceCoercion {
+    fn node_size(&self) -> usize {
+        self.size()
     }
 
-    /// A boolean constant.
-    pub fn bool(b: bool) -> Term {
-        Term::Const(Constant::Bool(b))
+    fn push_labels(&self, out: &mut Vec<Label>) {
+        out.extend(self.labels());
     }
 
-    /// A variable.
-    pub fn var(name: &str) -> Term {
-        Term::Var(Name::from(name))
+    fn wraps_value(&self, subject: &Term) -> bool {
+        subject.is_uncoerced_value()
+            && matches!(
+                self,
+                SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(_, _)))
+                    | SpaceCoercion::Mid(Intermediate::Inj(_, _))
+            )
     }
 
-    /// An abstraction `λname:ty. body`.
-    pub fn lam(name: &str, ty: Type, body: Term) -> Term {
-        Term::Lam(Name::from(name), ty, Rc::new(body))
-    }
-
-    /// An application `self arg`.
-    #[must_use]
-    pub fn app(self, arg: Term) -> Term {
-        Term::App(Rc::new(self), Rc::new(arg))
-    }
-
-    /// The coercion application `self⟨s⟩`.
-    #[must_use]
-    pub fn coerce(self, s: SpaceCoercion) -> Term {
-        Term::Coerce(Rc::new(self), s)
-    }
-
-    /// A binary operator application.
-    pub fn op2(op: Op, lhs: Term, rhs: Term) -> Term {
-        Term::Op(op, vec![lhs, rhs])
-    }
-
-    /// A conditional.
-    pub fn ite(cond: Term, then_: Term, else_: Term) -> Term {
-        Term::If(Rc::new(cond), Rc::new(then_), Rc::new(else_))
-    }
-
-    /// A let binding.
-    pub fn let_(name: &str, bound: Term, body: Term) -> Term {
-        Term::Let(Name::from(name), Rc::new(bound), Rc::new(body))
-    }
-
-    /// A recursive function.
-    pub fn fix(fun: &str, arg: &str, dom: Type, cod: Type, body: Term) -> Term {
-        Term::Fix(Name::from(fun), Name::from(arg), dom, cod, Rc::new(body))
-    }
-
-    /// Whether the term is an *uncoerced value* `U ::= k | λx:A.N`
-    /// (including `fix`, our standard recursive function value).
-    pub fn is_uncoerced_value(&self) -> bool {
-        matches!(
-            self,
-            Term::Const(_) | Term::Lam(_, _, _) | Term::Fix(_, _, _, _, _)
-        )
-    }
-
-    /// Whether the term is a value `V ::= U | U⟨s→t⟩ | U⟨g;G!⟩`
-    /// (Figure 5): at most one top-level coercion, which must be a
-    /// function coercion or an injection.
-    pub fn is_value(&self) -> bool {
-        match self {
-            _ if self.is_uncoerced_value() => true,
-            Term::Coerce(u, s) => {
-                u.is_uncoerced_value()
-                    && matches!(
-                        s,
-                        SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(_, _)))
-                            | SpaceCoercion::Mid(Intermediate::Inj(_, _))
-                    )
-            }
-            _ => false,
-        }
-    }
-
-    /// The number of syntax nodes in the term.
-    pub fn size(&self) -> usize {
-        match self {
-            Term::Const(_) | Term::Var(_) | Term::Blame(_, _) => 1,
-            Term::Op(_, args) => 1 + args.iter().map(Term::size).sum::<usize>(),
-            Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => 1 + b.size(),
-            Term::Coerce(m, s) => 1 + m.size() + s.size(),
-            Term::App(a, b) | Term::Let(_, a, b) => 1 + a.size() + b.size(),
-            Term::If(a, b, c) => 1 + a.size() + b.size() + c.size(),
-        }
-    }
-
-    /// The total size of all coercions in the term — the λS space
-    /// metric, which stays bounded where λB/λC grow.
-    pub fn coercion_size(&self) -> usize {
-        match self {
-            Term::Const(_) | Term::Var(_) | Term::Blame(_, _) => 0,
-            Term::Op(_, args) => args.iter().map(Term::coercion_size).sum(),
-            Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => b.coercion_size(),
-            Term::Coerce(m, s) => m.coercion_size() + s.size(),
-            Term::App(a, b) | Term::Let(_, a, b) => a.coercion_size() + b.coercion_size(),
-            Term::If(a, b, c) => a.coercion_size() + b.coercion_size() + c.coercion_size(),
-        }
-    }
-}
-
-impl From<Constant> for Term {
-    fn from(k: Constant) -> Term {
-        Term::Const(k)
-    }
-}
-
-impl fmt::Display for Term {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Const(k) => write!(f, "{k}"),
-            Term::Var(x) => write!(f, "{x}"),
-            Term::Op(op, args) => {
-                write!(f, "{op}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                f.write_str(")")
-            }
-            Term::Lam(x, ty, b) => write!(f, "(fun ({x} : {ty}) => {b})"),
-            Term::App(a, b) => write!(f, "({a} {b})"),
-            Term::Coerce(m, s) => write!(f, "{m}<{s}>"),
-            Term::Blame(p, _) => write!(f, "blame {p}"),
-            Term::If(c, t, e) => write!(f, "(if {c} then {t} else {e})"),
-            Term::Let(x, m, n) => write!(f, "(let {x} = {m} in {n})"),
-            Term::Fix(g, x, dom, cod, b) => {
-                write!(f, "(fix {g} ({x} : {dom}) : {cod} => {b})")
-            }
-        }
+    fn fmt_cast(&self, subject: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{subject}<{self}>")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_syntax::{BaseType, Ground};
+    use bc_syntax::{BaseType, Ground, Type};
 
     #[test]
     fn value_forms() {

@@ -1,321 +1,31 @@
-//! The type system `Γ ⊢S M : A` of λS (as λC, with coercions
-//! restricted to canonical forms).
+//! The type system `Γ ⊢S M : A` of λS: λC's checker
+//! ([`bc_lambda_c::typing`]), which is generic over the coercion type,
+//! at the canonical coercions of Figure 5.
 
-use std::fmt;
+pub use bc_lambda_c::typing::{has_type, type_of, type_of_in, TypeError, TypedCoercion};
+use bc_syntax::Type;
 
-use bc_syntax::{Name, Type};
+use crate::coercion::SpaceCoercion;
 
-use crate::term::Term;
-
-/// A typing error for λS terms.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TypeError {
-    /// A variable was not bound in the environment.
-    UnboundVariable(Name),
-    /// An operator was applied to the wrong number of arguments.
-    OpArity {
-        /// The operator's name.
-        op: &'static str,
-        /// Number of arguments expected.
-        expected: usize,
-        /// Number of arguments found.
-        found: usize,
-    },
-    /// A term had a different type than required by its context.
-    Mismatch {
-        /// The type required by the context.
-        expected: Type,
-        /// The type the term actually has.
-        found: Type,
-        /// What was being checked.
-        context: &'static str,
-    },
-    /// The function position of an application was not a function.
-    NotAFunction(Type),
-    /// A coercion application whose coercion does not fit the subject.
-    BadCoercion {
-        /// The subject's type.
-        subject: Type,
-        /// Rendering of the offending coercion.
-        coercion: String,
-    },
-}
-
-impl fmt::Display for TypeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TypeError::UnboundVariable(x) => write!(f, "unbound variable `{x}`"),
-            TypeError::OpArity {
-                op,
-                expected,
-                found,
-            } => write!(
-                f,
-                "operator `{op}` expects {expected} arguments, found {found}"
-            ),
-            TypeError::Mismatch {
-                expected,
-                found,
-                context,
-            } => write!(
-                f,
-                "type mismatch in {context}: expected `{expected}`, found `{found}`"
-            ),
-            TypeError::NotAFunction(t) => write!(f, "cannot apply a term of type `{t}`"),
-            TypeError::BadCoercion { subject, coercion } => {
-                write!(
-                    f,
-                    "coercion `{coercion}` cannot be applied to a term of type `{subject}`"
-                )
-            }
-        }
+impl TypedCoercion for SpaceCoercion {
+    fn synthesize(&self) -> Option<(Type, Type)> {
+        SpaceCoercion::synthesize(self)
     }
-}
 
-impl std::error::Error for TypeError {}
-
-/// Computes the type of a closed λS term.
-///
-/// # Errors
-///
-/// Returns a [`TypeError`] if the term is not well typed.
-pub fn type_of(term: &Term) -> Result<Type, TypeError> {
-    type_of_in(&mut Vec::new(), term)
-}
-
-/// Computes the type of a λS term in an environment.
-///
-/// # Errors
-///
-/// Returns a [`TypeError`] if the term is not well typed.
-pub fn type_of_in(env: &mut Vec<(Name, Type)>, term: &Term) -> Result<Type, TypeError> {
-    match term {
-        Term::Const(k) => Ok(k.base_type().ty()),
-        Term::Var(x) => env
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| t.clone())
-            .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
-        Term::Op(op, args) => {
-            let (params, result) = op.signature();
-            if params.len() != args.len() {
-                return Err(TypeError::OpArity {
-                    op: op.name(),
-                    expected: params.len(),
-                    found: args.len(),
-                });
-            }
-            for (param, arg) in params.iter().zip(args) {
-                if !check_in(env, arg, &param.ty()) {
-                    let found = type_of_in(env, arg)?;
-                    return Err(TypeError::Mismatch {
-                        expected: param.ty(),
-                        found,
-                        context: "operator argument",
-                    });
-                }
-            }
-            Ok(result.ty())
-        }
-        Term::Lam(x, dom, body) => {
-            env.push((x.clone(), dom.clone()));
-            let cod = type_of_in(env, body);
-            env.pop();
-            Ok(Type::fun(dom.clone(), cod?))
-        }
-        Term::App(l, m) => {
-            let lt = type_of_in(env, l)?;
-            let mt = type_of_in(env, m)?;
-            match lt {
-                Type::Fun(dom, cod) => {
-                    if *dom == mt || check_in(env, m, &dom) {
-                        Ok((*cod).clone())
-                    } else {
-                        Err(TypeError::Mismatch {
-                            expected: (*dom).clone(),
-                            found: mt,
-                            context: "function argument",
-                        })
-                    }
-                }
-                other => Err(TypeError::NotAFunction(other)),
-            }
-        }
-        Term::Coerce(m, s) => {
-            let mt = type_of_in(env, m)?;
-            match s.synthesize() {
-                Some((src, tgt)) => {
-                    if src == mt || check_in(env, m, &src) {
-                        Ok(tgt)
-                    } else {
-                        Err(TypeError::Mismatch {
-                            expected: src,
-                            found: mt,
-                            context: "coercion source",
-                        })
-                    }
-                }
-                None => {
-                    let tgt = s.target_representative();
-                    if s.check(&mt, &tgt) {
-                        Ok(tgt)
-                    } else {
-                        Err(TypeError::BadCoercion {
-                            subject: mt,
-                            coercion: s.to_string(),
-                        })
-                    }
-                }
-            }
-        }
-        Term::Blame(_, ty) => Ok(ty.clone()),
-        Term::If(cond, then_, else_) => {
-            if !check_in(env, cond, &Type::BOOL) {
-                let ct = type_of_in(env, cond)?;
-                return Err(TypeError::Mismatch {
-                    expected: Type::BOOL,
-                    found: ct,
-                    context: "if condition",
-                });
-            }
-            let tt = type_of_in(env, then_)?;
-            let et = type_of_in(env, else_)?;
-            if tt == et || check_in(env, else_, &tt) {
-                Ok(tt)
-            } else if check_in(env, then_, &et) {
-                Ok(et)
-            } else {
-                Err(TypeError::Mismatch {
-                    expected: tt,
-                    found: et,
-                    context: "if branches",
-                })
-            }
-        }
-        Term::Let(x, m, n) => {
-            let mt = type_of_in(env, m)?;
-            env.push((x.clone(), mt));
-            let nt = type_of_in(env, n);
-            env.pop();
-            nt
-        }
-        Term::Fix(f, x, dom, cod, body) => {
-            let fun_ty = Type::fun(dom.clone(), cod.clone());
-            env.push((f.clone(), fun_ty.clone()));
-            env.push((x.clone(), dom.clone()));
-            let bt = type_of_in(env, body);
-            env.pop();
-            env.pop();
-            let bt = bt?;
-            if bt != *cod {
-                env.push((f.clone(), fun_ty.clone()));
-                env.push((x.clone(), dom.clone()));
-                let ok = check_in(env, body, cod);
-                env.pop();
-                env.pop();
-                if !ok {
-                    return Err(TypeError::Mismatch {
-                        expected: cod.clone(),
-                        found: bt,
-                        context: "fix body",
-                    });
-                }
-            }
-            Ok(fun_ty)
-        }
+    fn check(&self, source: &Type, target: &Type) -> bool {
+        SpaceCoercion::check(self, source, target)
     }
-}
 
-/// The *checking* judgment `Γ ⊢S M : A` for a given `A`; see the λC
-/// counterpart for why this differs from [`type_of`] (`blame` and `⊥`
-/// are not syntax-directed). Preservation holds for this judgment.
-pub fn has_type(term: &Term, ty: &Type) -> bool {
-    check_in(&mut Vec::new(), term, ty)
-}
-
-fn check_in(env: &mut Vec<(Name, Type)>, term: &Term, expected: &Type) -> bool {
-    match term {
-        Term::Blame(_, _) => true,
-        Term::Coerce(m, s) => {
-            if let Some((src, tgt)) = s.synthesize() {
-                tgt == *expected && check_in(env, m, &src)
-            } else {
-                match type_of_in(env, m) {
-                    Ok(mt) => s.check(&mt, expected),
-                    Err(_) => false,
-                }
-            }
-        }
-        Term::If(c, t, e) => {
-            check_in(env, c, &Type::BOOL)
-                && check_in(env, t, expected)
-                && check_in(env, e, expected)
-        }
-        Term::Lam(x, dom, body) => match expected {
-            Type::Fun(d, c) => {
-                if **d != *dom {
-                    return false;
-                }
-                env.push((x.clone(), dom.clone()));
-                let ok = check_in(env, body, c);
-                env.pop();
-                ok
-            }
-            _ => false,
-        },
-        Term::Fix(f, x, dom, cod, body) => {
-            let fun_ty = Type::fun(dom.clone(), cod.clone());
-            if fun_ty != *expected {
-                return false;
-            }
-            env.push((f.clone(), fun_ty));
-            env.push((x.clone(), dom.clone()));
-            let ok = check_in(env, body, cod);
-            env.pop();
-            env.pop();
-            ok
-        }
-        Term::Let(x, m, n) => match type_of_in(env, m) {
-            Ok(mt) => {
-                env.push((x.clone(), mt));
-                let ok = check_in(env, n, expected);
-                env.pop();
-                ok
-            }
-            Err(_) => false,
-        },
-        Term::App(l, m) => {
-            if let Ok(Type::Fun(d, c)) = type_of_in(env, l) {
-                if *c == *expected && check_in(env, m, &d) {
-                    return true;
-                }
-            }
-            // The function may be a ⊥-coerced term whose synthesised
-            // type is only a representative: check it against the
-            // function type demanded by the argument and the context.
-            match type_of_in(env, m) {
-                Ok(mt) => check_in(env, l, &Type::fun(mt, expected.clone())),
-                Err(_) => false,
-            }
-        }
-        Term::Op(op, args) => {
-            let (params, result) = op.signature();
-            result.ty() == *expected
-                && params.len() == args.len()
-                && params
-                    .iter()
-                    .zip(args)
-                    .all(|(param, arg)| check_in(env, arg, &param.ty()))
-        }
-        _ => type_of_in(env, term).is_ok_and(|t| t == *expected),
+    fn target_representative(&self) -> Type {
+        SpaceCoercion::target_representative(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
+    use crate::coercion::{GroundCoercion, Intermediate};
+    use crate::term::Term;
     use bc_syntax::{BaseType, Ground, Label};
 
     #[test]

@@ -20,7 +20,7 @@ fn expect_int(src: &str, expected: i64) {
     match out {
         Outcome::Value(Term::Const(k)) => assert_eq!(k.as_int(), Some(expected), "{src}"),
         // Dynamic results come back injected.
-        Outcome::Value(Term::Cast(inner, _)) => match &*inner {
+        Outcome::Value(Term::Coerce(inner, _)) => match &*inner {
             Term::Const(k) => assert_eq!(k.as_int(), Some(expected), "{src}"),
             other => panic!("{src}: unexpected payload {other}"),
         },
@@ -33,7 +33,7 @@ fn expect_bool(src: &str, expected: bool) {
     let (_, out) = eval_ok(src);
     match out {
         Outcome::Value(Term::Const(k)) => assert_eq!(k.as_bool(), Some(expected), "{src}"),
-        Outcome::Value(Term::Cast(inner, _)) => match &*inner {
+        Outcome::Value(Term::Coerce(inner, _)) => match &*inner {
             Term::Const(k) => assert_eq!(k.as_bool(), Some(expected), "{src}"),
             other => panic!("{src}: unexpected payload {other}"),
         },

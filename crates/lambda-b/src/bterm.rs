@@ -89,7 +89,7 @@ pub fn compile(term: &Term, types: &mut TypeArena) -> BTerm {
         Term::Var(x) => BTerm::Var(x.clone()),
         Term::Lam(x, ty, b) => BTerm::Lam(x.clone(), types.intern(ty), compile(b, types).into()),
         Term::App(a, b) => BTerm::App(compile(a, types).into(), compile(b, types).into()),
-        Term::Cast(m, c) => BTerm::Cast(
+        Term::Coerce(m, c) => BTerm::Cast(
             compile(m, types).into(),
             types.intern(&c.source),
             c.label,
@@ -129,7 +129,7 @@ pub fn decompile(term: &BTerm, types: &TypeArena) -> Term {
             Term::Lam(x.clone(), types.resolve(*ty), decompile(b, types).into())
         }
         BTerm::App(a, b) => Term::App(decompile(a, types).into(), decompile(b, types).into()),
-        BTerm::Cast(m, src, p, tgt) => Term::Cast(
+        BTerm::Cast(m, src, p, tgt) => Term::Coerce(
             decompile(m, types).into(),
             Cast::new(types.resolve(*src), *p, types.resolve(*tgt)),
         ),

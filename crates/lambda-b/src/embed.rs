@@ -138,7 +138,7 @@ fn embed_env(term: &UntypedTerm, labels: &mut LabelSupply, fix_vars: &mut HashSe
 mod tests {
     use super::*;
     use crate::eval::{run, Outcome, RunError};
-    use crate::typing::{type_of_in, TypeEnv};
+    use crate::typing::type_of;
     use bc_syntax::{Constant, Op};
 
     fn eval_embedded(t: &UntypedTerm, fuel: u64) -> Outcome {
@@ -149,7 +149,7 @@ mod tests {
     /// Unwraps a `V : G ⇒p ?` value to its payload constant.
     fn expect_injected_const(outcome: Outcome) -> Constant {
         match outcome {
-            Outcome::Value(Term::Cast(inner, _)) => match &*inner {
+            Outcome::Value(Term::Coerce(inner, _)) => match &*inner {
                 Term::Const(k) => *k,
                 other => panic!("expected constant under injection, got {other}"),
             },
@@ -176,8 +176,7 @@ mod tests {
         ];
         for s in &samples {
             let m = embed(s, &mut LabelSupply::new());
-            let ty = type_of_in(&mut TypeEnv::new(), &m)
-                .unwrap_or_else(|e| panic!("embedding of {s} ill-typed: {e}"));
+            let ty = type_of(&m).unwrap_or_else(|e| panic!("embedding of {s} ill-typed: {e}"));
             assert_eq!(ty, Type::DYN, "embedding of {s}");
         }
     }

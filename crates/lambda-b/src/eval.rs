@@ -18,9 +18,9 @@ use std::fmt;
 
 use bc_syntax::{Constant, Label, Type};
 
-use crate::subst::subst;
 use crate::term::{Cast, Term};
 use crate::typing::{type_of, TypeError};
+use bc_syntax::term::subst;
 
 /// The result of attempting one reduction step on a closed term.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,8 +192,8 @@ fn step_sub(term: &Term) -> Sub {
                 Sub::Value => apply(l, m),
             },
         },
-        Term::Cast(m, c) => match step_sub(m) {
-            Sub::Stepped(m2) => Sub::Stepped(Term::Cast(m2.into(), c.clone())),
+        Term::Coerce(m, c) => match step_sub(m) {
+            Sub::Stepped(m2) => Sub::Stepped(Term::Coerce(m2.into(), c.clone())),
             Sub::Raise(p) => Sub::Raise(p),
             Sub::Value => cast_value(m, c),
         },
@@ -215,7 +215,7 @@ fn apply(fun: &Term, arg: &Term) -> Sub {
         //
         // The domain cast is decorated with the complemented label:
         // function types are contravariant in their domain.
-        Term::Cast(v, c) => match (&c.source, &c.target) {
+        Term::Coerce(v, c) => match (&c.source, &c.target) {
             (Type::Fun(a, b), Type::Fun(a2, b2)) => {
                 let domain_cast =
                     arg.clone()
@@ -257,7 +257,7 @@ fn cast_value(value: &Term, cast: &Cast) -> Sub {
                 // The target is a ground type: the value must be an
                 // injection `W : G ⇒q ?`.
                 Some(h) => match value {
-                    Term::Cast(w, inner) => {
+                    Term::Coerce(w, inner) => {
                         let g = inner
                             .source
                             .as_ground()

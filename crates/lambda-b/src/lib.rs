@@ -11,8 +11,9 @@
 //! The crate provides:
 //!
 //! * [`Term`] — the syntax of Figure 1 (plus `if`/`let`/`fix` as
-//!   standard constructs);
-//! * [`typing`] — the type system `Γ ⊢B M : A`;
+//!   standard constructs): the grammar the three calculi share,
+//!   [`bc_syntax::term::Term`], with λB's [`Cast`] in the cast position;
+//! * [`typing`] — the syntax-directed type system `Γ ⊢B M : A`;
 //! * [`eval`] — the small-step reduction relation `M ⟶B N`, with
 //!   space instrumentation;
 //! * [`safety`] — blame safety `M safeB q` (Figure 2);
@@ -42,7 +43,6 @@ pub mod embed;
 pub mod eval;
 pub mod programs;
 pub mod safety;
-pub mod subst;
 pub mod term;
 pub mod typing;
 

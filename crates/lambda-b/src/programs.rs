@@ -212,7 +212,7 @@ mod tests {
         }
         // The untyped variant yields an *injected* boolean.
         match run(&even_untyped(4), 100_000).unwrap().outcome {
-            Outcome::Value(Term::Cast(inner, _)) => assert_eq!(*inner, Term::bool(true)),
+            Outcome::Value(Term::Coerce(inner, _)) => assert_eq!(*inner, Term::bool(true)),
             other => panic!("unexpected outcome {other:?}"),
         }
     }

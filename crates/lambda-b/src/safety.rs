@@ -23,15 +23,7 @@ pub use bc_syntax::subtype::cast_safe_for as cast_safe;
 /// Whether `M safeB q`: every cast in `M` is safe for `q` and no
 /// `blame q` occurs literally in `M`.
 pub fn term_safe_for(term: &Term, q: Label) -> bool {
-    match term {
-        Term::Const(_) | Term::Var(_) => true,
-        Term::Blame(p, _) => *p != q,
-        Term::Op(_, args) => args.iter().all(|a| term_safe_for(a, q)),
-        Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => term_safe_for(b, q),
-        Term::Cast(m, c) => term_safe_for(m, q) && cast_safe_for(&c.source, c.label, &c.target, q),
-        Term::App(a, b) | Term::Let(_, a, b) => term_safe_for(a, q) && term_safe_for(b, q),
-        Term::If(a, b, c) => term_safe_for(a, q) && term_safe_for(b, q) && term_safe_for(c, q),
-    }
+    term.safe_for(q, &|c| cast_safe_for(&c.source, c.label, &c.target, q))
 }
 
 #[cfg(test)]

@@ -65,46 +65,13 @@ impl fmt::Display for TypeError {
 
 impl std::error::Error for TypeError {}
 
-/// A type environment `Γ`: a stack of variable bindings.
-#[derive(Debug, Clone, Default)]
-pub struct TypeEnv {
-    bindings: Vec<(Name, Type)>,
-}
-
-impl TypeEnv {
-    /// The empty environment.
-    pub fn new() -> TypeEnv {
-        TypeEnv::default()
-    }
-
-    /// Looks up the innermost binding of `x`.
-    pub fn lookup(&self, x: &Name) -> Option<&Type> {
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| t)
-    }
-
-    /// Pushes a binding, returning a guard-free handle (callers pop
-    /// with [`TypeEnv::pop`]).
-    pub fn push(&mut self, x: Name, t: Type) {
-        self.bindings.push((x, t));
-    }
-
-    /// Pops the innermost binding.
-    pub fn pop(&mut self) {
-        self.bindings.pop();
-    }
-}
-
 /// Computes the type of a closed term: `⊢B M : A`.
 ///
 /// # Errors
 ///
 /// Returns a [`TypeError`] if the term is not well typed.
 pub fn type_of(term: &Term) -> Result<Type, TypeError> {
-    type_of_in(&mut TypeEnv::new(), term)
+    type_of_in(&mut Vec::new(), term)
 }
 
 /// Computes the type of a term in an environment: `Γ ⊢B M : A`.
@@ -112,12 +79,14 @@ pub fn type_of(term: &Term) -> Result<Type, TypeError> {
 /// # Errors
 ///
 /// Returns a [`TypeError`] if the term is not well typed.
-pub fn type_of_in(env: &mut TypeEnv, term: &Term) -> Result<Type, TypeError> {
+pub fn type_of_in(env: &mut Vec<(Name, Type)>, term: &Term) -> Result<Type, TypeError> {
     match term {
         Term::Const(k) => Ok(k.base_type().ty()),
         Term::Var(x) => env
-            .lookup(x)
-            .cloned()
+            .iter()
+            .rev()
+            .find(|(y, _)| y == x)
+            .map(|(_, t)| t.clone())
             .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
         Term::Op(op, args) => {
             let (params, result) = op.signature();
@@ -141,7 +110,7 @@ pub fn type_of_in(env: &mut TypeEnv, term: &Term) -> Result<Type, TypeError> {
             Ok(result.ty())
         }
         Term::Lam(x, dom, body) => {
-            env.push(x.clone(), dom.clone());
+            env.push((x.clone(), dom.clone()));
             let cod = type_of_in(env, body);
             env.pop();
             Ok(Type::fun(dom.clone(), cod?))
@@ -164,7 +133,7 @@ pub fn type_of_in(env: &mut TypeEnv, term: &Term) -> Result<Type, TypeError> {
                 other => Err(TypeError::NotAFunction(other)),
             }
         }
-        Term::Cast(m, c) => {
+        Term::Coerce(m, c) => {
             let mt = type_of_in(env, m)?;
             if mt != c.source {
                 return Err(TypeError::Mismatch {
@@ -201,15 +170,15 @@ pub fn type_of_in(env: &mut TypeEnv, term: &Term) -> Result<Type, TypeError> {
         }
         Term::Let(x, m, n) => {
             let mt = type_of_in(env, m)?;
-            env.push(x.clone(), mt);
+            env.push((x.clone(), mt));
             let nt = type_of_in(env, n);
             env.pop();
             nt
         }
         Term::Fix(f, x, dom, cod, body) => {
             let fun_ty = Type::fun(dom.clone(), cod.clone());
-            env.push(f.clone(), fun_ty.clone());
-            env.push(x.clone(), dom.clone());
+            env.push((f.clone(), fun_ty.clone()));
+            env.push((x.clone(), dom.clone()));
             let bt = type_of_in(env, body);
             env.pop();
             env.pop();

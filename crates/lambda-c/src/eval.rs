@@ -23,9 +23,9 @@ use std::fmt;
 use bc_syntax::{Constant, Label, Type};
 
 use crate::coercion::Coercion;
-use crate::subst::subst;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
+use bc_syntax::term::subst;
 
 /// The result of attempting one reduction step on a closed term.
 #[derive(Debug, Clone, PartialEq)]

@@ -14,9 +14,11 @@
 //! * [`Coercion`] — the coercion grammar with typing `c : A ⇒ B`,
 //!   height `‖c‖`, and blame safety;
 //! * [`Term`] — λC terms (Figure 3, plus `if`/`let`/`fix` as standard
-//!   constructs);
-//! * [`typing`], [`eval`], [`safety`] — the static and dynamic
-//!   semantics.
+//!   constructs): the shared grammar [`bc_syntax::term::Term`] with a
+//!   [`Coercion`] in the cast position;
+//! * [`typing`] — the type system, generic over the coercion type so
+//!   that λS checks with it too;
+//! * [`eval`], [`safety`] — the dynamic semantics and blame safety.
 //!
 //! # Example
 //!
@@ -40,7 +42,6 @@ pub mod coercion;
 pub mod cterm;
 pub mod eval;
 pub mod safety;
-pub mod subst;
 pub mod term;
 pub mod typing;
 

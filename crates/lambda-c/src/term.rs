@@ -1,197 +1,45 @@
-//! Terms of the coercion calculus (Figure 3).
+//! Terms of the coercion calculus (Figure 3): the shared grammar
+//! [`bc_syntax::term::Term`] with coercion application `M⟨c⟩` in the
+//! cast position.
+//!
+//! A value under a function coercion `V⟨c→d⟩` or an injection `V⟨G!⟩`
+//! is a value; every coercion node counts towards [`Term::size`], and
+//! the term prints a coercion application as `M<c>`.
 
 use std::fmt;
-use std::rc::Rc;
 
-use bc_syntax::{Constant, Label, Name, Op, Type};
+use bc_syntax::term::CastForm;
+use bc_syntax::Label;
 
 use crate::coercion::Coercion;
 
 /// Terms `L, M, N` of λC: as λB, but casts are replaced by coercion
 /// application `M⟨c⟩`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Term {
-    /// A constant `k`.
-    Const(Constant),
-    /// An operator application `op(M₁, …, Mₙ)`.
-    Op(Op, Vec<Term>),
-    /// A variable `x`.
-    Var(Name),
-    /// An abstraction `λx:A. N`.
-    Lam(Name, Type, Rc<Term>),
-    /// An application `L M`.
-    App(Rc<Term>, Rc<Term>),
-    /// A coercion application `M⟨c⟩`.
-    Coerce(Rc<Term>, Coercion),
-    /// Allocated blame `blame p` (carries its type; see λB).
-    Blame(Label, Type),
-    /// A conditional `if L then M else N`.
-    If(Rc<Term>, Rc<Term>, Rc<Term>),
-    /// A let binding `let x = M in N`.
-    Let(Name, Rc<Term>, Rc<Term>),
-    /// A recursive function `fix f (x:A):B. N`.
-    Fix(Name, Name, Type, Type, Rc<Term>),
-}
+pub type Term = bc_syntax::term::Term<Coercion>;
 
-impl Term {
-    /// An integer constant.
-    pub fn int(n: i64) -> Term {
-        Term::Const(Constant::Int(n))
+impl CastForm for Coercion {
+    fn node_size(&self) -> usize {
+        self.size()
     }
 
-    /// A boolean constant.
-    pub fn bool(b: bool) -> Term {
-        Term::Const(Constant::Bool(b))
+    fn push_labels(&self, out: &mut Vec<Label>) {
+        out.extend(self.labels());
     }
 
-    /// A variable.
-    pub fn var(name: &str) -> Term {
-        Term::Var(Name::from(name))
+    fn wraps_value(&self, subject: &Term) -> bool {
+        subject.is_value() && matches!(self, Coercion::Fun(_, _) | Coercion::Inj(_))
     }
 
-    /// An abstraction `λname:ty. body`.
-    pub fn lam(name: &str, ty: Type, body: Term) -> Term {
-        Term::Lam(Name::from(name), ty, Rc::new(body))
-    }
-
-    /// An application `self arg`.
-    #[must_use]
-    pub fn app(self, arg: Term) -> Term {
-        Term::App(Rc::new(self), Rc::new(arg))
-    }
-
-    /// The coercion application `self⟨c⟩`.
-    #[must_use]
-    pub fn coerce(self, c: Coercion) -> Term {
-        Term::Coerce(Rc::new(self), c)
-    }
-
-    /// A binary operator application.
-    pub fn op2(op: Op, lhs: Term, rhs: Term) -> Term {
-        Term::Op(op, vec![lhs, rhs])
-    }
-
-    /// A conditional.
-    pub fn ite(cond: Term, then_: Term, else_: Term) -> Term {
-        Term::If(Rc::new(cond), Rc::new(then_), Rc::new(else_))
-    }
-
-    /// A let binding.
-    pub fn let_(name: &str, bound: Term, body: Term) -> Term {
-        Term::Let(Name::from(name), Rc::new(bound), Rc::new(body))
-    }
-
-    /// A recursive function.
-    pub fn fix(fun: &str, arg: &str, dom: Type, cod: Type, body: Term) -> Term {
-        Term::Fix(Name::from(fun), Name::from(arg), dom, cod, Rc::new(body))
-    }
-
-    /// Whether the term is a value `V` (Figure 3): a constant, an
-    /// abstraction (or `fix`), a value under a function coercion
-    /// `V⟨c→d⟩`, or a value under an injection `V⟨G!⟩`.
-    pub fn is_value(&self) -> bool {
-        match self {
-            Term::Const(_) | Term::Lam(_, _, _) | Term::Fix(_, _, _, _, _) => true,
-            Term::Coerce(m, c) => {
-                m.is_value() && matches!(c, Coercion::Fun(_, _) | Coercion::Inj(_))
-            }
-            _ => false,
-        }
-    }
-
-    /// The number of syntax nodes in the term (coercion nodes counted
-    /// via [`Coercion::size`]).
-    pub fn size(&self) -> usize {
-        match self {
-            Term::Const(_) | Term::Var(_) | Term::Blame(_, _) => 1,
-            Term::Op(_, args) => 1 + args.iter().map(Term::size).sum::<usize>(),
-            Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => 1 + b.size(),
-            Term::Coerce(m, c) => 1 + m.size() + c.size(),
-            Term::App(a, b) | Term::Let(_, a, b) => 1 + a.size() + b.size(),
-            Term::If(a, b, c) => 1 + a.size() + b.size() + c.size(),
-        }
-    }
-
-    /// The total size of all coercions in the term — the λC space
-    /// metric (coercions pile up under naive composition).
-    pub fn coercion_size(&self) -> usize {
-        match self {
-            Term::Const(_) | Term::Var(_) | Term::Blame(_, _) => 0,
-            Term::Op(_, args) => args.iter().map(Term::coercion_size).sum(),
-            Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => b.coercion_size(),
-            Term::Coerce(m, c) => m.coercion_size() + c.size(),
-            Term::App(a, b) | Term::Let(_, a, b) => a.coercion_size() + b.coercion_size(),
-            Term::If(a, b, c) => a.coercion_size() + b.coercion_size() + c.coercion_size(),
-        }
-    }
-
-    /// Every blame label mentioned in the term, in syntactic order.
-    pub fn labels(&self) -> Vec<Label> {
-        fn go(t: &Term, out: &mut Vec<Label>) {
-            match t {
-                Term::Const(_) | Term::Var(_) => {}
-                Term::Blame(p, _) => out.push(*p),
-                Term::Op(_, args) => args.iter().for_each(|a| go(a, out)),
-                Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => go(b, out),
-                Term::Coerce(m, c) => {
-                    go(m, out);
-                    out.extend(c.labels());
-                }
-                Term::App(a, b) | Term::Let(_, a, b) => {
-                    go(a, out);
-                    go(b, out);
-                }
-                Term::If(a, b, c) => {
-                    go(a, out);
-                    go(b, out);
-                    go(c, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        go(self, &mut out);
-        out
-    }
-}
-
-impl From<Constant> for Term {
-    fn from(k: Constant) -> Term {
-        Term::Const(k)
-    }
-}
-
-impl fmt::Display for Term {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Const(k) => write!(f, "{k}"),
-            Term::Var(x) => write!(f, "{x}"),
-            Term::Op(op, args) => {
-                write!(f, "{op}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                f.write_str(")")
-            }
-            Term::Lam(x, ty, b) => write!(f, "(fun ({x} : {ty}) => {b})"),
-            Term::App(a, b) => write!(f, "({a} {b})"),
-            Term::Coerce(m, c) => write!(f, "{m}<{c}>"),
-            Term::Blame(p, _) => write!(f, "blame {p}"),
-            Term::If(c, t, e) => write!(f, "(if {c} then {t} else {e})"),
-            Term::Let(x, m, n) => write!(f, "(let {x} = {m} in {n})"),
-            Term::Fix(g, x, dom, cod, b) => {
-                write!(f, "(fix {g} ({x} : {dom}) : {cod} => {b})")
-            }
-        }
+    fn fmt_cast(&self, subject: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{subject}<{self}>")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_syntax::{BaseType, Ground};
+    use bc_syntax::term::subst;
+    use bc_syntax::{BaseType, Ground, Name, Type};
 
     #[test]
     fn value_recognition() {
@@ -231,5 +79,12 @@ mod tests {
     fn display() {
         let m = Term::int(1).coerce(Coercion::inj(Ground::Base(BaseType::Int)));
         assert_eq!(m.to_string(), "1<(Int)!>");
+    }
+
+    #[test]
+    fn substitution_descends_under_coercions() {
+        let t = Term::var("x").coerce(Coercion::id(Type::INT));
+        let r = subst(&t, &Name::from("x"), &Term::int(1));
+        assert_eq!(r, Term::int(1).coerce(Coercion::id(Type::INT)));
     }
 }

@@ -1,12 +1,51 @@
-//! The type system `Γ ⊢C M : A` of the coercion calculus (Figure 3).
+//! The type system `Γ ⊢ M : A` of the coercion calculi λC (Figure 3)
+//! and λS (Figure 5).
+//!
+//! The two calculi type terms alike and differ only in their
+//! coercions, so one checker serves both: it is generic over a
+//! coercion type with the judgment `c : A ⇒ B` ([`TypedCoercion`]),
+//! which λC's [`Coercion`] implements here and λS's canonical
+//! coercions implement in `bc_core::typing`. [`type_of`] synthesises
+//! a type; [`has_type`] checks one, and differs from synthesis exactly
+//! where the paper's typing is not syntax-directed (`blame p` has
+//! every type, and a coercion containing `⊥` every target).
 
 use std::fmt;
 
+use bc_syntax::term::{CastForm, Term};
 use bc_syntax::{Name, Type};
 
-use crate::term::Term;
+use crate::coercion::Coercion;
 
-/// A typing error for λC terms.
+/// A coercion type with the typing judgment `c : A ⇒ B`.
+pub trait TypedCoercion: CastForm + fmt::Display {
+    /// Synthesises `c : A ⇒ B` when the coercion contains no failure.
+    fn synthesize(&self) -> Option<(Type, Type)>;
+
+    /// Checks the judgment `c : source ⇒ target`.
+    fn check(&self, source: &Type, target: &Type) -> bool;
+
+    /// A type `B` with `c : A ⇒ B` for some `A`; a failure `⊥GpH`
+    /// contributes its named ground `H` where the true target is
+    /// unconstrained.
+    fn target_representative(&self) -> Type;
+}
+
+impl TypedCoercion for Coercion {
+    fn synthesize(&self) -> Option<(Type, Type)> {
+        Coercion::synthesize(self)
+    }
+
+    fn check(&self, source: &Type, target: &Type) -> bool {
+        Coercion::check(self, source, target)
+    }
+
+    fn target_representative(&self) -> Type {
+        Coercion::target_representative(self)
+    }
+}
+
+/// A typing error for λC and λS terms.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TypeError {
     /// A variable was not bound in the environment.
@@ -74,7 +113,7 @@ impl fmt::Display for TypeError {
 
 impl std::error::Error for TypeError {}
 
-/// Computes the type of a closed λC term: `⊢C M : A`.
+/// Computes the type of a closed term: `⊢ M : A`.
 ///
 /// For coercion applications `M⟨c⟩`, the target type is synthesised
 /// from `c` when possible; a coercion containing `⊥` (whose target is
@@ -85,16 +124,19 @@ impl std::error::Error for TypeError {}
 /// # Errors
 ///
 /// Returns a [`TypeError`] if the term is not well typed.
-pub fn type_of(term: &Term) -> Result<Type, TypeError> {
+pub fn type_of<K: TypedCoercion>(term: &Term<K>) -> Result<Type, TypeError> {
     type_of_in(&mut Vec::new(), term)
 }
 
-/// Computes the type of a λC term in an environment.
+/// Computes the type of a term in an environment.
 ///
 /// # Errors
 ///
 /// Returns a [`TypeError`] if the term is not well typed.
-pub fn type_of_in(env: &mut Vec<(Name, Type)>, term: &Term) -> Result<Type, TypeError> {
+pub fn type_of_in<K: TypedCoercion>(
+    env: &mut Vec<(Name, Type)>,
+    term: &Term<K>,
+) -> Result<Type, TypeError> {
     match term {
         Term::Const(k) => Ok(k.base_type().ty()),
         Term::Var(x) => env
@@ -236,17 +278,21 @@ pub fn type_of_in(env: &mut Vec<(Name, Type)>, term: &Term) -> Result<Type, Type
     }
 }
 
-/// The *checking* judgment `Γ ⊢C M : A` for a given `A`.
+/// The *checking* judgment `⊢ M : A` for a given `A`.
 ///
 /// Differs from [`type_of`] (which synthesises a representative type)
 /// exactly where the paper's typing is not syntax-directed: `blame p`
 /// has every type, and `⊥GpH` coerces to every target. Preservation
 /// (Proposition 3) holds for this judgment.
-pub fn has_type(term: &Term, ty: &Type) -> bool {
+pub fn has_type<K: TypedCoercion>(term: &Term<K>, ty: &Type) -> bool {
     check_in(&mut Vec::new(), term, ty)
 }
 
-fn check_in(env: &mut Vec<(Name, Type)>, term: &Term, expected: &Type) -> bool {
+fn check_in<K: TypedCoercion>(
+    env: &mut Vec<(Name, Type)>,
+    term: &Term<K>,
+    expected: &Type,
+) -> bool {
     match term {
         // blame p : A for every A.
         Term::Blame(_, _) => true,
@@ -331,8 +377,9 @@ fn check_in(env: &mut Vec<(Name, Type)>, term: &Term, expected: &Type) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coercion::Coercion;
     use bc_syntax::{BaseType, Ground, Label};
+
+    type Term = crate::Term;
 
     fn gi() -> Ground {
         Ground::Base(BaseType::Int)

@@ -324,7 +324,7 @@ pub fn resume(paused: Paused, slice: u64) -> SliceResult<Paused> {
                     });
                     Control::Eval(first, env)
                 }
-                Term::Cast(inner, c) => {
+                Term::Coerce(inner, c) => {
                     m.push(Frame::CastFrame(c));
                     Control::Eval((*inner).clone(), env)
                 }

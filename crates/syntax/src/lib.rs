@@ -15,6 +15,10 @@
 //! * [`Constant`] and [`Op`] — constants `k` and total operators `op`
 //!   with their meaning function `[[op]]`;
 //! * the four subtyping relations of Figure 2 ([`subtype`](mod@subtype));
+//! * the term grammar the three calculi share, [`term::Term`], generic
+//!   over the cast form (λB's [`term::Cast`], λC's and λS's
+//!   coercions), with its capture-avoiding substitution and the cast
+//!   map the translations between the calculi are ([`term`]);
 //! * a hash-consing [`TypeArena`] interning types behind `Copy`
 //!   [`TypeId`] handles, with O(1) equality and memoized
 //!   compatibility/subtyping queries ([`intern`]);
@@ -47,6 +51,7 @@ pub mod op;
 pub mod pointed;
 pub mod slab;
 pub mod subtype;
+pub mod term;
 pub mod types;
 pub mod untyped;
 

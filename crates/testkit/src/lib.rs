@@ -372,7 +372,7 @@ impl Gen {
     /// Plugs a closed term into a context generated by
     /// [`Gen::context_b`].
     pub fn plug(context: &lb::Term, term: &lb::Term) -> lb::Term {
-        lb::subst::subst(context, &Name::from(HOLE), term)
+        bc_syntax::term::subst(context, &Name::from(HOLE), term)
     }
 }
 

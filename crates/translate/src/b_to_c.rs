@@ -61,33 +61,7 @@ pub fn cast_to_coercion(source: &Type, p: Label, target: &Type) -> Coercion {
 /// Translates a λB term to a λC term by replacing every cast with the
 /// corresponding coercion.
 pub fn term_b_to_c(term: &lb::Term) -> lc::Term {
-    match term {
-        lb::Term::Const(k) => lc::Term::Const(*k),
-        lb::Term::Op(op, args) => lc::Term::Op(*op, args.iter().map(term_b_to_c).collect()),
-        lb::Term::Var(x) => lc::Term::Var(x.clone()),
-        lb::Term::Lam(x, ty, b) => lc::Term::Lam(x.clone(), ty.clone(), term_b_to_c(b).into()),
-        lb::Term::App(a, b) => lc::Term::App(term_b_to_c(a).into(), term_b_to_c(b).into()),
-        lb::Term::Cast(m, c) => lc::Term::Coerce(
-            term_b_to_c(m).into(),
-            cast_to_coercion(&c.source, c.label, &c.target),
-        ),
-        lb::Term::Blame(p, ty) => lc::Term::Blame(*p, ty.clone()),
-        lb::Term::If(c, t, e) => lc::Term::If(
-            term_b_to_c(c).into(),
-            term_b_to_c(t).into(),
-            term_b_to_c(e).into(),
-        ),
-        lb::Term::Let(x, m, n) => {
-            lc::Term::Let(x.clone(), term_b_to_c(m).into(), term_b_to_c(n).into())
-        }
-        lb::Term::Fix(f, x, dom, cod, b) => lc::Term::Fix(
-            f.clone(),
-            x.clone(),
-            dom.clone(),
-            cod.clone(),
-            term_b_to_c(b).into(),
-        ),
-    }
+    term.map_casts(&mut |c| cast_to_coercion(&c.source, c.label, &c.target))
 }
 
 /// [`cast_to_coercion`] on interned endpoints, emitting an interned

@@ -83,7 +83,7 @@ fn observe_b_value(v: &lb::Term) -> Observation {
     match v {
         lb::Term::Const(k) => Observation::Constant(*k),
         lb::Term::Lam(_, _, _) | lb::Term::Fix(_, _, _, _, _) => Observation::Function,
-        lb::Term::Cast(inner, c) => match (&c.source, &c.target) {
+        lb::Term::Coerce(inner, c) => match (&c.source, &c.target) {
             (Type::Fun(_, _), Type::Fun(_, _)) => Observation::Function,
             (src, Type::Dyn) => {
                 let g = src.as_ground().expect("injection value from ground type");

@@ -198,7 +198,7 @@ fn go(
             let casts = coercion_to_casts(c, &src, &tgt);
             let mut out = go(env, m)?;
             for k in casts {
-                out = lb::Term::Cast(out.into(), k);
+                out = lb::Term::Coerce(out.into(), k);
             }
             out
         }

@@ -95,47 +95,10 @@ pub fn term_c_to_s(term: &CTerm) -> STerm {
 /// coercion already hash-consed and every `Seq` composition already
 /// cached.
 pub fn term_c_to_s_in(arena: &mut CoercionArena, cache: &mut ComposeCache, term: &CTerm) -> STerm {
-    match term {
-        CTerm::Const(k) => STerm::Const(*k),
-        CTerm::Op(op, args) => STerm::Op(
-            *op,
-            args.iter()
-                .map(|a| term_c_to_s_in(arena, cache, a))
-                .collect(),
-        ),
-        CTerm::Var(x) => STerm::Var(x.clone()),
-        CTerm::Lam(x, ty, b) => STerm::Lam(
-            x.clone(),
-            ty.clone(),
-            term_c_to_s_in(arena, cache, b).into(),
-        ),
-        CTerm::App(a, b) => STerm::App(
-            term_c_to_s_in(arena, cache, a).into(),
-            term_c_to_s_in(arena, cache, b).into(),
-        ),
-        CTerm::Coerce(m, c) => {
-            let id = coercion_to_space_in(arena, cache, c);
-            STerm::Coerce(term_c_to_s_in(arena, cache, m).into(), arena.resolve(id))
-        }
-        CTerm::Blame(p, ty) => STerm::Blame(*p, ty.clone()),
-        CTerm::If(c, t, e) => STerm::If(
-            term_c_to_s_in(arena, cache, c).into(),
-            term_c_to_s_in(arena, cache, t).into(),
-            term_c_to_s_in(arena, cache, e).into(),
-        ),
-        CTerm::Let(x, m, n) => STerm::Let(
-            x.clone(),
-            term_c_to_s_in(arena, cache, m).into(),
-            term_c_to_s_in(arena, cache, n).into(),
-        ),
-        CTerm::Fix(f, x, dom, cod, b) => STerm::Fix(
-            f.clone(),
-            x.clone(),
-            dom.clone(),
-            cod.clone(),
-            term_c_to_s_in(arena, cache, b).into(),
-        ),
-    }
+    term.map_casts(&mut |c| {
+        let id = coercion_to_space_in(arena, cache, c);
+        arena.resolve(id)
+    })
 }
 
 /// Statistics for a [`CNormalizer`]: memo size and hit/miss counts.

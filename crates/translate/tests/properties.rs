@@ -264,7 +264,7 @@ proptest! {
         let result_ty = gen.ty(1);
         let cx = term_b_to_c(&gen.context_b(&tgt, &result_ty, 2));
         let plug = |inner: &lc::Term| {
-            lc::subst::subst(&cx, &bc_syntax::Name::from(bc_testkit::HOLE), inner)
+            bc_syntax::term::subst(&cx, &bc_syntax::Name::from(bc_testkit::HOLE), inner)
         };
         let o1 = observe_run_c(&plug(&lhs), FUEL);
         let o2 = observe_run_c(&plug(&rhs), FUEL);

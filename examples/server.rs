@@ -125,7 +125,7 @@ fn main() {
     // promotion counters, polled gauges — one coherent snapshot.
     println!();
     println!("{}", pool.metrics_text());
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::from_secs(10)));
     assert_eq!(stats.local_coercion_nodes(), 0);
     assert_eq!(stats.local_type_nodes(), 0);
     // Covered traffic never trips the promoter: the pool serves its

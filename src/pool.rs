@@ -65,12 +65,14 @@
 //!
 //! Jobs are dispatched round-robin to **per-worker deques**; an idle
 //! worker first drains its own queue, then steals from the back of
-//! the longest sibling queue. There is no global queue lock on the
-//! per-job hot path — the deque mutexes are held for a push or a pop,
-//! and contention only appears when a thief and its victim touch the
-//! same deque. [`PoolStats`] reports `steals` and live
-//! [`queue depths`](SessionPool::queue_depths) (the backpressure
-//! signal for load-shedding callers).
+//! the longest sibling queue. Only an idle worker steals: one with
+//! parked runs takes new intake from its own queue alone, so the jobs
+//! it cannot start at once stay where an idle sibling can steal them.
+//! There is no global queue lock on the per-job hot path — the deque
+//! mutexes are held for a push or a pop, and contention only appears
+//! when a thief and its victim touch the same deque. [`PoolStats`]
+//! reports `steals` and live [`queue depths`](SessionPool::queue_depths)
+//! (the backpressure signal for load-shedding callers).
 //!
 //! # Timeslicing, deadlines, cancellation
 //!
@@ -139,7 +141,8 @@
 //! # Example
 //!
 //! ```
-//! use blame_coercion::{Engine, SessionPool};
+//! use std::time::Duration;
+//! use blame_coercion::{Deadline, Engine, SessionPool};
 //!
 //! let pool = SessionPool::builder()
 //!     .workers(2)
@@ -153,7 +156,7 @@
 //! for handle in handles {
 //!     handle.wait().expect("runs");
 //! }
-//! let stats = pool.shutdown();
+//! let stats = pool.shutdown(Deadline::after(Duration::from_secs(10)));
 //! assert_eq!(stats.jobs(), 8);
 //! // The warmup covered the workload's shapes: no worker interned
 //! // a single coercion or type past the shared base, and the base
@@ -866,7 +869,8 @@ impl SessionPoolBuilder {
     /// pre-scheduler behaviour, kept so a test can pin a worker behind
     /// a spinner (`tests/pool.rs::idle_workers_steal_from_busy_queues`).
     /// Deadlines and cancellation still work but are only checked
-    /// when a job starts, so dropping the pool waits for a running job.
+    /// when a job starts, so a shutdown or drop waits for a running
+    /// job.
     pub fn no_slicing(mut self) -> SessionPoolBuilder {
         // A slice the fuel bound can never exceed: `resume_slice` then
         // finishes every job in one turn.
@@ -992,9 +996,9 @@ struct PoolShared {
     /// False once shutdown starts: no new jobs; workers drain every
     /// queue and exit.
     open: AtomicBool,
-    /// True once the pool handle is dropped: workers cancel every job
-    /// they still hold at its next scheduling boundary instead of
-    /// running it.
+    /// True once a shutdown's deadline passes (at once for a drop):
+    /// workers cancel every job they still hold at its next scheduling
+    /// boundary instead of running it.
     dropping: AtomicBool,
     /// Serialises promotions (freeze + publish); never
     /// blocks submit or serving — a worker that loses the race just
@@ -1123,15 +1127,18 @@ impl PoolShared {
         job
     }
 
-    /// Non-blocking claim (own queue front, else a steal): how a
-    /// worker with parked jobs checks for new intake without ever
-    /// waiting — if nothing is immediately available it has slices to
-    /// run instead.
+    /// Non-blocking claim for an idle worker: own queue front, else a
+    /// steal.
     fn try_claim(&self, index: usize) -> Option<Job> {
-        if let Some(job) = lock(&self.queues[index].deque).pop_front() {
-            return Some(job);
-        }
-        self.steal(index)
+        self.pop_own(index).or_else(|| self.steal(index))
+    }
+
+    /// The front of `index`'s own queue: how a worker with parked jobs
+    /// checks for new intake without ever waiting. It never steals —
+    /// a busy worker would take the jobs an idle sibling is there to
+    /// steal — and if nothing is queued it has slices to run instead.
+    fn pop_own(&self, index: usize) -> Option<Job> {
+        lock(&self.queues[index].deque).pop_front()
     }
 
     /// The cheap per-job promotion gate: the policy thresholds on the
@@ -1235,7 +1242,7 @@ impl Worker {
                 };
                 Some(job)
             } else {
-                self.shared.try_claim(self.index)
+                self.shared.pop_own(self.index)
             };
             self.turn(incoming);
             self.shared.obs.parked_depth[self.index].set(self.run_queue.len() as f64);
@@ -1730,29 +1737,37 @@ impl SessionPool {
         self.shared.obs.sink().drain_to(out)
     }
 
-    /// Graceful shutdown: closes intake, lets the workers drain every
-    /// already-submitted job, joins them, and returns the final
-    /// accounting.
+    /// Graceful shutdown: closes intake and lets the workers drain
+    /// every already-submitted job until `deadline`. Past it, every
+    /// job still queued, parked or running resolves to
+    /// [`JobError::Canceled`] at its next scheduling boundary, as on a
+    /// drop, so a divergent job cannot hold the shutdown up. Then it
+    /// joins the workers and returns the final accounting.
     ///
     /// # Panics
     ///
     /// Propagates a worker thread's panic (job-level panics are
     /// caught and typed as [`JobError::WorkerPanicked`]; a panic that
     /// escapes the worker loop itself is an internal bug).
-    pub fn shutdown(mut self) -> PoolStats {
-        if let Some(panic) = self.close_and_join() {
+    pub fn shutdown(mut self, deadline: Deadline) -> PoolStats {
+        if let Some(panic) = self.close(deadline) {
             std::panic::resume_unwind(panic);
         }
         self.stats()
     }
 
-    /// Closes intake and joins every worker thread. Returns the first
-    /// join panic.
-    fn close_and_join(&mut self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
+    /// The one close path: closes intake, waits for the workers to
+    /// drain until `deadline`, then cancels what they still hold and
+    /// joins them. Returns the first join panic.
+    fn close(&mut self, deadline: Deadline) -> Option<Box<dyn std::any::Any + Send + 'static>> {
         self.shared.open.store(false, Ordering::Release);
         for queue in &self.shared.queues {
             queue.ready.notify_all();
         }
+        while !deadline.expired() && self.handles.iter().any(|h| !h.is_finished()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.shared.dropping.store(true, Ordering::Release);
         let mut first_panic = None;
         for handle in self.handles.drain(..) {
             if let Err(panic) = handle.join() {
@@ -1764,19 +1779,17 @@ impl SessionPool {
 }
 
 impl Drop for SessionPool {
-    /// Dropping the pool cancels what it still holds: it closes intake,
-    /// and every queued, parked or running job resolves to
-    /// [`JobError::Canceled`] (with its audit record) at its next
-    /// scheduling boundary — admission or a slice boundary — so a
-    /// divergent job cannot hold the drop up. Then it joins the
-    /// workers. A [`SessionPoolBuilder::no_slicing`] pool's running job
-    /// has no slice boundary, so the drop waits for it to finish or
-    /// exhaust its fuel. Worker panics are swallowed here; use
-    /// [`SessionPool::shutdown`], which drains instead of canceling, to
-    /// surface them.
+    /// Dropping the pool is a [`SessionPool::shutdown`] whose deadline
+    /// has already passed: it closes intake, and every queued, parked
+    /// or running job resolves to [`JobError::Canceled`] (with its
+    /// audit record) at its next scheduling boundary — admission or a
+    /// slice boundary. Then it joins the workers. A
+    /// [`SessionPoolBuilder::no_slicing`] pool's running job has no
+    /// slice boundary, so the drop waits for it to finish or exhaust
+    /// its fuel. Worker panics are swallowed here; use
+    /// [`SessionPool::shutdown`] to surface them.
     fn drop(&mut self) {
-        self.shared.dropping.store(true, Ordering::Release);
-        let _ = self.close_and_join();
+        let _ = self.close(Deadline::at(Instant::now()));
     }
 }
 

@@ -189,18 +189,6 @@ fn assert_sliced_on(tree: &Term, fuels: &[u64]) {
     }
 }
 
-/// The number of `Coerce` nodes in a tree term.
-fn coercion_nodes(t: &Term) -> usize {
-    match t {
-        Term::Const(_) | Term::Var(_) | Term::Blame(_, _) => 0,
-        Term::Op(_, args) => args.iter().map(coercion_nodes).sum(),
-        Term::Lam(_, _, b) | Term::Fix(_, _, _, _, b) => coercion_nodes(b),
-        Term::Coerce(m, _) => 1 + coercion_nodes(m),
-        Term::App(a, b) | Term::Let(_, a, b) => coercion_nodes(a) + coercion_nodes(b),
-        Term::If(a, b, c) => coercion_nodes(a) + coercion_nodes(b) + coercion_nodes(c),
-    }
-}
-
 /// The recursive-loop generator's own random stream (splitmix64), so
 /// the [`Gen`] streams the other properties draw from stay as they
 /// are.
@@ -421,7 +409,7 @@ proptest! {
             let code = ctx.compile(&tree);
             prop_assert_eq!(&code.decode(&ctx.arena, &ctx.types), &tree);
             prop_assert_eq!(code.size() + tree.coercion_size(), tree.size());
-            prop_assert_eq!(code.coercion_nodes(), coercion_nodes(&tree));
+            prop_assert_eq!(code.coercion_nodes(), tree.cast_count());
         }
     }
 }

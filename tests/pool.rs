@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use bc_testkit::sources;
 use blame_coercion::pool::WARMUP_RUN_FUEL;
-use blame_coercion::{Engine, JobError, PromotionPolicy, RunError, Session, SessionPool};
+use blame_coercion::{Deadline, Engine, JobError, PromotionPolicy, RunError, Session, SessionPool};
 
 const FUEL: u64 = 50_000;
 const SPIN: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
@@ -94,7 +94,7 @@ fn four_worker_pool_matches_a_sequential_warm_session() {
         "{from_pool:?}"
     );
     assert!(from_pool.iter().any(|f| f.contains("fuel exhausted")));
-    assert_eq!(pool.shutdown().jobs(), 64);
+    assert_eq!(pool.shutdown(Deadline::after(Duration::MAX)).jobs(), 64);
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
             assert!(matches!(e, JobError::Run(_)), "unexpected job error: {e}");
         }
     }
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 64);
     assert_eq!(
         stats.local_coercion_nodes(),
@@ -212,14 +212,14 @@ fn warmed_jobs_are_equivalent_to_source_jobs() {
     // programs were lowered pool-wide (the worker-local cache served
     // every repeat, and the warmup epoch never moved, so no session
     // was rebuilt).
-    let stats = warmed.shutdown();
+    let stats = warmed.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 24);
     let lowered: u64 = stats.workers.iter().map(|w| w.programs_lowered).sum();
     assert!(
         lowered <= sources::SHAPES as u64 * 3,
         "workers must cache programs across repeated jobs, lowered {lowered}"
     );
-    cold.shutdown();
+    cold.shutdown(Deadline::after(Duration::MAX));
 }
 
 #[test]
@@ -240,7 +240,7 @@ fn cold_pool_still_serves_correctly() {
         .wait()
         .expect("runs");
     assert_eq!(out.observation.to_string(), "42");
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 1);
     assert!(stats.local_coercion_nodes() > 0, "cold pool pays locally");
 }
@@ -307,7 +307,7 @@ fn shutdown_drains_already_submitted_jobs() {
         (0..16).map(|k| format!("let inc = fun x => x + {k} in (inc 1 : Int)")),
         Engine::MachineS,
     );
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 16);
     for (k, handle) in handles.into_iter().enumerate() {
         let out = handle.wait().expect("drained before shutdown");
@@ -338,6 +338,34 @@ fn dropping_a_pool_cancels_its_divergent_jobs() {
     for handle in spinners {
         assert!(matches!(handle.try_wait(), Some(Err(JobError::Canceled))));
     }
+}
+
+#[test]
+fn shutdown_past_its_deadline_cancels_its_divergent_jobs() {
+    // A shutdown drains until its deadline, then cancels what it still
+    // holds: two spinners with unbounded fuel on one worker (one
+    // running, one queued behind it) resolve Canceled, and the
+    // returned stats count both. It runs on a helper thread so a hang
+    // fails the test instead of hanging the binary.
+    let pool = SessionPool::builder().workers(1).build().expect("builds");
+    let spinners = [
+        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
+        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
+    ];
+    let (stopped, done) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let stats = pool.shutdown(Deadline::after(Duration::from_millis(100)));
+        stopped.send(stats).expect("the test waits");
+    });
+    let stats = done
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown returns within 1 s");
+    stopper.join().expect("the shutdown does not panic");
+    for handle in spinners {
+        assert!(matches!(handle.try_wait(), Some(Err(JobError::Canceled))));
+    }
+    assert_eq!(stats.jobs(), 2);
+    assert_eq!(stats.cancellations(), 2);
 }
 
 #[test]
@@ -423,16 +451,16 @@ fn promoting_pool_is_observationally_identical_under_drift() {
     assert_eq!(from_frozen, from_session);
     assert_eq!(from_warmed, from_interleaved_session);
 
-    let stats = promoting.shutdown();
+    let stats = promoting.shutdown(Deadline::after(Duration::MAX));
     assert!(
         stats.promotions >= 1,
         "an eager policy under drift must promote: {stats}"
     );
     assert_eq!(stats.epoch, stats.promotions + 1);
-    let frozen_stats = frozen.shutdown();
+    let frozen_stats = frozen.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(frozen_stats.epoch, 1);
     assert_eq!(frozen_stats.promotions, 0);
-    let warmed_stats = warmed.shutdown();
+    let warmed_stats = warmed.shutdown(Deadline::after(Duration::MAX));
     assert!(
         warmed_stats.promotions >= 1,
         "the warmed pool must serve warmup sources past a promotion: {warmed_stats}"
@@ -487,8 +515,8 @@ fn promotion_recovers_the_base_hit_rate_and_cuts_overlay_interning() {
         let _ = frozen.submit(source.as_str(), Engine::MachineS).wait();
     }
 
-    let promoting_stats = promoting.shutdown();
-    let frozen_stats = frozen.shutdown();
+    let promoting_stats = promoting.shutdown(Deadline::after(Duration::MAX));
+    let frozen_stats = frozen.shutdown(Deadline::after(Duration::MAX));
     assert!(promoting_stats.promotions >= 1, "{promoting_stats}");
 
     // Steady state after every rotation: by the second half of each
@@ -603,7 +631,7 @@ fn a_busy_worker_with_a_fat_overlay_does_not_block_a_siblings_promotion() {
             pool.stats()
         );
         spinner.cancel();
-        let stats = pool.shutdown();
+        let stats = pool.shutdown(Deadline::after(Duration::MAX));
         assert_eq!(stats.parked_depths()[fat], 0, "{stats}");
         return;
     }
@@ -643,7 +671,7 @@ fn a_panicking_job_is_typed_and_the_worker_respawns() {
             .expect("the restarted worker serves queued jobs");
         assert_eq!(out.observation.to_string(), (k as i64 + 1).to_string());
     }
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 10, "panicked jobs count too: {stats}");
     assert_eq!(stats.respawns, 1);
     assert_eq!(stats.workers[0].panics, 1);
@@ -687,7 +715,7 @@ fn idle_workers_steal_from_busy_queues() {
         long.wait(),
         Err(JobError::Run(RunError::FuelExhausted { .. }))
     ));
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 13);
     assert!(
         stats.steals() >= 1,
@@ -726,7 +754,7 @@ fn quick_jobs_overtake_a_spinner_under_default_slicing() {
     );
     long.cancel();
     assert_eq!(long.wait(), Err(JobError::Canceled));
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.queue_depths(), vec![0, 0], "drained pool: {stats}");
 }
 

@@ -165,7 +165,7 @@ fn convergent_jobs_outrun_spinners_on_a_single_worker() {
         "every convergent job must complete (order {last_convergent}) before any \
          spinner exhausts its fuel (order {first_spinner})"
     );
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.jobs(), 64);
     assert!(
         stats.preemptions() >= 4,
@@ -231,7 +231,7 @@ fn cancel_stops_a_running_spinner_at_a_slice_boundary() {
     // pin it forever (and this wait would hang).
     let after = pool.submit("1 + 1", Engine::MachineS).wait();
     assert!(after.is_ok(), "worker still pinned: {after:?}");
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.cancellations(), 1);
     // Canceling an already-resolved job is a no-op: covered above by
     // `doomed.wait()` returning Canceled exactly once.
@@ -279,7 +279,7 @@ fn deadlines_resolve_to_typed_misses_with_accounting() {
         Some(Deadline::after(Duration::MAX)),
     );
     assert!(unbounded.wait().is_ok());
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert_eq!(stats.deadline_misses(), 1);
 }
 
@@ -312,7 +312,7 @@ fn bounded_queues_reject_typed_and_recover_on_resolution() {
     assert!(result.is_ok(), "slot did not free after cancel: {result:?}");
     assert_eq!(first.wait(), Err(JobError::Canceled));
     assert_eq!(second.wait(), Err(JobError::Canceled));
-    pool.shutdown();
+    pool.shutdown(Deadline::after(Duration::MAX));
 }
 
 fn monotone(label: &str, before: u64, after: u64) {
@@ -381,7 +381,7 @@ fn scheduler_counters_stay_monotone_across_epoch_rebuilds() {
         );
         last = now;
     }
-    let stats = pool.shutdown();
+    let stats = pool.shutdown(Deadline::after(Duration::MAX));
     assert!(
         stats.promotions >= 1,
         "the drifting workload must force at least one promotion"
