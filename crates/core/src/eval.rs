@@ -29,7 +29,10 @@
 //! steps inside, so no layer ever carries two.
 //!
 //! Two engines implement the relation. [`run`] steps [`Term`] trees
-//! by walking from the root to the redex each time; it is the oracle.
+//! by walking from the root to the redex each time; it is the oracle,
+//! and it is the shared [`bc_syntax::reduce`] with Figure 5's rules
+//! supplied by [`LambdaS`]. A run's cast measure is the total coercion
+//! size ([`Term::coercion_size`]).
 //! [`run_compiled`] runs a program's [`SCode`] block on a focused
 //! state: the subterm in focus plus the evaluation-context frames
 //! around it (a coercion frame is never pushed onto another, which is
@@ -42,8 +45,7 @@
 //! functional correspondence), and tracks the space peaks of the term
 //! the state stands for by per-rule deltas.
 
-use std::fmt;
-
+use bc_syntax::reduce::{self, Reduce, Slice, Wrapper};
 use bc_syntax::{Constant, Label, Op, Type, TypeArena};
 
 use crate::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, MergeCtx, SNode};
@@ -52,84 +54,83 @@ use crate::sterm::{Node, SCode, NO_CAPTURES};
 use crate::store::{Env, Frame};
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
-use bc_syntax::term::subst;
 
-/// The result of attempting one reduction step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// `M ⟶S N`.
-    Next(Term),
-    /// The term is a value.
-    Value,
-    /// The term is `blame p`.
-    Blame(Label),
-}
+/// One reduction step on a closed λS term.
+pub type Step = reduce::Step<SpaceCoercion>;
+/// The final outcome of a λS run, on either engine.
+pub type Outcome = reduce::Outcome<SpaceCoercion>;
+/// Why a fueled λS run produced no [`Outcome`].
+pub type RunError = reduce::RunError<TypeError>;
+/// Metrics and result of a fueled run, on either engine: the peaks of
+/// a [`run_compiled`] run measure the tree term its state stands for,
+/// so they are number-for-number those of [`run`]. Its cast measure is
+/// the total coercion size, bounded in λS.
+pub type Run = reduce::Run<SpaceCoercion>;
+/// A tree λS run parked between fuel slices.
+pub type Paused = reduce::Paused<LambdaS>;
 
-/// The final outcome of evaluating a term. Fuel exhaustion is not an
-/// outcome — [`run`] reports it as [`RunError::FuelExhausted`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Evaluation converged to a value.
-    Value(Term),
-    /// Evaluation allocated blame.
-    Blame(Label),
-}
+/// λS's coercion rules (Figure 5), for the shared small-step: the
+/// merge rule goes through a run-long [`MergeCtx`].
+#[derive(Debug, Clone, Copy)]
+pub struct LambdaS;
 
-/// Why a fueled run produced no [`Outcome`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunError {
-    /// The term is not closed and well typed.
-    IllTyped(TypeError),
-    /// The fuel bound was reached; the term may diverge.
-    FuelExhausted {
-        /// Steps actually taken before fuel ran out.
-        steps: u64,
-        /// The largest term size observed up to the cutoff.
-        peak_size: usize,
-        /// The largest total coercion size observed up to the cutoff —
-        /// the truncated run's space measurement.
-        peak_coercion_size: usize,
-    },
-}
+impl Reduce for LambdaS {
+    type Cast = SpaceCoercion;
+    type TypeError = TypeError;
+    type MergeCtx = MergeCtx;
 
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::IllTyped(e) => write!(f, "ill-typed program: {e}"),
-            RunError::FuelExhausted { steps, .. } => {
-                write!(f, "fuel exhausted after {steps} steps")
+    /// Reduces `U⟨s⟩` where `U` is an uncoerced value and the whole
+    /// term is not a value.
+    fn contract(value: &Term, s: &SpaceCoercion) -> Result<Term, Label> {
+        debug_assert!(value.is_uncoerced_value());
+        match s {
+            // F[U⟨id?⟩] ⟶ F[U]
+            SpaceCoercion::IdDyn => Ok(value.clone()),
+            SpaceCoercion::Mid(i) => match i {
+                // F[U⟨idι⟩] ⟶ F[U]
+                Intermediate::Ground(GroundCoercion::IdBase(_)) => Ok(value.clone()),
+                // F[U⟨⊥GpH⟩] ⟶ blame p
+                Intermediate::Fail(_, p, _) => Err(*p),
+                Intermediate::Ground(GroundCoercion::Fun(_, _)) | Intermediate::Inj(_, _) => {
+                    unreachable!("function coercions and injections of values are values")
+                }
+            },
+            SpaceCoercion::Proj(_, _, _) => {
+                unreachable!("an uncoerced value cannot have type ? (so no projection applies)")
             }
         }
     }
-}
 
-impl std::error::Error for RunError {}
-
-impl From<TypeError> for RunError {
-    fn from(e: TypeError) -> RunError {
-        RunError::IllTyped(e)
+    /// `s → t` splits into `s` and `t`: `(U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩`.
+    fn split(s: &SpaceCoercion) -> (SpaceCoercion, SpaceCoercion) {
+        match s {
+            SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(s, t))) => {
+                ((**s).clone(), (**t).clone())
+            }
+            other => panic!("applied a non-function coercion value: {other}"),
+        }
     }
-}
 
-/// Metrics and result of a fueled run, on either engine: the peaks of
-/// a [`run_compiled`] run measure the tree term its state stands for,
-/// so they are number-for-number those of [`run`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Run {
-    /// The final outcome.
-    pub outcome: Outcome,
-    /// Number of reduction steps taken.
-    pub steps: u64,
-    /// Peak term size observed.
-    pub peak_size: usize,
-    /// Peak total coercion size observed — bounded in λS.
-    pub peak_coercion_size: usize,
-}
+    /// `U⟨s→t⟩` is a proxy; `U⟨g;G!⟩` is an injection at `G`, whose
+    /// payload `U⟨g⟩` is `U` itself or a proxy of it.
+    fn wrapper(s: &SpaceCoercion) -> Wrapper {
+        match s {
+            SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(_, _))) => Wrapper::Proxy,
+            SpaceCoercion::Mid(Intermediate::Inj(_, g)) => Wrapper::Injection(*g),
+            other => unreachable!("not a λS value coercion: {other}"),
+        }
+    }
 
-enum Sub {
-    Stepped(Term),
-    Value,
-    Raise(Label),
+    fn cast_measure(term: &Term) -> usize {
+        term.coercion_size()
+    }
+
+    /// `F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩]`, for any `M`, through the interning
+    /// arena, so the same pair is composed structurally only once per
+    /// run.
+    fn merge(ctx: &mut MergeCtx, s: &SpaceCoercion, t: &SpaceCoercion) -> Option<SpaceCoercion> {
+        Some(ctx.merge(s, t))
+    }
 }
 
 /// Performs one reduction step on a closed, well-typed λS term.
@@ -154,127 +155,23 @@ pub fn step(term: &Term, program_ty: &Type) -> Step {
 ///
 /// Panics if the term is open or ill-typed.
 pub fn step_in(ctx: &mut MergeCtx, term: &Term, program_ty: &Type) -> Step {
-    if let Term::Blame(p, _) = term {
-        return Step::Blame(*p);
-    }
-    if term.is_value() {
-        return Step::Value;
-    }
-    match step_sub(ctx, term) {
-        Sub::Stepped(t) => Step::Next(t),
-        Sub::Raise(p) => Step::Next(Term::Blame(p, program_ty.clone())),
-        Sub::Value => unreachable!("non-value term did not step: {term}"),
-    }
+    reduce::step::<LambdaS>(ctx, term, program_ty)
 }
 
-fn step_sub(ctx: &mut MergeCtx, term: &Term) -> Sub {
-    if term.is_value() {
-        return Sub::Value;
-    }
-    match term {
-        Term::Const(_) | Term::Lam(_, _, _) | Term::Fix(_, _, _, _, _) => Sub::Value,
-        Term::Var(x) => panic!("evaluation reached a free variable `{x}`"),
-        Term::Blame(p, _) => Sub::Raise(*p),
-        Term::Op(op, args) => {
-            for (i, arg) in args.iter().enumerate() {
-                match step_sub(ctx, arg) {
-                    Sub::Stepped(a2) => {
-                        let mut args2 = args.clone();
-                        args2[i] = a2;
-                        return Sub::Stepped(Term::Op(*op, args2));
-                    }
-                    Sub::Raise(p) => return Sub::Raise(p),
-                    Sub::Value => continue,
-                }
-            }
-            let consts: Vec<Constant> = args
-                .iter()
-                .map(|a| match a {
-                    Term::Const(k) => *k,
-                    other => panic!("operator argument is not a constant: {other}"),
-                })
-                .collect();
-            Sub::Stepped(Term::Const(op.apply(&consts)))
-        }
-        Term::If(cond, then_, else_) => match step_sub(ctx, cond) {
-            Sub::Stepped(c2) => Sub::Stepped(Term::If(c2.into(), then_.clone(), else_.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => match &**cond {
-                Term::Const(Constant::Bool(true)) => Sub::Stepped((**then_).clone()),
-                Term::Const(Constant::Bool(false)) => Sub::Stepped((**else_).clone()),
-                other => panic!("if condition is not a boolean: {other}"),
-            },
-        },
-        Term::Let(x, m, n) => match step_sub(ctx, m) {
-            Sub::Stepped(m2) => Sub::Stepped(Term::Let(x.clone(), m2.into(), n.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => Sub::Stepped(subst(n, x, m)),
-        },
-        Term::App(l, m) => match step_sub(ctx, l) {
-            Sub::Stepped(l2) => Sub::Stepped(Term::App(l2.into(), m.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => match step_sub(ctx, m) {
-                Sub::Stepped(m2) => Sub::Stepped(Term::App(l.clone(), m2.into())),
-                Sub::Raise(p) => Sub::Raise(p),
-                Sub::Value => apply(l, m),
-            },
-        },
-        Term::Coerce(m, t) => {
-            // Merge FIRST: F[M⟨s⟩⟨t⟩] ⟶ F[M⟨s # t⟩], for any M —
-            // through the interning arena, so the same pair is
-            // composed structurally only once per run.
-            if let Term::Coerce(inner, s) = &**m {
-                return Sub::Stepped(Term::Coerce(inner.clone(), ctx.merge(s, t)));
-            }
-            match step_sub(ctx, m) {
-                Sub::Stepped(m2) => Sub::Stepped(Term::Coerce(m2.into(), t.clone())),
-                Sub::Raise(p) => Sub::Raise(p),
-                Sub::Value => coerce_value(m, t),
-            }
-        }
-    }
-}
-
-/// Contracts an application of values.
-fn apply(fun: &Term, arg: &Term) -> Sub {
-    match fun {
-        Term::Lam(x, _, body) => Sub::Stepped(subst(body, x, arg)),
-        Term::Fix(f, x, _, _, body) => {
-            let unrolled = subst(body, f, fun);
-            Sub::Stepped(subst(&unrolled, x, arg))
-        }
-        // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
-        Term::Coerce(u, SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(s, t)))) => {
-            let coerced_arg = arg.clone().coerce((**s).clone());
-            Sub::Stepped(Term::App(u.clone(), coerced_arg.into()).coerce((**t).clone()))
-        }
-        other => panic!("applied a non-function value: {other}"),
-    }
-}
-
-/// Reduces `U⟨s⟩` where `U` is an uncoerced value and the whole term
-/// is not a value.
-fn coerce_value(value: &Term, s: &SpaceCoercion) -> Sub {
-    debug_assert!(value.is_uncoerced_value());
-    match s {
-        // F[U⟨id?⟩] ⟶ F[U]
-        SpaceCoercion::IdDyn => Sub::Stepped(value.clone()),
-        SpaceCoercion::Mid(i) => match i {
-            // F[U⟨idι⟩] ⟶ F[U]
-            Intermediate::Ground(GroundCoercion::IdBase(_)) => Sub::Stepped(value.clone()),
-            // F[U⟨⊥GpH⟩] ⟶ blame p
-            Intermediate::Fail(_, p, _) => Sub::Raise(*p),
-            Intermediate::Ground(GroundCoercion::Fun(_, _)) | Intermediate::Inj(_, _) => {
-                unreachable!("function coercions and injections of values are values")
-            }
-        },
-        SpaceCoercion::Proj(_, _, _) => {
-            unreachable!("an uncoerced value cannot have type ? (so no projection applies)")
-        }
-    }
+/// Type checks a closed λS term and begins a resumable tree run of it,
+/// driven by [`reduce::resume`].
+///
+/// # Errors
+///
+/// [`RunError::IllTyped`] if the term is not closed and well typed.
+pub fn start(term: &Term, fuel: u64) -> Result<Paused, RunError> {
+    Ok(reduce::start(term, type_of(term)?, fuel))
 }
 
 /// Evaluates a closed, well-typed λS term for at most `fuel` steps.
+/// One arena and compose cache serve the whole run: a loop crossing
+/// the same boundary on every iteration merges each coercion pair
+/// structurally once and answers the rest from the cache.
 ///
 /// # Errors
 ///
@@ -282,51 +179,7 @@ fn coerce_value(value: &Term, s: &SpaceCoercion) -> Sub {
 /// typed, and [`RunError::FuelExhausted`] (carrying the steps actually
 /// taken) if the fuel bound is reached.
 pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
-    let ty = type_of(term)?;
-    // One arena + compose cache for the whole run: a loop crossing
-    // the same boundary on every iteration merges each coercion pair
-    // structurally once and answers the rest from the cache.
-    let mut ctx = MergeCtx::new();
-    let mut current = term.clone();
-    let mut steps = 0u64;
-    let mut peak_size = current.size();
-    let mut peak_coercion_size = current.coercion_size();
-    loop {
-        match step_in(&mut ctx, &current, &ty) {
-            Step::Value => {
-                return Ok(Run {
-                    outcome: Outcome::Value(current),
-                    steps,
-                    peak_size,
-                    peak_coercion_size,
-                })
-            }
-            Step::Blame(p) => {
-                return Ok(Run {
-                    outcome: Outcome::Blame(p),
-                    steps,
-                    peak_size,
-                    peak_coercion_size,
-                })
-            }
-            Step::Next(next) => {
-                // Charge fuel *before* committing the step, so a
-                // zero-fuel run reports zero steps (values still
-                // complete at any fuel: Step::Value returns above).
-                if steps >= fuel {
-                    return Err(RunError::FuelExhausted {
-                        steps,
-                        peak_size,
-                        peak_coercion_size,
-                    });
-                }
-                steps += 1;
-                peak_size = peak_size.max(next.size());
-                peak_coercion_size = peak_coercion_size.max(next.coercion_size());
-                current = next;
-            }
-        }
-    }
+    reduce::run::<LambdaS>(term, type_of(term)?, fuel)
 }
 
 // ---------------------------------------------------------------------
@@ -886,10 +739,7 @@ pub fn run_compiled(
     types: &mut TypeArena,
 ) -> Result<Run, RunError> {
     type_of(&code.decode(arena, types))?;
-    match resume_compiled(start_compiled(code, fuel, arena), fuel, arena, cache, types) {
-        SliceC::Done(r) => r,
-        SliceC::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
-    }
+    resume_compiled(start_compiled(code, fuel, arena), fuel, arena, cache, types).finished()
 }
 
 /// A preempted compiled small-step run, parked between fuel slices.
@@ -906,7 +756,7 @@ pub struct PausedC {
     measure: (usize, usize),
     steps: u64,
     peak_size: usize,
-    peak_coercion_size: usize,
+    peak_cast_measure: usize,
     fuel: u64,
 }
 
@@ -917,14 +767,9 @@ impl PausedC {
     }
 }
 
-/// Result of driving a compiled run for one fuel slice.
-#[derive(Debug)]
-pub enum SliceC {
-    /// The run finished — value, blame, or fuel exhaustion.
-    Done(Result<Run, RunError>),
-    /// Preempted between steps; resume to continue.
-    Parked(PausedC),
-}
+/// Result of driving a compiled run for one fuel slice: the finished
+/// run, or the run parked between steps.
+pub type SliceC = Slice<PausedC, Result<Run, RunError>>;
 
 /// Begins a resumable compiled run: counts each binder's occurrences
 /// and measures each subterm in one walk of the program (the
@@ -942,7 +787,7 @@ pub fn start_compiled(code: &SCode, fuel: u64, arena: &CoercionArena) -> PausedC
         measure,
         steps: 0,
         peak_size: measure.0,
-        peak_coercion_size: measure.1,
+        peak_cast_measure: measure.1,
         fuel,
     }
 }
@@ -977,7 +822,7 @@ pub fn resume_compiled(
         mut measure,
         mut steps,
         mut peak_size,
-        mut peak_coercion_size,
+        mut peak_cast_measure,
         fuel,
     } = paused;
     let until = steps.saturating_add(slice);
@@ -987,14 +832,14 @@ pub fn resume_compiled(
         // from a pending step (FuelExhausted), so let the refocus
         // below make that call.
         if steps >= until && steps < fuel {
-            return SliceC::Parked(PausedC {
+            return Slice::Parked(PausedC {
                 prog,
                 focus,
                 store,
                 measure,
                 steps,
                 peak_size,
-                peak_coercion_size,
+                peak_cast_measure,
                 fuel,
             });
         }
@@ -1009,21 +854,21 @@ pub fn resume_compiled(
                     Focus::Blame(p) => Outcome::Blame(p),
                     _ => unreachable!("a run ends in a value or blame"),
                 };
-                return SliceC::Done(Ok(Run {
+                return Slice::Done(Ok(Run {
                     outcome,
                     steps,
                     peak_size,
-                    peak_coercion_size,
+                    peak_cast_measure,
                 }));
             }
         };
         // Charge fuel *before* committing the step, exactly as the
         // tree engine does.
         if steps >= fuel {
-            return SliceC::Done(Err(RunError::FuelExhausted {
+            return Slice::Done(Err(RunError::FuelExhausted {
                 steps,
                 peak_size,
-                peak_coercion_size,
+                peak_cast_measure,
             }));
         }
         steps += 1;
@@ -1051,7 +896,7 @@ pub fn resume_compiled(
             "a coercion frame was stacked on another at step {steps}"
         );
         peak_size = peak_size.max(measure.0);
-        peak_coercion_size = peak_coercion_size.max(measure.1);
+        peak_cast_measure = peak_cast_measure.max(measure.1);
     }
 }
 
@@ -1185,7 +1030,7 @@ mod tests {
         assert_eq!(r64.outcome, Outcome::Value(Term::int(1)));
         // The initial term itself is linear in n, but merging keeps
         // the *growth* nil: peak equals the initial size.
-        assert_eq!(r64.peak_coercion_size, stacked(64).coercion_size());
+        assert_eq!(r64.peak_cast_measure, stacked(64).coercion_size());
     }
 
     #[test]
@@ -1490,8 +1335,8 @@ mod tests {
                             &mut ctx.cache,
                             &ctx.types,
                         ) {
-                            SliceC::Done(result) => break result,
-                            SliceC::Parked(next) => {
+                            Slice::Done(result) => break result,
+                            Slice::Parked(next) => {
                                 assert!(
                                     next.steps() >= last_steps && next.steps() < fuel,
                                     "parked runs advance and stay below the fuel line"
@@ -1515,19 +1360,16 @@ mod tests {
         let mut ctx = crate::sterm::CompileCtx::new();
         let code = ctx.compile(m);
         let (mut locals, mut temps) = (0, 0);
-        let mut paused = start_compiled(&code, u64::MAX, &ctx.arena);
-        let run = loop {
-            match resume_compiled(paused, 1, &mut ctx.arena, &mut ctx.cache, &ctx.types) {
-                SliceC::Done(run) => break run.expect("the loop ends"),
-                SliceC::Parked(p) => {
-                    locals = locals.max(p.store.locals.len());
-                    temps = temps.max(p.store.temps.len());
-                    paused = p;
-                }
-            }
-        };
+        let paused = start_compiled(&code, u64::MAX, &ctx.arena);
+        let run = Slice::Parked(paused)
+            .finish(|p| {
+                locals = locals.max(p.store.locals.len());
+                temps = temps.max(p.store.temps.len());
+                resume_compiled(p, 1, &mut ctx.arena, &mut ctx.cache, &ctx.types)
+            })
+            .expect("the loop ends");
         assert_eq!(run.outcome, Outcome::Value(Term::bool(true)), "{m}");
-        [run.peak_size, run.peak_coercion_size, locals, temps]
+        [run.peak_size, run.peak_cast_measure, locals, temps]
     }
 
     #[test]

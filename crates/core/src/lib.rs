@@ -75,7 +75,7 @@ pub use arena::{
 };
 pub use coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 pub use compose::compose;
-pub use eval::run_compiled;
+pub use eval::{run_compiled, LambdaS};
 pub use sterm::{CompileCtx, SCode};
 pub use term::Term;
 pub use typing::type_of;

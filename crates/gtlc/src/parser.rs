@@ -17,12 +17,35 @@
 //! type     := tyatom ("->" type)?
 //! tyatom   := "Int" | "Bool" | "?" | "(" type ")"
 //! ```
+//!
+//! The five binary levels `or` to `mul` are parsed by one
+//! precedence-climbing loop. The parser bounds the depth of the tree it
+//! builds (`MAX_DEPTH`): every later stage walks the tree
+//! recursively, so a deeper input is a [`Diagnostic`], never a stack
+//! overflow.
 
 use bc_syntax::{BaseType, Op, Type, TypeArena, TypeId};
 
 use crate::ast::{Expr, ExprI, ExprKind};
 use crate::diagnostics::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
+
+/// The deepest tree the parser builds. Each nested expression, prefix
+/// operator, binary operator or application in a chain, and nested
+/// type counts one level, so a chain of `n` operands is `n` levels
+/// deep, as its left-nested tree is.
+///
+/// Measured on a 2 MiB thread (a spawned thread's default stack, and
+/// so a pool worker's) by compiling one program of each shape through
+/// a `Session` and running it on all six engines, raising the depth
+/// until the thread overflowed. A debug build passed up to 204 nested
+/// parentheses, a 173-operand `+` chain and 173 nested `let`s (on
+/// those two it is compiling after the parse that runs out) and the
+/// largest arrow type tried, 595 levels. A release build passed about
+/// 1 000 nested parentheses, a 1 000-operand chain and 2 000 nested
+/// `let`s. The bound keeps a quarter of the debug build's smallest
+/// depth as margin.
+const MAX_DEPTH: usize = 128;
 
 /// How the parser builds type annotations: either as `Rc<Type>` trees
 /// (the classic path) or by interning directly into a [`TypeArena`]
@@ -81,6 +104,7 @@ pub fn parse(tokens: &[Token]) -> Result<Expr, Diagnostic> {
     let mut p = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         ty_build: TreeTy,
     };
     let e = p.expr()?;
@@ -102,6 +126,7 @@ pub fn parse_in(tokens: &[Token], types: &mut TypeArena) -> Result<ExprI, Diagno
     let mut p = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         ty_build: ArenaTy(types),
     };
     let e = p.expr()?;
@@ -112,8 +137,31 @@ pub fn parse_in(tokens: &[Token], types: &mut TypeArena) -> Result<ExprI, Diagno
 struct Parser<'a, B> {
     tokens: &'a [Token],
     pos: usize,
+    /// Levels of the tree above the node being parsed.
+    depth: usize,
     ty_build: B,
 }
+
+/// The binary operator a token stands for, with its binding strength
+/// (higher binds tighter).
+fn binary_op(kind: &TokenKind) -> Option<(Op, u8)> {
+    Some(match kind {
+        TokenKind::Or => (Op::Or, 0),
+        TokenKind::And => (Op::And, 1),
+        TokenKind::Equals => (Op::Eq, CMP),
+        TokenKind::Less => (Op::Lt, CMP),
+        TokenKind::LessEq => (Op::Leq, CMP),
+        TokenKind::Plus => (Op::Add, 3),
+        TokenKind::Minus => (Op::Sub, 3),
+        TokenKind::Star => (Op::Mul, 4),
+        TokenKind::Quot => (Op::Quot, 4),
+        TokenKind::Rem => (Op::Rem, 4),
+        _ => return None,
+    })
+}
+
+/// The binding strength of the comparisons, which do not chain.
+const CMP: u8 = 2;
 
 impl<'a, B: TyBuild> Parser<'a, B> {
     fn peek(&self) -> &Token {
@@ -163,14 +211,31 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         }
     }
 
+    /// Enters one more level of the tree, or fails at the current
+    /// token past [`MAX_DEPTH`]. A caller that returns `Ok` leaves the
+    /// levels it entered.
+    fn descend(&mut self) -> Result<(), Diagnostic> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(Diagnostic::new(
+                format!("the program nests deeper than {MAX_DEPTH} levels"),
+                self.peek().span,
+            ));
+        }
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        match self.peek().kind {
+        self.descend()?;
+        let e = match self.peek().kind {
             TokenKind::Fun => self.lambda(),
             TokenKind::Let => self.let_(),
             TokenKind::Letrec => self.letrec(),
             TokenKind::If => self.if_(),
-            _ => self.or(),
-        }
+            _ => self.binary(0),
+        };
+        self.depth -= 1;
+        e
     }
 
     fn lambda(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
@@ -266,102 +331,54 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         ))
     }
 
-    fn or(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let mut lhs = self.and()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.and()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Prim(Op::Or, vec![lhs, rhs]), span);
-        }
-        Ok(lhs)
-    }
-
-    fn and(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let mut lhs = self.cmp()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.cmp()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Prim(Op::And, vec![lhs, rhs]), span);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let lhs = self.add()?;
-        let op = match self.peek().kind {
-            TokenKind::Equals => Some(Op::Eq),
-            TokenKind::Less => Some(Op::Lt),
-            TokenKind::LessEq => Some(Op::Leq),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.add()?;
-            let span = lhs.span.merge(rhs.span);
-            Ok(Expr::new(ExprKind::Prim(op, vec![lhs, rhs]), span))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let mut lhs = self.mul()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => Op::Add,
-                TokenKind::Minus => Op::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Prim(op, vec![lhs, rhs]), span);
-        }
-        Ok(lhs)
-    }
-
-    fn mul(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
+    /// The binary operators binding at least as tightly as `min`, by
+    /// precedence climbing: left-associative, except that a comparison
+    /// does not chain. After each operator, only operators that its
+    /// right operand's parse could not take may follow: looser ones, or
+    /// after a comparison, looser than a comparison.
+    fn binary(&mut self, min: u8) -> Result<Expr<B::Ty>, Diagnostic> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => Op::Mul,
-                TokenKind::Quot => Op::Quot,
-                TokenKind::Rem => Op::Rem,
-                _ => break,
-            };
+        let entered = self.depth;
+        let mut max = u8::MAX;
+        while let Some((op, strength)) = binary_op(&self.peek().kind) {
+            if strength < min || strength > max {
+                break;
+            }
+            self.descend()?;
             self.bump();
-            let rhs = self.unary()?;
+            let rhs = self.binary(strength + 1)?;
             let span = lhs.span.merge(rhs.span);
             lhs = Expr::new(ExprKind::Prim(op, vec![lhs, rhs]), span);
+            max = if strength == CMP { CMP - 1 } else { strength };
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        match self.peek().kind {
-            TokenKind::Not => {
-                let start = self.bump().span;
-                let e = self.unary()?;
-                let span = start.merge(e.span);
-                Ok(Expr::new(ExprKind::Prim(Op::Not, vec![e]), span))
-            }
-            TokenKind::Minus => {
-                let start = self.bump().span;
-                let e = self.unary()?;
-                let span = start.merge(e.span);
-                Ok(Expr::new(ExprKind::Prim(Op::Neg, vec![e]), span))
-            }
-            _ => self.app(),
-        }
+        let op = match self.peek().kind {
+            TokenKind::Not => Op::Not,
+            TokenKind::Minus => Op::Neg,
+            _ => return self.app(),
+        };
+        self.descend()?;
+        let start = self.bump().span;
+        let e = self.unary()?;
+        self.depth -= 1;
+        let span = start.merge(e.span);
+        Ok(Expr::new(ExprKind::Prim(op, vec![e]), span))
     }
 
     fn app(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
         let mut fun = self.atom()?;
+        let entered = self.depth;
         while self.starts_atom() {
+            self.descend()?;
             let arg = self.atom()?;
             let span = fun.span.merge(arg.span);
             fun = Expr::new(ExprKind::App(Box::new(fun), Box::new(arg)), span);
         }
+        self.depth = entered;
         Ok(fun)
     }
 
@@ -417,13 +434,16 @@ impl<'a, B: TyBuild> Parser<'a, B> {
     }
 
     fn ty(&mut self) -> Result<B::Ty, Diagnostic> {
+        self.descend()?;
         let lhs = self.ty_atom()?;
-        if self.eat(&TokenKind::Arrow) {
+        let ty = if self.eat(&TokenKind::Arrow) {
             let rhs = self.ty()?;
-            Ok(self.ty_build.fun(lhs, rhs))
+            self.ty_build.fun(lhs, rhs)
         } else {
-            Ok(lhs)
-        }
+            lhs
+        };
+        self.depth -= 1;
+        Ok(ty)
     }
 
     fn ty_atom(&mut self) -> Result<B::Ty, Diagnostic> {

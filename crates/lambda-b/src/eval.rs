@@ -6,254 +6,73 @@
 //! `E[blame p] ⟶ blame p` (for `E ≠ □`) aborts the whole program in a
 //! single step, exactly as in the paper.
 //!
+//! The congruence walk, β and the fueled loop are the shared
+//! [`bc_syntax::reduce`]; this module supplies Figure 1's cast rules
+//! through [`LambdaB`]:
+//!
+//! ```text
+//! (V : A→B ⇒p A'→B') W ⟶ (V (W : A' ⇒p̄ A)) : B ⇒p B'
+//! V : ι ⇒p ι          ⟶ V
+//! V : ? ⇒p ?          ⟶ V
+//! V : A ⇒p ?          ⟶ V : A ⇒p G ⇒p ?    (A ≠ ?, A ≠ G, A ∼ G)
+//! V : ? ⇒p A          ⟶ V : ? ⇒p G ⇒p A    (A ≠ ?, A ≠ G, A ∼ G)
+//! V : G ⇒q ? ⇒p G     ⟶ V
+//! V : G ⇒q ? ⇒p H     ⟶ blame p             (G ≠ H)
+//! ```
+//!
 //! [`run`] executes a closed, well-typed term to an [`Outcome`] with a
 //! fuel bound (the divergence proxy) and records space metrics: the
-//! peak term size and peak number of cast nodes. These are the
-//! quantities that grow without bound in the space-leak examples of
-//! §1 and stay bounded in λS. Ill-typed input and fuel exhaustion are
-//! reported as the typed [`RunError`], never as panics or sentinel
-//! outcomes.
+//! peak term size and peak number of cast nodes ([`Term::cast_count`]).
+//! These are the quantities that grow without bound in the space-leak
+//! examples of §1 and stay bounded in λS.
 
-use std::fmt;
-
-use bc_syntax::{Constant, Label, Type};
+use bc_syntax::reduce::{self, Reduce, Wrapper};
+use bc_syntax::{Label, Type};
 
 use crate::term::{Cast, Term};
 use crate::typing::{type_of, TypeError};
-use bc_syntax::term::subst;
 
-/// The result of attempting one reduction step on a closed term.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// `M ⟶B N`: the term took one step to `N`.
-    Next(Term),
-    /// The term is a value; no rule applies.
-    Value,
-    /// The term is `blame p`; evaluation has aborted.
-    Blame(Label),
-}
+/// One reduction step on a closed λB term.
+pub type Step = reduce::Step<Cast>;
+/// The final outcome of a λB run.
+pub type Outcome = reduce::Outcome<Cast>;
+/// Why a fueled λB run produced no [`Outcome`].
+pub type RunError = reduce::RunError<TypeError>;
+/// Metrics and result of a fueled λB run; its cast measure is the
+/// number of cast nodes.
+pub type Run = reduce::Run<Cast>;
+/// A λB run parked between fuel slices.
+pub type Paused = reduce::Paused<LambdaB>;
 
-/// The final outcome of evaluating a term: every λB evaluation that
-/// completes either converges to a value or allocates blame. Fuel
-/// exhaustion is *not* an outcome — [`run`] reports it as the typed
-/// error [`RunError::FuelExhausted`], so callers can never mistake a
-/// truncated run for a completed one.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Evaluation converged to a value.
-    Value(Term),
-    /// Evaluation allocated blame to a label.
-    Blame(Label),
-}
+/// λB's cast rules (Figure 1), for the shared small-step.
+#[derive(Debug, Clone, Copy)]
+pub struct LambdaB;
 
-impl Outcome {
-    /// Whether this outcome is a value.
-    pub fn is_value(&self) -> bool {
-        matches!(self, Outcome::Value(_))
-    }
-}
+impl Reduce for LambdaB {
+    type Cast = Cast;
+    type TypeError = TypeError;
+    type MergeCtx = ();
 
-/// Why a fueled run produced no [`Outcome`] — the typed replacement
-/// for the `.expect("compiled well typed")` / sentinel-timeout pattern
-/// on the run path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunError {
-    /// The term is not closed and well typed; Figure 1's reduction
-    /// rules are only defined on well-typed terms.
-    IllTyped(TypeError),
-    /// The fuel bound was reached; the term may diverge.
-    FuelExhausted {
-        /// Steps actually taken before fuel ran out (equals the fuel
-        /// bound handed to [`run`]).
-        steps: u64,
-        /// The largest term size observed up to the cutoff — the
-        /// truncated run's space measurement, so the λB cast-growth
-        /// leak stays measurable on genuinely diverging programs.
-        peak_size: usize,
-        /// The largest number of cast nodes observed up to the cutoff.
-        peak_casts: usize,
-    },
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::IllTyped(e) => write!(f, "ill-typed program: {e}"),
-            RunError::FuelExhausted { steps, .. } => {
-                write!(f, "fuel exhausted after {steps} steps")
+    fn contract(value: &Term, cast: &Cast) -> Result<Term, Label> {
+        let p = cast.label;
+        match (&cast.source, &cast.target) {
+            // V : ι ⇒p ι ⟶ V
+            (Type::Base(a), Type::Base(b)) => {
+                debug_assert_eq!(a, b, "ill-typed base cast");
+                Ok(value.clone())
             }
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl From<TypeError> for RunError {
-    fn from(e: TypeError) -> RunError {
-        RunError::IllTyped(e)
-    }
-}
-
-/// Metrics and result of a fueled run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Run {
-    /// The final outcome.
-    pub outcome: Outcome,
-    /// How many reduction steps were taken.
-    pub steps: u64,
-    /// The largest term size observed during evaluation.
-    pub peak_size: usize,
-    /// The largest number of cast nodes observed during evaluation.
-    pub peak_casts: usize,
-}
-
-/// Result of reducing a subterm in evaluation position.
-enum Sub {
-    Stepped(Term),
-    Value,
-    Raise(Label),
-}
-
-/// Performs one reduction step on a closed, well-typed term.
-///
-/// `program_ty` is the type of the whole program; it becomes the type
-/// annotation of the `blame` term produced when a cast fails (the
-/// paper's `blame p` has every type; ours carries one for
-/// syntax-directed typing).
-///
-/// # Panics
-///
-/// Panics if the term is open or ill-typed (use [`crate::typing::type_of`]
-/// first); the reduction rules of Figure 1 are only defined on
-/// well-typed terms.
-pub fn step(term: &Term, program_ty: &Type) -> Step {
-    if let Term::Blame(p, _) = term {
-        return Step::Blame(*p);
-    }
-    if term.is_value() {
-        return Step::Value;
-    }
-    match step_sub(term) {
-        Sub::Stepped(t) => Step::Next(t),
-        Sub::Raise(p) => Step::Next(Term::Blame(p, program_ty.clone())),
-        Sub::Value => unreachable!("non-value term did not step: {term}"),
-    }
-}
-
-fn step_sub(term: &Term) -> Sub {
-    if term.is_value() {
-        return Sub::Value;
-    }
-    match term {
-        Term::Const(_) | Term::Lam(_, _, _) | Term::Fix(_, _, _, _, _) => Sub::Value,
-        Term::Var(x) => panic!("evaluation reached a free variable `{x}`"),
-        Term::Blame(p, _) => Sub::Raise(*p),
-        Term::Op(op, args) => {
-            for (i, arg) in args.iter().enumerate() {
-                match step_sub(arg) {
-                    Sub::Stepped(a2) => {
-                        let mut args2 = args.clone();
-                        args2[i] = a2;
-                        return Sub::Stepped(Term::Op(*op, args2));
-                    }
-                    Sub::Raise(p) => return Sub::Raise(p),
-                    Sub::Value => continue,
-                }
-            }
-            let consts: Vec<Constant> = args
-                .iter()
-                .map(|a| match a {
-                    Term::Const(k) => *k,
-                    other => panic!("operator argument is not a constant: {other}"),
-                })
-                .collect();
-            Sub::Stepped(Term::Const(op.apply(&consts)))
-        }
-        Term::If(cond, then_, else_) => match step_sub(cond) {
-            Sub::Stepped(c2) => Sub::Stepped(Term::If(c2.into(), then_.clone(), else_.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => match &**cond {
-                Term::Const(Constant::Bool(true)) => Sub::Stepped((**then_).clone()),
-                Term::Const(Constant::Bool(false)) => Sub::Stepped((**else_).clone()),
-                other => panic!("if condition is not a boolean: {other}"),
-            },
-        },
-        Term::Let(x, m, n) => match step_sub(m) {
-            Sub::Stepped(m2) => Sub::Stepped(Term::Let(x.clone(), m2.into(), n.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => Sub::Stepped(subst(n, x, m)),
-        },
-        Term::App(l, m) => match step_sub(l) {
-            Sub::Stepped(l2) => Sub::Stepped(Term::App(l2.into(), m.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => match step_sub(m) {
-                Sub::Stepped(m2) => Sub::Stepped(Term::App(l.clone(), m2.into())),
-                Sub::Raise(p) => Sub::Raise(p),
-                Sub::Value => apply(l, m),
-            },
-        },
-        Term::Coerce(m, c) => match step_sub(m) {
-            Sub::Stepped(m2) => Sub::Stepped(Term::Coerce(m2.into(), c.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => cast_value(m, c),
-        },
-    }
-}
-
-/// Contracts a β-redex or function-cast application; both arguments
-/// are values.
-fn apply(fun: &Term, arg: &Term) -> Sub {
-    match fun {
-        // (λx:A. N) V ⟶ N[x := V]
-        Term::Lam(x, _, body) => Sub::Stepped(subst(body, x, arg)),
-        // (fix f (x:A):B. N) V ⟶ N[f := fix …][x := V]
-        Term::Fix(f, x, _, _, body) => {
-            let unrolled = subst(body, f, fun);
-            Sub::Stepped(subst(&unrolled, x, arg))
-        }
-        // (V : A→B ⇒p A'→B') W ⟶ (V (W : A' ⇒p̄ A)) : B ⇒p B'
-        //
-        // The domain cast is decorated with the complemented label:
-        // function types are contravariant in their domain.
-        Term::Coerce(v, c) => match (&c.source, &c.target) {
-            (Type::Fun(a, b), Type::Fun(a2, b2)) => {
-                let domain_cast =
-                    arg.clone()
-                        .cast((**a2).clone(), c.label.complement(), (**a).clone());
-                let applied = Term::App(v.clone(), domain_cast.into());
-                Sub::Stepped(applied.cast((**b).clone(), c.label, (**b2).clone()))
-            }
-            _ => panic!("applied a non-function cast value: {fun}"),
-        },
-        other => panic!("applied a non-function value: {other}"),
-    }
-}
-
-/// Reduces a cast whose subject is a value (and which is not itself a
-/// value).
-fn cast_value(value: &Term, cast: &Cast) -> Sub {
-    let p = cast.label;
-    match (&cast.source, &cast.target) {
-        // V : ι ⇒p ι ⟶ V
-        (Type::Base(a), Type::Base(b)) => {
-            debug_assert_eq!(a, b, "ill-typed base cast");
-            Sub::Stepped(value.clone())
-        }
-        // V : ? ⇒p ? ⟶ V
-        (Type::Dyn, Type::Dyn) => Sub::Stepped(value.clone()),
-        // V : A ⇒p ? ⟶ V : A ⇒p G ⇒p ?   (A ≠ ?, A ≠ G, A ∼ G)
-        (a, Type::Dyn) => {
-            let g = a.ground_of().expect("source is not ? here").ty();
-            debug_assert!(!a.is_ground(), "injection from ground is a value");
-            Sub::Stepped(
-                value
+            // V : ? ⇒p ? ⟶ V
+            (Type::Dyn, Type::Dyn) => Ok(value.clone()),
+            // V : A ⇒p ? ⟶ V : A ⇒p G ⇒p ?   (A ≠ ?, A ≠ G, A ∼ G)
+            (a, Type::Dyn) => {
+                let g = a.ground_of().expect("source is not ? here").ty();
+                debug_assert!(!a.is_ground(), "injection from ground is a value");
+                Ok(value
                     .clone()
                     .cast(a.clone(), p, g.clone())
-                    .cast(g, p, Type::Dyn),
-            )
-        }
-        (Type::Dyn, a) => {
-            match a.as_ground() {
+                    .cast(g, p, Type::Dyn))
+            }
+            (Type::Dyn, a) => match a.as_ground() {
                 // The target is a ground type: the value must be an
                 // injection `W : G ⇒q ?`.
                 Some(h) => match value {
@@ -264,10 +83,10 @@ fn cast_value(value: &Term, cast: &Cast) -> Sub {
                             .expect("value of type ? is an injection from ground");
                         if g == h {
                             // V : G ⇒q ? ⇒p G ⟶ V
-                            Sub::Stepped((**w).clone())
+                            Ok((**w).clone())
                         } else {
                             // V : G ⇒q ? ⇒p H ⟶ blame p   (G ≠ H)
-                            Sub::Raise(p)
+                            Err(p)
                         }
                     }
                     other => panic!("value of type ? is not an injection: {other}"),
@@ -275,17 +94,66 @@ fn cast_value(value: &Term, cast: &Cast) -> Sub {
                 // V : ? ⇒p A ⟶ V : ? ⇒p G ⇒p A   (A ≠ ?, A ≠ G, A ∼ G)
                 None => {
                     let g = a.ground_of().expect("target is not ? here").ty();
-                    Sub::Stepped(
-                        value
-                            .clone()
-                            .cast(Type::Dyn, p, g.clone())
-                            .cast(g, p, a.clone()),
-                    )
+                    Ok(value
+                        .clone()
+                        .cast(Type::Dyn, p, g.clone())
+                        .cast(g, p, a.clone()))
                 }
-            }
+            },
+            (a, b) => panic!("ill-typed cast from `{a}` to `{b}` reached evaluation"),
         }
-        (a, b) => panic!("ill-typed cast from `{a}` to `{b}` reached evaluation"),
     }
+
+    /// `A→B ⇒p A'→B'` splits into `A' ⇒p̄ A` and `B ⇒p B'`: the domain
+    /// cast is decorated with the complemented label, since function
+    /// types are contravariant in their domain.
+    fn split(cast: &Cast) -> (Cast, Cast) {
+        match (&cast.source, &cast.target) {
+            (Type::Fun(a, b), Type::Fun(a2, b2)) => (
+                Cast::new((**a2).clone(), cast.label.complement(), (**a).clone()),
+                Cast::new((**b).clone(), cast.label, (**b2).clone()),
+            ),
+            _ => panic!("applied a non-function cast value: {cast}"),
+        }
+    }
+
+    fn wrapper(cast: &Cast) -> Wrapper {
+        match (&cast.source, &cast.target) {
+            (Type::Fun(_, _), Type::Fun(_, _)) => Wrapper::Proxy,
+            (src, Type::Dyn) => {
+                Wrapper::Injection(src.as_ground().expect("injection value from ground type"))
+            }
+            _ => unreachable!("not a λB value cast: {cast}"),
+        }
+    }
+
+    fn cast_measure(term: &Term) -> usize {
+        term.cast_count()
+    }
+}
+
+/// Performs one reduction step on a closed, well-typed term.
+///
+/// `program_ty` is the type of the whole program; it annotates the
+/// `blame` term produced when a cast fails.
+///
+/// # Panics
+///
+/// Panics if the term is open or ill-typed (use [`crate::typing::type_of`]
+/// first); the reduction rules of Figure 1 are only defined on
+/// well-typed terms.
+pub fn step(term: &Term, program_ty: &Type) -> Step {
+    reduce::step::<LambdaB>(&mut (), term, program_ty)
+}
+
+/// Type checks a closed term and begins a resumable run of it, driven
+/// by [`reduce::resume`].
+///
+/// # Errors
+///
+/// [`RunError::IllTyped`] if the term is not closed and well typed.
+pub fn start(term: &Term, fuel: u64) -> Result<Paused, RunError> {
+    Ok(reduce::start(term, type_of(term)?, fuel))
 }
 
 /// Evaluates a closed, well-typed term for at most `fuel` steps.
@@ -297,47 +165,7 @@ fn cast_value(value: &Term, cast: &Cast) -> Sub {
 /// taken) if the fuel bound is reached — ill-typedness and divergence
 /// are distinguishable without inspecting a sentinel outcome.
 pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
-    let ty = type_of(term)?;
-    let mut current = term.clone();
-    let mut steps = 0u64;
-    let mut peak_size = current.size();
-    let mut peak_casts = current.cast_count();
-    loop {
-        match step(&current, &ty) {
-            Step::Value => {
-                return Ok(Run {
-                    outcome: Outcome::Value(current),
-                    steps,
-                    peak_size,
-                    peak_casts,
-                })
-            }
-            Step::Blame(p) => {
-                return Ok(Run {
-                    outcome: Outcome::Blame(p),
-                    steps,
-                    peak_size,
-                    peak_casts,
-                })
-            }
-            Step::Next(next) => {
-                // Charge fuel *before* committing the step, so a
-                // zero-fuel run reports zero steps (values still
-                // complete at any fuel: Step::Value returns above).
-                if steps >= fuel {
-                    return Err(RunError::FuelExhausted {
-                        steps,
-                        peak_size,
-                        peak_casts,
-                    });
-                }
-                steps += 1;
-                peak_size = peak_size.max(next.size());
-                peak_casts = peak_casts.max(next.cast_count());
-                current = next;
-            }
-        }
-    }
+    reduce::run::<LambdaB>(term, type_of(term)?, fuel)
 }
 
 #[cfg(test)]

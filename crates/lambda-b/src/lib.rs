@@ -14,8 +14,8 @@
 //!   standard constructs): the grammar the three calculi share,
 //!   [`bc_syntax::term::Term`], with λB's [`Cast`] in the cast position;
 //! * [`typing`] — the syntax-directed type system `Γ ⊢B M : A`;
-//! * [`eval`] — the small-step reduction relation `M ⟶B N`, with
-//!   space instrumentation;
+//! * [`eval`] — the small-step reduction relation `M ⟶B N`: Figure 1's
+//!   cast rules ([`LambdaB`]) over the shared [`bc_syntax::reduce`];
 //! * [`safety`] — blame safety `M safeB q` (Figure 2);
 //! * [`embed`] — the embedding `⌈·⌉` of dynamically-typed λ-calculus.
 //!
@@ -47,5 +47,6 @@ pub mod term;
 pub mod typing;
 
 pub use bterm::BTerm;
+pub use eval::LambdaB;
 pub use term::{Cast, Term};
 pub use typing::{type_of, TypeError};

@@ -223,10 +223,10 @@ mod tests {
         let small = run(&boundary_loop(8), 100_000).unwrap();
         let large = run(&boundary_loop(32), 100_000).unwrap();
         assert!(
-            large.peak_casts >= small.peak_casts + 24,
+            large.peak_cast_measure >= small.peak_cast_measure + 24,
             "expected linear cast growth, got {} -> {}",
-            small.peak_casts,
-            large.peak_casts
+            small.peak_cast_measure,
+            large.peak_cast_measure
         );
     }
 
@@ -234,8 +234,8 @@ mod tests {
     fn typed_baseline_runs_in_constant_space() {
         let small = run(&even_typed(8), 100_000).unwrap();
         let large = run(&even_typed(64), 100_000).unwrap();
-        assert_eq!(small.peak_casts, 0);
-        assert_eq!(large.peak_casts, 0);
+        assert_eq!(small.peak_cast_measure, 0);
+        assert_eq!(large.peak_cast_measure, 0);
         assert_eq!(small.peak_size, large.peak_size);
     }
 

@@ -14,93 +14,83 @@
 //! E[blame p]        ⟶ blame p      (E ≠ □)
 //! ```
 //!
+//! The congruence walk, β, the proxy rule and the fueled loop are the
+//! shared [`bc_syntax::reduce`]; this module supplies the coercion
+//! rules through [`LambdaC`]. A run's cast measure is the total
+//! coercion size ([`Term::coercion_size`]).
+//!
 //! Note that λC *breaks compositions apart* (`c ; d` splits into two
 //! applications) where λS *assembles them* — this is exactly the
 //! difference the bisimulation of §4.1 mediates.
 
-use std::fmt;
-
-use bc_syntax::{Constant, Label, Type};
+use bc_syntax::reduce::{self, Reduce, Wrapper};
+use bc_syntax::{Label, Type};
 
 use crate::coercion::Coercion;
 use crate::term::Term;
 use crate::typing::{type_of, TypeError};
-use bc_syntax::term::subst;
 
-/// The result of attempting one reduction step on a closed term.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// `M ⟶C N`.
-    Next(Term),
-    /// The term is a value.
-    Value,
-    /// The term is `blame p`.
-    Blame(Label),
-}
+/// One reduction step on a closed λC term.
+pub type Step = reduce::Step<Coercion>;
+/// The final outcome of a λC run.
+pub type Outcome = reduce::Outcome<Coercion>;
+/// Why a fueled λC run produced no [`Outcome`].
+pub type RunError = reduce::RunError<TypeError>;
+/// Metrics and result of a fueled λC run; its cast measure is the
+/// total coercion size.
+pub type Run = reduce::Run<Coercion>;
+/// A λC run parked between fuel slices.
+pub type Paused = reduce::Paused<LambdaC>;
 
-/// The final outcome of evaluating a term. Fuel exhaustion is not an
-/// outcome — [`run`] reports it as [`RunError::FuelExhausted`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Evaluation converged to a value.
-    Value(Term),
-    /// Evaluation allocated blame.
-    Blame(Label),
-}
+/// λC's coercion rules (Figure 3), for the shared small-step.
+#[derive(Debug, Clone, Copy)]
+pub struct LambdaC;
 
-/// Why a fueled run produced no [`Outcome`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunError {
-    /// The term is not closed and well typed.
-    IllTyped(TypeError),
-    /// The fuel bound was reached; the term may diverge.
-    FuelExhausted {
-        /// Steps actually taken before fuel ran out.
-        steps: u64,
-        /// The largest term size observed up to the cutoff.
-        peak_size: usize,
-        /// The largest total coercion size observed up to the cutoff —
-        /// the truncated run's space measurement.
-        peak_coercion_size: usize,
-    },
-}
+impl Reduce for LambdaC {
+    type Cast = Coercion;
+    type TypeError = TypeError;
+    type MergeCtx = ();
 
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::IllTyped(e) => write!(f, "ill-typed program: {e}"),
-            RunError::FuelExhausted { steps, .. } => {
-                write!(f, "fuel exhausted after {steps} steps")
+    fn contract(value: &Term, c: &Coercion) -> Result<Term, Label> {
+        match c {
+            // V⟨id_A⟩ ⟶ V
+            Coercion::Id(_) => Ok(value.clone()),
+            // V⟨c ; d⟩ ⟶ V⟨c⟩⟨d⟩
+            Coercion::Seq(c1, c2) => {
+                Ok(value.clone().coerce((**c1).clone()).coerce((**c2).clone()))
+            }
+            // V⟨⊥GpH⟩ ⟶ blame p
+            Coercion::Fail(_, p, _) => Err(*p),
+            // V⟨G!⟩⟨G?p⟩ ⟶ V  /  V⟨G!⟩⟨H?p⟩ ⟶ blame p
+            Coercion::Proj(h, p) => match value {
+                Term::Coerce(w, Coercion::Inj(g)) if g == h => Ok((**w).clone()),
+                Term::Coerce(_, Coercion::Inj(_)) => Err(*p),
+                other => panic!("projected a non-injection value: {other}"),
+            },
+            Coercion::Inj(_) | Coercion::Fun(_, _) => {
+                unreachable!("injections and function coercions of values are values")
             }
         }
     }
-}
 
-impl std::error::Error for RunError {}
-
-impl From<TypeError> for RunError {
-    fn from(e: TypeError) -> RunError {
-        RunError::IllTyped(e)
+    fn split(c: &Coercion) -> (Coercion, Coercion) {
+        match c {
+            Coercion::Fun(c, d) => ((**c).clone(), (**d).clone()),
+            other => panic!("applied a non-function coercion value: {other}"),
+        }
     }
-}
 
-/// Metrics and result of a fueled run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Run {
-    /// The final outcome.
-    pub outcome: Outcome,
-    /// Number of reduction steps taken.
-    pub steps: u64,
-    /// Peak term size observed.
-    pub peak_size: usize,
-    /// Peak total coercion size observed (the λC space metric).
-    pub peak_coercion_size: usize,
-}
+    fn wrapper(c: &Coercion) -> Wrapper {
+        match c {
+            Coercion::Fun(_, _) => Wrapper::Proxy,
+            Coercion::Inj(g) => Wrapper::Injection(*g),
+            other => unreachable!("not a λC value coercion: {other}"),
+        }
+    }
 
-enum Sub {
-    Stepped(Term),
-    Value,
-    Raise(Label),
+    fn cast_measure(term: &Term) -> usize {
+        term.coercion_size()
+    }
 }
 
 /// Performs one reduction step on a closed, well-typed λC term.
@@ -109,122 +99,17 @@ enum Sub {
 ///
 /// Panics if the term is open or ill-typed.
 pub fn step(term: &Term, program_ty: &Type) -> Step {
-    if let Term::Blame(p, _) = term {
-        return Step::Blame(*p);
-    }
-    if term.is_value() {
-        return Step::Value;
-    }
-    match step_sub(term) {
-        Sub::Stepped(t) => Step::Next(t),
-        Sub::Raise(p) => Step::Next(Term::Blame(p, program_ty.clone())),
-        Sub::Value => unreachable!("non-value term did not step: {term}"),
-    }
+    reduce::step::<LambdaC>(&mut (), term, program_ty)
 }
 
-fn step_sub(term: &Term) -> Sub {
-    if term.is_value() {
-        return Sub::Value;
-    }
-    match term {
-        Term::Const(_) | Term::Lam(_, _, _) | Term::Fix(_, _, _, _, _) => Sub::Value,
-        Term::Var(x) => panic!("evaluation reached a free variable `{x}`"),
-        Term::Blame(p, _) => Sub::Raise(*p),
-        Term::Op(op, args) => {
-            for (i, arg) in args.iter().enumerate() {
-                match step_sub(arg) {
-                    Sub::Stepped(a2) => {
-                        let mut args2 = args.clone();
-                        args2[i] = a2;
-                        return Sub::Stepped(Term::Op(*op, args2));
-                    }
-                    Sub::Raise(p) => return Sub::Raise(p),
-                    Sub::Value => continue,
-                }
-            }
-            let consts: Vec<Constant> = args
-                .iter()
-                .map(|a| match a {
-                    Term::Const(k) => *k,
-                    other => panic!("operator argument is not a constant: {other}"),
-                })
-                .collect();
-            Sub::Stepped(Term::Const(op.apply(&consts)))
-        }
-        Term::If(cond, then_, else_) => match step_sub(cond) {
-            Sub::Stepped(c2) => Sub::Stepped(Term::If(c2.into(), then_.clone(), else_.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => match &**cond {
-                Term::Const(Constant::Bool(true)) => Sub::Stepped((**then_).clone()),
-                Term::Const(Constant::Bool(false)) => Sub::Stepped((**else_).clone()),
-                other => panic!("if condition is not a boolean: {other}"),
-            },
-        },
-        Term::Let(x, m, n) => match step_sub(m) {
-            Sub::Stepped(m2) => Sub::Stepped(Term::Let(x.clone(), m2.into(), n.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => Sub::Stepped(subst(n, x, m)),
-        },
-        Term::App(l, m) => match step_sub(l) {
-            Sub::Stepped(l2) => Sub::Stepped(Term::App(l2.into(), m.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => match step_sub(m) {
-                Sub::Stepped(m2) => Sub::Stepped(Term::App(l.clone(), m2.into())),
-                Sub::Raise(p) => Sub::Raise(p),
-                Sub::Value => apply(l, m),
-            },
-        },
-        Term::Coerce(m, c) => match step_sub(m) {
-            Sub::Stepped(m2) => Sub::Stepped(Term::Coerce(m2.into(), c.clone())),
-            Sub::Raise(p) => Sub::Raise(p),
-            Sub::Value => coerce_value(m, c),
-        },
-    }
-}
-
-/// Contracts an application whose both sides are values.
-fn apply(fun: &Term, arg: &Term) -> Sub {
-    match fun {
-        Term::Lam(x, _, body) => Sub::Stepped(subst(body, x, arg)),
-        Term::Fix(f, x, _, _, body) => {
-            let unrolled = subst(body, f, fun);
-            Sub::Stepped(subst(&unrolled, x, arg))
-        }
-        // (V⟨c→d⟩) W ⟶ (V (W⟨c⟩))⟨d⟩
-        Term::Coerce(v, Coercion::Fun(c, d)) => {
-            let coerced_arg = arg.clone().coerce((**c).clone());
-            Sub::Stepped(Term::App(v.clone(), coerced_arg.into()).coerce((**d).clone()))
-        }
-        other => panic!("applied a non-function value: {other}"),
-    }
-}
-
-/// Reduces `V⟨c⟩` where `V` is a value and the whole term is not.
-fn coerce_value(value: &Term, c: &Coercion) -> Sub {
-    match c {
-        // V⟨id_A⟩ ⟶ V
-        Coercion::Id(_) => Sub::Stepped(value.clone()),
-        // V⟨c ; d⟩ ⟶ V⟨c⟩⟨d⟩
-        Coercion::Seq(c1, c2) => {
-            Sub::Stepped(value.clone().coerce((**c1).clone()).coerce((**c2).clone()))
-        }
-        // V⟨⊥GpH⟩ ⟶ blame p
-        Coercion::Fail(_, p, _) => Sub::Raise(*p),
-        // V⟨G!⟩⟨G?p⟩ ⟶ V  /  V⟨G!⟩⟨H?p⟩ ⟶ blame p
-        Coercion::Proj(h, p) => match value {
-            Term::Coerce(w, Coercion::Inj(g)) => {
-                if g == h {
-                    Sub::Stepped((**w).clone())
-                } else {
-                    Sub::Raise(*p)
-                }
-            }
-            other => panic!("projected a non-injection value: {other}"),
-        },
-        Coercion::Inj(_) | Coercion::Fun(_, _) => {
-            unreachable!("injections and function coercions of values are values")
-        }
-    }
+/// Type checks a closed λC term and begins a resumable run of it,
+/// driven by [`reduce::resume`].
+///
+/// # Errors
+///
+/// [`RunError::IllTyped`] if the term is not closed and well typed.
+pub fn start(term: &Term, fuel: u64) -> Result<Paused, RunError> {
+    Ok(reduce::start(term, type_of(term)?, fuel))
 }
 
 /// Evaluates a closed, well-typed λC term for at most `fuel` steps.
@@ -235,47 +120,7 @@ fn coerce_value(value: &Term, c: &Coercion) -> Sub {
 /// typed, and [`RunError::FuelExhausted`] (carrying the steps actually
 /// taken) if the fuel bound is reached.
 pub fn run(term: &Term, fuel: u64) -> Result<Run, RunError> {
-    let ty = type_of(term)?;
-    let mut current = term.clone();
-    let mut steps = 0u64;
-    let mut peak_size = current.size();
-    let mut peak_coercion_size = current.coercion_size();
-    loop {
-        match step(&current, &ty) {
-            Step::Value => {
-                return Ok(Run {
-                    outcome: Outcome::Value(current),
-                    steps,
-                    peak_size,
-                    peak_coercion_size,
-                })
-            }
-            Step::Blame(p) => {
-                return Ok(Run {
-                    outcome: Outcome::Blame(p),
-                    steps,
-                    peak_size,
-                    peak_coercion_size,
-                })
-            }
-            Step::Next(next) => {
-                // Charge fuel *before* committing the step, so a
-                // zero-fuel run reports zero steps (values still
-                // complete at any fuel: Step::Value returns above).
-                if steps >= fuel {
-                    return Err(RunError::FuelExhausted {
-                        steps,
-                        peak_size,
-                        peak_coercion_size,
-                    });
-                }
-                steps += 1;
-                peak_size = peak_size.max(next.size());
-                peak_coercion_size = peak_coercion_size.max(next.coercion_size());
-                current = next;
-            }
-        }
-    }
+    reduce::run::<LambdaC>(term, type_of(term)?, fuel)
 }
 
 #[cfg(test)]
@@ -392,7 +237,6 @@ mod tests {
             Type::INT,
             Term::op2(Op::Add, Term::var("x"), Term::int(1)),
         );
-        let ii = Type::fun(Type::INT, Type::INT);
         let c = Coercion::fun(Coercion::proj(gi(), p(0)), Coercion::inj(gi()))
             .seq(Coercion::inj(Ground::Fun));
         // inc⟨(Int?p→Int!) ; (?→?)!⟩⟨(?→?)?q⟩ applied to 3⟨Int!⟩,
@@ -418,7 +262,6 @@ mod tests {
                 Step::Blame(l) => panic!("unexpected blame {l}"),
             }
         }
-        let _ = ii;
     }
 
     #[test]

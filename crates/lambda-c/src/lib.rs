@@ -48,5 +48,6 @@ pub mod typing;
 pub use carena::{CArena, CCoercionId, CNode};
 pub use coercion::Coercion;
 pub use cterm::CTerm;
+pub use eval::LambdaC;
 pub use term::Term;
 pub use typing::type_of;

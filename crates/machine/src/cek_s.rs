@@ -1,12 +1,12 @@
 //! The CEK machine for λS — the space-efficient machine (in the style
 //! of Siek–Garcia 2012).
 //!
-//! It differs from [`crate::cek_c`] in exactly one way: **pushing a
-//! coercion frame onto a continuation whose top frame is already a
-//! coercion frame composes the two with `s # t`** instead of stacking
-//! them. Since composition preserves height (Proposition 14) and
-//! canonical coercions of bounded height have bounded size, the
-//! continuation never holds more than one bounded coercion per
+//! It differs from the λC instance of [`crate::cek`] in exactly one
+//! way: **pushing a coercion frame onto a continuation whose top frame
+//! is already a coercion frame composes the two with `s # t`** instead
+//! of stacking them. Since composition preserves height (Proposition
+//! 14) and canonical coercions of bounded height have bounded size,
+//! the continuation never holds more than one bounded coercion per
 //! non-coercion frame: tail calls across typed/untyped boundaries run
 //! in constant space.
 //!
@@ -186,10 +186,7 @@ pub fn run_compiled_in(
     fuel: u64,
 ) -> MachineRun {
     let paused = start_compiled_in(code, arena, cache, fuel);
-    match resume_compiled_in(paused, arena, cache, fuel) {
-        SliceResult::Done(run) => run,
-        SliceResult::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
-    }
+    resume_compiled_in(paused, arena, cache, fuel).finished()
 }
 
 /// A preempted λS machine run, parked between fuel slices.
@@ -474,7 +471,7 @@ mod tests {
     #[test]
     fn machine_agrees_with_small_step() {
         use bc_core::eval;
-        use bc_translate::bisim::observe_s;
+        use bc_translate::bisim::observe;
         for (name, t) in [
             ("boundary_loop", programs::boundary_loop(6)),
             ("even_odd_mixed", programs::even_odd_mixed(5)),
@@ -482,7 +479,7 @@ mod tests {
             ("wrapped_identity", programs::wrapped_identity(4)),
         ] {
             let ts = to_s(&t);
-            let small = observe_s(&eval::run(&ts, 1_000_000).unwrap().outcome);
+            let small = observe::<bc_core::LambdaS>(&eval::run(&ts, 1_000_000).unwrap().outcome);
             let machine = run(&ts, 1_000_000).outcome.to_observation();
             assert_eq!(small, machine, "{name}");
         }
@@ -565,16 +562,11 @@ mod tests {
         let program = bc_gtlc::compile_compiled(source, &mut ctx.types).expect("compiles");
         let code =
             bc_translate::term_b_to_s_compiled(&program.term, &mut ctx.types, &mut ctx.arena);
-        let mut paused = start_compiled_in(&code, &ctx.arena, &ctx.cache, u64::MAX);
-        loop {
-            match resume_compiled_in(paused, &mut ctx.arena, &mut ctx.cache, 1) {
-                SliceResult::Done(run) => return run,
-                SliceResult::Parked(p) => {
-                    inspect(&p);
-                    paused = p;
-                }
-            }
-        }
+        let paused = start_compiled_in(&code, &ctx.arena, &ctx.cache, u64::MAX);
+        SliceResult::Parked(paused).finish(|p| {
+            inspect(&p);
+            resume_compiled_in(p, &mut ctx.arena, &mut ctx.cache, 1)
+        })
     }
 
     /// The space a loop's run peaks at: continuation frames, coercion

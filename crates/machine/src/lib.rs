@@ -6,10 +6,10 @@
 //! result-casts pile up in the continuation. These machines make the
 //! story measurable:
 //!
-//! * [`cek_b`] — a machine for λB. Cast frames are pushed and never
-//!   merged; mutually recursive typed/untyped tail calls grow the
+//! * [`cek`] — one machine for λB and λC, generic over the cast form
+//!   ([`cek::MachineCast`]). Cast and coercion frames are pushed and
+//!   never merged; mutually recursive typed/untyped tail calls grow the
 //!   continuation linearly.
-//! * [`cek_c`] — the same for λC with coercion frames; same leak.
 //! * [`cek_s`] — the machine for λS (in the style of Siek–Garcia
 //!   2012): pushing a coercion frame onto a continuation whose top is
 //!   already a coercion frame *composes* the two with `s # t` instead.
@@ -25,8 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cek_b;
-pub mod cek_c;
+pub mod cek;
 pub mod cek_s;
 pub mod metrics;
 

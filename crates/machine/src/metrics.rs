@@ -1,5 +1,6 @@
 //! Shared instrumentation types for the abstract machines.
 
+use bc_syntax::reduce::Slice;
 use bc_syntax::Label;
 use bc_translate::bisim::Observation;
 
@@ -104,10 +105,4 @@ pub struct MachineRun {
 /// where the loop returns — steps, peaks, and outcomes are identical
 /// to an unsliced run by construction (and property-tested in
 /// `tests/sched.rs`).
-#[derive(Debug)]
-pub enum SliceResult<P> {
-    /// The run finished; no machine state remains.
-    Done(MachineRun),
-    /// Preempted: the parked state resumes where it left off.
-    Parked(P),
-}
+pub type SliceResult<P> = Slice<P, MachineRun>;

@@ -19,15 +19,23 @@
 //! `golden_trees.txt` pins the tree engines on the same corpus: the
 //! λB, λC and λS small-steps on the λB tree term and its `|·|BC` and
 //! `|·|BS` images (outcome, steps and both peaks, at fuel 2 000: λB's
-//! small-step is cubic on the long loops), and the `cek_b` and `cek_c`
-//! machines (outcome, steps and the three peaks, whole and in slices
-//! of 7, at fuel 50 000).
+//! small-step is cubic on the long loops), and the `bc_machine::cek`
+//! machine on the λB and λC terms (outcome, steps and the three peaks,
+//! whole and in slices of 7, at fuel 50 000; the lines name them
+//! `cek_b` and `cek_c`). Each tree small-step resumed in slices of 7
+//! steps must return its whole run's result.
 
-use bc_core::eval::{self, SliceC};
+use std::fmt;
+
+use bc_core::eval as es;
 use bc_core::{CompileCtx, SCode};
-use bc_lambda_b::programs;
-use bc_machine::metrics::{MachineRun, SliceResult};
-use bc_machine::{cek_b, cek_c, cek_s};
+use bc_lambda_b::{eval as eb, programs};
+use bc_lambda_c::eval as ec;
+use bc_machine::cek::{self, MachineCast};
+use bc_machine::cek_s;
+use bc_machine::metrics::MachineRun;
+use bc_syntax::reduce::{self, Outcome, Paused, Reduce, Run, RunError, Slice};
+use bc_syntax::term::{CastForm, Term};
 use bc_testkit::sources;
 use bc_translate::{term_b_to_c, term_b_to_s, term_b_to_s_compiled};
 
@@ -122,13 +130,9 @@ fn line(name: &str, mode: &str, run: &MachineRun) -> String {
 }
 
 fn sliced(code: &SCode, ctx: &mut CompileCtx) -> MachineRun {
-    let mut paused = cek_s::start_compiled_in(code, &ctx.arena, &ctx.cache, FUEL);
-    loop {
-        match cek_s::resume_compiled_in(paused, &mut ctx.arena, &mut ctx.cache, SLICE) {
-            SliceResult::Done(run) => return run,
-            SliceResult::Parked(p) => paused = p,
-        }
-    }
+    let paused = cek_s::start_compiled_in(code, &ctx.arena, &ctx.cache, FUEL);
+    Slice::Parked(paused)
+        .finish(|p| cek_s::resume_compiled_in(p, &mut ctx.arena, &mut ctx.cache, SLICE))
 }
 
 #[test]
@@ -162,79 +166,81 @@ fn assert_golden(lines: &[String], path: &str) {
 
 /// One small-step run as a golden line: the outcome (a value printed
 /// as its term), steps and the two peaks, or the fuel cutoff's
-/// accounting. `$peak` names the calculus's second space peak.
-macro_rules! small_step_line {
-    ($name:expr, $engine:expr, $eval:ident, $result:expr, $peak:ident) => {
-        match $result {
-            Ok($eval::Run {
-                outcome,
-                steps,
-                peak_size,
-                $peak,
-            }) => {
-                let outcome = match outcome {
-                    $eval::Outcome::Value(v) => format!("value {v}"),
-                    $eval::Outcome::Blame(p) => format!("blame {p}"),
-                };
-                format!(
-                    "{} {}: {outcome}, steps {steps}, peak size {peak_size}, {} {}",
-                    $name,
-                    $engine,
-                    stringify!($peak).replace('_', " "),
-                    $peak
-                )
-            }
-            Err($eval::RunError::FuelExhausted {
-                steps,
-                peak_size,
-                $peak,
-            }) => format!(
-                "{} {}: fuel exhausted, steps {steps}, peak size {peak_size}, {} {}",
-                $name,
-                $engine,
-                stringify!($peak).replace('_', " "),
-                $peak
-            ),
-            Err(e) => panic!("{} {}: {e}", $name, $engine),
+/// accounting. `measure` names the calculus's cast measure.
+fn small_step_line<K: CastForm + fmt::Display, E: fmt::Display>(
+    name: &str,
+    engine: &str,
+    measure: &str,
+    run: &Result<Run<K>, RunError<E>>,
+) -> String {
+    let (outcome, steps, peak_size, peak) = match run {
+        Ok(run) => {
+            let outcome = match &run.outcome {
+                Outcome::Value(v) => format!("value {v}"),
+                Outcome::Blame(p) => format!("blame {p}"),
+            };
+            (outcome, run.steps, run.peak_size, run.peak_cast_measure)
         }
+        Err(RunError::FuelExhausted {
+            steps,
+            peak_size,
+            peak_cast_measure,
+        }) => (
+            "fuel exhausted".to_string(),
+            *steps,
+            *peak_size,
+            *peak_cast_measure,
+        ),
+        Err(e) => panic!("{name} {engine}: {e}"),
     };
+    format!("{name} {engine}: {outcome}, steps {steps}, peak size {peak_size}, {measure} {peak}")
+}
+
+/// A CEK run of `term` in slices of [`SLICE`] transitions.
+fn cek_sliced<K: MachineCast>(term: &Term<K>) -> MachineRun {
+    Slice::Parked(cek::start(term, FUEL)).finish(|p| cek::resume(p, SLICE))
+}
+
+/// A tree small-step run resumed in slices of [`SLICE`] steps.
+fn small_step_sliced<R: Reduce>(paused: Paused<R>) -> Result<Run<R::Cast>, RunError<R::TypeError>> {
+    Slice::Parked(paused).finish(|p| reduce::resume(p, SLICE))
 }
 
 #[test]
 fn tree_engines_match_the_golden_runs() {
-    use bc_core::eval as es;
-    use bc_lambda_b::eval as eb;
-    use bc_lambda_c::eval as ec;
     let mut lines = Vec::new();
     for Entry { name, term, .. } in corpus() {
         let c = term_b_to_c(&term);
         let s = term_b_to_s(&term);
         let b_run = eb::run(&term, SMALL_STEP_FUEL);
-        lines.push(small_step_line!(name, "b", eb, b_run, peak_casts));
+        lines.push(small_step_line(&name, "b", "peak casts", &b_run));
         let c_run = ec::run(&c, SMALL_STEP_FUEL);
-        lines.push(small_step_line!(name, "c", ec, c_run, peak_coercion_size));
+        lines.push(small_step_line(&name, "c", "peak coercion size", &c_run));
         let s_run = es::run(&s, SMALL_STEP_FUEL);
-        lines.push(small_step_line!(name, "s", es, s_run, peak_coercion_size));
-        lines.push(line(&name, "cek_b whole", &cek_b::run(&term, FUEL)));
-        let mut paused = cek_b::start(&term, FUEL);
-        let sliced = loop {
-            match cek_b::resume(paused, SLICE) {
-                SliceResult::Done(run) => break run,
-                SliceResult::Parked(p) => paused = p,
-            }
-        };
-        lines.push(line(&name, "cek_b sliced", &sliced));
-        lines.push(line(&name, "cek_c whole", &cek_c::run(&c, FUEL)));
-        let mut paused = cek_c::start(&c, FUEL);
-        let sliced = loop {
-            match cek_c::resume(paused, SLICE) {
-                SliceResult::Done(run) => break run,
-                SliceResult::Parked(p) => paused = p,
-            }
-        };
-        lines.push(line(&name, "cek_c sliced", &sliced));
+        lines.push(small_step_line(&name, "s", "peak coercion size", &s_run));
+        lines.push(line(&name, "cek_b whole", &cek::run(&term, FUEL)));
+        lines.push(line(&name, "cek_b sliced", &cek_sliced(&term)));
+        lines.push(line(&name, "cek_c whole", &cek::run(&c, FUEL)));
+        lines.push(line(&name, "cek_c sliced", &cek_sliced(&c)));
     }
     assert_golden(&lines, GOLDEN_TREES);
+}
+
+#[test]
+fn sliced_tree_small_steps_match_their_whole_runs() {
+    for Entry { name, term, .. } in corpus() {
+        let whole = eb::run(&term, SMALL_STEP_FUEL);
+        let sliced = small_step_sliced(eb::start(&term, SMALL_STEP_FUEL).unwrap());
+        assert_eq!(sliced, whole, "{name} b");
+        let c = term_b_to_c(&term);
+        let whole = ec::run(&c, SMALL_STEP_FUEL);
+        let sliced = small_step_sliced(ec::start(&c, SMALL_STEP_FUEL).unwrap());
+        assert_eq!(sliced, whole, "{name} c");
+        let s = term_b_to_s(&term);
+        let whole = es::run(&s, SMALL_STEP_FUEL);
+        let sliced = small_step_sliced(es::start(&s, SMALL_STEP_FUEL).unwrap());
+        assert_eq!(sliced, whole, "{name} s");
+    }
 }
 
 #[test]
@@ -246,16 +252,12 @@ fn small_step_matches_the_tree_oracle() {
         ..
     } in corpus()
     {
-        let oracle = eval::run(&code.decode(&ctx.arena, &ctx.types), FUEL);
-        let whole = eval::run_compiled(&code, FUEL, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
+        let oracle = es::run(&code.decode(&ctx.arena, &ctx.types), FUEL);
+        let whole = es::run_compiled(&code, FUEL, &mut ctx.arena, &mut ctx.cache, &mut ctx.types);
         assert_eq!(whole, oracle, "{name} whole");
-        let mut paused = eval::start_compiled(&code, FUEL, &ctx.arena);
-        let sliced = loop {
-            match eval::resume_compiled(paused, SLICE, &mut ctx.arena, &mut ctx.cache, &ctx.types) {
-                SliceC::Done(run) => break run,
-                SliceC::Parked(p) => paused = p,
-            }
-        };
+        let paused = es::start_compiled(&code, FUEL, &ctx.arena);
+        let sliced = Slice::Parked(paused)
+            .finish(|p| es::resume_compiled(p, SLICE, &mut ctx.arena, &mut ctx.cache, &ctx.types));
         assert_eq!(sliced, oracle, "{name} sliced");
     }
 }

@@ -2,9 +2,12 @@
 //! substitution-based small-step semantics on random well-typed
 //! programs, and the space bound of the λS machine.
 
-use bc_machine::{cek_b, cek_c, cek_s};
+use bc_core::LambdaS;
+use bc_lambda_b::LambdaB;
+use bc_lambda_c::LambdaC;
+use bc_machine::{cek, cek_s};
 use bc_testkit::Gen;
-use bc_translate::bisim::{observe_run_b, observe_run_c, observe_run_s, Observation};
+use bc_translate::bisim::{observe_run, Observation};
 use bc_translate::{term_b_to_c, term_c_to_s};
 use proptest::prelude::*;
 
@@ -20,15 +23,15 @@ proptest! {
         let ty = gen.ty(1);
         let m = gen.term_b(&ty, 4);
 
-        let small_b = observe_run_b(&m, FUEL);
-        let mach_b = cek_b::run(&m, FUEL).outcome.to_observation();
+        let small_b = observe_run::<LambdaB>(&bc_lambda_b::eval::run(&m, FUEL));
+        let mach_b = cek::run(&m, FUEL).outcome.to_observation();
 
         let mc = term_b_to_c(&m);
-        let small_c = observe_run_c(&mc, FUEL);
-        let mach_c = cek_c::run(&mc, FUEL).outcome.to_observation();
+        let small_c = observe_run::<LambdaC>(&bc_lambda_c::eval::run(&mc, FUEL));
+        let mach_c = cek::run(&mc, FUEL).outcome.to_observation();
 
         let ms = term_c_to_s(&mc);
-        let small_s = observe_run_s(&ms, FUEL);
+        let small_s = observe_run::<LambdaS>(&bc_core::eval::run(&ms, FUEL));
         let mach_s = cek_s::run(&ms, FUEL).outcome.to_observation();
 
         // Timeouts may land at different step counts between a
@@ -76,8 +79,8 @@ fn space_series() {
         let m = bc_lambda_b::programs::even_odd_mixed(n);
         let mc = term_b_to_c(&m);
         let ms = term_c_to_s(&mc);
-        let rb = cek_b::run(&m, u64::MAX);
-        let rc = cek_c::run(&mc, u64::MAX);
+        let rb = cek::run(&m, u64::MAX);
+        let rc = cek::run(&mc, u64::MAX);
         let rs = cek_s::run(&ms, u64::MAX);
         let observed = rb.outcome.to_observation();
         assert_eq!(observed, rc.outcome.to_observation(), "λB/λC at n = {n}");

@@ -19,6 +19,10 @@
 //!   over the cast form (λB's [`term::Cast`], λC's and λS's
 //!   coercions), with its capture-avoiding substitution and the cast
 //!   map the translations between the calculi are ([`term`]);
+//! * the small-step reduction the three calculi share — the congruence
+//!   walk, β, the proxy rule and a fueled, resumable loop — over a
+//!   [`reduce::Reduce`] trait that each calculus implements with its
+//!   own cast rules ([`reduce`]);
 //! * a hash-consing [`TypeArena`] interning types behind `Copy`
 //!   [`TypeId`] handles, with O(1) equality and memoized
 //!   compatibility/subtyping queries ([`intern`]);
@@ -49,6 +53,7 @@ pub mod intern;
 pub mod label;
 pub mod op;
 pub mod pointed;
+pub mod reduce;
 pub mod slab;
 pub mod subtype;
 pub mod term;

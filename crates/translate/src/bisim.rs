@@ -15,11 +15,15 @@
 //!   all three calculi, used for Kleene-style outcome comparisons
 //!   (Definition 6).
 
+use std::fmt;
+
 use bc_core as ls;
 use bc_core::arena::MergeCtx;
 use bc_core::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 use bc_lambda_b as lb;
 use bc_lambda_c as lc;
+use bc_syntax::reduce::{self, Outcome, Reduce, Run, RunError, Step, Wrapper};
+use bc_syntax::term::Term;
 use bc_syntax::{Constant, Ground, Label, Type};
 
 use crate::b_to_c::term_b_to_c;
@@ -55,133 +59,55 @@ impl std::fmt::Display for Observation {
     }
 }
 
-/// Observes a λB outcome.
-pub fn observe_b(outcome: &lb::eval::Outcome) -> Observation {
+/// Observes an outcome of the calculus `R`.
+pub fn observe<R: Reduce>(outcome: &Outcome<R::Cast>) -> Observation {
     match outcome {
-        lb::eval::Outcome::Value(v) => observe_b_value(v),
-        lb::eval::Outcome::Blame(p) => Observation::Blame(*p),
+        Outcome::Value(v) => observe_value::<R>(v),
+        Outcome::Blame(p) => Observation::Blame(*p),
     }
 }
 
-/// Runs a λB term and observes the result, mapping fuel exhaustion to
-/// [`Observation::Timeout`] — the observation-level view of
-/// [`lb::eval::run`]'s typed result for Kleene-style comparisons
-/// (where a truncated run is a legitimate, comparable observation).
+/// Observes a run of the calculus `R`, mapping fuel exhaustion to
+/// [`Observation::Timeout`] — the observation-level view of a run's
+/// typed result for Kleene-style comparisons (where a truncated run is
+/// a legitimate, comparable observation).
 ///
 /// # Panics
 ///
-/// Panics if the term is not closed and well typed.
-pub fn observe_run_b(term: &lb::Term, fuel: u64) -> Observation {
-    match lb::eval::run(term, fuel) {
-        Ok(r) => observe_b(&r.outcome),
-        Err(lb::eval::RunError::FuelExhausted { .. }) => Observation::Timeout,
-        Err(lb::eval::RunError::IllTyped(e)) => panic!("λB term is ill typed: {e}"),
+/// Panics if the run reports an ill-typed term.
+pub fn observe_run<R: Reduce>(run: &Result<Run<R::Cast>, RunError<R::TypeError>>) -> Observation
+where
+    R::TypeError: fmt::Display,
+{
+    match run {
+        Ok(r) => observe::<R>(&r.outcome),
+        Err(RunError::FuelExhausted { .. }) => Observation::Timeout,
+        Err(RunError::IllTyped(e)) => panic!("the term is ill typed: {e}"),
     }
 }
 
-fn observe_b_value(v: &lb::Term) -> Observation {
+/// Observes a value of the calculus `R`: a value under a cast is a
+/// function proxy or an injection ([`Reduce::wrapper`]).
+fn observe_value<R: Reduce>(v: &Term<R::Cast>) -> Observation {
     match v {
-        lb::Term::Const(k) => Observation::Constant(*k),
-        lb::Term::Lam(_, _, _) | lb::Term::Fix(_, _, _, _, _) => Observation::Function,
-        lb::Term::Coerce(inner, c) => match (&c.source, &c.target) {
-            (Type::Fun(_, _), Type::Fun(_, _)) => Observation::Function,
-            (src, Type::Dyn) => {
-                let g = src.as_ground().expect("injection value from ground type");
-                Observation::Injected(g, Box::new(observe_b_value(inner)))
-            }
-            _ => unreachable!("not a λB value: {v}"),
+        Term::Const(k) => Observation::Constant(*k),
+        Term::Lam(_, _, _) | Term::Fix(_, _, _, _, _) => Observation::Function,
+        Term::Coerce(inner, c) => match R::wrapper(c) {
+            Wrapper::Proxy => Observation::Function,
+            Wrapper::Injection(g) => Observation::Injected(g, Box::new(observe_value::<R>(inner))),
         },
-        other => unreachable!("not a λB value: {other}"),
-    }
-}
-
-/// Observes a λC outcome.
-pub fn observe_c(outcome: &lc::eval::Outcome) -> Observation {
-    match outcome {
-        lc::eval::Outcome::Value(v) => observe_c_value(v),
-        lc::eval::Outcome::Blame(p) => Observation::Blame(*p),
-    }
-}
-
-/// Runs a λC term and observes the result, mapping fuel exhaustion to
-/// [`Observation::Timeout`] (see [`observe_run_b`]).
-///
-/// # Panics
-///
-/// Panics if the term is not closed and well typed.
-pub fn observe_run_c(term: &lc::Term, fuel: u64) -> Observation {
-    match lc::eval::run(term, fuel) {
-        Ok(r) => observe_c(&r.outcome),
-        Err(lc::eval::RunError::FuelExhausted { .. }) => Observation::Timeout,
-        Err(lc::eval::RunError::IllTyped(e)) => panic!("λC term is ill typed: {e}"),
-    }
-}
-
-fn observe_c_value(v: &lc::Term) -> Observation {
-    match v {
-        lc::Term::Const(k) => Observation::Constant(*k),
-        lc::Term::Lam(_, _, _) | lc::Term::Fix(_, _, _, _, _) => Observation::Function,
-        lc::Term::Coerce(inner, lc::Coercion::Fun(_, _)) => {
-            let _ = inner;
-            Observation::Function
-        }
-        lc::Term::Coerce(inner, lc::Coercion::Inj(g)) => {
-            Observation::Injected(*g, Box::new(observe_c_value(inner)))
-        }
-        other => unreachable!("not a λC value: {other}"),
-    }
-}
-
-/// Observes a λS outcome.
-pub fn observe_s(outcome: &ls::eval::Outcome) -> Observation {
-    match outcome {
-        ls::eval::Outcome::Value(v) => observe_s_value(v),
-        ls::eval::Outcome::Blame(p) => Observation::Blame(*p),
-    }
-}
-
-/// Runs a λS term and observes the result, mapping fuel exhaustion to
-/// [`Observation::Timeout`] (see [`observe_run_b`]).
-///
-/// # Panics
-///
-/// Panics if the term is not closed and well typed.
-pub fn observe_run_s(term: &ls::Term, fuel: u64) -> Observation {
-    match ls::eval::run(term, fuel) {
-        Ok(r) => observe_s(&r.outcome),
-        Err(ls::eval::RunError::FuelExhausted { .. }) => Observation::Timeout,
-        Err(ls::eval::RunError::IllTyped(e)) => panic!("λS term is ill typed: {e}"),
-    }
-}
-
-fn observe_s_value(v: &ls::Term) -> Observation {
-    match v {
-        ls::Term::Const(k) => Observation::Constant(*k),
-        ls::Term::Lam(_, _, _) | ls::Term::Fix(_, _, _, _, _) => Observation::Function,
-        ls::Term::Coerce(u, SpaceCoercion::Mid(Intermediate::Inj(g, ground))) => {
-            // U⟨g ; G!⟩: the payload is U seen through g.
-            let payload = match g {
-                GroundCoercion::IdBase(_) => observe_s_value(u),
-                GroundCoercion::Fun(_, _) => Observation::Function,
-            };
-            Observation::Injected(*ground, Box::new(payload))
-        }
-        ls::Term::Coerce(
-            _,
-            SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(_, _))),
-        ) => Observation::Function,
-        other => unreachable!("not a λS value: {other}"),
+        other => unreachable!("not a value: {other}"),
     }
 }
 
 /// Observes a compiled λS outcome ([`ls::eval::run_compiled`]): its
 /// value is already read back into the tree grammar, so this is
-/// [`observe_s`], kept with the arena parameter its callers pass.
+/// [`observe`], kept with the arena parameter its callers pass.
 pub fn observe_s_compiled(
     outcome: &ls::eval::Outcome,
     _arena: &ls::arena::CoercionArena,
 ) -> Observation {
-    observe_s(outcome)
+    observe::<ls::LambdaS>(outcome)
 }
 
 /// Report of a successful lockstep co-execution.
@@ -232,8 +158,8 @@ pub fn lockstep_bc(term: &lb::Term, fuel: u64) -> Result<LockstepReport, String>
                 }
             }
             (lb::eval::Step::Value, lc::eval::Step::Value) => {
-                let ob = observe_b_value(&mb);
-                let oc = observe_c_value(&mc);
+                let ob = observe_value::<lb::LambdaB>(&mb);
+                let oc = observe_value::<lc::LambdaC>(&mc);
                 if ob != oc {
                     return Err(format!("final values differ: {ob:?} vs {oc:?}"));
                 }
@@ -370,52 +296,20 @@ pub fn aligned_cs(term: &lc::Term, fuel: u64) -> Result<AlignmentReport, String>
     // states share almost all coercions, so the compose cache answers
     // nearly every merge after the first state.
     let mut ctx = MergeCtx::new();
-    let mut trace_c: Vec<ls::Term> = Vec::new();
-    let push_c = |t: ls::Term, out: &mut Vec<ls::Term>| {
+    let push = |t: ls::Term, out: &mut Vec<ls::Term>| {
         if out.last() != Some(&t) {
             out.push(t);
         }
     };
-    let mut mc = term.clone();
-    let mut steps_c = 0u64;
-    let translate = |ctx: &mut MergeCtx, mc: &lc::Term| {
+    let mut trace_c = Vec::new();
+    let (outcome_c, steps_c) = trace::<lc::LambdaC>(term, &ty_c, fuel, |mc| {
         let ms = term_c_to_s_in(&mut ctx.arena, &mut ctx.cache, mc);
-        normalize_s_in(ctx, &ms)
-    };
-    push_c(translate(&mut ctx, &mc), &mut trace_c);
-    let outcome_c = loop {
-        match lc::eval::step(&mc, &ty_c) {
-            lc::eval::Step::Next(n) => {
-                mc = n;
-                steps_c += 1;
-                push_c(translate(&mut ctx, &mc), &mut trace_c);
-                if steps_c >= fuel {
-                    break Observation::Timeout;
-                }
-            }
-            lc::eval::Step::Value => break observe_c_value(&mc),
-            lc::eval::Step::Blame(p) => break Observation::Blame(p),
-        }
-    };
-
-    let mut trace_s: Vec<ls::Term> = Vec::new();
-    let mut ms = ms0;
-    let mut steps_s = 0u64;
-    push_c(normalize_s_in(&mut ctx, &ms), &mut trace_s);
-    let outcome_s = loop {
-        match ls::eval::step_in(&mut ctx, &ms, &ty_s) {
-            ls::eval::Step::Next(n) => {
-                ms = n;
-                steps_s += 1;
-                push_c(normalize_s_in(&mut ctx, &ms), &mut trace_s);
-                if steps_s >= fuel {
-                    break Observation::Timeout;
-                }
-            }
-            ls::eval::Step::Value => break observe_s_value(&ms),
-            ls::eval::Step::Blame(p) => break Observation::Blame(p),
-        }
-    };
+        push(normalize_s_in(&mut ctx, &ms), &mut trace_c);
+    });
+    let mut trace_s = Vec::new();
+    let (outcome_s, steps_s) = trace::<ls::LambdaS>(&ms0, &ty_s, fuel, |ms| {
+        push(normalize_s_in(&mut ctx, ms), &mut trace_s);
+    });
 
     if outcome_c != outcome_s {
         return Err(format!(
@@ -438,6 +332,35 @@ pub fn aligned_cs(term: &lc::Term, fuel: u64) -> Result<AlignmentReport, String>
         steps_s,
         observation: outcome_c,
     })
+}
+
+/// Runs `term` of type `ty` for at most `fuel` steps, showing `visit`
+/// every state, the first included: the run's observation and the
+/// steps it took.
+fn trace<R: Reduce>(
+    term: &Term<R::Cast>,
+    ty: &Type,
+    fuel: u64,
+    mut visit: impl FnMut(&Term<R::Cast>),
+) -> (Observation, u64) {
+    let mut ctx = R::MergeCtx::default();
+    let mut m = term.clone();
+    let mut steps = 0u64;
+    visit(&m);
+    loop {
+        match reduce::step::<R>(&mut ctx, &m, ty) {
+            Step::Next(n) => {
+                m = n;
+                steps += 1;
+                visit(&m);
+                if steps >= fuel {
+                    return (Observation::Timeout, steps);
+                }
+            }
+            Step::Value => return (observe_value::<R>(&m), steps),
+            Step::Blame(p) => return (Observation::Blame(p), steps),
+        }
+    }
 }
 
 /// Whether `needle` is a (not necessarily contiguous) subsequence of

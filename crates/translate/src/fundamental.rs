@@ -72,8 +72,9 @@ pub fn fundamental_pair(m: &BTerm, a: &Type, p: Label, c: &Type, b: &Type) -> (B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bisim::{observe_b, Observation};
+    use crate::bisim::{observe, Observation};
     use bc_lambda_b::eval::run;
+    use bc_lambda_b::LambdaB;
     use bc_syntax::subtype::sample_types;
 
     #[test]
@@ -130,8 +131,8 @@ mod tests {
         let p = Label::new(1);
         let (single, double) =
             fundamental_pair(&BTerm::int(5), &Type::INT, p, &Type::INT, &Type::DYN);
-        let o1 = observe_b(&run(&single, 100).unwrap().outcome);
-        let o2 = observe_b(&run(&double, 100).unwrap().outcome);
+        let o1 = observe::<LambdaB>(&run(&single, 100).unwrap().outcome);
+        let o2 = observe::<LambdaB>(&run(&double, 100).unwrap().outcome);
         assert_eq!(o1, o2);
     }
 
@@ -153,8 +154,8 @@ mod tests {
         let q = Label::new(2);
         let app1 = single.cast(dd.clone(), q, ii.clone()).app(BTerm::int(1));
         let app2 = double.cast(dd.clone(), q, ii.clone()).app(BTerm::int(1));
-        let o1 = observe_b(&run(&app1, 1000).unwrap().outcome);
-        let o2 = observe_b(&run(&app2, 1000).unwrap().outcome);
+        let o1 = observe::<LambdaB>(&run(&app1, 1000).unwrap().outcome);
+        let o2 = observe::<LambdaB>(&run(&app2, 1000).unwrap().outcome);
         assert_eq!(o1, o2);
         assert_eq!(o1, Observation::Constant(bc_syntax::Constant::Int(2)));
     }

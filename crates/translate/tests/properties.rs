@@ -10,11 +10,12 @@
 use bc_core as ls;
 use bc_lambda_b as lb;
 use bc_lambda_c as lc;
-use bc_syntax::{neg_subtype, pos_subtype, Label};
+use bc_lambda_c::typing::{has_type, TypedCoercion};
+use bc_syntax::reduce::{self, Outcome, Reduce, Run, RunError, Step};
+use bc_syntax::term::Term;
+use bc_syntax::{neg_subtype, pos_subtype, Label, Type};
 use bc_testkit::Gen;
-use bc_translate::bisim::{
-    aligned_cs, lockstep_bc, observe_run_b, observe_run_c, observe_run_s, Observation,
-};
+use bc_translate::bisim::{aligned_cs, lockstep_bc, observe_run, Observation};
 use bc_translate::fundamental::{fundamental_pair, lemma20, premise_holds};
 use bc_translate::{cast_to_coercion, coercion_to_space, term_b_to_c, term_c_to_b, term_c_to_s};
 use proptest::prelude::*;
@@ -24,7 +25,39 @@ const FUEL: u64 = 3_000;
 /// Runs a λB term to an observation (fuel exhaustion observes as
 /// [`Observation::Timeout`]).
 fn obs_b(t: &lb::Term) -> Observation {
-    observe_run_b(t, FUEL)
+    observe_run::<lb::LambdaB>(&lb::eval::run(t, FUEL))
+}
+
+/// E3 along the first 200 steps of `m`: `blame p` (and its one-step
+/// precursor `V⟨⊥⟩`) has every type, so a state that fails the
+/// checking judgment must be about to abort, as `run` shows.
+fn preserves_or_aborts<R: Reduce>(
+    m: &Term<R::Cast>,
+    ty: &Type,
+    run: impl Fn(&Term<R::Cast>) -> Result<Run<R::Cast>, RunError<R::TypeError>>,
+) -> Result<(), TestCaseError>
+where
+    R::Cast: TypedCoercion,
+{
+    let mut ctx = R::MergeCtx::default();
+    let mut cur = m.clone();
+    for _ in 0..200 {
+        let Step::Next(n) = reduce::step::<R>(&mut ctx, &cur, ty) else {
+            break;
+        };
+        if !has_type(&n, ty) {
+            let aborts = matches!(
+                run(&n),
+                Ok(Run {
+                    outcome: Outcome::Blame(_),
+                    ..
+                }) | Err(RunError::IllTyped(_))
+            );
+            prop_assert!(aborts, "preservation broken at {}", n);
+        }
+        cur = n;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -64,46 +97,10 @@ proptest! {
         let ty = gen.ty(1);
         let mc = term_b_to_c(&gen.term_b(&ty, 4));
         prop_assert_eq!(lc::type_of(&mc), Ok(ty.clone()));
-        let mut cur = mc.clone();
-        for _ in 0..200 {
-            match lc::eval::step(&cur, &ty) {
-                lc::eval::Step::Next(n) => {
-                    // `blame p` (and its one-step precursor `V⟨⊥⟩`)
-                    // has every type, so a state that fails the
-                    // checking judgment must be about to abort.
-                    if !lc::typing::has_type(&n, &ty) {
-                        let aborts = matches!(
-                            lc::eval::run(&n, 1_000).map(|r| r.outcome),
-                            Ok(lc::eval::Outcome::Blame(_))
-                                | Err(lc::eval::RunError::IllTyped(_))
-                        );
-                        prop_assert!(aborts, "λC preservation broken at {}", n);
-                    }
-                    cur = n;
-                }
-                _ => break,
-            }
-        }
+        preserves_or_aborts::<lc::LambdaC>(&mc, &ty, |n| lc::eval::run(n, 1_000))?;
         let ms = term_c_to_s(&mc);
         prop_assert_eq!(ls::type_of(&ms), Ok(ty.clone()));
-        let mut cur = ms;
-        let mut ctx = ls::MergeCtx::new();
-        for _ in 0..200 {
-            match ls::eval::step_in(&mut ctx, &cur, &ty) {
-                ls::eval::Step::Next(n) => {
-                    if !ls::typing::has_type(&n, &ty) {
-                        let aborts = matches!(
-                            ls::eval::run(&n, 1_000).map(|r| r.outcome),
-                            Ok(ls::eval::Outcome::Blame(_))
-                                | Err(ls::eval::RunError::IllTyped(_))
-                        );
-                        prop_assert!(aborts, "λS preservation broken at {}", n);
-                    }
-                    cur = n;
-                }
-                _ => break,
-            }
-        }
+        preserves_or_aborts::<ls::LambdaS>(&ms, &ty, |n| ls::eval::run(n, 1_000))?;
     }
 
     /// E5: blame safety (Proposition 5) in all three calculi — if a
@@ -216,8 +213,8 @@ proptest! {
         let mc = term_b_to_c(&gen.term_b(&ty, 3));
         let mb = term_c_to_b(&mc).expect("well typed");
         prop_assert_eq!(lb::type_of(&mb), Ok(ty.clone()));
-        let oc = observe_run_c(&mc, FUEL);
-        let ob = observe_run_b(&mb, FUEL);
+        let oc = observe_run::<lc::LambdaC>(&lc::eval::run(&mc, FUEL));
+        let ob = observe_run::<lb::LambdaB>(&lb::eval::run(&mb, FUEL));
         if oc != Observation::Timeout && ob != Observation::Timeout {
             // The cast expansion may blame a *bullet-labelled* cast
             // only where the coercion blamed its own label; labels of
@@ -239,8 +236,8 @@ proptest! {
         let plugged = Gen::plug(&cx, &m);
         let ob = obs_b(&plugged);
         let mc = term_b_to_c(&plugged);
-        let oc = observe_run_c(&mc, FUEL);
-        let os = observe_run_s(&term_c_to_s(&mc), FUEL);
+        let oc = observe_run::<lc::LambdaC>(&lc::eval::run(&mc, FUEL));
+        let os = observe_run::<ls::LambdaS>(&ls::eval::run(&term_c_to_s(&mc), FUEL));
         if ob != Observation::Timeout && oc != Observation::Timeout && os != Observation::Timeout {
             prop_assert_eq!(&ob, &oc);
             prop_assert_eq!(&ob, &os);
@@ -266,8 +263,8 @@ proptest! {
         let plug = |inner: &lc::Term| {
             bc_syntax::term::subst(&cx, &bc_syntax::Name::from(bc_testkit::HOLE), inner)
         };
-        let o1 = observe_run_c(&plug(&lhs), FUEL);
-        let o2 = observe_run_c(&plug(&rhs), FUEL);
+        let o1 = observe_run::<lc::LambdaC>(&lc::eval::run(&plug(&lhs), FUEL));
+        let o2 = observe_run::<lc::LambdaC>(&lc::eval::run(&plug(&rhs), FUEL));
         if o1 != Observation::Timeout && o2 != Observation::Timeout {
             prop_assert_eq!(o1, o2);
         }
@@ -316,8 +313,8 @@ proptest! {
         let m = gen.term_b(&ty, 4);
         let ob = obs_b(&m);
         let mc = term_b_to_c(&m);
-        let oc = observe_run_c(&mc, FUEL);
-        let os = observe_run_s(&term_c_to_s(&mc), FUEL);
+        let oc = observe_run::<lc::LambdaC>(&lc::eval::run(&mc, FUEL));
+        let os = observe_run::<ls::LambdaS>(&ls::eval::run(&term_c_to_s(&mc), FUEL));
         if let (Observation::Blame(p), Observation::Blame(q), Observation::Blame(r)) =
             (&ob, &oc, &os)
         {

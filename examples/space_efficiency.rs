@@ -13,7 +13,7 @@
 
 use bc_core::CompileCtx;
 use bc_lambda_b::{bterm, programs};
-use bc_machine::{cek_b, cek_c, cek_s};
+use bc_machine::{cek, cek_s};
 use bc_translate::{term_b_to_c, term_b_to_s_compiled};
 
 fn main() {
@@ -42,8 +42,8 @@ fn main() {
         let compiled = term_b_to_s_compiled(&bcompiled, &mut ctx.types, &mut ctx.arena);
         let fuel = 100_000_000;
 
-        let rb = cek_b::run(&b, fuel);
-        let rc = cek_c::run(&c, fuel);
+        let rb = cek::run(&b, fuel);
+        let rc = cek::run(&c, fuel);
         let rs = cek_s::run_compiled_in(&compiled, &mut ctx.arena, &mut ctx.cache, fuel);
 
         assert_eq!(

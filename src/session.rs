@@ -46,12 +46,16 @@ use std::time::{Duration, Instant};
 
 use bc_core::arena::{CoercionArena, ComposeCache, FrozenCoercions};
 use bc_core::sterm::SCode;
+use bc_core::LambdaS;
 use bc_gtlc::Diagnostic;
-use bc_lambda_b::BTerm;
+use bc_lambda_b::{BTerm, Cast, LambdaB};
+use bc_lambda_c::{Coercion, LambdaC};
+use bc_machine::cek;
 use bc_machine::metrics::Metrics;
 use bc_syntax::intern::FrozenTypes;
+use bc_syntax::reduce::{self, Reduce, Slice};
 use bc_syntax::{Label, Type, TypeArena, TypeId};
-use bc_translate::bisim::{observe_b, observe_c, observe_s, Observation};
+use bc_translate::bisim::{observe, Observation};
 use bc_translate::{term_b_to_c, term_b_to_s_compiled};
 
 /// Which semantics executes the program.
@@ -159,21 +163,29 @@ fn ill_typed(detail: impl fmt::Display) -> RunError {
     RunError::IllTyped(Diagnostic::unlocated(detail.to_string()))
 }
 
-/// Maps a small-step engine's typed error into the session-level
-/// [`RunError`]. One definition for all three calculi (their `RunError`
-/// enums are distinct types with the same session-relevant shape);
-/// small-step runs carry no machine metrics, mirroring
+/// Maps a finished small-step run of any calculus to the session-level
+/// result. Small-step runs carry no machine metrics, mirroring
 /// [`RunReport::metrics`].
-macro_rules! small_step_run_error {
-    ($calculus:ident) => {
-        |e| match e {
-            $calculus::eval::RunError::FuelExhausted { steps, .. } => RunError::FuelExhausted {
-                steps,
-                metrics: None,
-            },
-            $calculus::eval::RunError::IllTyped(e) => ill_typed(e),
-        }
-    };
+fn small_step_report<R: Reduce>(
+    r: Result<reduce::Run<R::Cast>, reduce::RunError<R::TypeError>>,
+    elapsed: Duration,
+) -> Result<RunReport, RunError>
+where
+    R::TypeError: fmt::Display,
+{
+    match r {
+        Ok(r) => Ok(RunReport {
+            observation: observe::<R>(&r.outcome),
+            steps: r.steps,
+            metrics: None,
+            elapsed,
+        }),
+        Err(reduce::RunError::FuelExhausted { steps, .. }) => Err(RunError::FuelExhausted {
+            steps,
+            metrics: None,
+        }),
+        Err(reduce::RunError::IllTyped(e)) => Err(ill_typed(e)),
+    }
 }
 
 /// A frozen, immutable snapshot of a warm [`Session`]'s shared state —
@@ -814,40 +826,8 @@ impl Session {
     ) -> Result<RunReport, RunError> {
         // One engine dispatch: an unsliced run is a sliced run whose
         // single slice covers the whole fuel (which can never park).
-        match self.resume_slice(self.start_run(program, engine, fuel), fuel) {
-            SliceOutcome::Done(report) => report,
-            SliceOutcome::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
-        }
-    }
-
-    /// Runs one of the tree small-step oracles ([`Engine::LambdaB`],
-    /// [`Engine::LambdaC`]) to completion on the program's tree view.
-    fn run_tree_oracle(
-        &self,
-        program: &Program,
-        engine: Engine,
-        fuel: u64,
-    ) -> Result<RunReport, RunError> {
-        let started = Instant::now();
-        let (observation, steps) = match engine {
-            Engine::LambdaB => {
-                let r = bc_lambda_b::eval::run(&self.lambda_b(program), fuel)
-                    .map_err(small_step_run_error!(bc_lambda_b))?;
-                (observe_b(&r.outcome), r.steps)
-            }
-            Engine::LambdaC => {
-                let r = bc_lambda_c::eval::run(&self.lambda_c(program), fuel)
-                    .map_err(small_step_run_error!(bc_lambda_c))?;
-                (observe_c(&r.outcome), r.steps)
-            }
-            other => unreachable!("{other} is not a tree small-step oracle"),
-        };
-        Ok(RunReport {
-            observation,
-            steps,
-            metrics: None,
-            elapsed: started.elapsed(),
-        })
+        self.resume_slice(self.start_run(program, engine, fuel), fuel)
+            .finished()
     }
 
     /// Begins a preemptible run: like [`Session::run_with_fuel`], but
@@ -861,13 +841,9 @@ impl Session {
     /// space peaks, fuel-exhaustion accounting — is identical to the
     /// unsliced run, because every engine checks fuel before each step
     /// in both modes and the slice bound only chooses where control
-    /// returns. The four compiled/machine engines
-    /// ([`Engine::MachineB`], [`Engine::MachineC`], [`Engine::MachineS`],
-    /// [`Engine::LambdaS`]) park for real; the two tree small-step
-    /// oracles ([`Engine::LambdaB`], [`Engine::LambdaC`]) have no
-    /// resumable state worth building and run to completion inside
-    /// their first slice (documented, deliberate — they exist as
-    /// property-test oracles, not serving engines).
+    /// returns. Every engine parks for real, the tree small-steps
+    /// ([`Engine::LambdaB`], [`Engine::LambdaC`]) included: a parked
+    /// tree run is the current term.
     ///
     /// Starting cannot fail: no engine type checks here, since
     /// [`Session::load_lambda_b`] rejects a term that lies about its
@@ -881,12 +857,8 @@ impl Session {
         self.check_owner(program);
         let started = Instant::now();
         let inner = match engine {
-            Engine::MachineB => {
-                PausedInner::MachineB(bc_machine::cek_b::start(&self.lambda_b(program), fuel))
-            }
-            Engine::MachineC => {
-                PausedInner::MachineC(bc_machine::cek_c::start(&self.lambda_c(program), fuel))
-            }
+            Engine::MachineB => PausedInner::MachineB(cek::start(&self.lambda_b(program), fuel)),
+            Engine::MachineC => PausedInner::MachineC(cek::start(&self.lambda_c(program), fuel)),
             Engine::MachineS => PausedInner::MachineS(bc_machine::cek_s::start_compiled_in(
                 &program.lambda_s_compiled,
                 &self.arena.borrow(),
@@ -898,23 +870,24 @@ impl Session {
                 fuel,
                 &self.arena.borrow(),
             )),
-            // The tree oracles rewrite whole terms with no separable
-            // machine state: they run unsliced inside the first
-            // resume_slice call.
-            Engine::LambdaB | Engine::LambdaC => PausedInner::Unsliced {
-                program: Box::new(program.clone()),
-                engine,
+            Engine::LambdaB => PausedInner::LambdaB(Box::new(reduce::start(
+                &self.lambda_b(program),
+                program.ty.clone(),
                 fuel,
-            },
+            ))),
+            Engine::LambdaC => PausedInner::LambdaC(Box::new(reduce::start(
+                &self.lambda_c(program),
+                program.ty.clone(),
+                fuel,
+            ))),
         };
         PausedRun {
             inner,
             session: self.id,
             // A start's own work is part of the run: re-elaborating the
-            // program for the λB/λC machines, and the one walk that
+            // program for the λB/λC engines, and the one walk that
             // counts binder occurrences and measures the program for the
-            // λS small-step. The λS machine and the tree oracles start
-            // with nothing to do.
+            // λS small-step. The λS machine starts with nothing to do.
             active: started.elapsed(),
         }
     }
@@ -938,34 +911,29 @@ impl Session {
         // Both exits tally this slice's wall-clock onto the run's
         // accumulated active time: a park carries it forward, a finish
         // stamps it on the report.
+        let elapsed = || active + slice_started.elapsed();
         let parked = |inner| {
             SliceOutcome::Parked(PausedRun {
                 inner,
                 session,
-                active: active + slice_started.elapsed(),
+                active: elapsed(),
             })
         };
         match paused.inner {
-            PausedInner::MachineB(p) => match bc_machine::cek_b::resume(p, slice) {
-                bc_machine::metrics::SliceResult::Done(r) => {
-                    SliceOutcome::Done(machine_report(r, active + slice_started.elapsed()))
-                }
-                bc_machine::metrics::SliceResult::Parked(p) => parked(PausedInner::MachineB(p)),
+            PausedInner::MachineB(p) => match cek::resume(p, slice) {
+                Slice::Done(r) => SliceOutcome::Done(machine_report(r, elapsed())),
+                Slice::Parked(p) => parked(PausedInner::MachineB(p)),
             },
-            PausedInner::MachineC(p) => match bc_machine::cek_c::resume(p, slice) {
-                bc_machine::metrics::SliceResult::Done(r) => {
-                    SliceOutcome::Done(machine_report(r, active + slice_started.elapsed()))
-                }
-                bc_machine::metrics::SliceResult::Parked(p) => parked(PausedInner::MachineC(p)),
+            PausedInner::MachineC(p) => match cek::resume(p, slice) {
+                Slice::Done(r) => SliceOutcome::Done(machine_report(r, elapsed())),
+                Slice::Parked(p) => parked(PausedInner::MachineC(p)),
             },
             PausedInner::MachineS(p) => {
                 let mut arena = self.arena.borrow_mut();
                 let mut cache = self.cache.borrow_mut();
                 match bc_machine::cek_s::resume_compiled_in(p, &mut arena, &mut cache, slice) {
-                    bc_machine::metrics::SliceResult::Done(r) => {
-                        SliceOutcome::Done(machine_report(r, active + slice_started.elapsed()))
-                    }
-                    bc_machine::metrics::SliceResult::Parked(p) => parked(PausedInner::MachineS(p)),
+                    Slice::Done(r) => SliceOutcome::Done(machine_report(r, elapsed())),
+                    Slice::Parked(p) => parked(PausedInner::MachineS(p)),
                 }
             }
             PausedInner::LambdaS(p) => {
@@ -973,26 +941,20 @@ impl Session {
                 let mut cache = self.cache.borrow_mut();
                 let types = self.types.borrow();
                 match bc_core::eval::resume_compiled(p, slice, &mut arena, &mut cache, &types) {
-                    bc_core::eval::SliceC::Done(r) => {
-                        SliceOutcome::Done(r.map_err(small_step_run_error!(bc_core)).map(|r| {
-                            RunReport {
-                                observation: observe_s(&r.outcome),
-                                steps: r.steps,
-                                metrics: None,
-                                elapsed: active + slice_started.elapsed(),
-                            }
-                        }))
+                    Slice::Done(r) => {
+                        SliceOutcome::Done(small_step_report::<LambdaS>(r, elapsed()))
                     }
-                    bc_core::eval::SliceC::Parked(p) => parked(PausedInner::LambdaS(p)),
+                    Slice::Parked(p) => parked(PausedInner::LambdaS(p)),
                 }
             }
-            PausedInner::Unsliced {
-                program,
-                engine,
-                fuel,
-                // The unsliced oracles run whole inside this slice, so
-                // their own measurement is the active time.
-            } => SliceOutcome::Done(self.run_tree_oracle(&program, engine, fuel)),
+            PausedInner::LambdaB(p) => match reduce::resume(*p, slice) {
+                Slice::Done(r) => SliceOutcome::Done(small_step_report::<LambdaB>(r, elapsed())),
+                Slice::Parked(p) => parked(PausedInner::LambdaB(Box::new(p))),
+            },
+            PausedInner::LambdaC(p) => match reduce::resume(*p, slice) {
+                Slice::Done(r) => SliceOutcome::Done(small_step_report::<LambdaC>(r, elapsed())),
+                Slice::Parked(p) => parked(PausedInner::LambdaC(Box::new(p))),
+            },
         }
     }
 
@@ -1085,34 +1047,27 @@ impl PausedRun {
             PausedInner::MachineC(p) => p.steps(),
             PausedInner::MachineS(p) => p.steps(),
             PausedInner::LambdaS(p) => p.steps(),
-            PausedInner::Unsliced { .. } => 0,
+            PausedInner::LambdaB(p) => p.steps(),
+            PausedInner::LambdaC(p) => p.steps(),
         }
     }
 }
 
 enum PausedInner {
-    MachineB(bc_machine::cek_b::Paused),
-    MachineC(bc_machine::cek_c::Paused),
+    MachineB(cek::Paused<Cast>),
+    MachineC(cek::Paused<Coercion>),
     MachineS(bc_machine::cek_s::Paused),
     LambdaS(bc_core::eval::PausedC),
-    /// Tree small-step oracles: no resumable state, run unsliced on
-    /// the first resume. The `Program` handle is boxed so the cold
-    /// oracle path doesn't inflate every parked machine state.
-    Unsliced {
-        program: Box<Program>,
-        engine: Engine,
-        fuel: u64,
-    },
+    // The tree small-steps' states are boxed so they don't widen every
+    // parked run.
+    LambdaB(Box<reduce::Paused<LambdaB>>),
+    LambdaC(Box<reduce::Paused<LambdaC>>),
 }
 
-/// What one [`Session::resume_slice`] call produced.
-pub enum SliceOutcome {
-    /// The run finished with the exact report an unsliced
-    /// [`Session::run_with_fuel`] would have produced.
-    Done(Result<RunReport, RunError>),
-    /// The slice budget ran out first; resume to continue.
-    Parked(PausedRun),
-}
+/// What one [`Session::resume_slice`] call produced: the exact report
+/// an unsliced [`Session::run_with_fuel`] would have produced, or the
+/// run parked because the slice budget ran out first.
+pub type SliceOutcome = Slice<PausedRun, Result<RunReport, RunError>>;
 
 /// Maps a machine run to the session-level result: fuel exhaustion is
 /// surfaced as [`RunError::FuelExhausted`] carrying the transition

@@ -30,16 +30,15 @@
 //!   decompiles to the tree translation [`bc_translate::term_b_to_s`].
 
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
-use bc_core::eval::{
-    resume_compiled, run, run_compiled, start_compiled, Outcome, RunError, SliceC,
-};
+use bc_core::eval::{resume_compiled, run, run_compiled, start_compiled, Outcome, RunError};
 use bc_core::{CompileCtx, SCode, Term};
 use bc_lambda_b as lb;
 use bc_lambda_b::bterm;
 use bc_lambda_c::CArena;
+use bc_syntax::reduce::Slice;
 use bc_syntax::{Label, Op, Type, TypeArena, TypeId};
 use bc_testkit::Gen;
-use bc_translate::bisim::{observe_s, observe_s_compiled};
+use bc_translate::bisim::{observe, observe_s_compiled};
 use bc_translate::{
     cast_to_coercion_in, cast_to_space, cast_to_space_in, term_b_to_c_compiled, term_b_to_s,
     term_b_to_s_compiled, term_c_to_s_from_compiled, CNormalizer,
@@ -110,7 +109,7 @@ fn assert_agree_on(tree: &Term, compiled: &SCode, ctx: &mut CompileCtx, fuel: u6
     match (oracle, subject) {
         (Ok(t), Ok(c)) => {
             assert_eq!(
-                observe_s(&t.outcome),
+                observe::<bc_core::LambdaS>(&t.outcome),
                 observe_s_compiled(&c.outcome, &ctx.arena),
                 "engines disagree on the outcome of {tree}"
             );
@@ -126,7 +125,7 @@ fn assert_agree_on(tree: &Term, compiled: &SCode, ctx: &mut CompileCtx, fuel: u6
             assert_eq!(t.steps, c.steps, "step counts diverge on {tree}");
             assert_eq!(t.peak_size, c.peak_size, "peak sizes diverge on {tree}");
             assert_eq!(
-                t.peak_coercion_size, c.peak_coercion_size,
+                t.peak_cast_measure, c.peak_cast_measure,
                 "peak coercion sizes diverge on {tree}"
             );
         }
@@ -134,12 +133,12 @@ fn assert_agree_on(tree: &Term, compiled: &SCode, ctx: &mut CompileCtx, fuel: u6
             Err(RunError::FuelExhausted {
                 steps: ts,
                 peak_size: tp,
-                peak_coercion_size: tc,
+                peak_cast_measure: tc,
             }),
             Err(RunError::FuelExhausted {
                 steps: cs,
                 peak_size: cp,
-                peak_coercion_size: cc,
+                peak_cast_measure: cc,
             }),
         ) => {
             assert_eq!(
@@ -177,13 +176,9 @@ fn assert_sliced_on(tree: &Term, fuels: &[u64]) {
         };
         for slice in [1, 7] {
             let (mut ctx, code) = fresh();
-            let mut paused = start_compiled(&code, fuel, &ctx.arena);
-            let sliced = loop {
-                match resume_compiled(paused, slice, &mut ctx.arena, &mut ctx.cache, &ctx.types) {
-                    SliceC::Done(result) => break result,
-                    SliceC::Parked(next) => paused = next,
-                }
-            };
+            let paused = start_compiled(&code, fuel, &ctx.arena);
+            let sliced = Slice::Parked(paused)
+                .finish(|p| resume_compiled(p, slice, &mut ctx.arena, &mut ctx.cache, &ctx.types));
             assert_eq!(unsliced, sliced, "slice {slice}, fuel {fuel} of {tree}");
         }
     }

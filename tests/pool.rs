@@ -9,7 +9,10 @@ use std::time::{Duration, Instant};
 
 use bc_testkit::sources;
 use blame_coercion::pool::WARMUP_RUN_FUEL;
-use blame_coercion::{Deadline, Engine, JobError, PromotionPolicy, RunError, Session, SessionPool};
+use blame_coercion::{
+    Deadline, Engine, JobError, JobHandle, PromotionPolicy, RunError, Session, SessionPool,
+    SliceOutcome,
+};
 
 const FUEL: u64 = 50_000;
 const SPIN: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
@@ -315,57 +318,75 @@ fn shutdown_drains_already_submitted_jobs() {
     }
 }
 
-#[test]
-fn dropping_a_pool_cancels_its_divergent_jobs() {
-    // Unlike shutdown, a drop does not drain: two spinners with
-    // unbounded fuel on one worker (one running, one behind it) are
-    // canceled at their next scheduling boundary, and the drop
-    // returns. It runs on a helper thread so a hang fails the test
-    // instead of hanging the binary.
+/// A one-worker pool holding two spinners with unbounded fuel on
+/// `engine`, one running and one queued behind it.
+fn spinning_pool(engine: Engine) -> (SessionPool, [JobHandle; 2]) {
     let pool = SessionPool::builder().workers(1).build().expect("builds");
     let spinners = [
-        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
-        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
+        pool.submit_with_fuel(SPIN, engine, u64::MAX),
+        pool.submit_with_fuel(SPIN, engine, u64::MAX),
     ];
-    let (dropped, done) = std::sync::mpsc::channel();
-    let dropper = std::thread::spawn(move || {
-        drop(pool);
-        dropped.send(()).expect("the test waits");
-    });
-    done.recv_timeout(Duration::from_secs(1))
-        .expect("dropping the pool returns within 1 s");
-    dropper.join().expect("the drop does not panic");
+    (pool, spinners)
+}
+
+fn assert_canceled(engine: Engine, spinners: [JobHandle; 2]) {
     for handle in spinners {
-        assert!(matches!(handle.try_wait(), Some(Err(JobError::Canceled))));
+        let result = handle.try_wait();
+        assert!(
+            matches!(result, Some(Err(JobError::Canceled))),
+            "{engine}: {result:?}"
+        );
+    }
+}
+
+#[test]
+fn dropping_a_pool_cancels_its_divergent_jobs() {
+    // Unlike shutdown, a drop does not drain: the spinners are
+    // canceled at their next scheduling boundary, and the drop returns
+    // — on every engine, since every engine parks. It runs on a helper
+    // thread so a hang fails the test instead of hanging the binary.
+    for engine in Engine::ALL {
+        // A parked spinner reports the steps its slices took.
+        let session = Session::new();
+        let program = session.compile(SPIN).expect("compiles");
+        match session.resume_slice(session.start_run(&program, engine, u64::MAX), 64) {
+            SliceOutcome::Parked(paused) => assert!(paused.steps() > 0, "{engine}"),
+            SliceOutcome::Done(r) => panic!("{engine}: a spinner finished: {r:?}"),
+        }
+        let (pool, spinners) = spinning_pool(engine);
+        let (dropped, done) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(pool);
+            dropped.send(()).expect("the test waits");
+        });
+        done.recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{engine}: dropping the pool returns within 1 s"));
+        dropper.join().expect("the drop does not panic");
+        assert_canceled(engine, spinners);
     }
 }
 
 #[test]
 fn shutdown_past_its_deadline_cancels_its_divergent_jobs() {
     // A shutdown drains until its deadline, then cancels what it still
-    // holds: two spinners with unbounded fuel on one worker (one
-    // running, one queued behind it) resolve Canceled, and the
+    // holds: both spinners resolve Canceled on every engine, and the
     // returned stats count both. It runs on a helper thread so a hang
     // fails the test instead of hanging the binary.
-    let pool = SessionPool::builder().workers(1).build().expect("builds");
-    let spinners = [
-        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
-        pool.submit_with_fuel(SPIN, Engine::MachineS, u64::MAX),
-    ];
-    let (stopped, done) = std::sync::mpsc::channel();
-    let stopper = std::thread::spawn(move || {
-        let stats = pool.shutdown(Deadline::after(Duration::from_millis(100)));
-        stopped.send(stats).expect("the test waits");
-    });
-    let stats = done
-        .recv_timeout(Duration::from_secs(1))
-        .expect("shutdown returns within 1 s");
-    stopper.join().expect("the shutdown does not panic");
-    for handle in spinners {
-        assert!(matches!(handle.try_wait(), Some(Err(JobError::Canceled))));
+    for engine in Engine::ALL {
+        let (pool, spinners) = spinning_pool(engine);
+        let (stopped, done) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let stats = pool.shutdown(Deadline::after(Duration::from_millis(100)));
+            stopped.send(stats).expect("the test waits");
+        });
+        let stats = done
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{engine}: shutdown returns within 1 s"));
+        stopper.join().expect("the shutdown does not panic");
+        assert_canceled(engine, spinners);
+        assert_eq!(stats.jobs(), 2, "{engine}");
+        assert_eq!(stats.cancellations(), 2, "{engine}");
     }
-    assert_eq!(stats.jobs(), 2);
-    assert_eq!(stats.cancellations(), 2);
 }
 
 #[test]

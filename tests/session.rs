@@ -7,7 +7,7 @@
 
 use bc_testkit::Gen;
 use blame_coercion::translate::bisim::Observation;
-use blame_coercion::{Engine, Program, RunError, Session};
+use blame_coercion::{Engine, JobError, Program, RunError, Session, SessionPool};
 
 const FUEL: u64 = 50_000;
 
@@ -244,4 +244,69 @@ fn capped_session_still_answers_correctly_under_pressure() {
         );
     }
     assert!(tight.stats().compose_pairs <= 4);
+}
+
+/// The parser's depth bound (`MAX_DEPTH` in `bc_gtlc::parser`).
+const MAX_DEPTH: usize = 128;
+
+/// Programs exactly `depth` levels deep, as the parser counts them,
+/// with the value each one computes: nested parentheses, an operator
+/// chain, a nested arrow type in an ascription, and nested `let`s.
+fn deep_programs(depth: usize) -> [(String, String); 4] {
+    [
+        (
+            format!("{}1{}", "(".repeat(depth - 1), ")".repeat(depth - 1)),
+            "1".to_string(),
+        ),
+        (format!("1{}", " + 1".repeat(depth - 1)), depth.to_string()),
+        (
+            format!("(fun x => x : {}?)", "? -> ".repeat(depth - 2)),
+            "<function>".to_string(),
+        ),
+        (
+            format!("{}x", "let x = 1 in ".repeat(depth - 1)),
+            "1".to_string(),
+        ),
+    ]
+}
+
+#[test]
+fn deep_input_is_bounded_by_a_typed_error() {
+    // At the parser's depth bound every shape compiles and runs on all
+    // six engines, directly and through a default pool (whose workers
+    // have a spawned thread's default stack). One level deeper is a
+    // compile diagnostic at the offending token, never a stack
+    // overflow.
+    let session = Session::new();
+    let pool = SessionPool::builder().build().expect("builds");
+    for (source, value) in deep_programs(MAX_DEPTH) {
+        let program = session.compile(&source).expect("compiles at the bound");
+        for engine in Engine::ALL {
+            let report = session.run(&program, engine).expect("runs at the bound");
+            assert_eq!(report.observation.to_string(), value, "{engine}");
+            let out = pool.submit(source.as_str(), engine).wait();
+            let out = out.unwrap_or_else(|e| panic!("{engine}: {e}"));
+            assert_eq!(out.observation.to_string(), value, "{engine} in the pool");
+        }
+    }
+    for (source, _) in deep_programs(MAX_DEPTH + 1) {
+        let d = session.compile(&source).expect_err("too deep");
+        assert!(d.message.contains("deeper than 128"), "{}", d.message);
+        match pool.submit(source.as_str(), Engine::MachineS).wait() {
+            Err(JobError::Compile(p)) => assert_eq!(p, d),
+            other => panic!("expected a compile error, got {other:?}"),
+        }
+    }
+    // The chain is refused at its 128th operator.
+    let chain = &deep_programs(MAX_DEPTH + 1)[1].0;
+    let d = session.compile(chain).expect_err("too deep");
+    assert_eq!(&chain[d.span.start..d.span.end], "+");
+    assert_eq!(d.span.start, 2 + 4 * (MAX_DEPTH - 1));
+    // Far past the bound, as deep as the inputs that used to overflow.
+    for source in [
+        format!("{}1{}", "(".repeat(5_000), ")".repeat(5_000)),
+        format!("1{}", " + 1".repeat(20_000)),
+    ] {
+        assert!(session.compile(&source).is_err());
+    }
 }
