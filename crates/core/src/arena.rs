@@ -781,21 +781,6 @@ impl CoercionArena {
         }
     }
 
-    /// Composes two tree coercions through the arena: intern, cached
-    /// compose, resolve. Used by callers that keep trees at rest but
-    /// want memoized merging (e.g. the λS small-step `run` loop).
-    pub fn compose_trees(
-        &mut self,
-        cache: &mut ComposeCache,
-        s: &SpaceCoercion,
-        t: &SpaceCoercion,
-    ) -> SpaceCoercion {
-        let a = self.intern(s);
-        let b = self.intern(t);
-        let r = self.compose(cache, a, b);
-        self.resolve(r)
-    }
-
     /// Renders an interned coercion in the paper grammar.
     pub fn display(&self, id: CoercionId) -> String {
         self.resolve(id).to_string()
@@ -818,10 +803,13 @@ impl MergeCtx {
         MergeCtx::default()
     }
 
-    /// Memoized `s # t` on trees (see
-    /// [`CoercionArena::compose_trees`]).
+    /// Memoized `s # t` on trees: intern both, compose through the
+    /// cache, resolve the result.
     pub fn merge(&mut self, s: &SpaceCoercion, t: &SpaceCoercion) -> SpaceCoercion {
-        self.arena.compose_trees(&mut self.cache, s, t)
+        let a = self.arena.intern(s);
+        let b = self.arena.intern(t);
+        let r = self.arena.compose(&mut self.cache, a, b);
+        self.arena.resolve(r)
     }
 }
 

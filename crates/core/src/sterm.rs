@@ -624,59 +624,108 @@ impl CompileCtx {
     ///
     /// Each distinct coercion is hash-walked once *at compile time*, so
     /// the block evaluates with no interning at all. A binder's types
-    /// are interned before its body, a coercion after its subterm.
+    /// are interned before its body, a coercion before its subterm.
     pub fn compile(&mut self, term: &Term) -> SCode {
-        let mut b = CodeBuilder::new();
-        let root = self.lower(&mut b, term);
-        b.finish(root)
+        lower(
+            term,
+            self,
+            |cx, ty| cx.types.intern(ty),
+            |cx, s| cx.arena.intern(s),
+        )
     }
+}
 
-    fn lower(&mut self, b: &mut CodeBuilder, t: &Term) -> u32 {
-        match t {
-            Term::Const(k) => b.push(Node::Const(*k)),
-            Term::Var(x) => b.var(x),
+/// Lowers a term of any calculus, tree or compiled, into an [`SCode`]
+/// block: the one walk behind [`CompileCtx::compile`] and the compiled
+/// translations of λB and λC into λS. `ty` gives a type annotation's
+/// id and `cast` a cast's coercion id, both in the context `cx`; a
+/// binder's types are mapped before its body, a cast before its
+/// subterm.
+pub fn lower<K, T, C: ?Sized>(
+    term: &bc_syntax::term::Term<K, T>,
+    cx: &mut C,
+    ty: impl Fn(&mut C, &T) -> TypeId,
+    cast: impl Fn(&mut C, &K) -> CoercionId,
+) -> SCode {
+    let mut lower = Lower {
+        b: CodeBuilder::new(),
+        cx,
+        ty,
+        cast,
+    };
+    let root = lower.go(term);
+    lower.b.finish(root)
+}
+
+/// The state of [`lower`]'s walk.
+struct Lower<'a, C: ?Sized, FT, FK> {
+    b: CodeBuilder,
+    cx: &'a mut C,
+    ty: FT,
+    cast: FK,
+}
+
+impl<C: ?Sized, FT, FK> Lower<'_, C, FT, FK> {
+    fn go<K, T>(&mut self, term: &bc_syntax::term::Term<K, T>) -> u32
+    where
+        FT: Fn(&mut C, &T) -> TypeId,
+        FK: Fn(&mut C, &K) -> CoercionId,
+    {
+        use bc_syntax::term::Term;
+        match term {
+            Term::Const(k) => self.b.push(Node::Const(*k)),
+            Term::Var(x) => self.b.var(x),
             Term::Op(op, args) => {
-                let ids: Vec<u32> = args.iter().map(|a| self.lower(b, a)).collect();
-                b.op(*op, &ids)
+                // Fixed-arity operands need no operand buffer.
+                let mut pair = [0; 2];
+                if args.len() <= pair.len() {
+                    for (slot, a) in pair.iter_mut().zip(args) {
+                        *slot = self.go(a);
+                    }
+                    self.b.op(*op, &pair[..args.len()])
+                } else {
+                    let ids: Vec<u32> = args.iter().map(|a| self.go(a)).collect();
+                    self.b.op(*op, &ids)
+                }
             }
             Term::Lam(x, ty, body) => {
-                let ty = self.types.intern(ty);
-                let name = b.open_fn(None, x);
-                let body = self.lower(b, body);
-                b.close_lam(name, ty, body)
+                let ty = (self.ty)(self.cx, ty);
+                let name = self.b.open_fn(None, x);
+                let body = self.go(body);
+                self.b.close_lam(name, ty, body)
             }
             Term::Fix(f, x, dom, cod, body) => {
-                let (dom, cod) = (self.types.intern(dom), self.types.intern(cod));
-                let fun = b.open_fn(Some(f), x);
-                let body = self.lower(b, body);
-                b.close_fix(fun, dom, cod, body)
+                let (dom, cod) = ((self.ty)(self.cx, dom), (self.ty)(self.cx, cod));
+                let fun = self.b.open_fn(Some(f), x);
+                let body = self.go(body);
+                self.b.close_fix(fun, dom, cod, body)
             }
             Term::App(l, m) => {
-                let l = self.lower(b, l);
-                let m = self.lower(b, m);
-                b.push(Node::App(l, m))
+                let l = self.go(l);
+                let m = self.go(m);
+                self.b.push(Node::App(l, m))
             }
-            Term::Coerce(m, s) => {
-                let m = self.lower(b, m);
-                let s = self.arena.intern(s);
-                b.push(Node::Coerce(m, s))
+            Term::Coerce(m, k) => {
+                let s = (self.cast)(self.cx, k);
+                let m = self.go(m);
+                self.b.push(Node::Coerce(m, s))
             }
             Term::Blame(p, ty) => {
-                let ty = self.types.intern(ty);
-                b.push(Node::Blame(*p, ty))
+                let ty = (self.ty)(self.cx, ty);
+                self.b.push(Node::Blame(*p, ty))
             }
             Term::If(c, t, e) => {
-                let c = self.lower(b, c);
-                let t = self.lower(b, t);
-                let e = self.lower(b, e);
-                b.push(Node::If(c, t, e))
+                let c = self.go(c);
+                let t = self.go(t);
+                let e = self.go(e);
+                self.b.push(Node::If(c, t, e))
             }
             Term::Let(x, m, n) => {
-                let bound = self.lower(b, m);
-                let name = b.bind(x);
-                let body = self.lower(b, n);
-                b.unbind(1);
-                b.push(Node::Let { name, bound, body })
+                let bound = self.go(m);
+                let name = self.b.bind(x);
+                let body = self.go(n);
+                self.b.unbind(1);
+                self.b.push(Node::Let { name, bound, body })
             }
         }
     }

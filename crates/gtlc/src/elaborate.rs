@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use bc_lambda_b::term::Term;
-use bc_lambda_b::BTerm;
+use bc_lambda_b::{BTerm, Cast};
 use bc_syntax::label::LabelSupply;
 use bc_syntax::{BaseType, Constant, Name, TNode, Type, TypeArena, TypeId};
 
@@ -374,7 +374,7 @@ impl ContextC<'_> {
         );
         let label = self.labels.fresh();
         self.blame_spans.insert(label.id(), span);
-        BTerm::Cast(term.into(), from, label, to)
+        BTerm::Coerce(term.into(), Cast::new(from, label, to))
     }
 
     fn lookup(&self, name: &str) -> Option<TypeId> {

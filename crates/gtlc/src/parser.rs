@@ -44,8 +44,9 @@ use crate::token::{Token, TokenKind};
 /// largest arrow type tried, 595 levels. A release build passed about
 /// 1 000 nested parentheses, a 1 000-operand chain and 2 000 nested
 /// `let`s. The bound keeps a quarter of the debug build's smallest
-/// depth as margin.
-const MAX_DEPTH: usize = 128;
+/// depth as margin. `Session::load_lambda_b` bounds a λB term it is
+/// handed by the same constant.
+pub const MAX_DEPTH: usize = 128;
 
 /// How the parser builds type annotations: either as `Rc<Type>` trees
 /// (the classic path) or by interning directly into a [`TypeArena`]

@@ -1,16 +1,22 @@
-//! The term grammar shared by λB, λC and λS (Figures 1, 3 and 5).
+//! The term grammar shared by λB, λC and λS (Figures 1, 3 and 5), in
+//! tree and compiled form.
 //!
 //! The three calculi have one grammar and differ in one form only:
 //! λB's cast `M : A ⇒p B`, λC's coercion application `M⟨c⟩` and λS's
-//! `M⟨s⟩` with a canonical coercion `s`. [`Term<K>`] is that grammar
-//! with the cast form as its parameter `K`, in the style of Najd and
-//! Peyton Jones, "Trees that Grow" (2017): each calculus is an
-//! instance (`bc_lambda_b::Term = Term<Cast>`, `bc_lambda_c::Term =
-//! Term<Coercion>`, `bc_core::Term = Term<SpaceCoercion>`), and what
-//! the three share is written once here: the constructors, values,
-//! the size metrics, display, capture-avoiding [`subst`]itution and
-//! the structural cast map [`Term::map_casts`] that the translations
-//! `|·|BC`, `|·|CS` and `|·|SC` are.
+//! `M⟨s⟩` with a canonical coercion `s`. [`Term<K, T>`] is that grammar
+//! with the cast form as its parameter `K` and the type annotation as
+//! `T`, in the style of Najd and Peyton Jones, "Trees that Grow"
+//! (2017). Each calculus is an instance: the trees annotate with
+//! [`Type`] (`bc_lambda_b::Term = Term<Cast>`, `bc_lambda_c::Term =
+//! Term<Coercion>`, `bc_core::Term = Term<SpaceCoercion>`), and the
+//! compiled forms with interned [`TypeId`](crate::TypeId)s
+//! (`bc_lambda_b::BTerm = Term<Cast<TypeId>, TypeId>`,
+//! `bc_lambda_c::CTerm = Term<CCoercionId, TypeId>`). What they share
+//! is written once here: the constructors, values, the size metrics,
+//! display, capture-avoiding [`subst`]itution and the order-preserving
+//! [`Term::map`] that the translations `|·|BC`, `|·|CS` and `|·|SC`
+//! and the compile and decompile of λB are. The spine is `Rc`, so
+//! cloning a term is a reference-count increment.
 //!
 //! A cast form says, through [`CastForm`], what it adds to a term's
 //! size, which labels it mentions, when a value under it is a value,
@@ -52,23 +58,23 @@ pub trait CastForm: Sized {
 }
 
 /// A λB cast annotation `A ⇒p B`: source type, blame label, target
-/// type.
+/// type, with the types as trees (`T = Type`) or interned ids.
 ///
 /// The types must be compatible (`A ∼ B`) for the cast to be well
 /// formed; this is enforced by the type checker, not the constructor.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cast {
+pub struct Cast<T = Type> {
     /// The source type `A`.
-    pub source: Type,
+    pub source: T,
     /// The blame label `p` decorating the cast.
     pub label: Label,
     /// The target type `B`.
-    pub target: Type,
+    pub target: T,
 }
 
-impl Cast {
+impl<T> Cast<T> {
     /// Creates the cast annotation `source ⇒label target`.
-    pub fn new(source: Type, label: Label, target: Type) -> Cast {
+    pub fn new(source: T, label: Label, target: T) -> Cast<T> {
         Cast {
             source,
             label,
@@ -108,7 +114,8 @@ impl CastForm for Cast {
     }
 }
 
-/// Terms `L, M, N` of a calculus whose cast form is `K`.
+/// Terms `L, M, N` of a calculus whose cast form is `K` and whose type
+/// annotations are `T`.
 ///
 /// The grammar of Figures 1, 3 and 5 — constants, operator
 /// applications, variables, abstractions, applications, casts and
@@ -117,30 +124,30 @@ impl CastForm for Cast {
 /// programs such as its even/odd example need. Subterms are reference
 /// counted so cloning during substitution is cheap.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Term<K> {
+pub enum Term<K, T = Type> {
     /// A constant `k`.
     Const(Constant),
     /// An operator application `op(M₁, …, Mₙ)`.
-    Op(Op, Vec<Term<K>>),
+    Op(Op, Vec<Term<K, T>>),
     /// A variable `x`.
     Var(Name),
     /// An abstraction `λx:A. N`.
-    Lam(Name, Type, Rc<Term<K>>),
+    Lam(Name, T, Rc<Term<K, T>>),
     /// An application `L M`.
-    App(Rc<Term<K>>, Rc<Term<K>>),
+    App(Rc<Term<K, T>>, Rc<Term<K, T>>),
     /// The calculus's cast form: `M : A ⇒p B` in λB, `M⟨c⟩` in λC and
     /// `M⟨s⟩` in λS.
-    Coerce(Rc<Term<K>>, K),
+    Coerce(Rc<Term<K, T>>, K),
     /// Allocated blame `blame p`. Carries its type so that synthesis
     /// stays syntax-directed (the paper gives `blame p` every type).
-    Blame(Label, Type),
+    Blame(Label, T),
     /// A conditional `if L then M else N`.
-    If(Rc<Term<K>>, Rc<Term<K>>, Rc<Term<K>>),
+    If(Rc<Term<K, T>>, Rc<Term<K, T>>, Rc<Term<K, T>>),
     /// A let binding `let x = M in N`.
-    Let(Name, Rc<Term<K>>, Rc<Term<K>>),
+    Let(Name, Rc<Term<K, T>>, Rc<Term<K, T>>),
     /// A recursive function `fix f (x:A):B. N`, a value of type
     /// `A → B`; `f` is bound to the whole `fix` in `N`.
-    Fix(Name, Name, Type, Type, Rc<Term<K>>),
+    Fix(Name, Name, T, T, Rc<Term<K, T>>),
 }
 
 impl<K: CastForm> Term<K> {
@@ -234,12 +241,6 @@ impl<K: CastForm> Term<K> {
         self.fold_casts(0, &mut |n, k| n + k.node_size())
     }
 
-    /// The number of cast nodes in the term — the quantity that grows
-    /// without bound in the space-leak examples of §1.
-    pub fn cast_count(&self) -> usize {
-        self.fold_casts(0, &mut |n, _| n + 1)
-    }
-
     /// Every blame label mentioned by a cast or `blame` node in the
     /// term, in syntactic order (with duplicates).
     pub fn labels(&self) -> Vec<Label> {
@@ -270,7 +271,13 @@ impl<K: CastForm> Term<K> {
     }
 }
 
-impl<K> Term<K> {
+impl<K, T> Term<K, T> {
+    /// The number of cast nodes in the term — the quantity that grows
+    /// without bound in the space-leak examples of §1.
+    pub fn cast_count(&self) -> usize {
+        self.fold_casts(0, &mut |n, _| n + 1)
+    }
+
     /// Whether `M safe q` for a calculus whose cast safety is
     /// `cast_safe`: every cast in the term is safe for `q` and no
     /// `blame q` occurs literally in it (Figures 2 and 3).
@@ -312,40 +319,51 @@ impl<K> Term<K> {
         }
     }
 
-    /// The same term with every cast `k` replaced by `f(k)`: the
-    /// structural translations `|·|BC`, `|·|CS` and `|·|SC`.
+    /// The same term with every type annotation `t` replaced by
+    /// `ty(cx, t)` and every cast `k` by `cast(cx, k)`: the structural
+    /// translations `|·|BC`, `|·|CS` and `|·|SC`, and the compile and
+    /// decompile of a tree against a type arena. Both closures share
+    /// the one context `cx`.
     ///
-    /// `f` sees the casts in syntactic order, each one *before* the
-    /// casts inside its subterm, so a translation that interns as it
-    /// goes interns in a fixed order.
-    pub fn map_casts<L>(&self, f: &mut impl FnMut(&K) -> L) -> Term<L> {
+    /// The walk is in syntactic order: a binder's types *before* its
+    /// body, a cast *before* the casts inside its subterm. A map that
+    /// interns as it goes thus interns in a fixed order.
+    pub fn map<C: ?Sized, L, U>(
+        &self,
+        cx: &mut C,
+        ty: &impl Fn(&mut C, &T) -> U,
+        cast: &impl Fn(&mut C, &K) -> L,
+    ) -> Term<L, U> {
+        let go = |t: &Term<K, T>, cx: &mut C| Rc::new(t.map(cx, ty, cast));
         match self {
             Term::Const(k) => Term::Const(*k),
-            Term::Op(op, args) => Term::Op(*op, args.iter().map(|a| a.map_casts(f)).collect()),
+            Term::Op(op, args) => Term::Op(*op, args.iter().map(|a| a.map(cx, ty, cast)).collect()),
             Term::Var(x) => Term::Var(x.clone()),
-            Term::Lam(x, ty, b) => Term::Lam(x.clone(), ty.clone(), Rc::new(b.map_casts(f))),
-            Term::App(a, b) => Term::App(Rc::new(a.map_casts(f)), Rc::new(b.map_casts(f))),
+            Term::Lam(x, a, b) => {
+                let a = ty(cx, a);
+                Term::Lam(x.clone(), a, go(b, cx))
+            }
+            Term::App(a, b) => Term::App(go(a, cx), go(b, cx)),
             Term::Coerce(m, k) => {
-                let k = f(k);
-                Term::Coerce(Rc::new(m.map_casts(f)), k)
+                let k = cast(cx, k);
+                Term::Coerce(go(m, cx), k)
             }
-            Term::Blame(p, ty) => Term::Blame(*p, ty.clone()),
-            Term::If(c, t, e) => Term::If(
-                Rc::new(c.map_casts(f)),
-                Rc::new(t.map_casts(f)),
-                Rc::new(e.map_casts(f)),
-            ),
-            Term::Let(x, m, n) => {
-                Term::Let(x.clone(), Rc::new(m.map_casts(f)), Rc::new(n.map_casts(f)))
+            Term::Blame(p, a) => Term::Blame(*p, ty(cx, a)),
+            Term::If(c, t, e) => Term::If(go(c, cx), go(t, cx), go(e, cx)),
+            Term::Let(x, m, n) => Term::Let(x.clone(), go(m, cx), go(n, cx)),
+            Term::Fix(g, x, dom, cod, b) => {
+                let (dom, cod) = (ty(cx, dom), ty(cx, cod));
+                Term::Fix(g.clone(), x.clone(), dom, cod, go(b, cx))
             }
-            Term::Fix(g, x, dom, cod, b) => Term::Fix(
-                g.clone(),
-                x.clone(),
-                dom.clone(),
-                cod.clone(),
-                Rc::new(b.map_casts(f)),
-            ),
         }
+    }
+}
+
+impl<K, T: Clone> Term<K, T> {
+    /// The same term with every cast `k` replaced by `f(k)` and the
+    /// types kept: [`Term::map`] with `f` as the context.
+    pub fn map_casts<L>(&self, f: &mut impl FnMut(&K) -> L) -> Term<L, T> {
+        self.map(f, &|_, t: &T| t.clone(), &|f, k| f(k))
     }
 }
 

@@ -128,53 +128,15 @@ pub fn cast_to_coercion_in(
     }
 }
 
-/// Translates a compiled λB term to a compiled λC term: every
-/// [`BTerm::Cast`] becomes a [`CTerm::Coerce`] whose coercion is built
-/// by [`cast_to_coercion_in`] directly in `carena` — the interned
-/// counterpart of [`term_b_to_c`], with no tree term or tree coercion
-/// anywhere. Against warm arenas the whole pass interns nothing.
+/// Translates a compiled λB term to a compiled λC term: every λB
+/// cast becomes a coercion built by [`cast_to_coercion_in`] directly
+/// in `carena` — the interned counterpart of [`term_b_to_c`], with no
+/// tree term or tree coercion anywhere. Against warm arenas the whole
+/// pass interns nothing.
 pub fn term_b_to_c_compiled(term: &BTerm, carena: &mut CArena, types: &mut TypeArena) -> CTerm {
-    match term {
-        BTerm::Const(k) => CTerm::Const(*k),
-        BTerm::Op(op, args) => CTerm::Op(
-            *op,
-            args.iter()
-                .map(|a| term_b_to_c_compiled(a, carena, types))
-                .collect(),
-        ),
-        BTerm::Var(x) => CTerm::Var(x.clone()),
-        BTerm::Lam(x, ty, b) => CTerm::Lam(
-            x.clone(),
-            *ty,
-            term_b_to_c_compiled(b, carena, types).into(),
-        ),
-        BTerm::App(a, b) => CTerm::App(
-            term_b_to_c_compiled(a, carena, types).into(),
-            term_b_to_c_compiled(b, carena, types).into(),
-        ),
-        BTerm::Cast(m, source, p, target) => {
-            let c = cast_to_coercion_in(types, carena, *source, *p, *target);
-            CTerm::Coerce(term_b_to_c_compiled(m, carena, types).into(), c)
-        }
-        BTerm::Blame(p, ty) => CTerm::Blame(*p, *ty),
-        BTerm::If(c, t, e) => CTerm::If(
-            term_b_to_c_compiled(c, carena, types).into(),
-            term_b_to_c_compiled(t, carena, types).into(),
-            term_b_to_c_compiled(e, carena, types).into(),
-        ),
-        BTerm::Let(x, m, n) => CTerm::Let(
-            x.clone(),
-            term_b_to_c_compiled(m, carena, types).into(),
-            term_b_to_c_compiled(n, carena, types).into(),
-        ),
-        BTerm::Fix(f, x, dom, cod, b) => CTerm::Fix(
-            f.clone(),
-            x.clone(),
-            *dom,
-            *cod,
-            term_b_to_c_compiled(b, carena, types).into(),
-        ),
-    }
+    term.map(&mut (carena, types), &|_, ty| *ty, &|(carena, types), c| {
+        cast_to_coercion_in(types, carena, c.source, c.label, c.target)
+    })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use bc_core::arena::{CoercionArena, CoercionId, GNode, INode, SNode};
 use bc_core::coercion::SpaceCoercion;
-use bc_core::sterm::{CodeBuilder, Node, SCode};
+use bc_core::sterm::{lower, SCode};
 use bc_core::term::Term as STerm;
 use bc_lambda_b::term::Term as BTreeTerm;
 use bc_lambda_b::BTerm;
@@ -125,72 +125,12 @@ pub fn term_b_to_s_compiled(
     types: &mut TypeArena,
     arena: &mut CoercionArena,
 ) -> SCode {
-    struct Lower<'a> {
-        b: CodeBuilder,
-        types: &'a mut TypeArena,
-        arena: &'a mut CoercionArena,
-    }
-    impl Lower<'_> {
-        fn go(&mut self, term: &BTerm) -> u32 {
-            match term {
-                BTerm::Const(k) => self.b.push(Node::Const(*k)),
-                BTerm::Op(op, args) => {
-                    let mut pair = [0; 2];
-                    if args.len() <= pair.len() {
-                        for (slot, a) in pair.iter_mut().zip(args.iter()) {
-                            *slot = self.go(a);
-                        }
-                        self.b.op(*op, &pair[..args.len()])
-                    } else {
-                        let ids: Vec<u32> = args.iter().map(|a| self.go(a)).collect();
-                        self.b.op(*op, &ids)
-                    }
-                }
-                BTerm::Var(x) => self.b.var(x),
-                BTerm::Lam(x, ty, body) => {
-                    let name = self.b.open_fn(None, x);
-                    let body = self.go(body);
-                    self.b.close_lam(name, *ty, body)
-                }
-                BTerm::App(l, m) => {
-                    let l = self.go(l);
-                    let m = self.go(m);
-                    self.b.push(Node::App(l, m))
-                }
-                BTerm::Cast(m, source, p, target) => {
-                    let id = cast_to_space_in(self.types, self.arena, *source, *p, *target);
-                    let m = self.go(m);
-                    self.b.push(Node::Coerce(m, id))
-                }
-                BTerm::Blame(p, ty) => self.b.push(Node::Blame(*p, *ty)),
-                BTerm::If(c, t, e) => {
-                    let c = self.go(c);
-                    let t = self.go(t);
-                    let e = self.go(e);
-                    self.b.push(Node::If(c, t, e))
-                }
-                BTerm::Let(x, m, n) => {
-                    let bound = self.go(m);
-                    let name = self.b.bind(x);
-                    let body = self.go(n);
-                    self.b.unbind(1);
-                    self.b.push(Node::Let { name, bound, body })
-                }
-                BTerm::Fix(f, x, dom, cod, body) => {
-                    let fun = self.b.open_fn(Some(f), x);
-                    let body = self.go(body);
-                    self.b.close_fix(fun, *dom, *cod, body)
-                }
-            }
-        }
-    }
-    let mut lower = Lower {
-        b: CodeBuilder::new(),
-        types,
-        arena,
-    };
-    let root = lower.go(term);
-    lower.b.finish(root)
+    lower(
+        term,
+        &mut (types, arena),
+        |_, ty| *ty,
+        |(types, arena), c| cast_to_space_in(types, arena, c.source, c.label, c.target),
+    )
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache};
 use bc_core::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 use bc_core::compose::compose;
-use bc_core::sterm::{CodeBuilder, Node, SCode};
+use bc_core::sterm::{lower, SCode};
 use bc_core::term::Term as STerm;
 use bc_lambda_c::coercion::Coercion;
 use bc_lambda_c::term::Term as CTerm;
@@ -202,80 +202,12 @@ pub fn term_c_to_s_from_compiled(
     cache: &mut ComposeCache,
     types: &TypeArena,
 ) -> SCode {
-    struct Lower<'a> {
-        b: CodeBuilder,
-        carena: &'a CArena,
-        norm: &'a mut CNormalizer,
-        arena: &'a mut CoercionArena,
-        cache: &'a mut ComposeCache,
-        types: &'a TypeArena,
-    }
-    impl Lower<'_> {
-        fn go(&mut self, term: &CTermC) -> u32 {
-            match term {
-                CTermC::Const(k) => self.b.push(Node::Const(*k)),
-                CTermC::Op(op, args) => {
-                    let mut pair = [0; 2];
-                    if args.len() <= pair.len() {
-                        for (slot, a) in pair.iter_mut().zip(args.iter()) {
-                            *slot = self.go(a);
-                        }
-                        self.b.op(*op, &pair[..args.len()])
-                    } else {
-                        let ids: Vec<u32> = args.iter().map(|a| self.go(a)).collect();
-                        self.b.op(*op, &ids)
-                    }
-                }
-                CTermC::Var(x) => self.b.var(x),
-                CTermC::Lam(x, ty, body) => {
-                    let name = self.b.open_fn(None, x);
-                    let body = self.go(body);
-                    self.b.close_lam(name, *ty, body)
-                }
-                CTermC::App(l, m) => {
-                    let l = self.go(l);
-                    let m = self.go(m);
-                    self.b.push(Node::App(l, m))
-                }
-                CTermC::Coerce(m, c) => {
-                    let id =
-                        self.norm
-                            .normalize(*c, self.carena, self.arena, self.cache, self.types);
-                    let m = self.go(m);
-                    self.b.push(Node::Coerce(m, id))
-                }
-                CTermC::Blame(p, ty) => self.b.push(Node::Blame(*p, *ty)),
-                CTermC::If(c, t, e) => {
-                    let c = self.go(c);
-                    let t = self.go(t);
-                    let e = self.go(e);
-                    self.b.push(Node::If(c, t, e))
-                }
-                CTermC::Let(x, m, n) => {
-                    let bound = self.go(m);
-                    let name = self.b.bind(x);
-                    let body = self.go(n);
-                    self.b.unbind(1);
-                    self.b.push(Node::Let { name, bound, body })
-                }
-                CTermC::Fix(f, x, dom, cod, body) => {
-                    let fun = self.b.open_fn(Some(f), x);
-                    let body = self.go(body);
-                    self.b.close_fix(fun, *dom, *cod, body)
-                }
-            }
-        }
-    }
-    let mut lower = Lower {
-        b: CodeBuilder::new(),
-        carena,
-        norm,
-        arena,
-        cache,
-        types,
-    };
-    let root = lower.go(term);
-    lower.b.finish(root)
+    lower(
+        term,
+        &mut (carena, norm, arena, cache, types),
+        |_, ty| *ty,
+        |(carena, norm, arena, cache, types), c| norm.normalize(*c, carena, arena, cache, types),
+    )
 }
 
 #[cfg(test)]

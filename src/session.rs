@@ -13,9 +13,9 @@
 //! program adds (near) zero new nodes and answers its merges from the
 //! warm cache.
 //!
-//! * [`Session::compile`] / [`Session::compile_batch`] — GTLC source →
-//!   λB → λS code block, interned into the shared arenas;
-//!   returns a lightweight [`Program`] handle bound to this session.
+//! * [`Session::compile`] — GTLC source → λB → λS code block,
+//!   interned into the shared arenas; returns a lightweight
+//!   [`Program`] handle bound to this session.
 //! * [`Session::run`] / [`Session::run_with_fuel`] — execute a program
 //!   on any [`Engine`], returning `Result<RunReport, RunError>`:
 //!   fuel exhaustion and ill-typedness are typed errors, never panics
@@ -163,6 +163,61 @@ fn ill_typed(detail: impl fmt::Display) -> RunError {
     RunError::IllTyped(Diagnostic::unlocated(detail.to_string()))
 }
 
+/// Whether a λB term nests deeper than `bound` levels, counted as the
+/// parser counts a source program: each term node is one level below
+/// its parent, and each level of a binder annotation's, a cast
+/// endpoint's or a `blame`'s type is one more below its node. The walk
+/// keeps its own stack, so a term of any depth is measured without
+/// recursion, and it stops at the first node past the bound.
+fn nests_deeper_than(term: &bc_lambda_b::Term, bound: usize) -> bool {
+    use bc_lambda_b::Term;
+    enum Item<'a> {
+        Term(&'a Term),
+        Type(&'a Type),
+    }
+    let mut stack = vec![(Item::Term(term), 1)];
+    while let Some((item, depth)) = stack.pop() {
+        if depth > bound {
+            return true;
+        }
+        let below = depth + 1;
+        let mut term = |t| stack.push((Item::Term(t), below));
+        match item {
+            Item::Type(Type::Fun(a, b)) => {
+                stack.extend([(Item::Type(a), below), (Item::Type(b), below)]);
+            }
+            Item::Type(_) | Item::Term(Term::Const(_) | Term::Var(_)) => {}
+            Item::Term(Term::Op(_, args)) => args.iter().for_each(term),
+            Item::Term(Term::App(a, b) | Term::Let(_, a, b)) => {
+                term(a);
+                term(b);
+            }
+            Item::Term(Term::If(a, b, c)) => {
+                term(a);
+                term(b);
+                term(c);
+            }
+            Item::Term(Term::Lam(_, a, b)) => {
+                term(b);
+                stack.push((Item::Type(a), below));
+            }
+            Item::Term(Term::Fix(_, _, a, r, b)) => {
+                term(b);
+                stack.extend([(Item::Type(a), below), (Item::Type(r), below)]);
+            }
+            Item::Term(Term::Coerce(m, c)) => {
+                term(m);
+                stack.extend([
+                    (Item::Type(&c.source), below),
+                    (Item::Type(&c.target), below),
+                ]);
+            }
+            Item::Term(Term::Blame(_, a)) => stack.push((Item::Type(a), below)),
+        }
+    }
+    false
+}
+
 /// Maps a finished small-step run of any calculus to the session-level
 /// result. Small-step runs carry no machine metrics, mirroring
 /// [`RunReport::metrics`].
@@ -279,14 +334,11 @@ pub struct TierStats {
     pub base_type_nodes: usize,
     /// Type nodes interned locally, past the base.
     pub local_type_nodes: usize,
-    /// Coercion interns answered by the frozen base index.
-    pub coercion_base_hits: u64,
-    /// Type interns answered by the frozen base index.
+    /// Type interns answered by the frozen base index. (Its coercion,
+    /// composition and verdict counterparts are the `base_hits` of
+    /// [`SessionStats::coercions`], [`SessionStats::compose`] and
+    /// [`SessionStats::type_queries`].)
     pub type_base_hits: u64,
-    /// Compositions answered by the frozen pair table.
-    pub compose_base_hits: u64,
-    /// Relational verdicts answered by the frozen verdict table.
-    pub verdict_base_hits: u64,
 }
 
 /// A consolidated snapshot of everything a [`Session`] has
@@ -551,24 +603,12 @@ enum Origin {
         text: Box<str>,
         blame_spans: HashMap<u32, bc_gtlc::Span>,
     },
-    /// Loaded as a compiled λB term (its spine is `Arc`, so cloning it
+    /// Loaded as a compiled λB term (its spine is `Rc`, so cloning it
     /// is a reference-count increment).
     Term(BTerm),
 }
 
 impl Program {
-    /// The size of the compiled IR in syntax nodes (each interned
-    /// handle counting as one).
-    pub fn ir_size(&self) -> usize {
-        self.lambda_s_compiled.size()
-    }
-
-    /// The number of boundary crossings (`Coerce` nodes) in the
-    /// compiled IR.
-    pub fn boundary_crossings(&self) -> usize {
-        self.lambda_s_compiled.coercion_nodes()
-    }
-
     /// The λS code block the λS engines execute. It is `Rc`-shared
     /// and stays in the session that lowered it: pool jobs carry only
     /// source text, and a worker compiles it against its own (warm)
@@ -634,33 +674,28 @@ impl Session {
         Ok(self.lower(&program.term, program.ty, origin))
     }
 
-    /// Compiles a batch of sources into this session, so the whole
-    /// batch shares every interned coercion, memoized composition, and
-    /// subtyping verdict.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Diagnostic`] encountered; earlier programs'
-    /// interned state stays in the session (interning is idempotent,
-    /// so recompiling them later costs no new nodes).
-    pub fn compile_batch<'a, I>(&self, sources: I) -> Result<Vec<Program>, Diagnostic>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        sources.into_iter().map(|s| self.compile(s)).collect()
-    }
-
     /// Wraps an already-built λB term, checking it against the stated
     /// type before lowering it into the session: the tree term is
     /// checked by [`bc_lambda_b::type_of`] and its type compared with
     /// `ty`, and only then compiled to the id-annotated IR
     /// ([`bc_lambda_b::bterm::compile`]) and lowered.
     ///
+    /// The term is first bounded like a parsed program: nested past
+    /// [`bc_gtlc::parser::MAX_DEPTH`] levels, counting its annotations'
+    /// type nesting too, it is refused before any recursive walk could
+    /// overflow the stack.
+    ///
     /// # Errors
     ///
-    /// Returns [`RunError::IllTyped`] if the term is open, ill typed,
-    /// or well typed at a different type than stated.
+    /// Returns [`RunError::IllTyped`] if the term nests too deep, is
+    /// open, ill typed, or well typed at a different type than stated.
     pub fn load_lambda_b(&self, term: bc_lambda_b::Term, ty: Type) -> Result<Program, RunError> {
+        use bc_gtlc::parser::MAX_DEPTH;
+        if nests_deeper_than(&term, MAX_DEPTH) {
+            return Err(ill_typed(format!(
+                "the program nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
         let actual = bc_lambda_b::type_of(&term).map_err(ill_typed)?;
         if actual != ty {
             return Err(ill_typed(format!(
@@ -979,10 +1014,7 @@ impl Session {
                 local_coercion_nodes: arena.local_len(),
                 base_type_nodes: types.base_len(),
                 local_type_nodes: types.local_len(),
-                coercion_base_hits: arena.stats().base_hits,
                 type_base_hits: types.base_node_hits(),
-                compose_base_hits: cache.stats().base_hits,
-                verdict_base_hits: types.query_stats().base_hits,
             },
         }
     }
@@ -1176,9 +1208,10 @@ mod tests {
                 )
             })
             .collect();
-        let programs = session
-            .compile_batch(sources.iter().map(String::as_str))
-            .expect("batch compiles");
+        let programs: Vec<Program> = sources
+            .iter()
+            .map(|s| session.compile(s).expect("compiles"))
+            .collect();
         assert_eq!(programs.len(), 8);
         for p in &programs {
             let report = session.run(p, Engine::MachineS).expect("runs");
@@ -1312,8 +1345,8 @@ mod tests {
     fn display_and_ir_stats_are_available() {
         let session = Session::new();
         let program = session.compile(LOOP_32).expect("compiles");
-        assert!(program.ir_size() > 0);
-        assert!(program.boundary_crossings() > 0);
+        assert!(program.lambda_s_compiled().size() > 0);
+        assert!(program.lambda_s_compiled().coercion_nodes() > 0);
         assert!(!session.display_compiled(&program).is_empty());
     }
 
@@ -1410,7 +1443,8 @@ mod tests {
             .expect("compiles");
         let report = worker.run(&q, Engine::MachineS).expect("runs");
         assert_eq!(report.observation.to_string(), "true");
-        let tier = worker.stats().tier;
+        let stats = worker.stats();
+        let tier = stats.tier;
         assert_eq!(tier.base_coercion_nodes, base.coercion_nodes());
         assert_eq!(
             tier.local_coercion_nodes, 0,
@@ -1420,15 +1454,15 @@ mod tests {
             tier.local_type_nodes, 0,
             "warm-shaped program must intern zero types locally: {tier:?}"
         );
-        assert!(tier.coercion_base_hits > 0);
+        assert!(stats.coercions.base_hits > 0);
         assert!(tier.type_base_hits > 0);
-        assert!(tier.compose_base_hits > 0, "{tier:?}");
+        assert!(stats.compose.base_hits > 0, "{stats:?}");
         // This workload answers its relational questions entirely
         // from the O(1) fast paths (reflexivity and the ?-absorbing
         // rules), so there may be nothing to freeze; when there is,
         // the worker must hit it.
         if base.verdicts() > 0 {
-            assert!(tier.verdict_base_hits > 0, "{tier:?}");
+            assert!(stats.type_queries.base_hits > 0, "{stats:?}");
         }
     }
 

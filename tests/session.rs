@@ -6,6 +6,9 @@
 //! `RunError` on all six engines).
 
 use bc_testkit::Gen;
+use blame_coercion::gtlc::parser::MAX_DEPTH;
+use blame_coercion::lambda_b::Term;
+use blame_coercion::syntax::{Label, Op, Type};
 use blame_coercion::translate::bisim::Observation;
 use blame_coercion::{Engine, JobError, Program, RunError, Session, SessionPool};
 
@@ -246,9 +249,6 @@ fn capped_session_still_answers_correctly_under_pressure() {
     assert!(tight.stats().compose_pairs <= 4);
 }
 
-/// The parser's depth bound (`MAX_DEPTH` in `bc_gtlc::parser`).
-const MAX_DEPTH: usize = 128;
-
 /// Programs exactly `depth` levels deep, as the parser counts them,
 /// with the value each one computes: nested parentheses, an operator
 /// chain, a nested arrow type in an ascription, and nested `let`s.
@@ -309,4 +309,52 @@ fn deep_input_is_bounded_by_a_typed_error() {
     ] {
         assert!(session.compile(&source).is_err());
     }
+}
+
+/// λB terms exactly `depth` levels deep, as `Session::load_lambda_b`
+/// counts them, each with its type: a `+` chain, nested casts through
+/// `?`, and a λ whose annotation is a nested arrow type.
+fn deep_terms(depth: usize) -> [(Term, Type); 3] {
+    let chain = (1..depth).fold(Term::int(1), |m, _| Term::op2(Op::Add, m, Term::int(1)));
+    let p = Label::new(0);
+    let casts = (1..depth).fold((Term::int(1), Type::INT), |(m, a), _| {
+        let b = if a == Type::INT { Type::DYN } else { Type::INT };
+        (m.cast(a.clone(), p, b.clone()), b)
+    });
+    let arrow = (2..depth).fold(Type::DYN, |a, _| Type::fun(Type::DYN, a));
+    let lam = Term::lam("x", arrow.clone(), Term::var("x"));
+    [
+        (chain, Type::INT),
+        casts,
+        (lam, Type::fun(arrow.clone(), arrow)),
+    ]
+}
+
+#[test]
+fn deep_lambda_b_terms_are_bounded_by_a_typed_error() {
+    // On a spawned thread's default stack, like a pool worker: a term
+    // at the parser's bound loads and runs on all six engines, and one
+    // level deeper, or thousands, is a typed error, not an overflow.
+    let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let session = Session::new();
+        for (term, ty) in deep_terms(MAX_DEPTH) {
+            let program = session.load_lambda_b(term, ty).expect("loads at the bound");
+            let first = session.run(&program, Engine::LambdaB).expect("runs");
+            for engine in Engine::ALL {
+                let report = session.run(&program, engine).expect("runs at the bound");
+                assert_eq!(report.observation, first.observation, "{engine}");
+            }
+        }
+        for depth in [MAX_DEPTH + 1, 5_000] {
+            for (term, ty) in deep_terms(depth) {
+                match session.load_lambda_b(term, ty) {
+                    Err(RunError::IllTyped(d)) => {
+                        assert!(d.message.contains("deeper than 128"), "{}", d.message)
+                    }
+                    other => panic!("{depth} levels: expected a typed error, got {other:?}"),
+                }
+            }
+        }
+    });
+    worker.expect("spawns").join().expect("no overflow");
 }
