@@ -194,38 +194,6 @@ fn from_ground(g: &GroundCoercion) -> LabeledType {
     }
 }
 
-/// Erases an *interned* canonical λS coercion
-/// ([`bc_core::arena::CoercionId`]) to its labeled type, so the
-/// comparison harness can work directly off a
-/// [`bc_core::arena::CoercionArena`] without rebuilding trees first.
-pub fn from_interned(
-    arena: &bc_core::arena::CoercionArena,
-    id: bc_core::arena::CoercionId,
-) -> LabeledType {
-    use bc_core::arena::{GNode, INode, SNode};
-    let from_g = |g: GNode| match g {
-        GNode::IdBase(b) => LabeledType::Base(b, None),
-        GNode::Fun(s, t) => LabeledType::Fun(
-            Rc::new(from_interned(arena, s)),
-            Rc::new(from_interned(arena, t)),
-            None,
-        ),
-    };
-    let from_i = |i: INode| match i {
-        INode::Inj(g, _) | INode::Ground(g) => from_g(g),
-        INode::Fail(g, p, _) => LabeledType::Fail {
-            blame: p,
-            ground: g,
-            proj: None,
-        },
-    };
-    match arena.node(id) {
-        SNode::IdDyn => LabeledType::Dyn,
-        SNode::Proj(_, p, i) => from_i(i).with_topmost(p),
-        SNode::Mid(i) => from_i(i),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,25 +210,6 @@ mod tests {
     }
     fn id_int() -> GroundCoercion {
         GroundCoercion::IdBase(BaseType::Int)
-    }
-
-    #[test]
-    fn interned_erasure_agrees_with_tree_erasure() {
-        use bc_core::arena::CoercionArena;
-        let mut arena = CoercionArena::new();
-        let inj = SpaceCoercion::inj(id_int(), gi());
-        let proj = SpaceCoercion::proj(gi(), p(0), Intermediate::Ground(id_int()));
-        let samples = [
-            SpaceCoercion::IdDyn,
-            inj.clone(),
-            proj.clone(),
-            SpaceCoercion::fun(inj.clone(), proj.clone()),
-            SpaceCoercion::fail(gi(), p(2), gb()),
-        ];
-        for s in &samples {
-            let id = arena.intern(s);
-            assert_eq!(from_interned(&arena, id), from_space(s), "{s}");
-        }
     }
 
     /// The homomorphism: erasure maps `s # t` to `map(t) ∘ map(s)`.

@@ -41,8 +41,7 @@ use crate::coercion::{GroundCoercion, Intermediate, SpaceCoercion};
 /// # Panics
 ///
 /// Panics if the coercions are not composable (no middle type `B`
-/// exists); this cannot happen for well-typed terms. Use
-/// [`try_compose`] for a checked variant.
+/// exists); this cannot happen for well-typed terms.
 pub fn compose(s: &SpaceCoercion, t: &SpaceCoercion) -> SpaceCoercion {
     match s {
         // id? # t = t
@@ -109,39 +108,6 @@ fn compose_ground(g: &GroundCoercion, h: &GroundCoercion) -> GroundCoercion {
             GroundCoercion::Fun(compose(s2, s).into(), compose(t, t2).into())
         }
         _ => unreachable!("composed a base identity with a function coercion"),
-    }
-}
-
-/// Checked composition: returns `None` instead of panicking when the
-/// two coercions do not share a middle type.
-pub fn try_compose(s: &SpaceCoercion, t: &SpaceCoercion) -> Option<SpaceCoercion> {
-    if composable(s, t) {
-        Some(compose(s, t))
-    } else {
-        None
-    }
-}
-
-/// Whether `s # t` is defined: `s`'s target constraints match `t`'s
-/// source constraints.
-pub fn composable(s: &SpaceCoercion, t: &SpaceCoercion) -> bool {
-    match (s.synthesize(), t.synthesize()) {
-        (Some((_, b)), Some((b2, _))) => b == b2,
-        // One side contains ⊥. Approximate by checking the reachable
-        // constraints; the failure absorbs whatever follows.
-        (None, _) | (_, None) => {
-            fn target_accepts_dyn(t: &SpaceCoercion) -> bool {
-                matches!(t, SpaceCoercion::IdDyn | SpaceCoercion::Proj(_, _, _))
-            }
-            match s {
-                // A failure's target is unconstrained: anything composes.
-                SpaceCoercion::Mid(Intermediate::Fail(_, _, _)) => true,
-                SpaceCoercion::Proj(_, _, Intermediate::Fail(_, _, _)) => true,
-                SpaceCoercion::Mid(Intermediate::Inj(_, _))
-                | SpaceCoercion::Proj(_, _, Intermediate::Inj(_, _)) => target_accepts_dyn(t),
-                _ => !target_accepts_dyn(t),
-            }
-        }
     }
 }
 
@@ -268,13 +234,5 @@ mod tests {
         let f2 = SpaceCoercion::fun(proj.clone(), inj.clone());
         let composed = compose(&f1, &f2);
         assert!(composed.height() <= f1.height().max(f2.height()));
-    }
-
-    #[test]
-    fn try_compose_rejects_mismatches() {
-        let inj = SpaceCoercion::inj(id_int(), gi()); // Int ⇒ ?
-        assert!(try_compose(&inj, &SpaceCoercion::id_base(BaseType::Int)).is_none());
-        assert!(try_compose(&inj, &SpaceCoercion::IdDyn).is_some());
-        assert!(try_compose(&SpaceCoercion::id_base(BaseType::Int), &inj).is_some());
     }
 }

@@ -9,32 +9,44 @@
 //! introduced them — running the program and catching `blame p` thus
 //! produces a *source-level* diagnostic pointing at the boundary at
 //! fault.
+//!
+//! The pass is written once, over the front end's type trait
+//! (`crate::types::TyBuild`), and has two instances: [`elaborate`] on
+//! tree [`Type`]s, the reference, and [`elaborate_compiled`] on
+//! [`TypeId`]s interned in a [`TypeArena`], which emits the compiled
+//! λB term [`bc_lambda_b::BTerm`]. Both visit the source in the same
+//! order, so they give the same labels, blame spans and diagnostics,
+//! and the arena instance interns each type where the tree instance
+//! builds it.
 
 use std::collections::HashMap;
 
-use bc_lambda_b::term::Term;
-use bc_lambda_b::{BTerm, Cast};
 use bc_syntax::label::LabelSupply;
-use bc_syntax::{BaseType, Constant, Name, TNode, Type, TypeArena, TypeId};
+use bc_syntax::term::{Cast, Term};
+use bc_syntax::{BaseType, Constant, Name, Type, TypeArena, TypeId};
 
 use crate::ast::{Expr, ExprI, ExprKind};
 use crate::diagnostics::{Diagnostic, Span};
+use crate::types::{ArenaTy, TreeTy, TyBuild, View};
 
-/// The result of elaborating a GTLC program.
+/// The result of elaborating a GTLC program, with types `T`: tree
+/// [`Type`]s from [`elaborate`], or [`TypeId`]s from
+/// [`elaborate_compiled`], meaningful only in the arena the caller
+/// parsed against (see [`bc_lambda_b::bterm`]).
 #[derive(Debug, Clone)]
-pub struct Program {
-    /// The compiled λB term.
-    pub term: Term,
+pub struct Program<T = Type> {
+    /// The λB term.
+    pub term: Term<Cast<T>, T>,
     /// The type of the whole program.
-    pub ty: Type,
+    pub ty: T,
     /// Maps each inserted blame label id to the source span of the
     /// expression whose implicit conversion it guards.
     pub blame_spans: HashMap<u32, Span>,
 }
 
 /// Renders a blame label as a source diagnostic through a span map
-/// produced by elaboration ([`Program::blame_spans`],
-/// [`ProgramC::blame_spans`]), if the map holds the label.
+/// produced by elaboration ([`Program::blame_spans`]), if the map
+/// holds the label.
 pub fn explain_blame_at(
     blame_spans: &HashMap<u32, Span>,
     label: bc_syntax::Label,
@@ -55,7 +67,7 @@ pub fn explain_blame_at(
     )
 }
 
-impl Program {
+impl<T> Program<T> {
     /// Renders a blame label as a source diagnostic, if the label was
     /// introduced by this program's elaboration.
     pub fn explain_blame(&self, label: bc_syntax::Label, source: &str) -> Option<String> {
@@ -71,7 +83,37 @@ impl Program {
 /// Returns a [`Diagnostic`] on inconsistent types, unbound variables,
 /// or applications of non-functions.
 pub fn elaborate(expr: &Expr) -> Result<Program, Diagnostic> {
+    elaborate_with(expr, TreeTy)
+}
+
+/// Elaborates an interned surface expression (from
+/// [`parse_in`](crate::parser::parse_in)) straight into the compiled
+/// λB term, whose annotations are the ids of `types`.
+///
+/// Every judgment runs on ids: against a warm arena the pass interns
+/// nothing and builds no type tree. The labels, blame spans and
+/// diagnostics are those of [`elaborate`], and `decompile(term)` is
+/// the tree elaboration (pinned by `tests/frontend_props.rs`).
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] on inconsistent types, unbound variables,
+/// or applications of non-functions — byte-identical to the one
+/// [`elaborate`] produces.
+pub fn elaborate_compiled(
+    expr: &ExprI,
+    types: &mut TypeArena,
+) -> Result<Program<TypeId>, Diagnostic> {
+    elaborate_with(expr, ArenaTy(types))
+}
+
+/// Elaborates `expr`, building and comparing its types through `types`.
+pub(crate) fn elaborate_with<B: TyBuild>(
+    expr: &Expr<B::Ty>,
+    types: B,
+) -> Result<Program<B::Ty>, Diagnostic> {
     let mut cx = Context {
+        types,
         labels: LabelSupply::new(),
         blame_spans: HashMap::new(),
         env: Vec::new(),
@@ -84,26 +126,52 @@ pub fn elaborate(expr: &Expr) -> Result<Program, Diagnostic> {
     })
 }
 
-struct Context {
+/// The λB term elaboration emits, with types `T`.
+type LTerm<T> = Term<Cast<T>, T>;
+
+/// The elaboration state. A diagnostic ends the elaboration, so an arm
+/// that fails leaves `env` as it stands.
+struct Context<B: TyBuild> {
+    types: B,
     labels: LabelSupply,
     blame_spans: HashMap<u32, Span>,
-    env: Vec<(Name, Type)>,
+    env: Vec<(Name, B::Ty)>,
 }
 
-impl Context {
+impl<B: TyBuild> Context<B> {
     /// Wraps `term : from` in a cast to `to` (a no-op when the types
     /// are equal), recording the span for blame reporting.
-    fn coerce(&mut self, term: Term, from: &Type, to: &Type, span: Span) -> Term {
+    fn coerce(&mut self, term: LTerm<B::Ty>, from: B::Ty, to: B::Ty, span: Span) -> LTerm<B::Ty> {
         if from == to {
             return term;
         }
-        debug_assert!(from.compatible(to), "coerce on inconsistent types");
+        debug_assert!(
+            self.types.compatible(&from, &to),
+            "coerce on inconsistent types"
+        );
         let label = self.labels.fresh();
         self.blame_spans.insert(label.id(), span);
-        term.cast(from.clone(), label, to.clone())
+        Term::Coerce(term.into(), Cast::new(from, label, to))
     }
 
-    fn lookup(&self, name: &str) -> Option<Type> {
+    /// Checks `a ∼ b`, or fails with the message `why` renders from
+    /// the two types' displays.
+    fn consistent(
+        &mut self,
+        a: &B::Ty,
+        b: &B::Ty,
+        span: Span,
+        why: impl FnOnce(String, String) -> String,
+    ) -> Result<(), Diagnostic> {
+        if self.types.compatible(a, b) {
+            Ok(())
+        } else {
+            let (a, b) = (self.types.display(a), self.types.display(b));
+            Err(Diagnostic::new(why(a, b), span))
+        }
+    }
+
+    fn lookup(&self, name: &str) -> Option<B::Ty> {
         self.env
             .iter()
             .rev()
@@ -111,10 +179,16 @@ impl Context {
             .map(|(_, t)| t.clone())
     }
 
-    fn infer(&mut self, expr: &Expr) -> Result<(Term, Type), Diagnostic> {
+    fn infer(&mut self, expr: &Expr<B::Ty>) -> Result<(LTerm<B::Ty>, B::Ty), Diagnostic> {
         match &expr.kind {
-            ExprKind::Int(n) => Ok((Term::int(*n), Type::INT)),
-            ExprKind::Bool(b) => Ok((Term::bool(*b), Type::BOOL)),
+            ExprKind::Int(n) => Ok((
+                Term::Const(Constant::Int(*n)),
+                self.types.base(BaseType::Int),
+            )),
+            ExprKind::Bool(b) => Ok((
+                Term::Const(Constant::Bool(*b)),
+                self.types.base(BaseType::Bool),
+            )),
             ExprKind::Var(x) => match self.lookup(x) {
                 Some(t) => Ok((Term::Var(Name::from(x.as_str())), t)),
                 None => Err(Diagnostic::new(
@@ -124,39 +198,40 @@ impl Context {
             },
             ExprKind::Lam { param, ty, body } => {
                 self.env.push((Name::from(param.as_str()), ty.clone()));
-                let result = self.infer(body);
+                let (bt, b_ty) = self.infer(body)?;
                 self.env.pop();
-                let (bt, b_ty) = result?;
                 Ok((
                     Term::Lam(Name::from(param.as_str()), ty.clone(), bt.into()),
-                    Type::fun(ty.clone(), b_ty),
+                    self.types.fun(ty.clone(), b_ty),
                 ))
             }
             ExprKind::App(fun, arg) => {
                 let (ft, f_ty) = self.infer(fun)?;
                 let (at, a_ty) = self.infer(arg)?;
-                match &f_ty {
+                match self.types.view(&f_ty) {
                     // Applying a dynamic value: cast it to ? → ? and
                     // inject the argument.
-                    Type::Dyn => {
-                        let ft = self.coerce(ft, &Type::DYN, &Type::dyn_fun(), fun.span);
-                        let at = self.coerce(at, &a_ty, &Type::DYN, arg.span);
-                        Ok((ft.app(at), Type::DYN))
+                    View::Dyn => {
+                        let dyn_ty = self.types.dynamic();
+                        let dyn_fun = self.types.fun(dyn_ty.clone(), dyn_ty.clone());
+                        let ft = self.coerce(ft, dyn_ty.clone(), dyn_fun, fun.span);
+                        let at = self.coerce(at, a_ty, dyn_ty.clone(), arg.span);
+                        Ok((Term::App(ft.into(), at.into()), dyn_ty))
                     }
-                    Type::Fun(dom, cod) => {
-                        if !a_ty.compatible(dom) {
-                            return Err(Diagnostic::new(
-                                format!(
-                                    "this argument has type `{a_ty}`, but the function expects `{dom}`"
-                                ),
-                                arg.span,
-                            ));
-                        }
-                        let at = self.coerce(at, &a_ty, dom, arg.span);
-                        Ok((ft.app(at), (**cod).clone()))
+                    View::Fun(dom, cod) => {
+                        self.consistent(&a_ty, &dom, arg.span, |a, dom| {
+                            format!(
+                                "this argument has type `{a}`, but the function expects `{dom}`"
+                            )
+                        })?;
+                        let at = self.coerce(at, a_ty, dom, arg.span);
+                        Ok((Term::App(ft.into(), at.into()), cod))
                     }
-                    other => Err(Diagnostic::new(
-                        format!("cannot call a value of type `{other}`"),
+                    View::Base => Err(Diagnostic::new(
+                        format!(
+                            "cannot call a value of type `{}`",
+                            self.types.display(&f_ty)
+                        ),
                         fun.span,
                     )),
                 }
@@ -167,38 +242,35 @@ impl Context {
                 let mut terms = Vec::with_capacity(args.len());
                 for (param, arg) in params.iter().zip(args) {
                     let (at, a_ty) = self.infer(arg)?;
-                    if !a_ty.compatible(&param.ty()) {
-                        return Err(Diagnostic::new(
-                            format!(
-                                "operator `{op}` expects `{}`, but this has type `{a_ty}`",
-                                param.ty()
-                            ),
-                            arg.span,
-                        ));
-                    }
-                    terms.push(self.coerce(at, &a_ty, &param.ty(), arg.span));
+                    let param_ty = self.types.base(*param);
+                    self.consistent(&a_ty, &param_ty, arg.span, |a, param| {
+                        format!("operator `{op}` expects `{param}`, but this has type `{a}`")
+                    })?;
+                    terms.push(self.coerce(at, a_ty, param_ty, arg.span));
                 }
-                Ok((Term::Op(*op, terms), result.ty()))
+                Ok((Term::Op(*op, terms), self.types.base(result)))
             }
             ExprKind::If(cond, then_, else_) => {
                 let (ct, c_ty) = self.infer(cond)?;
-                if !c_ty.compatible(&Type::BOOL) {
-                    return Err(Diagnostic::new(
-                        format!("the condition has type `{c_ty}`, expected `Bool`"),
-                        cond.span,
-                    ));
-                }
-                let ct = self.coerce(ct, &c_ty, &Type::BOOL, cond.span);
+                let bool_ty = self.types.base(BaseType::Bool);
+                self.consistent(&c_ty, &bool_ty, cond.span, |c, _| {
+                    format!("the condition has type `{c}`, expected `Bool`")
+                })?;
+                let ct = self.coerce(ct, c_ty, bool_ty, cond.span);
                 let (tt, t_ty) = self.infer(then_)?;
                 let (et, e_ty) = self.infer(else_)?;
-                let joined = join(&t_ty, &e_ty).ok_or_else(|| {
-                    Diagnostic::new(
-                        format!("branches have inconsistent types `{t_ty}` and `{e_ty}`"),
+                let Some(joined) = self.types.join(&t_ty, &e_ty) else {
+                    return Err(Diagnostic::new(
+                        format!(
+                            "branches have inconsistent types `{}` and `{}`",
+                            self.types.display(&t_ty),
+                            self.types.display(&e_ty)
+                        ),
                         expr.span,
-                    )
-                })?;
-                let tt = self.coerce(tt, &t_ty, &joined, then_.span);
-                let et = self.coerce(et, &e_ty, &joined, else_.span);
+                    ));
+                };
+                let tt = self.coerce(tt, t_ty, joined.clone(), then_.span);
+                let et = self.coerce(et, e_ty, joined.clone(), else_.span);
                 Ok((Term::If(ct.into(), tt.into(), et.into()), joined))
             }
             ExprKind::Let {
@@ -210,22 +282,21 @@ impl Context {
                 let (bt, b_ty) = self.infer(bound)?;
                 let (bt, bind_ty) = match ty {
                     Some(annot) => {
-                        if !b_ty.compatible(annot) {
-                            return Err(Diagnostic::new(
-                                format!(
-                                    "`{name}` is annotated `{annot}` but bound to a value of type `{b_ty}`"
-                                ),
-                                bound.span,
-                            ));
-                        }
-                        (self.coerce(bt, &b_ty, annot, bound.span), annot.clone())
+                        self.consistent(&b_ty, annot, bound.span, |b, annot| {
+                            format!(
+                                "`{name}` is annotated `{annot}` but bound to a value of type `{b}`"
+                            )
+                        })?;
+                        (
+                            self.coerce(bt, b_ty, annot.clone(), bound.span),
+                            annot.clone(),
+                        )
                     }
                     None => (bt, b_ty),
                 };
                 self.env.push((Name::from(name.as_str()), bind_ty));
-                let result = self.infer(body);
+                let (nt, n_ty) = self.infer(body)?;
                 self.env.pop();
-                let (nt, n_ty) = result?;
                 Ok((
                     Term::Let(Name::from(name.as_str()), bt.into(), nt.into()),
                     n_ty,
@@ -239,29 +310,16 @@ impl Context {
                 fun_body,
                 body,
             } => {
-                let fun_ty = Type::fun(param_ty.clone(), result_ty.clone());
-                self.env.push((Name::from(name.as_str()), fun_ty.clone()));
+                let fun_ty = self.types.fun(param_ty.clone(), result_ty.clone());
+                self.env.push((Name::from(name.as_str()), fun_ty));
                 self.env
                     .push((Name::from(param.as_str()), param_ty.clone()));
-                let fun_result = self.infer(fun_body);
+                let (ft, f_ty) = self.infer(fun_body)?;
                 self.env.pop();
-                let (ft, f_ty) = match fun_result {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.env.pop();
-                        return Err(e);
-                    }
-                };
-                if !f_ty.compatible(result_ty) {
-                    self.env.pop();
-                    return Err(Diagnostic::new(
-                        format!(
-                            "`{name}` is declared to return `{result_ty}` but its body has type `{f_ty}`"
-                        ),
-                        fun_body.span,
-                    ));
-                }
-                let ft = self.coerce(ft, &f_ty, result_ty, fun_body.span);
+                self.consistent(&f_ty, result_ty, fun_body.span, |f, result| {
+                    format!("`{name}` is declared to return `{result}` but its body has type `{f}`")
+                })?;
+                let ft = self.coerce(ft, f_ty, result_ty.clone(), fun_body.span);
                 let fix = Term::Fix(
                     Name::from(name.as_str()),
                     Name::from(param.as_str()),
@@ -270,9 +328,8 @@ impl Context {
                     ft.into(),
                 );
                 // `name` is still bound (to the function) in the body.
-                let result = self.infer(body);
+                let (nt, n_ty) = self.infer(body)?;
                 self.env.pop();
-                let (nt, n_ty) = result?;
                 Ok((
                     Term::Let(Name::from(name.as_str()), fix.into(), nt.into()),
                     n_ty,
@@ -280,327 +337,12 @@ impl Context {
             }
             ExprKind::Ascribe(inner, ty) => {
                 let (it, i_ty) = self.infer(inner)?;
-                if !i_ty.compatible(ty) {
-                    return Err(Diagnostic::new(
-                        format!("cannot ascribe type `{ty}` to a value of type `{i_ty}`"),
-                        expr.span,
-                    ));
-                }
-                Ok((self.coerce(it, &i_ty, ty, expr.span), ty.clone()))
-            }
-        }
-    }
-}
-
-/// The result of elaborating a GTLC program straight to the compiled
-/// λB IR: the interned counterpart of [`Program`], produced by
-/// [`elaborate_compiled`] from an already-interned [`ExprI`].
-///
-/// No `Rc<Type>` spine and no `Rc<Term>` tree is built anywhere on
-/// this path — the term is an id-annotated [`BTerm`] whose every
-/// annotation is a handle into the arena the caller parsed against,
-/// and meaningful only there (see [`bc_lambda_b::bterm`]).
-#[derive(Debug, Clone)]
-pub struct ProgramC {
-    /// The compiled λB term.
-    pub term: BTerm,
-    /// The type of the whole program, interned in the caller's arena.
-    pub ty: TypeId,
-    /// Maps each inserted blame label id to the source span of the
-    /// expression whose implicit conversion it guards.
-    pub blame_spans: HashMap<u32, Span>,
-}
-
-impl ProgramC {
-    /// Renders a blame label as a source diagnostic, if the label was
-    /// introduced by this program's elaboration.
-    pub fn explain_blame(&self, label: bc_syntax::Label, source: &str) -> Option<String> {
-        explain_blame_at(&self.blame_spans, label, source)
-    }
-}
-
-/// Elaborates an interned surface expression (from
-/// [`parse_in`](crate::parser::parse_in)) straight into the compiled
-/// λB IR — the final leg of the allocation-free front end.
-///
-/// Annotations arrive as [`TypeId`]s, every judgment runs on ids, and
-/// the emitted [`BTerm`] carries those same ids: against a warm arena
-/// the whole pass interns nothing and builds no tree node of any kind.
-/// Labels, blame spans, and diagnostics agree exactly with
-/// [`elaborate`] (the traversal order is identical), so
-/// `decompile(term)` equals the tree elaboration — pinned by test.
-///
-/// # Errors
-///
-/// Returns a [`Diagnostic`] on inconsistent types, unbound variables,
-/// or applications of non-functions — byte-identical to the one
-/// [`elaborate`] produces.
-pub fn elaborate_compiled(expr: &ExprI, types: &mut TypeArena) -> Result<ProgramC, Diagnostic> {
-    let mut cx = ContextC {
-        labels: LabelSupply::new(),
-        blame_spans: HashMap::new(),
-        env: Vec::new(),
-        types,
-    };
-    let (term, ty) = cx.infer(expr)?;
-    Ok(ProgramC {
-        term,
-        ty,
-        blame_spans: cx.blame_spans,
-    })
-}
-
-/// The compiled elaboration context: [`Context`] with the environment
-/// and every judgment on [`TypeId`]s, emitting [`BTerm`] instead of
-/// tree terms, with annotations pre-interned by the parser.
-struct ContextC<'a> {
-    labels: LabelSupply,
-    blame_spans: HashMap<u32, Span>,
-    env: Vec<(Name, TypeId)>,
-    types: &'a mut TypeArena,
-}
-
-impl ContextC<'_> {
-    /// Wraps `term : from` in a cast to `to` (a no-op when the ids are
-    /// equal), recording the span for blame reporting. The cast node
-    /// carries the ids themselves; no id is resolved to a tree.
-    fn coerce(&mut self, term: BTerm, from: TypeId, to: TypeId, span: Span) -> BTerm {
-        if from == to {
-            return term;
-        }
-        debug_assert!(
-            self.types.compatible(from, to),
-            "coerce on inconsistent types"
-        );
-        let label = self.labels.fresh();
-        self.blame_spans.insert(label.id(), span);
-        BTerm::Coerce(term.into(), Cast::new(from, label, to))
-    }
-
-    fn lookup(&self, name: &str) -> Option<TypeId> {
-        self.env
-            .iter()
-            .rev()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, t)| *t)
-    }
-
-    fn infer(&mut self, expr: &ExprI) -> Result<(BTerm, TypeId), Diagnostic> {
-        match &expr.kind {
-            ExprKind::Int(n) => Ok((
-                BTerm::Const(Constant::Int(*n)),
-                self.types.base(BaseType::Int),
-            )),
-            ExprKind::Bool(b) => Ok((
-                BTerm::Const(Constant::Bool(*b)),
-                self.types.base(BaseType::Bool),
-            )),
-            ExprKind::Var(x) => match self.lookup(x) {
-                Some(t) => Ok((BTerm::Var(Name::from(x.as_str())), t)),
-                None => Err(Diagnostic::new(
-                    format!("unbound variable `{x}`"),
-                    expr.span,
-                )),
-            },
-            ExprKind::Lam { param, ty, body } => {
-                self.env.push((Name::from(param.as_str()), *ty));
-                let result = self.infer(body);
-                self.env.pop();
-                let (bt, b_ty) = result?;
-                Ok((
-                    BTerm::Lam(Name::from(param.as_str()), *ty, bt.into()),
-                    self.types.fun(*ty, b_ty),
-                ))
-            }
-            ExprKind::App(fun, arg) => {
-                let (ft, f_ty) = self.infer(fun)?;
-                let (at, a_ty) = self.infer(arg)?;
-                match self.types.node(f_ty) {
-                    // Applying a dynamic value: cast it to ? → ? and
-                    // inject the argument.
-                    TNode::Dyn => {
-                        let dyn_id = self.types.dyn_ty();
-                        let dyn_fun = self.types.fun(dyn_id, dyn_id);
-                        let ft = self.coerce(ft, dyn_id, dyn_fun, fun.span);
-                        let at = self.coerce(at, a_ty, dyn_id, arg.span);
-                        Ok((BTerm::App(ft.into(), at.into()), dyn_id))
-                    }
-                    TNode::Fun(dom, cod) => {
-                        if !self.types.compatible(a_ty, dom) {
-                            return Err(Diagnostic::new(
-                                format!(
-                                    "this argument has type `{}`, but the function expects `{}`",
-                                    self.types.display(a_ty),
-                                    self.types.display(dom)
-                                ),
-                                arg.span,
-                            ));
-                        }
-                        let at = self.coerce(at, a_ty, dom, arg.span);
-                        Ok((BTerm::App(ft.into(), at.into()), cod))
-                    }
-                    TNode::Base(_) => Err(Diagnostic::new(
-                        format!("cannot call a value of type `{}`", self.types.display(f_ty)),
-                        fun.span,
-                    )),
-                }
-            }
-            ExprKind::Prim(op, args) => {
-                let (params, result) = op.signature();
-                debug_assert_eq!(params.len(), args.len(), "parser arity mismatch");
-                let mut terms = Vec::with_capacity(args.len());
-                for (param, arg) in params.iter().zip(args) {
-                    let (at, a_ty) = self.infer(arg)?;
-                    let param_id = self.types.base(*param);
-                    if !self.types.compatible(a_ty, param_id) {
-                        return Err(Diagnostic::new(
-                            format!(
-                                "operator `{op}` expects `{}`, but this has type `{}`",
-                                param.ty(),
-                                self.types.display(a_ty)
-                            ),
-                            arg.span,
-                        ));
-                    }
-                    terms.push(self.coerce(at, a_ty, param_id, arg.span));
-                }
-                Ok((BTerm::Op(*op, terms), self.types.base(result)))
-            }
-            ExprKind::If(cond, then_, else_) => {
-                let (ct, c_ty) = self.infer(cond)?;
-                let bool_id = self.types.base(BaseType::Bool);
-                if !self.types.compatible(c_ty, bool_id) {
-                    return Err(Diagnostic::new(
-                        format!(
-                            "the condition has type `{}`, expected `Bool`",
-                            self.types.display(c_ty)
-                        ),
-                        cond.span,
-                    ));
-                }
-                let ct = self.coerce(ct, c_ty, bool_id, cond.span);
-                let (tt, t_ty) = self.infer(then_)?;
-                let (et, e_ty) = self.infer(else_)?;
-                let joined = self.types.join(t_ty, e_ty).ok_or_else(|| {
-                    Diagnostic::new(
-                        format!(
-                            "branches have inconsistent types `{}` and `{}`",
-                            self.types.display(t_ty),
-                            self.types.display(e_ty)
-                        ),
-                        expr.span,
-                    )
+                self.consistent(&i_ty, ty, expr.span, |i, ty| {
+                    format!("cannot ascribe type `{ty}` to a value of type `{i}`")
                 })?;
-                let tt = self.coerce(tt, t_ty, joined, then_.span);
-                let et = self.coerce(et, e_ty, joined, else_.span);
-                Ok((BTerm::If(ct.into(), tt.into(), et.into()), joined))
-            }
-            ExprKind::Let {
-                name,
-                ty,
-                bound,
-                body,
-            } => {
-                let (bt, b_ty) = self.infer(bound)?;
-                let (bt, bind_ty) = match ty {
-                    Some(annot_id) => {
-                        if !self.types.compatible(b_ty, *annot_id) {
-                            return Err(Diagnostic::new(
-                                format!(
-                                    "`{name}` is annotated `{}` but bound to a value of type `{}`",
-                                    self.types.display(*annot_id),
-                                    self.types.display(b_ty)
-                                ),
-                                bound.span,
-                            ));
-                        }
-                        (self.coerce(bt, b_ty, *annot_id, bound.span), *annot_id)
-                    }
-                    None => (bt, b_ty),
-                };
-                self.env.push((Name::from(name.as_str()), bind_ty));
-                let result = self.infer(body);
-                self.env.pop();
-                let (nt, n_ty) = result?;
-                Ok((
-                    BTerm::Let(Name::from(name.as_str()), bt.into(), nt.into()),
-                    n_ty,
-                ))
-            }
-            ExprKind::Letrec {
-                name,
-                param,
-                param_ty,
-                result_ty,
-                fun_body,
-                body,
-            } => {
-                let fun_id = self.types.fun(*param_ty, *result_ty);
-                self.env.push((Name::from(name.as_str()), fun_id));
-                self.env.push((Name::from(param.as_str()), *param_ty));
-                let fun_result = self.infer(fun_body);
-                self.env.pop();
-                let (ft, f_ty) = match fun_result {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.env.pop();
-                        return Err(e);
-                    }
-                };
-                if !self.types.compatible(f_ty, *result_ty) {
-                    self.env.pop();
-                    return Err(Diagnostic::new(
-                        format!(
-                            "`{name}` is declared to return `{}` but its body has type `{}`",
-                            self.types.display(*result_ty),
-                            self.types.display(f_ty)
-                        ),
-                        fun_body.span,
-                    ));
-                }
-                let ft = self.coerce(ft, f_ty, *result_ty, fun_body.span);
-                let fix = BTerm::Fix(
-                    Name::from(name.as_str()),
-                    Name::from(param.as_str()),
-                    *param_ty,
-                    *result_ty,
-                    ft.into(),
-                );
-                // `name` is still bound (to the function) in the body.
-                let result = self.infer(body);
-                self.env.pop();
-                let (nt, n_ty) = result?;
-                Ok((
-                    BTerm::Let(Name::from(name.as_str()), fix.into(), nt.into()),
-                    n_ty,
-                ))
-            }
-            ExprKind::Ascribe(inner, ty) => {
-                let (it, i_ty) = self.infer(inner)?;
-                if !self.types.compatible(i_ty, *ty) {
-                    return Err(Diagnostic::new(
-                        format!(
-                            "cannot ascribe type `{}` to a value of type `{}`",
-                            self.types.display(*ty),
-                            self.types.display(i_ty)
-                        ),
-                        expr.span,
-                    ));
-                }
-                Ok((self.coerce(it, i_ty, *ty, expr.span), *ty))
+                Ok((self.coerce(it, i_ty, ty.clone(), expr.span), ty.clone()))
             }
         }
-    }
-}
-
-/// The join (least upper bound with respect to precision `<:n`) of two
-/// consistent types; `None` if the types are inconsistent.
-fn join(a: &Type, b: &Type) -> Option<Type> {
-    match (a, b) {
-        (Type::Dyn, _) | (_, Type::Dyn) => Some(Type::Dyn),
-        (Type::Base(x), Type::Base(y)) => (x == y).then(|| a.clone()),
-        (Type::Fun(a1, a2), Type::Fun(b1, b2)) => Some(Type::fun(join(a1, b1)?, join(a2, b2)?)),
-        _ => None,
     }
 }
 

@@ -15,7 +15,10 @@
 //!   require equality, and emits a λB cast (with a fresh blame label)
 //!   at every implicit conversion. Each label is mapped back to the
 //!   source span that introduced it, so blame can be reported as a
-//!   source diagnostic;
+//!   source diagnostic. It is one walk with two instances: on tree
+//!   types ([`compile`], [`elaborate()`]) and on types interned in a
+//!   `TypeArena` ([`compile_compiled`], [`elaborate_compiled`]); the
+//!   parser builds annotations through the same two;
 //! * [`diagnostics`] — error and blame rendering against the source.
 //!
 //! # Example
@@ -40,9 +43,10 @@ pub mod elaborate;
 pub mod lexer;
 pub mod parser;
 pub mod token;
+mod types;
 
 pub use diagnostics::{Diagnostic, Span};
-pub use elaborate::{elaborate, elaborate_compiled, Program, ProgramC};
+pub use elaborate::{elaborate, elaborate_compiled, Program};
 
 /// Parses and elaborates a GTLC source program into a λB term.
 ///
@@ -51,9 +55,7 @@ pub use elaborate::{elaborate, elaborate_compiled, Program, ProgramC};
 /// Returns a [`Diagnostic`] (with source span) on lexical, syntactic,
 /// or type errors.
 pub fn compile(source: &str) -> Result<Program, Diagnostic> {
-    let tokens = lexer::lex(source)?;
-    let expr = parser::parse(&tokens)?;
-    elaborate(&expr)
+    compile_with(source, types::TreeTy)
 }
 
 /// The allocation-free front end: annotations are interned *at parse
@@ -69,8 +71,17 @@ pub fn compile(source: &str) -> Result<Program, Diagnostic> {
 pub fn compile_compiled(
     source: &str,
     types: &mut bc_syntax::TypeArena,
-) -> Result<ProgramC, Diagnostic> {
+) -> Result<Program<bc_syntax::TypeId>, Diagnostic> {
+    compile_with(source, types::ArenaTy(types))
+}
+
+/// Lexes, parses and elaborates `source`, with every type built and
+/// compared through `types`.
+fn compile_with<B: types::TyBuild>(
+    source: &str,
+    mut types: B,
+) -> Result<Program<B::Ty>, Diagnostic> {
     let tokens = lexer::lex(source)?;
-    let expr = parser::parse_in(&tokens, types)?;
-    elaborate_compiled(&expr, types)
+    let expr = parser::parse_with(&tokens, &mut types)?;
+    elaborate::elaborate_with(&expr, types)
 }

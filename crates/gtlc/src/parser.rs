@@ -24,11 +24,12 @@
 //! recursively, so a deeper input is a [`Diagnostic`], never a stack
 //! overflow.
 
-use bc_syntax::{BaseType, Op, Type, TypeArena, TypeId};
+use bc_syntax::{BaseType, Op, TypeArena};
 
 use crate::ast::{Expr, ExprI, ExprKind};
 use crate::diagnostics::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
+use crate::types::{ArenaTy, TreeTy, TyBuild};
 
 /// The deepest tree the parser builds. Each nested expression, prefix
 /// operator, binary operator or application in a chain, and nested
@@ -37,63 +38,18 @@ use crate::token::{Token, TokenKind};
 ///
 /// Measured on a 2 MiB thread (a spawned thread's default stack, and
 /// so a pool worker's) by compiling one program of each shape through
-/// a `Session` and running it on all six engines, raising the depth
-/// until the thread overflowed. A debug build passed up to 204 nested
-/// parentheses, a 173-operand `+` chain and 173 nested `let`s (on
-/// those two it is compiling after the parse that runs out) and the
-/// largest arrow type tried, 595 levels. A release build passed about
-/// 1 000 nested parentheses, a 1 000-operand chain and 2 000 nested
-/// `let`s. The bound keeps a quarter of the debug build's smallest
-/// depth as margin. `Session::load_lambda_b` bounds a λB term it is
-/// handed by the same constant.
+/// a `Session` and running it on all six engines, with this bound
+/// lifted and the depth raised until the thread overflowed, one
+/// process per depth. A debug build passed up to 259 nested
+/// parentheses (the parse runs out), a 180-operand `+` chain and 180
+/// nested `let`s (elaboration runs out; lowering alone passes about
+/// 700 levels of either) and a 1 131-level arrow type (the debug
+/// build's λS type audit runs out). A release build compiled 1 346
+/// nested parentheses, a 2 902-operand chain and 2 901 nested `let`s.
+/// The bound keeps over a quarter of the debug build's smallest depth
+/// as margin. `Session::load_lambda_b` bounds a λB term it is handed
+/// by the same constant.
 pub const MAX_DEPTH: usize = 128;
-
-/// How the parser builds type annotations: either as `Rc<Type>` trees
-/// (the classic path) or by interning directly into a [`TypeArena`]
-/// (the allocation-free path — the annotation never exists as a tree).
-trait TyBuild {
-    /// The annotation representation.
-    type Ty;
-    /// The base type `Int` / `Bool`.
-    fn base(&mut self, b: BaseType) -> Self::Ty;
-    /// The dynamic type `?`.
-    fn dynamic(&mut self) -> Self::Ty;
-    /// The function type `dom -> cod`.
-    fn fun(&mut self, dom: Self::Ty, cod: Self::Ty) -> Self::Ty;
-}
-
-/// Tree-building annotations.
-struct TreeTy;
-
-impl TyBuild for TreeTy {
-    type Ty = Type;
-    fn base(&mut self, b: BaseType) -> Type {
-        b.ty()
-    }
-    fn dynamic(&mut self) -> Type {
-        Type::DYN
-    }
-    fn fun(&mut self, dom: Type, cod: Type) -> Type {
-        Type::fun(dom, cod)
-    }
-}
-
-/// Intern-at-parse annotations: types are built bottom-up as arena
-/// ids, so a warm arena hands back existing ids and allocates nothing.
-struct ArenaTy<'t>(&'t mut TypeArena);
-
-impl TyBuild for ArenaTy<'_> {
-    type Ty = TypeId;
-    fn base(&mut self, b: BaseType) -> TypeId {
-        self.0.base(b)
-    }
-    fn dynamic(&mut self) -> TypeId {
-        self.0.dyn_ty()
-    }
-    fn fun(&mut self, dom: TypeId, cod: TypeId) -> TypeId {
-        self.0.fun(dom, cod)
-    }
-}
 
 /// Parses a token stream (as produced by [`crate::lexer::lex`]) into
 /// an expression.
@@ -102,15 +58,7 @@ impl TyBuild for ArenaTy<'_> {
 ///
 /// Returns a [`Diagnostic`] at the first syntax error.
 pub fn parse(tokens: &[Token]) -> Result<Expr, Diagnostic> {
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-        ty_build: TreeTy,
-    };
-    let e = p.expr()?;
-    p.expect(&TokenKind::Eof, "expected end of input")?;
-    Ok(e)
+    parse_with(tokens, &mut TreeTy)
 }
 
 /// Parses a token stream with type annotations interned directly into
@@ -124,11 +72,19 @@ pub fn parse(tokens: &[Token]) -> Result<Expr, Diagnostic> {
 /// Returns a [`Diagnostic`] at the first syntax error — identical to
 /// the one [`parse`] produces.
 pub fn parse_in(tokens: &[Token], types: &mut TypeArena) -> Result<ExprI, Diagnostic> {
+    parse_with(tokens, &mut ArenaTy(types))
+}
+
+/// Parses a token stream, building each annotation through `types`.
+pub(crate) fn parse_with<B: TyBuild>(
+    tokens: &[Token],
+    types: &mut B,
+) -> Result<Expr<B::Ty>, Diagnostic> {
     let mut p = Parser {
         tokens,
         pos: 0,
         depth: 0,
-        ty_build: ArenaTy(types),
+        types,
     };
     let e = p.expr()?;
     p.expect(&TokenKind::Eof, "expected end of input")?;
@@ -140,7 +96,7 @@ struct Parser<'a, B> {
     pos: usize,
     /// Levels of the tree above the node being parsed.
     depth: usize,
-    ty_build: B,
+    types: &'a mut B,
 }
 
 /// The binary operator a token stands for, with its binding strength
@@ -250,7 +206,7 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         } else {
             // Unannotated parameter: dynamically typed.
             let (name, _) = self.ident("expected a parameter")?;
-            let dyn_ty = self.ty_build.dynamic();
+            let dyn_ty = self.types.dynamic();
             (name, dyn_ty)
         };
         self.expect(&TokenKind::FatArrow, "expected `=>` after parameter")?;
@@ -439,7 +395,7 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         let lhs = self.ty_atom()?;
         let ty = if self.eat(&TokenKind::Arrow) {
             let rhs = self.ty()?;
-            self.ty_build.fun(lhs, rhs)
+            self.types.fun(lhs, rhs)
         } else {
             lhs
         };
@@ -452,15 +408,15 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         match tok.kind {
             TokenKind::TyInt => {
                 self.bump();
-                Ok(self.ty_build.base(BaseType::Int))
+                Ok(self.types.base(BaseType::Int))
             }
             TokenKind::TyBool => {
                 self.bump();
-                Ok(self.ty_build.base(BaseType::Bool))
+                Ok(self.types.base(BaseType::Bool))
             }
             TokenKind::Question => {
                 self.bump();
-                Ok(self.ty_build.dynamic())
+                Ok(self.types.dynamic())
             }
             TokenKind::LParen => {
                 self.bump();
@@ -480,6 +436,7 @@ impl<'a, B: TyBuild> Parser<'a, B> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use bc_syntax::Type;
 
     fn parse_str(src: &str) -> Expr {
         parse(&lex(src).unwrap()).unwrap_or_else(|e| panic!("parse error: {}", e.render(src)))

@@ -113,11 +113,6 @@ impl LabelSupply {
         LabelSupply::default()
     }
 
-    /// Creates a supply starting from the given id.
-    pub fn starting_at(id: u32) -> LabelSupply {
-        LabelSupply { next: id }
-    }
-
     /// Returns a positive label not returned before by this supply.
     ///
     /// # Panics

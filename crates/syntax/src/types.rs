@@ -90,6 +90,17 @@ impl Type {
         }
     }
 
+    /// The join (least upper bound with respect to precision `<:n`) of
+    /// two consistent types; `None` if the types are inconsistent.
+    pub fn join(&self, other: &Type) -> Option<Type> {
+        match (self, other) {
+            (Type::Dyn, _) | (_, Type::Dyn) => Some(Type::Dyn),
+            (Type::Base(a), Type::Base(b)) => (a == b).then(|| self.clone()),
+            (Type::Fun(a1, a2), Type::Fun(b1, b2)) => Some(Type::fun(a1.join(b1)?, a2.join(b2)?)),
+            _ => None,
+        }
+    }
+
     /// The unique ground type compatible with `self`, per Lemma 1
     /// (Grounding): if `A ≠ ?` there is a unique `G` with `A ∼ G`.
     ///

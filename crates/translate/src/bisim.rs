@@ -203,13 +203,8 @@ pub fn is_full_identity(s: &SpaceCoercion) -> bool {
 /// Normalises a λS term by merging adjacent coercions and erasing
 /// (full) identity coercions everywhere — the congruence closure of
 /// rules (i) and (ii) of Figure 6. Two terms related by `≈` modulo
-/// those rules have equal normal forms.
-pub fn normalize_s(term: &ls::Term) -> ls::Term {
-    normalize_s_in(&mut MergeCtx::new(), term)
-}
-
-/// [`normalize_s`] with a caller-owned arena and compose cache.
-/// Trace-alignment checkers normalise every state of a reduction
+/// those rules have equal normal forms. The arena and compose cache
+/// are the caller's: trace-alignment checkers normalise every state of a reduction
 /// sequence; consecutive states share almost all their coercions, so
 /// a persistent [`MergeCtx`] answers nearly every merge from the
 /// compose cache.
@@ -437,7 +432,7 @@ mod tests {
                 Label::new(0),
                 Intermediate::Ground(id),
             ));
-        assert_eq!(normalize_s(&m), ls::Term::int(1));
+        assert_eq!(normalize_s_in(&mut MergeCtx::new(), &m), ls::Term::int(1));
         let _ = Op::Add;
     }
 

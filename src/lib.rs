@@ -14,7 +14,7 @@
 //! | [`translate`] | the translations `\|·\|BC`, `\|·\|CB`, `\|·\|CS` (Figs. 4, 6) — with arena-threading `*_in` variants — executable bisimulations, the Fundamental Property of Casts |
 //! | [`gtlc`] | a gradually-typed surface language: parser, gradual type checker, cast insertion — with an interned path (`compile_compiled`: `parse_in` + `elaborate_compiled`) that interns annotations as it parses and infers, checks consistency, and joins on `TypeId`s against a shared `TypeArena`, emitting the compiled λB IR |
 //! | [`machine`] | CEK machines for all three calculi; the λS machine executes the compiled IR — frames hold interned coercions, merges go through the compose cache, and boundary crossings intern nothing (reported per run by `Metrics::reuse`) — running boundary-crossing tail calls in constant space |
-//! | [`baselines`] | Siek–Wadler 2010 threesomes and Garcia 2013 supercoercions (with interned-coercion erasure) |
+//! | [`baselines`] | Siek–Wadler 2010 threesomes and Garcia 2013 supercoercions |
 //!
 //! An auxiliary crate rounds out the workspace: `bc-testkit` (seeded
 //! generators of well-typed workloads). The repository benchmark lives

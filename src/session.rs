@@ -646,17 +646,19 @@ impl Session {
         self.default_fuel
     }
 
-    /// Compiles GTLC source text through cast insertion and the two
-    /// translations, interning into this session's shared arenas.
+    /// Compiles GTLC source text through cast insertion and the one
+    /// λB→λS lowering ([`term_b_to_s_compiled`]), interning into this
+    /// session's shared arenas.
     ///
     /// The front end runs on interned types end to end and emits the
     /// compiled λB IR directly: the parser interns every annotation as
     /// it reads it ([`bc_gtlc::parser::parse_in`]) and the gradual
-    /// type checker ([`bc_gtlc::elaborate_compiled`]) infers, checks
-    /// consistency, and joins on `TypeId`s against this session's
-    /// [`TypeArena`] — no `Rc<Type>` spine and no `Rc` term tree is
-    /// ever built, and a structurally similar recompile in a warm
-    /// session interns **zero** new nodes of any kind.
+    /// type checker ([`bc_gtlc::elaborate_compiled`], the arena
+    /// instance of the one elaborator) infers, checks consistency, and
+    /// joins on `TypeId`s against this session's [`TypeArena`] — no
+    /// `Rc<Type>` spine is ever built, and a structurally similar
+    /// recompile in a warm session interns **zero** new nodes of any
+    /// kind.
     ///
     /// # Errors
     ///

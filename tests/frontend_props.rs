@@ -12,9 +12,9 @@
 
 use bc_gtlc::ast::{Expr, ExprI, ExprKind};
 use bc_gtlc::diagnostics::Span;
-use bc_gtlc::{elaborate, elaborate_compiled, Diagnostic, Program, ProgramC};
+use bc_gtlc::{elaborate, elaborate_compiled, Diagnostic, Program};
 use bc_lambda_b::bterm;
-use bc_syntax::{Op, Type, TypeArena};
+use bc_syntax::{Op, Type, TypeArena, TypeId};
 use proptest::prelude::*;
 
 /// A deterministic chooser for surface-expression shapes.
@@ -220,7 +220,7 @@ fn intern_expr(expr: &Expr, types: &mut TypeArena) -> ExprI {
 /// or the same `Diagnostic` on rejection.
 fn assert_same_elaboration(
     tree: Result<Program, Diagnostic>,
-    compiled: Result<ProgramC, Diagnostic>,
+    compiled: Result<Program<TypeId>, Diagnostic>,
     types: &TypeArena,
     what: &str,
 ) {
@@ -271,7 +271,8 @@ proptest! {
 
 /// The corpus of concrete sources the integration tests compile —
 /// `compile_compiled` must agree with `compile` on every one, including
-/// the rejects, cold and warm.
+/// the rejects, cold and warm. The rejects cover all nine of the
+/// elaborator's diagnostics.
 #[test]
 fn compile_in_agrees_with_compile_on_the_corpus() {
     let sources = [
@@ -291,12 +292,21 @@ fn compile_in_agrees_with_compile_on_the_corpus() {
         "(true : Int)",
         "x",
         "1 2",
+        "if true then 1 else false",
+        "let b : Bool = 1 in b",
+        "letrec f (n : Int) : Bool = n + 1 in f 0",
     ];
     let mut types = TypeArena::new();
     for _warm in 0..2 {
+        let mut messages = std::collections::BTreeSet::new();
         for source in sources {
             let compiled = bc_gtlc::compile_compiled(source, &mut types);
+            if let Err(d) = &compiled {
+                // The message with its quoted names and types cut out.
+                messages.insert(d.message.split('`').step_by(2).collect::<String>());
+            }
             assert_same_elaboration(bc_gtlc::compile(source), compiled, &types, source);
         }
+        assert_eq!(messages.len(), 9, "one reject per diagnostic: {messages:?}");
     }
 }
