@@ -447,21 +447,6 @@ impl<'a> View<'a> {
     }
 }
 
-/// The constant an operand is when refocusing reaches it without
-/// descending: a constant, or a variable bound to one.
-#[inline]
-fn operand(code: &SCode, store: &Store, at: u32, env: Env) -> Option<Constant> {
-    match code.node(at) {
-        Node::Const(k) => Some(k),
-        Node::Var { slot, .. } => match *store.slot(env, slot) {
-            Value::Int(n) => Some(Constant::Int(n)),
-            Value::Bool(b) => Some(Constant::Bool(b)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// `V⟨s⟩` with no coercion frame around it: a value if `s` is a
 /// function coercion or an injection, or a redex — the merge if `V` is
 /// itself coerced.
@@ -529,9 +514,12 @@ fn refocus(
                         },
                         Node::App(fun, _) => (fun, Frame::AppArg(at, env)),
                         Node::Op1(_, a) => (a, Frame::OpApply(at, env)),
+                        // Operands that are leaves are read, not descended into.
                         Node::Op2(op, a, b) => {
-                            match (operand(code, store, a, env), operand(code, store, b, env)) {
-                                (Some(l), Some(r)) => return Ok(Redex::Op(op, Some(l), r)),
+                            match (store.leaf(code.node(a), env), store.leaf(code.node(b), env)) {
+                                (Some(l), Some(r)) => {
+                                    return Ok(Redex::Op(op, Some(l.constant()), r.constant()))
+                                }
                                 _ => (a, Frame::OpArg(at, env)),
                             }
                         }

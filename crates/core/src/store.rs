@@ -228,6 +228,21 @@ impl<E> Store<E> {
         }
     }
 
+    /// The value of a leaf — a [`Node::Const`], or a [`Node::Var`]
+    /// read in `env` — or `None` for any other node. A leaf evaluates
+    /// without a frame, so both engines read it in place of descending.
+    #[inline(always)]
+    pub fn leaf(&self, node: Node, env: Env) -> Option<Value<E>>
+    where
+        E: Clone,
+    {
+        match node {
+            Node::Const(k) => Some(Value::of(k)),
+            Node::Var { slot, .. } => Some(self.slot(env, slot).clone()),
+            _ => None,
+        }
+    }
+
     /// The closure the `λ`/`fix` node at `at`, with capture list
     /// `caps`, makes in `env`; `payload` is called only if it captures
     /// something.

@@ -460,36 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_front_end_agrees_with_tree_front_end() {
-        let srcs = [
-            "let f = fun (x : Int) => x + 1 in f 41",
-            "let f = fun x => x + 1 in f 41",
-            "let f = fun x => x + 1 in f true",
-            "if true then 1 else (2 : ?)",
-            "if true then fun (x:Int) => x else fun y => (y : Int)",
-            "letrec even (n : Int) : Bool = \
-               if n = 0 then true else \
-               if n = 1 then false else even (n - 2) \
-             in even 10",
-            "(fun (f : ? -> ?) => f 1) (fun x => x)",
-        ];
-        let mut types = TypeArena::new();
-        for src in srcs {
-            let tree = compile(src).unwrap();
-            let compiled = crate::compile_compiled(src, &mut types).unwrap();
-            assert_eq!(
-                bc_lambda_b::bterm::decompile(&compiled.term, &types),
-                tree.term,
-                "on {src}"
-            );
-            assert_eq!(types.resolve(compiled.ty), tree.ty, "on {src}");
-            assert_eq!(compiled.blame_spans, tree.blame_spans, "on {src}");
-            // The elaborated term is well typed at the program type.
-            assert_eq!(bc_lambda_b::type_of(&tree.term), Ok(tree.ty), "on {src}");
-        }
-    }
-
-    #[test]
     fn compiled_front_end_interns_nothing_when_warm() {
         let src = "letrec loop (n : Int) : Int = \
                      if n = 0 then 0 else loop (n - 1) \
@@ -501,16 +471,6 @@ mod tests {
         assert_eq!(types.len(), watermark, "warm recompile interned a type");
         assert_eq!(warm.term, cold.term);
         assert_eq!(warm.ty, cold.ty);
-    }
-
-    #[test]
-    fn compiled_front_end_diagnostics_match() {
-        for src in ["1 + true", "x", "1 2", "(true : Int)", "if 1 then 2 else 3"] {
-            let mut types = TypeArena::new();
-            let tree_err = compile(src).unwrap_err();
-            let compiled_err = crate::compile_compiled(src, &mut types).unwrap_err();
-            assert_eq!(compiled_err.render(src), tree_err.render(src), "on {src}");
-        }
     }
 
     #[test]

@@ -28,12 +28,41 @@
 //! [`run_compiled_in`] runs a compiled block whole, [`start_compiled_in`]
 //! and [`resume_compiled_in`] run it in fuel slices, and [`run`]
 //! compiles a tree [`Term`] first.
+//!
+//! # Fused transitions
+//!
+//! Most transitions evaluate a leaf (a constant or a variable, read
+//! with [`Store::leaf`]) or return one into the frame pushed just
+//! before it. The loop takes such a group in one dispatch — a
+//! superinstruction — and counts every transition in it:
+//!
+//! * the transition that reaches the callee or the argument of an
+//!   application, the bound of a `let` or the inner term of a
+//!   coercion takes that leaf's `Eval` too (2 transitions);
+//! * an operator over leaves computes its result (3 for `Op1`, 5 for
+//!   `Op2`: the operator's `Eval`, and each operand's `Eval` and
+//!   return);
+//! * an `if` over a comparison of two leaves picks its branch (7);
+//! * a coercion over a leaf coerces the leaf's value (3), but only
+//!   when the top frame is not a coercion frame. On one, the push
+//!   merges `s # t` into that frame, and the leaf's value then meets
+//!   the merged coercion as it pops a frame the group did not push;
+//!   there only the leaf's `Eval` is fused (2).
+//!
+//! A group of `k` transitions fires only when all of them fit before
+//! the fuel and slice bounds (`steps + k ≤ min(fuel, until)`);
+//! otherwise the unfused arm takes its first transition, so a run is
+//! cut on the same transition as the unfused machine. A group records
+//! the peak of the frames it skips pushing with [`Metrics::observe`],
+//! and only its last transition can blame. Steps, the three peaks,
+//! outcomes and cut points are therefore those of the unfused machine,
+//! which a run in slices of one transition is: no group fits in it.
 
 use bc_core::arena::{CoercionArena, CoercionId, ComposeCache, GNode, INode, SNode};
 use bc_core::sterm::{CompileCtx, Node, SCode};
 use bc_core::store::{Env, Frame, Store, Value};
 use bc_core::term::Term;
-use bc_syntax::{Constant, Label};
+use bc_syntax::{Constant, Label, Op};
 use bc_translate::bisim::Observation;
 
 use crate::metrics::{MachineOutcome, MachineRun, Metrics, ReuseStats, SliceResult};
@@ -100,6 +129,98 @@ impl Machine<'_> {
         let s = &mut self.s;
         s.metrics
             .observe(s.store.frames.len(), s.coercion_frames, s.coercion_size);
+    }
+
+    /// Counts the `more` transitions a fused group takes after its
+    /// first, and records the peak of the `frames` frames it skipped
+    /// pushing, the topmost of them `coercion`'s frame if it has one.
+    #[inline(always)]
+    fn fused(&mut self, more: u64, frames: usize, coercion: Option<CoercionId>) {
+        let (casts, size) = coercion.map_or((0, 0), |c| (1, self.arena.size(c)));
+        let s = &mut self.s;
+        s.metrics.steps += more;
+        s.metrics.observe(
+            s.store.frames.len() + frames,
+            s.coercion_frames + casts,
+            s.coercion_size + size,
+        );
+    }
+
+    // The fused arms' helpers are inlined into the loop: called out of
+    // line, the `Option`s they return cost about what the dispatches
+    // they save do.
+
+    /// The control that evaluates `child`: if it is a leaf and its
+    /// `Eval` fits in `spare`, that transition taken too.
+    #[inline(always)]
+    fn descend(&mut self, code: &[Node], child: u32, env: Env, spare: u64) -> Control {
+        if spare >= 1 {
+            if let Some(v) = self.s.store.leaf(code[child as usize], env) {
+                self.s.metrics.steps += 1;
+                return Control::Ret(v);
+            }
+        }
+        Control::Eval(child, env)
+    }
+
+    /// `op` over leaves, fused: its `Eval`, and each operand's `Eval`
+    /// and return under its frame, inside `depth` more frames it skips
+    /// pushing, each with an `Eval` before and a return after — if the
+    /// `2·(N + depth)` transitions after the first fit in `spare`.
+    #[inline(always)]
+    fn leaf_op<const N: usize>(
+        &mut self,
+        code: &[Node],
+        op: Op,
+        args: [u32; N],
+        env: Env,
+        depth: usize,
+        spare: u64,
+    ) -> Option<Constant> {
+        let more = 2 * (N + depth) as u64;
+        if spare < more {
+            return None;
+        }
+        let mut ks = [Constant::Int(0); N];
+        for (k, at) in ks.iter_mut().zip(args) {
+            *k = self.s.store.leaf(code[at as usize], env)?.constant();
+        }
+        self.fused(more, 1 + depth, None);
+        Some(op.apply(&ks))
+    }
+
+    /// The branch an `if` over a comparison of two leaves takes, fused
+    /// (7 transitions: the comparison's 5 inside the `if`'s frame).
+    #[inline(always)]
+    fn leaf_test(&mut self, code: &[Node], cond: u32, env: Env, spare: u64) -> Option<bool> {
+        let Node::Op2(op, a, b) = code[cond as usize] else {
+            return None;
+        };
+        match self.leaf_op(code, op, [a, b], env, 1, spare)? {
+            Constant::Bool(b) => Some(b),
+            k => unreachable!("if condition returned {k}"),
+        }
+    }
+
+    /// A coercion over a leaf, off a coercion frame, fused: its `Eval`
+    /// pushing `s`'s frame, the leaf's `Eval`, and the return that
+    /// coerces the leaf's value, if the two after the first fit in
+    /// `spare`.
+    #[inline(always)]
+    fn leaf_coerce(
+        &mut self,
+        code: &[Node],
+        inner: u32,
+        s: CoercionId,
+        env: Env,
+        spare: u64,
+    ) -> Option<Result<Value, Label>> {
+        if spare < 2 || matches!(self.s.store.frames.last(), Some(Frame::CoerceFrame(_))) {
+            return None;
+        }
+        let v = self.s.store.leaf(code[inner as usize], env)?;
+        self.fused(2, 1, Some(s));
+        Some(self.coerce_value(v, s))
     }
 
     /// Pushes a coercion frame, *merging* with an existing top
@@ -217,6 +338,12 @@ impl Paused {
     pub fn steps(&self) -> u64 {
         self.state.metrics.steps
     }
+
+    /// The steps and peaks so far, across all slices (the reuse
+    /// counters are filled in when the run finishes).
+    pub fn metrics(&self) -> &Metrics {
+        &self.state.metrics
+    }
 }
 
 /// Begins a resumable run of an already-compiled program. No steps are
@@ -317,6 +444,7 @@ fn exec_slice(
             metrics: m.s.metrics.clone(),
         })
     };
+    let limit = fuel.min(until);
     loop {
         // THE fuel-unit invariant: fuel, slices, and
         // `Metrics::steps` all count the same unit — one machine
@@ -324,14 +452,18 @@ fn exec_slice(
         // commits. Everything above (the pool's WARMUP_RUN_FUEL cap,
         // the pool's 4 096-step slices, FuelExhausted step reports)
         // relies on this 1:1 accounting; the λB/λC machines and the
-        // small-step engines enforce the same order.
-        if m.s.metrics.steps >= fuel {
-            return done(m, MachineOutcome::Timeout);
-        }
-        if m.s.metrics.steps >= until {
+        // small-step engines enforce the same order. A fused arm
+        // takes all `k` transitions of its group only if each of them
+        // would pass this check (`k - 1 ≤ spare`), and adds all `k` to
+        // `steps`; otherwise the unfused arm takes one.
+        if m.s.metrics.steps >= limit {
+            if m.s.metrics.steps >= fuel {
+                return done(m, MachineOutcome::Timeout);
+            }
             return Stepped::Parked(control);
         }
         m.s.metrics.steps += 1;
+        let spare = limit - m.s.metrics.steps;
         control = match control {
             Control::Eval(at, env) => match code[at as usize] {
                 Node::Const(k) => Control::Ret(Value::of(k)),
@@ -342,34 +474,48 @@ fn exec_slice(
                 }
                 Node::App(l, _) => {
                     m.push(Frame::AppArg(at, env));
-                    Control::Eval(l, env)
+                    m.descend(code, l, env, spare)
                 }
-                Node::Op1(_, a) => {
-                    m.push(Frame::OpApply(at, env));
-                    Control::Eval(a, env)
-                }
-                Node::Op2(_, a, _) => {
-                    m.push(Frame::OpArg(at, env));
-                    Control::Eval(a, env)
-                }
+                Node::Op1(op, a) => match m.leaf_op(code, op, [a], env, 0, spare) {
+                    Some(k) => Control::Ret(Value::of(k)),
+                    None => {
+                        m.push(Frame::OpApply(at, env));
+                        Control::Eval(a, env)
+                    }
+                },
+                Node::Op2(op, a, b) => match m.leaf_op(code, op, [a, b], env, 0, spare) {
+                    Some(k) => Control::Ret(Value::of(k)),
+                    None => {
+                        m.push(Frame::OpArg(at, env));
+                        Control::Eval(a, env)
+                    }
+                },
                 Node::OpN { op, len, .. } => {
                     unreachable!("operator {op} applied to {len} operands")
                 }
-                Node::Coerce(inner, s) => {
-                    // The boundary crossing: `s` is a Copy id — no
-                    // interning, no allocation; merging with an
-                    // adjacent frame is a cached O(1) composition.
-                    m.push_coercion(s);
-                    Control::Eval(inner, env)
-                }
+                // The boundary crossing: `s` is a Copy id — no
+                // interning, no allocation; merging with an adjacent
+                // frame is a cached O(1) composition.
+                Node::Coerce(inner, s) => match m.leaf_coerce(code, inner, s, env, spare) {
+                    Some(Ok(v)) => Control::Ret(v),
+                    Some(Err(p)) => return done(m, MachineOutcome::Blame(p)),
+                    None => {
+                        m.push_coercion(s);
+                        m.descend(code, inner, env, spare)
+                    }
+                },
                 Node::Blame(p, _) => return done(m, MachineOutcome::Blame(p)),
-                Node::If(c, _, _) => {
-                    m.push(Frame::If(at, env));
-                    Control::Eval(c, env)
-                }
+                Node::If(c, then_, else_) => match m.leaf_test(code, c, env, spare) {
+                    Some(true) => Control::Eval(then_, env),
+                    Some(false) => Control::Eval(else_, env),
+                    None => {
+                        m.push(Frame::If(at, env));
+                        Control::Eval(c, env)
+                    }
+                },
                 Node::Let { bound, .. } => {
                     m.push(Frame::Let(at, env));
-                    Control::Eval(bound, env)
+                    m.descend(code, bound, env, spare)
                 }
             },
             Control::Ret(v) => match m.pop() {
@@ -383,7 +529,7 @@ fn exec_slice(
                     };
                     m.s.store.temps.push(v);
                     m.push(Frame::AppCall(env));
-                    Control::Eval(arg, env)
+                    m.descend(code, arg, env, spare)
                 }
                 Some(Frame::AppCall(_)) => {
                     let fun = m.s.store.temps.pop().expect("a call frame's function");

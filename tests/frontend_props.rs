@@ -277,6 +277,7 @@ proptest! {
 fn compile_in_agrees_with_compile_on_the_corpus() {
     let sources = [
         "1 + 2 * 3",
+        "let f = fun (x : Int) => x + 1 in f 41",
         "let f = fun x => x + 1 in f 41",
         "let f = fun x => x + 1 in f true",
         "letrec even (n : Int) : Bool = \
@@ -284,6 +285,8 @@ fn compile_in_agrees_with_compile_on_the_corpus() {
            if n = 1 then false else even (n - 2) \
          in even 10",
         "if true then 1 else (2 : ?)",
+        "if true then fun (x:Int) => x else fun y => (y : Int)",
+        "(fun (f : ? -> ?) => f 1) (fun x => x)",
         "(fun (x : Int) => x) ((true : ?) : Int)",
         // Rejects:
         "1 + true",
@@ -305,7 +308,16 @@ fn compile_in_agrees_with_compile_on_the_corpus() {
                 // The message with its quoted names and types cut out.
                 messages.insert(d.message.split('`').step_by(2).collect::<String>());
             }
-            assert_same_elaboration(bc_gtlc::compile(source), compiled, &types, source);
+            let tree = bc_gtlc::compile(source);
+            if let Ok(p) = &tree {
+                // The elaborated term is well typed at the program type.
+                assert_eq!(
+                    bc_lambda_b::type_of(&p.term),
+                    Ok(p.ty.clone()),
+                    "on {source}"
+                );
+            }
+            assert_same_elaboration(tree, compiled, &types, source);
         }
         assert_eq!(messages.len(), 9, "one reject per diagnostic: {messages:?}");
     }
