@@ -64,6 +64,7 @@ pub mod arena;
 pub mod coercion;
 pub mod compose;
 pub mod eval;
+pub mod exec;
 pub mod safety;
 pub mod sterm;
 pub mod store;

@@ -1,6 +1,7 @@
-//! The λS run state: the values, frames and stacks that both λS engines
-//! run a compiled [`SCode`] block on — the CEK machine
-//! (`bc_machine::cek_s`) and the compiled small-step
+//! The λS run state: the values, frames and stacks the one λS run loop
+//! ([`crate::exec`]) runs a compiled [`SCode`] block on, under either
+//! of its two counting policies — the CEK machine's
+//! (`bc_machine::cek_s`) and the compiled small-step's
 //! ([`crate::eval::start_compiled`]).
 //!
 //! # The run state

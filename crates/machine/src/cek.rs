@@ -512,6 +512,8 @@ mod tests {
             ("even_typed", programs::even_typed(8)),
             ("even_untyped", programs::even_untyped(4)),
             ("wrapped_identity", programs::wrapped_identity(4)),
+            // Wrapped 2·n times: λS merges the wrappers into one proxy.
+            ("wrapped_identity", programs::wrapped_identity(64)),
         ] {
             let small = observe::<LambdaB>(&eval::run(&t, 1_000_000).unwrap().outcome);
             assert_eq!(small, run(&t, 1_000_000).outcome.to_observation(), "{name}");
@@ -523,6 +525,11 @@ mod tests {
                 run(&tc, 1_000_000).outcome.to_observation(),
                 "{name}"
             );
+            let ts = bc_translate::term_c_to_s(&tc);
+            let small =
+                observe::<bc_core::LambdaS>(&bc_core::eval::run(&ts, 1_000_000).unwrap().outcome);
+            let machine = crate::cek_s::run(&ts, 1_000_000).outcome;
+            assert_eq!(small, machine.to_observation(), "{name}");
         }
     }
 

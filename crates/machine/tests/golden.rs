@@ -11,10 +11,11 @@
 //! message carries the whole generated text, so a deliberate change to
 //! what the machine counts is pasted into `golden.txt` by hand.
 //!
-//! The same corpus pins the compiled small-step (`bc_core::eval`) to
-//! the tree oracle: the whole run result (outcome, steps and both
-//! space peaks, or the fuel cutoff's accounting), whole and in slices
-//! of 7 steps.
+//! The machine is the λS run loop (`bc_core::exec`) under one of its
+//! two counting policies. The same corpus pins the other, the compiled
+//! small-step (`bc_core::eval`), to the tree oracle: the whole
+//! run result (outcome, steps and both space peaks, or the fuel
+//! cutoff's accounting), whole and in slices of 7 contractions.
 //!
 //! `golden_trees.txt` pins the tree engines on the same corpus: the
 //! λB, λC and λS small-steps on the λB tree term and its `|·|BC` and

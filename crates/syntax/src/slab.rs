@@ -519,6 +519,7 @@ impl<N: Node> Store<N> {
     }
 
     /// The metadata of the node behind `id`.
+    #[inline]
     pub fn meta(&self, id: u32) -> N::Meta {
         let i = id as usize;
         if i < self.base_len {

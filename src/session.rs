@@ -1087,6 +1087,8 @@ impl PausedRun {
     }
 }
 
+// Both λS engines park the one λS run loop's state (`bc_core::exec::
+// Paused`), under their own counting policies.
 enum PausedInner {
     MachineB(cek::Paused<Cast>),
     MachineC(cek::Paused<Coercion>),
@@ -1097,6 +1099,10 @@ enum PausedInner {
     LambdaB(Box<reduce::Paused<LambdaB>>),
     LambdaC(Box<reduce::Paused<LambdaC>>),
 }
+
+// A parked run is moved through the pool's run queues: keep it no wider
+// than it is.
+const _: () = assert!(std::mem::size_of::<PausedRun>() <= 264);
 
 /// What one [`Session::resume_slice`] call produced: the exact report
 /// an unsliced [`Session::run_with_fuel`] would have produced, or the

@@ -172,6 +172,26 @@ fn warm_recompile_and_run_is_allocation_free_end_to_end() {
 }
 
 #[test]
+fn small_step_measure_saturates_on_a_doubling_chain() {
+    // let k = 1 in let f0 = fun x => x + k in let f1 = fun x => f0 (f0 x)
+    // in … in k: the closed term fn stands for doubles with n, so past
+    // about 60 levels the compiled small-step's tracked size passes
+    // usize::MAX and must saturate, not overflow.
+    let session = Session::new();
+    for n in [62, 64] {
+        let lets: String = (1..=n)
+            .map(|i| format!("let f{i} = fun (x : Int) => f{j} (f{j} x) in ", j = i - 1))
+            .collect();
+        let source = format!("let k = 1 in let f0 = fun (x : Int) => x + k in {lets}k");
+        let program = session.compile(&source).expect("compiles");
+        let report = session.run(&program, Engine::LambdaS).expect("runs");
+        let one = Observation::Constant(blame_coercion::syntax::Constant::Int(1));
+        assert_eq!(report.observation, one, "{n} levels");
+        assert_eq!(report.steps, n + 2, "{n} levels");
+    }
+}
+
+#[test]
 fn no_engine_panics_on_fuel_exhaustion() {
     // A fuel-starved run returns
     // RunError::FuelExhausted with the real step count on all six
